@@ -17,6 +17,7 @@ from .molgraph import (
     MolecularGraph,
     add_master_node,
     add_virtual_edges,
+    disjoint_union,
     encode,
     featurize_atom,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "add_virtual_edges",
     "apply_readout",
     "backward",
+    "disjoint_union",
     "encode",
     "error_ratio",
     "featurize_atom",

@@ -1,5 +1,5 @@
 """Self-verification suites: finite-difference gradient checks, permutation
-invariance sweeps, and towers cost instrumentation.
+invariance sweeps, the batching oracle, and towers cost instrumentation.
 
 These run from the CLI (`mpnnkit verify`, `mpnnkit bench-towers`) and back
 the acceptance tests. The finite-difference oracle here is deliberately
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tt
 from .engine import ModelConfig, init_params, propagate
-from .model import model_forward
+from .model import UNION_EDGE_BUDGET, model_forward, predict_batch
 from .molgraph import EncodedGraph
 from .spectral import run_spectral_checks
 from .tensor import MultiplyCounter, Tensor
@@ -22,10 +22,12 @@ from .tensor import MultiplyCounter, Tensor
 __all__ = [
     "GRADIENT_TOLERANCE",
     "INVARIANCE_TOLERANCE",
+    "BATCH_TOLERANCE",
     "random_graph",
     "permute_graph",
     "run_gradient_checks",
     "run_invariance_checks",
+    "run_batch_checks",
     "bench_towers",
     "run_spectral_checks",
 ]
@@ -34,6 +36,7 @@ FD_STEP = 1e-3
 GRADIENT_TOLERANCE = 1e-4
 GRADIENT_ABS_FLOOR = 1e-8
 INVARIANCE_TOLERANCE = 1e-9
+BATCH_TOLERANCE = 1e-12
 
 
 def random_graph(rng: np.random.Generator, n: int, cfg: ModelConfig,
@@ -154,34 +157,67 @@ INVARIANCE_MESSAGES = ("matmul", "edge_network", "pair_message", "dtnn")
 INVARIANCE_READOUTS = ("ggnn", "set2set", "dtnn_sum")
 
 
+def _sweep_configs():
+    """Every combination of message function, readout, and towers k in {1, 4}."""
+    for message_fn in INVARIANCE_MESSAGES:
+        for readout in INVARIANCE_READOUTS:
+            for k in (1, 4):
+                yield ModelConfig(message_fn=message_fn, readout=readout,
+                                  towers_k=k, T=2, d=8, n_targets=3,
+                                  set2set_M=3, edge_repr="distance_bins")
+
+
 def run_invariance_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     """Graph outputs under random node relabelings, for every combination of
     message function, readout, and towers k in {1, 4}."""
     results = []
-    for message_fn in INVARIANCE_MESSAGES:
-        for readout in INVARIANCE_READOUTS:
-            for k in (1, 4):
-                cfg = ModelConfig(message_fn=message_fn, readout=readout,
-                                  towers_k=k, T=2, d=8, n_targets=3,
-                                  set2set_M=3, edge_repr="distance_bins")
-                rng = np.random.default_rng(seed)
-                params = init_params(cfg, seed=seed)
-                worst = 0.0
-                with tt.no_grad():
-                    for _ in range(n_graphs):
-                        n = int(rng.integers(2, 9))
-                        eg = random_graph(rng, n, cfg)
-                        perm = rng.permutation(n)
-                        out = model_forward(eg, params, cfg).data
-                        out_p = model_forward(permute_graph(eg, perm),
-                                              params, cfg).data
-                        worst = max(worst, float(np.max(np.abs(out - out_p))))
-                results.append({"message_fn": message_fn, "readout": readout,
-                                "towers_k": k, "max_deviation": worst})
+    for cfg in _sweep_configs():
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, seed=seed)
+        worst = 0.0
+        with tt.no_grad():
+            for _ in range(n_graphs):
+                n = int(rng.integers(2, 9))
+                eg = random_graph(rng, n, cfg)
+                perm = rng.permutation(n)
+                out = model_forward(eg, params, cfg).data
+                out_p = model_forward(permute_graph(eg, perm),
+                                      params, cfg).data
+                worst = max(worst, float(np.max(np.abs(out - out_p))))
+        results.append({"message_fn": cfg.message_fn, "readout": cfg.readout,
+                        "towers_k": cfg.towers_k, "max_deviation": worst})
     overall = max(r["max_deviation"] for r in results)
     return {"combos": results, "n_graphs": n_graphs,
             "max_deviation": overall, "tolerance": INVARIANCE_TOLERANCE,
             "passed": overall < INVARIANCE_TOLERANCE}
+
+
+def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
+    """``predict_batch`` rows against one graph at a time, for every
+    combination of message function, readout, and towers k in {1, 4}.
+
+    The batch mixes graphs of 2 to 8 nodes with a zero-edge and a zero-atom
+    graph, and holds more directed edges than ``UNION_EDGE_BUDGET``, so it
+    runs as several unions.
+    """
+    results = []
+    for cfg in _sweep_configs():
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, seed=seed)
+        egs = [random_graph(rng, int(rng.integers(2, 9)), cfg, edge_prob=1.0)
+               for _ in range(n_graphs)]
+        egs[1:1] = [random_graph(rng, 1, cfg), random_graph(rng, 0, cfg)]
+        while sum(eg.n_edges for eg in egs) <= UNION_EDGE_BUDGET:
+            egs.append(random_graph(rng, 8, cfg, edge_prob=1.0))
+        with tt.no_grad():
+            batch = predict_batch(egs, params, cfg).data
+            alone = np.stack([model_forward(eg, params, cfg).data for eg in egs])
+        results.append({"message_fn": cfg.message_fn, "readout": cfg.readout,
+                        "towers_k": cfg.towers_k, "graphs": len(egs),
+                        "max_deviation": float(np.max(np.abs(batch - alone)))})
+    overall = max(r["max_deviation"] for r in results)
+    return {"combos": results, "max_deviation": overall,
+            "tolerance": BATCH_TOLERANCE, "passed": overall < BATCH_TOLERANCE}
 
 
 def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,

@@ -6,7 +6,8 @@ Subcommands:
   evaluate      checkpoint + dataset split -> per-target MAE / error-ratio CSV
   search        random hyperparameter search over independent trials
   bench-towers  multiply counts and wall clock with/without towers
-  verify        gradient, invariance, and graph-convolution check suites
+  verify        gradient, invariance, batching, and graph-convolution check
+                suites
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -19,10 +20,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .engine import ModelConfig, param_shapes
-from .model import predict_batch, prepare_graph
+from .model import prepare_graph
 from .molgraph import TARGET_NAMES
 from .qm9 import (
     apply_split_manifest,
@@ -36,13 +35,13 @@ from .qm9 import (
     write_split_manifest,
 )
 from .synthetic import generate_synthetic
-from .tensor import ContractError, load_params, no_grad
+from .tensor import ContractError, _atomic_write, load_params
 from .training import (
     SearchSpace,
     TargetStats,
     TrainConfig,
     error_ratio,
-    loss_and_metrics,
+    evaluate,
     random_search,
     targets_matrix,
     train_run,
@@ -230,8 +229,7 @@ def cmd_train(args) -> int:
         "best_step": result.best_step,
     }
     meta_path = os.path.join(args.out_dir, "meta.json")
-    with open(meta_path, "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
+    _atomic_write(meta_path, json.dumps(meta, sort_keys=True, indent=2))
 
     print(f"run log: {log_path}")
     print(f"checkpoint: {ckpt_path} (best step {result.best_step}, "
@@ -262,13 +260,8 @@ def cmd_evaluate(args) -> int:
     part = {"train": train, "valid": valid, "test": test}[args.split]
 
     egs = [prepare_graph(g, cfg) for g in part]
-    preds = []
-    with no_grad():
-        for lo in range(0, len(egs), 64):
-            preds.append(predict_batch(egs[lo:lo + 64], params, cfg).data)
-    pred = np.concatenate(preds, axis=0)
-    _, mae = loss_and_metrics(pred, stats.normalize(targets_matrix(part, indices)),
-                              stats)
+    _, mae = evaluate(egs, stats.normalize(targets_matrix(part, indices)),
+                      params, cfg, stats)
     mae_per_target = {n: float(m) for n, m in zip(names, mae)}
     write_report_csv(args.out, mae_per_target)
     print(f"evaluated {len(part)} molecules from the {args.split} split")
@@ -291,8 +284,7 @@ def cmd_search(args) -> int:
         "best_index": result.best_index,
         "trials": [dataclasses.asdict(t) for t in result.trials],
     }
-    with open(out_path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
+    _atomic_write(out_path, json.dumps(payload, sort_keys=True, indent=2))
 
     n_failed = sum(t.failed for t in result.trials)
     print(f"{len(result.trials)} trials, {n_failed} failed; "
@@ -324,8 +316,10 @@ def cmd_bench_towers(args) -> int:
 
 def cmd_verify(args) -> int:
     from .checks import (
+        BATCH_TOLERANCE,
         GRADIENT_TOLERANCE,
         INVARIANCE_TOLERANCE,
+        run_batch_checks,
         run_gradient_checks,
         run_invariance_checks,
         run_spectral_checks,
@@ -351,6 +345,11 @@ def cmd_verify(args) -> int:
         report(f"invariance ({result['n_graphs']} graphs x "
                f"{len(result['combos'])} configs)",
                result["max_deviation"], INVARIANCE_TOLERANCE)
+    if args.suite in ("all", "batching"):
+        result = run_batch_checks(seed=args.seed, n_graphs=args.graphs)
+        report(f"batching ({len(result['combos'])} configs, union rows vs "
+               f"one graph at a time)",
+               result["max_deviation"], BATCH_TOLERANCE)
     if args.suite in ("all", "spectral"):
         result = run_spectral_checks(seed=args.seed, n_graphs=args.graphs)
         report(f"spectral filter equivalence ({result['graphs']} graphs)",
@@ -430,9 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("suite", nargs="?", default="all",
-                   choices=("all", "gradients", "invariance", "spectral"))
+                   choices=("all", "gradients", "invariance", "batching",
+                            "spectral"))
     p.add_argument("--graphs", type=int, default=100,
-                   help="graphs per invariance/spectral sweep")
+                   help="graphs per invariance/batching/spectral sweep")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -15,6 +15,11 @@ map after every step.
 A latent master node, when configured, exchanges messages with every atom
 through dedicated linear maps and keeps its own gated update; it never
 routes through the per-edge message functions (its width may differ from d).
+
+A batch of molecules propagates as one graph, their disjoint union
+(``molgraph.disjoint_union``): every per-node and per-edge operation acts
+row by row, and the master node becomes one row per member graph, fed by
+a per-graph sum of its atoms' states.
 """
 
 from __future__ import annotations
@@ -139,8 +144,16 @@ class NodeStates:
 
     h: Tensor          # (n, d) final states
     h0: Tensor         # (n, d) padded input features
-    master: Optional[Tensor] = None    # (1, d_master) final master state
-    master0: Optional[Tensor] = None   # (1, d_master) learned initial state
+    master: Optional[Tensor] = None    # (n_graphs, d_master) final master states
+    master0: Optional[Tensor] = None   # (n_graphs, d_master) learned initial state
+    # Member graph of each node when the states belong to a union; None
+    # means all rows are one graph, and readouts then return a flat vector.
+    node_graph: Optional[np.ndarray] = None
+    n_graphs: int = 1
+
+    def graph_index(self) -> np.ndarray:
+        """Member graph of every node row (all zeros for a lone graph)."""
+        return _graph_index(self.node_graph, self.h.data.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +376,10 @@ def _batched_messages(h_slice: Tensor, far: np.ndarray, near: np.ndarray,
     return tt.scatter_sum_rows(msgs, near, n)
 
 
+def _graph_index(node_graph: Optional[np.ndarray], n: int) -> np.ndarray:
+    return np.zeros(n, dtype=np.intp) if node_graph is None else node_graph
+
+
 def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
     return GruParams(wz=params[f"{prefix}_wz"], uz=params[f"{prefix}_uz"],
                      wr=params[f"{prefix}_wr"], ur=params[f"{prefix}_ur"],
@@ -374,6 +391,8 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
               message_counter: Optional[tt.MultiplyCounter] = None) -> NodeStates:
     """Run the message passing phase and return final node states.
 
+    ``eg`` is one molecule or a disjoint union of several; the states of a
+    union carry its node-to-graph index for the readouts.
     ``steps`` overrides cfg.T (0 returns the initial states unchanged).
     ``message_counter``, when given, accumulates the scalar multiplications
     spent computing messages (updates and mixing excluded), which is what
@@ -410,10 +429,12 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
                 for t in range(k):
                     en_mats[(ch, t)] = mlp2(evec, params, f"msg_{ch}_t{t}_en")
 
+    n_graphs = eg.n_graphs
+    graph = _graph_index(eg.node_graph, n)
     master = None
     master0 = None
     if cfg.d_master:
-        master0 = tt.reshape(params["master_h0"], (1, cfg.d_master))
+        master0 = tt.repeat_rows(params["master_h0"], n_graphs)
         master = master0
 
     for _ in range(T):
@@ -432,10 +453,10 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
                     m_in = Tensor(np.zeros((n, dt)))
                     m_out = Tensor(np.zeros((n, dt)))
                 if cfg.d_master:
-                    m_in = tt.add(m_in, tt.repeat_rows(
-                        tt.matmul(master, params["m2n_in"]), n))
-                    m_out = tt.add(m_out, tt.repeat_rows(
-                        tt.matmul(master, params["m2n_out"]), n))
+                    m_in = tt.add(m_in, tt.gather_rows(
+                        tt.matmul(master, params["m2n_in"]), graph))
+                    m_out = tt.add(m_out, tt.gather_rows(
+                        tt.matmul(master, params["m2n_out"]), graph))
             if cfg.update_fn == "gru":
                 msg = tt.concat([m_in, m_out], axis=1)
                 new_slices.append(tt.gru_cell(msg, h_slice, _gru_params(params, f"gru_t{t}")))
@@ -443,7 +464,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
                 new_slices.append(tt.add(h_slice, tt.add(m_in, m_out)))
         if cfg.d_master:
             with message_scope():
-                h_sum = tt.reshape(tt.reduce_sum(h, axis=0), (1, cfg.d))
+                h_sum = tt.scatter_sum_rows(h, graph, n_graphs)
                 mm = tt.concat([tt.matmul(h_sum, params["n2m_in"]),
                                 tt.matmul(h_sum, params["n2m_out"])], axis=1)
             if cfg.update_fn == "gru":
@@ -454,4 +475,5 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
                                                tt.slice_cols(mm, half, 2 * half)))
         h_new = new_slices[0] if k == 1 else tt.concat(new_slices, axis=1)
         h = affine(h_new, params["mix_w"], params["mix_b"]) if k > 1 else h_new
-    return NodeStates(h=h, h0=h0, master=master, master0=master0)
+    return NodeStates(h=h, h0=h0, master=master, master0=master0,
+                      node_graph=eg.node_graph, n_graphs=n_graphs)

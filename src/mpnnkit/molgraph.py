@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "featurize_atom",
     "bin_distance",
     "encode",
+    "disjoint_union",
     "add_virtual_edges",
     "add_master_node",
     "to_directed",
@@ -269,7 +270,11 @@ class EncodedGraph:
     ``edge_features`` is an int label array for discrete representations and
     an (m, 5) float array for raw_distance. The master node, when present,
     is not part of these arrays; ``master_dim`` signals the engine to attach
-    its latent state separately.
+    its latent state separately (one per member graph of a union).
+
+    ``disjoint_union`` packs several encoded graphs into one; its
+    ``node_graph`` names the member graph of every node. A lone molecule
+    leaves it None and counts as one graph.
     """
 
     node_features: np.ndarray          # (n, d_in) float64
@@ -278,6 +283,8 @@ class EncodedGraph:
     edge_features: np.ndarray          # (m,) int labels or (m, 5) float
     representation: str
     master_dim: int = 0
+    node_graph: Optional[np.ndarray] = None   # (n,) member graph per node
+    n_graphs: int = 1
 
     @property
     def n_atoms(self) -> int:
@@ -286,6 +293,41 @@ class EncodedGraph:
     @property
     def n_edges(self) -> int:
         return self.edge_src.shape[0]
+
+
+def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
+    """Several encoded graphs as one graph with no edges between members.
+
+    Node and edge arrays are concatenated in order, and each member's edge
+    endpoints are shifted by the number of nodes before it. Every operation
+    of the engine and the readouts acts row by row, or sums rows per member
+    graph, so member i's outputs are the ones it gets alone.
+    """
+    if not egs:
+        raise ContractError("union of no graphs")
+    first = egs[0]
+    for eg in egs:
+        if eg.node_graph is not None:
+            raise ContractError("graphs in a union must not be unions")
+        if (eg.representation, eg.master_dim) != (first.representation,
+                                                  first.master_dim):
+            raise ContractError(
+                "graphs in a union must share edge representation and "
+                "master width")
+    atoms = np.array([eg.n_atoms for eg in egs])
+    edges = np.array([eg.n_edges for eg in egs])
+    shift = np.repeat(np.cumsum(atoms) - atoms, edges)
+    with_edges = [eg.edge_features for eg in egs if eg.n_edges] or [first.edge_features]
+    return EncodedGraph(
+        node_features=np.concatenate([eg.node_features for eg in egs], axis=0),
+        edge_src=np.concatenate([eg.edge_src for eg in egs]).astype(np.intp) + shift,
+        edge_dst=np.concatenate([eg.edge_dst for eg in egs]).astype(np.intp) + shift,
+        edge_features=np.concatenate(with_edges, axis=0),
+        representation=first.representation,
+        master_dim=first.master_dim,
+        node_graph=np.repeat(np.arange(len(egs)), atoms),
+        n_graphs=len(egs),
+    )
 
 
 def featurize_atom(a: Atom, include_partial_charge: bool = False) -> np.ndarray:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ from .molgraph import (
     MolecularGraph,
     UnsupportedElementError,
 )
-from .tensor import ContractError
+from .tensor import ContractError, _atomic_write
 
 __all__ = [
     "COVALENT_RADII",
@@ -348,13 +347,6 @@ def record_to_graph(record: Qm9Record, explicit_hydrogens: bool = False,
 # ---------------------------------------------------------------------------
 # Dataset files (JSON lines with a schema header) and split manifests
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 def write_dataset(path: str, graphs: list[MolecularGraph]) -> None:

@@ -1,9 +1,12 @@
 """Graph-level readouts: order-invariant maps from node states to outputs.
 
-All three readouts consume the final and initial node states and produce a
-flat output vector with one entry per predicted target. Each is invariant
-to node permutation: the gated and plain sums by commutativity, the
-attention loop because its softmax weights travel with their rows.
+All three readouts consume the final and initial node states and produce
+one output row per graph with one entry per predicted target: a flat
+vector for a lone graph, an (n_graphs, n_targets) matrix for the states of
+a disjoint union, where every sum and softmax runs per member graph
+(segment ops over the node-to-graph index). Each is invariant to node
+permutation: the gated and plain sums by commutativity, the attention loop
+because its softmax weights travel with their rows.
 """
 
 from __future__ import annotations
@@ -24,39 +27,47 @@ __all__ = [
 ]
 
 
-def _with_master_rows(states: NodeStates, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Node states for the summing readouts, master appended when it fits.
+def _with_master_rows(states: NodeStates, cfg: ModelConfig
+                      ) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Node states for the summing readouts, each master row appended to
+    its own graph when it fits, plus the graph index of every row.
 
     The master state can only join a sum over width-d rows when its width
     equals d; otherwise it is silently left out (its influence still reached
     every node during propagation).
     """
-    h, h0 = states.h, states.h0
+    h, h0, graph = states.h, states.h0, states.graph_index()
     if (states.master is not None and cfg.master_in_readout
             and cfg.d_master == cfg.d):
         h = tt.concat([h, states.master], axis=0)
         h0 = tt.concat([h0, states.master0], axis=0)
-    return h, h0
+        graph = np.concatenate([graph, np.arange(states.n_graphs)])
+    return h, h0, graph
+
+
+def _per_graph(out: Tensor, states: NodeStates, cfg: ModelConfig) -> Tensor:
+    """(n_graphs, n_targets) for a union, a flat vector for a lone graph."""
+    if states.node_graph is None:
+        return tt.reshape(out, (cfg.n_targets,))
+    return out
 
 
 def readout_ggnn(states: NodeStates, params: dict[str, Tensor],
                  cfg: ModelConfig) -> Tensor:
-    """Gated sum: sigma(i(h_T, h_0)) * j(h_T), summed over nodes."""
-    h, h0 = _with_master_rows(states, cfg)
-    if h.data.shape[0] == 0:
-        return Tensor(np.zeros(cfg.n_targets))
+    """Gated sum: sigma(i(h_T, h_0)) * j(h_T), summed over each graph's nodes."""
+    h, h0, graph = _with_master_rows(states, cfg)
     gates = tt.sigmoid(mlp2(tt.concat([h, h0], axis=1), params, "ro_i"))
     values = mlp2(h, params, "ro_j")
-    return tt.reduce_sum(tt.mul(gates, values), axis=0)
+    return _per_graph(tt.scatter_sum_rows(tt.mul(gates, values), graph,
+                                          states.n_graphs), states, cfg)
 
 
 def readout_dtnn_sum(states: NodeStates, params: dict[str, Tensor],
                      cfg: ModelConfig) -> Tensor:
-    """Sum of per-node MLP outputs."""
-    h, _ = _with_master_rows(states, cfg)
-    if h.data.shape[0] == 0:
-        return Tensor(np.zeros(cfg.n_targets))
-    return tt.reduce_sum(mlp2(h, params, "ro_nn"), axis=0)
+    """Sum of per-node MLP outputs over each graph's nodes."""
+    h, _, graph = _with_master_rows(states, cfg)
+    return _per_graph(tt.scatter_sum_rows(mlp2(h, params, "ro_nn"), graph,
+                                          states.n_graphs), states, cfg)
 
 
 def readout_set2set(states: NodeStates, params: dict[str, Tensor],
@@ -66,33 +77,37 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
     Each step advances a query with a gated recurrent cell whose input is
     the previous concat(query, glimpse), attends over the projected tuples
     by dot product, and reads a new glimpse. The final concat runs through
-    an output MLP.
+    an output MLP. In a union every graph has its own query row, attends
+    over its own tuples only (``segment_softmax``), and reads its glimpse as
+    a per-graph weighted sum; a graph with no tuples reads a zero glimpse.
+    Empty graphs need no special case: every op takes zero rows.
     """
     M = cfg.set2set_M if M is None else M
     if M < 1:
         raise ContractError("set2set needs at least one processing step")
     dq = cfg.query_dim
+    n_graphs = states.n_graphs
+    graph = states.graph_index()
     memories = tt.matmul(tt.concat([states.h, states.h0], axis=1),
                          params["s2s_proj"])
     if states.master is not None and cfg.master_in_readout:
         master_tuple = tt.concat([states.master, states.master0], axis=1)
         memories = tt.concat(
             [memories, tt.matmul(master_tuple, params["s2s_master_proj"])], axis=0)
-    n = memories.data.shape[0]
-    q = Tensor(np.zeros((1, dq)))
-    q_star = Tensor(np.zeros((1, 2 * dq)))
+        graph = np.concatenate([graph, np.arange(n_graphs)])
+    q = Tensor(np.zeros((n_graphs, dq)))
+    q_star = Tensor(np.zeros((n_graphs, 2 * dq)))
     gp = _gru_params(params, "s2s_gru")
     for _ in range(M):
         q = tt.gru_cell(q_star, q, gp)
-        if n == 0:
-            glimpse = Tensor(np.zeros((1, dq)))
-        else:
-            scores = tt.matmul(memories, tt.reshape(q, (dq, 1)))
-            attn = tt.softmax(scores, axis=0)
-            glimpse = tt.matmul(tt.reshape(attn, (1, n)), memories)
+        # one (1 x dq) matrix per memory row against its graph's query
+        scores = tt.batched_matvec(memories, tt.gather_rows(q, graph))
+        attn = tt.segment_softmax(scores, graph, n_graphs)
+        # one (dq x 1) matrix per memory row scaled by its weight
+        glimpse = tt.scatter_sum_rows(tt.batched_matvec(memories, attn),
+                                      graph, n_graphs)
         q_star = tt.concat([q, glimpse], axis=1)
-    out = mlp2(q_star, params, "s2s_out")
-    return tt.reshape(out, (cfg.n_targets,))
+    return _per_graph(mlp2(q_star, params, "s2s_out"), states, cfg)
 
 
 def apply_readout(states: NodeStates, params: dict[str, Tensor],

@@ -2,9 +2,10 @@
 
 Only the operations the graph models in this package actually need are
 implemented: 2-D matrix products, a small set of pointwise functions,
-reductions, softmax, concatenation/slicing, row gather/scatter, and a GRU
-cell composed from the primitives. Broadcasting is restricted to exact-shape
-and scalar operands so every backward rule stays auditable at a glance.
+reductions, softmax (over an axis or per segment of rows),
+concatenation/slicing, row gather/scatter, and a GRU cell composed from
+the primitives. Broadcasting is restricted to exact-shape and scalar
+operands so every backward rule stays auditable at a glance.
 
 Every forward result is checked for NaN/Inf; divergence surfaces as a
 :class:`NumericError` at the op that produced it.
@@ -41,6 +42,7 @@ __all__ = [
     "relu",
     "reduce_sum",
     "softmax",
+    "segment_softmax",
     "concat",
     "reshape",
     "gather_rows",
@@ -439,6 +441,40 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _result(y, (x,), rule)
 
 
+def segment_softmax(x: Tensor, index, num_segments: int) -> Tensor:
+    """Softmax down each column over the rows of one segment.
+
+    ``index[i]`` is the segment of row i of the 2-D ``x``; the rows of a
+    segment need not be adjacent. A segment with one row gets weight 1; a
+    segment with no rows produces nothing. The per-segment maximum is
+    subtracted before exponentiating, so large logits do not overflow.
+    """
+    if x.data.ndim != 2:
+        raise DimensionError("segment_softmax needs a 2-D tensor")
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.shape != (x.data.shape[0],):
+        raise DimensionError("segment index length must match rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
+        raise ContractError("segment_softmax index out of range")
+    if not np.all(np.isfinite(x.data)):
+        raise NumericError("non-finite logits in segment_softmax")
+    shape = (int(num_segments), x.data.shape[1])
+    peak = np.full(shape, -np.inf)
+    np.maximum.at(peak, idx, x.data)
+    e = np.exp(x.data - peak[idx])
+    total = np.zeros(shape)
+    np.add.at(total, idx, e)
+    y = e / total[idx]
+
+    def rule(g: np.ndarray) -> None:
+        if x.requires_grad:
+            s = np.zeros(shape)
+            np.add.at(s, idx, g * y)
+            x.grad += y * (g - s[idx])
+
+    return _result(y, (x,), rule)
+
+
 def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
     if not xs:
         raise DimensionError("concat of an empty sequence")
@@ -598,6 +634,15 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # Parameter checkpoints
 # ---------------------------------------------------------------------------
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see the old or the new file,
+    never a partial one."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
 
 
 def save_params(params: Mapping[str, Tensor], path: str) -> None:

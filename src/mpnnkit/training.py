@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -21,8 +20,8 @@ import numpy as np
 from . import tensor as tt
 from .engine import ModelConfig, init_params
 from .model import predict_batch, prepare_graph
-from .molgraph import TARGET_NAMES, MolecularGraph
-from .tensor import ContractError, NumericError, Tensor
+from .molgraph import TARGET_NAMES, EncodedGraph, MolecularGraph
+from .tensor import ContractError, NumericError, Tensor, _atomic_write
 
 __all__ = [
     "CHEMICAL_ACCURACY",
@@ -38,6 +37,7 @@ __all__ = [
     "lr_at",
     "Adam",
     "loss_and_metrics",
+    "evaluate",
     "error_ratio",
     "split_indices",
     "split_dataset",
@@ -277,13 +277,16 @@ class TrainResult:
     final_train_mae_per_target: dict[str, float]
 
 
-def _evaluate(egs, y_norm, params, cfg, stats, chunk: int = 64):
-    """Full-split MSE and per-target MAE without touching the tape."""
-    preds = []
+def evaluate(egs: Sequence[EncodedGraph], y_norm: np.ndarray,
+             params: dict[str, Tensor], cfg: ModelConfig,
+             stats: TargetStats) -> tuple[float, np.ndarray]:
+    """Full-split MSE and per-target MAE without touching the tape.
+
+    ``predict_batch`` bounds its unions by edges, so a whole split is one
+    call.
+    """
     with tt.no_grad():
-        for lo in range(0, len(egs), chunk):
-            preds.append(predict_batch(egs[lo:lo + chunk], params, cfg).data)
-    pred = np.concatenate(preds, axis=0) if preds else np.zeros_like(y_norm)
+        pred = predict_batch(egs, params, cfg).data
     return loss_and_metrics(pred, y_norm, stats)
 
 
@@ -316,14 +319,14 @@ def train_run(train_graphs: Sequence[MolecularGraph],
     opt = Adam(params)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)
 
-    initial_mse, _ = _evaluate(eg_train, yn_train, params, cfg, stats)
+    initial_mse, _ = evaluate(eg_train, yn_train, params, cfg, stats)
     history: list[dict] = []
     best = {"step": 0, "mae": math.inf, "per_target": {}, "snapshot": None}
     log_lines: list[str] = []
     last_train_mse = initial_mse
 
     def evaluate_and_log(step: int) -> None:
-        valid_mse, valid_mae = _evaluate(eg_valid, yn_valid, params, cfg, stats)
+        valid_mse, valid_mae = evaluate(eg_valid, yn_valid, params, cfg, stats)
         record = {
             "step": step,
             "lr": lr_at(step, train_cfg),
@@ -359,9 +362,9 @@ def train_run(train_graphs: Sequence[MolecularGraph],
         raise NumericError("no evaluation produced a finite validation MAE")
     for k, p in params.items():
         p.data[...] = best["snapshot"][k]
-    test_mse, test_mae = _evaluate(eg_test, yn_test, params, cfg, stats)
-    final_train_mse, final_train_mae = _evaluate(eg_train, yn_train, params,
-                                                 cfg, stats)
+    test_mse, test_mae = evaluate(eg_test, yn_test, params, cfg, stats)
+    final_train_mse, final_train_mae = evaluate(eg_train, yn_train, params,
+                                                cfg, stats)
 
     if log_path:
         _atomic_write(log_path, "\n".join(log_lines) + "\n")
@@ -383,13 +386,6 @@ def train_run(train_graphs: Sequence[MolecularGraph],
         final_train_mae_per_target={n: float(m) for n, m in
                                     zip(names, final_train_mae)},
     )
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 def write_report_csv(path: str, mae_per_target: dict[str, float]) -> None:

@@ -229,6 +229,12 @@ class TestDiagnostics:
         assert main(["verify", "invariance", "--graphs", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_verify_batching_small(self, capsys):
+        # three graphs per config, topped up past the union edge budget
+        assert main(["verify", "batching", "--graphs", "3"]) == 0
+        captured = capsys.readouterr().out
+        assert "batching" in captured and "PASS" in captured
+
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "mpnnkit.cli",
                                  "verify", "spectral", "--graphs", "5"],

@@ -370,3 +370,54 @@ class TestFiniteDifferenceOracle:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         g = finite_difference_grad(lambda m: float(np.sin(m).sum()), x)
         assert_grads_close(np.cos(x), g, label="fd_sin")
+
+
+class TestSegmentSoftmax:
+    def test_matches_dense_softmax_per_segment(self, rng):
+        x = rng.normal(size=(7, 2))
+        index = np.array([2, 0, 2, 1, 0, 2, 0])
+        got = T.segment_softmax(t(x), index, 3).data
+        for s in range(3):
+            rows = np.flatnonzero(index == s)
+            want = T.softmax(t(x[rows]), axis=0).data
+            np.testing.assert_allclose(got[rows], want, rtol=0, atol=1e-15)
+
+    def test_one_row_segment_is_one(self, rng):
+        got = T.segment_softmax(t(rng.normal(size=(3, 1))), [0, 1, 1], 2).data
+        assert got[0, 0] == 1.0
+
+    def test_empty_segment_is_skipped(self, rng):
+        x = rng.normal(size=(4, 1))
+        got = T.segment_softmax(t(x), [0, 0, 2, 2], 4).data
+        np.testing.assert_allclose(
+            got, T.segment_softmax(t(x), [0, 0, 1, 1], 2).data, rtol=0, atol=0)
+        assert T.segment_softmax(t(np.zeros((0, 1))), [], 3).data.shape == (0, 1)
+
+    def test_large_logits_do_not_overflow(self):
+        x = t([[1e3], [1e3 - 1.0], [-1e3], [-1e3 + 2.0]])
+        got = T.segment_softmax(x, [0, 0, 1, 1], 2).data
+        e = np.exp([0.0, -1.0])
+        np.testing.assert_allclose(got[:2, 0], e / e.sum(), atol=1e-15)
+        e = np.exp([-2.0, 0.0])
+        np.testing.assert_allclose(got[2:, 0], e / e.sum(), atol=1e-15)
+
+    def test_non_finite_input_raises(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            x = t([[0.0], [1.0]])
+            x.data[1, 0] = bad
+            with pytest.raises(NumericError):
+                T.segment_softmax(x, [0, 0], 1)
+
+    def test_index_contract(self):
+        with pytest.raises(DimensionError):
+            T.segment_softmax(t([[0.0], [1.0]]), [0], 1)
+        with pytest.raises(ContractError):
+            T.segment_softmax(t([[0.0], [1.0]]), [0, 1], 1)
+
+    def test_gradient_against_fd(self, rng):
+        params = {"x": t(rng.normal(size=(6, 2)), rg=True)}
+        w = t(rng.normal(size=(6, 2)))
+        index = np.array([1, 0, 1, 1, 3, 0])
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.mul(T.segment_softmax(p["x"], index, 4), w)),
+            params, label="segment_softmax")
