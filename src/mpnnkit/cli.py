@@ -22,7 +22,6 @@ import sys
 
 from .engine import ModelConfig, param_shapes
 from .model import prepare_graph
-from .molgraph import TARGET_NAMES
 from .qm9 import (
     apply_split_manifest,
     file_sha256,
@@ -37,6 +36,7 @@ from .qm9 import (
 from .synthetic import generate_synthetic
 from .tensor import ContractError, _atomic_write, load_params
 from .training import (
+    CHEMICAL_ACCURACY,
     SearchSpace,
     TargetStats,
     TrainConfig,
@@ -151,13 +151,8 @@ def _load_splits(args):
 def _print_report(mae_per_target: dict[str, float]) -> None:
     print(f"{'target':<8}{'mae':>14}{'accuracy':>12}{'ratio':>8}")
     for name, mae in mae_per_target.items():
-        print(f"{name:<8}{mae:>14.6f}{_accuracy(name):>12.4f}"
+        print(f"{name:<8}{mae:>14.6f}{CHEMICAL_ACCURACY[name]:>12.4f}"
               f"{error_ratio(mae, name):>8.2f}")
-
-
-def _accuracy(name: str) -> float:
-    from .training import CHEMICAL_ACCURACY
-    return CHEMICAL_ACCURACY[name]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +247,8 @@ def cmd_evaluate(args) -> int:
     if {k: tuple(v) for k, v in actual.items()} != {k: tuple(v) for k, v in expected.items()}:
         raise ContractError("checkpoint does not match the model config")
 
-    indices = (list(range(len(TARGET_NAMES)))
-               if meta["train"]["targets"] == "all"
-               else [meta["train"]["targets"]])
-    names = [TARGET_NAMES[i] for i in indices]
+    train_cfg = TrainConfig(**meta["train"])
+    indices, names = train_cfg.target_indices, train_cfg.target_names
     stats = TargetStats.from_matrix(targets_matrix(train, indices), names)
     part = {"train": train, "valid": valid, "test": test}[args.split]
 

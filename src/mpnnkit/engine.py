@@ -8,6 +8,12 @@ of edges arriving at v, the *out* channel collects messages computed from
 the far end of edges leaving v. Both orientations of each undirected edge
 exist, so the update input has width 2d.
 
+There is one path: node states are always (n, d) row stacks, and each
+message function has a single implementation over the whole edge list
+(``_batched_messages``) that gathers far-end rows, computes one message per
+edge and scatter-sums the messages onto their receiving nodes. A graph
+with no edges takes the same path: its zero message rows sum to zeros.
+
 Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
 map after every step.
@@ -47,11 +53,6 @@ __all__ = [
     "NodeStates",
     "init_params",
     "propagate",
-    "message_matmul",
-    "message_edge_network",
-    "message_pair",
-    "message_dtnn",
-    "aggregate",
     "edge_vectors",
     "pad_features",
     "affine",
@@ -267,77 +268,30 @@ def pad_features(features: np.ndarray, d: int) -> Tensor:
     return Tensor(out)
 
 
+def _check_edge_labels(eg: EncodedGraph, cfg: ModelConfig) -> None:
+    """Discrete edge labels must index the configured alphabet: they pick a
+    matrix of the matmul bank and a column of the one-hot edge vectors."""
+    if eg.representation == "raw_distance":
+        return
+    labels = eg.edge_features
+    bad = labels[(labels < 0) | (labels >= cfg.edge_width)]
+    if bad.size:
+        raise ContractError(
+            f"edge label {int(bad[0])} outside alphabet of size {cfg.edge_width}")
+
+
 def edge_vectors(eg: EncodedGraph, cfg: ModelConfig) -> Tensor:
     """Continuous per-edge vectors: raw 5-vectors, or one-hot labels."""
     if eg.representation == "raw_distance":
         return Tensor(eg.edge_features)
     labels = eg.edge_features
-    width = cfg.edge_width
-    if labels.size and labels.max() >= width:
-        raise ContractError(
-            f"edge label {int(labels.max())} outside alphabet of size {width}")
-    out = np.zeros((labels.shape[0], width))
+    out = np.zeros((labels.shape[0], cfg.edge_width))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return Tensor(out)
 
 
 # ---------------------------------------------------------------------------
-# Single-edge message functions (contract form)
-# ---------------------------------------------------------------------------
-
-
-def message_matmul(h_w: Tensor, label: int, bank: list[Tensor]) -> Tensor:
-    """A_label applied to the far-end state: returns h_w @ bank[label]."""
-    if not 0 <= label < len(bank):
-        raise ContractError(f"edge label {label} outside bank of size {len(bank)}")
-    d = h_w.data.shape[-1]
-    return tt.reshape(tt.matmul(tt.reshape(h_w, (1, d)), bank[label]), (d,))
-
-
-def message_edge_network(h_w: Tensor, e: Tensor, params: dict[str, Tensor],
-                         prefix: str) -> Tensor:
-    """reshape(MLP(e)) applied to h_w; the MLP emits a d x d matrix per edge."""
-    d = h_w.data.shape[-1]
-    ew = e.data.size
-    mat = mlp2(tt.reshape(e, (1, ew)), params, f"{prefix}_en")
-    return tt.reshape(tt.matmul(tt.reshape(mat, (d, d)), tt.reshape(h_w, (d, 1))), (d,))
-
-
-def message_pair(h_v: Tensor, h_w: Tensor, e: Tensor, params: dict[str, Tensor],
-                 prefix: str) -> Tensor:
-    """MLP over concat(h_w, h_v, e); h_v is the receiving node's state."""
-    d = h_w.data.size
-    x = tt.concat([tt.reshape(h_w, (1, d)), tt.reshape(h_v, (1, d)),
-                   tt.reshape(e, (1, e.data.size))], axis=1)
-    return tt.reshape(mlp2(x, params, f"{prefix}_pm"), (d,))
-
-
-def message_dtnn(h_w: Tensor, e: Tensor, params: dict[str, Tensor],
-                 prefix: str) -> Tensor:
-    """tanh(W_fc((W_cf h_w + b1) * (W_df e + b2)))."""
-    d = h_w.data.size
-    hterm = affine(tt.reshape(h_w, (1, d)), params[f"{prefix}_dtnn_wcf"],
-                   params[f"{prefix}_dtnn_b1"])
-    eterm = affine(tt.reshape(e, (1, e.data.size)), params[f"{prefix}_dtnn_wdf"],
-                   params[f"{prefix}_dtnn_b2"])
-    out = tt.tanh(tt.matmul(tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"]))
-    return tt.reshape(out, (out.data.size,))
-
-
-def aggregate(in_messages: list[Tensor], out_messages: list[Tensor], d: int) -> Tensor:
-    """Per-node message vector: concat(sum of in, sum of out), width 2d."""
-    def total(msgs):
-        if not msgs:
-            return Tensor(np.zeros(d))
-        acc = msgs[0]
-        for m in msgs[1:]:
-            acc = tt.add(acc, m)
-        return acc
-    return tt.concat([total(in_messages), total(out_messages)], axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Batched propagation
+# Propagation
 # ---------------------------------------------------------------------------
 
 
@@ -387,18 +341,16 @@ def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
 
 
 def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
-              steps: Optional[int] = None,
               message_counter: Optional[tt.MultiplyCounter] = None) -> NodeStates:
-    """Run the message passing phase and return final node states.
+    """Run cfg.T message passing steps and return final node states.
 
     ``eg`` is one molecule or a disjoint union of several; the states of a
     union carry its node-to-graph index for the readouts.
-    ``steps`` overrides cfg.T (0 returns the initial states unchanged).
     ``message_counter``, when given, accumulates the scalar multiplications
     spent computing messages (updates and mixing excluded), which is what
     the towers complexity claim is about.
     """
-    def message_scope():
+    def counted_scope():
         return (tt.count_multiplies(message_counter) if message_counter is not None
                 else contextlib.nullcontext())
     if eg.master_dim and eg.master_dim != cfg.d_master:
@@ -406,10 +358,8 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
             f"graph master width {eg.master_dim} differs from config {cfg.d_master}")
     if cfg.d_master and not eg.master_dim:
         raise ContractError("config expects a master node but the graph has none")
+    _check_edge_labels(eg, cfg)
     n = eg.n_atoms
-    T = cfg.T if steps is None else steps
-    if T < 0:
-        raise ContractError("step count must be nonnegative")
     h0 = pad_features(eg.node_features, cfg.d)
     h = h0
     k = cfg.towers_k
@@ -417,14 +367,14 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
     src, dst = eg.edge_src, eg.edge_dst
 
     evec = None
-    if cfg.message_fn in ("edge_network", "pair_message", "dtnn") and eg.n_edges:
+    if cfg.message_fn in ("edge_network", "pair_message", "dtnn"):
         evec = edge_vectors(eg, cfg)
 
     # Edge features never change across steps, so the edge-network matrices
     # are computed once per forward pass.
     en_mats: dict[tuple[str, int], Tensor] = {}
-    if cfg.message_fn == "edge_network" and eg.n_edges:
-        with message_scope():
+    if cfg.message_fn == "edge_network":
+        with counted_scope():
             for ch in CHANNELS:
                 for t in range(k):
                     en_mats[(ch, t)] = mlp2(evec, params, f"msg_{ch}_t{t}_en")
@@ -437,21 +387,17 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
         master0 = tt.repeat_rows(params["master_h0"], n_graphs)
         master = master0
 
-    for _ in range(T):
+    for _ in range(cfg.T):
         new_slices = []
         for t in range(k):
             h_slice = tt.slice_cols(h, t * dt, (t + 1) * dt) if k > 1 else h
-            with message_scope():
-                if eg.n_edges:
-                    m_in = _batched_messages(h_slice, src, dst, n, eg, evec,
-                                             en_mats.get(("in", t)), params,
-                                             f"msg_in_t{t}", cfg)
-                    m_out = _batched_messages(h_slice, dst, src, n, eg, evec,
-                                              en_mats.get(("out", t)), params,
-                                              f"msg_out_t{t}", cfg)
-                else:
-                    m_in = Tensor(np.zeros((n, dt)))
-                    m_out = Tensor(np.zeros((n, dt)))
+            with counted_scope():
+                m_in = _batched_messages(h_slice, src, dst, n, eg, evec,
+                                         en_mats.get(("in", t)), params,
+                                         f"msg_in_t{t}", cfg)
+                m_out = _batched_messages(h_slice, dst, src, n, eg, evec,
+                                          en_mats.get(("out", t)), params,
+                                          f"msg_out_t{t}", cfg)
                 if cfg.d_master:
                     m_in = tt.add(m_in, tt.gather_rows(
                         tt.matmul(master, params["m2n_in"]), graph))
@@ -463,7 +409,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
             else:
                 new_slices.append(tt.add(h_slice, tt.add(m_in, m_out)))
         if cfg.d_master:
-            with message_scope():
+            with counted_scope():
                 h_sum = tt.scatter_sum_rows(h, graph, n_graphs)
                 mm = tt.concat([tt.matmul(h_sum, params["n2m_in"]),
                                 tt.matmul(h_sum, params["n2m_out"])], axis=1)

@@ -51,7 +51,6 @@ __all__ = [
     "disjoint_union",
     "add_virtual_edges",
     "add_master_node",
-    "to_directed",
     "edge_alphabet_size",
     "edge_feature_width",
 ]
@@ -478,12 +477,3 @@ def add_master_node(g: MolecularGraph, d_master: int) -> MolecularGraph:
     mid = g.n_atoms
     extra = tuple(Bond(mid, v, "master") for v in range(g.n_atoms))
     return replace(g, bonds=g.bonds + extra, master_dim=int(d_master))
-
-
-def to_directed(g: MolecularGraph) -> list[tuple[int, int, Bond]]:
-    """Both orientations of every bond as (source, destination, bond) triples."""
-    out = []
-    for b in g.bonds:
-        out.append((b.i, b.j, b))
-        out.append((b.j, b.i, b))
-    return out

@@ -11,13 +11,11 @@ because its softmax weights travel with their rows.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import tensor as tt
 from .engine import ModelConfig, NodeStates, _gru_params, mlp2
-from .tensor import ContractError, Tensor
+from .tensor import Tensor
 
 __all__ = [
     "readout_ggnn",
@@ -71,8 +69,9 @@ def readout_dtnn_sum(states: NodeStates, params: dict[str, Tensor],
 
 
 def readout_set2set(states: NodeStates, params: dict[str, Tensor],
-                    cfg: ModelConfig, M: Optional[int] = None) -> Tensor:
-    """Attention over projected (h_T, h_0) tuples, M refinement steps.
+                    cfg: ModelConfig) -> Tensor:
+    """Attention over projected (h_T, h_0) tuples, cfg.set2set_M refinement
+    steps.
 
     Each step advances a query with a gated recurrent cell whose input is
     the previous concat(query, glimpse), attends over the projected tuples
@@ -82,9 +81,6 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
     a per-graph weighted sum; a graph with no tuples reads a zero glimpse.
     Empty graphs need no special case: every op takes zero rows.
     """
-    M = cfg.set2set_M if M is None else M
-    if M < 1:
-        raise ContractError("set2set needs at least one processing step")
     dq = cfg.query_dim
     n_graphs = states.n_graphs
     graph = states.graph_index()
@@ -98,7 +94,7 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
     q = Tensor(np.zeros((n_graphs, dq)))
     q_star = Tensor(np.zeros((n_graphs, 2 * dq)))
     gp = _gru_params(params, "s2s_gru")
-    for _ in range(M):
+    for _ in range(cfg.set2set_M):
         q = tt.gru_cell(q_star, q, gp)
         # one (1 x dq) matrix per memory row against its graph's query
         scores = tt.batched_matvec(memories, tt.gather_rows(q, graph))

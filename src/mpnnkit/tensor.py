@@ -3,9 +3,10 @@
 Only the operations the graph models in this package actually need are
 implemented: 2-D matrix products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
-concatenation/slicing, row gather/scatter, and a GRU cell composed from
-the primitives. Broadcasting is restricted to exact-shape and scalar
-operands so every backward rule stays auditable at a glance.
+concatenation/slicing, row gather/scatter, and a GRU cell over
+row-stacked states composed from the primitives. Broadcasting is
+restricted to exact-shape and scalar operands so every backward rule
+stays auditable at a glance.
 
 Every forward result is checked for NaN/Inf; divergence surfaces as a
 :class:`NumericError` at the op that produced it.
@@ -609,26 +610,22 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
         hbar = tanh(x Wh + (r * h) Uh)
         h' = (1 - z) * h + z * hbar
 
-    Accepts single states (1-D) or row-stacked states (2-D); the result has
-    the rank of ``h``.
+    States are row stacks: ``x`` is (n, d_in), ``h`` and the result (n, d).
     """
     d_in, d = params.wz.data.shape
     for name, t in params.tensors().items():
         expect = (d_in, d) if name.startswith("w") else (d, d)
         if t.data.shape != expect:
             raise DimensionError(f"GRU weight {name} has shape {t.data.shape}, expected {expect}")
-    vector_in = h.data.ndim == 1
-    x2 = reshape(x, (1, x.data.size)) if x.data.ndim == 1 else x
-    h2 = reshape(h, (1, h.data.size)) if vector_in else h
-    if x2.data.shape[1] != d_in or h2.data.shape[1] != d:
+    rows = h.data.shape[:1]
+    if x.data.shape != rows + (d_in,) or h.data.shape != rows + (d,):
         raise DimensionError(
-            f"GRU inputs ({x2.data.shape[1]}, {h2.data.shape[1]}) do not match weights ({d_in}, {d})"
+            f"GRU inputs {x.data.shape}, {h.data.shape} do not match weights ({d_in}, {d})"
         )
-    z = sigmoid(add(matmul(x2, params.wz), matmul(h2, params.uz)))
-    r = sigmoid(add(matmul(x2, params.wr), matmul(h2, params.ur)))
-    hbar = tanh(add(matmul(x2, params.wh), matmul(mul(r, h2), params.uh)))
-    out = add(mul(sub(_coerce(1.0), z), h2), mul(z, hbar))
-    return reshape(out, (d,)) if vector_in else out
+    z = sigmoid(add(matmul(x, params.wz), matmul(h, params.uz)))
+    r = sigmoid(add(matmul(x, params.wr), matmul(h, params.ur)))
+    hbar = tanh(add(matmul(x, params.wh), matmul(mul(r, h), params.uh)))
+    return add(mul(sub(_coerce(1.0), z), h), mul(z, hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +652,7 @@ def save_params(params: Mapping[str, Tensor], path: str) -> None:
         name: {"shape": list(t.data.shape), "values": t.data.ravel().tolist()}
         for name, t in params.items()
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(obj, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
-    os.replace(tmp, path)
+    _atomic_write(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_params(path: str) -> dict[str, Tensor]:

@@ -197,6 +197,23 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_invalid_train_block_rejected(self, dataset, tmp_path, capsys):
+        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
+                          n_targets=1, edge_repr="chemical")
+        ckpt = tmp_path / "p.json"
+        save_params(init_params(cfg, seed=0), str(ckpt))
+        train = dataclasses.asdict(TrainConfig(total_steps=10, targets=0))
+        train["targets"] = 13
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_text(json.dumps({
+            "schema": "mpnnkit/run/v1", "model": dataclasses.asdict(cfg),
+            "train": train}))
+        assert main(["evaluate", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--checkpoint", str(ckpt), "--meta", str(meta_path),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert "targets" in capsys.readouterr().err
+
 
 class TestSearchCommand:
     def test_runs_and_writes_results(self, dataset, tmp_path):

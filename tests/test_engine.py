@@ -5,16 +5,14 @@ import pytest
 
 from mpnnkit import tensor as T
 from mpnnkit.engine import (
+    MESSAGE_FNS,
     ModelConfig,
-    aggregate,
+    _gru_params,
     init_params,
-    message_dtnn,
-    message_edge_network,
-    message_matmul,
-    message_pair,
     param_shapes,
     propagate,
 )
+from mpnnkit.molgraph import EncodedGraph
 from mpnnkit.tensor import ContractError, MultiplyCounter, Tensor
 
 from conftest import (
@@ -37,6 +35,43 @@ def zero_message_params(params):
     for name, p in params.items():
         if name.startswith("msg_"):
             p.data[...] = 0.0
+
+
+def directed_graph(h, edges, labels=None):
+    """Graph whose node features are the rows of h, with exactly the given
+    directed (source, destination) edges and chemical labels (default 0)."""
+    src = np.array([s for s, _ in edges], dtype=np.intp)
+    dst = np.array([d for _, d in edges], dtype=np.intp)
+    labels = np.zeros(len(edges), dtype=np.intp) if labels is None else labels
+    return EncodedGraph(node_features=np.asarray(h, dtype=np.float64),
+                        edge_src=src, edge_dst=dst,
+                        edge_features=np.asarray(labels, dtype=np.intp),
+                        representation="chemical")
+
+
+def residual_cfg(message_fn, **kw):
+    """One residual step: each node ends at its state plus its messages."""
+    return cfg_for(message_fn, update_fn="dtnn_residual", T=1, **kw)
+
+
+def one_edge_message(params, cfg, h_w, h_v, label=0):
+    """The message along a single directed edge w -> v.
+
+    After one residual step over that edge alone, v's state has moved by
+    the one message arriving on its in channel (v sends none out)."""
+    assert cfg.update_fn == "dtnn_residual" and cfg.T == 1
+    states = propagate(directed_graph([h_w, h_v], [(0, 1)], [label]), params, cfg)
+    return states.h.data[1] - states.h0.data[1]
+
+
+def assert_labels_rejected(message_fn):
+    """Chemical labels run 0..3; one outside indexes no bank matrix and no
+    one-hot column, and must fail loudly rather than pick a wrong one."""
+    cfg = residual_cfg(message_fn, d=3)
+    params = init_params(cfg, seed=0)
+    for label in (7, -1):
+        with pytest.raises(ContractError):
+            one_edge_message(params, cfg, np.ones(3), np.ones(3), label=label)
 
 
 class TestConfigValidation:
@@ -67,107 +102,135 @@ class TestConfigValidation:
 
 class TestSingleEdgeMessages:
     def test_matmul_identity_bank(self, rng):
-        h = Tensor(rng.normal(size=4))
-        bank = [Tensor(np.eye(4)), Tensor(np.zeros((4, 4)))]
-        np.testing.assert_allclose(message_matmul(h, 0, bank).data, h.data)
+        cfg = residual_cfg("matmul", d=4)
+        params = init_params(cfg, seed=0)
+        params["msg_in_t0_A0"].data[...] = np.eye(4)
+        params["msg_in_t0_A1"].data[...] = 0.0
+        h = rng.normal(size=4)
+        np.testing.assert_allclose(
+            one_edge_message(params, cfg, h, rng.normal(size=4), label=0), h)
 
     def test_matmul_zero_bank(self, rng):
-        h = Tensor(rng.normal(size=4))
-        bank = [Tensor(np.zeros((4, 4)))]
-        np.testing.assert_array_equal(message_matmul(h, 0, bank).data, np.zeros(4))
+        cfg = residual_cfg("matmul", d=4)
+        params = init_params(cfg, seed=0)
+        params["msg_in_t0_A0"].data[...] = 0.0
+        got = one_edge_message(params, cfg, rng.normal(size=4), rng.normal(size=4))
+        np.testing.assert_array_equal(got, np.zeros(4))
 
     def test_matmul_matches_dense_oracle(self, rng):
+        cfg = residual_cfg("matmul", d=5)
+        params = init_params(cfg, seed=0)
         h = rng.normal(size=5)
         mats = [rng.normal(size=(5, 5)) for _ in range(3)]
-        bank = [Tensor(m) for m in mats]
+        for label, m in enumerate(mats):
+            params[f"msg_in_t0_A{label}"].data[...] = m
         for label in range(3):
-            got = message_matmul(Tensor(h), label, bank).data
+            got = one_edge_message(params, cfg, h, rng.normal(size=5), label=label)
             np.testing.assert_allclose(got, h @ mats[label], atol=1e-12)
 
     def test_matmul_label_out_of_range(self, rng):
-        with pytest.raises(ContractError):
-            message_matmul(Tensor(np.ones(3)), 2, [Tensor(np.eye(3))])
+        assert_labels_rejected("matmul")
+
+    def test_edge_network_label_out_of_range(self, rng):
+        assert_labels_rejected("edge_network")
 
     def test_edge_network_zero_weights(self, rng):
-        cfg = cfg_for("edge_network")
+        cfg = residual_cfg("edge_network")
         params = init_params(cfg, seed=1)
         zero_message_params(params)
-        out = message_edge_network(Tensor(rng.normal(size=6)),
-                                   Tensor(np.ones(4)), params, "msg_in_t0")
-        np.testing.assert_array_equal(out.data, np.zeros(6))
+        out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
+        np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_edge_network_identity_output(self, rng):
-        cfg = cfg_for("edge_network")
+        cfg = residual_cfg("edge_network")
         params = init_params(cfg, seed=1)
         zero_message_params(params)
         params["msg_in_t0_en_b2"].data[...] = np.eye(6).ravel()
         h = rng.normal(size=6)
-        out = message_edge_network(Tensor(h), Tensor(np.ones(4)), params, "msg_in_t0")
-        np.testing.assert_allclose(out.data, h, atol=1e-12)
+        out = one_edge_message(params, cfg, h, rng.normal(size=6))
+        np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_pair_zero_network(self, rng):
-        cfg = cfg_for("pair_message")
+        cfg = residual_cfg("pair_message")
         params = init_params(cfg, seed=2)
         zero_message_params(params)
-        out = message_pair(Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6)),
-                           Tensor(np.ones(4)), params, "msg_in_t0")
-        np.testing.assert_array_equal(out.data, np.zeros(6))
+        out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
+        np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_pair_order_matters(self, rng):
-        cfg = cfg_for("pair_message")
+        cfg = residual_cfg("pair_message")
         params = init_params(cfg, seed=3)
-        a, b = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
-        e = Tensor(np.eye(4)[1])
-        fwd = message_pair(a, b, e, params, "msg_in_t0").data
-        rev = message_pair(b, a, e, params, "msg_in_t0").data
+        a, b = rng.normal(size=6), rng.normal(size=6)
+        fwd = one_edge_message(params, cfg, b, a, label=1)
+        rev = one_edge_message(params, cfg, a, b, label=1)
         assert np.abs(fwd - rev).max() > 1e-6
 
     def test_dtnn_zero_inner_weights(self, rng):
-        cfg = cfg_for("dtnn")
+        cfg = residual_cfg("dtnn")
         params = init_params(cfg, seed=4)
         for suffix in ("wcf", "b1", "wdf", "b2"):
             params[f"msg_in_t0_dtnn_{suffix}"].data[...] = 0.0
-        out = message_dtnn(Tensor(rng.normal(size=6)), Tensor(np.ones(4)),
-                           params, "msg_in_t0")
-        np.testing.assert_array_equal(out.data, np.zeros(6))
+        out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
+        np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_dtnn_zero_outer_weight(self, rng):
-        cfg = cfg_for("dtnn")
+        cfg = residual_cfg("dtnn")
         params = init_params(cfg, seed=5)
         params["msg_in_t0_dtnn_wfc"].data[...] = 0.0
-        out = message_dtnn(Tensor(rng.normal(size=6)), Tensor(np.ones(4)),
-                           params, "msg_in_t0")
-        np.testing.assert_array_equal(out.data, np.zeros(6))
+        out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
+        np.testing.assert_array_equal(out, np.zeros(6))
 
 
 class TestAggregate:
     def test_single_edge_concat(self, rng):
-        m_in = Tensor(rng.normal(size=3))
-        m_out = Tensor(rng.normal(size=3))
-        got = aggregate([m_in], [m_out], d=3)
-        np.testing.assert_array_equal(got.data,
-                                      np.concatenate([m_in.data, m_out.data]))
+        # Identity in-bank, doubling out-bank: along the one edge 0 -> 1,
+        # node 1 receives concat(h_0, 0) and node 0 concat(0, 2 h_1).
+        cfg = cfg_for("matmul", T=1, d=3)
+        params = init_params(cfg, seed=0)
+        params["msg_in_t0_A0"].data[...] = np.eye(3)
+        params["msg_out_t0_A0"].data[...] = 2 * np.eye(3)
+        h = rng.normal(size=(2, 3))
+        got = propagate(directed_graph(h, [(0, 1)]), params, cfg).h.data
+        msg = np.zeros((2, 6))
+        msg[1, :3] = h[0]
+        msg[0, 3:] = 2 * h[1]
+        want = T.gru_cell(Tensor(msg), Tensor(h), _gru_params(params, "gru_t0"))
+        np.testing.assert_array_equal(got, want.data)
 
-    def test_isolated_node_zero(self):
-        got = aggregate([], [], d=4)
-        np.testing.assert_array_equal(got.data, np.zeros(8))
+    def test_isolated_node_zero(self, rng):
+        # Node 2 has no edges, nor has any node of the edgeless graph: their
+        # messages sum to exactly zero, so a residual step leaves them as
+        # they were.
+        h = rng.normal(size=(3, 4))
+        for message_fn in MESSAGE_FNS:
+            cfg = residual_cfg(message_fn, d=4)
+            params = init_params(cfg, seed=1)
+            jitter_biases(params, rng)
+            one_edge = propagate(directed_graph(h, [(0, 1)]), params, cfg)
+            np.testing.assert_array_equal(one_edge.h.data[2], one_edge.h0.data[2])
+            edgeless = propagate(directed_graph(h, []), params, cfg)
+            np.testing.assert_array_equal(edgeless.h.data, edgeless.h0.data)
 
     def test_sum_order_invariance(self, rng):
-        msgs = [Tensor(rng.normal(size=5)) for _ in range(6)]
-        a = aggregate(msgs, [], d=5).data
-        b = aggregate(msgs[::-1], [], d=5).data
+        cfg = residual_cfg("matmul", d=5)
+        params = init_params(cfg, seed=2)
+        h = rng.normal(size=(7, 5))
+        edges = [(w, 0) for w in range(1, 7)]
+        labels = rng.integers(0, 4, size=6)
+        a = propagate(directed_graph(h, edges, labels), params, cfg).h.data
+        b = propagate(directed_graph(h, edges[::-1], labels[::-1]),
+                      params, cfg).h.data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestPropagate:
-    def test_zero_steps_returns_padded_input(self, rng):
+    def test_initial_states_are_padded_input(self, rng):
         cfg = cfg_for("matmul")
         params = init_params(cfg, seed=0)
         eg = random_encoded(rng, n=4, d_in=4)
-        states = propagate(eg, params, cfg, steps=0)
-        assert states.h is states.h0
-        np.testing.assert_array_equal(states.h.data[:, :4], eg.node_features)
-        np.testing.assert_array_equal(states.h.data[:, 4:], 0.0)
+        states = propagate(eg, params, cfg)
+        np.testing.assert_array_equal(states.h0.data[:, :4], eg.node_features)
+        np.testing.assert_array_equal(states.h0.data[:, 4:], 0.0)
 
     def test_zero_messages_reduce_to_gru_of_zero(self, rng):
         cfg = cfg_for("matmul", T=3)
@@ -175,7 +238,6 @@ class TestPropagate:
         zero_message_params(params)
         eg = random_encoded(rng, n=4, d_in=4)
         states = propagate(eg, params, cfg)
-        from mpnnkit.engine import _gru_params
         h = states.h0
         for _ in range(cfg.T):
             h = T.gru_cell(Tensor(np.zeros((4, 2 * cfg.d))), h,

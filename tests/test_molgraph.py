@@ -18,7 +18,6 @@ from mpnnkit.molgraph import (
     edge_feature_width,
     encode,
     featurize_atom,
-    to_directed,
 )
 from mpnnkit.tensor import ContractError
 
@@ -233,16 +232,16 @@ class TestAugmentations:
         with pytest.raises(ContractError):
             add_master_node(g, d_master=4)
 
-    def test_to_directed_doubles_edges(self, rng):
+    def test_encode_doubles_edges(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 8))
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             keep = [p for p in pairs if rng.random() < 0.5]
             atoms = tuple(Atom("C", hydrogen_count=0) for _ in range(n))
             bonds = tuple(Bond(i, j, "single") for i, j in keep)
-            directed = to_directed(MolecularGraph(atoms=atoms, bonds=bonds))
-            assert len(directed) == 2 * len(keep)
-            assert {(s, t) for s, t, _ in directed} == (
+            eg = encode(MolecularGraph(atoms=atoms, bonds=bonds), "chemical")
+            assert eg.n_edges == 2 * len(keep)
+            assert set(zip(eg.edge_src.tolist(), eg.edge_dst.tolist())) == (
                 {(i, j) for i, j in keep} | {(j, i) for i, j in keep})
 
 

@@ -153,11 +153,9 @@ class TestSet2Set:
         assert attn.data.min() >= 0
         assert abs(attn.data.sum() - 1.0) < 1e-12
 
-    def test_m_must_be_positive(self, rng):
-        cfg = make_cfg("set2set")
-        params = init_params(cfg, seed=11)
+    def test_m_must_be_positive(self):
         with pytest.raises(ContractError):
-            readout_set2set(states_from(rng, 3, 6), params, cfg, M=0)
+            make_cfg("set2set", set2set_M=0)
 
 
 class TestFullForward:

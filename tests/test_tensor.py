@@ -273,17 +273,17 @@ class TestGruCell:
     def test_zero_weights_halve_the_state(self):
         # All-zero weights: z = 0.5, hbar = 0, so h' = 0.5 * h.
         p = self.make_params(2, 3)
-        h = t([1.0, -2.0, 4.0])
-        out = T.gru_cell(t([5.0, 5.0]), h, p)
-        np.testing.assert_allclose(out.data, [0.5, -1.0, 2.0], atol=1e-15)
+        h = t([[1.0, -2.0, 4.0]])
+        out = T.gru_cell(t([[5.0, 5.0]]), h, p)
+        np.testing.assert_allclose(out.data, [[0.5, -1.0, 2.0]], atol=1e-15)
 
-    def test_rank_follows_state(self):
+    def test_vector_state_rejected(self):
+        # States are row stacks; a single state is a one-row matrix.
         p = self.make_params(2, 3)
-        single = T.gru_cell(t([1.0, 1.0]), t([1.0, 1.0, 1.0]), p)
-        stacked = T.gru_cell(t([[1.0, 1.0]]), t([[1.0, 1.0, 1.0]]), p)
-        assert single.data.shape == (3,)
-        assert stacked.data.shape == (1, 3)
-        np.testing.assert_allclose(single.data, stacked.data[0])
+        with pytest.raises(DimensionError):
+            T.gru_cell(t([1.0, 1.0]), t([1.0, 1.0, 1.0]), p)
+        with pytest.raises(DimensionError):
+            T.gru_cell(t([[1.0, 1.0]]), t([1.0, 1.0, 1.0]), p)
 
     def test_saturated_update_gate_copies_candidate(self):
         # Huge Wz drives z to 1, so h' = tanh(x Wh) regardless of h.
@@ -291,13 +291,15 @@ class TestGruCell:
         p = self.make_params(d_in, d)
         p.wz.data[...] = 1e4
         p.wh.data[...] = np.eye(2) * 0.5
-        out = T.gru_cell(t([1.0, 1.0]), t([9.0, -9.0]), p)
-        np.testing.assert_allclose(out.data, np.tanh([0.5, 0.5]), atol=1e-12)
+        out = T.gru_cell(t([[1.0, 1.0]]), t([[9.0, -9.0]]), p)
+        np.testing.assert_allclose(out.data, np.tanh([[0.5, 0.5]]), atol=1e-12)
 
     def test_shape_validation(self):
         p = self.make_params(2, 3)
         with pytest.raises(DimensionError):
-            T.gru_cell(t([1.0, 2.0, 3.0]), t([1.0, 1.0, 1.0]), p)
+            T.gru_cell(t([[1.0, 2.0, 3.0]]), t([[1.0, 1.0, 1.0]]), p)
+        with pytest.raises(DimensionError):
+            T.gru_cell(t([[1.0, 2.0]] * 2), t([[1.0, 1.0, 1.0]]), p)
 
 
 class TestMultiplyCounter:
