@@ -15,7 +15,6 @@ from .molgraph import (
     Bond,
     EncodedGraph,
     MolecularGraph,
-    add_master_node,
     add_virtual_edges,
     disjoint_union,
     encode,
@@ -74,7 +73,6 @@ __all__ = [
     "TargetStats",
     "Tensor",
     "TrainConfig",
-    "add_master_node",
     "add_virtual_edges",
     "apply_readout",
     "backward",

@@ -74,8 +74,7 @@ def permute_graph(eg: EncodedGraph, perm: np.ndarray) -> EncodedGraph:
     return EncodedGraph(node_features=eg.node_features[inv],
                         edge_src=perm[eg.edge_src], edge_dst=perm[eg.edge_dst],
                         edge_features=eg.edge_features,
-                        representation=eg.representation,
-                        master_dim=eg.master_dim)
+                        representation=eg.representation)
 
 
 def _jitter_biases(params: dict[str, Tensor], rng: np.random.Generator) -> None:

@@ -69,6 +69,15 @@ def _parse_targets(text: str):
             f"targets must be 'all' or an index, got {text!r}") from None
 
 
+def _parse_messages(text: str) -> tuple[str, ...]:
+    names = text.split(",")
+    unknown = [m for m in names if m not in MESSAGES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown message function(s) {unknown}; choose from {sorted(MESSAGES)}")
+    return tuple(MESSAGES[m] for m in names)
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model")
     group.add_argument("--message", choices=sorted(MESSAGES),
@@ -189,8 +198,9 @@ def cmd_prepare(args) -> int:
     digest = file_sha256(args.out)
 
     n = len(graphs)
-    valid_size = args.valid_size or min(10000, max(1, n // 10))
-    test_size = args.test_size or min(10000, max(1, n // 10))
+    default_size = min(10000, max(1, n // 10))
+    valid_size = default_size if args.valid_size is None else args.valid_size
+    test_size = default_size if args.test_size is None else args.test_size
     manifest_path = args.manifest or args.out + ".manifest.json"
     write_split_manifest(manifest_path, n, seed=args.seed,
                          valid_size=valid_size, test_size=test_size,
@@ -235,21 +245,31 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _, _, _, (train, valid, test) = _load_splits(args)
     with open(args.meta) as f:
         meta = json.load(f)
     if meta.get("schema") != META_SCHEMA:
         raise ContractError(f"unknown metadata schema {meta.get('schema')!r}")
-    cfg = ModelConfig(**meta["model"])
+    try:
+        cfg = ModelConfig(**meta["model"])
+        train_cfg = TrainConfig(**meta["train"])
+        stats = TargetStats.from_dict(meta["stats"])
+        trained_on = ((args.data, meta["dataset_sha256"]),
+                      (args.manifest, meta["manifest_sha256"]))
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"{args.meta}: missing or unknown field: {exc}") from None
+    for path, digest in trained_on:
+        if file_sha256(path) != digest:
+            raise ContractError(f"{path} is not the file this run was trained with")
+    indices, names = train_cfg.target_indices, train_cfg.target_names
+    if list(stats.names) != names:
+        raise ContractError(f"{args.meta}: stats do not match the trained targets")
+    _, _, _, (train, valid, test) = _load_splits(args)
     params = load_params(args.checkpoint)
     expected = dict(param_shapes(cfg))
     actual = {k: p.data.shape for k, p in params.items()}
     if {k: tuple(v) for k, v in actual.items()} != {k: tuple(v) for k, v in expected.items()}:
         raise ContractError("checkpoint does not match the model config")
 
-    train_cfg = TrainConfig(**meta["train"])
-    indices, names = train_cfg.target_indices, train_cfg.target_names
-    stats = TargetStats.from_matrix(targets_matrix(train, indices), names)
     part = {"train": train, "valid": valid, "test": test}[args.split]
 
     egs = [prepare_graph(g, cfg) for g in part]
@@ -267,8 +287,7 @@ def cmd_search(args) -> int:
     _, header, _, (train, valid, test) = _load_splits(args)
     cfg = _model_config(args, explicit_hydrogens=header["explicit_hydrogens"])
     tc = _train_config(args)
-    space = SearchSpace(message_fns=tuple(MESSAGES[m] for m in
-                                          args.search_messages.split(",")))
+    space = SearchSpace(message_fns=args.search_messages)
     result = random_search(space, args.trials, train, valid, test, cfg, tc,
                            seed=args.seed, workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -405,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--search-messages", default="edgenet",
+    p.add_argument("--search-messages", type=_parse_messages, default="edgenet",
                    help="comma-separated message functions to sample")
     p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)

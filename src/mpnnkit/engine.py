@@ -18,14 +18,17 @@ Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
 map after every step.
 
-A latent master node, when configured, exchanges messages with every atom
-through dedicated linear maps and keeps its own gated update; it never
-routes through the per-edge message functions (its width may differ from d).
+The master node (the paper's latent node joined to every atom by a special
+edge type) lives only here, as one state row of width ``cfg.d_master`` per
+graph. It sends every atom of its graph a message through dedicated linear
+maps, takes in a per-graph sum of their states, and keeps its own update;
+it never routes through the per-edge message functions (its width may
+differ from d).
 
 A batch of molecules propagates as one graph, their disjoint union
 (``molgraph.disjoint_union``): every per-node and per-edge operation acts
-row by row, and the master node becomes one row per member graph, fed by
-a per-graph sum of its atoms' states.
+row by row, and per-graph sums run over the node-to-graph index, which a
+lone graph gets as all zeros.
 """
 
 from __future__ import annotations
@@ -143,18 +146,12 @@ class ModelConfig:
 class NodeStates:
     """Per-node states after propagation, plus what the readouts need."""
 
-    h: Tensor          # (n, d) final states
-    h0: Tensor         # (n, d) padded input features
+    h: Tensor               # (n, d) final states
+    h0: Tensor              # (n, d) padded input features
+    node_graph: np.ndarray  # (n,) graph of every node row, in [0, n_graphs)
+    n_graphs: int = 1
     master: Optional[Tensor] = None    # (n_graphs, d_master) final master states
     master0: Optional[Tensor] = None   # (n_graphs, d_master) learned initial state
-    # Member graph of each node when the states belong to a union; None
-    # means all rows are one graph, and readouts then return a flat vector.
-    node_graph: Optional[np.ndarray] = None
-    n_graphs: int = 1
-
-    def graph_index(self) -> np.ndarray:
-        """Member graph of every node row (all zeros for a lone graph)."""
-        return _graph_index(self.node_graph, self.h.data.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +327,6 @@ def _batched_messages(h_slice: Tensor, far: np.ndarray, near: np.ndarray,
     return tt.scatter_sum_rows(msgs, near, n)
 
 
-def _graph_index(node_graph: Optional[np.ndarray], n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.intp) if node_graph is None else node_graph
-
-
 def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
     return GruParams(wz=params[f"{prefix}_wz"], uz=params[f"{prefix}_uz"],
                      wr=params[f"{prefix}_wr"], ur=params[f"{prefix}_ur"],
@@ -344,8 +337,8 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
               message_counter: Optional[tt.MultiplyCounter] = None) -> NodeStates:
     """Run cfg.T message passing steps and return final node states.
 
-    ``eg`` is one molecule or a disjoint union of several; the states of a
-    union carry its node-to-graph index for the readouts.
+    ``eg`` is one molecule or a disjoint union of several; the states carry
+    the node-to-graph index for the readouts (all zeros for one molecule).
     ``message_counter``, when given, accumulates the scalar multiplications
     spent computing messages (updates and mixing excluded), which is what
     the towers complexity claim is about.
@@ -353,11 +346,6 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
     def counted_scope():
         return (tt.count_multiplies(message_counter) if message_counter is not None
                 else contextlib.nullcontext())
-    if eg.master_dim and eg.master_dim != cfg.d_master:
-        raise ContractError(
-            f"graph master width {eg.master_dim} differs from config {cfg.d_master}")
-    if cfg.d_master and not eg.master_dim:
-        raise ContractError("config expects a master node but the graph has none")
     _check_edge_labels(eg, cfg)
     n = eg.n_atoms
     h0 = pad_features(eg.node_features, cfg.d)
@@ -380,7 +368,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
                     en_mats[(ch, t)] = mlp2(evec, params, f"msg_{ch}_t{t}_en")
 
     n_graphs = eg.n_graphs
-    graph = _graph_index(eg.node_graph, n)
+    graph = np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph
     master = None
     master0 = None
     if cfg.d_master:
@@ -421,5 +409,5 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
                                                tt.slice_cols(mm, half, 2 * half)))
         h_new = new_slices[0] if k == 1 else tt.concat(new_slices, axis=1)
         h = affine(h_new, params["mix_w"], params["mix_b"]) if k > 1 else h_new
-    return NodeStates(h=h, h0=h0, master=master, master0=master0,
-                      node_graph=eg.node_graph, n_graphs=n_graphs)
+    return NodeStates(h=h, h0=h0, node_graph=graph, n_graphs=n_graphs,
+                      master=master, master0=master0)

@@ -11,7 +11,6 @@ from .engine import ModelConfig, propagate
 from .molgraph import (
     EncodedGraph,
     MolecularGraph,
-    add_master_node,
     add_virtual_edges,
     disjoint_union,
     encode,
@@ -39,8 +38,6 @@ def prepare_graph(g: MolecularGraph, cfg: ModelConfig) -> EncodedGraph:
             "graph hydrogen convention does not match the model config")
     if cfg.virtual_edges:
         g = add_virtual_edges(g)
-    if cfg.d_master:
-        g = add_master_node(g, cfg.d_master)
     return encode(g, cfg.edge_repr, cfg.include_partial_charge)
 
 
@@ -49,10 +46,10 @@ def model_forward(eg: EncodedGraph, params: dict[str, Tensor],
     """One graph in, one output vector of width n_targets out.
 
     The same propagation and readouts as ``predict_batch``; a lone graph is
-    a union of one.
+    a union of one, whose single output row is returned flat.
     """
-    states = propagate(eg, params, cfg)
-    return apply_readout(states, params, cfg)
+    out = apply_readout(propagate(eg, params, cfg), params, cfg)
+    return tt.reshape(out, (cfg.n_targets,))
 
 
 def union_groups(egs: Sequence[EncodedGraph]) -> list[list[EncodedGraph]]:

@@ -11,11 +11,10 @@ are supported:
 * ``raw_distance``: fully connected; each edge carries the 5-vector
   [distance, one-hot(4) bond type], all-zero one-hot for unbonded pairs.
 
-Augmentations: ``add_virtual_edges`` fully connects the chemical graph with
-a dedicated edge type; ``add_master_node`` attaches one extra latent node
-(its id is ``len(atoms)``) connected to every atom. The master node has no
-chemical features, so encoders keep it out of ``node_features`` and
-``edge_list``; the propagation engine reads ``master_dim`` instead.
+Augmentation: ``add_virtual_edges`` fully connects the chemical graph with
+a dedicated edge type. The latent master node is not part of a molecule:
+the propagation engine keeps it as one state row per graph, with the width
+``ModelConfig.d_master``.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "encode",
     "disjoint_union",
     "add_virtual_edges",
-    "add_master_node",
     "edge_alphabet_size",
     "edge_feature_width",
 ]
@@ -64,7 +62,6 @@ ELEMENTS = {"H": 1, "C": 6, "N": 7, "O": 8, "F": 9}
 HEAVY_ELEMENTS = frozenset(e for e in ELEMENTS if e != "H")
 
 BOND_TYPES = ("single", "double", "triple", "aromatic")
-AUGMENT_TYPES = ("virtual", "master")
 BOND_LABELS = {t: i for i, t in enumerate(BOND_TYPES)}
 VIRTUAL_LABEL = 4
 
@@ -120,7 +117,7 @@ class Bond:
     distance: Optional[float] = None
 
     def __post_init__(self):
-        if self.bond_type not in BOND_TYPES + AUGMENT_TYPES:
+        if self.bond_type not in BOND_TYPES + ("virtual",):
             raise ContractError(f"unknown bond type {self.bond_type!r}")
         if self.i == self.j:
             raise ContractError("bond endpoints must be distinct")
@@ -140,9 +137,6 @@ class MolecularGraph:
     bonds: tuple[Bond, ...]
     explicit_hydrogens: bool = False
     targets: Optional[tuple[float, ...]] = None
-    # Width of the latent master node's state; 0 means no master node.
-    # When nonzero, node id len(atoms) refers to the master node.
-    master_dim: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -154,14 +148,6 @@ class MolecularGraph:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.atoms) + (1 if self.master_dim else 0)
-
-    @property
-    def master_id(self) -> Optional[int]:
-        return len(self.atoms) if self.master_dim else None
-
     def heavy_atom_count(self) -> int:
         return sum(1 for a in self.atoms if a.element != "H")
 
@@ -172,16 +158,11 @@ class MolecularGraph:
         return np.array([a.position for a in self.atoms], dtype=np.float64)
 
     def validate(self) -> "MolecularGraph":
-        n = self.n_nodes
+        n = self.n_atoms
         seen: set[frozenset[int]] = set()
         for b in self.bonds:
             if b.i >= n or b.j >= n:
                 raise ContractError(f"bond ({b.i},{b.j}) references a missing node")
-            touches_master = self.master_dim and self.master_id in (b.i, b.j)
-            if touches_master and b.bond_type != "master":
-                raise ContractError("edges at the master node must have type master")
-            if not touches_master and b.bond_type == "master":
-                raise ContractError("master edge on a graph without a master node")
             key = frozenset((b.i, b.j))
             if key in seen:
                 raise ContractError(f"duplicate bond between {b.i} and {b.j}")
@@ -220,16 +201,13 @@ class MolecularGraph:
                 entry["distance"] = b.distance
             bonds.append(entry)
         have_pos = all(a.position is not None for a in self.atoms) and self.atoms
-        out = {
+        return {
             "atoms": atoms,
             "bonds": bonds,
             "positions": [list(a.position) for a in self.atoms] if have_pos else None,
             "targets": list(self.targets) if self.targets is not None else None,
             "explicit_hydrogens": self.explicit_hydrogens,
         }
-        if self.master_dim:
-            out["master_dim"] = self.master_dim
-        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MolecularGraph":
@@ -257,7 +235,6 @@ class MolecularGraph:
             bonds=bonds,
             explicit_hydrogens=bool(obj.get("explicit_hydrogens", False)),
             targets=tuple(obj["targets"]) if obj.get("targets") is not None else None,
-            master_dim=int(obj.get("master_dim", 0)),
         ).validate()
 
 
@@ -267,9 +244,7 @@ class EncodedGraph:
 
     Edges are directed and cover both orientations of every undirected pair.
     ``edge_features`` is an int label array for discrete representations and
-    an (m, 5) float array for raw_distance. The master node, when present,
-    is not part of these arrays; ``master_dim`` signals the engine to attach
-    its latent state separately (one per member graph of a union).
+    an (m, 5) float array for raw_distance.
 
     ``disjoint_union`` packs several encoded graphs into one; its
     ``node_graph`` names the member graph of every node. A lone molecule
@@ -281,7 +256,6 @@ class EncodedGraph:
     edge_dst: np.ndarray               # (m,) int destination node
     edge_features: np.ndarray          # (m,) int labels or (m, 5) float
     representation: str
-    master_dim: int = 0
     node_graph: Optional[np.ndarray] = None   # (n,) member graph per node
     n_graphs: int = 1
 
@@ -308,11 +282,8 @@ def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
     for eg in egs:
         if eg.node_graph is not None:
             raise ContractError("graphs in a union must not be unions")
-        if (eg.representation, eg.master_dim) != (first.representation,
-                                                  first.master_dim):
-            raise ContractError(
-                "graphs in a union must share edge representation and "
-                "master width")
+        if eg.representation != first.representation:
+            raise ContractError("graphs in a union must share edge representation")
     atoms = np.array([eg.n_atoms for eg in egs])
     edges = np.array([eg.n_edges for eg in egs])
     shift = np.repeat(np.cumsum(atoms) - atoms, edges)
@@ -323,7 +294,6 @@ def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
         edge_dst=np.concatenate([eg.edge_dst for eg in egs]).astype(np.intp) + shift,
         edge_features=np.concatenate(with_edges, axis=0),
         representation=first.representation,
-        master_dim=first.master_dim,
         node_graph=np.repeat(np.arange(len(egs)), atoms),
         n_graphs=len(egs),
     )
@@ -409,8 +379,6 @@ def encode(g: MolecularGraph, representation: str,
     feats: list = []
     if representation == "chemical":
         for b in g.bonds:
-            if b.bond_type == "master":
-                continue
             label = VIRTUAL_LABEL if b.bond_type == "virtual" else BOND_LABELS[b.bond_type]
             pairs.append((b.i, b.j))
             feats.append(label)
@@ -451,13 +419,12 @@ def encode(g: MolecularGraph, representation: str,
         edge_dst=dst,
         edge_features=directed_features,
         representation=representation,
-        master_dim=g.master_dim,
     )
 
 
 def add_virtual_edges(g: MolecularGraph) -> MolecularGraph:
     """Fully connect the atom graph; new pairs get bond_type=virtual."""
-    existing = {frozenset((b.i, b.j)) for b in g.bonds if b.bond_type != "master"}
+    existing = {frozenset((b.i, b.j)) for b in g.bonds}
     extra = []
     for i in range(g.n_atoms):
         for j in range(i + 1, g.n_atoms):
@@ -467,13 +434,3 @@ def add_virtual_edges(g: MolecularGraph) -> MolecularGraph:
         return g
     return replace(g, bonds=g.bonds + tuple(extra))
 
-
-def add_master_node(g: MolecularGraph, d_master: int) -> MolecularGraph:
-    """Attach one latent node (id = n_atoms) connected to every atom."""
-    if d_master < 1:
-        raise ContractError("master node width must be at least 1")
-    if g.master_dim:
-        raise ContractError("graph already has a master node")
-    mid = g.n_atoms
-    extra = tuple(Bond(mid, v, "master") for v in range(g.n_atoms))
-    return replace(g, bonds=g.bonds + extra, master_dim=int(d_master))

@@ -1,12 +1,11 @@
 """Graph-level readouts: order-invariant maps from node states to outputs.
 
-All three readouts consume the final and initial node states and produce
-one output row per graph with one entry per predicted target: a flat
-vector for a lone graph, an (n_graphs, n_targets) matrix for the states of
-a disjoint union, where every sum and softmax runs per member graph
-(segment ops over the node-to-graph index). Each is invariant to node
-permutation: the gated and plain sums by commutativity, the attention loop
-because its softmax weights travel with their rows.
+All three readouts consume the final and initial node states and return
+an (n_graphs, n_targets) matrix, one row per graph, also for a lone graph.
+Every sum and softmax runs per graph (segment ops over the node-to-graph
+index). Each is invariant to node permutation: the gated and plain sums by
+commutativity, the attention loop because its softmax weights travel with
+their rows.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ def _with_master_rows(states: NodeStates, cfg: ModelConfig
     equals d; otherwise it is silently left out (its influence still reached
     every node during propagation).
     """
-    h, h0, graph = states.h, states.h0, states.graph_index()
+    h, h0, graph = states.h, states.h0, states.node_graph
     if (states.master is not None and cfg.master_in_readout
             and cfg.d_master == cfg.d):
         h = tt.concat([h, states.master], axis=0)
@@ -43,29 +42,20 @@ def _with_master_rows(states: NodeStates, cfg: ModelConfig
     return h, h0, graph
 
 
-def _per_graph(out: Tensor, states: NodeStates, cfg: ModelConfig) -> Tensor:
-    """(n_graphs, n_targets) for a union, a flat vector for a lone graph."""
-    if states.node_graph is None:
-        return tt.reshape(out, (cfg.n_targets,))
-    return out
-
-
 def readout_ggnn(states: NodeStates, params: dict[str, Tensor],
                  cfg: ModelConfig) -> Tensor:
     """Gated sum: sigma(i(h_T, h_0)) * j(h_T), summed over each graph's nodes."""
     h, h0, graph = _with_master_rows(states, cfg)
     gates = tt.sigmoid(mlp2(tt.concat([h, h0], axis=1), params, "ro_i"))
     values = mlp2(h, params, "ro_j")
-    return _per_graph(tt.scatter_sum_rows(tt.mul(gates, values), graph,
-                                          states.n_graphs), states, cfg)
+    return tt.scatter_sum_rows(tt.mul(gates, values), graph, states.n_graphs)
 
 
 def readout_dtnn_sum(states: NodeStates, params: dict[str, Tensor],
                      cfg: ModelConfig) -> Tensor:
     """Sum of per-node MLP outputs over each graph's nodes."""
     h, _, graph = _with_master_rows(states, cfg)
-    return _per_graph(tt.scatter_sum_rows(mlp2(h, params, "ro_nn"), graph,
-                                          states.n_graphs), states, cfg)
+    return tt.scatter_sum_rows(mlp2(h, params, "ro_nn"), graph, states.n_graphs)
 
 
 def readout_set2set(states: NodeStates, params: dict[str, Tensor],
@@ -76,14 +66,14 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
     Each step advances a query with a gated recurrent cell whose input is
     the previous concat(query, glimpse), attends over the projected tuples
     by dot product, and reads a new glimpse. The final concat runs through
-    an output MLP. In a union every graph has its own query row, attends
-    over its own tuples only (``segment_softmax``), and reads its glimpse as
-    a per-graph weighted sum; a graph with no tuples reads a zero glimpse.
+    an output MLP. Every graph has its own query row, attends over its own
+    tuples only (``segment_softmax``), and reads its glimpse as a per-graph
+    weighted sum; a graph with no tuples reads a zero glimpse.
     Empty graphs need no special case: every op takes zero rows.
     """
     dq = cfg.query_dim
     n_graphs = states.n_graphs
-    graph = states.graph_index()
+    graph = states.node_graph
     memories = tt.matmul(tt.concat([states.h, states.h0], axis=1),
                          params["s2s_proj"])
     if states.master is not None and cfg.master_in_readout:
@@ -103,7 +93,7 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
         glimpse = tt.scatter_sum_rows(tt.batched_matvec(memories, attn),
                                       graph, n_graphs)
         q_star = tt.concat([q, glimpse], axis=1)
-    return _per_graph(mlp2(q_star, params, "s2s_out"), states, cfg)
+    return mlp2(q_star, params, "s2s_out")
 
 
 def apply_readout(states: NodeStates, params: dict[str, Tensor],

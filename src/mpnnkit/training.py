@@ -98,6 +98,12 @@ class TargetStats:
         return {"names": list(self.names), "mean": self.mean.tolist(),
                 "std": self.std.tolist()}
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "TargetStats":
+        return cls(names=tuple(obj["names"]),
+                   mean=np.array(obj["mean"], dtype=np.float64),
+                   std=np.array(obj["std"], dtype=np.float64))
+
 
 def normalize_targets(y: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, TargetStats]:
     stats = TargetStats.from_matrix(y, names)

@@ -97,7 +97,7 @@ def jitter_biases(params, rng, scale=0.3):
 
 
 def random_encoded(rng, n=5, d_in=4, representation="chemical", alphabet=4,
-                   edge_prob=0.6, ensure_connected=False, master_dim=0):
+                   edge_prob=0.6, ensure_connected=False):
     """Random EncodedGraph for engine tests, built without the molecule layer."""
     from mpnnkit.molgraph import EncodedGraph
 
@@ -127,7 +127,6 @@ def random_encoded(rng, n=5, d_in=4, representation="chemical", alphabet=4,
         edge_dst=dst,
         edge_features=feats,
         representation=representation,
-        master_dim=master_dim,
     )
 
 
@@ -144,7 +143,6 @@ def permute_encoded(eg, perm):
         edge_dst=perm[eg.edge_dst],
         edge_features=eg.edge_features,
         representation=eg.representation,
-        master_dim=eg.master_dim,
     )
 
 

@@ -37,8 +37,7 @@ def mixed_batch(rng, cfg, sizes=(3, 5, 1, 4)):
 
     def graph(n, edge_prob=0.6):
         return random_encoded(rng, n=n, d_in=4, representation=representation,
-                              alphabet=alphabet, edge_prob=edge_prob,
-                              master_dim=cfg.d_master)
+                              alphabet=alphabet, edge_prob=edge_prob)
 
     egs = [graph(n) for n in sizes]
     egs.insert(1, graph(3, edge_prob=0.0))
@@ -181,8 +180,6 @@ class TestDisjointUnion:
         raw = random_encoded(rng, n=3, d_in=4, representation="raw_distance")
         with pytest.raises(ContractError):
             disjoint_union([chem, raw])
-        with pytest.raises(ContractError):
-            disjoint_union([chem, random_encoded(rng, n=3, d_in=4, master_dim=2)])
         with pytest.raises(ContractError):
             disjoint_union([disjoint_union([chem])])
         with pytest.raises(ContractError):

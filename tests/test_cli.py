@@ -14,7 +14,7 @@ from mpnnkit.cli import main
 from mpnnkit.engine import ModelConfig, init_params
 from mpnnkit.qm9 import read_dataset, read_split_manifest
 from mpnnkit.tensor import save_params
-from mpnnkit.training import TrainConfig
+from mpnnkit.training import TargetStats, TrainConfig, targets_matrix
 from test_qm9_io import CH4
 
 TRAIN_FLAGS = ["--message", "matmul", "--readout", "ggnn", "--dim", "16",
@@ -30,6 +30,21 @@ def dataset(tmp_path_factory):
                  "--out", str(out), "--valid-size", "4", "--test-size", "4"])
     assert code == 0
     return {"data": str(out), "manifest": str(out) + ".manifest.json"}
+
+
+def write_meta(path, dataset, cfg, tc, **blocks):
+    """meta.json as ``train`` writes it: hashes of the dataset and manifest,
+    target stats of the training split; ``blocks`` replace entries."""
+    graphs, _ = read_dataset(dataset["data"])
+    train = [graphs[i] for i in read_split_manifest(dataset["manifest"])["train"]]
+    stats = TargetStats.from_matrix(targets_matrix(train, tc.target_indices),
+                                    tc.target_names)
+    meta = {"schema": "mpnnkit/run/v1", "model": dataclasses.asdict(cfg),
+            "train": dataclasses.asdict(tc), "stats": stats.to_dict(),
+            "dataset_sha256": qm9.file_sha256(dataset["data"]),
+            "manifest_sha256": qm9.file_sha256(dataset["manifest"])}
+    meta.update(blocks)
+    path.write_text(json.dumps(meta))
 
 
 class TestPrepare:
@@ -75,6 +90,12 @@ class TestPrepare:
         assert main(["prepare", "--xyz", str(d), "--out", str(out),
                      "--valid-size", "1", "--test-size", "1"]) == 0
         assert read_dataset(str(out))[1]["count"] == 3
+
+    @pytest.mark.parametrize("flag", ["--valid-size", "--test-size"])
+    def test_zero_split_size_rejected(self, tmp_path, capsys, flag):
+        assert main(["prepare", "--synthetic", "24", "--out",
+                     str(tmp_path / "d.jsonl"), flag, "0"]) == 1
+        assert "split sizes must be positive" in capsys.readouterr().err
 
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         out = str(tmp_path / "d.jsonl")
@@ -157,11 +178,8 @@ class TestEvaluateCommand:
         ckpt = tmp_path / "zeros.json"
         save_params(params, str(ckpt))
         tc = TrainConfig(total_steps=10, targets=0)
-        meta = {"schema": "mpnnkit/run/v1",
-                "model": dataclasses.asdict(cfg),
-                "train": dataclasses.asdict(tc)}
         meta_path = tmp_path / "meta.json"
-        meta_path.write_text(json.dumps(meta))
+        write_meta(meta_path, dataset, cfg, tc)
 
         out = tmp_path / "report.csv"
         assert main(["evaluate", "--data", dataset["data"],
@@ -187,10 +205,7 @@ class TestEvaluateCommand:
         ckpt = tmp_path / "w.json"
         save_params(init_params(wrong, seed=0), str(ckpt))
         meta_path = tmp_path / "meta.json"
-        meta_path.write_text(json.dumps({
-            "schema": "mpnnkit/run/v1", "model": dataclasses.asdict(cfg),
-            "train": dataclasses.asdict(TrainConfig(total_steps=10, targets=0)),
-        }))
+        write_meta(meta_path, dataset, cfg, TrainConfig(total_steps=10, targets=0))
         assert main(["evaluate", "--data", dataset["data"],
                      "--manifest", dataset["manifest"],
                      "--checkpoint", str(ckpt), "--meta", str(meta_path),
@@ -202,17 +217,89 @@ class TestEvaluateCommand:
                           n_targets=1, edge_repr="chemical")
         ckpt = tmp_path / "p.json"
         save_params(init_params(cfg, seed=0), str(ckpt))
-        train = dataclasses.asdict(TrainConfig(total_steps=10, targets=0))
+        tc = TrainConfig(total_steps=10, targets=0)
+        train = dataclasses.asdict(tc)
         train["targets"] = 13
         meta_path = tmp_path / "meta.json"
-        meta_path.write_text(json.dumps({
-            "schema": "mpnnkit/run/v1", "model": dataclasses.asdict(cfg),
-            "train": train}))
+        write_meta(meta_path, dataset, cfg, tc, train=train)
         assert main(["evaluate", "--data", dataset["data"],
                      "--manifest", dataset["manifest"],
                      "--checkpoint", str(ckpt), "--meta", str(meta_path),
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert "targets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["model", "train"])
+    def test_unknown_field_rejected(self, dataset, tmp_path, capsys, block):
+        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
+                          n_targets=1, edge_repr="chemical")
+        ckpt = tmp_path / "p.json"
+        save_params(init_params(cfg, seed=0), str(ckpt))
+        tc = TrainConfig(total_steps=10, targets=0)
+        fields = dataclasses.asdict(cfg if block == "model" else tc)
+        fields["unknown_field"] = 1
+        meta_path = tmp_path / "meta.json"
+        write_meta(meta_path, dataset, cfg, tc, **{block: fields})
+        assert main(["evaluate", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--checkpoint", str(ckpt), "--meta", str(meta_path),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_normalizes_with_stored_stats(self, dataset, tmp_path):
+        # A zero checkpoint predicts the stored mean, not the mean of the
+        # training split it is handed.
+        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
+                          n_targets=1, edge_repr="chemical")
+        params = init_params(cfg, seed=0)
+        for p in params.values():
+            p.data[...] = 0.0
+        ckpt = tmp_path / "zeros.json"
+        save_params(params, str(ckpt))
+        meta_path = tmp_path / "meta.json"
+        stats = {"names": ["mu"], "mean": [7.5], "std": [2.0]}
+        write_meta(meta_path, dataset, cfg, TrainConfig(total_steps=10, targets=0),
+                   stats=stats)
+        out = tmp_path / "report.csv"
+        assert main(["evaluate", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--checkpoint", str(ckpt), "--meta", str(meta_path),
+                     "--split", "train", "--out", str(out)]) == 0
+        graphs, _ = read_dataset(dataset["data"])
+        manifest = read_split_manifest(dataset["manifest"])
+        y = np.array([graphs[i].targets[0] for i in manifest["train"]])
+        row = out.read_text().splitlines()[1].split(",")
+        assert float(row[1]) == pytest.approx(np.mean(np.abs(y - 7.5)), abs=1e-9)
+
+        # stats stored for another target are refused
+        write_meta(meta_path, dataset, cfg, TrainConfig(total_steps=10, targets=0),
+                   stats=dict(stats, names=["alpha"]))
+        assert main(["evaluate", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--checkpoint", str(ckpt), "--meta", str(meta_path),
+                     "--out", str(out)]) == 1
+
+    def test_other_dataset_or_manifest_rejected(self, dataset, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--out-dir", str(run), "--seed", "2"] + TRAIN_FLAGS) == 0
+        other = tmp_path / "other.jsonl"
+        assert main(["prepare", "--synthetic", "24", "--seed", "2",
+                     "--out", str(other), "--valid-size", "4",
+                     "--test-size", "4"]) == 0
+        resplit = tmp_path / "resplit.json"
+        qm9.write_split_manifest(str(resplit), 24, seed=5, valid_size=4,
+                                 test_size=4,
+                                 dataset_hash=qm9.file_sha256(dataset["data"]))
+        capsys.readouterr()
+        for data, manifest in ((str(other), str(other) + ".manifest.json"),
+                               (dataset["data"], str(resplit))):
+            assert main(["evaluate", "--data", data, "--manifest", manifest,
+                         "--checkpoint", str(run / "checkpoint.json"),
+                         "--meta", str(run / "meta.json"),
+                         "--out", str(tmp_path / "r.csv")]) == 1
+            assert "not the file this run was trained with" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestSearchCommand:
@@ -229,6 +316,14 @@ class TestSearchCommand:
         assert len(payload["trials"]) == 2
         assert payload["best_index"] in (0, 1)
         assert all("sampled" in t for t in payload["trials"])
+
+    def test_unknown_message_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--data", "x", "--manifest", "m", "--out-dir", "o",
+                  "--search-messages", "edgenet,foo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'foo'" in err
 
 
 class TestDiagnostics:

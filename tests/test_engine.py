@@ -282,7 +282,7 @@ class TestPropagate:
     def test_matches_naive_with_master(self, rng):
         cfg = cfg_for("edge_network", d_master=3, T=3)
         params = init_params(cfg, seed=10)
-        eg = random_encoded(rng, n=5, d_in=5, master_dim=3)
+        eg = random_encoded(rng, n=5, d_in=5)
         states = propagate(eg, params, cfg)
         want_h, _, want_master, _ = naive_propagate(eg, params, cfg)
         np.testing.assert_allclose(states.h.data, want_h, atol=1e-12)
@@ -308,13 +308,6 @@ class TestPropagate:
         states = propagate(eg, params, cfg)
         assert np.all(np.isfinite(states.h.data))
         assert np.abs(states.h.data - states.h0.data).max() > 0
-
-    def test_master_config_graph_mismatch(self, rng):
-        cfg = cfg_for("matmul", d_master=3)
-        params = init_params(cfg, seed=13)
-        eg = random_encoded(rng, n=4, d_in=4)  # no master on the graph
-        with pytest.raises(ContractError):
-            propagate(eg, params, cfg)
 
 
 class TestTowers:
@@ -427,7 +420,7 @@ class TestEndToEndGradients:
     def test_fd_gradients_with_master(self, rng):
         cfg = cfg_for("matmul", T=2, d=4, d_master=3, n_targets=1)
         params = init_params(cfg, seed=19)
-        eg = random_encoded(rng, n=3, d_in=3, master_dim=3)
+        eg = random_encoded(rng, n=3, d_in=3)
 
         def loss(p):
             states = propagate(eg, p, cfg)

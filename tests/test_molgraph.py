@@ -1,17 +1,21 @@
 """Molecular graph model, featurization, and edge encodings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mpnnkit.engine import ModelConfig
+from mpnnkit.model import prepare_graph
 from mpnnkit.molgraph import (
     ATOM_FEATURE_WIDTH,
     Atom,
     Bond,
     DISTANCE_BINS_ALPHABET,
+    EncodedGraph,
     MolecularGraph,
     UnsupportedElementError,
     VIRTUAL_LABEL,
-    add_master_node,
     add_virtual_edges,
     bin_distance,
     edge_alphabet_size,
@@ -210,27 +214,16 @@ class TestAugmentations:
         g = add_virtual_edges(MolecularGraph(atoms=atoms, bonds=bonds))
         assert sum(1 for b in g.bonds if b.bond_type == "virtual") == 28
 
-    def test_master_node_adds_n_edges(self):
-        g = add_master_node(chain3(), d_master=7)
-        assert g.master_dim == 7
-        assert g.master_id == 3
-        assert g.n_nodes == 4
-        masters = [b for b in g.bonds if b.bond_type == "master"]
-        assert len(masters) == 3
-        assert {b.j for b in masters} == {0, 1, 2}
-        g.validate()
-
-    def test_master_excluded_from_encoding(self):
-        g = add_master_node(chain3(), d_master=7)
-        eg = encode(g, "chemical")
-        assert eg.n_atoms == 3
-        assert eg.n_edges == 4  # chemical bonds only
-        assert eg.master_dim == 7
-
-    def test_double_master_rejected(self):
-        g = add_master_node(chain3(), d_master=4)
-        with pytest.raises(ContractError):
-            add_master_node(g, d_master=4)
+    @pytest.mark.parametrize("edge_repr", ["chemical", "raw_distance"])
+    def test_master_width_leaves_encoding_unchanged(self, edge_repr):
+        # The master node lives in the engine only; no encoded array sees it.
+        base = dict(message_fn="edge_network", edge_repr=edge_repr,
+                    virtual_edges=edge_repr == "chemical")
+        plain = prepare_graph(chain3(), ModelConfig(**base))
+        with_master = prepare_graph(chain3(), ModelConfig(d_master=7, **base))
+        for field in dataclasses.fields(EncodedGraph):
+            np.testing.assert_array_equal(getattr(with_master, field.name),
+                                          getattr(plain, field.name))
 
     def test_encode_doubles_edges(self, rng):
         for _ in range(10):
@@ -273,6 +266,15 @@ class TestGraphValidation:
                            explicit_hydrogens=True)
         with pytest.raises(ContractError):
             g.validate()
+
+    def test_master_bonds_rejected(self):
+        # Molecules have no master node; a record with master edges to every
+        # atom, as older writers produced, is refused rather than dropped.
+        record = chain3().to_dict()
+        record["bonds"] += [{"i": 3, "j": v, "type": "master"} for v in range(3)]
+        record["master_dim"] = 4
+        with pytest.raises(ContractError):
+            MolecularGraph.from_dict(record)
 
     def test_roundtrip_through_dict(self):
         g = chain3()

@@ -30,9 +30,14 @@ def make_cfg(readout, **kw):
     return ModelConfig(**defaults)
 
 
+def one_graph(h, h0):
+    """States whose rows all belong to one graph; readouts return one row."""
+    return NodeStates(h=h, h0=h0, node_graph=np.zeros(h.data.shape[0], dtype=np.intp))
+
+
 def states_from(rng, n, d):
-    return NodeStates(h=Tensor(rng.normal(size=(n, d))),
-                      h0=Tensor(rng.normal(size=(n, d))))
+    return one_graph(Tensor(rng.normal(size=(n, d))),
+                     Tensor(rng.normal(size=(n, d))))
 
 
 class TestGgnn:
@@ -42,13 +47,13 @@ class TestGgnn:
         params["ro_j_w2"].data[...] = 0.0
         params["ro_j_b2"].data[...] = 0.0
         out = readout_ggnn(states_from(rng, 4, 6), params, cfg)
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        np.testing.assert_array_equal(out.data[0], np.zeros(3))
 
     def test_single_node_no_sum(self, rng):
         cfg = make_cfg("ggnn")
         params = init_params(cfg, seed=1)
         states = states_from(rng, 1, 6)
-        got = readout_ggnn(states, params, cfg).data
+        got = readout_ggnn(states, params, cfg).data[0]
         want = naive_readout(states.h.data, states.h0.data, None, None, params, cfg)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -56,18 +61,17 @@ class TestGgnn:
         cfg = make_cfg("ggnn")
         params = init_params(cfg, seed=2)
         states = states_from(rng, 6, 6)
-        base = readout_ggnn(states, params, cfg).data
+        base = readout_ggnn(states, params, cfg).data[0]
         perm = rng.permutation(6)
-        shuffled = NodeStates(h=Tensor(states.h.data[perm]),
-                              h0=Tensor(states.h0.data[perm]))
-        np.testing.assert_allclose(readout_ggnn(shuffled, params, cfg).data,
+        shuffled = one_graph(Tensor(states.h.data[perm]), Tensor(states.h0.data[perm]))
+        np.testing.assert_allclose(readout_ggnn(shuffled, params, cfg).data[0],
                                    base, atol=1e-12)
 
     def test_empty_graph_zero_vector(self):
         cfg = make_cfg("ggnn")
         params = init_params(cfg, seed=3)
-        states = NodeStates(h=Tensor(np.zeros((0, 6))), h0=Tensor(np.zeros((0, 6))))
-        np.testing.assert_array_equal(readout_ggnn(states, params, cfg).data,
+        states = one_graph(Tensor(np.zeros((0, 6))), Tensor(np.zeros((0, 6))))
+        np.testing.assert_array_equal(readout_ggnn(states, params, cfg).data[0],
                                       np.zeros(3))
 
 
@@ -80,7 +84,7 @@ class TestDtnnSum:
         params["ro_nn_w2"].data[...] = 0.0
         params["ro_nn_b2"].data[...] = [1.5, -2.0, 0.25]
         out = readout_dtnn_sum(states_from(rng, 5, 6), params, cfg)
-        np.testing.assert_allclose(out.data, 5 * np.array([1.5, -2.0, 0.25]))
+        np.testing.assert_allclose(out.data[0], 5 * np.array([1.5, -2.0, 0.25]))
 
     def test_zero_weights_zero_output(self, rng):
         cfg = make_cfg("dtnn_sum")
@@ -88,17 +92,16 @@ class TestDtnnSum:
         for k in ("ro_nn_w1", "ro_nn_b1", "ro_nn_w2", "ro_nn_b2"):
             params[k].data[...] = 0.0
         out = readout_dtnn_sum(states_from(rng, 5, 6), params, cfg)
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        np.testing.assert_array_equal(out.data[0], np.zeros(3))
 
     def test_permutation_invariance(self, rng):
         cfg = make_cfg("dtnn_sum")
         params = init_params(cfg, seed=6)
         states = states_from(rng, 7, 6)
-        base = readout_dtnn_sum(states, params, cfg).data
+        base = readout_dtnn_sum(states, params, cfg).data[0]
         perm = rng.permutation(7)
-        shuffled = NodeStates(h=Tensor(states.h.data[perm]),
-                              h0=Tensor(states.h0.data[perm]))
-        np.testing.assert_allclose(readout_dtnn_sum(shuffled, params, cfg).data,
+        shuffled = one_graph(Tensor(states.h.data[perm]), Tensor(states.h0.data[perm]))
+        np.testing.assert_allclose(readout_dtnn_sum(shuffled, params, cfg).data[0],
                                    base, atol=1e-12)
 
 
@@ -107,7 +110,7 @@ class TestSet2Set:
         cfg = make_cfg("set2set", set2set_M=4)
         params = init_params(cfg, seed=7)
         states = states_from(rng, 1, 6)
-        got = readout_set2set(states, params, cfg).data
+        got = readout_set2set(states, params, cfg).data[0]
         want = naive_readout(states.h.data, states.h0.data, None, None, params, cfg)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -116,33 +119,32 @@ class TestSet2Set:
         params = init_params(cfg, seed=8)
         row_h = rng.normal(size=6)
         row_h0 = rng.normal(size=6)
-        states = NodeStates(h=Tensor(np.stack([row_h, row_h])),
-                            h0=Tensor(np.stack([row_h0, row_h0])))
+        states = one_graph(Tensor(np.stack([row_h, row_h])),
+                           Tensor(np.stack([row_h0, row_h0])))
         # With two identical memories the glimpse equals either row projected,
         # so the output must match the singleton case exactly.
-        singleton = NodeStates(h=Tensor(row_h.reshape(1, 6)),
-                               h0=Tensor(row_h0.reshape(1, 6)))
+        singleton = one_graph(Tensor(row_h.reshape(1, 6)), Tensor(row_h0.reshape(1, 6)))
         np.testing.assert_allclose(
-            readout_set2set(states, params, cfg).data,
-            readout_set2set(singleton, params, cfg).data, atol=1e-12)
+            readout_set2set(states, params, cfg).data[0],
+            readout_set2set(singleton, params, cfg).data[0], atol=1e-12)
 
     def test_permutation_invariance_random_sets(self, rng):
         cfg = make_cfg("set2set", set2set_M=3)
         params = init_params(cfg, seed=9)
         states = states_from(rng, 6, 6)
-        base = readout_set2set(states, params, cfg).data
+        base = readout_set2set(states, params, cfg).data[0]
         for _ in range(5):
             perm = rng.permutation(6)
-            shuffled = NodeStates(h=Tensor(states.h.data[perm]),
-                                  h0=Tensor(states.h0.data[perm]))
-            np.testing.assert_allclose(readout_set2set(shuffled, params, cfg).data,
+            shuffled = one_graph(Tensor(states.h.data[perm]),
+                                 Tensor(states.h0.data[perm]))
+            np.testing.assert_allclose(readout_set2set(shuffled, params, cfg).data[0],
                                        base, atol=1e-9)
 
     def test_matches_naive_reference(self, rng):
         cfg = make_cfg("set2set", set2set_M=3)
         params = init_params(cfg, seed=10)
         states = states_from(rng, 5, 6)
-        got = readout_set2set(states, params, cfg).data
+        got = readout_set2set(states, params, cfg).data[0]
         want = naive_readout(states.h.data, states.h0.data, None, None, params, cfg)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -172,7 +174,7 @@ class TestFullForward:
     def test_forward_with_master_matches_naive(self, rng, readout):
         cfg = make_cfg(readout, d_master=4)
         params = init_params(cfg, seed=13)
-        eg = random_encoded(rng, n=4, d_in=4, master_dim=4)
+        eg = random_encoded(rng, n=4, d_in=4)
         got = model_forward(eg, params, cfg).data
         want = naive_forward(eg, params, cfg)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -182,13 +184,13 @@ class TestFullForward:
         # still influenced their states during propagation.
         cfg = make_cfg("ggnn", d_master=3)
         params = init_params(cfg, seed=14)
-        eg = random_encoded(rng, n=4, d_in=4, master_dim=3)
+        eg = random_encoded(rng, n=4, d_in=4)
         got = model_forward(eg, params, cfg).data
         want = naive_forward(eg, params, cfg)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_master_in_readout_flag_changes_output(self, rng):
-        eg = random_encoded(rng, n=4, d_in=4, master_dim=6)
+        eg = random_encoded(rng, n=4, d_in=4)
         outs = {}
         for flag in (True, False):
             cfg = make_cfg("ggnn", d_master=6, master_in_readout=flag)
@@ -244,7 +246,7 @@ class TestReadoutGradients:
                       "h0": Tensor(rng.normal(size=(3, 4)), requires_grad=True)}
 
             def loss(p):
-                states = NodeStates(h=p["h"], h0=p["h0"])
+                states = one_graph(p["h"], p["h0"])
                 out = apply_readout(states, net, cfg)
                 return T.reduce_sum(T.mul(out, out))
 
