@@ -43,6 +43,7 @@ from .training import (
     error_ratio,
     evaluate,
     random_search,
+    split_indices,
     targets_matrix,
     train_run,
     write_report_csv,
@@ -194,13 +195,14 @@ def cmd_prepare(args) -> int:
             bonds = load_bond_file(args.bond_file)
         graphs = [record_to_graph(r, explicit_hydrogens=args.explicit_h,
                                   bonds=bonds) for r in records]
-    write_dataset(args.out, graphs)
-    digest = file_sha256(args.out)
-
     n = len(graphs)
     default_size = min(10000, max(1, n // 10))
     valid_size = default_size if args.valid_size is None else args.valid_size
     test_size = default_size if args.test_size is None else args.test_size
+    # rejected split sizes must leave no dataset behind
+    split_indices(n, args.seed, valid_size, test_size)
+    write_dataset(args.out, graphs)
+    digest = file_sha256(args.out)
     manifest_path = args.manifest or args.out + ".manifest.json"
     write_split_manifest(manifest_path, n, seed=args.seed,
                          valid_size=valid_size, test_size=test_size,

@@ -346,6 +346,14 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
     def counted_scope():
         return (tt.count_multiplies(message_counter) if message_counter is not None
                 else contextlib.nullcontext())
+
+    def _update(m_in, m_out, h, prefix):
+        # one update rule for atom states (per tower) and master rows
+        if cfg.update_fn == "gru":
+            return tt.gru_cell(tt.concat([m_in, m_out], axis=1), h,
+                               _gru_params(params, prefix))
+        return tt.add(h, tt.add(m_in, m_out))
+
     _check_edge_labels(eg, cfg)
     n = eg.n_atoms
     h0 = pad_features(eg.node_features, cfg.d)
@@ -391,22 +399,13 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
                         tt.matmul(master, params["m2n_in"]), graph))
                     m_out = tt.add(m_out, tt.gather_rows(
                         tt.matmul(master, params["m2n_out"]), graph))
-            if cfg.update_fn == "gru":
-                msg = tt.concat([m_in, m_out], axis=1)
-                new_slices.append(tt.gru_cell(msg, h_slice, _gru_params(params, f"gru_t{t}")))
-            else:
-                new_slices.append(tt.add(h_slice, tt.add(m_in, m_out)))
+            new_slices.append(_update(m_in, m_out, h_slice, f"gru_t{t}"))
         if cfg.d_master:
             with counted_scope():
                 h_sum = tt.scatter_sum_rows(h, graph, n_graphs)
-                mm = tt.concat([tt.matmul(h_sum, params["n2m_in"]),
-                                tt.matmul(h_sum, params["n2m_out"])], axis=1)
-            if cfg.update_fn == "gru":
-                master = tt.gru_cell(mm, master, _gru_params(params, "master_gru"))
-            else:
-                half = cfg.d_master
-                master = tt.add(master, tt.add(tt.slice_cols(mm, 0, half),
-                                               tt.slice_cols(mm, half, 2 * half)))
+                mm_in = tt.matmul(h_sum, params["n2m_in"])
+                mm_out = tt.matmul(h_sum, params["n2m_out"])
+            master = _update(mm_in, mm_out, master, "master_gru")
         h_new = new_slices[0] if k == 1 else tt.concat(new_slices, axis=1)
         h = affine(h_new, params["mix_w"], params["mix_b"]) if k > 1 else h_new
     return NodeStates(h=h, h0=h0, node_graph=graph, n_graphs=n_graphs,

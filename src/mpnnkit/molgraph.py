@@ -11,6 +11,11 @@ are supported:
 * ``raw_distance``: fully connected; each edge carries the 5-vector
   [distance, one-hot(4) bond type], all-zero one-hot for unbonded pairs.
 
+Both distance encodings enumerate atom pairs through ``pair_distances``,
+which fixes the pair order (i < j, row-major) and the distance formula;
+bond perception (``qm9.infer_bonds``) and the synthetic mean-distance
+target use it too.
+
 Augmentation: ``add_virtual_edges`` fully connects the chemical graph with
 a dedicated edge type. The latent master node is not part of a molecule:
 the propagation engine keeps it as one state row per graph, with the width
@@ -19,7 +24,6 @@ the propagation engine keeps it as one state row per graph, with the width
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -46,6 +50,7 @@ __all__ = [
     "DISTANCE_BINS_ALPHABET",
     "featurize_atom",
     "bin_distance",
+    "pair_distances",
     "encode",
     "disjoint_union",
     "add_virtual_edges",
@@ -325,18 +330,36 @@ def featurize_atom(a: Atom, include_partial_charge: bool = False) -> np.ndarray:
     return v
 
 
-def bin_distance(dist: float) -> int:
+def bin_distance(dist):
     """Distance bin: [0,2) -> 0, eight 0.5-wide bins over [2,6) -> 1..8,
-    [6,inf) -> 9. Boundary points belong to the upper bin."""
-    if dist < 0:
+    [6,inf) -> 9. Boundary points belong to the upper bin.
+
+    Takes a float (returns an int) or an array (returns an intp array of
+    the same shape); negative or non-finite distances are rejected.
+    """
+    d = np.asarray(dist, dtype=np.float64)
+    if (d < 0).any():
         raise ContractError("distance must be nonnegative")
-    if not math.isfinite(dist):
+    if not np.isfinite(d).all():
         raise ContractError("distance must be finite")
-    if dist < 2.0:
-        return 0
-    if dist >= 6.0:
-        return 9
-    return 1 + int((dist - 2.0) // 0.5)
+    bins = (1 + (np.clip(d, 1.5, 6.0) - 2.0) // 0.5).astype(np.intp)
+    return int(bins) if bins.ndim == 0 else bins
+
+
+def pair_distances(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every atom pair i < j and its distance, as arrays (i, j, dist).
+
+    Pairs come in row-major order: (0, 1), (0, 2), ..., (1, 2), ... .
+    Each distance is the square root of a stacked 1x3 @ 3x1 product, which
+    equals the per-pair ``np.linalg.norm(pos[i] - pos[j])`` bit for bit
+    (the tests compare the two); ``norm(axis=1)``, ``einsum`` and a plain
+    sum of squares round about one pair in eight differently.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    pos = pos.reshape(len(pos), 3)
+    i, j = np.triu_indices(len(pos), k=1)
+    d = pos[i] - pos[j]
+    return i, j, np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def edge_alphabet_size(representation: str, virtual_edges: bool = False) -> int:
@@ -355,15 +378,6 @@ def edge_feature_width(representation: str, virtual_edges: bool = False) -> int:
     return edge_alphabet_size(representation, virtual_edges)
 
 
-def _chemical_pairs(g: MolecularGraph) -> dict[tuple[int, int], str]:
-    """Unordered atom pair -> chemical bond type, augmentation edges excluded."""
-    out = {}
-    for b in g.bonds:
-        if b.is_chemical:
-            out[(min(b.i, b.j), max(b.i, b.j))] = b.bond_type
-    return out
-
-
 def encode(g: MolecularGraph, representation: str,
            include_partial_charge: bool = False) -> EncodedGraph:
     """Flatten a molecule into node features plus a directed edge list."""
@@ -373,51 +387,35 @@ def encode(g: MolecularGraph, representation: str,
         np.stack([featurize_atom(a, include_partial_charge) for a in g.atoms])
         if g.atoms else np.zeros((0, ATOM_FEATURE_WIDTH + bool(include_partial_charge)))
     )
-    bonded = _chemical_pairs(g)
-
-    pairs: list[tuple[int, int]] = []
-    feats: list = []
     if representation == "chemical":
-        for b in g.bonds:
-            label = VIRTUAL_LABEL if b.bond_type == "virtual" else BOND_LABELS[b.bond_type]
-            pairs.append((b.i, b.j))
-            feats.append(label)
-        features = np.array(feats, dtype=np.intp)
+        i = np.array([b.i for b in g.bonds], dtype=np.intp)
+        j = np.array([b.j for b in g.bonds], dtype=np.intp)
+        features = np.array([VIRTUAL_LABEL if b.bond_type == "virtual"
+                             else BOND_LABELS[b.bond_type] for b in g.bonds],
+                            dtype=np.intp)
     else:
-        pos = g.positions()
-        n = g.n_atoms
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist = float(np.linalg.norm(pos[i] - pos[j]))
-                bond = bonded.get((i, j))
-                pairs.append((i, j))
-                if representation == "distance_bins":
-                    if bond is not None:
-                        feats.append(BOND_LABELS[bond])
-                    else:
-                        feats.append(len(BOND_TYPES) + bin_distance(dist))
-                else:
-                    vec = np.zeros(5)
-                    vec[0] = dist
-                    if bond is not None:
-                        vec[1 + BOND_LABELS[bond]] = 1.0
-                    feats.append(vec)
-        features = (np.array(feats, dtype=np.intp) if representation == "distance_bins"
-                    else (np.stack(feats) if feats else np.zeros((0, 5))))
+        i, j, dist = pair_distances(g.positions())
+        # chemical bond label per atom pair, -1 where there is none
+        labels = np.full((g.n_atoms, g.n_atoms), -1, dtype=np.intp)
+        chem = [b for b in g.bonds if b.is_chemical]
+        bi, bj = [b.i for b in chem], [b.j for b in chem]
+        labels[bi, bj] = labels[bj, bi] = [BOND_LABELS[b.bond_type] for b in chem]
+        bond = labels[i, j]
+        free = bond < 0
+        if representation == "distance_bins":
+            features = bond
+            features[free] = len(BOND_TYPES) + bin_distance(dist[free])
+        else:
+            features = np.zeros((len(dist), 5))
+            features[:, 0] = dist
+            features[~free, 1 + bond[~free]] = 1.0
 
     # Both orientations of every undirected pair, features duplicated.
-    src = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=np.intp)
-    dst = np.array([p[1] for p in pairs] + [p[0] for p in pairs], dtype=np.intp)
-    if features.ndim == 1:
-        directed_features = np.concatenate([features, features])
-    else:
-        directed_features = (np.concatenate([features, features], axis=0)
-                             if features.size else features)
     return EncodedGraph(
         node_features=node_features,
-        edge_src=src,
-        edge_dst=dst,
-        edge_features=directed_features,
+        edge_src=np.concatenate([i, j]),
+        edge_dst=np.concatenate([j, i]),
+        edge_features=np.concatenate([features, features]),
         representation=representation,
     )
 

@@ -40,6 +40,7 @@ from .molgraph import (
     Bond,
     MolecularGraph,
     UnsupportedElementError,
+    pair_distances,
 )
 from .tensor import ContractError, _atomic_write
 
@@ -206,15 +207,10 @@ def infer_bonds(elements, positions) -> list[tuple[int, int, float]]:
     Symmetric and deterministic: every unordered pair is tested once
     against r(a) + r(b) + tolerance.
     """
-    pos = np.asarray(positions, dtype=np.float64)
-    out = []
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            dist = float(np.linalg.norm(pos[i] - pos[j]))
-            cutoff = COVALENT_RADII[elements[i]] + COVALENT_RADII[elements[j]] + BOND_TOLERANCE
-            if dist < cutoff:
-                out.append((i, j, dist))
-    return out
+    i, j, dist = pair_distances(positions)
+    radii = np.array([COVALENT_RADII[e] for e in elements])
+    bonded = dist < radii[i] + radii[j] + BOND_TOLERANCE
+    return list(zip(i[bonded].tolist(), j[bonded].tolist(), dist[bonded].tolist()))
 
 
 _BOND_ORDER_NAMES = {1: "single", 2: "double", 3: "triple"}

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .molgraph import Atom, Bond, MolecularGraph
+from .molgraph import Atom, Bond, MolecularGraph, pair_distances
 from .tensor import ContractError
 
 __all__ = ["SYNTHETIC_TARGET_DESCRIPTIONS", "generate_synthetic", "synthetic_targets"]
@@ -43,12 +43,7 @@ def synthetic_targets(atoms, bonds, positions: np.ndarray) -> tuple[float, ...]:
     for b in bonds:
         degree[b.i] += 1
         degree[b.j] += 1
-    if n > 1:
-        pair_d = [float(np.linalg.norm(positions[i] - positions[j]))
-                  for i, j in itertools.combinations(range(n), 2)]
-        mean_dist = float(np.mean(pair_d))
-    else:
-        mean_dist = 0.0
+    mean_dist = float(np.mean(pair_distances(positions)[2])) if n > 1 else 0.0
     n_double = sum(1 for b in bonds if b.bond_type == "double")
     return (
         float(degree.sum()),

@@ -152,7 +152,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor initialized with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -174,9 +174,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -228,7 +225,7 @@ def _coerce(x) -> Tensor:
 def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap a forward result, check finiteness, and tape it when needed."""
     data = np.asarray(data, dtype=np.float64, order="C")
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError("non-finite value produced by a forward op")
     ctx = _ctx()
     rg = ctx.grad_enabled and any(p.requires_grad for p in parents)
@@ -457,7 +454,7 @@ def segment_softmax(x: Tensor, index, num_segments: int) -> Tensor:
         raise DimensionError("segment index length must match rows")
     if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
         raise ContractError("segment_softmax index out of range")
-    if not np.all(np.isfinite(x.data)):
+    if not np.isfinite(x.data).all():
         raise NumericError("non-finite logits in segment_softmax")
     shape = (int(num_segments), x.data.shape[1])
     peak = np.full(shape, -np.inf)

@@ -192,7 +192,7 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for {k}")
             self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)

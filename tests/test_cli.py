@@ -97,6 +97,22 @@ class TestPrepare:
                      str(tmp_path / "d.jsonl"), flag, "0"]) == 1
         assert "split sizes must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", [["--valid-size", "0"],
+                                       ["--test-size", "30"]])
+    def test_rejected_split_writes_no_files(self, tmp_path, sizes):
+        assert main(["prepare", "--synthetic", "30", "--out",
+                     str(tmp_path / "z.jsonl")] + sizes) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synthetic_dataset_bytes_pinned(self, tmp_path):
+        # evaluate refuses data whose sha256 differs from the one recorded
+        # at train time, so re-prepared data must keep these bytes
+        out = tmp_path / "d.jsonl"
+        assert main(["prepare", "--synthetic", "50", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert qm9.file_sha256(str(out)) == (
+            "01e9eed515c8b0f243f5044bf1bfe11fec19e3178c38418150742d4eb37414da")
+
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         out = str(tmp_path / "d.jsonl")
         assert main(["prepare", "--out", out]) == 1

@@ -10,6 +10,7 @@ from mpnnkit.model import prepare_graph
 from mpnnkit.molgraph import (
     ATOM_FEATURE_WIDTH,
     Atom,
+    BOND_TYPES,
     Bond,
     DISTANCE_BINS_ALPHABET,
     EncodedGraph,
@@ -22,7 +23,9 @@ from mpnnkit.molgraph import (
     edge_feature_width,
     encode,
     featurize_atom,
+    pair_distances,
 )
+from mpnnkit.synthetic import generate_synthetic
 from mpnnkit.tensor import ContractError
 
 
@@ -102,6 +105,29 @@ class TestDistanceBins:
         with pytest.raises(ContractError):
             bin_distance(-0.1)
 
+    def test_array_matches_scalar_and_piecewise_rule(self, rng):
+        def piecewise(d):
+            if d < 2.0:
+                return 0
+            if d >= 6.0:
+                return 9
+            return 1 + int((d - 2.0) // 0.5)
+        edges = [2.0 + 0.5 * k for k in range(9)]
+        values = np.array(edges + [np.nextafter(e, 0.0) for e in edges]
+                          + [0.0, 1.5, 1000.0] + rng.uniform(0, 8, 83).tolist())
+        grid = values.reshape(8, 13)
+        bins = bin_distance(grid)
+        assert bins.shape == grid.shape and bins.dtype == np.intp
+        expected = [piecewise(float(d)) for d in values]
+        assert bins.ravel().tolist() == expected
+        assert [bin_distance(float(d)) for d in values] == expected
+        assert type(bin_distance(2.0)) is int
+
+    @pytest.mark.parametrize("bad", [-0.1, -np.inf, np.inf, np.nan])
+    def test_array_rejects_negative_or_nonfinite(self, bad):
+        with pytest.raises(ContractError):
+            bin_distance(np.array([[1.0, 3.0], [bad, 7.0]]))
+
     def test_alphabet_size(self):
         assert DISTANCE_BINS_ALPHABET == 14
         assert edge_alphabet_size("distance_bins") == 14
@@ -112,7 +138,66 @@ class TestDistanceBins:
         assert edge_feature_width("raw_distance") == 5
 
 
+class TestPairDistances:
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 29])
+    def test_loop_order_and_per_pair_norm(self, rng, n):
+        pos = rng.normal(scale=2.0, size=(n, 3))
+        i, j, dist = pair_distances(pos)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert list(zip(i.tolist(), j.tolist())) == pairs
+        np.testing.assert_array_equal(
+            dist, np.array([np.linalg.norm(pos[a] - pos[b]) for a, b in pairs]))
+        assert dist.shape == (n * (n - 1) // 2,) and dist.dtype == np.float64
+
+
+def loop_encode(g, representation):
+    """The per-pair loop ``encode``'s distance branch replaced: the oracle."""
+    bonded = {(min(b.i, b.j), max(b.i, b.j)): b.bond_type
+              for b in g.bonds if b.is_chemical}
+    pos = g.positions()
+    src, dst, feats = [], [], []
+    for i in range(g.n_atoms):
+        for j in range(i + 1, g.n_atoms):
+            dist = float(np.linalg.norm(pos[i] - pos[j]))
+            bond = bonded.get((i, j))
+            src.append(i)
+            dst.append(j)
+            if representation == "distance_bins":
+                feats.append(BOND_TYPES.index(bond) if bond is not None
+                             else len(BOND_TYPES) + bin_distance(dist))
+            else:
+                vec = [dist, 0.0, 0.0, 0.0, 0.0]
+                if bond is not None:
+                    vec[1 + BOND_TYPES.index(bond)] = 1.0
+                feats.append(vec)
+    return src + dst, dst + src, feats + feats
+
+
 class TestEncode:
+    @pytest.mark.parametrize("representation", ["distance_bins", "raw_distance"])
+    def test_distance_branch_matches_pair_loop(self, representation):
+        for g in generate_synthetic(30, seed=5):
+            eg = encode(g, representation)
+            src, dst, feats = loop_encode(g, representation)
+            assert eg.edge_src.tolist() == src
+            assert eg.edge_dst.tolist() == dst
+            assert eg.edge_features.tolist() == feats
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_pairs_keeps_shapes_and_dtypes(self, n):
+        g = MolecularGraph(atoms=(Atom("C", position=(0.5, 0.0, 0.0)),) * n,
+                           bonds=())
+        bins = encode(g, "distance_bins")
+        raw = encode(g, "raw_distance")
+        for eg in (bins, raw):
+            assert eg.node_features.shape == (n, ATOM_FEATURE_WIDTH)
+            assert eg.edge_src.shape == eg.edge_dst.shape == (0,)
+            assert eg.edge_src.dtype == eg.edge_dst.dtype == np.intp
+        assert bins.edge_features.shape == (0,)
+        assert bins.edge_features.dtype == np.intp
+        assert raw.edge_features.shape == (0, 5)
+        assert raw.edge_features.dtype == np.float64
+
     def test_two_atom_bonded_distance_bins(self):
         g = MolecularGraph(
             atoms=(Atom("C", position=(0, 0, 0), hydrogen_count=3),

@@ -132,6 +132,26 @@ class TestBondInference:
         mapped = {tuple(sorted((inv[i], inv[j]))) for i, j in bonds}
         assert mapped == bonds2
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 29])
+    def test_matches_pair_loop(self, n):
+        def loop_bonds(elements, pos):
+            out = []
+            for i in range(len(elements)):
+                for j in range(i + 1, len(elements)):
+                    dist = float(np.linalg.norm(pos[i] - pos[j]))
+                    cutoff = (qm9.COVALENT_RADII[elements[i]]
+                              + qm9.COVALENT_RADII[elements[j]] + qm9.BOND_TOLERANCE)
+                    if dist < cutoff:
+                        out.append((i, j, dist))
+            return out
+        rng = np.random.default_rng(n)
+        elements = [str(e) for e in rng.choice(list(qm9.COVALENT_RADII), n)]
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3)) * max(1.0, n ** (1 / 3))
+        bonds = infer_bonds(elements, pos)
+        assert bonds == loop_bonds(elements, pos)
+        assert all(type(i) is int and type(j) is int and type(d) is float
+                   for i, j, d in bonds)
+
     def test_ch4_has_four_ch_bonds(self):
         r = parse_qm9_xyz(CH4)
         bonds = infer_bonds(r.elements, r.positions)
