@@ -33,7 +33,6 @@ lone graph gets as all zeros.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,10 +83,6 @@ class ModelConfig:
     include_partial_charge: bool = False
     n_targets: int = 13
     master_in_readout: bool = True
-    # None defaults to the per-tower state width d/k.
-    edgenet_hidden: Optional[int] = None
-    # None defaults to d.
-    set2set_query_dim: Optional[int] = None
 
     def __post_init__(self):
         if self.message_fn not in MESSAGE_FNS:
@@ -133,14 +128,6 @@ class ModelConfig:
             return None
         return edge_alphabet_size(self.edge_repr, self.virtual_edges)
 
-    @property
-    def query_dim(self) -> int:
-        return self.set2set_query_dim if self.set2set_query_dim else self.d
-
-    @property
-    def hidden_edgenet(self) -> int:
-        return self.edgenet_hidden if self.edgenet_hidden else self.d_tower
-
 
 @dataclass
 class NodeStates:
@@ -170,9 +157,8 @@ def _message_shapes(cfg: ModelConfig, prefix: str) -> list[tuple[str, tuple]]:
     if cfg.message_fn == "matmul":
         return [(f"{prefix}_A{l}", (dt, dt)) for l in range(cfg.alphabet)]
     if cfg.message_fn == "edge_network":
-        hidden = cfg.hidden_edgenet
-        return [(f"{prefix}_en_w1", (ew, hidden)), (f"{prefix}_en_b1", (hidden,)),
-                (f"{prefix}_en_w2", (hidden, dt * dt)), (f"{prefix}_en_b2", (dt * dt,))]
+        return [(f"{prefix}_en_w1", (ew, dt)), (f"{prefix}_en_b1", (dt,)),
+                (f"{prefix}_en_w2", (dt, dt * dt)), (f"{prefix}_en_b2", (dt * dt,))]
     if cfg.message_fn == "pair_message":
         hidden = 2 * dt
         return [(f"{prefix}_pm_w1", (2 * dt + ew, hidden)), (f"{prefix}_pm_b1", (hidden,)),
@@ -214,7 +200,7 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
     elif cfg.readout == "dtnn_sum":
         shapes += _mlp2_shapes("ro_nn", cfg.d, cfg.d, out)
     else:
-        dq = cfg.query_dim
+        dq = cfg.d
         shapes.append(("s2s_proj", (2 * cfg.d, dq)))
         shapes += [(f"s2s_gru_{n}", s) for n, s in _gru_shapes(2 * dq, dq)]
         shapes += _mlp2_shapes("s2s_out", 2 * dq, cfg.d, out)
@@ -333,20 +319,14 @@ def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
                      wh=params[f"{prefix}_wh"], uh=params[f"{prefix}_uh"])
 
 
-def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
-              message_counter: Optional[tt.MultiplyCounter] = None) -> NodeStates:
+def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> NodeStates:
     """Run cfg.T message passing steps and return final node states.
 
     ``eg`` is one molecule or a disjoint union of several; the states carry
     the node-to-graph index for the readouts (all zeros for one molecule).
-    ``message_counter``, when given, accumulates the scalar multiplications
-    spent computing messages (updates and mixing excluded), which is what
-    the towers complexity claim is about.
+    To count multiplies, call it inside ``tt.count_multiplies``;
+    ``checks.bench_towers`` isolates the message phase that way.
     """
-    def counted_scope():
-        return (tt.count_multiplies(message_counter) if message_counter is not None
-                else contextlib.nullcontext())
-
     def _update(m_in, m_out, h, prefix):
         # one update rule for atom states (per tower) and master rows
         if cfg.update_fn == "gru":
@@ -370,10 +350,9 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
     # are computed once per forward pass.
     en_mats: dict[tuple[str, int], Tensor] = {}
     if cfg.message_fn == "edge_network":
-        with counted_scope():
-            for ch in CHANNELS:
-                for t in range(k):
-                    en_mats[(ch, t)] = mlp2(evec, params, f"msg_{ch}_t{t}_en")
+        for ch in CHANNELS:
+            for t in range(k):
+                en_mats[(ch, t)] = mlp2(evec, params, f"msg_{ch}_t{t}_en")
 
     n_graphs = eg.n_graphs
     graph = np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph
@@ -387,24 +366,22 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig,
         new_slices = []
         for t in range(k):
             h_slice = tt.slice_cols(h, t * dt, (t + 1) * dt) if k > 1 else h
-            with counted_scope():
-                m_in = _batched_messages(h_slice, src, dst, n, eg, evec,
-                                         en_mats.get(("in", t)), params,
-                                         f"msg_in_t{t}", cfg)
-                m_out = _batched_messages(h_slice, dst, src, n, eg, evec,
-                                          en_mats.get(("out", t)), params,
-                                          f"msg_out_t{t}", cfg)
-                if cfg.d_master:
-                    m_in = tt.add(m_in, tt.gather_rows(
-                        tt.matmul(master, params["m2n_in"]), graph))
-                    m_out = tt.add(m_out, tt.gather_rows(
-                        tt.matmul(master, params["m2n_out"]), graph))
+            m_in = _batched_messages(h_slice, src, dst, n, eg, evec,
+                                     en_mats.get(("in", t)), params,
+                                     f"msg_in_t{t}", cfg)
+            m_out = _batched_messages(h_slice, dst, src, n, eg, evec,
+                                      en_mats.get(("out", t)), params,
+                                      f"msg_out_t{t}", cfg)
+            if cfg.d_master:
+                m_in = tt.add(m_in, tt.gather_rows(
+                    tt.matmul(master, params["m2n_in"]), graph))
+                m_out = tt.add(m_out, tt.gather_rows(
+                    tt.matmul(master, params["m2n_out"]), graph))
             new_slices.append(_update(m_in, m_out, h_slice, f"gru_t{t}"))
         if cfg.d_master:
-            with counted_scope():
-                h_sum = tt.scatter_sum_rows(h, graph, n_graphs)
-                mm_in = tt.matmul(h_sum, params["n2m_in"])
-                mm_out = tt.matmul(h_sum, params["n2m_out"])
+            h_sum = tt.scatter_sum_rows(h, graph, n_graphs)
+            mm_in = tt.matmul(h_sum, params["n2m_in"])
+            mm_out = tt.matmul(h_sum, params["n2m_out"])
             master = _update(mm_in, mm_out, master, "master_gru")
         h_new = new_slices[0] if k == 1 else tt.concat(new_slices, axis=1)
         h = affine(h_new, params["mix_w"], params["mix_b"]) if k > 1 else h_new

@@ -275,17 +275,23 @@ def record_to_graph(record: Qm9Record, explicit_hydrogens: bool = False,
     _warn_missing_flags()
     n = record.n_atoms
     pos = np.asarray(record.positions, dtype=np.float64)
+    # (i, j, bond type, distance) with i < j
     if bonds is None:
-        bond_list = [(i, j, "single") for i, j, _ in infer_bonds(record.elements, pos)]
+        bond_list = [(i, j, "single", d)
+                     for i, j, d in infer_bonds(record.elements, pos)]
     else:
+        pi, pj, pd = pair_distances(pos)
+        dist = np.zeros((n, n))
+        dist[pi, pj] = pd
         bond_list = []
         for i, j, name in bonds:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ParseError(f"bond ({i}, {j}) out of range for {n} atoms")
-            bond_list.append((min(i, j), max(i, j), name))
+            lo, hi = min(i, j), max(i, j)
+            bond_list.append((lo, hi, name, float(dist[lo, hi])))
 
     order_counts = [dict() for _ in range(n)]
-    for i, j, name in bond_list:
+    for i, j, name, _ in bond_list:
         for k in (i, j):
             order_counts[k][name] = order_counts[k].get(name, 0) + 1
 
@@ -298,10 +304,8 @@ def record_to_graph(record: Qm9Record, explicit_hydrogens: bool = False,
 
     if explicit_hydrogens:
         atoms = tuple(make_atom(k, 0) for k in range(n))
-        graph_bonds = tuple(
-            Bond(i=i, j=j, bond_type=name,
-                 distance=float(np.linalg.norm(pos[i] - pos[j])))
-            for i, j, name in bond_list)
+        graph_bonds = tuple(Bond(i=i, j=j, bond_type=name, distance=d)
+                            for i, j, name, d in bond_list)
         return MolecularGraph(atoms=atoms, bonds=graph_bonds,
                               explicit_hydrogens=True,
                               targets=record.targets).validate()
@@ -310,8 +314,8 @@ def record_to_graph(record: Qm9Record, explicit_hydrogens: bool = False,
     new_id = {k: idx for idx, k in enumerate(heavy)}
     h_partners: dict[int, list[int]] = {k: [] for k in range(n)
                                         if record.elements[k] == "H"}
-    kept: list[tuple[int, int, str]] = []
-    for i, j, name in bond_list:
+    kept: list[tuple[int, int, str, float]] = []
+    for i, j, name, d in bond_list:
         hi, hj = record.elements[i] == "H", record.elements[j] == "H"
         if hi and hj:
             raise ParseError(f"H-H bond ({i}, {j}) cannot be folded; "
@@ -321,7 +325,7 @@ def record_to_graph(record: Qm9Record, explicit_hydrogens: bool = False,
         elif hj:
             h_partners[j].append(i)
         else:
-            kept.append((new_id[i], new_id[j], name))
+            kept.append((new_id[i], new_id[j], name, d))
     h_count = [0] * len(heavy)
     for h, partners in h_partners.items():
         if len(partners) != 1:
@@ -329,12 +333,9 @@ def record_to_graph(record: Qm9Record, explicit_hydrogens: bool = False,
                              f"atom, found {len(partners)}")
         h_count[new_id[partners[0]]] += 1
 
-    heavy_pos = pos[heavy]
     atoms = tuple(make_atom(k, h_count[new_id[k]]) for k in heavy)
-    graph_bonds = tuple(
-        Bond(i=i, j=j, bond_type=name,
-             distance=float(np.linalg.norm(heavy_pos[i] - heavy_pos[j])))
-        for i, j, name in kept)
+    graph_bonds = tuple(Bond(i=i, j=j, bond_type=name, distance=d)
+                        for i, j, name, d in kept)
     return MolecularGraph(atoms=atoms, bonds=graph_bonds,
                           explicit_hydrogens=False,
                           targets=record.targets).validate()
@@ -367,8 +368,18 @@ def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
     if header.get("schema") != DATASET_SCHEMA:
         raise ParseError(f"{path}: unknown dataset schema "
                          f"{header.get('schema')!r}")
-    graphs = [MolecularGraph.from_dict(json.loads(line))
-              for line in lines[1:] if line.strip()]
+    for key in ("count", "explicit_hydrogens"):
+        if key not in header:
+            raise ParseError(f"{path}: dataset header lacks field {key!r}")
+    graphs = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            graphs.append(MolecularGraph.from_dict(json.loads(line)))
+        except KeyError as exc:
+            raise ParseError(f"{path}: line {lineno}: record lacks field "
+                             f"{exc}") from None
     if len(graphs) != header["count"]:
         raise ParseError(f"{path}: header count {header['count']} != "
                          f"{len(graphs)} records")
@@ -407,6 +418,9 @@ def read_split_manifest(path: str) -> dict:
     if manifest.get("schema") != MANIFEST_SCHEMA:
         raise ParseError(f"{path}: unknown manifest schema "
                          f"{manifest.get('schema')!r}")
+    for key in ("dataset_sha256", "train", "valid", "test"):
+        if key not in manifest:
+            raise ParseError(f"{path}: split manifest lacks field {key!r}")
     return manifest
 
 

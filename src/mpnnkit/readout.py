@@ -71,7 +71,7 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
     weighted sum; a graph with no tuples reads a zero glimpse.
     Empty graphs need no special case: every op takes zero rows.
     """
-    dq = cfg.query_dim
+    dq = cfg.d
     n_graphs = states.n_graphs
     graph = states.node_graph
     memories = tt.matmul(tt.concat([states.h, states.h0], axis=1),

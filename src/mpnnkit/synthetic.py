@@ -110,11 +110,12 @@ def _one_molecule(rng: np.random.Generator) -> MolecularGraph:
              position=tuple(positions[k]))
         for k, e in enumerate(elements)
     )
-    bonds = tuple(
-        Bond(i=a, j=b, bond_type=order,
-             distance=float(np.linalg.norm(positions[a] - positions[b])))
-        for a, b, order in edges
-    )
+    # every edge has a < b
+    pi, pj, pd = pair_distances(positions)
+    dist = np.zeros((n, n))
+    dist[pi, pj] = pd
+    bonds = tuple(Bond(i=a, j=b, bond_type=order, distance=float(dist[a, b]))
+                  for a, b, order in edges)
     targets = synthetic_targets(atoms, bonds, positions)
     return MolecularGraph(atoms=atoms, bonds=bonds, targets=targets).validate()
 

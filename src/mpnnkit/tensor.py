@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Tape",
     "GruParams",
     "DimensionError",
     "ContractError",
@@ -70,27 +69,6 @@ class NumericError(ArithmeticError):
     """A computation produced NaN or Inf (divergence)."""
 
 
-class Tape:
-    """Ordered record of taped operations for one reverse pass.
-
-    Entries are appended in execution order, so the list is topologically
-    sorted by construction: every op's inputs were created before the op
-    itself. ``backward`` walks the list once in reverse and then clears it.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
-
-    def record(self, out: "Tensor", rule: Callable[[np.ndarray], None]) -> None:
-        self.entries.append((out, rule))
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 @dataclass
 class MultiplyCounter:
     """Accumulates the number of scalar multiplications performed by taped ops."""
@@ -105,13 +83,20 @@ _local = threading.local()
 
 def _ctx():
     if not hasattr(_local, "tape"):
-        _local.tape = Tape()
+        _local.tape = []
         _local.grad_enabled = True
         _local.mul_counter = None
     return _local
 
 
-def active_tape() -> Tape:
+def active_tape() -> list[tuple["Tensor", Callable[[np.ndarray], None]]]:
+    """The ordered record of taped operations for one reverse pass.
+
+    Entries (output, backward rule) are appended in execution order, so the
+    list is topologically sorted by construction: every op's inputs were
+    created before the op itself. ``backward`` walks it once in reverse and
+    then clears it.
+    """
     return _ctx().tape
 
 
@@ -178,49 +163,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars are constants.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _coerce(-1.0))
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        return reduce_sum(self, axis)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return Tensor(float(x))
-    raise TypeError(f"cannot operate on {type(x).__name__}")
-
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap a forward result, check finiteness, and tape it when needed."""
@@ -234,7 +176,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable[[np.ndar
     out.requires_grad = rg
     out.grad = np.zeros_like(data) if rg else None
     if rg:
-        ctx.tape.record(out, rule)
+        ctx.tape.append((out, rule))
     return out
 
 
@@ -249,7 +191,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss is not connected to any tracked tensor")
     loss.grad[...] = 1.0
     tape = _ctx().tape
-    for out, rule in reversed(tape.entries):
+    for out, rule in reversed(tape):
         rule(out.grad)
     tape.clear()
 
@@ -622,7 +564,7 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     z = sigmoid(add(matmul(x, params.wz), matmul(h, params.uz)))
     r = sigmoid(add(matmul(x, params.wr), matmul(h, params.ur)))
     hbar = tanh(add(matmul(x, params.wh), matmul(mul(r, h), params.uh)))
-    return add(mul(sub(_coerce(1.0), z), h), mul(z, hbar))
+    return add(mul(sub(Tensor(1.0), z), h), mul(z, hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +599,10 @@ def load_params(path: str) -> dict[str, Tensor]:
         obj = json.load(f)
     out: dict[str, Tensor] = {}
     for name, entry in obj.items():
+        for key in ("shape", "values"):
+            if key not in entry:
+                raise ContractError(
+                    f"{path}: checkpoint entry {name!r} lacks field {key!r}")
         shape = tuple(int(s) for s in entry["shape"])
         arr = np.array(entry["values"], dtype=np.float64).reshape(shape)
         out[name] = Tensor(arr, requires_grad=True)

@@ -33,7 +33,6 @@ __all__ = [
     "TrainResult",
     "TrialResult",
     "SearchResult",
-    "normalize_targets",
     "lr_at",
     "Adam",
     "loss_and_metrics",
@@ -105,11 +104,6 @@ class TargetStats:
                    std=np.array(obj["std"], dtype=np.float64))
 
 
-def normalize_targets(y: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, TargetStats]:
-    stats = TargetStats.from_matrix(y, names)
-    return stats.normalize(y), stats
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     total_steps: int
@@ -169,13 +163,16 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.init_lr * (1.0 - frac) + final * frac
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -186,19 +183,19 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for {k}")
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * (g * g)
             mhat = self.m[k] / b1c
             vhat = self.v[k] / b2c
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def loss_and_metrics(pred_norm: np.ndarray, target_norm: np.ndarray,

@@ -114,7 +114,7 @@ def naive_readout(h, h0, master, master0, p, cfg):
         for v in range(h.shape[0]):
             out += mlp2(h[v], p, "ro_nn")
         return out
-    dq = cfg.query_dim
+    dq = cfg.d
     mem = np.concatenate([h, h0], axis=1) @ p["s2s_proj"].data
     if master is not None and cfg.master_in_readout:
         row = np.concatenate([master.ravel(), master0.ravel()])

@@ -3,12 +3,14 @@ zero-checkpoint evaluation contract."""
 
 import dataclasses
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mpnnkit.cli as cli
 import mpnnkit.qm9 as qm9
 from mpnnkit.cli import main
 from mpnnkit.engine import ModelConfig, init_params
@@ -316,6 +318,58 @@ class TestEvaluateCommand:
                          "--out", str(tmp_path / "r.csv")]) == 1
             assert "not the file this run was trained with" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestMalformedInputs:
+    """A file that lacks a field the command reads is refused with one
+    ``error:`` line naming the field, not a traceback."""
+
+    @pytest.mark.parametrize("file, field, row", [
+        ("manifest", "train", 0),    # train: split manifest
+        ("data", "count", 0),        # train: dataset header
+        ("data", "bonds", 1),        # train: dataset record
+        ("checkpoint", "shape", 0),  # evaluate: checkpoint entry
+    ])
+    def test_missing_field_is_an_error_line(self, dataset, tmp_path, capsys,
+                                            file, field, row):
+        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
+                          n_targets=1, edge_repr="chemical")
+        files = dict(dataset, checkpoint=str(tmp_path / "p.json"))
+        save_params(init_params(cfg, seed=0), files["checkpoint"])
+        meta = tmp_path / "meta.json"
+        write_meta(meta, dataset, cfg, TrainConfig(total_steps=10, targets=0))
+
+        lines = pathlib.Path(files[file]).read_text().splitlines()
+        obj = json.loads(lines[row])
+        del (obj["ro_i_w1"] if file == "checkpoint" else obj)[field]
+        lines[row] = json.dumps(obj)
+        files[file] = str(tmp_path / f"broken_{file}")
+        pathlib.Path(files[file]).write_text("\n".join(lines) + "\n")
+
+        argv = ["--data", files["data"], "--manifest", files["manifest"]]
+        if file == "checkpoint":
+            argv = ["evaluate"] + argv + [
+                "--checkpoint", files["checkpoint"], "--meta", str(meta),
+                "--out", str(tmp_path / "r.csv")]
+        else:
+            argv = ["train"] + argv + ["--out-dir", str(tmp_path / "run")] + TRAIN_FLAGS
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and repr(field) in errors[0], err
+
+
+def test_every_model_field_is_set_by_the_cli(monkeypatch):
+    # A ModelConfig field that no flag sets is a setting nothing uses.
+    # train_run sets n_targets from the selected targets.
+    monkeypatch.setattr(cli, "ModelConfig", lambda **kwargs: kwargs)
+    args = cli.build_parser().parse_args(
+        ["train", "--data", "d", "--manifest", "m", "--out-dir", "o"])
+    kwargs = cli._model_config(args, False)
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    assert set(kwargs) == names - {"n_targets"}
 
 
 class TestSearchCommand:

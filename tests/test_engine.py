@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpnnkit import tensor as T
+from mpnnkit.checks import bench_towers
 from mpnnkit.engine import (
     MESSAGE_FNS,
     ModelConfig,
@@ -13,7 +14,7 @@ from mpnnkit.engine import (
     propagate,
 )
 from mpnnkit.molgraph import EncodedGraph
-from mpnnkit.tensor import ContractError, MultiplyCounter, Tensor
+from mpnnkit.tensor import ContractError, Tensor
 
 from conftest import (
     check_grad_against_fd,
@@ -344,18 +345,11 @@ class TestTowers:
         names = [n for n, _ in param_shapes(cfg_for("matmul", d=8, towers_k=2))]
         assert "mix_w" in names and "mix_b" in names
 
-    def test_message_multiplies_scale_inversely_with_k(self, rng):
-        # Fully connected graph; matmul messages cost m * (d/k)^2 per tower.
-        d = 16
-        eg = random_encoded(rng, n=6, d_in=4, edge_prob=1.1)
-        counts = {}
-        for k in (1, 4):
-            cfg = cfg_for("matmul", d=d, towers_k=k, T=2)
-            params = init_params(cfg, seed=15)
-            counter = MultiplyCounter()
-            propagate(eg, params, cfg, message_counter=counter)
-            counts[k] = counter.total
-        assert counts[4] == counts[1] // 4
+    def test_message_multiplies_scale_inversely_with_k(self):
+        # Complete graph on 6 nodes, E = 30 directed edges; matmul messages
+        # cost E * (d/k)^2 per tower and channel: 2 * T * E * d^2 / k in all.
+        result = bench_towers(d=16, n=6, k=4, T=2)
+        assert result["message_multiplies"] == {1: 30720, 4: 7680}
 
     def test_permutation_invariance_with_towers(self, rng):
         cfg = cfg_for("matmul", d=8, towers_k=4, T=3)

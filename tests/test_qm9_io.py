@@ -223,6 +223,32 @@ class TestRecordToGraph:
         path.write_text(json.dumps([[0, 1, "aromatic"]]))
         assert load_bond_file(str(path)) == [(0, 1, "aromatic")]
 
+    def test_bond_distances_match_per_pair_norm(self):
+        # a noisy chain of nine carbons, each with one hydrogen above and
+        # one below, so every carbon keeps a heavy-atom bond after folding
+        rng = np.random.default_rng(5)
+        heavy = np.arange(9)[:, None] * [1.45, 0.0, 0.0]
+        heavy = heavy + rng.normal(scale=0.05, size=heavy.shape)
+        hydrogens = np.concatenate([heavy + [0.0, 0.0, 1.0],
+                                    heavy - [0.0, 0.0, 1.0]])
+        pos = np.concatenate([heavy, hydrogens])
+        elements = ["C"] * 9 + ["H"] * 18
+        lines = [str(len(pos)), CH4.splitlines()[1]]
+        lines += ["\t".join([e] + [repr(float(c)) for c in p] + ["0.0"])
+                  for e, p in zip(elements, pos)]
+        lines += ["100.0", "C", "InChI"]
+        record = parse_qm9_xyz("\n".join(lines))
+        chain = [(k, k + 1, "single") for k in range(8)]
+        graphs = [record_to_graph(record, explicit_hydrogens=True),
+                  record_to_graph(record),
+                  record_to_graph(record, explicit_hydrogens=True, bonds=chain)]
+        assert [len(g.bonds) for g in graphs] == [26, 8, 8]
+        for g in graphs:
+            at = [np.array(a.position) for a in g.atoms]
+            np.testing.assert_array_equal(
+                [b.distance for b in g.bonds],
+                [np.linalg.norm(at[b.i] - at[b.j]) for b in g.bonds])
+
     def test_warns_once_about_flags(self):
         qm9._warned_missing_flags = False
         with pytest.warns(UserWarning, match="acceptor/donor"):

@@ -84,7 +84,7 @@ class TestForwardValues:
 
     def test_elementwise_scalar_broadcast_only(self):
         a = t([[1.0, 2.0], [3.0, 4.0]])
-        assert (a + t(1.0)).data.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+        assert T.add(a, t(1.0)).data.tolist() == [[2.0, 3.0], [4.0, 5.0]]
         with pytest.raises(DimensionError):
             T.add(a, t([1.0, 2.0]))  # row broadcast is not supported
 

@@ -27,7 +27,6 @@ from mpnnkit.training import (
     error_ratio,
     loss_and_metrics,
     lr_at,
-    normalize_targets,
     random_search,
     split_dataset,
     targets_matrix,
@@ -86,14 +85,15 @@ class TestTargetStats:
     def test_normalized_moments(self):
         rng = np.random.default_rng(3)
         y = rng.normal(loc=5.0, scale=3.0, size=(40, 4))
-        yn, stats = normalize_targets(y, TARGET_NAMES[:4])
+        yn = TargetStats.from_matrix(y, TARGET_NAMES[:4]).normalize(y)
         assert np.all(np.abs(yn.mean(axis=0)) < 1e-12)
         assert np.all(np.abs(yn.std(axis=0) - 1.0) < 1e-12)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         y = rng.normal(size=(25, 13)) * 7.0 + 2.0
-        yn, stats = normalize_targets(y, TARGET_NAMES)
+        stats = TargetStats.from_matrix(y, TARGET_NAMES)
+        yn = stats.normalize(y)
         assert np.max(np.abs(stats.denormalize(yn) - y)) < 1e-12
 
     def test_constant_column_rejected(self):
