@@ -90,8 +90,7 @@ def _jitter_biases(params: dict[str, Tensor], rng: np.random.Generator) -> None:
 def _fd_max_rel_err(build_loss, params: dict[str, Tensor]) -> float:
     loss = build_loss()
     tt.backward(loss)
-    analytic = {k: (p.grad.copy() if p.grad is not None else None)
-                for k, p in params.items()}
+    analytic = {k: p.grad.copy() for k, p in params.items()}
     for p in params.values():
         p.zero_grad()
     worst = 0.0

@@ -249,6 +249,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     with open(args.meta) as f:
         meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ContractError(f"{args.meta}: metadata is not a JSON object")
     if meta.get("schema") != META_SCHEMA:
         raise ContractError(f"unknown metadata schema {meta.get('schema')!r}")
     try:

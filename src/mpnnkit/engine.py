@@ -39,12 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tt
-from .molgraph import (
-    ATOM_FEATURE_WIDTH,
-    EncodedGraph,
-    edge_alphabet_size,
-    edge_feature_width,
-)
+from .molgraph import EncodedGraph, edge_alphabet_size, edge_feature_width
 from .tensor import ContractError, GruParams, Tensor
 
 __all__ = [
@@ -109,10 +104,6 @@ class ModelConfig:
                 "matmul message needs discrete edge labels, not raw distances")
         if self.edge_repr not in ("chemical", "distance_bins", "raw_distance"):
             raise ContractError(f"unknown edge representation {self.edge_repr!r}")
-
-    @property
-    def d_in(self) -> int:
-        return ATOM_FEATURE_WIDTH + (1 if self.include_partial_charge else 0)
 
     @property
     def d_tower(self) -> int:
@@ -234,10 +225,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tt.add(y, tt.repeat_rows(b, y.data.shape[0]))
 
 
-def mlp2(x: Tensor, params: dict[str, Tensor], prefix: str,
-         hidden_act=tt.relu) -> Tensor:
-    """Single-hidden-layer MLP: affine, activation, affine."""
-    h = hidden_act(affine(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
+def mlp2(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """Single-hidden-layer MLP: affine, relu, affine."""
+    h = tt.relu(affine(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
     return affine(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 

@@ -365,6 +365,8 @@ def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
     if not lines:
         raise ParseError(f"{path}: empty dataset file")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: line 1: dataset header is not a JSON object")
     if header.get("schema") != DATASET_SCHEMA:
         raise ParseError(f"{path}: unknown dataset schema "
                          f"{header.get('schema')!r}")
@@ -375,8 +377,11 @@ def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}: line {lineno}: record is not a JSON object")
         try:
-            graphs.append(MolecularGraph.from_dict(json.loads(line)))
+            graphs.append(MolecularGraph.from_dict(record))
         except KeyError as exc:
             raise ParseError(f"{path}: line {lineno}: record lacks field "
                              f"{exc}") from None
@@ -415,6 +420,8 @@ def write_split_manifest(path: str, n: int, seed: int, valid_size: int,
 def read_split_manifest(path: str) -> dict:
     with open(path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: split manifest is not a JSON object")
     if manifest.get("schema") != MANIFEST_SCHEMA:
         raise ParseError(f"{path}: unknown manifest schema "
                          f"{manifest.get('schema')!r}")

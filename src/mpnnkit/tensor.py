@@ -4,9 +4,13 @@ Only the operations the graph models in this package actually need are
 implemented: 2-D matrix products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
 concatenation/slicing, row gather/scatter, and a GRU cell over
-row-stacked states composed from the primitives. Broadcasting is
-restricted to exact-shape and scalar operands so every backward rule
-stays auditable at a glance.
+row-stacked states composed from the primitives. Elementwise operands
+must match in shape, so every backward rule stays auditable at a glance.
+
+A backward rule is a pure function of its output's gradient: it returns
+one gradient per parent and writes nothing. ``backward`` is the only code
+that stores and sums gradients; taped intermediates never hold one, and
+leaves (tensors created with ``requires_grad``) accumulate into ``grad``.
 
 Every forward result is checked for NaN/Inf; divergence surfaces as a
 :class:`NumericError` at the op that produced it.
@@ -89,13 +93,13 @@ def _ctx():
     return _local
 
 
-def active_tape() -> list[tuple["Tensor", Callable[[np.ndarray], None]]]:
+def active_tape() -> list[tuple["Tensor", tuple["Tensor", ...], Callable]]:
     """The ordered record of taped operations for one reverse pass.
 
-    Entries (output, backward rule) are appended in execution order, so the
-    list is topologically sorted by construction: every op's inputs were
-    created before the op itself. ``backward`` walks it once in reverse and
-    then clears it.
+    Entries (output, parents, backward rule) are appended in execution
+    order, so the list is topologically sorted by construction: every op's
+    inputs were created before the op itself. ``backward`` walks it once in
+    reverse and then clears it.
     """
     return _ctx().tape
 
@@ -164,7 +168,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable) -> Tensor:
     """Wrap a forward result, check finiteness, and tape it when needed."""
     data = np.asarray(data, dtype=np.float64, order="C")
     if not np.isfinite(data).all():
@@ -174,25 +178,57 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable[[np.ndar
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = rg
-    out.grad = np.zeros_like(data) if rg else None
+    out.grad = None
     if rg:
-        ctx.tape.append((out, rule))
+        ctx.tape.append((out, tuple(parents), rule))
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every tensor the scalar ``loss`` depends on.
+def _accumulate(pending: dict, t: Tensor, g) -> None:
+    """Add one gradient contribution for ``t``.
 
-    Walks the active tape once in reverse and clears it afterwards.
+    A leaf sums into its ``grad`` in place. A taped intermediate keeps its
+    first contribution uncopied in ``pending`` and adds later ones out of
+    place, so an array a rule handed to several parents is never written
+    into. ``g`` may be ``(index, rows)``: the rows are added one at a time
+    onto the running total, in the order ``np.add.at`` gives.
+    """
+    if t.grad is not None:
+        if isinstance(g, tuple):
+            np.add.at(t.grad, *g)
+        else:
+            t.grad += g
+        return
+    total = pending.get(t)
+    if isinstance(g, tuple):
+        total = np.zeros_like(t.data) if total is None else total.copy()
+        np.add.at(total, *g)
+        pending[t] = total
+    else:
+        pending[t] = g if total is None else total + g
+
+
+def backward(loss: Tensor) -> None:
+    """Add d(loss)/d(leaf) into ``grad`` of every leaf the scalar ``loss``
+    depends on.
+
+    Walks the active tape once in reverse and clears it afterwards. An
+    intermediate's pending gradient is dropped once its own rule has run.
     """
     if loss.data.size != 1:
         raise ContractError("backward requires a scalar loss")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to any tracked tensor")
-    loss.grad[...] = 1.0
+    pending: dict = {}
+    _accumulate(pending, loss, np.ones_like(loss.data))
     tape = _ctx().tape
-    for out, rule in reversed(tape):
-        rule(out.grad)
+    for out, parents, rule in reversed(tape):
+        g = pending.pop(out, None)
+        if g is None:
+            continue
+        for parent, pg in zip(parents, rule(g)):
+            if pg is not None:
+                _accumulate(pending, parent, pg)
     tape.clear()
 
 
@@ -213,11 +249,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     n = b.data.shape[1]
     _count_muls(m * k * n)
 
-    def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.grad += g @ b.data.T
-        if b.requires_grad:
-            b.grad += a.data.T @ g
+    def rule(g: np.ndarray):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _result(a.data @ b.data, (a, b), rule)
 
@@ -240,71 +274,46 @@ def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
     m3 = mats.data.reshape(m, p, q)
     _count_muls(m * p * q)
 
-    def rule(g: np.ndarray) -> None:
-        if mats.requires_grad:
-            mats.grad += np.einsum("ip,iq->ipq", g, vecs.data).reshape(m, p * q)
-        if vecs.requires_grad:
-            vecs.grad += np.einsum("ipq,ip->iq", m3, g)
+    def rule(g: np.ndarray):
+        return (np.einsum("ip,iq->ipq", g, vecs.data).reshape(m, p * q)
+                if mats.requires_grad else None,
+                np.einsum("ipq,ip->iq", m3, g) if vecs.requires_grad else None)
 
     return _result(np.einsum("ipq,iq->ip", m3, vecs.data), (mats, vecs), rule)
 
 
-def _binary_shapes(a: Tensor, b: Tensor) -> tuple[bool, bool]:
-    """Classify an elementwise pair: exact-shape, or one scalar operand."""
-    if a.data.shape == b.data.shape:
-        return False, False
-    if b.data.size == 1:
-        return False, True
-    if a.data.size == 1:
-        return True, False
-    raise DimensionError(
-        f"elementwise op needs matching shapes or a scalar operand: "
-        f"{a.data.shape} vs {b.data.shape}"
-    )
+def _check_same_shape(a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape:
+        raise DimensionError(
+            f"elementwise op needs matching shapes: {a.data.shape} vs {b.data.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a_scalar, b_scalar = _binary_shapes(a, b)
-    av = a.data.reshape(()) if a_scalar else a.data
-    bv = b.data.reshape(()) if b_scalar else b.data
+    _check_same_shape(a, b)
 
-    def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.grad += g.sum().reshape(a.data.shape) if a_scalar else g
-        if b.requires_grad:
-            b.grad += g.sum().reshape(b.data.shape) if b_scalar else g
+    def rule(g: np.ndarray):
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
-    return _result(av + bv, (a, b), rule)
+    return _result(a.data + b.data, (a, b), rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a_scalar, b_scalar = _binary_shapes(a, b)
-    av = a.data.reshape(()) if a_scalar else a.data
-    bv = b.data.reshape(()) if b_scalar else b.data
+    _check_same_shape(a, b)
 
-    def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.grad += g.sum().reshape(a.data.shape) if a_scalar else g
-        if b.requires_grad:
-            b.grad -= g.sum().reshape(b.data.shape) if b_scalar else g
+    def rule(g: np.ndarray):
+        return (g if a.requires_grad else None, -g if b.requires_grad else None)
 
-    return _result(av - bv, (a, b), rule)
+    return _result(a.data - b.data, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a_scalar, b_scalar = _binary_shapes(a, b)
-    av = a.data.reshape(()) if a_scalar else a.data
-    bv = b.data.reshape(()) if b_scalar else b.data
-    out = av * bv
+    _check_same_shape(a, b)
+    out = a.data * b.data
     _count_muls(out.size)
 
-    def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            ga = g * bv
-            a.grad += ga.sum().reshape(a.data.shape) if a_scalar else ga
-        if b.requires_grad:
-            gb = g * av
-            b.grad += gb.sum().reshape(b.data.shape) if b_scalar else gb
+    def rule(g: np.ndarray):
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
 
     return _result(out, (a, b), rule)
 
@@ -318,9 +327,8 @@ def sigmoid(x: Tensor) -> Tensor:
     ex = np.exp(xd[~pos])
     y[~pos] = ex / (1.0 + ex)
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g * (y * (1.0 - y))
+    def rule(g: np.ndarray):
+        return (g * (y * (1.0 - y)),)
 
     return _result(y, (x,), rule)
 
@@ -328,17 +336,15 @@ def sigmoid(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g * (1.0 - y * y)
+    def rule(g: np.ndarray):
+        return (g * (1.0 - y * y),)
 
     return _result(y, (x,), rule)
 
 
 def relu(x: Tensor) -> Tensor:
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g * (x.data > 0)
+    def rule(g: np.ndarray):
+        return (g * (x.data > 0),)
 
     return _result(np.maximum(x.data, 0.0), (x,), rule)
 
@@ -349,22 +355,12 @@ def _check_axis(x: Tensor, axis: int) -> int:
     return axis % x.data.ndim
 
 
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over one axis (or all elements); backward broadcasts the gradient."""
-    if axis is None:
-        def rule(g: np.ndarray) -> None:
-            if x.requires_grad:
-                x.grad += g.reshape(())
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum of all elements; backward broadcasts the gradient."""
+    def rule(g: np.ndarray):
+        return (np.full(x.data.shape, g),)
 
-        return _result(x.data.sum(), (x,), rule)
-
-    ax = _check_axis(x, axis)
-
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += np.expand_dims(g, ax)
-
-    return _result(x.data.sum(axis=ax), (x,), rule)
+    return _result(x.data.sum(), (x,), rule)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -373,10 +369,9 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=ax, keepdims=True)
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            s = (g * y).sum(axis=ax, keepdims=True)
-            x.grad += y * (g - s)
+    def rule(g: np.ndarray):
+        s = (g * y).sum(axis=ax, keepdims=True)
+        return (y * (g - s),)
 
     return _result(y, (x,), rule)
 
@@ -406,11 +401,10 @@ def segment_softmax(x: Tensor, index, num_segments: int) -> Tensor:
     np.add.at(total, idx, e)
     y = e / total[idx]
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            s = np.zeros(shape)
-            np.add.at(s, idx, g * y)
-            x.grad += y * (g - s[idx])
+    def rule(g: np.ndarray):
+        s = np.zeros(shape)
+        np.add.at(s, idx, g * y)
+        return (y * (g - s[idx]),)
 
     return _result(y, (x,), rule)
 
@@ -429,12 +423,9 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.data.shape[ax] for t in xs]
     offsets = np.cumsum([0] + sizes)
 
-    def rule(g: np.ndarray) -> None:
-        for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[ax] = slice(lo, hi)
-                t.grad += g[tuple(idx)]
+    def rule(g: np.ndarray):
+        parts = np.split(g, offsets[1:-1], axis=ax)
+        return [part if t.requires_grad else None for t, part in zip(xs, parts)]
 
     return _result(np.concatenate([t.data for t in xs], axis=ax), tuple(xs), rule)
 
@@ -444,9 +435,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise DimensionError(f"cannot reshape {x.data.shape} to {shape}")
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g.reshape(x.data.shape)
+    def rule(g: np.ndarray):
+        return (g.reshape(x.data.shape),)
 
     return _result(x.data.reshape(shape), (x,), rule)
 
@@ -461,9 +451,8 @@ def gather_rows(x: Tensor, index) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise ContractError("gather_rows index out of range")
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            np.add.at(x.grad, idx, g)
+    def rule(g: np.ndarray):
+        return ((idx, g),)
 
     return _result(x.data[idx], (x,), rule)
 
@@ -480,9 +469,8 @@ def scatter_sum_rows(x: Tensor, index, num_rows: int) -> Tensor:
     out = np.zeros((int(num_rows), x.data.shape[1]))
     np.add.at(out, idx, x.data)
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g[idx]
+    def rule(g: np.ndarray):
+        return (g[idx],)
 
     return _result(out, (x,), rule)
 
@@ -493,9 +481,10 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= x.data.shape[1]:
         raise DimensionError(f"column slice [{start}:{stop}] invalid for {x.data.shape}")
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad[:, start:stop] += g
+    def rule(g: np.ndarray):
+        full = np.zeros_like(x.data)
+        full[:, start:stop] = g
+        return (full,)
 
     return _result(x.data[:, start:stop].copy(), (x,), rule)
 
@@ -509,9 +498,8 @@ def repeat_rows(x: Tensor, n: int) -> Tensor:
     else:
         raise DimensionError("repeat_rows needs a single-row tensor")
 
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g.sum(axis=0).reshape(x.data.shape)
+    def rule(g: np.ndarray):
+        return (g.sum(axis=0).reshape(x.data.shape),)
 
     return _result(np.broadcast_to(row, (int(n), row.shape[1])).copy(), (x,), rule)
 
@@ -564,7 +552,7 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     z = sigmoid(add(matmul(x, params.wz), matmul(h, params.uz)))
     r = sigmoid(add(matmul(x, params.wr), matmul(h, params.ur)))
     hbar = tanh(add(matmul(x, params.wh), matmul(mul(r, h), params.uh)))
-    return add(mul(sub(Tensor(1.0), z), h), mul(z, hbar))
+    return add(mul(sub(Tensor(np.ones_like(z.data)), z), h), mul(z, hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +585,12 @@ def save_params(params: Mapping[str, Tensor], path: str) -> None:
 def load_params(path: str) -> dict[str, Tensor]:
     with open(path) as f:
         obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise ContractError(f"{path}: checkpoint is not a JSON object")
     out: dict[str, Tensor] = {}
     for name, entry in obj.items():
+        if not isinstance(entry, dict):
+            raise ContractError(f"{path}: checkpoint entry {name!r} is not a JSON object")
         for key in ("shape", "values"):
             if key not in entry:
                 raise ContractError(

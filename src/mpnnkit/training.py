@@ -187,8 +187,6 @@ class Adam:
         b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             g = p.grad
-            if g is None:
-                continue
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for {k}")
             self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g

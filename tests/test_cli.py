@@ -321,8 +321,40 @@ class TestEvaluateCommand:
 
 
 class TestMalformedInputs:
-    """A file that lacks a field the command reads is refused with one
-    ``error:`` line naming the field, not a traceback."""
+    """A file that lacks a field the command reads, or holds JSON of the
+    wrong kind, is refused with one ``error:`` line, not a traceback."""
+
+    @staticmethod
+    def error_line(dataset, tmp_path, capsys, file, row, edit):
+        """Rewrite JSON line ``row`` of ``file`` with ``edit``, run the command
+        that reads it, and return (its one error line, the broken file)."""
+        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
+                          n_targets=1, edge_repr="chemical")
+        files = dict(dataset, checkpoint=str(tmp_path / "p.json"),
+                     meta=str(tmp_path / "meta.json"))
+        save_params(init_params(cfg, seed=0), files["checkpoint"])
+        write_meta(pathlib.Path(files["meta"]), dataset, cfg,
+                   TrainConfig(total_steps=10, targets=0))
+
+        lines = pathlib.Path(files[file]).read_text().splitlines()
+        lines[row] = json.dumps(edit(json.loads(lines[row])))
+        files[file] = str(tmp_path / f"broken_{file}")
+        pathlib.Path(files[file]).write_text("\n".join(lines) + "\n")
+
+        argv = ["--data", files["data"], "--manifest", files["manifest"]]
+        if file in ("checkpoint", "meta"):
+            argv = ["evaluate"] + argv + [
+                "--checkpoint", files["checkpoint"], "--meta", files["meta"],
+                "--out", str(tmp_path / "r.csv")]
+        else:
+            argv = ["train"] + argv + ["--out-dir", str(tmp_path / "run")] + TRAIN_FLAGS
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
+        return errors[0], files[file]
 
     @pytest.mark.parametrize("file, field, row", [
         ("manifest", "train", 0),    # train: split manifest
@@ -332,33 +364,25 @@ class TestMalformedInputs:
     ])
     def test_missing_field_is_an_error_line(self, dataset, tmp_path, capsys,
                                             file, field, row):
-        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
-                          n_targets=1, edge_repr="chemical")
-        files = dict(dataset, checkpoint=str(tmp_path / "p.json"))
-        save_params(init_params(cfg, seed=0), files["checkpoint"])
-        meta = tmp_path / "meta.json"
-        write_meta(meta, dataset, cfg, TrainConfig(total_steps=10, targets=0))
+        def drop(obj):
+            del (obj["ro_i_w1"] if file == "checkpoint" else obj)[field]
+            return obj
 
-        lines = pathlib.Path(files[file]).read_text().splitlines()
-        obj = json.loads(lines[row])
-        del (obj["ro_i_w1"] if file == "checkpoint" else obj)[field]
-        lines[row] = json.dumps(obj)
-        files[file] = str(tmp_path / f"broken_{file}")
-        pathlib.Path(files[file]).write_text("\n".join(lines) + "\n")
+        error, _ = self.error_line(dataset, tmp_path, capsys, file, row, drop)
+        assert repr(field) in error
 
-        argv = ["--data", files["data"], "--manifest", files["manifest"]]
-        if file == "checkpoint":
-            argv = ["evaluate"] + argv + [
-                "--checkpoint", files["checkpoint"], "--meta", str(meta),
-                "--out", str(tmp_path / "r.csv")]
-        else:
-            argv = ["train"] + argv + ["--out-dir", str(tmp_path / "run")] + TRAIN_FLAGS
-        capsys.readouterr()
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and repr(field) in errors[0], err
+    @pytest.mark.parametrize("file, row, edit, where", [
+        ("manifest", 0, lambda obj: [1], ""),
+        ("data", 0, lambda obj: [1], "line 1"),
+        ("data", 1, lambda obj: [1, 2], "line 2"),
+        ("checkpoint", 0, lambda obj: [1], ""),
+        ("checkpoint", 0, lambda obj: dict(obj, ro_i_w1=1), "'ro_i_w1'"),
+        ("meta", 0, lambda obj: [1], ""),
+    ], ids=["manifest", "header", "record", "checkpoint", "checkpoint-entry", "meta"])
+    def test_non_object_json_is_an_error_line(self, dataset, tmp_path, capsys,
+                                              file, row, edit, where):
+        error, path = self.error_line(dataset, tmp_path, capsys, file, row, edit)
+        assert path in error and where in error and "not a JSON object" in error
 
 
 def test_every_model_field_is_set_by_the_cli(monkeypatch):
