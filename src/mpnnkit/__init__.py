@@ -15,7 +15,6 @@ from .molgraph import (
     Bond,
     EncodedGraph,
     MolecularGraph,
-    add_virtual_edges,
     disjoint_union,
     encode,
     featurize_atom,
@@ -73,7 +72,6 @@ __all__ = [
     "TargetStats",
     "Tensor",
     "TrainConfig",
-    "add_virtual_edges",
     "apply_readout",
     "backward",
     "disjoint_union",

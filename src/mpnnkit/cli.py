@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .engine import ModelConfig, param_shapes
 from .model import prepare_graph
@@ -34,7 +35,7 @@ from .qm9 import (
     write_split_manifest,
 )
 from .synthetic import generate_synthetic
-from .tensor import ContractError, _atomic_write, load_params
+from .tensor import ContractError, _atomic_write, _read_json, load_params
 from .training import (
     CHEMICAL_ACCURACY,
     SearchSpace,
@@ -150,6 +151,24 @@ def _train_config(args) -> TrainConfig:
                        targets=args.targets, eval_every=args.eval_every)
 
 
+def _config_from(cls, meta: dict, block: str):
+    """``cls`` built from ``meta[block]`` once every value has the JSON type
+    of its field (an int may stand for a float, a boolean for neither)."""
+    fields = meta[block]
+    if not isinstance(fields, dict):
+        raise ContractError(f"field {block!r} is not a JSON object")
+    kinds = typing.get_type_hints(cls)  # an unknown field fails in cls() below
+    for key, value in fields.items():
+        kind = kinds.get(key, object)
+        if kind is float:
+            kind = (int, float)
+        if (not isinstance(value, kind)
+                or type(value) is bool and kind not in (bool, object)):
+            raise ContractError(f"{block} field {key!r} has the wrong type: "
+                                f"{value!r}")
+    return cls(**fields)
+
+
 def _load_splits(args):
     graphs, header = read_dataset(args.data)
     manifest = read_split_manifest(args.manifest)
@@ -247,20 +266,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.meta) as f:
-        meta = json.load(f)
+    meta = _read_json(args.meta)
     if not isinstance(meta, dict):
         raise ContractError(f"{args.meta}: metadata is not a JSON object")
     if meta.get("schema") != META_SCHEMA:
         raise ContractError(f"unknown metadata schema {meta.get('schema')!r}")
     try:
-        cfg = ModelConfig(**meta["model"])
-        train_cfg = TrainConfig(**meta["train"])
+        cfg = _config_from(ModelConfig, meta, "model")
+        train_cfg = _config_from(TrainConfig, meta, "train")
         stats = TargetStats.from_dict(meta["stats"])
         trained_on = ((args.data, meta["dataset_sha256"]),
                       (args.manifest, meta["manifest_sha256"]))
     except (KeyError, TypeError) as exc:
         raise ContractError(f"{args.meta}: missing or unknown field: {exc}") from None
+    except ContractError as exc:
+        raise ContractError(f"{args.meta}: {exc}") from None
     for path, digest in trained_on:
         if file_sha256(path) != digest:
             raise ContractError(f"{path} is not the file this run was trained with")

@@ -97,6 +97,11 @@ class ModelConfig:
             raise ContractError("master width must be nonnegative")
         if self.d_master and self.towers_k > 1:
             raise ContractError("master node does not combine with towers")
+        if (self.d_master not in (0, self.d) and self.master_in_readout
+                and self.readout != "set2set"):
+            raise ContractError(
+                f"the {self.readout} readout sums width-{self.d} rows and cannot "
+                f"take a width-{self.d_master} master; turn master_in_readout off")
         if self.set2set_M < 1:
             raise ContractError("set2set needs at least one processing step")
         if self.message_fn == "matmul" and self.edge_repr == "raw_distance":

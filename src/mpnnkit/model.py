@@ -1,4 +1,4 @@
-"""End-to-end model: graph augmentation, encoding, propagation, readout."""
+"""End-to-end model: encoding, propagation, readout."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import numpy as np
 
 from . import tensor as tt
 from .engine import ModelConfig, propagate
-from .molgraph import (
-    EncodedGraph,
-    MolecularGraph,
-    add_virtual_edges,
-    disjoint_union,
-    encode,
-)
+from .molgraph import EncodedGraph, MolecularGraph, disjoint_union, encode
 from .readout import apply_readout
 from .tensor import ContractError, Tensor
 
@@ -32,13 +26,12 @@ UNION_EDGE_BUDGET = 1024
 
 
 def prepare_graph(g: MolecularGraph, cfg: ModelConfig) -> EncodedGraph:
-    """Apply configured augmentations and encode the molecule."""
+    """Encode the molecule as the model config asks."""
     if g.explicit_hydrogens != cfg.explicit_hydrogens:
         raise ContractError(
             "graph hydrogen convention does not match the model config")
-    if cfg.virtual_edges:
-        g = add_virtual_edges(g)
-    return encode(g, cfg.edge_repr, cfg.include_partial_charge)
+    return encode(g, cfg.edge_repr, cfg.include_partial_charge,
+                  cfg.virtual_edges)
 
 
 def model_forward(eg: EncodedGraph, params: dict[str, Tensor],

@@ -4,8 +4,8 @@ A molecule is a list of atoms plus undirected bonds. Three edge encodings
 are supported:
 
 * ``chemical``: edges exist only where bonds do; each edge carries a
-  discrete label (single/double/triple/aromatic, plus a virtual label when
-  the graph was fully connected with virtual edges).
+  discrete label (single/double/triple/aromatic). With ``virtual_edges``
+  every unbonded pair is an edge too, with ``VIRTUAL_LABEL``.
 * ``distance_bins``: fully connected; bonded pairs keep their bond label,
   unbonded pairs get 4 + a distance bin, giving an alphabet of 14 symbols.
 * ``raw_distance``: fully connected; each edge carries the 5-vector
@@ -16,15 +16,16 @@ which fixes the pair order (i < j, row-major) and the distance formula;
 bond perception (``qm9.infer_bonds``) and the synthetic mean-distance
 target use it too.
 
-Augmentation: ``add_virtual_edges`` fully connects the chemical graph with
-a dedicated edge type. The latent master node is not part of a molecule:
-the propagation engine keeps it as one state row per graph, with the width
-``ModelConfig.d_master``.
+A molecule holds only chemical bonds. The paper's two model-only graph
+elements live elsewhere: virtual edges are part of the ``chemical``
+encoding, and the latent master node is one state row per graph in the
+propagation engine, with the width ``ModelConfig.d_master``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,7 +54,6 @@ __all__ = [
     "pair_distances",
     "encode",
     "disjoint_union",
-    "add_virtual_edges",
     "edge_alphabet_size",
     "edge_feature_width",
 ]
@@ -86,6 +86,21 @@ NUM_DISTANCE_BINS = 10
 DISTANCE_BINS_ALPHABET = len(BOND_TYPES) + NUM_DISTANCE_BINS  # 14
 
 
+def _is_number(value) -> bool:
+    """An int or a float; a boolean is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Exact JSON types. ``issuperset`` over a ``map`` checks a list without
+# building a set of its types.
+_DICT, _LIST, _NUMBER = frozenset({dict}), frozenset({list}), frozenset({int, float})
+
+
+def _is_list_of(value, kinds: frozenset) -> bool:
+    """A list whose items all have one of ``kinds`` as their exact type."""
+    return type(value) is list and kinds.issuperset(map(type, value))
+
+
 @dataclass(frozen=True)
 class Atom:
     element: str
@@ -98,12 +113,21 @@ class Atom:
     partial_charge: Optional[float] = None
 
     def __post_init__(self):
-        if self.element not in ELEMENTS:
+        if not isinstance(self.element, str) or self.element not in ELEMENTS:
             raise UnsupportedElementError(f"unsupported element {self.element!r}")
+        if (type(self.acceptor) is not bool or type(self.donor) is not bool
+                or type(self.aromatic) is not bool):
+            raise ContractError("atom fields 'acceptor', 'donor' and 'aromatic' "
+                                "must be booleans, got "
+                                f"{(self.acceptor, self.donor, self.aromatic)!r}")
         if self.hybridization is not None and self.hybridization not in HYBRIDIZATIONS:
             raise ContractError(f"unknown hybridization {self.hybridization!r}")
-        if self.hydrogen_count < 0:
-            raise ContractError("hydrogen_count must be nonnegative")
+        if type(self.hydrogen_count) is not int or self.hydrogen_count < 0:
+            raise ContractError("atom field 'hydrogen_count' must be a nonnegative "
+                                f"integer, got {self.hydrogen_count!r}")
+        if self.partial_charge is not None and not _is_number(self.partial_charge):
+            raise ContractError("atom field 'partial_charge' must be a number, "
+                                f"got {self.partial_charge!r}")
         if self.position is not None:
             object.__setattr__(self, "position", tuple(float(c) for c in self.position))
             if len(self.position) != 3:
@@ -122,18 +146,20 @@ class Bond:
     distance: Optional[float] = None
 
     def __post_init__(self):
-        if self.bond_type not in BOND_TYPES + ("virtual",):
+        if self.bond_type not in BOND_TYPES:
             raise ContractError(f"unknown bond type {self.bond_type!r}")
+        if type(self.i) is not int or type(self.j) is not int:
+            raise ContractError("bond fields 'i' and 'j' must be integers, got "
+                                f"({self.i!r}, {self.j!r})")
+        if self.distance is not None and not _is_number(self.distance):
+            raise ContractError("bond field 'distance' must be a number, got "
+                                f"{self.distance!r}")
         if self.i == self.j:
             raise ContractError("bond endpoints must be distinct")
         if self.i < 0 or self.j < 0:
             raise ContractError("bond endpoints must be nonnegative node ids")
         if self.distance is not None and self.distance < 0:
             raise ContractError("bond distance must be nonnegative")
-
-    @property
-    def is_chemical(self) -> bool:
-        return self.bond_type in BOND_TYPES
 
 
 @dataclass(frozen=True)
@@ -146,6 +172,9 @@ class MolecularGraph:
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "bonds", tuple(self.bonds))
+        if type(self.explicit_hydrogens) is not bool:
+            raise ContractError("field 'explicit_hydrogens' must be a boolean, got "
+                                f"{self.explicit_hydrogens!r}")
         if self.targets is not None:
             object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
 
@@ -216,31 +245,38 @@ class MolecularGraph:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MolecularGraph":
+        """The molecule ``to_dict`` wrote. A missing field raises KeyError,
+        one of the wrong JSON type ContractError (``Atom``, ``Bond`` and the
+        molecule check their own fields)."""
+        for key in ("atoms", "bonds"):
+            if not _is_list_of(obj[key], _DICT):
+                raise ContractError(f"field {key!r} is not a list of JSON objects")
+        # Atom and MolecularGraph turn any real number into a float; in
+        # JSON only int and float are numbers.
         positions = obj.get("positions")
-        atoms = []
-        for idx, entry in enumerate(obj["atoms"]):
-            pos = tuple(positions[idx]) if positions is not None else None
-            atoms.append(Atom(
-                element=entry["element"],
-                acceptor=bool(entry.get("acceptor", False)),
-                donor=bool(entry.get("donor", False)),
-                aromatic=bool(entry.get("aromatic", False)),
-                hybridization=entry.get("hybridization"),
-                hydrogen_count=int(entry.get("hydrogen_count", 0)),
-                position=pos,
-                partial_charge=entry.get("partial_charge"),
-            ))
-        bonds = tuple(
-            Bond(i=int(e["i"]), j=int(e["j"]), bond_type=e["type"],
-                 distance=e.get("distance"))
-            for e in obj["bonds"]
-        )
-        return cls(
-            atoms=tuple(atoms),
-            bonds=bonds,
-            explicit_hydrogens=bool(obj.get("explicit_hydrogens", False)),
-            targets=tuple(obj["targets"]) if obj.get("targets") is not None else None,
-        ).validate()
+        if positions is not None and not (
+                _is_list_of(positions, _LIST) and len(positions) == len(obj["atoms"])
+                and _NUMBER.issuperset(map(type, chain.from_iterable(positions)))):
+            raise ContractError("field 'positions' is not one list of numbers per atom")
+        targets = obj.get("targets")
+        if targets is not None and not _is_list_of(targets, _NUMBER):
+            raise ContractError("field 'targets' is not a list of numbers")
+        atoms = tuple(
+            Atom(element=entry["element"],
+                 acceptor=entry.get("acceptor", False),
+                 donor=entry.get("donor", False),
+                 aromatic=entry.get("aromatic", False),
+                 hybridization=entry.get("hybridization"),
+                 hydrogen_count=entry.get("hydrogen_count", 0),
+                 position=None if positions is None else positions[idx],
+                 partial_charge=entry.get("partial_charge"))
+            for idx, entry in enumerate(obj["atoms"]))
+        bonds = tuple(Bond(i=e["i"], j=e["j"], bond_type=e["type"],
+                           distance=e.get("distance"))
+                      for e in obj["bonds"])
+        return cls(atoms=atoms, bonds=bonds,
+                   explicit_hydrogens=obj.get("explicit_hydrogens", False),
+                   targets=targets).validate()
 
 
 @dataclass(frozen=True)
@@ -379,8 +415,14 @@ def edge_feature_width(representation: str, virtual_edges: bool = False) -> int:
 
 
 def encode(g: MolecularGraph, representation: str,
-           include_partial_charge: bool = False) -> EncodedGraph:
-    """Flatten a molecule into node features plus a directed edge list."""
+           include_partial_charge: bool = False,
+           virtual_edges: bool = False) -> EncodedGraph:
+    """Flatten a molecule into node features plus a directed edge list.
+
+    ``virtual_edges`` appends every unbonded pair to the ``chemical`` edges,
+    after the bonds and in row-major order, with ``VIRTUAL_LABEL``. The
+    distance representations are complete graphs already and ignore it.
+    """
     if representation not in EDGE_REPRS:
         raise ContractError(f"unknown edge representation {representation!r}")
     node_features = (
@@ -388,18 +430,23 @@ def encode(g: MolecularGraph, representation: str,
         if g.atoms else np.zeros((0, ATOM_FEATURE_WIDTH + bool(include_partial_charge)))
     )
     if representation == "chemical":
-        i = np.array([b.i for b in g.bonds], dtype=np.intp)
-        j = np.array([b.j for b in g.bonds], dtype=np.intp)
-        features = np.array([VIRTUAL_LABEL if b.bond_type == "virtual"
-                             else BOND_LABELS[b.bond_type] for b in g.bonds],
-                            dtype=np.intp)
+        pairs = [(b.i, b.j) for b in g.bonds]
+        labels = [BOND_LABELS[b.bond_type] for b in g.bonds]
+        if virtual_edges:
+            # a set beats an n x n label matrix up to QM9's 9 heavy atoms
+            bonded = set(pairs) | {(j, i) for i, j in pairs}
+            free = [(i, j) for i in range(g.n_atoms)
+                    for j in range(i + 1, g.n_atoms) if (i, j) not in bonded]
+            pairs += free
+            labels += [VIRTUAL_LABEL] * len(free)
+        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        features = np.array(labels, dtype=np.intp)
     else:
         i, j, dist = pair_distances(g.positions())
-        # chemical bond label per atom pair, -1 where there is none
+        # bond label per atom pair, -1 where there is none
         labels = np.full((g.n_atoms, g.n_atoms), -1, dtype=np.intp)
-        chem = [b for b in g.bonds if b.is_chemical]
-        bi, bj = [b.i for b in chem], [b.j for b in chem]
-        labels[bi, bj] = labels[bj, bi] = [BOND_LABELS[b.bond_type] for b in chem]
+        bi, bj = [b.i for b in g.bonds], [b.j for b in g.bonds]
+        labels[bi, bj] = labels[bj, bi] = [BOND_LABELS[b.bond_type] for b in g.bonds]
         bond = labels[i, j]
         free = bond < 0
         if representation == "distance_bins":
@@ -418,17 +465,3 @@ def encode(g: MolecularGraph, representation: str,
         edge_features=np.concatenate([features, features]),
         representation=representation,
     )
-
-
-def add_virtual_edges(g: MolecularGraph) -> MolecularGraph:
-    """Fully connect the atom graph; new pairs get bond_type=virtual."""
-    existing = {frozenset((b.i, b.j)) for b in g.bonds}
-    extra = []
-    for i in range(g.n_atoms):
-        for j in range(i + 1, g.n_atoms):
-            if frozenset((i, j)) not in existing:
-                extra.append(Bond(i, j, "virtual"))
-    if not extra:
-        return g
-    return replace(g, bonds=g.bonds + tuple(extra))
-

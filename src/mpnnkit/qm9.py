@@ -42,7 +42,7 @@ from .molgraph import (
     UnsupportedElementError,
     pair_distances,
 )
-from .tensor import ContractError, _atomic_write
+from .tensor import ContractError, _atomic_write, _read_json
 
 __all__ = [
     "COVALENT_RADII",
@@ -221,24 +221,24 @@ def load_bond_file(path: str) -> list[tuple[int, int, str]]:
 
     ``order`` is 1/2/3 or one of the bond type names.
     """
-    with open(path) as f:
-        raw = json.load(f)
+    raw = _read_json(path)
     if not isinstance(raw, list):
-        raise ParseError("bond file must be a JSON list of [i, j, order]")
+        raise ParseError(f"{path}: bond file must be a JSON list of [i, j, order]")
     bonds = []
     for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ParseError(f"bad bond entry {entry!r}")
+        if not (isinstance(entry, list) and len(entry) == 3
+                and type(entry[0]) is int and type(entry[1]) is int):
+            raise ParseError(f"{path}: bad bond entry {entry!r}")
         i, j, order = entry
         if isinstance(order, str):
             if order not in BOND_TYPES:
-                raise ParseError(f"unknown bond type {order!r}")
+                raise ParseError(f"{path}: unknown bond type {order!r}")
             name = order
         else:
-            if order not in _BOND_ORDER_NAMES:
-                raise ParseError(f"unknown bond order {order!r}")
+            if type(order) is not int or order not in _BOND_ORDER_NAMES:
+                raise ParseError(f"{path}: unknown bond order {order!r}")
             name = _BOND_ORDER_NAMES[order]
-        bonds.append((int(i), int(j), name))
+        bonds.append((i, j, name))
     return bonds
 
 
@@ -359,25 +359,42 @@ def write_dataset(path: str, graphs: list[MolecularGraph]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _json_line(path: str, lineno: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {lineno}: not valid JSON "
+                         f"({exc.msg}, column {exc.colno})") from None
+
+
 def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
+    """The molecules and header ``write_dataset`` wrote. A line that is not
+    valid JSON, or holds a field that is missing or of the wrong type, raises
+    ParseError naming the file and the line."""
     with open(path) as f:
-        lines = f.read().splitlines()
+        try:
+            lines = f.read().splitlines()
+        except ValueError as exc:  # bytes that are not UTF-8
+            raise ParseError(f"{path}: {exc}") from None
     if not lines:
         raise ParseError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
+    header = _json_line(path, 1, lines[0])
     if not isinstance(header, dict):
         raise ParseError(f"{path}: line 1: dataset header is not a JSON object")
     if header.get("schema") != DATASET_SCHEMA:
         raise ParseError(f"{path}: unknown dataset schema "
                          f"{header.get('schema')!r}")
-    for key in ("count", "explicit_hydrogens"):
+    for key, kind in (("count", int), ("explicit_hydrogens", bool)):
         if key not in header:
             raise ParseError(f"{path}: dataset header lacks field {key!r}")
+        if type(header[key]) is not kind:
+            raise ParseError(f"{path}: line 1: header field {key!r} has the "
+                             f"wrong type: {header[key]!r}")
     graphs = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        record = json.loads(line)
+        record = _json_line(path, lineno, line)
         if not isinstance(record, dict):
             raise ParseError(f"{path}: line {lineno}: record is not a JSON object")
         try:
@@ -385,6 +402,8 @@ def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
         except KeyError as exc:
             raise ParseError(f"{path}: line {lineno}: record lacks field "
                              f"{exc}") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if len(graphs) != header["count"]:
         raise ParseError(f"{path}: header count {header['count']} != "
                          f"{len(graphs)} records")
@@ -418,8 +437,9 @@ def write_split_manifest(path: str, n: int, seed: int, valid_size: int,
 
 
 def read_split_manifest(path: str) -> dict:
-    with open(path) as f:
-        manifest = json.load(f)
+    """The manifest ``write_split_manifest`` wrote; a missing field, or one
+    of the wrong type, raises ParseError naming the file and the field."""
+    manifest = _read_json(path)
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: split manifest is not a JSON object")
     if manifest.get("schema") != MANIFEST_SCHEMA:
@@ -428,6 +448,11 @@ def read_split_manifest(path: str) -> dict:
     for key in ("dataset_sha256", "train", "valid", "test"):
         if key not in manifest:
             raise ParseError(f"{path}: split manifest lacks field {key!r}")
+    if type(manifest["dataset_sha256"]) is not str:
+        raise ParseError(f"{path}: field 'dataset_sha256' is not a string")
+    for key in ("train", "valid", "test"):
+        if not (type(manifest[key]) is list and set(map(type, manifest[key])) <= {int}):
+            raise ParseError(f"{path}: field {key!r} is not a list of indices")
     return manifest
 
 

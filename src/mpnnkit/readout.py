@@ -27,15 +27,11 @@ __all__ = [
 def _with_master_rows(states: NodeStates, cfg: ModelConfig
                       ) -> tuple[Tensor, Tensor, np.ndarray]:
     """Node states for the summing readouts, each master row appended to
-    its own graph when it fits, plus the graph index of every row.
-
-    The master state can only join a sum over width-d rows when its width
-    equals d; otherwise it is silently left out (its influence still reached
-    every node during propagation).
-    """
+    its own graph when ``cfg.master_in_readout``, plus the graph index of
+    every row. ``ModelConfig`` admits a master in these sums only at width
+    d."""
     h, h0, graph = states.h, states.h0, states.node_graph
-    if (states.master is not None and cfg.master_in_readout
-            and cfg.d_master == cfg.d):
+    if states.master is not None and cfg.master_in_readout:
         h = tt.concat([h, states.master], axis=0)
         h0 = tt.concat([h0, states.master0], axis=0)
         graph = np.concatenate([graph, np.arange(states.n_graphs)])

@@ -569,6 +569,16 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_json(path: str):
+    """The JSON value in ``path``; text that does not parse raises a
+    ContractError naming the file."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ContractError(f"{path}: not valid JSON: {exc}") from None
+
+
 def save_params(params: Mapping[str, Tensor], path: str) -> None:
     """Write a flat name -> {shape, values} JSON checkpoint (bit-exact floats).
 
@@ -583,19 +593,28 @@ def save_params(params: Mapping[str, Tensor], path: str) -> None:
 
 
 def load_params(path: str) -> dict[str, Tensor]:
-    with open(path) as f:
-        obj = json.load(f)
+    """The checkpoint ``save_params`` wrote; a missing field or a value of
+    the wrong JSON type raises a ContractError naming the file and entry."""
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ContractError(f"{path}: checkpoint is not a JSON object")
     out: dict[str, Tensor] = {}
     for name, entry in obj.items():
+        where = f"{path}: checkpoint entry {name!r}"
         if not isinstance(entry, dict):
-            raise ContractError(f"{path}: checkpoint entry {name!r} is not a JSON object")
+            raise ContractError(f"{where} is not a JSON object")
         for key in ("shape", "values"):
             if key not in entry:
-                raise ContractError(
-                    f"{path}: checkpoint entry {name!r} lacks field {key!r}")
-        shape = tuple(int(s) for s in entry["shape"])
-        arr = np.array(entry["values"], dtype=np.float64).reshape(shape)
-        out[name] = Tensor(arr, requires_grad=True)
+                raise ContractError(f"{where} lacks field {key!r}")
+        shape, values = entry["shape"], entry["values"]
+        if not (isinstance(shape, list) and set(map(type, shape)) <= {int}
+                and min(shape, default=0) >= 0):
+            raise ContractError(f"{where}: field 'shape' is not a list of sizes")
+        if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+            raise ContractError(f"{where}: field 'values' is not a list of numbers")
+        if len(values) != int(np.prod(shape)):
+            raise ContractError(f"{where}: {len(values)} values do not fill "
+                                f"shape {tuple(shape)}")
+        out[name] = Tensor(np.array(values, dtype=np.float64).reshape(shape),
+                           requires_grad=True)
     return out

@@ -99,7 +99,17 @@ class TargetStats:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TargetStats":
-        return cls(names=tuple(obj["names"]),
+        """The stats ``to_dict`` wrote; a field of the wrong JSON type raises
+        ContractError naming it."""
+        names = obj["names"]
+        if not (type(names) is list and set(map(type, names)) <= {str}):
+            raise ContractError("stats field 'names' is not a list of names")
+        for key in ("mean", "std"):
+            if not (type(obj[key]) is list and len(obj[key]) == len(names)
+                    and set(map(type, obj[key])) <= {float, int}):
+                raise ContractError(f"stats field {key!r} is not a list of "
+                                    f"{len(names)} numbers")
+        return cls(names=tuple(names),
                    mean=np.array(obj["mean"], dtype=np.float64),
                    std=np.array(obj["std"], dtype=np.float64))
 

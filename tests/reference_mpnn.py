@@ -100,8 +100,7 @@ def naive_propagate(eg, p, cfg, steps=None):
 
 def naive_readout(h, h0, master, master0, p, cfg):
     if cfg.readout in ("ggnn", "dtnn_sum"):
-        if (master is not None and cfg.master_in_readout
-                and cfg.d_master == cfg.d):
+        if master is not None and cfg.master_in_readout:
             h = np.vstack([h, master.reshape(1, -1)])
             h0 = np.vstack([h0, master0.reshape(1, -1)])
         if cfg.readout == "ggnn":

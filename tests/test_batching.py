@@ -73,7 +73,8 @@ def test_every_message_and_readout(rng, message_fn, readout):
     ("towers_set2set", dict(towers_k=3, readout="set2set")),
     ("master_width_d", dict(d_master=6)),
     ("master_width_d_set2set", dict(d_master=6, readout="set2set")),
-    ("master_narrow", dict(d_master=4)),
+    # a master narrower than d stays out of the summing readouts
+    ("master_narrow", dict(d_master=4, master_in_readout=False)),
     ("master_narrow_set2set", dict(d_master=4, readout="set2set")),
     ("master_not_read_out", dict(d_master=6, master_in_readout=False)),
     ("master_not_read_out_set2set", dict(d_master=4, readout="set2set",

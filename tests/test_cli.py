@@ -2,6 +2,7 @@
 zero-checkpoint evaluation contract."""
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -14,6 +15,7 @@ import mpnnkit.cli as cli
 import mpnnkit.qm9 as qm9
 from mpnnkit.cli import main
 from mpnnkit.engine import ModelConfig, init_params
+from mpnnkit.model import prepare_graph
 from mpnnkit.qm9 import read_dataset, read_split_manifest
 from mpnnkit.tensor import save_params
 from mpnnkit.training import TargetStats, TrainConfig, targets_matrix
@@ -114,6 +116,28 @@ class TestPrepare:
                      "--out", str(out)]) == 0
         assert qm9.file_sha256(str(out)) == (
             "01e9eed515c8b0f243f5044bf1bfe11fec19e3178c38418150742d4eb37414da")
+
+    def test_encoded_arrays_bytes_pinned(self, tmp_path):
+        # The arrays the model sees, for every edge representation with
+        # virtual edges on and off, pinned from before virtual edges became
+        # part of the chemical encoding.
+        out = tmp_path / "d.jsonl"
+        assert main(["prepare", "--synthetic", "50", "--seed", "3",
+                     "--out", str(out)]) == 0
+        graphs, _ = read_dataset(str(out))
+        digest = hashlib.sha256()
+        for edge_repr in ("chemical", "distance_bins", "raw_distance"):
+            for virtual_edges in (False, True):
+                cfg = ModelConfig(message_fn="edge_network", edge_repr=edge_repr,
+                                  virtual_edges=virtual_edges)
+                for g in graphs:
+                    eg = prepare_graph(g, cfg)
+                    for a in (eg.node_features, eg.edge_src, eg.edge_dst,
+                              eg.edge_features):
+                        digest.update(f"{a.dtype.str}{a.shape}".encode())
+                        digest.update(a.tobytes())
+        assert digest.hexdigest() == (
+            "3a23d8ea6aa788f79c3c729687792b9fb7ebdaf8c8efdd4dcc5bddad2e57cb4f")
 
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         out = str(tmp_path / "d.jsonl")
@@ -320,9 +344,28 @@ class TestEvaluateCommand:
         assert not (tmp_path / "r.csv").exists()
 
 
+def cut(obj):
+    """An edit whose result is its line cut in half: text that is not JSON."""
+    return cut
+
+
+def put(*path_and_value):
+    """An edit that sets the value at a path of keys and indices."""
+    *path, value = path_and_value
+
+    def edit(obj):
+        inner = obj
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        return obj
+    return edit
+
+
 class TestMalformedInputs:
-    """A file that lacks a field the command reads, or holds JSON of the
-    wrong kind, is refused with one ``error:`` line, not a traceback."""
+    """A file that lacks a field the command reads, holds JSON of the wrong
+    kind or type, or is not JSON at all, is refused with one ``error:`` line
+    naming the file, not a traceback or a silent coercion."""
 
     @staticmethod
     def error_line(dataset, tmp_path, capsys, file, row, edit):
@@ -337,7 +380,9 @@ class TestMalformedInputs:
                    TrainConfig(total_steps=10, targets=0))
 
         lines = pathlib.Path(files[file]).read_text().splitlines()
-        lines[row] = json.dumps(edit(json.loads(lines[row])))
+        edited = edit(json.loads(lines[row]))
+        lines[row] = (lines[row][:len(lines[row]) // 2] if edited is cut
+                      else json.dumps(edited))
         files[file] = str(tmp_path / f"broken_{file}")
         pathlib.Path(files[file]).write_text("\n".join(lines) + "\n")
 
@@ -383,6 +428,63 @@ class TestMalformedInputs:
                                               file, row, edit, where):
         error, path = self.error_line(dataset, tmp_path, capsys, file, row, edit)
         assert path in error and where in error and "not a JSON object" in error
+
+    @pytest.mark.parametrize("file, row, where", [
+        ("manifest", 0, ""),
+        ("data", 0, "line 1"),
+        ("data", 1, "line 2"),
+        ("checkpoint", 0, ""),
+        ("meta", 0, ""),
+    ], ids=["manifest", "header", "record", "checkpoint", "meta"])
+    def test_text_that_is_not_json_is_an_error_line(self, dataset, tmp_path,
+                                                    capsys, file, row, where):
+        error, path = self.error_line(dataset, tmp_path, capsys, file, row, cut)
+        assert path in error and where in error and "not valid JSON" in error
+        if file == "data":
+            # the line within the file, not within the record
+            assert "line 1" not in error.replace(where, "")
+
+    @pytest.mark.parametrize("file, row, edit, where", [
+        ("data", 1, put("atoms", 5), "'atoms'"),
+        ("data", 1, put("atoms", 0, "acceptor", "false"), "'acceptor'"),
+        ("data", 1, put("atoms", 0, "hydrogen_count", 1.7), "'hydrogen_count'"),
+        ("data", 1, put("bonds", 0, "i", 0.5), "'i'"),
+        ("data", 1, put("bonds", 0, "type", "virtual"), "'virtual'"),
+        ("data", 0, put("count", "24"), "'count'"),
+        ("manifest", 0, put("train", 0, "a"), "'train'"),
+        ("manifest", 0, put("valid", 0, True), "'valid'"),
+        ("meta", 0, put("model", "d", 16.0), "'d'"),
+        ("meta", 0, put("train", "targets", True), "'targets'"),
+        ("meta", 0, put("stats", "mean", ["7.5"]), "'mean'"),
+        ("checkpoint", 0, put("ro_i_w1", "values", 0, "1.5"), "'values'"),
+        ("checkpoint", 0, put("ro_i_w1", "shape", 0, 2.0), "'shape'"),
+    ], ids=["atoms", "acceptor", "hydrogen_count", "bond_i", "virtual_bond",
+            "count", "manifest_index", "manifest_bool_index", "meta_model",
+            "meta_train", "meta_stats", "checkpoint_values",
+            "checkpoint_shape"])
+    def test_wrong_json_type_is_an_error_line(self, dataset, tmp_path, capsys,
+                                              file, row, edit, where):
+        error, path = self.error_line(dataset, tmp_path, capsys, file, row, edit)
+        assert path in error and where in error
+        if file == "data":
+            assert f"line {row + 1}" in error
+
+    @pytest.mark.parametrize("text", ['[[0, 1, "single"', '[[0.5, 1, 1]]'],
+                             ids=["not_json", "index_type"])
+    def test_bad_bond_file_is_an_error_line(self, tmp_path, capsys, text):
+        qm9._warned_missing_flags = True
+        xyz = tmp_path / "m.xyz"
+        xyz.write_text(CH4)
+        bonds = tmp_path / "bonds.json"
+        bonds.write_text(text)
+        capsys.readouterr()
+        assert main(["prepare", "--xyz", str(xyz), "--explicit-h",
+                     "--bond-file", str(bonds), "--out", str(tmp_path / "d.jsonl"),
+                     "--valid-size", "1", "--test-size", "1"]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "Traceback" not in err and len(errors) == 1, err
+        assert str(bonds) in errors[0]
 
 
 def test_every_model_field_is_set_by_the_cli(monkeypatch):

@@ -281,7 +281,7 @@ class TestPropagate:
         np.testing.assert_allclose(states.h.data, want_h, atol=1e-12)
 
     def test_matches_naive_with_master(self, rng):
-        cfg = cfg_for("edge_network", d_master=3, T=3)
+        cfg = cfg_for("edge_network", d_master=3, T=3, master_in_readout=False)
         params = init_params(cfg, seed=10)
         eg = random_encoded(rng, n=5, d_in=5)
         states = propagate(eg, params, cfg)
@@ -412,7 +412,8 @@ class TestEndToEndGradients:
         check_grad_against_fd(loss, params, label=message_fn)
 
     def test_fd_gradients_with_master(self, rng):
-        cfg = cfg_for("matmul", T=2, d=4, d_master=3, n_targets=1)
+        cfg = cfg_for("matmul", T=2, d=4, d_master=3, n_targets=1,
+                      master_in_readout=False)
         params = init_params(cfg, seed=19)
         eg = random_encoded(rng, n=3, d_in=3)
 

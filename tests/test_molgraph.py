@@ -10,6 +10,7 @@ from mpnnkit.model import prepare_graph
 from mpnnkit.molgraph import (
     ATOM_FEATURE_WIDTH,
     Atom,
+    BOND_LABELS,
     BOND_TYPES,
     Bond,
     DISTANCE_BINS_ALPHABET,
@@ -17,7 +18,6 @@ from mpnnkit.molgraph import (
     MolecularGraph,
     UnsupportedElementError,
     VIRTUAL_LABEL,
-    add_virtual_edges,
     bin_distance,
     edge_alphabet_size,
     edge_feature_width,
@@ -152,8 +152,7 @@ class TestPairDistances:
 
 def loop_encode(g, representation):
     """The per-pair loop ``encode``'s distance branch replaced: the oracle."""
-    bonded = {(min(b.i, b.j), max(b.i, b.j)): b.bond_type
-              for b in g.bonds if b.is_chemical}
+    bonded = {(min(b.i, b.j), max(b.i, b.j)): b.bond_type for b in g.bonds}
     pos = g.positions()
     src, dst, feats = [], [], []
     for i in range(g.n_atoms):
@@ -171,6 +170,34 @@ def loop_encode(g, representation):
                     vec[1 + BOND_TYPES.index(bond)] = 1.0
                 feats.append(vec)
     return src + dst, dst + src, feats + feats
+
+
+def loop_virtual_encode(g):
+    """The chemical edge arrays as a loop builds them: the bonds in their
+    order, then a virtual edge for each unbonded pair, pair by pair in
+    row-major order. The oracle for ``encode(..., virtual_edges=True)``."""
+    existing = {frozenset((b.i, b.j)) for b in g.bonds}
+    edges = [(b.i, b.j, BOND_LABELS[b.bond_type]) for b in g.bonds]
+    for i in range(g.n_atoms):
+        for j in range(i + 1, g.n_atoms):
+            if frozenset((i, j)) not in existing:
+                edges.append((i, j, VIRTUAL_LABEL))
+    i, j, labels = (np.array([e[k] for e in edges], dtype=np.intp)
+                    for k in range(3))
+    return (np.concatenate([i, j]), np.concatenate([j, i]),
+            np.concatenate([labels, labels]))
+
+
+def random_molecule(rng, n):
+    """n atoms, a random subset of pairs bonded in random orientation and
+    order, with positions."""
+    atoms = tuple(Atom("C" if k < 9 else "H", position=tuple(rng.uniform(-4, 4, 3)))
+                  for k in range(n))
+    pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    bonds = tuple(Bond(i, j, BOND_TYPES[rng.integers(4)])
+                  for i, j in (pairs[k] for k in rng.permutation(len(pairs))))
+    return MolecularGraph(atoms=atoms, bonds=bonds, explicit_hydrogens=True)
 
 
 class TestEncode:
@@ -245,10 +272,28 @@ class TestEncode:
         encode(g, "chemical")  # fine without positions
 
     def test_virtual_edges_get_virtual_label(self):
-        g = add_virtual_edges(chain3())
-        eg = encode(g, "chemical")
+        eg = encode(chain3(), "chemical", virtual_edges=True)
         assert sorted(eg.edge_features.tolist()) == [0, 0, 1, 1,
                                                      VIRTUAL_LABEL, VIRTUAL_LABEL]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 17, 29])
+    def test_virtual_edges_match_the_bond_loop_byte_for_byte(self, rng, n):
+        for _ in range(4):
+            g = random_molecule(rng, n)
+            eg = encode(g, "chemical", virtual_edges=True)
+            for got, want in zip((eg.edge_src, eg.edge_dst, eg.edge_features),
+                                 loop_virtual_encode(g)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("representation", ["distance_bins", "raw_distance"])
+    def test_distance_reprs_ignore_virtual_edges(self, rng, representation):
+        g = random_molecule(rng, 7)
+        plain = encode(g, representation)
+        virtual = encode(g, representation, virtual_edges=True)
+        for field in dataclasses.fields(EncodedGraph):
+            np.testing.assert_array_equal(getattr(virtual, field.name),
+                                          getattr(plain, field.name))
 
     def test_encode_is_permutation_equivariant(self, rng):
         g = chain3()
@@ -283,21 +328,33 @@ class TestEncode:
             assert eg.edge_features.max() < 14
 
 
+def virtual_pairs(g):
+    """Undirected pairs ``encode`` connects with the virtual label."""
+    eg = encode(g, "chemical", virtual_edges=True)
+    return int((eg.edge_features == VIRTUAL_LABEL).sum()) // 2
+
+
 class TestAugmentations:
     def test_virtual_edges_on_path(self):
-        g = add_virtual_edges(chain3())
-        assert sum(1 for b in g.bonds if b.bond_type == "virtual") == 1
+        assert virtual_pairs(chain3()) == 1
 
     def test_virtual_edges_fixpoint_on_complete_graph(self):
-        g = add_virtual_edges(chain3())
-        assert add_virtual_edges(g) is g
+        # a complete graph has no pair to add: the edges are the bonds alone
+        g = chain3()
+        complete = MolecularGraph(atoms=g.atoms,
+                                  bonds=g.bonds + (Bond(2, 0, "triple"),))
+        assert virtual_pairs(complete) == 0
+        plain = encode(complete, "chemical")
+        virtual = encode(complete, "chemical", virtual_edges=True)
+        for field in dataclasses.fields(EncodedGraph):
+            np.testing.assert_array_equal(getattr(virtual, field.name),
+                                          getattr(plain, field.name))
 
     def test_virtual_edges_star9(self):
         # Frozen count: C(9,2) - 8 = 28 missing pairs on a 9-node star.
         atoms = tuple(Atom("C", hydrogen_count=0) for _ in range(9))
         bonds = tuple(Bond(0, i, "single") for i in range(1, 9))
-        g = add_virtual_edges(MolecularGraph(atoms=atoms, bonds=bonds))
-        assert sum(1 for b in g.bonds if b.bond_type == "virtual") == 28
+        assert virtual_pairs(MolecularGraph(atoms=atoms, bonds=bonds)) == 28
 
     @pytest.mark.parametrize("edge_repr", ["chemical", "raw_distance"])
     def test_master_width_leaves_encoding_unchanged(self, edge_repr):
@@ -305,7 +362,8 @@ class TestAugmentations:
         base = dict(message_fn="edge_network", edge_repr=edge_repr,
                     virtual_edges=edge_repr == "chemical")
         plain = prepare_graph(chain3(), ModelConfig(**base))
-        with_master = prepare_graph(chain3(), ModelConfig(d_master=7, **base))
+        with_master = prepare_graph(chain3(), ModelConfig(
+            d_master=7, master_in_readout=False, **base))
         for field in dataclasses.fields(EncodedGraph):
             np.testing.assert_array_equal(getattr(with_master, field.name),
                                           getattr(plain, field.name))
@@ -358,6 +416,35 @@ class TestGraphValidation:
         record = chain3().to_dict()
         record["bonds"] += [{"i": 3, "j": v, "type": "master"} for v in range(3)]
         record["master_dim"] = 4
+        with pytest.raises(ContractError):
+            MolecularGraph.from_dict(record)
+
+    def test_virtual_bonds_rejected(self):
+        # Virtual edges belong to the chemical encoding, not to a molecule;
+        # a record that stores them as bonds is refused.
+        record = chain3().to_dict()
+        record["bonds"].append({"i": 0, "j": 2, "type": "virtual"})
+        with pytest.raises(ContractError, match="virtual"):
+            MolecularGraph.from_dict(record)
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(atoms=5),
+        lambda r: r["atoms"][0].update(acceptor="false"),
+        lambda r: r["atoms"][1].update(hydrogen_count=1.7),
+        lambda r: r["atoms"][1].update(hydrogen_count=True),
+        lambda r: r["bonds"][0].update(i=0.5),
+        lambda r: r["bonds"][0].update(distance="1.2"),
+        lambda r: r.update(explicit_hydrogens=0),
+        lambda r: r["positions"][2].__setitem__(0, "0.0"),
+        lambda r: r["positions"].pop(),
+        lambda r: r.update(targets=[1.0] * 12 + ["2"]),
+    ], ids=["atoms", "acceptor", "hydrogen_count", "hydrogen_count_bool",
+            "bond_i", "distance", "explicit_hydrogens", "position",
+            "positions_count", "targets"])
+    def test_wrong_json_types_rejected(self, edit):
+        # A value of the wrong JSON type is refused, not coerced.
+        record = dataclasses.replace(chain3(), targets=(0.5,) * 13).to_dict()
+        edit(record)
         with pytest.raises(ContractError):
             MolecularGraph.from_dict(record)
 

@@ -172,7 +172,9 @@ class TestFullForward:
 
     @pytest.mark.parametrize("readout", ["ggnn", "set2set", "dtnn_sum"])
     def test_forward_with_master_matches_naive(self, rng, readout):
-        cfg = make_cfg(readout, d_master=4)
+        # set2set projects the width-4 master; the sums cannot take it
+        cfg = make_cfg(readout, d_master=4,
+                       master_in_readout=readout == "set2set")
         params = init_params(cfg, seed=13)
         eg = random_encoded(rng, n=4, d_in=4)
         got = model_forward(eg, params, cfg).data
@@ -180,9 +182,14 @@ class TestFullForward:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_master_excluded_from_sum_readout_when_width_differs(self, rng):
-        # d_master != d: the gated sum runs over atoms only, but the master
-        # still influenced their states during propagation.
-        cfg = make_cfg("ggnn", d_master=3)
+        # d_master != d: a summing readout cannot take the master row, so the
+        # config must leave it out explicitly.
+        for readout in ("ggnn", "dtnn_sum"):
+            with pytest.raises(ContractError, match="master_in_readout"):
+                make_cfg(readout, d_master=3)
+        # The gated sum then runs over atoms only, but the master still
+        # influenced their states during propagation.
+        cfg = make_cfg("ggnn", d_master=3, master_in_readout=False)
         params = init_params(cfg, seed=14)
         eg = random_encoded(rng, n=4, d_in=4)
         got = model_forward(eg, params, cfg).data
