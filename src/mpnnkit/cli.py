@@ -173,7 +173,8 @@ def _load_splits(args):
     graphs, header = read_dataset(args.data)
     manifest = read_split_manifest(args.manifest)
     train, valid, test = apply_split_manifest(graphs, manifest,
-                                              file_sha256(args.data))
+                                              file_sha256(args.data),
+                                              path=args.manifest)
     return graphs, header, manifest, (train, valid, test)
 
 
@@ -205,7 +206,7 @@ def cmd_prepare(args) -> int:
                 paths = [path]
             for p in paths:
                 with open(p) as f:
-                    records.extend(parse_qm9_records(f.read()))
+                    records.extend(parse_qm9_records(f.read(), path=p))
         bonds = None
         if args.bond_file:
             if len(records) != 1:

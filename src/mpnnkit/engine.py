@@ -14,6 +14,12 @@ message function has a single implementation over the whole edge list
 edge and scatter-sums the messages onto their receiving nodes. A graph
 with no edges takes the same path: its zero message rows sum to zeros.
 
+The edge network builds its d_tower x d_tower matrices once per forward
+and per undirected pair, not per directed edge: both orientations of a pair
+carry the same features, so they share one matrix per channel, and one
+``tt.pair_matvec`` gives both directions' messages. Its arrays are
+(pairs x d_tower^2), half the size of one row per directed edge.
+
 Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
 map after every step.
@@ -225,9 +231,8 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with the bias tiled over rows."""
-    y = tt.matmul(x, w)
-    return tt.add(y, tt.repeat_rows(b, y.data.shape[0]))
+    """x @ w + b with the bias broadcast over rows."""
+    return tt.add_bias(tt.matmul(x, w), b)
 
 
 def mlp2(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -268,6 +273,36 @@ def edge_vectors(eg: EncodedGraph, cfg: ModelConfig) -> Tensor:
     return Tensor(out)
 
 
+def _edge_pairs(eg: EncodedGraph, evec: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(pair, side, rep): the undirected pair of every directed edge, its
+    side (0 from the lower node to the higher, 1 back), and one edge of
+    every pair.
+
+    A pair whose other side is empty holds a one-way edge. A repeated
+    directed edge, or an edge whose reverse has another row of ``evec``
+    (the edge vectors), raises ContractError: neither fits one matrix per
+    pair.
+    """
+    src, dst = eg.edge_src, eg.edge_dst
+    side = (src > dst).astype(np.intp)
+    key = np.minimum(src, dst).astype(np.intp) * eg.n_atoms + np.maximum(src, dst)
+    _, rep, pair = np.unique(key, return_index=True, return_inverse=True)
+    edge = np.full((rep.size, 2), -1, dtype=np.intp)
+    edge[pair, side] = np.arange(eg.n_edges)
+    # a repeated edge overwrites its twin's entry
+    repeated = np.flatnonzero(edge[pair, side] != np.arange(eg.n_edges))
+    if repeated.size:
+        e = repeated[0]
+        raise ContractError(f"directed edge {src[e]} -> {dst[e]} appears more than once")
+    a, b = edge[(edge >= 0).all(axis=1)].T
+    differ = np.flatnonzero((evec[a] != evec[b]).any(axis=1))
+    if differ.size:
+        e = a[differ[0]]
+        raise ContractError(
+            f"edge {src[e]} -> {dst[e]} and its reverse have different features")
+    return pair, side, rep
+
+
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
@@ -275,13 +310,17 @@ def edge_vectors(eg: EncodedGraph, cfg: ModelConfig) -> Tensor:
 
 def _batched_messages(h_slice: Tensor, far: np.ndarray, near: np.ndarray,
                       n: int, eg: EncodedGraph, evec: Optional[Tensor],
-                      en_mats: Optional[Tensor], params: dict[str, Tensor],
-                      prefix: str, cfg: ModelConfig) -> Tensor:
+                      en: Optional[tuple[Tensor, np.ndarray, np.ndarray]],
+                      params: dict[str, Tensor], prefix: str,
+                      cfg: ModelConfig) -> Tensor:
     """Sum of messages arriving at each node for one channel and tower.
 
     ``far`` indexes the state each message is computed from, ``near`` the
-    node it is delivered to. ``en_mats`` carries the precomputed per-edge
-    matrices for the edge-network message (they do not change across steps).
+    node it is delivered to. For the edge-network message, ``en`` holds the
+    matrices, one (P, d_tower^2) row per undirected pair, built once per
+    forward (they do not change across steps), and each directed edge's
+    pair and side (``_edge_pairs``): both orientations of a pair multiply
+    the same matrix.
     """
     dt = h_slice.data.shape[1]
     if cfg.message_fn == "matmul":
@@ -295,7 +334,8 @@ def _batched_messages(h_slice: Tensor, far: np.ndarray, near: np.ndarray,
             parts = part if parts is None else tt.add(parts, part)
         return parts if parts is not None else Tensor(np.zeros((n, dt)))
     if cfg.message_fn == "edge_network":
-        msgs = tt.batched_matvec(en_mats, tt.gather_rows(h_slice, far))
+        mats, pair, side = en
+        msgs = tt.pair_matvec(mats, tt.gather_rows(h_slice, far), pair, side)
         return tt.scatter_sum_rows(msgs, near, n)
     if cfg.message_fn == "pair_message":
         x = tt.concat([tt.gather_rows(h_slice, far),
@@ -341,13 +381,17 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     if cfg.message_fn in ("edge_network", "pair_message", "dtnn"):
         evec = edge_vectors(eg, cfg)
 
-    # Edge features never change across steps, so the edge-network matrices
-    # are computed once per forward pass.
-    en_mats: dict[tuple[str, int], Tensor] = {}
+    # Edge features never change across steps, and both orientations of a
+    # pair share them, so the edge-network matrices are computed once per
+    # forward pass and undirected pair.
+    en: dict[tuple[str, int], tuple[Tensor, np.ndarray, np.ndarray]] = {}
     if cfg.message_fn == "edge_network":
+        pair, side, rep = _edge_pairs(eg, evec.data)
+        pair_vecs = Tensor(evec.data[rep])
         for ch in CHANNELS:
             for t in range(k):
-                en_mats[(ch, t)] = mlp2(evec, params, f"msg_{ch}_t{t}_en")
+                en[(ch, t)] = (mlp2(pair_vecs, params, f"msg_{ch}_t{t}_en"),
+                               pair, side)
 
     n_graphs = eg.n_graphs
     graph = np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph
@@ -362,10 +406,10 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
         for t in range(k):
             h_slice = tt.slice_cols(h, t * dt, (t + 1) * dt) if k > 1 else h
             m_in = _batched_messages(h_slice, src, dst, n, eg, evec,
-                                     en_mats.get(("in", t)), params,
+                                     en.get(("in", t)), params,
                                      f"msg_in_t{t}", cfg)
             m_out = _batched_messages(h_slice, dst, src, n, eg, evec,
-                                      en_mats.get(("out", t)), params,
+                                      en.get(("out", t)), params,
                                       f"msg_out_t{t}", cfg)
             if cfg.d_master:
                 m_in = tt.add(m_in, tt.gather_rows(

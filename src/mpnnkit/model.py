@@ -16,12 +16,14 @@ __all__ = ["UNION_EDGE_BUDGET", "prepare_graph", "model_forward",
            "predict_batch", "union_groups"]
 
 # Most directed edges one union may hold. The edge network materialises a
-# d x d matrix per edge and channel: one union of 64 explicit-H molecules
-# (about 12.8k edges) evaluated at 0.6x the speed of one graph at a time
-# and took 2.5x the peak memory. Measured from 256 to 4096 at d=32, eval was
-# fastest at 512-1024; below 1024 a training batch of six explicit-H
-# molecules splits into more unions and trains slower. A full union keeps
-# each per-edge array at 8 MB.
+# d x d matrix per undirected pair and channel: one union of 64 explicit-H
+# molecules (about 12.8k edges) evaluated at 0.6x the speed of one graph at
+# a time and took 2.5x the peak memory. Measured from 256 to 4096 at d=32,
+# when the matrices were still built per directed edge, eval was fastest at
+# 512-1024; below 1024 a training batch of six explicit-H molecules splits
+# into more unions and trains slower. A full union now keeps each per-pair
+# array at 4 MB. The budget was not retuned for the smaller arrays: that is
+# its own measured change.
 UNION_EDGE_BUDGET = 1024
 
 

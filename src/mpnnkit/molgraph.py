@@ -101,6 +101,22 @@ def _is_list_of(value, kinds: frozenset) -> bool:
     return type(value) is list and kinds.issuperset(map(type, value))
 
 
+# The atom and bond fields ``MolecularGraph.to_dict`` writes.
+_ATOM_FIELDS = frozenset({"element", "acceptor", "donor", "aromatic",
+                          "hybridization", "hydrogen_count", "partial_charge"})
+_BOND_FIELDS = frozenset({"i", "j", "type", "distance"})
+
+
+def _check_fields(entries: list, known: frozenset, kind: str) -> None:
+    """Refuse an entry with a field outside ``known``, such as a misspelled
+    one, that would otherwise be dropped in favour of the default."""
+    if known.issuperset(chain.from_iterable(entries)):
+        return
+    idx, extra = next((idx, entry.keys() - known) for idx, entry in enumerate(entries)
+                      if not known.issuperset(entry))
+    raise ContractError(f"{kind} {idx} has unknown field {min(extra)!r}")
+
+
 @dataclass(frozen=True)
 class Atom:
     element: str
@@ -246,11 +262,14 @@ class MolecularGraph:
     @classmethod
     def from_dict(cls, obj: dict) -> "MolecularGraph":
         """The molecule ``to_dict`` wrote. A missing field raises KeyError,
-        one of the wrong JSON type ContractError (``Atom``, ``Bond`` and the
-        molecule check their own fields)."""
+        one of the wrong JSON type, or an atom or bond field ``to_dict`` does
+        not write, ContractError (``Atom``, ``Bond`` and the molecule check
+        their own fields)."""
         for key in ("atoms", "bonds"):
             if not _is_list_of(obj[key], _DICT):
                 raise ContractError(f"field {key!r} is not a list of JSON objects")
+        _check_fields(obj["atoms"], _ATOM_FIELDS, "atom")
+        _check_fields(obj["bonds"], _BOND_FIELDS, "bond")
         # Atom and MolecularGraph turn any real number into a float; in
         # JSON only int and float are numbers.
         positions = obj.get("positions")
@@ -283,9 +302,11 @@ class MolecularGraph:
 class EncodedGraph:
     """A molecule flattened into arrays the propagation engine consumes.
 
-    Edges are directed and cover both orientations of every undirected pair.
-    ``edge_features`` is an int label array for discrete representations and
-    an (m, 5) float array for raw_distance.
+    Edges are directed and cover both orientations of every undirected pair,
+    with the same features (the edge network builds one matrix per pair and
+    refuses a graph whose orientations differ). ``edge_features`` is an int
+    label array for discrete representations and an (m, 5) float array for
+    raw_distance.
 
     ``disjoint_union`` packs several encoded graphs into one; its
     ``node_graph`` names the member graph of every node. A lone molecule

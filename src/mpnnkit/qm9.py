@@ -180,15 +180,21 @@ def _parse_one(lines: list[str], start: int) -> tuple[Qm9Record, int]:
     return record, start + total
 
 
-def parse_qm9_records(text: str) -> list[Qm9Record]:
-    """Parse all concatenated records in ``text``."""
+def parse_qm9_records(text: str, path: str | None = None) -> list[Qm9Record]:
+    """Parse all concatenated records in ``text``; errors name the line,
+    and ``path``, the file the text came from, when given."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     records = []
     pos = 0
     while pos < len(lines):
-        record, pos = _parse_one(lines, pos)
+        try:
+            record, pos = _parse_one(lines, pos)
+        except (ParseError, UnsupportedElementError) as exc:
+            if path is None:
+                raise
+            raise type(exc)(f"{path}: {exc}") from None
         records.append(record)
     return records
 
@@ -457,20 +463,26 @@ def read_split_manifest(path: str) -> dict:
 
 
 def apply_split_manifest(graphs: list[MolecularGraph], manifest: dict,
-                         dataset_hash: str | None = None):
-    """(train, valid, test) per the manifest; verifies the dataset hash."""
+                         dataset_hash: str | None = None,
+                         path: str = "split manifest"):
+    """(train, valid, test) per the manifest; verifies the dataset hash.
+    Errors name ``path``, the manifest's file, and the offending index."""
     if dataset_hash is not None and dataset_hash != manifest["dataset_sha256"]:
-        raise ContractError("manifest does not match this dataset file "
+        raise ContractError(f"{path} does not match this dataset file "
                             f"(hash {dataset_hash[:12]} != "
                             f"{manifest['dataset_sha256'][:12]})")
     splits = []
-    seen: set[int] = set()
+    split_of: dict[int, str] = {}
     for key in ("train", "valid", "test"):
         idx = manifest[key]
-        if any(not 0 <= i < len(graphs) for i in idx):
-            raise ContractError(f"manifest {key} indices out of range")
-        seen.update(idx)
+        for i in idx:
+            if not 0 <= i < len(graphs):
+                raise ContractError(f"{path}: {key} index {i} is out of range "
+                                    f"for {len(graphs)} molecules")
+            if i in split_of:
+                where = (f"twice in {key}" if split_of[i] == key
+                         else f"in {split_of[i]} and in {key}")
+                raise ContractError(f"{path}: index {i} appears {where}")
+            split_of[i] = key
         splits.append([graphs[i] for i in idx])
-    if len(seen) != len(manifest["train"]) + len(manifest["valid"]) + len(manifest["test"]):
-        raise ContractError("manifest splits overlap")
     return tuple(splits)

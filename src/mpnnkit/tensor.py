@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Only the operations the graph models in this package actually need are
-implemented: 2-D matrix products, a small set of pointwise functions,
+implemented: 2-D matrix products, per-row and per-pair matrix-vector
+products, a bias added to every row, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
 concatenation/slicing, row gather/scatter, and a GRU cell over
 row-stacked states composed from the primitives. Elementwise operands
@@ -38,7 +39,9 @@ __all__ = [
     "active_tape",
     "matmul",
     "batched_matvec",
+    "pair_matvec",
     "add",
+    "add_bias",
     "sub",
     "mul",
     "sigmoid",
@@ -282,6 +285,48 @@ def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
     return _result(np.einsum("ipq,iq->ip", m3, vecs.data), (mats, vecs), rule)
 
 
+def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
+    """Matrix-vector products where each matrix serves up to two rows.
+
+    ``mats`` holds one row-major (p x q) matrix per pair, flattened to
+    (P, p*q); ``vecs`` is (m, q). Row i of ``vecs`` takes slot ``side[i]``
+    (0 or 1) of pair ``pair[i]``, and no two rows may share a slot. Returns
+    (m, p) with row i equal to ``mats[pair[i]] @ vecs[i]``. The vectors are
+    stacked as (P, q, 2), an empty slot as a zero column, and multiplied in
+    one batched matmul; each matrix's gradient sums both of its slots.
+    """
+    if mats.data.ndim != 2 or vecs.data.ndim != 2:
+        raise DimensionError("pair_matvec operands must be 2-D")
+    m, q = vecs.data.shape
+    n_pairs, width = mats.data.shape
+    if width % q != 0:
+        raise DimensionError(f"matrix rows of width {width} do not factor over q={q}")
+    pair = np.asarray(pair, dtype=np.intp)
+    side = np.asarray(side, dtype=np.intp)
+    if pair.shape != (m,) or side.shape != (m,):
+        raise DimensionError("pair_matvec needs one pair and one side per vector row")
+    if m and (pair.min() < 0 or pair.max() >= n_pairs
+              or side.min() < 0 or side.max() > 1):
+        raise ContractError("pair_matvec pair or side out of range")
+    if m and np.bincount(2 * pair + side).max() > 1:
+        raise ContractError("two pair_matvec rows share a slot")
+    p = width // q
+    m3 = mats.data.reshape(n_pairs, p, q)
+    x = np.zeros((n_pairs, q, 2))
+    x[pair, :, side] = vecs.data
+    _count_muls(m * p * q)
+
+    def rule(g: np.ndarray):
+        gy = np.zeros((n_pairs, p, 2))
+        gy[pair, :, side] = g
+        return ((gy @ x.transpose(0, 2, 1)).reshape(n_pairs, width)
+                if mats.requires_grad else None,
+                (m3.transpose(0, 2, 1) @ gy)[pair, :, side]
+                if vecs.requires_grad else None)
+
+    return _result((m3 @ x)[pair, :, side], (mats, vecs), rule)
+
+
 def _check_same_shape(a: Tensor, b: Tensor) -> None:
     if a.data.shape != b.data.shape:
         raise DimensionError(
@@ -295,6 +340,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (g if a.requires_grad else None, g if b.requires_grad else None)
 
     return _result(a.data + b.data, (a, b), rule)
+
+
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """The (d,) row ``b`` added to every row of the 2-D ``x``; backward sums
+    the rows' gradients into ``b``."""
+    if x.data.ndim != 2 or b.data.shape != x.data.shape[1:]:
+        raise DimensionError(
+            f"add_bias needs rows and a bias of their width: {x.data.shape} + {b.data.shape}")
+
+    def rule(g: np.ndarray):
+        return (g if x.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _result(x.data + b.data, (x, b), rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -469,6 +469,43 @@ class TestMalformedInputs:
         if file == "data":
             assert f"line {row + 1}" in error
 
+    @pytest.mark.parametrize("edit, where", [
+        (put("atoms", 0, "hydrogen_cont", 3), "'hydrogen_cont'"),
+        (put("bonds", 0, "lenght", 1.5), "'lenght'"),
+    ], ids=["atom", "bond"])
+    def test_unknown_record_field_is_an_error_line(self, dataset, tmp_path,
+                                                   capsys, edit, where):
+        # a misspelled field must not load as the default it misspells
+        error, path = self.error_line(dataset, tmp_path, capsys, "data", 1, edit)
+        assert path in error and "line 2" in error and where in error
+
+    @pytest.mark.parametrize("edit, where", [
+        (put("train", 0, 99), "train index 99 is out of range"),
+        (lambda obj: dict(obj, valid=obj["train"][:1] + obj["valid"][1:]),
+         "appears in train and in valid"),
+        (lambda obj: dict(obj, test=obj["test"][:1] * 2 + obj["test"][2:]),
+         "appears twice in test"),
+    ], ids=["out_of_range", "overlap", "repeat"])
+    def test_bad_manifest_index_is_an_error_line(self, dataset, tmp_path,
+                                                 capsys, edit, where):
+        error, path = self.error_line(dataset, tmp_path, capsys, "manifest", 0, edit)
+        assert path in error and where in error
+
+    def test_bad_xyz_record_names_its_file(self, tmp_path, capsys):
+        qm9._warned_missing_flags = True
+        good, bad = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        good.write_text(CH4)
+        lines = CH4.splitlines()
+        lines[2] = "C 0.0 0.0"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["prepare", "--xyz", str(good), str(bad),
+                     "--out", str(tmp_path / "d.jsonl")]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "Traceback" not in err and len(errors) == 1, err
+        assert f"{bad}: line 3" in errors[0]
+
     @pytest.mark.parametrize("text", ['[[0, 1, "single"', '[[0.5, 1, 1]]'],
                              ids=["not_json", "index_type"])
     def test_bad_bond_file_is_an_error_line(self, tmp_path, capsys, text):

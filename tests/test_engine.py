@@ -311,6 +311,57 @@ class TestPropagate:
         assert np.abs(states.h.data - states.h0.data).max() > 0
 
 
+class TestEdgeNetworkPairs:
+    """The edge network builds one matrix per undirected pair and channel,
+    shared by both orientations of the pair."""
+
+    def test_matches_naive_with_one_way_and_shuffled_edges(self, rng):
+        cfg = cfg_for("edge_network", T=3)
+        params = init_params(cfg, seed=21)
+        jitter_biases(params, rng)
+        # pairs {0,1} and {2,3} both ways, {1,2} and {0,3} one way, in no order
+        edges = [(1, 2), (1, 0), (3, 2), (0, 3), (0, 1), (2, 3)]
+        labels = np.array([2, 1, 3, 0, 1, 3])
+        eg = directed_graph(rng.normal(size=(4, 5)), edges, labels)
+        want_h, _, _, _ = naive_propagate(eg, params, cfg)
+        np.testing.assert_allclose(propagate(eg, params, cfg).h.data, want_h,
+                                   atol=1e-12)
+
+    def test_builds_one_matrix_per_pair(self, rng):
+        # Complete graph on 4 nodes: P = 6 pairs, E = 12 directed edges. A
+        # residual update multiplies nothing, so the count is the matrix
+        # build, 2 channels * P * (4*6 + 6*36) with 4 chemical labels and
+        # d = 6, plus the messages, T=1 * 2 channels * E * 6*6: 2880 + 864.
+        # One matrix per directed edge would make the build 5760.
+        cfg = residual_cfg("edge_network")
+        params = init_params(cfg, seed=22)
+        edges = [(i, j) for i in range(4) for j in range(4) if i != j]
+        eg = directed_graph(rng.normal(size=(4, 5)), edges)
+        with T.count_multiplies(T.MultiplyCounter()) as counter:
+            propagate(eg, params, cfg)
+        assert counter.total == 3744
+
+    @pytest.mark.parametrize("edges, labels", [
+        ([(0, 1), (1, 0), (0, 1)], [2, 2, 2]),  # 0 -> 1 twice
+        ([(0, 1), (1, 0)], [1, 2]),             # reverse with another label
+    ], ids=["duplicate_edge", "reverse_differs"])
+    def test_refuses_edges_that_do_not_share_a_matrix(self, rng, edges, labels):
+        cfg = cfg_for("edge_network")
+        params = init_params(cfg, seed=23)
+        eg = directed_graph(rng.normal(size=(2, 5)), edges, np.array(labels))
+        with pytest.raises(ContractError, match="0 -> 1"):
+            propagate(eg, params, cfg)
+
+    def test_refuses_reverse_with_other_distance(self, rng):
+        cfg = cfg_for("edge_network", edge_repr="raw_distance")
+        params = init_params(cfg, seed=24)
+        eg = random_encoded(rng, n=3, d_in=5, representation="raw_distance",
+                            edge_prob=1.0)
+        eg.edge_features[-1, 0] += 1e-9
+        with pytest.raises(ContractError, match="different features"):
+            propagate(eg, params, cfg)
+
+
 class TestTowers:
     def test_identity_mixing_keeps_towers_independent(self, rng):
         full = cfg_for("matmul", d=8, towers_k=2, T=3)

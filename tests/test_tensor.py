@@ -115,6 +115,46 @@ class TestForwardValues:
         for i in range(4):
             np.testing.assert_allclose(out[i], mats[i].reshape(2, 3) @ vecs[i])
 
+    def test_pair_matvec_matches_loop(self, rng):
+        # three 2x3 matrices; pair 1 has one vector, pair 2 none
+        mats = rng.normal(size=(3, 6))
+        vecs = rng.normal(size=(3, 3))
+        pair, side = [0, 1, 0], [1, 0, 0]
+        out = T.pair_matvec(t(mats), t(vecs), pair, side).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], mats[pair[i]].reshape(2, 3) @ vecs[i])
+
+    @pytest.mark.parametrize("pair, side, error", [
+        ([0, 0], [1, 1], ContractError),  # two rows in one slot
+        ([0, 2], [0, 1], ContractError),  # no pair 2
+        ([0, 1], [0, 2], ContractError),  # a pair has two sides
+        ([0], [0], DimensionError),       # one pair per vector row
+    ])
+    def test_pair_matvec_refuses_bad_slots(self, pair, side, error):
+        with pytest.raises(error):
+            T.pair_matvec(t(np.ones((2, 4))), t(np.ones((2, 2))), pair, side)
+
+    def test_add_bias_equals_add_of_tiled_bias(self, rng):
+        # the op affine uses in place of add(x, repeat_rows(b)): same bytes
+        # forward, and the same gradients backward
+        x, b = t(rng.normal(size=(5, 3)), rg=True), t(rng.normal(size=(3,)), rg=True)
+        g = rng.normal(size=(5, 3))
+        got = T.add_bias(x, b)
+        backward(T.reduce_sum(T.mul(got, t(g))))
+        got_grads = x.grad.copy(), b.grad.copy()
+        x.zero_grad(), b.zero_grad()
+        want = T.add(x, T.repeat_rows(b, 5))
+        backward(T.reduce_sum(T.mul(want, t(g))))
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got_grads[0].tobytes() == x.grad.tobytes()
+        assert got_grads[1].tobytes() == b.grad.tobytes()
+
+    def test_add_bias_needs_a_row_of_the_width(self):
+        with pytest.raises(DimensionError):
+            T.add_bias(t(np.ones((2, 3))), t(np.ones(2)))
+        with pytest.raises(DimensionError):
+            T.add_bias(t(np.ones((2, 3))), t(np.ones((1, 3))))
+
     def test_nan_raises_numeric_error(self):
         big = t([[1e308]])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
@@ -249,6 +289,26 @@ class TestGradientsAgainstFiniteDifferences:
             lambda p: T.reduce_sum(T.tanh(T.batched_matvec(p["m"], p["v"]))),
             params, label="batched_matvec")
 
+    @pytest.mark.parametrize("pair, side", [
+        ([0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1]),  # both sides of every pair
+        ([2, 0, 1, 0], [1, 0, 0, 1]),              # pairs 1 and 2 one-way
+    ], ids=["full_pairs", "one_way"])
+    def test_pair_matvec(self, rng, pair, side):
+        params = {
+            "m": t(rng.normal(size=(3, 12)), rg=True),
+            "v": t(rng.normal(size=(len(pair), 4)), rg=True),
+        }
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
+            params, label="pair_matvec")
+
+    def test_add_bias(self, rng):
+        params = {"x": t(rng.normal(size=(4, 3)), rg=True),
+                  "b": t(rng.normal(size=(3,)), rg=True)}
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.tanh(T.add_bias(p["x"], p["b"]))),
+            params, label="add_bias")
+
     def test_add_sub_mul_scalar_and_matched(self, rng):
         params = {
             "x": t(rng.normal(size=(3, 3)), rg=True),
@@ -376,6 +436,14 @@ class TestMultiplyCounter:
         with count_multiplies(MultiplyCounter()) as c:
             T.batched_matvec(t(np.ones((7, 6))), t(np.ones((7, 3))))
         assert c.total == 7 * 2 * 3
+
+    def test_pair_matvec_counts_useful_mpq(self):
+        # five vector rows over three pairs: only the rows' products count,
+        # not the empty slot's zero column
+        with count_multiplies(MultiplyCounter()) as c:
+            T.pair_matvec(t(np.ones((3, 6))), t(np.ones((5, 3))),
+                          [0, 0, 1, 1, 2], [0, 1, 0, 1, 1])
+        assert c.total == 5 * 2 * 3
 
     def test_index_ops_count_nothing(self):
         x = t(np.ones((4, 4)))
