@@ -266,6 +266,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint(path: str, params: dict, cfg: ModelConfig) -> None:
+    """Refuse a checkpoint whose parameter names or shapes are not the
+    model config's, naming the first parameter that differs."""
+    expected = dict(param_shapes(cfg))
+    where = f"{path}: checkpoint does not match the model config"
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise ContractError(f"{where}: it lacks parameter {missing[0]!r}")
+    unexpected = [name for name in params if name not in expected]
+    if unexpected:
+        raise ContractError(f"{where}: parameter {unexpected[0]!r} is not in the model")
+    for name, shape in expected.items():
+        if params[name].data.shape != shape:
+            raise ContractError(f"{where}: parameter {name!r} has shape "
+                                f"{params[name].data.shape}, the model needs {shape}")
+
+
 def cmd_evaluate(args) -> int:
     meta = _read_json(args.meta)
     if not isinstance(meta, dict):
@@ -290,10 +307,7 @@ def cmd_evaluate(args) -> int:
         raise ContractError(f"{args.meta}: stats do not match the trained targets")
     _, _, _, (train, valid, test) = _load_splits(args)
     params = load_params(args.checkpoint)
-    expected = dict(param_shapes(cfg))
-    actual = {k: p.data.shape for k, p in params.items()}
-    if {k: tuple(v) for k, v in actual.items()} != {k: tuple(v) for k, v in expected.items()}:
-        raise ContractError("checkpoint does not match the model config")
+    _check_checkpoint(args.checkpoint, params, cfg)
 
     part = {"train": train, "valid": valid, "test": test}[args.split]
 

@@ -8,21 +8,27 @@ of edges arriving at v, the *out* channel collects messages computed from
 the far end of edges leaving v. Both orientations of each undirected edge
 exist, so the update input has width 2d.
 
-There is one path: node states are always (n, d) row stacks, and each
-message function has a single implementation over the whole edge list
-(``_batched_messages``) that gathers far-end rows, computes one message per
-edge and scatter-sums the messages onto their receiving nodes. A graph
-with no edges takes the same path: its zero message rows sum to zeros.
-
-The edge network builds its d_tower x d_tower matrices once per forward
-and per undirected pair, not per directed edge: both orientations of a pair
-carry the same features, so they share one matrix per channel, and one
-``tt.pair_matvec`` gives both directions' messages. Its arrays are
-(pairs x d_tower^2), half the size of one row per directed edge.
+There is one path: node states are (n, k, d/k) row stacks through every
+step, k the towers count, and each message function has a single
+implementation over the whole edge list (``_batched_messages``) that
+gathers far-end rows, computes one message per edge and scatter-sums the
+messages onto their receiving nodes. A graph with no edges takes the same
+path: its zero message rows sum to zeros.
 
 Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
-map after every step.
+map of the (n, d) state after every step. The tower index is an array axis,
+not a loop: every message and GRU weight is one stacked parameter with the
+towers first, such as (k, d/k, d/k) per matmul label, and
+``tt.tower_matmul`` multiplies all towers in one call. So a step runs one
+gather, product and scatter per edge label (or one pair product) per
+channel and one GRU, whatever k is; k = 1 is a tower axis of size 1.
+
+The edge network builds its d_tower x d_tower matrices once per forward
+and per undirected pair, not per directed edge: both orientations of a pair
+carry the same features, so they share one matrix per channel and tower,
+and one ``tt.pair_matvec`` gives both directions' messages. Its arrays are
+(pairs x k x d_tower^2), half the size of one row per directed edge.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -148,27 +154,30 @@ class NodeStates:
 # ---------------------------------------------------------------------------
 
 
-def _gru_shapes(d_in: int, d: int) -> list[tuple[str, tuple[int, int]]]:
-    return [("wz", (d_in, d)), ("uz", (d, d)), ("wr", (d_in, d)),
-            ("ur", (d, d)), ("wh", (d_in, d)), ("uh", (d, d))]
+def _gru_shapes(d_in: int, d: int, towers: tuple = ()) -> list[tuple[str, tuple]]:
+    return [("wz", towers + (d_in, d)), ("uz", towers + (d, d)),
+            ("wr", towers + (d_in, d)), ("ur", towers + (d, d)),
+            ("wh", towers + (d_in, d)), ("uh", towers + (d, d))]
 
 
 def _message_shapes(cfg: ModelConfig, prefix: str) -> list[tuple[str, tuple]]:
+    """One stacked parameter per weight, its first axis the k towers."""
+    k = cfg.towers_k
     dt = cfg.d_tower
     ew = cfg.edge_width
     if cfg.message_fn == "matmul":
-        return [(f"{prefix}_A{l}", (dt, dt)) for l in range(cfg.alphabet)]
+        return [(f"{prefix}_A{l}", (k, dt, dt)) for l in range(cfg.alphabet)]
     if cfg.message_fn == "edge_network":
-        return [(f"{prefix}_en_w1", (ew, dt)), (f"{prefix}_en_b1", (dt,)),
-                (f"{prefix}_en_w2", (dt, dt * dt)), (f"{prefix}_en_b2", (dt * dt,))]
+        return [(f"{prefix}_en_w1", (k, ew, dt)), (f"{prefix}_en_b1", (k, dt)),
+                (f"{prefix}_en_w2", (k, dt, dt * dt)), (f"{prefix}_en_b2", (k, dt * dt))]
     if cfg.message_fn == "pair_message":
         hidden = 2 * dt
-        return [(f"{prefix}_pm_w1", (2 * dt + ew, hidden)), (f"{prefix}_pm_b1", (hidden,)),
-                (f"{prefix}_pm_w2", (hidden, dt)), (f"{prefix}_pm_b2", (dt,))]
+        return [(f"{prefix}_pm_w1", (k, 2 * dt + ew, hidden)), (f"{prefix}_pm_b1", (k, hidden)),
+                (f"{prefix}_pm_w2", (k, hidden, dt)), (f"{prefix}_pm_b2", (k, dt))]
     hidden = dt
-    return [(f"{prefix}_dtnn_wcf", (dt, hidden)), (f"{prefix}_dtnn_b1", (hidden,)),
-            (f"{prefix}_dtnn_wdf", (ew, hidden)), (f"{prefix}_dtnn_b2", (hidden,)),
-            (f"{prefix}_dtnn_wfc", (hidden, dt))]
+    return [(f"{prefix}_dtnn_wcf", (k, dt, hidden)), (f"{prefix}_dtnn_b1", (k, hidden)),
+            (f"{prefix}_dtnn_wdf", (k, ew, hidden)), (f"{prefix}_dtnn_b2", (k, hidden)),
+            (f"{prefix}_dtnn_wfc", (k, hidden, dt))]
 
 
 def _mlp2_shapes(prefix: str, d_in: int, hidden: int, d_out: int) -> list[tuple[str, tuple]]:
@@ -180,12 +189,11 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
     """Every parameter name and shape, in the fixed creation order."""
     shapes: list[tuple[str, tuple]] = []
     for ch in CHANNELS:
-        for t in range(cfg.towers_k):
-            shapes += _message_shapes(cfg, f"msg_{ch}_t{t}")
+        shapes += _message_shapes(cfg, f"msg_{ch}")
     if cfg.update_fn == "gru":
         dt = cfg.d_tower
-        for t in range(cfg.towers_k):
-            shapes += [(f"gru_t{t}_{n}", s) for n, s in _gru_shapes(2 * dt, dt)]
+        shapes += [(f"gru_{n}", s)
+                   for n, s in _gru_shapes(2 * dt, dt, (cfg.towers_k,))]
     if cfg.towers_k > 1:
         shapes += [("mix_w", (cfg.d, cfg.d)), ("mix_b", (cfg.d,))]
     if cfg.d_master:
@@ -212,14 +220,18 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Weights uniform in +-1/sqrt(fan_in), biases zero, deterministic order."""
+    """Weights uniform in +-1/sqrt(fan_in), biases zero, deterministic order.
+
+    A weight's fan-in is its second-to-last axis: a tower stack (k, q, p)
+    draws like k matrices (q, p). The master's initial state (dm,) uses dm.
+    """
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(cfg):
-        if name.endswith(("_b1", "_b2", "mix_b")) and len(shape) == 1:
+        if name.endswith(("_b1", "_b2", "mix_b")):
             data = np.zeros(shape)
         else:
-            bound = 1.0 / np.sqrt(shape[0])
+            bound = 1.0 / np.sqrt(shape[-2] if len(shape) > 1 else shape[0])
             data = rng.uniform(-bound, bound, size=shape)
         params[name] = Tensor(data, requires_grad=True)
     return params
@@ -231,8 +243,10 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with the bias broadcast over rows."""
-    return tt.add_bias(tt.matmul(x, w), b)
+    """x @ w + b with the bias broadcast over rows; a tower stack ``w``
+    (k, q, p) maps (n, k, q) rows tower by tower, with a (k, p) bias."""
+    mm = tt.tower_matmul if w.data.ndim == 3 else tt.matmul
+    return tt.add_bias(mm(x, w), b)
 
 
 def mlp2(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -308,43 +322,45 @@ def _edge_pairs(eg: EncodedGraph, evec: np.ndarray) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _batched_messages(h_slice: Tensor, far: np.ndarray, near: np.ndarray,
-                      n: int, eg: EncodedGraph, evec: Optional[Tensor],
+def _batched_messages(h: Tensor, far: np.ndarray, near: np.ndarray,
+                      groups: list[tuple[int, np.ndarray]],
+                      evec: Optional[Tensor],
                       en: Optional[tuple[Tensor, np.ndarray, np.ndarray]],
                       params: dict[str, Tensor], prefix: str,
                       cfg: ModelConfig) -> Tensor:
-    """Sum of messages arriving at each node for one channel and tower.
+    """Sum of messages arriving at each node for one channel, every tower
+    at once: ``h`` and the result are (n, k, d_tower).
 
     ``far`` indexes the state each message is computed from, ``near`` the
-    node it is delivered to. For the edge-network message, ``en`` holds the
-    matrices, one (P, d_tower^2) row per undirected pair, built once per
-    forward (they do not change across steps), and each directed edge's
-    pair and side (``_edge_pairs``): both orientations of a pair multiply
-    the same matrix.
+    node it is delivered to. The matmul message runs once per edge label;
+    ``groups`` holds each label present and its edges. ``evec`` holds the
+    edge vectors, the same row for every tower. For the edge-network
+    message, ``en`` holds the matrices, one (P, k, d_tower^2) row per
+    undirected pair, built once per forward (they do not change across
+    steps), and each directed edge's pair and side (``_edge_pairs``): both
+    orientations of a pair multiply the same matrix.
     """
-    dt = h_slice.data.shape[1]
+    n = h.data.shape[0]
     if cfg.message_fn == "matmul":
-        labels = eg.edge_features
         parts = None
-        for label in np.unique(labels):
-            sel = np.flatnonzero(labels == label)
-            hw = tt.gather_rows(h_slice, far[sel])
-            msg = tt.matmul(hw, params[f"{prefix}_A{int(label)}"])
+        for label, sel in groups:
+            msg = tt.tower_matmul(tt.gather_rows(h, far[sel]),
+                                  params[f"{prefix}_A{label}"])
             part = tt.scatter_sum_rows(msg, near[sel], n)
             parts = part if parts is None else tt.add(parts, part)
-        return parts if parts is not None else Tensor(np.zeros((n, dt)))
+        return parts if parts is not None else Tensor(np.zeros(h.data.shape))
     if cfg.message_fn == "edge_network":
         mats, pair, side = en
-        msgs = tt.pair_matvec(mats, tt.gather_rows(h_slice, far), pair, side)
+        msgs = tt.pair_matvec(mats, tt.gather_rows(h, far), pair, side)
         return tt.scatter_sum_rows(msgs, near, n)
     if cfg.message_fn == "pair_message":
-        x = tt.concat([tt.gather_rows(h_slice, far),
-                       tt.gather_rows(h_slice, near), evec], axis=1)
+        x = tt.concat([tt.gather_rows(h, far), tt.gather_rows(h, near), evec],
+                      axis=2)
         return tt.scatter_sum_rows(mlp2(x, params, f"{prefix}_pm"), near, n)
-    hterm = affine(tt.gather_rows(h_slice, far), params[f"{prefix}_dtnn_wcf"],
+    hterm = affine(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
                    params[f"{prefix}_dtnn_b1"])
     eterm = affine(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
-    msgs = tt.tanh(tt.matmul(tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"]))
+    msgs = tt.tanh(tt.tower_matmul(tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"]))
     return tt.scatter_sum_rows(msgs, near, n)
 
 
@@ -363,66 +379,74 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     ``checks.bench_towers`` isolates the message phase that way.
     """
     def _update(m_in, m_out, h, prefix):
-        # one update rule for atom states (per tower) and master rows
+        # one update rule for atom states (all towers) and master rows
         if cfg.update_fn == "gru":
-            return tt.gru_cell(tt.concat([m_in, m_out], axis=1), h,
+            return tt.gru_cell(tt.concat([m_in, m_out], axis=-1), h,
                                _gru_params(params, prefix))
         return tt.add(h, tt.add(m_in, m_out))
 
     _check_edge_labels(eg, cfg)
     n = eg.n_atoms
-    h0 = pad_features(eg.node_features, cfg.d)
-    h = h0
     k = cfg.towers_k
-    dt = cfg.d_tower
+    h0 = pad_features(eg.node_features, cfg.d)
+    # States are (n, k, d_tower) through every step: tower t holds columns
+    # t*d_tower to (t+1)*d_tower of the (n, d) state.
+    towered = (n, k, cfg.d_tower)
+    h = Tensor(h0.data.reshape(towered))
     src, dst = eg.edge_src, eg.edge_dst
+
+    groups: list[tuple[int, np.ndarray]] = []
+    if cfg.message_fn == "matmul":
+        labels = eg.edge_features
+        groups = [(int(label), np.flatnonzero(labels == label))
+                  for label in np.unique(labels)]
 
     evec = None
     if cfg.message_fn in ("edge_network", "pair_message", "dtnn"):
-        evec = edge_vectors(eg, cfg)
+        vecs = edge_vectors(eg, cfg).data
+        evec = Tensor(np.broadcast_to(vecs[:, None, :], (eg.n_edges, k, vecs.shape[1])))
 
     # Edge features never change across steps, and both orientations of a
     # pair share them, so the edge-network matrices are computed once per
     # forward pass and undirected pair.
-    en: dict[tuple[str, int], tuple[Tensor, np.ndarray, np.ndarray]] = {}
+    en: dict[str, tuple[Tensor, np.ndarray, np.ndarray]] = {}
     if cfg.message_fn == "edge_network":
-        pair, side, rep = _edge_pairs(eg, evec.data)
+        pair, side, rep = _edge_pairs(eg, vecs)
         pair_vecs = Tensor(evec.data[rep])
         for ch in CHANNELS:
-            for t in range(k):
-                en[(ch, t)] = (mlp2(pair_vecs, params, f"msg_{ch}_t{t}_en"),
-                               pair, side)
+            en[ch] = (mlp2(pair_vecs, params, f"msg_{ch}_en"), pair, side)
 
     n_graphs = eg.n_graphs
     graph = np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph
     master = None
     master0 = None
     if cfg.d_master:
-        master0 = tt.repeat_rows(params["master_h0"], n_graphs)
+        master0 = tt.add_bias(Tensor(np.zeros((n_graphs, cfg.d_master))),
+                              params["master_h0"])
         master = master0
 
     for _ in range(cfg.T):
-        new_slices = []
-        for t in range(k):
-            h_slice = tt.slice_cols(h, t * dt, (t + 1) * dt) if k > 1 else h
-            m_in = _batched_messages(h_slice, src, dst, n, eg, evec,
-                                     en.get(("in", t)), params,
-                                     f"msg_in_t{t}", cfg)
-            m_out = _batched_messages(h_slice, dst, src, n, eg, evec,
-                                      en.get(("out", t)), params,
-                                      f"msg_out_t{t}", cfg)
-            if cfg.d_master:
-                m_in = tt.add(m_in, tt.gather_rows(
-                    tt.matmul(master, params["m2n_in"]), graph))
-                m_out = tt.add(m_out, tt.gather_rows(
-                    tt.matmul(master, params["m2n_out"]), graph))
-            new_slices.append(_update(m_in, m_out, h_slice, f"gru_t{t}"))
+        m_in = _batched_messages(h, src, dst, groups, evec, en.get("in"),
+                                 params, "msg_in", cfg)
+        m_out = _batched_messages(h, dst, src, groups, evec, en.get("out"),
+                                  params, "msg_out", cfg)
         if cfg.d_master:
-            h_sum = tt.scatter_sum_rows(h, graph, n_graphs)
+            # towers reject a master, so k = 1 and a (n_graphs, d) row
+            # block is one tower
+            m_in = tt.add(m_in, tt.gather_rows(tt.reshape(
+                tt.matmul(master, params["m2n_in"]), (n_graphs, 1, cfg.d)), graph))
+            m_out = tt.add(m_out, tt.gather_rows(tt.reshape(
+                tt.matmul(master, params["m2n_out"]), (n_graphs, 1, cfg.d)), graph))
+        h_new = _update(m_in, m_out, h, "gru")
+        if cfg.d_master:
+            h_sum = tt.reshape(tt.scatter_sum_rows(h, graph, n_graphs),
+                               (n_graphs, cfg.d))
             mm_in = tt.matmul(h_sum, params["n2m_in"])
             mm_out = tt.matmul(h_sum, params["n2m_out"])
             master = _update(mm_in, mm_out, master, "master_gru")
-        h_new = new_slices[0] if k == 1 else tt.concat(new_slices, axis=1)
-        h = affine(h_new, params["mix_w"], params["mix_b"]) if k > 1 else h_new
-    return NodeStates(h=h, h0=h0, node_graph=graph, n_graphs=n_graphs,
-                      master=master, master0=master0)
+        h = h_new
+        if k > 1:
+            h = tt.reshape(affine(tt.reshape(h, (n, cfg.d)), params["mix_w"],
+                                  params["mix_b"]), towered)
+    return NodeStates(h=tt.reshape(h, (n, cfg.d)), h0=h0, node_graph=graph,
+                      n_graphs=n_graphs, master=master, master0=master0)

@@ -105,6 +105,8 @@ def _is_list_of(value, kinds: frozenset) -> bool:
 _ATOM_FIELDS = frozenset({"element", "acceptor", "donor", "aromatic",
                           "hybridization", "hydrogen_count", "partial_charge"})
 _BOND_FIELDS = frozenset({"i", "j", "type", "distance"})
+_RECORD_FIELDS = frozenset({"atoms", "bonds", "positions", "targets",
+                            "explicit_hydrogens"})
 
 
 def _check_fields(entries: list, known: frozenset, kind: str) -> None:
@@ -262,9 +264,12 @@ class MolecularGraph:
     @classmethod
     def from_dict(cls, obj: dict) -> "MolecularGraph":
         """The molecule ``to_dict`` wrote. A missing field raises KeyError,
-        one of the wrong JSON type, or an atom or bond field ``to_dict`` does
-        not write, ContractError (``Atom``, ``Bond`` and the molecule check
-        their own fields)."""
+        one of the wrong JSON type, or a record, atom or bond field
+        ``to_dict`` does not write, ContractError (``Atom``, ``Bond`` and the
+        molecule check their own fields)."""
+        extra = obj.keys() - _RECORD_FIELDS
+        if extra:
+            raise ContractError(f"record has unknown field {min(extra)!r}")
         for key in ("atoms", "bonds"):
             if not _is_list_of(obj[key], _DICT):
                 raise ContractError(f"field {key!r} is not a list of JSON objects")

@@ -1,10 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Only the operations the graph models in this package actually need are
-implemented: 2-D matrix products, per-row and per-pair matrix-vector
-products, a bias added to every row, a small set of pointwise functions,
-reductions, softmax (over an axis or per segment of rows),
-concatenation/slicing, row gather/scatter, and a GRU cell over
+implemented: 2-D matrix products and their per-tower stack, per-row and
+per-pair matrix-vector products, a bias added to every row, a small set of
+pointwise functions, reductions, softmax (over an axis or per segment of
+rows), concatenation/slicing, row gather/scatter, and a GRU cell over
 row-stacked states composed from the primitives. Elementwise operands
 must match in shape, so every backward rule stays auditable at a glance.
 
@@ -38,6 +38,7 @@ __all__ = [
     "backward",
     "active_tape",
     "matmul",
+    "tower_matmul",
     "batched_matvec",
     "pair_matvec",
     "add",
@@ -259,6 +260,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), rule)
 
 
+def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """Per-tower matrix products: (m, k, q) rows times (k, q, p) weights
+    give (m, k, p), with ``out[:, t] = x[:, t] @ w[t]`` for every tower t.
+
+    One ``np.matmul`` over the tower-major view (k, m, q) of ``x``; each
+    tower's product is the same BLAS call ``matmul`` makes for it alone.
+    """
+    if x.data.ndim != 3 or w.data.ndim != 3:
+        raise DimensionError("tower_matmul needs (m, k, q) rows and (k, q, p) weights")
+    m, k, q = x.data.shape
+    if w.data.shape[:2] != (k, q):
+        raise DimensionError(
+            f"tower_matmul towers or inner dimensions disagree: {x.data.shape} x {w.data.shape}")
+    p = w.data.shape[2]
+    xt = x.data.transpose(1, 0, 2)
+    _count_muls(m * k * q * p)
+
+    def rule(g: np.ndarray):
+        gt = g.transpose(1, 0, 2)
+        return ((gt @ w.data.transpose(0, 2, 1)).transpose(1, 0, 2)
+                if x.requires_grad else None,
+                xt.transpose(0, 2, 1) @ gt if w.requires_grad else None)
+
+    return _result((xt @ w.data).transpose(1, 0, 2), (x, w), rule)
+
+
 def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
     """Row-wise matrix-vector products.
 
@@ -289,16 +316,22 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
     """Matrix-vector products where each matrix serves up to two rows.
 
     ``mats`` holds one row-major (p x q) matrix per pair, flattened to
-    (P, p*q); ``vecs`` is (m, q). Row i of ``vecs`` takes slot ``side[i]``
-    (0 or 1) of pair ``pair[i]``, and no two rows may share a slot. Returns
-    (m, p) with row i equal to ``mats[pair[i]] @ vecs[i]``. The vectors are
-    stacked as (P, q, 2), an empty slot as a zero column, and multiplied in
-    one batched matmul; each matrix's gradient sums both of its slots.
+    (P, ..., p*q); ``vecs`` is (m, ..., q), with the same middle axes (the
+    towers, if any). Row i of ``vecs`` takes slot ``side[i]`` (0 or 1) of
+    pair ``pair[i]``, and no two rows may share a slot. Returns (m, ..., p)
+    with ``out[i, j] = mats[pair[i], j] @ vecs[i, j]``. The vectors are
+    stacked as (P, ..., q, 2), an empty slot as a zero column, and
+    multiplied in one batched matmul; each matrix's gradient sums both of
+    its slots.
     """
-    if mats.data.ndim != 2 or vecs.data.ndim != 2:
-        raise DimensionError("pair_matvec operands must be 2-D")
-    m, q = vecs.data.shape
-    n_pairs, width = mats.data.shape
+    if mats.data.ndim < 2 or vecs.data.ndim != mats.data.ndim:
+        raise DimensionError("pair_matvec operands must share a rank of at least 2")
+    m, q = vecs.data.shape[0], vecs.data.shape[-1]
+    n_pairs, width = mats.data.shape[0], mats.data.shape[-1]
+    mid = vecs.data.shape[1:-1]
+    if mats.data.shape[1:-1] != mid:
+        raise DimensionError(
+            f"pair_matvec middle axes disagree: {mats.data.shape} vs {vecs.data.shape}")
     if width % q != 0:
         raise DimensionError(f"matrix rows of width {width} do not factor over q={q}")
     pair = np.asarray(pair, dtype=np.intp)
@@ -311,20 +344,20 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
     if m and np.bincount(2 * pair + side).max() > 1:
         raise ContractError("two pair_matvec rows share a slot")
     p = width // q
-    m3 = mats.data.reshape(n_pairs, p, q)
-    x = np.zeros((n_pairs, q, 2))
-    x[pair, :, side] = vecs.data
-    _count_muls(m * p * q)
+    m3 = mats.data.reshape((n_pairs, *mid, p, q))
+    x = np.zeros((n_pairs, *mid, q, 2))
+    x[pair, ..., side] = vecs.data
+    _count_muls(vecs.data.size * p)
 
     def rule(g: np.ndarray):
-        gy = np.zeros((n_pairs, p, 2))
-        gy[pair, :, side] = g
-        return ((gy @ x.transpose(0, 2, 1)).reshape(n_pairs, width)
+        gy = np.zeros((n_pairs, *mid, p, 2))
+        gy[pair, ..., side] = g
+        return ((gy @ x.swapaxes(-1, -2)).reshape(mats.data.shape)
                 if mats.requires_grad else None,
-                (m3.transpose(0, 2, 1) @ gy)[pair, :, side]
+                (m3.swapaxes(-1, -2) @ gy)[pair, ..., side]
                 if vecs.requires_grad else None)
 
-    return _result((m3 @ x)[pair, :, side], (mats, vecs), rule)
+    return _result((m3 @ x)[pair, ..., side], (mats, vecs), rule)
 
 
 def _check_same_shape(a: Tensor, b: Tensor) -> None:
@@ -343,9 +376,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """The (d,) row ``b`` added to every row of the 2-D ``x``; backward sums
-    the rows' gradients into ``b``."""
-    if x.data.ndim != 2 or b.data.shape != x.data.shape[1:]:
+    """The row ``b`` added to every row of ``x`` (a (d,) row for (n, d)
+    rows, a (k, d) row for (n, k, d) rows); backward sums the rows'
+    gradients into ``b``."""
+    if x.data.ndim < 2 or b.data.shape != x.data.shape[1:]:
         raise DimensionError(
             f"add_bias needs rows and a bias of their width: {x.data.shape} + {b.data.shape}")
 
@@ -501,9 +535,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows of a 2-D tensor by integer index (repeats allowed)."""
-    if x.data.ndim != 2:
-        raise DimensionError("gather_rows needs a 2-D tensor")
+    """Select rows (slices along the first axis) of a tensor of any rank by
+    integer index (repeats allowed)."""
+    if x.data.ndim < 1:
+        raise DimensionError("gather_rows needs a tensor with rows")
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 1:
         raise DimensionError("gather_rows index must be 1-D")
@@ -517,15 +552,16 @@ def gather_rows(x: Tensor, index) -> Tensor:
 
 
 def scatter_sum_rows(x: Tensor, index, num_rows: int) -> Tensor:
-    """Sum rows of ``x`` into ``num_rows`` output rows grouped by ``index``."""
-    if x.data.ndim != 2:
-        raise DimensionError("scatter_sum_rows needs a 2-D tensor")
+    """Sum rows of ``x`` (any rank) into ``num_rows`` output rows grouped by
+    ``index``."""
+    if x.data.ndim < 1:
+        raise DimensionError("scatter_sum_rows needs a tensor with rows")
     idx = np.asarray(index, dtype=np.intp)
     if idx.shape != (x.data.shape[0],):
         raise DimensionError("scatter index length must match rows")
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise ContractError("scatter_sum_rows index out of range")
-    out = np.zeros((int(num_rows), x.data.shape[1]))
+    out = np.zeros((int(num_rows),) + x.data.shape[1:])
     np.add.at(out, idx, x.data)
 
     def rule(g: np.ndarray):
@@ -597,20 +633,28 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
         h' = (1 - z) * h + z * hbar
 
     States are row stacks: ``x`` is (n, d_in), ``h`` and the result (n, d).
+    Weights with a leading tower axis, (k, d_in, d) and (k, d, d), run k
+    independent cells over (n, k, d_in) and (n, k, d) states through
+    ``tower_matmul``.
     """
-    d_in, d = params.wz.data.shape
+    lead = params.wz.data.shape[:-2]
+    d_in, d = params.wz.data.shape[-2:]
+    if len(lead) > 1:
+        raise DimensionError(f"GRU weights of shape {params.wz.data.shape} are neither "
+                             f"a matrix nor a tower stack")
     for name, t in params.tensors().items():
-        expect = (d_in, d) if name.startswith("w") else (d, d)
+        expect = lead + ((d_in, d) if name.startswith("w") else (d, d))
         if t.data.shape != expect:
             raise DimensionError(f"GRU weight {name} has shape {t.data.shape}, expected {expect}")
     rows = h.data.shape[:1]
-    if x.data.shape != rows + (d_in,) or h.data.shape != rows + (d,):
+    if x.data.shape != rows + lead + (d_in,) or h.data.shape != rows + lead + (d,):
         raise DimensionError(
-            f"GRU inputs {x.data.shape}, {h.data.shape} do not match weights ({d_in}, {d})"
-        )
-    z = sigmoid(add(matmul(x, params.wz), matmul(h, params.uz)))
-    r = sigmoid(add(matmul(x, params.wr), matmul(h, params.ur)))
-    hbar = tanh(add(matmul(x, params.wh), matmul(mul(r, h), params.uh)))
+            f"GRU inputs {x.data.shape}, {h.data.shape} do not match weights "
+            f"{params.wz.data.shape}")
+    mm = tower_matmul if lead else matmul
+    z = sigmoid(add(mm(x, params.wz), mm(h, params.uz)))
+    r = sigmoid(add(mm(x, params.wr), mm(h, params.ur)))
+    hbar = tanh(add(mm(x, params.wh), mm(mul(r, h), params.uh)))
     return add(mul(sub(Tensor(np.ones_like(z.data)), z), h), mul(z, hbar))
 
 

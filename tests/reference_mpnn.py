@@ -3,7 +3,8 @@
 This is the oracle the vectorized engine is tested against. It walks edges
 one at a time and follows the update formulas literally, sharing nothing
 with the implementation under test except the parameter dictionary (read as
-raw arrays). Intentionally slow and simple.
+raw arrays). Intentionally slow and simple. Message and GRU weights hold
+one matrix per tower along their first axis; tower t reads them at ``[t]``.
 """
 
 import numpy as np
@@ -13,9 +14,15 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def mlp2(x, p, prefix, act=lambda v: np.maximum(v, 0.0)):
-    h = act(x @ p[f"{prefix}_w1"].data + p[f"{prefix}_b1"].data)
-    return h @ p[f"{prefix}_w2"].data + p[f"{prefix}_b2"].data
+def weight(p, name, tower=None):
+    """The raw array of parameter ``name``, or its matrix for one tower."""
+    return p[name].data if tower is None else p[name].data[tower]
+
+
+def mlp2(x, p, prefix, tower=None):
+    w = lambda name: weight(p, f"{prefix}_{name}", tower)
+    h = np.maximum(x @ w("w1") + w("b1"), 0.0)
+    return h @ w("w2") + w("b2")
 
 
 def edge_vector(eg, cfg, e_idx):
@@ -26,27 +33,30 @@ def edge_vector(eg, cfg, e_idx):
     return v
 
 
-def one_message(h_far, h_near, eg, cfg, p, prefix, e_idx):
-    """Message along one directed edge, computed from the far state."""
+def one_message(h_far, h_near, eg, cfg, p, prefix, e_idx, tower):
+    """Message of one tower along one directed edge, computed from the far
+    state."""
+    w = lambda name: weight(p, f"{prefix}_{name}", tower)
     if cfg.message_fn == "matmul":
         label = int(eg.edge_features[e_idx])
-        return h_far @ p[f"{prefix}_A{label}"].data
+        return h_far @ w(f"A{label}")
     e = edge_vector(eg, cfg, e_idx)
     if cfg.message_fn == "edge_network":
-        mat = mlp2(e, p, f"{prefix}_en")
+        mat = mlp2(e, p, f"{prefix}_en", tower)
         d = h_far.shape[0]
         return mat.reshape(d, d) @ h_far
     if cfg.message_fn == "pair_message":
-        return mlp2(np.concatenate([h_far, h_near, e]), p, f"{prefix}_pm")
-    hterm = h_far @ p[f"{prefix}_dtnn_wcf"].data + p[f"{prefix}_dtnn_b1"].data
-    eterm = e @ p[f"{prefix}_dtnn_wdf"].data + p[f"{prefix}_dtnn_b2"].data
-    return np.tanh((hterm * eterm) @ p[f"{prefix}_dtnn_wfc"].data)
+        return mlp2(np.concatenate([h_far, h_near, e]), p, f"{prefix}_pm", tower)
+    hterm = h_far @ w("dtnn_wcf") + w("dtnn_b1")
+    eterm = e @ w("dtnn_wdf") + w("dtnn_b2")
+    return np.tanh((hterm * eterm) @ w("dtnn_wfc"))
 
 
-def gru(x, h, p, prefix):
-    z = sigmoid(x @ p[f"{prefix}_wz"].data + h @ p[f"{prefix}_uz"].data)
-    r = sigmoid(x @ p[f"{prefix}_wr"].data + h @ p[f"{prefix}_ur"].data)
-    hbar = np.tanh(x @ p[f"{prefix}_wh"].data + (r * h) @ p[f"{prefix}_uh"].data)
+def gru(x, h, p, prefix, tower=None):
+    w = lambda name: weight(p, f"{prefix}_{name}", tower)
+    z = sigmoid(x @ w("wz") + h @ w("uz"))
+    r = sigmoid(x @ w("wr") + h @ w("ur"))
+    hbar = np.tanh(x @ w("wh") + (r * h) @ w("uh"))
     return (1.0 - z) * h + z * hbar
 
 
@@ -74,15 +84,15 @@ def naive_propagate(eg, p, cfg, steps=None):
                 s, v = int(eg.edge_src[e]), int(eg.edge_dst[e])
                 # Edge s->v delivers an in-channel message to v (from s's
                 # state) and an out-channel message to s (from v's state).
-                m_in[v] += one_message(hs[s], hs[v], eg, cfg, p, f"msg_in_t{t}", e)
-                m_out[s] += one_message(hs[v], hs[s], eg, cfg, p, f"msg_out_t{t}", e)
+                m_in[v] += one_message(hs[s], hs[v], eg, cfg, p, "msg_in", e, t)
+                m_out[s] += one_message(hs[v], hs[s], eg, cfg, p, "msg_out", e, t)
             if cfg.d_master:
                 m_in += master @ p["m2n_in"].data
                 m_out += master @ p["m2n_out"].data
             if cfg.update_fn == "gru":
                 for v in range(n):
                     new_h[v, lo:hi] = gru(np.concatenate([m_in[v], m_out[v]]),
-                                          hs[v], p, f"gru_t{t}")
+                                          hs[v], p, "gru", t)
             else:
                 new_h[:, lo:hi] = hs + m_in + m_out
         if cfg.d_master:

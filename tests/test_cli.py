@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from mpnnkit.cli import main
 from mpnnkit.engine import ModelConfig, init_params
 from mpnnkit.model import prepare_graph
 from mpnnkit.qm9 import read_dataset, read_split_manifest
-from mpnnkit.tensor import save_params
+from mpnnkit.tensor import Tensor, save_params
 from mpnnkit.training import TargetStats, TrainConfig, targets_matrix
 from test_qm9_io import CH4
 
@@ -252,7 +253,33 @@ class TestEvaluateCommand:
                      "--manifest", dataset["manifest"],
                      "--checkpoint", str(ckpt), "--meta", str(meta_path),
                      "--out", str(tmp_path / "r.csv")]) == 1
-        assert "does not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not match" in err
+        assert "'msg_in_A0' has shape (1, 8, 8), the model needs (1, 16, 16)" in err
+
+    def test_per_tower_checkpoint_refused(self, dataset, tmp_path, capsys):
+        # Checkpoints written before tower weights were stacked hold one
+        # 2-D matrix per tower (msg_in_t0_A0, gru_t0_wz, ...); the model
+        # names each stack once (msg_in_A0, gru_wz, ...).
+        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
+                          n_targets=1, edge_repr="chemical")
+        old = {}
+        for name, p in init_params(cfg, seed=0).items():
+            tower_name = re.sub(r"^(msg_in|msg_out|gru)_", r"\1_t0_", name)
+            old[tower_name] = Tensor(p.data[0]) if tower_name != name else p
+        assert "msg_in_t0_A0" in old and "gru_t0_wz" in old
+        ckpt = tmp_path / "old.json"
+        save_params(old, str(ckpt))
+        meta_path = tmp_path / "meta.json"
+        write_meta(meta_path, dataset, cfg, TrainConfig(total_steps=10, targets=0))
+        assert main(["evaluate", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--checkpoint", str(ckpt), "--meta", str(meta_path),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "Traceback" not in err and len(errors) == 1, err
+        assert str(ckpt) in errors[0] and "lacks parameter 'msg_in_A0'" in errors[0]
 
     def test_invalid_train_block_rejected(self, dataset, tmp_path, capsys):
         cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
@@ -472,7 +499,8 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("edit, where", [
         (put("atoms", 0, "hydrogen_cont", 3), "'hydrogen_cont'"),
         (put("bonds", 0, "lenght", 1.5), "'lenght'"),
-    ], ids=["atom", "bond"])
+        (lambda obj: dict(obj, target=obj.pop("targets")), "'target'"),
+    ], ids=["atom", "bond", "record"])
     def test_unknown_record_field_is_an_error_line(self, dataset, tmp_path,
                                                    capsys, edit, where):
         # a misspelled field must not load as the default it misspells

@@ -1,5 +1,7 @@
 """Propagation engine: message functions, updates, towers, master node."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from mpnnkit.checks import bench_towers
 from mpnnkit.engine import (
     MESSAGE_FNS,
     ModelConfig,
-    _gru_params,
     init_params,
     param_shapes,
     propagate,
@@ -30,6 +31,12 @@ def cfg_for(message_fn, **kw):
                     T=2, d=6, edge_repr="chemical", n_targets=2)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def tower_gru_params(params, tower):
+    """The atom GRU of one tower, as the 2-D weights of a single cell."""
+    return T.GruParams(**{n: Tensor(params[f"gru_{n}"].data[tower])
+                          for n in ("wz", "uz", "wr", "ur", "wh", "uh")})
 
 
 def zero_message_params(params):
@@ -105,8 +112,8 @@ class TestSingleEdgeMessages:
     def test_matmul_identity_bank(self, rng):
         cfg = residual_cfg("matmul", d=4)
         params = init_params(cfg, seed=0)
-        params["msg_in_t0_A0"].data[...] = np.eye(4)
-        params["msg_in_t0_A1"].data[...] = 0.0
+        params["msg_in_A0"].data[0] = np.eye(4)
+        params["msg_in_A1"].data[0] = 0.0
         h = rng.normal(size=4)
         np.testing.assert_allclose(
             one_edge_message(params, cfg, h, rng.normal(size=4), label=0), h)
@@ -114,7 +121,7 @@ class TestSingleEdgeMessages:
     def test_matmul_zero_bank(self, rng):
         cfg = residual_cfg("matmul", d=4)
         params = init_params(cfg, seed=0)
-        params["msg_in_t0_A0"].data[...] = 0.0
+        params["msg_in_A0"].data[0] = 0.0
         got = one_edge_message(params, cfg, rng.normal(size=4), rng.normal(size=4))
         np.testing.assert_array_equal(got, np.zeros(4))
 
@@ -124,7 +131,7 @@ class TestSingleEdgeMessages:
         h = rng.normal(size=5)
         mats = [rng.normal(size=(5, 5)) for _ in range(3)]
         for label, m in enumerate(mats):
-            params[f"msg_in_t0_A{label}"].data[...] = m
+            params[f"msg_in_A{label}"].data[0] = m
         for label in range(3):
             got = one_edge_message(params, cfg, h, rng.normal(size=5), label=label)
             np.testing.assert_allclose(got, h @ mats[label], atol=1e-12)
@@ -146,7 +153,7 @@ class TestSingleEdgeMessages:
         cfg = residual_cfg("edge_network")
         params = init_params(cfg, seed=1)
         zero_message_params(params)
-        params["msg_in_t0_en_b2"].data[...] = np.eye(6).ravel()
+        params["msg_in_en_b2"].data[0] = np.eye(6).ravel()
         h = rng.normal(size=6)
         out = one_edge_message(params, cfg, h, rng.normal(size=6))
         np.testing.assert_allclose(out, h, atol=1e-12)
@@ -170,14 +177,14 @@ class TestSingleEdgeMessages:
         cfg = residual_cfg("dtnn")
         params = init_params(cfg, seed=4)
         for suffix in ("wcf", "b1", "wdf", "b2"):
-            params[f"msg_in_t0_dtnn_{suffix}"].data[...] = 0.0
+            params[f"msg_in_dtnn_{suffix}"].data[0] = 0.0
         out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_dtnn_zero_outer_weight(self, rng):
         cfg = residual_cfg("dtnn")
         params = init_params(cfg, seed=5)
-        params["msg_in_t0_dtnn_wfc"].data[...] = 0.0
+        params["msg_in_dtnn_wfc"].data[0] = 0.0
         out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
         np.testing.assert_array_equal(out, np.zeros(6))
 
@@ -188,14 +195,14 @@ class TestAggregate:
         # node 1 receives concat(h_0, 0) and node 0 concat(0, 2 h_1).
         cfg = cfg_for("matmul", T=1, d=3)
         params = init_params(cfg, seed=0)
-        params["msg_in_t0_A0"].data[...] = np.eye(3)
-        params["msg_out_t0_A0"].data[...] = 2 * np.eye(3)
+        params["msg_in_A0"].data[0] = np.eye(3)
+        params["msg_out_A0"].data[0] = 2 * np.eye(3)
         h = rng.normal(size=(2, 3))
         got = propagate(directed_graph(h, [(0, 1)]), params, cfg).h.data
         msg = np.zeros((2, 6))
         msg[1, :3] = h[0]
         msg[0, 3:] = 2 * h[1]
-        want = T.gru_cell(Tensor(msg), Tensor(h), _gru_params(params, "gru_t0"))
+        want = T.gru_cell(Tensor(msg), Tensor(h), tower_gru_params(params, 0))
         np.testing.assert_array_equal(got, want.data)
 
     def test_isolated_node_zero(self, rng):
@@ -242,7 +249,7 @@ class TestPropagate:
         h = states.h0
         for _ in range(cfg.T):
             h = T.gru_cell(Tensor(np.zeros((4, 2 * cfg.d))), h,
-                           _gru_params(params, "gru_t0"))
+                           tower_gru_params(params, 0))
         np.testing.assert_allclose(states.h.data, h.data, atol=1e-14)
 
     @pytest.mark.parametrize("message_fn,representation", [
@@ -373,12 +380,9 @@ class TestTowers:
 
         half = cfg_for("matmul", d=4, towers_k=1, T=3)
         for tower, sl in ((0, slice(0, 4)), (1, slice(4, 8))):
-            sub = {}
-            for ch in ("in", "out"):
-                for l in range(4):
-                    sub[f"msg_{ch}_t0_A{l}"] = params[f"msg_{ch}_t{tower}_A{l}"]
-            for n_ in ("wz", "uz", "wr", "ur", "wh", "uh"):
-                sub[f"gru_t0_{n_}"] = params[f"gru_t{tower}_{n_}"]
+            # tower t of every stacked weight, as a stack of one
+            sub = {name: Tensor(params[name].data[tower:tower + 1])
+                   for name in params if name.startswith(("msg_", "gru_"))}
             # Same topology and labels, features taken from the tower's slice
             # of the padded full-width input.
             pad8 = np.zeros((5, 8))
@@ -417,7 +421,7 @@ class TestParams:
         a = [n for n, _ in param_shapes(cfg_for("matmul", T=3))]
         b = [n for n, _ in param_shapes(cfg_for("matmul", T=8))]
         assert a == b
-        assert sum(1 for n in a if n.startswith("gru_t0_")) == 6
+        assert sum(1 for n in a if n.startswith("gru_")) == 6
 
     def test_init_is_deterministic(self):
         cfg = cfg_for("edge_network")
@@ -427,10 +431,25 @@ class TestParams:
         for k in p1:
             np.testing.assert_array_equal(p1[k].data, p2[k].data)
 
+    @pytest.mark.parametrize("cfg, digest", [
+        (ModelConfig(message_fn="matmul", readout="ggnn", d=8, n_targets=2),
+         "5d5032f3dafb9ec76f9bda18ba45db64aeadde4e255ae554b073d164664196a2"),
+        (ModelConfig(message_fn="edge_network", readout="set2set", d=8,
+                     n_targets=2, edge_repr="raw_distance", d_master=8),
+         "ba9ce164d1f7c7f80811f8875e1b22e847dd50818e71ba4ee9d0608831329642"),
+    ], ids=["matmul_ggnn", "edge_network_set2set_master"])
+    def test_k1_initial_values_pinned(self, cfg, digest):
+        # sha256 over every initial value in creation order, pinned from the
+        # per-tower layout (msg_in_t0_A0, ...): at k=1 the stacked weights
+        # draw the same numbers in the same order.
+        params = init_params(cfg, seed=3)
+        got = hashlib.sha256(b"".join(p.data.tobytes() for p in params.values()))
+        assert got.hexdigest() == digest
+
     def test_biases_start_at_zero(self):
         params = init_params(cfg_for("edge_network"), seed=1)
-        assert np.all(params["msg_in_t0_en_b1"].data == 0)
-        assert np.all(params["msg_in_t0_en_b2"].data == 0)
+        assert np.all(params["msg_in_en_b1"].data == 0)
+        assert np.all(params["msg_in_en_b2"].data == 0)
 
     def test_checkpoint_roundtrip_through_engine(self, rng, tmp_path):
         cfg = cfg_for("matmul")

@@ -101,6 +101,43 @@ class TestForwardValues:
         s = T.scatter_sum_rows(t([[5.0]]), [2], num_rows=4)
         assert s.data.tolist() == [[0.0], [0.0], [5.0], [0.0]]
 
+    def test_gather_and_scatter_rows_of_any_rank(self, rng):
+        x = rng.normal(size=(3, 2, 4))
+        g = T.gather_rows(t(x), [2, 0, 2])
+        np.testing.assert_array_equal(g.data, x[[2, 0, 2]])
+        s = T.scatter_sum_rows(g, [0, 0, 1], num_rows=2)
+        assert s.data.shape == (2, 2, 4)
+        np.testing.assert_array_equal(s.data, [x[2] + x[0], x[2]])
+
+    def test_tower_matmul_is_each_towers_matmul(self, rng):
+        # bit for bit: tower t's product is the 2-D matmul of its slices
+        x = rng.normal(size=(7, 3, 5))
+        w = rng.normal(size=(3, 5, 4))
+        out = T.tower_matmul(t(x), t(w)).data
+        assert out.shape == (7, 3, 4)
+        for k in range(3):
+            assert out[:, k].tobytes() == T.matmul(t(x[:, k]), t(w[k])).data.tobytes()
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((7, 3, 5), (2, 5, 4)),  # towers disagree
+        ((7, 3, 5), (3, 4, 4)),  # inner dimensions disagree
+        ((7, 15), (3, 5, 4)),    # rows without a tower axis
+    ], ids=["towers", "inner", "rank"])
+    def test_tower_matmul_shape_mismatch(self, x_shape, w_shape):
+        with pytest.raises(DimensionError):
+            T.tower_matmul(t(np.ones(x_shape)), t(np.ones(w_shape)))
+
+    def test_pair_matvec_over_towers_matches_loop(self, rng):
+        # three pairs of two towers, each tower a 2x3 matrix
+        mats = rng.normal(size=(3, 2, 6))
+        vecs = rng.normal(size=(3, 2, 3))
+        pair, side = [0, 1, 0], [1, 0, 0]
+        out = T.pair_matvec(t(mats), t(vecs), pair, side).data
+        for i in range(3):
+            for k in range(2):
+                np.testing.assert_allclose(
+                    out[i, k], mats[pair[i], k].reshape(2, 3) @ vecs[i, k])
+
     def test_slice_cols(self):
         x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert T.slice_cols(x, 1, 3).data.tolist() == [[2.0, 3.0], [5.0, 6.0]]
@@ -302,6 +339,34 @@ class TestGradientsAgainstFiniteDifferences:
             lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
             params, label="pair_matvec")
 
+    def test_tower_matmul(self, rng):
+        params = {
+            "x": t(rng.normal(size=(5, 3, 4)), rg=True),
+            "w": t(rng.normal(size=(3, 4, 2)), rg=True),
+        }
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.tanh(T.tower_matmul(p["x"], p["w"]))),
+            params, label="tower_matmul")
+
+    def test_pair_matvec_over_towers(self, rng):
+        pair, side = [2, 0, 1, 0], [1, 0, 0, 1]
+        params = {
+            # scaled like the GRU weights: at unit scale the central
+            # difference of one small entry misses the relative tolerance
+            "m": t(rng.normal(size=(3, 2, 12)) * 0.5, rg=True),
+            "v": t(rng.normal(size=(len(pair), 2, 4)), rg=True),
+        }
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
+            params, label="pair_matvec_towers")
+
+    def test_add_bias_over_towers(self, rng):
+        params = {"x": t(rng.normal(size=(4, 2, 3)), rg=True),
+                  "b": t(rng.normal(size=(2, 3)), rg=True)}
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.tanh(T.add_bias(p["x"], p["b"]))),
+            params, label="add_bias_towers")
+
     def test_add_bias(self, rng):
         params = {"x": t(rng.normal(size=(4, 3)), rg=True),
                   "b": t(rng.normal(size=(3,)), rg=True)}
@@ -382,6 +447,22 @@ class TestGradientsAgainstFiniteDifferences:
 
         check_grad_against_fd(loss, params, label="gru")
 
+    def test_gru_cell_over_towers(self, rng):
+        k, d_in, d = 3, 4, 2
+        w = lambda *shape: t(rng.normal(size=shape) * 0.3, rg=True)
+        params = {"wz": w(k, d_in, d), "uz": w(k, d, d), "wr": w(k, d_in, d),
+                  "ur": w(k, d, d), "wh": w(k, d_in, d), "uh": w(k, d, d),
+                  "x": t(rng.normal(size=(2, k, d_in)), rg=True),
+                  "h": t(rng.normal(size=(2, k, d)), rg=True)}
+
+        def loss(p):
+            gp = GruParams(wz=p["wz"], uz=p["uz"], wr=p["wr"],
+                           ur=p["ur"], wh=p["wh"], uh=p["uh"])
+            out = T.gru_cell(p["x"], p["h"], gp)
+            return T.reduce_sum(T.mul(out, out))
+
+        check_grad_against_fd(loss, params, label="gru_towers")
+
 
 class TestGruCell:
     def make_params(self, d_in, d, fill=0.0):
@@ -420,6 +501,19 @@ class TestGruCell:
         with pytest.raises(DimensionError):
             T.gru_cell(t([[1.0, 2.0]] * 2), t([[1.0, 1.0, 1.0]]), p)
 
+    def test_towers_are_independent_cells(self, rng):
+        # a stack of k weights over (n, k, .) states is k cells, bit for bit
+        k, d_in, d = 3, 4, 2
+        stack = GruParams(*(t(rng.normal(size=(k, d_in if i % 2 == 0 else d, d)))
+                            for i in range(6)))
+        x, h = rng.normal(size=(5, k, d_in)), rng.normal(size=(5, k, d))
+        out = T.gru_cell(t(x), t(h), stack).data
+        for j in range(k):
+            one = GruParams(*(t(w.data[j]) for w in stack.tensors().values()))
+            assert out[:, j].tobytes() == T.gru_cell(t(x[:, j]), t(h[:, j]), one).data.tobytes()
+        with pytest.raises(DimensionError):
+            T.gru_cell(t(x[:, :2]), t(h[:, :2]), stack)
+
 
 class TestMultiplyCounter:
     def test_matmul_counts_mkn(self):
@@ -436,6 +530,11 @@ class TestMultiplyCounter:
         with count_multiplies(MultiplyCounter()) as c:
             T.batched_matvec(t(np.ones((7, 6))), t(np.ones((7, 3))))
         assert c.total == 7 * 2 * 3
+
+    def test_tower_matmul_counts_mkqp(self):
+        with count_multiplies(MultiplyCounter()) as c:
+            T.tower_matmul(t(np.ones((7, 3, 5))), t(np.ones((3, 5, 4))))
+        assert c.total == 7 * 3 * 5 * 4
 
     def test_pair_matvec_counts_useful_mpq(self):
         # five vector rows over three pairs: only the rows' products count,
