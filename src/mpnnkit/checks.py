@@ -38,7 +38,7 @@ GRADIENT_TOLERANCE = 1e-4
 GRADIENT_ABS_FLOOR = 1e-8
 INVARIANCE_TOLERANCE = 1e-9
 BATCH_TOLERANCE = 1e-12
-BENCH_REPEATS = 3
+BENCH_REPEATS = 7
 
 
 def random_graph(rng: np.random.Generator, n: int, cfg: ModelConfig,
@@ -230,10 +230,12 @@ def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,
     over the graph minus those over the same nodes with no edges. Updates
     and tower mixing do not depend on the edges, so they cancel. A master
     node's messages would cancel too; towers reject one. The wall clock is
-    the best of ``BENCH_REPEATS`` whole forward passes.
+    the median of ``BENCH_REPEATS`` whole forward passes per side, after
+    one warm-up pass each, the two sides' passes taking turns so that a
+    slow stretch of the machine falls on both.
     """
     counts: dict[int, int] = {}
-    seconds: dict[int, float] = {}
+    runs = {}
     for towers in (1, k):
         cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=T, d=d,
                           towers_k=towers, n_targets=1, edge_repr="chemical")
@@ -248,13 +250,17 @@ def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,
                 propagate(eg, params, cfg)
             with tt.count_multiplies(MultiplyCounter()) as bare:
                 propagate(no_edges, params, cfg)
-            best = float("inf")
-            for _ in range(BENCH_REPEATS):
+        counts[towers] = full.total - bare.total
+        runs[towers] = (eg, params, cfg)
+    times: dict[int, list[float]] = {towers: [] for towers in runs}
+    with tt.no_grad():
+        for repeat in range(BENCH_REPEATS + 1):
+            for towers, (eg, params, cfg) in runs.items():
                 start = time.perf_counter()
                 propagate(eg, params, cfg)
-                best = min(best, time.perf_counter() - start)
-        counts[towers] = full.total - bare.total
-        seconds[towers] = best
+                if repeat:  # the first pass warms up
+                    times[towers].append(time.perf_counter() - start)
+    seconds = {towers: float(np.median(t)) for towers, t in times.items()}
     return {"d": d, "n": n, "k": k, "T": T,
             "message_multiplies": counts,
             "multiply_ratio": counts[k] / counts[1],

@@ -152,11 +152,16 @@ def _train_config(args) -> TrainConfig:
 
 
 def _config_from(cls, meta: dict, block: str):
-    """``cls`` built from ``meta[block]`` once every value has the JSON type
-    of its field (an int may stand for a float, a boolean for neither)."""
+    """``cls`` built from ``meta[block]`` once every field is present and
+    every value has the JSON type of its field (an int may stand for a
+    float, a boolean for neither). A missing field is refused, not filled
+    with its default: the run was trained with the value it had."""
     fields = meta[block]
     if not isinstance(fields, dict):
         raise ContractError(f"field {block!r} is not a JSON object")
+    for field in dataclasses.fields(cls):
+        if field.name not in fields:
+            raise ContractError(f"{block} field {field.name!r} is missing")
     kinds = typing.get_type_hints(cls)  # an unknown field fails in cls() below
     for key, value in fields.items():
         kind = kinds.get(key, object)
@@ -333,7 +338,9 @@ def cmd_search(args) -> int:
     out_path = os.path.join(args.out_dir, "search.json")
     payload = {
         "best_index": result.best_index,
-        "trials": [dataclasses.asdict(t) for t in result.trials],
+        # a failed trial has no validation MAE: null, not Infinity
+        "trials": [dict(dataclasses.asdict(t), best_valid_mae=None) if t.failed
+                   else dataclasses.asdict(t) for t in result.trials],
     }
     _atomic_write(out_path, json.dumps(payload, sort_keys=True, indent=2))
 

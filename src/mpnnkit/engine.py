@@ -10,10 +10,10 @@ exist, so the update input has width 2d.
 
 There is one path: node states are (n, k, d/k) row stacks through every
 step, k the towers count, and each message function has a single
-implementation over the whole edge list (``_batched_messages``) that
-gathers far-end rows, computes one message per edge and scatter-sums the
-messages onto their receiving nodes. A graph with no edges takes the same
-path: its zero message rows sum to zeros.
+implementation over the whole edge list that gathers far-end rows,
+computes one message per edge and scatter-sums the messages onto their
+receiving nodes. A graph with no edges takes the same path: its zero
+message rows sum to zeros.
 
 Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
@@ -24,11 +24,12 @@ towers first, such as (k, d/k, d/k) per matmul label, and
 gather, product and scatter per edge label (or one pair product) per
 channel and one GRU, whatever k is; k = 1 is a tower axis of size 1.
 
-The edge network builds its d_tower x d_tower matrices once per forward
-and per undirected pair, not per directed edge: both orientations of a pair
-carry the same features, so they share one matrix per channel and tower,
-and one ``tt.pair_matvec`` gives both directions' messages. Its arrays are
-(pairs x k x d_tower^2), half the size of one row per directed edge.
+Edge-only work runs once per forward, per message function (``_senders``):
+the matmul label groups, the tower-tiled edge vectors, DTNN's edge term and
+the edge network's matrices never change across the steps. The edge network
+builds one d_tower x d_tower matrix per channel, tower and undirected pair,
+as both orientations of a pair carry the same features; one
+``tt.pair_matvec`` gives both directions' messages.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -46,7 +47,7 @@ lone graph gets as all zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -322,46 +323,65 @@ def _edge_pairs(eg: EncodedGraph, evec: np.ndarray) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _batched_messages(h: Tensor, far: np.ndarray, near: np.ndarray,
-                      groups: list[tuple[int, np.ndarray]],
-                      evec: Optional[Tensor],
-                      en: Optional[tuple[Tensor, np.ndarray, np.ndarray]],
-                      params: dict[str, Tensor], prefix: str,
-                      cfg: ModelConfig) -> Tensor:
-    """Sum of messages arriving at each node for one channel, every tower
-    at once: ``h`` and the result are (n, k, d_tower).
-
-    ``far`` indexes the state each message is computed from, ``near`` the
-    node it is delivered to. The matmul message runs once per edge label;
-    ``groups`` holds each label present and its edges. ``evec`` holds the
-    edge vectors, the same row for every tower. For the edge-network
-    message, ``en`` holds the matrices, one (P, k, d_tower^2) row per
-    undirected pair, built once per forward (they do not change across
-    steps), and each directed edge's pair and side (``_edge_pairs``): both
-    orientations of a pair multiply the same matrix.
+def _senders(eg: EncodedGraph, params: dict[str, Tensor],
+             cfg: ModelConfig) -> dict[str, Callable[[Tensor], Tensor]]:
+    """Per channel, a function from the (n, k, d_tower) states to the sum of
+    that channel's messages at every node, all towers at once. Edge-only
+    work runs here, once per forward; the returned functions do only what
+    depends on the states. ``far`` indexes the state each message is
+    computed from, ``near`` the node it is delivered to.
     """
-    n = h.data.shape[0]
+    n = eg.n_atoms
     if cfg.message_fn == "matmul":
-        parts = None
-        for label, sel in groups:
-            msg = tt.tower_matmul(tt.gather_rows(h, far[sel]),
-                                  params[f"{prefix}_A{label}"])
-            part = tt.scatter_sum_rows(msg, near[sel], n)
-            parts = part if parts is None else tt.add(parts, part)
-        return parts if parts is not None else Tensor(np.zeros(h.data.shape))
+        labels = eg.edge_features
+        sels = [(int(label), np.flatnonzero(labels == label))
+                for label in np.unique(labels)]
+    else:
+        vecs = edge_vectors(eg, cfg).data
+        evec = Tensor(np.broadcast_to(vecs[:, None, :],
+                                      (eg.n_edges, cfg.towers_k, vecs.shape[1])))
     if cfg.message_fn == "edge_network":
-        mats, pair, side = en
-        msgs = tt.pair_matvec(mats, tt.gather_rows(h, far), pair, side)
-        return tt.scatter_sum_rows(msgs, near, n)
-    if cfg.message_fn == "pair_message":
-        x = tt.concat([tt.gather_rows(h, far), tt.gather_rows(h, near), evec],
-                      axis=2)
-        return tt.scatter_sum_rows(mlp2(x, params, f"{prefix}_pm"), near, n)
-    hterm = affine(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
-                   params[f"{prefix}_dtnn_b1"])
-    eterm = affine(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
-    msgs = tt.tanh(tt.tower_matmul(tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"]))
-    return tt.scatter_sum_rows(msgs, near, n)
+        pair, side, rep = _edge_pairs(eg, vecs)
+        pair_vecs = Tensor(evec.data[rep])
+
+    def matmul(far, near, prefix):
+        groups = [(params[f"{prefix}_A{label}"], far[sel], near[sel])
+                  for label, sel in sels]
+
+        def send(h):
+            total = None if groups else Tensor(np.zeros(h.data.shape))
+            for a, far_sel, near_sel in groups:
+                part = tt.scatter_sum_rows(
+                    tt.tower_matmul(tt.gather_rows(h, far_sel), a), near_sel, n)
+                total = part if total is None else tt.add(total, part)
+            return total
+        return send
+
+    def edge_network(far, near, prefix):
+        # one matrix per undirected pair, which both orientations multiply
+        mats = mlp2(pair_vecs, params, f"{prefix}_en")
+        return lambda h: tt.scatter_sum_rows(
+            tt.pair_matvec(mats, tt.gather_rows(h, far), pair, side), near, n)
+
+    def pair_message(far, near, prefix):
+        return lambda h: tt.scatter_sum_rows(mlp2(tt.concat(
+            [tt.gather_rows(h, far), tt.gather_rows(h, near), evec], axis=2),
+            params, f"{prefix}_pm"), near, n)
+
+    def dtnn(far, near, prefix):
+        eterm = affine(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
+
+        def send(h):
+            hterm = affine(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
+                           params[f"{prefix}_dtnn_b1"])
+            return tt.scatter_sum_rows(tt.tanh(tt.tower_matmul(
+                tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"])), near, n)
+        return send
+
+    build = {"matmul": matmul, "edge_network": edge_network,
+             "pair_message": pair_message, "dtnn": dtnn}[cfg.message_fn]
+    ends = {"in": (eg.edge_src, eg.edge_dst), "out": (eg.edge_dst, eg.edge_src)}
+    return {ch: build(*ends[ch], f"msg_{ch}") for ch in CHANNELS}
 
 
 def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
@@ -378,12 +398,12 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     To count multiplies, call it inside ``tt.count_multiplies``;
     ``checks.bench_towers`` isolates the message phase that way.
     """
-    def _update(m_in, m_out, h, prefix):
+    def _update(msgs, h, prefix):
         # one update rule for atom states (all towers) and master rows
         if cfg.update_fn == "gru":
-            return tt.gru_cell(tt.concat([m_in, m_out], axis=-1), h,
+            return tt.gru_cell(tt.concat(msgs, axis=-1), h,
                                _gru_params(params, prefix))
-        return tt.add(h, tt.add(m_in, m_out))
+        return tt.add(h, tt.add(*msgs))
 
     _check_edge_labels(eg, cfg)
     n = eg.n_atoms
@@ -393,28 +413,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     # t*d_tower to (t+1)*d_tower of the (n, d) state.
     towered = (n, k, cfg.d_tower)
     h = Tensor(h0.data.reshape(towered))
-    src, dst = eg.edge_src, eg.edge_dst
-
-    groups: list[tuple[int, np.ndarray]] = []
-    if cfg.message_fn == "matmul":
-        labels = eg.edge_features
-        groups = [(int(label), np.flatnonzero(labels == label))
-                  for label in np.unique(labels)]
-
-    evec = None
-    if cfg.message_fn in ("edge_network", "pair_message", "dtnn"):
-        vecs = edge_vectors(eg, cfg).data
-        evec = Tensor(np.broadcast_to(vecs[:, None, :], (eg.n_edges, k, vecs.shape[1])))
-
-    # Edge features never change across steps, and both orientations of a
-    # pair share them, so the edge-network matrices are computed once per
-    # forward pass and undirected pair.
-    en: dict[str, tuple[Tensor, np.ndarray, np.ndarray]] = {}
-    if cfg.message_fn == "edge_network":
-        pair, side, rep = _edge_pairs(eg, vecs)
-        pair_vecs = Tensor(evec.data[rep])
-        for ch in CHANNELS:
-            en[ch] = (mlp2(pair_vecs, params, f"msg_{ch}_en"), pair, side)
+    senders = _senders(eg, params, cfg)
 
     n_graphs = eg.n_graphs
     graph = np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph
@@ -426,24 +425,19 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
         master = master0
 
     for _ in range(cfg.T):
-        m_in = _batched_messages(h, src, dst, groups, evec, en.get("in"),
-                                 params, "msg_in", cfg)
-        m_out = _batched_messages(h, dst, src, groups, evec, en.get("out"),
-                                  params, "msg_out", cfg)
+        msgs = [senders[ch](h) for ch in CHANNELS]
         if cfg.d_master:
             # towers reject a master, so k = 1 and a (n_graphs, d) row
             # block is one tower
-            m_in = tt.add(m_in, tt.gather_rows(tt.reshape(
-                tt.matmul(master, params["m2n_in"]), (n_graphs, 1, cfg.d)), graph))
-            m_out = tt.add(m_out, tt.gather_rows(tt.reshape(
-                tt.matmul(master, params["m2n_out"]), (n_graphs, 1, cfg.d)), graph))
-        h_new = _update(m_in, m_out, h, "gru")
+            msgs = [tt.add(m, tt.gather_rows(tt.reshape(
+                tt.matmul(master, params[f"m2n_{ch}"]), (n_graphs, 1, cfg.d)), graph))
+                for m, ch in zip(msgs, CHANNELS)]
+        h_new = _update(msgs, h, "gru")
         if cfg.d_master:
             h_sum = tt.reshape(tt.scatter_sum_rows(h, graph, n_graphs),
                                (n_graphs, cfg.d))
-            mm_in = tt.matmul(h_sum, params["n2m_in"])
-            mm_out = tt.matmul(h_sum, params["n2m_out"])
-            master = _update(mm_in, mm_out, master, "master_gru")
+            master = _update([tt.matmul(h_sum, params[f"n2m_{ch}"]) for ch in CHANNELS],
+                             master, "master_gru")
         h = h_new
         if k > 1:
             h = tt.reshape(affine(tt.reshape(h, (n, cfg.d)), params["mix_w"],

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from .molgraph import (
     UnsupportedElementError,
     pair_distances,
 )
-from .tensor import ContractError, _atomic_write, _read_json
+from .tensor import ContractError, _atomic_write, _read_json, _refuse_constant
 
 __all__ = [
     "COVALENT_RADII",
@@ -85,9 +86,12 @@ def _fail(lineno: int, message: str) -> "ParseError":
 
 def _float(token: str, lineno: int) -> float:
     try:
-        return float(token.replace("*^", "e"))
+        value = float(token.replace("*^", "e"))
     except ValueError:
         raise _fail(lineno, f"not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise _fail(lineno, f"not a finite number: {token!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -367,10 +371,12 @@ def write_dataset(path: str, graphs: list[MolecularGraph]) -> None:
 
 def _json_line(path: str, lineno: int, line: str):
     try:
-        return json.loads(line)
+        return json.loads(line, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {lineno}: not valid JSON "
                          f"({exc.msg}, column {exc.colno})") from None
+    except ValueError as exc:  # NaN or Infinity
+        raise ParseError(f"{path}: line {lineno}: not valid JSON ({exc})") from None
 
 
 def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:

@@ -412,13 +412,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign so exp never overflows.
-    xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; each sign takes its own stable form.
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def rule(g: np.ndarray):
         return (g * (y * (1.0 - y)),)
@@ -672,12 +668,18 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _refuse_constant(token: str):
+    """``parse_constant`` for every JSON reader: NaN and +-Infinity are not
+    JSON, and a non-finite number must not enter the program."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _read_json(path: str):
-    """The JSON value in ``path``; text that does not parse raises a
-    ContractError naming the file."""
+    """The JSON value in ``path``; text that does not parse, or holds NaN or
+    Infinity, raises a ContractError naming the file."""
     with open(path) as f:
         try:
-            return json.load(f)
+            return json.load(f, parse_constant=_refuse_constant)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ContractError(f"{path}: not valid JSON: {exc}") from None
 

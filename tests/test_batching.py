@@ -1,5 +1,7 @@
 """A batch is one graph: disjoint unions against one graph at a time."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,44 @@ class TestDisjointUnion:
             disjoint_union([disjoint_union([chem])])
         with pytest.raises(ContractError):
             disjoint_union([])
+
+
+def _forward_backward_digest(cfg):
+    """sha256 over a mixed batch's output rows, then every parameter's
+    gradient in creation order, for one fixed draw of graphs and weights."""
+    rng = np.random.default_rng(31)
+    params = init_params(cfg, seed=8)
+    jitter_biases(params, rng)
+    egs = mixed_batch(rng, cfg)
+    out = predict_batch(egs, params, cfg)
+    probe = Tensor(rng.normal(size=out.data.shape))
+    T.backward(T.reduce_sum(T.mul(out, probe)))
+    blobs = [out.data.tobytes()] + [p.grad.tobytes() for p in params.values()]
+    return hashlib.sha256(b"".join(blobs)).hexdigest()
+
+
+@pytest.mark.parametrize("message_fn,readout,overrides,digest", [
+    ("matmul", "ggnn", {},
+     "e85ffb8335975890c6fc542a3b443b740f131e494b3313e6a8ec1bbf43389233"),
+    ("matmul", "ggnn", dict(towers_k=4),
+     "497125362d8adab6af8f4bdf6aa03220e1975994cf90199df23c72fe6b2e5242"),
+    ("edge_network", "ggnn", {},
+     "5530be9bbcefce1edd1260a0ba5ff37b41d5fbafbf492a6a4f150705568e22e1"),
+    ("edge_network", "ggnn", dict(towers_k=4),
+     "dba42b1a19c836231986f751a22083d64253bc8e824f9588b627c87a29460242"),
+    ("pair_message", "dtnn_sum", {},
+     "a149c1894637264c98a15a80b8cb08f3980c7a07137b1fc2891b6cd3724a491f"),
+    ("pair_message", "dtnn_sum", dict(towers_k=4),
+     "c7da7f9fd94e504e63548b57c9f36df44278576121919b31a39fabe96b6a6fec"),
+    ("edge_network", "set2set", dict(d_master=8),
+     "0932893cde43e6a0e59a756d09e7da6a09c2b407451860062b4b58b767fe2934"),
+    ("matmul", "set2set", dict(d_master=8, update_fn="dtnn_residual"),
+     "dd96f1931115bb4321f281d4228e68990f1ee7baf39870ba2947f5e82f381591"),
+], ids=["matmul", "matmul_k4", "edge_network", "edge_network_k4",
+        "pair_message", "pair_message_k4", "edge_network_master_set2set",
+        "matmul_master_set2set_residual"])
+def test_outputs_and_gradients_pinned(message_fn, readout, overrides, digest):
+    # pinned before the edge-only work moved into one place per message
+    # function: that move keeps these bits
+    cfg = make_cfg(message_fn, readout, d=8, **overrides)
+    assert _forward_backward_digest(cfg) == digest

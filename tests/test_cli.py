@@ -18,8 +18,14 @@ from mpnnkit.cli import main
 from mpnnkit.engine import ModelConfig, init_params
 from mpnnkit.model import prepare_graph
 from mpnnkit.qm9 import read_dataset, read_split_manifest
-from mpnnkit.tensor import Tensor, save_params
-from mpnnkit.training import TargetStats, TrainConfig, targets_matrix
+from mpnnkit.tensor import Tensor, _read_json, save_params
+from mpnnkit.training import (
+    SearchResult,
+    TargetStats,
+    TrainConfig,
+    TrialResult,
+    targets_matrix,
+)
 from test_qm9_io import CH4
 
 TRAIN_FLAGS = ["--message", "matmul", "--readout", "ggnn", "--dim", "16",
@@ -433,15 +439,19 @@ class TestMalformedInputs:
         ("data", "count", 0),        # train: dataset header
         ("data", "bonds", 1),        # train: dataset record
         ("checkpoint", "shape", 0),  # evaluate: checkpoint entry
+        ("meta", "T", 0),            # evaluate: model config, not its default
     ])
     def test_missing_field_is_an_error_line(self, dataset, tmp_path, capsys,
                                             file, field, row):
         def drop(obj):
-            del (obj["ro_i_w1"] if file == "checkpoint" else obj)[field]
+            inner = {"checkpoint": "ro_i_w1", "meta": "model"}.get(file)
+            del (obj[inner] if inner else obj)[field]
             return obj
 
-        error, _ = self.error_line(dataset, tmp_path, capsys, file, row, drop)
+        error, path = self.error_line(dataset, tmp_path, capsys, file, row, drop)
         assert repr(field) in error
+        if file == "meta":
+            assert path in error and "missing" in error
 
     @pytest.mark.parametrize("file, row, edit, where", [
         ("manifest", 0, lambda obj: [1], ""),
@@ -456,16 +466,21 @@ class TestMalformedInputs:
         error, path = self.error_line(dataset, tmp_path, capsys, file, row, edit)
         assert path in error and where in error and "not a JSON object" in error
 
-    @pytest.mark.parametrize("file, row, where", [
-        ("manifest", 0, ""),
-        ("data", 0, "line 1"),
-        ("data", 1, "line 2"),
-        ("checkpoint", 0, ""),
-        ("meta", 0, ""),
-    ], ids=["manifest", "header", "record", "checkpoint", "meta"])
+    @pytest.mark.parametrize("file, row, edit, where", [
+        ("manifest", 0, cut, ""),
+        ("data", 0, cut, "line 1"),
+        ("data", 1, cut, "line 2"),
+        ("checkpoint", 0, cut, ""),
+        ("meta", 0, cut, ""),
+        # json.dumps writes the non-standard tokens NaN and Infinity
+        ("data", 1, put("targets", 0, float("nan")), "line 2"),
+        ("checkpoint", 0, put("ro_i_w1", "values", 0, float("-inf")), ""),
+    ], ids=["manifest", "header", "record", "checkpoint", "meta", "record_nan",
+            "checkpoint_infinity"])
     def test_text_that_is_not_json_is_an_error_line(self, dataset, tmp_path,
-                                                    capsys, file, row, where):
-        error, path = self.error_line(dataset, tmp_path, capsys, file, row, cut)
+                                                    capsys, file, row, edit,
+                                                    where):
+        error, path = self.error_line(dataset, tmp_path, capsys, file, row, edit)
         assert path in error and where in error and "not valid JSON" in error
         if file == "data":
             # the line within the file, not within the record
@@ -519,12 +534,15 @@ class TestMalformedInputs:
         error, path = self.error_line(dataset, tmp_path, capsys, "manifest", 0, edit)
         assert path in error and where in error
 
-    def test_bad_xyz_record_names_its_file(self, tmp_path, capsys):
+    @staticmethod
+    def xyz_error_line(tmp_path, capsys, row, text):
+        """Run ``prepare`` on CH4 and a copy of it whose line ``row`` is
+        ``text``; return the one error line and the broken file."""
         qm9._warned_missing_flags = True
         good, bad = tmp_path / "a.xyz", tmp_path / "b.xyz"
         good.write_text(CH4)
         lines = CH4.splitlines()
-        lines[2] = "C 0.0 0.0"
+        lines[row] = text
         bad.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["prepare", "--xyz", str(good), str(bad),
@@ -532,7 +550,24 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert "Traceback" not in err and len(errors) == 1, err
-        assert f"{bad}: line 3" in errors[0]
+        return errors[0], bad
+
+    def test_bad_xyz_record_names_its_file(self, tmp_path, capsys):
+        error, bad = self.xyz_error_line(tmp_path, capsys, 2, "C 0.0 0.0")
+        assert f"{bad}: line 3" in error
+
+    @pytest.mark.parametrize("row, old, token", [
+        (1, "13.21", "NaN"),                   # a property
+        (2, "1.0858041578", "inf"),            # a coordinate
+        (7, "3151.7078", "-Infinity"),         # a frequency
+    ], ids=["property_nan", "coordinate_inf", "frequency_infinity"])
+    def test_non_finite_xyz_value_is_an_error_line(self, tmp_path, capsys,
+                                                   row, old, token):
+        line = CH4.splitlines()[row]
+        assert old in line
+        error, bad = self.xyz_error_line(tmp_path, capsys, row,
+                                         line.replace(old, token))
+        assert f"{bad}: line {row + 1}" in error and "not a finite number" in error
 
     @pytest.mark.parametrize("text", ['[[0, 1, "single"', '[[0.5, 1, 1]]'],
                              ids=["not_json", "index_type"])
@@ -577,6 +612,20 @@ class TestSearchCommand:
         assert len(payload["trials"]) == 2
         assert payload["best_index"] in (0, 1)
         assert all("sampled" in t for t in payload["trials"])
+
+    def test_failed_trial_writes_null(self, dataset, tmp_path, monkeypatch):
+        # JSON has no Infinity: a failed trial has no validation MAE
+        trials = [TrialResult(index=0, sampled={}, failed=True, error="diverged"),
+                  TrialResult(index=1, sampled={}, failed=False,
+                              best_valid_mae=0.5, test_mae_per_target={"mu": 0.4})]
+        monkeypatch.setattr(cli, "random_search",
+                            lambda *args, **kwargs: SearchResult(trials, 1))
+        out = tmp_path / "search"
+        assert main(["search", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--out-dir", str(out)]) == 0
+        payload = _read_json(str(out / "search.json"))
+        assert [t["best_valid_mae"] for t in payload["trials"]] == [None, 0.5]
 
     def test_unknown_message_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

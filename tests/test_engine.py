@@ -5,11 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from mpnnkit import engine
 from mpnnkit import tensor as T
 from mpnnkit.checks import bench_towers
 from mpnnkit.engine import (
     MESSAGE_FNS,
     ModelConfig,
+    affine,
     init_params,
     param_shapes,
     propagate,
@@ -187,6 +189,23 @@ class TestSingleEdgeMessages:
         params["msg_in_dtnn_wfc"].data[0] = 0.0
         out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
         np.testing.assert_array_equal(out, np.zeros(6))
+
+    def test_dtnn_edge_term_built_once_per_channel(self, rng, monkeypatch):
+        # W_df e + b2 depends only on the edges: one affine per channel and
+        # forward, not one per channel and step
+        cfg = cfg_for("dtnn", T=3)
+        params = init_params(cfg, seed=6)
+        wdf = {id(params[f"msg_{ch}_dtnn_wdf"]) for ch in ("in", "out")}
+        calls = []
+
+        def counting_affine(x, w, b):
+            calls.append(id(w) in wdf)
+            return affine(x, w, b)
+
+        monkeypatch.setattr(engine, "affine", counting_affine)
+        propagate(random_encoded(rng, n=5, d_in=4), params, cfg)
+        assert sum(calls) == 2
+        assert len(calls) == 2 + 2 * cfg.T
 
 
 class TestAggregate:

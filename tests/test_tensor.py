@@ -49,6 +49,23 @@ class TestForwardValues:
         assert y[0] == pytest.approx(0.0, abs=1e-12)
         assert y[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_sigmoid_bits_match_the_masked_formula(self):
+        # the formula that split its input by sign with boolean masks
+        def masked(xd):
+            y = np.empty_like(xd)
+            pos = xd >= 0
+            y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
+            ex = np.exp(xd[~pos])
+            y[~pos] = ex / (1.0 + ex)
+            return y
+
+        rng = np.random.default_rng(5)
+        for scale in (0.1, 1.0, 10.0, 100.0, 800.0):
+            xd = np.concatenate([rng.normal(scale=scale, size=(400, 24)).ravel(),
+                                 [0.0, -0.0, 750.0, -750.0]])
+            got = T.sigmoid(t(xd)).data
+            assert got.tobytes() == masked(xd).tobytes()
+
     def test_relu_negative_clamps(self):
         x = t([-3.0], rg=True)
         y = T.relu(x)
