@@ -361,13 +361,18 @@ def cmd_bench_towers(args) -> int:
                           seed=args.seed)
     counts = result["message_multiplies"]
     times = result["seconds"]
+    # the wall clock depends on BLAS's thread count, which this variable
+    # fixes when the process starts
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    blas = ("OPENBLAS_NUM_THREADS unset: BLAS default threads" if threads is None
+            else f"OPENBLAS_NUM_THREADS={threads}")
     print(f"message-phase multiplies (d={args.d}, n={args.n}, T={args.t}):")
     print(f"  k=1: {counts[1]}")
     print(f"  k={args.towers}: {counts[args.towers]}")
     print(f"  ratio: {result['multiply_ratio']:.4f} (theory {1 / args.towers:.4f})")
     print(f"wall clock per forward: k=1 {times[1] * 1e3:.2f} ms, "
           f"k={args.towers} {times[args.towers] * 1e3:.2f} ms "
-          f"(ratio {result['wall_clock_ratio']:.2f}; informational, "
+          f"(ratio {result['wall_clock_ratio']:.2f}, {blas}; informational, "
           f"dominated by array sizes on this hardware)")
     return 0
 

@@ -29,7 +29,11 @@ the matmul label groups, the tower-tiled edge vectors, DTNN's edge term and
 the edge network's matrices never change across the steps. The edge network
 builds one d_tower x d_tower matrix per channel, tower and undirected pair,
 as both orientations of a pair carry the same features; one
-``tt.pair_matvec`` gives both directions' messages.
+``tt.pair_matvec`` gives both directions' messages. Backward, each step's
+``pair_matvec`` hands the matrices' gradient back as factors, and
+``tt.backward`` sums the T steps' factors in one matmul per channel before
+the edge network's last ``tt.affine`` (product and bias in one taped op)
+takes it.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -246,8 +250,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with the bias broadcast over rows; a tower stack ``w``
     (k, q, p) maps (n, k, q) rows tower by tower, with a (k, p) bias."""
-    mm = tt.tower_matmul if w.data.ndim == 3 else tt.matmul
-    return tt.add_bias(mm(x, w), b)
+    return tt.affine(x, w, b)
 
 
 def mlp2(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:

@@ -1,17 +1,22 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Only the operations the graph models in this package actually need are
-implemented: 2-D matrix products and their per-tower stack, per-row and
-per-pair matrix-vector products, a bias added to every row, a small set of
-pointwise functions, reductions, softmax (over an axis or per segment of
-rows), concatenation/slicing, row gather/scatter, and a GRU cell over
-row-stacked states composed from the primitives. Elementwise operands
-must match in shape, so every backward rule stays auditable at a glance.
+implemented: 2-D matrix products and their per-tower stack (alone or with a
+bias, as one affine op), per-row and per-pair matrix-vector products, a
+bias added to every row, a small set of pointwise functions, reductions,
+softmax (over an axis or per segment of rows), concatenation/slicing, row
+gather/scatter, and a GRU cell over row-stacked states composed from the
+primitives. Elementwise operands must match in shape, so every backward
+rule stays auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
 that stores and sums gradients; taped intermediates never hold one, and
 leaves (tensors created with ``requires_grad``) accumulate into ``grad``.
+A rule may hand a parent's gradient back as the two factors of a batched
+product instead of a dense array (``pair_matvec`` does, for its matrices);
+``backward`` keeps an intermediate's factors until they are needed and
+sums them all in one matmul.
 
 Every forward result is checked for NaN/Inf; divergence surfaces as a
 :class:`NumericError` at the op that produced it.
@@ -39,6 +44,7 @@ __all__ = [
     "active_tape",
     "matmul",
     "tower_matmul",
+    "affine",
     "batched_matvec",
     "pair_matvec",
     "add",
@@ -188,6 +194,27 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable) -> Tens
     return out
 
 
+@dataclass(frozen=True)
+class _Factors:
+    """A gradient handed back as the two factors of a batched product:
+    ``left`` (..., p, r) @ ``right`` (..., r, q), flattened to the parent's
+    shape. ``backward`` stacks the factors of an intermediate's pending
+    contributions along r and multiplies once, so their sum is one matmul."""
+
+    left: np.ndarray
+    right: np.ndarray
+
+
+def _dense(factors: Sequence[_Factors], shape) -> np.ndarray:
+    """The sum of the products of ``factors``, from one batched matmul."""
+    if len(factors) == 1:
+        left, right = factors[0].left, factors[0].right
+    else:
+        left = np.concatenate([f.left for f in factors], axis=-1)
+        right = np.concatenate([f.right for f in factors], axis=-2)
+    return (left @ right).reshape(shape)
+
+
 def _accumulate(pending: dict, t: Tensor, g) -> None:
     """Add one gradient contribution for ``t``.
 
@@ -195,15 +222,28 @@ def _accumulate(pending: dict, t: Tensor, g) -> None:
     first contribution uncopied in ``pending`` and adds later ones out of
     place, so an array a rule handed to several parents is never written
     into. ``g`` may be ``(index, rows)``: the rows are added one at a time
-    onto the running total, in the order ``np.add.at`` gives.
+    onto the running total, in the order ``np.add.at`` gives. ``g`` may be
+    :class:`_Factors`: an intermediate collects them in a list until its own
+    rule runs or a contribution of another kind arrives, and then makes the
+    list dense with one matmul; a leaf makes them dense at once.
     """
     if t.grad is not None:
         if isinstance(g, tuple):
             np.add.at(t.grad, *g)
         else:
-            t.grad += g
+            t.grad += _dense([g], t.data.shape) if isinstance(g, _Factors) else g
         return
     total = pending.get(t)
+    if isinstance(g, _Factors):
+        if total is None:
+            pending[t] = [g]
+            return
+        if isinstance(total, list):
+            total.append(g)
+            return
+        g = _dense([g], t.data.shape)
+    elif isinstance(total, list):
+        total = _dense(total, t.data.shape)
     if isinstance(g, tuple):
         total = np.zeros_like(t.data) if total is None else total.copy()
         np.add.at(total, *g)
@@ -230,6 +270,8 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(out, None)
         if g is None:
             continue
+        if isinstance(g, list):
+            g = _dense(g, out.data.shape)
         for parent, pg in zip(parents, rule(g)):
             if pg is not None:
                 _accumulate(pending, parent, pg)
@@ -241,8 +283,8 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors; dY flows as dA = g @ B^T, dB = A^T @ g."""
+def _matmul_parts(a: Tensor, b: Tensor):
+    """Checked forward value and backward rule of ``matmul``."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("matmul operands must be 2-D")
     if a.data.shape[1] != b.data.shape[0]:
@@ -257,16 +299,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
 
-    return _result(a.data @ b.data, (a, b), rule)
+    return a.data @ b.data, rule
 
 
-def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
-    """Per-tower matrix products: (m, k, q) rows times (k, q, p) weights
-    give (m, k, p), with ``out[:, t] = x[:, t] @ w[t]`` for every tower t.
-
-    One ``np.matmul`` over the tower-major view (k, m, q) of ``x``; each
-    tower's product is the same BLAS call ``matmul`` makes for it alone.
-    """
+def _tower_matmul_parts(x: Tensor, w: Tensor):
+    """Checked forward value and backward rule of ``tower_matmul``; the
+    value is a tower-major product seen through a transpose."""
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError("tower_matmul needs (m, k, q) rows and (k, q, p) weights")
     m, k, q = x.data.shape
@@ -283,7 +321,44 @@ def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
                 if x.requires_grad else None,
                 xt.transpose(0, 2, 1) @ gt if w.requires_grad else None)
 
-    return _result((xt @ w.data).transpose(1, 0, 2), (x, w), rule)
+    return (xt @ w.data).transpose(1, 0, 2), rule
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D tensors; dY flows as dA = g @ B^T, dB = A^T @ g."""
+    data, rule = _matmul_parts(a, b)
+    return _result(data, (a, b), rule)
+
+
+def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """Per-tower matrix products: (m, k, q) rows times (k, q, p) weights
+    give (m, k, p), with ``out[:, t] = x[:, t] @ w[t]`` for every tower t.
+
+    One ``np.matmul`` over the tower-major view (k, m, q) of ``x``; each
+    tower's product is the same BLAS call ``matmul`` makes for it alone.
+    """
+    data, rule = _tower_matmul_parts(x, w)
+    return _result(data, (x, w), rule)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one taped op: a 2-D ``w`` maps (n, q) rows with a
+    (p,) bias, a tower stack ``w`` (k, q, p) maps (n, k, q) rows tower by
+    tower with a (k, p) bias. The bias is added in the pass that lays the
+    product out row-major, with the bits of ``matmul`` (or
+    ``tower_matmul``) followed by ``add_bias``, forward and backward.
+    """
+    prod, mm_rule = (_tower_matmul_parts if w.data.ndim == 3 else _matmul_parts)(x, w)
+    if b.data.shape != prod.shape[1:]:
+        raise DimensionError(
+            f"affine needs a bias of the output's row shape: {prod.shape} + {b.data.shape}")
+    out = prod if prod.flags.c_contiguous else np.empty(prod.shape)
+    np.add(prod, b.data, out=out)
+
+    def rule(g: np.ndarray):
+        return (*mm_rule(g), g.sum(axis=0) if b.requires_grad else None)
+
+    return _result(out, (x, w, b), rule)
 
 
 def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
@@ -322,7 +397,8 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
     with ``out[i, j] = mats[pair[i], j] @ vecs[i, j]``. The vectors are
     stacked as (P, ..., q, 2), an empty slot as a zero column, and
     multiplied in one batched matmul; each matrix's gradient sums both of
-    its slots.
+    its slots and is handed back as :class:`_Factors`, so ``backward`` sums
+    the gradients of every call that shares ``mats`` in one matmul.
     """
     if mats.data.ndim < 2 or vecs.data.ndim != mats.data.ndim:
         raise DimensionError("pair_matvec operands must share a rank of at least 2")
@@ -352,8 +428,7 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
     def rule(g: np.ndarray):
         gy = np.zeros((n_pairs, *mid, p, 2))
         gy[pair, ..., side] = g
-        return ((gy @ x.swapaxes(-1, -2)).reshape(mats.data.shape)
-                if mats.requires_grad else None,
+        return (_Factors(gy, x.swapaxes(-1, -2)) if mats.requires_grad else None,
                 (m3.swapaxes(-1, -2) @ gy)[pair, ..., side]
                 if vecs.requires_grad else None)
 

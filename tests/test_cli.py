@@ -642,6 +642,21 @@ class TestDiagnostics:
         captured = capsys.readouterr().out
         assert "ratio: 0.1250" in captured
 
+    @pytest.mark.parametrize("threads, shown", [
+        ("1", "OPENBLAS_NUM_THREADS=1"),
+        (None, "OPENBLAS_NUM_THREADS unset: BLAS default threads"),
+    ], ids=["pinned", "unset"])
+    def test_bench_towers_names_blas_threads(self, capsys, monkeypatch, threads, shown):
+        # the wall-clock ratio is only comparable at one BLAS thread count
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert main(["bench-towers", "--d", "32", "--n", "6"]) == 0
+        wall = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("wall clock")]
+        assert len(wall) == 1 and shown in wall[0]
+
     def test_verify_spectral(self, capsys):
         assert main(["verify", "spectral", "--graphs", "10"]) == 0
         captured = capsys.readouterr().out

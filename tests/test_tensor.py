@@ -189,8 +189,8 @@ class TestForwardValues:
             T.pair_matvec(t(np.ones((2, 4))), t(np.ones((2, 2))), pair, side)
 
     def test_add_bias_equals_add_of_tiled_bias(self, rng):
-        # the op affine uses in place of add(x, repeat_rows(b)): same bytes
-        # forward, and the same gradients backward
+        # one bias row added to every row: the bytes of
+        # add(x, repeat_rows(b)) forward, and the same gradients backward
         x, b = t(rng.normal(size=(5, 3)), rg=True), t(rng.normal(size=(3,)), rg=True)
         g = rng.normal(size=(5, 3))
         got = T.add_bias(x, b)
@@ -208,6 +208,43 @@ class TestForwardValues:
             T.add_bias(t(np.ones((2, 3))), t(np.ones(2)))
         with pytest.raises(DimensionError):
             T.add_bias(t(np.ones((2, 3))), t(np.ones((1, 3))))
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((5, 3), (3, 4), (4,)),
+        ((5, 2, 3), (2, 3, 4), (2, 4)),
+    ], ids=["2d", "towers"])
+    def test_affine_bits_equal_matmul_then_add_bias(self, rng, x_shape, w_shape, b_shape):
+        x, w, b = (t(rng.normal(size=s), rg=True) for s in (x_shape, w_shape, b_shape))
+        g = t(rng.normal(size=x_shape[:-1] + w_shape[-1:]))
+        got = T.affine(x, w, b)
+        backward(T.reduce_sum(T.mul(got, g)))
+        got_grads = [p.grad.copy() for p in (x, w, b)]
+        for p in (x, w, b):
+            p.zero_grad()
+        mm = T.tower_matmul if len(w_shape) == 3 else T.matmul
+        want = T.add_bias(mm(x, w), b)
+        backward(T.reduce_sum(T.mul(want, g)))
+        assert got.data.tobytes() == want.data.tobytes()
+        for grad, p in zip(got_grads, (x, w, b)):
+            assert grad.tobytes() == p.grad.tobytes()
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((5, 3), (3, 4), (4,)),
+        ((5, 2, 3), (2, 3, 4), (2, 4)),
+    ], ids=["2d", "towers"])
+    def test_affine_is_one_tape_entry(self, x_shape, w_shape, b_shape):
+        x, w, b = (t(np.ones(s), rg=True) for s in (x_shape, w_shape, b_shape))
+        out = T.affine(x, w, b)
+        assert [(o, parents) for o, parents, _ in T.active_tape()] == [(out, (x, w, b))]
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((5, 3), (3, 4), (3,)),      # bias of the input's width
+        ((5, 3), (3, 4), (1, 4)),    # bias with a row axis
+        ((5, 2, 3), (2, 3, 4), (4,)),  # one bias for every tower
+    ])
+    def test_affine_needs_a_bias_of_the_row_shape(self, x_shape, w_shape, b_shape):
+        with pytest.raises(DimensionError):
+            T.affine(*(t(np.ones(s)) for s in (x_shape, w_shape, b_shape)))
 
     def test_nan_raises_numeric_error(self):
         big = t([[1e308]])
@@ -321,6 +358,69 @@ class TestBackward:
         assert w.grad.tobytes() == want.tobytes()
 
 
+# Three pair_matvec calls on one (3 pairs, 2 towers, 2x3) matrix stack, as
+# the T steps of an edge network use one channel's matrices; pair 2 is
+# one-way in the first call, and the last call has no vector rows.
+SHARED_CALLS = [([0, 1, 2, 0], [0, 0, 1, 1]),
+                ([2, 1, 0, 2, 1], [0, 1, 1, 1, 0]),
+                ([], [])]
+
+
+def _shared_mats_loss(mats, vecs, dense_at, per_call, dense):
+    """One scalar from three ``pair_matvec`` calls on ``mats`` (each output
+    through ``per_call``) and, unless ``dense_at`` is None, one dense
+    consumer of ``mats`` (``dense``) taped "first" or "last". Backward meets
+    the dense gradient after the calls' factors if it is taped first, and
+    before them if it is taped last."""
+    terms = [T.reduce_sum(dense(mats))] if dense_at == "first" else []
+    terms += [T.reduce_sum(per_call(j, T.pair_matvec(mats, v, pair, side)))
+              for j, ((pair, side), v) in enumerate(zip(SHARED_CALLS, vecs))]
+    if dense_at == "last":
+        terms.append(T.reduce_sum(dense(mats)))
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+    return loss
+
+
+class TestFactoredMatrixGradient:
+    """pair_matvec hands back its matrices' gradient as factors, which
+    backward sums over every call sharing the matrices in one matmul."""
+
+    @pytest.mark.parametrize("dense_at", [None, "first", "last"],
+                             ids=["no_dense", "dense_first", "dense_last"])
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "intermediate"])
+    def test_equals_sum_of_per_call_products(self, rng, leaf, dense_at):
+        shape = (3, 2, 6)
+        m = t(rng.normal(size=shape), rg=True)
+        vecs = [t(rng.normal(size=(len(pair), 2, 3))) for pair, _ in SHARED_CALLS]
+        probes = [rng.normal(size=(len(pair), 2, 2)) for pair, _ in SHARED_CALLS]
+        dense_probe = rng.normal(size=shape)
+        mats = m if leaf else T.reshape(m, shape)
+        backward(_shared_mats_loss(mats, vecs, dense_at,
+                                   lambda j, y: T.mul(y, t(probes[j])),
+                                   lambda x: T.mul(x, t(dense_probe))))
+        want = np.zeros(shape) if dense_at is None else dense_probe.copy()
+        for (pair, side), v, probe in zip(SHARED_CALLS, vecs, probes):
+            gy, x = np.zeros((3, 2, 2, 2)), np.zeros((3, 2, 3, 2))
+            gy[pair, ..., side] = probe
+            x[pair, ..., side] = v.data
+            want += (gy @ x.swapaxes(-1, -2)).reshape(shape)
+        assert np.abs(m.grad - want).max() <= 1e-15 * np.abs(want).max()
+        assert len(T.active_tape()) == 0
+
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "intermediate"])
+    def test_no_pairs(self, leaf):
+        m = t(np.zeros((0, 2, 6)), rg=True)
+        v = t(np.zeros((0, 2, 3)), rg=True)
+        mats = m if leaf else T.reshape(m, (0, 2, 6))
+        loss = T.reduce_sum(T.pair_matvec(mats, v, [], []))
+        for _ in range(2):
+            loss = T.add(loss, T.reduce_sum(T.pair_matvec(mats, v, [], [])))
+        backward(T.add(loss, T.reduce_sum(T.tanh(mats))))
+        assert m.grad.shape == (0, 2, 6) and v.grad.shape == (0, 2, 3)
+
+
 class TestGradientsAgainstFiniteDifferences:
     """Every differentiable op is checked end to end against central FD."""
 
@@ -376,6 +476,36 @@ class TestGradientsAgainstFiniteDifferences:
         check_grad_against_fd(
             lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
             params, label="pair_matvec_towers")
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((4, 3), (3, 2), (2,)),
+        ((4, 2, 3), (2, 3, 2), (2, 2)),
+    ], ids=["2d", "towers"])
+    def test_affine(self, rng, x_shape, w_shape, b_shape):
+        # small enough that tanh stays off its flat tails, where the
+        # central difference of a small entry misses the relative tolerance
+        params = {"x": t(rng.normal(size=x_shape) * 0.5, rg=True),
+                  "w": t(rng.normal(size=w_shape) * 0.5, rg=True),
+                  "b": t(rng.normal(size=b_shape) * 0.5, rg=True)}
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.tanh(T.affine(p["x"], p["w"], p["b"]))),
+            params, label="affine")
+
+    @pytest.mark.parametrize("dense_at", [None, "first", "last"],
+                             ids=["no_dense", "dense_first", "dense_last"])
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "intermediate"])
+    def test_pair_matvec_shared_matrices(self, rng, leaf, dense_at):
+        # the factored gradient of one matrix stack under three calls and
+        # one dense consumer
+        params = {"m": t(rng.normal(size=(3, 2, 6)) * 0.5, rg=True)}
+        params.update({f"v{j}": t(rng.normal(size=(len(pair), 2, 3)), rg=True)
+                       for j, (pair, _) in enumerate(SHARED_CALLS)})
+        check_grad_against_fd(
+            lambda p: _shared_mats_loss(
+                p["m"] if leaf else T.reshape(p["m"], (3, 2, 6)),
+                [p[f"v{j}"] for j in range(len(SHARED_CALLS))], dense_at,
+                lambda j, y: T.tanh(y), lambda x: T.mul(x, x)),
+            params, label="pair_matvec_shared")
 
     def test_add_bias_over_towers(self, rng):
         params = {"x": t(rng.normal(size=(4, 2, 3)), rg=True),
