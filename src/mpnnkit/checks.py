@@ -14,11 +14,11 @@ import time
 import numpy as np
 
 from . import tensor as tt
-from .engine import ModelConfig, init_params, propagate
+from .engine import MESSAGE_FNS, READOUTS, ModelConfig, init_params, propagate
 from .model import UNION_EDGE_BUDGET, model_forward, predict_batch
 from .molgraph import EncodedGraph
 from .spectral import run_spectral_checks
-from .tensor import MultiplyCounter, Tensor
+from .tensor import ContractError, MultiplyCounter, Tensor
 
 __all__ = [
     "GRADIENT_TOLERANCE",
@@ -39,6 +39,7 @@ GRADIENT_ABS_FLOOR = 1e-8
 INVARIANCE_TOLERANCE = 1e-9
 BATCH_TOLERANCE = 1e-12
 BENCH_REPEATS = 7
+GRADIENT_NODES = 5
 
 
 def random_graph(rng: np.random.Generator, n: int, cfg: ModelConfig,
@@ -126,14 +127,15 @@ GRADIENT_CONFIGS = (
 )
 
 
-def run_gradient_checks(seed: int = 0, n_nodes: int = 5) -> dict:
-    """End-to-end FD check of every parameter for each config; returns the
-    per-config and overall worst relative errors."""
+def run_gradient_checks(seed: int = 0) -> dict:
+    """End-to-end FD check of every parameter for each config, on a random
+    graph of ``GRADIENT_NODES`` nodes; returns the per-config and overall
+    worst relative errors."""
     results = []
     for label, overrides in GRADIENT_CONFIGS:
         cfg = ModelConfig(T=2, d=4, n_targets=2, set2set_M=2, **overrides)
         rng = np.random.default_rng(seed)
-        eg = random_graph(rng, n_nodes, cfg)
+        eg = random_graph(rng, GRADIENT_NODES, cfg)
         params = init_params(cfg, seed=seed)
         _jitter_biases(params, rng)
         probe = Tensor(rng.normal(size=cfg.n_targets))
@@ -153,14 +155,16 @@ def run_gradient_checks(seed: int = 0, n_nodes: int = 5) -> dict:
             "passed": overall < GRADIENT_TOLERANCE}
 
 
-INVARIANCE_MESSAGES = ("matmul", "edge_network", "pair_message", "dtnn")
-INVARIANCE_READOUTS = ("ggnn", "set2set", "dtnn_sum")
+def _check_graph_count(n_graphs: int) -> None:
+    # a sweep over no graphs checks nothing and must not pass
+    if n_graphs < 1:
+        raise ContractError(f"a check sweep needs at least one graph, got {n_graphs}")
 
 
 def _sweep_configs():
     """Every combination of message function, readout, and towers k in {1, 4}."""
-    for message_fn in INVARIANCE_MESSAGES:
-        for readout in INVARIANCE_READOUTS:
+    for message_fn in MESSAGE_FNS:
+        for readout in READOUTS:
             for k in (1, 4):
                 yield ModelConfig(message_fn=message_fn, readout=readout,
                                   towers_k=k, T=2, d=8, n_targets=3,
@@ -170,6 +174,7 @@ def _sweep_configs():
 def run_invariance_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     """Graph outputs under random node relabelings, for every combination of
     message function, readout, and towers k in {1, 4}."""
+    _check_graph_count(n_graphs)
     results = []
     for cfg in _sweep_configs():
         rng = np.random.default_rng(seed)
@@ -200,6 +205,7 @@ def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     graph, and holds more directed edges than ``UNION_EDGE_BUDGET``, so it
     runs as several unions.
     """
+    _check_graph_count(n_graphs)
     results = []
     for cfg in _sweep_configs():
         rng = np.random.default_rng(seed)
@@ -234,6 +240,9 @@ def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,
     one warm-up pass each, the two sides' passes taking turns so that a
     slow stretch of the machine falls on both.
     """
+    if n < 2:
+        # with fewer than two nodes the graph has no edges and no message cost
+        raise ContractError(f"bench_towers needs n >= 2 nodes for any edge, got n={n}")
     counts: dict[int, int] = {}
     runs = {}
     for towers in (1, k):

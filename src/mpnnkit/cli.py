@@ -71,6 +71,16 @@ def _parse_targets(text: str):
             f"targets must be 'all' or an index, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_messages(text: str) -> tuple[str, ...]:
     names = text.split(",")
     unknown = [m for m in names if m not in MESSAGES]
@@ -474,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--search-messages", type=_parse_messages, default="edgenet",
                    help="comma-separated message functions to sample")
     p.add_argument("--seed", type=int, default=0)
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", nargs="?", default="all",
                    choices=("all", "gradients", "invariance", "batching",
                             "spectral"))
-    p.add_argument("--graphs", type=int, default=100,
+    p.add_argument("--graphs", type=_positive_int, default=100,
                    help="graphs per invariance/batching/spectral sweep")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)

@@ -69,7 +69,6 @@ __all__ = [
     "propagate",
     "edge_vectors",
     "pad_features",
-    "affine",
     "mlp2",
 ]
 
@@ -247,16 +246,10 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with the bias broadcast over rows; a tower stack ``w``
-    (k, q, p) maps (n, k, q) rows tower by tower, with a (k, p) bias."""
-    return tt.affine(x, w, b)
-
-
 def mlp2(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     """Single-hidden-layer MLP: affine, relu, affine."""
-    h = tt.relu(affine(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
-    return affine(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
+    h = tt.relu(tt.affine(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
+    return tt.affine(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
 def pad_features(features: np.ndarray, d: int) -> Tensor:
@@ -372,11 +365,11 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
             params, f"{prefix}_pm"), near, n)
 
     def dtnn(far, near, prefix):
-        eterm = affine(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
+        eterm = tt.affine(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
 
         def send(h):
-            hterm = affine(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
-                           params[f"{prefix}_dtnn_b1"])
+            hterm = tt.affine(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
+                              params[f"{prefix}_dtnn_b1"])
             return tt.scatter_sum_rows(tt.tanh(tt.tower_matmul(
                 tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"])), near, n)
         return send
@@ -423,8 +416,8 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     master = None
     master0 = None
     if cfg.d_master:
-        master0 = tt.add_bias(Tensor(np.zeros((n_graphs, cfg.d_master))),
-                              params["master_h0"])
+        master0 = tt.gather_rows(tt.reshape(params["master_h0"], (1, cfg.d_master)),
+                                 np.zeros(n_graphs, dtype=np.intp))
         master = master0
 
     for _ in range(cfg.T):
@@ -443,7 +436,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
                              master, "master_gru")
         h = h_new
         if k > 1:
-            h = tt.reshape(affine(tt.reshape(h, (n, cfg.d)), params["mix_w"],
-                                  params["mix_b"]), towered)
+            h = tt.reshape(tt.affine(tt.reshape(h, (n, cfg.d)), params["mix_w"],
+                                     params["mix_b"]), towered)
     return NodeStates(h=tt.reshape(h, (n, cfg.d)), h0=h0, node_graph=graph,
                       n_graphs=n_graphs, master=master, master0=master0)

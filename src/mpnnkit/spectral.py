@@ -215,20 +215,28 @@ def random_binary_graph(rng: np.random.Generator, n: int) -> np.ndarray:
     return mask + mask.T
 
 
-def run_spectral_checks(seed: int = 0, n_graphs: int = 100,
-                        max_nodes: int = 8, max_channels: int = 4) -> dict:
+# random graphs of the checks have 2 to CHECK_MAX_NODES nodes and 1 to
+# CHECK_MAX_CHANNELS channels per layer side
+CHECK_MAX_NODES = 8
+CHECK_MAX_CHANNELS = 4
+
+
+def run_spectral_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     """Compare both rewrites against their dense forms on random graphs.
 
     Returns the maximum absolute deviations observed, for the CLI and the
     acceptance suite to threshold.
     """
+    if n_graphs < 1:
+        # a sweep over no graphs checks nothing and must not pass
+        raise ContractError(f"a check sweep needs at least one graph, got {n_graphs}")
     rng = np.random.default_rng(seed)
     worst_spectral = 0.0
     worst_gcn = 0.0
     for _ in range(n_graphs):
-        n = int(rng.integers(2, max_nodes + 1))
-        d1 = int(rng.integers(1, max_channels + 1))
-        d2 = int(rng.integers(1, max_channels + 1))
+        n = int(rng.integers(2, CHECK_MAX_NODES + 1))
+        d1 = int(rng.integers(1, CHECK_MAX_CHANNELS + 1))
+        d2 = int(rng.integers(1, CHECK_MAX_CHANNELS + 1))
         spec = SpectralLayer(W=random_weighted_graph(rng, n),
                              F=rng.normal(size=(d1, d2, n)),
                              sigma="relu")
@@ -237,7 +245,7 @@ def run_spectral_checks(seed: int = 0, n_graphs: int = 100,
                      - spectral_as_mpnn(x, spec)).max()
         worst_spectral = max(worst_spectral, float(dev))
 
-        dd = int(rng.integers(1, max_channels + 1))
+        dd = int(rng.integers(1, CHECK_MAX_CHANNELS + 1))
         gcn = GcnLayer(A=random_binary_graph(rng, n),
                        W=rng.normal(size=(d1, dd)), sigma="relu")
         H = rng.normal(size=(n, d1))

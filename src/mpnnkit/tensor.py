@@ -3,11 +3,11 @@
 Only the operations the graph models in this package actually need are
 implemented: 2-D matrix products and their per-tower stack (alone or with a
 bias, as one affine op), per-row and per-pair matrix-vector products, a
-bias added to every row, a small set of pointwise functions, reductions,
-softmax (over an axis or per segment of rows), concatenation/slicing, row
-gather/scatter, and a GRU cell over row-stacked states composed from the
-primitives. Elementwise operands must match in shape, so every backward
-rule stays auditable at a glance.
+small set of pointwise functions, reductions, softmax (over an axis or per
+segment of rows), concatenation/slicing, row gather/scatter, and a GRU
+cell over row-stacked states composed from the primitives. Elementwise
+operands must match in shape, so every backward rule stays auditable at a
+glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
@@ -48,7 +48,6 @@ __all__ = [
     "batched_matvec",
     "pair_matvec",
     "add",
-    "add_bias",
     "sub",
     "mul",
     "sigmoid",
@@ -138,12 +137,6 @@ def count_multiplies(counter: MultiplyCounter):
         ctx.mul_counter = prev
 
 
-def _count_muls(n: int) -> None:
-    c = _ctx().mul_counter
-    if c is not None:
-        c.total += int(n)
-
-
 class Tensor:
     """Dense float64 array, row-major, with optional gradient participation."""
 
@@ -178,12 +171,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable) -> Tensor:
-    """Wrap a forward result, check finiteness, and tape it when needed."""
+def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable,
+            muls: int = 0) -> Tensor:
+    """Count the op's ``muls`` scalar multiplies, wrap its forward result,
+    check finiteness, and tape it when needed."""
+    ctx = _ctx()
+    if ctx.mul_counter is not None:
+        ctx.mul_counter.total += int(muls)
     data = np.asarray(data, dtype=np.float64, order="C")
     if not np.isfinite(data).all():
         raise NumericError("non-finite value produced by a forward op")
-    ctx = _ctx()
     rg = ctx.grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -284,7 +281,7 @@ def backward(loss: Tensor) -> None:
 
 
 def _matmul_parts(a: Tensor, b: Tensor):
-    """Checked forward value and backward rule of ``matmul``."""
+    """Checked forward value, backward rule and multiply count of ``matmul``."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("matmul operands must be 2-D")
     if a.data.shape[1] != b.data.shape[0]:
@@ -293,18 +290,18 @@ def _matmul_parts(a: Tensor, b: Tensor):
         )
     m, k = a.data.shape
     n = b.data.shape[1]
-    _count_muls(m * k * n)
 
     def rule(g: np.ndarray):
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
 
-    return a.data @ b.data, rule
+    return a.data @ b.data, rule, m * k * n
 
 
 def _tower_matmul_parts(x: Tensor, w: Tensor):
-    """Checked forward value and backward rule of ``tower_matmul``; the
-    value is a tower-major product seen through a transpose."""
+    """Checked forward value, backward rule and multiply count of
+    ``tower_matmul``; the value is a tower-major product seen through a
+    transpose."""
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError("tower_matmul needs (m, k, q) rows and (k, q, p) weights")
     m, k, q = x.data.shape
@@ -313,7 +310,6 @@ def _tower_matmul_parts(x: Tensor, w: Tensor):
             f"tower_matmul towers or inner dimensions disagree: {x.data.shape} x {w.data.shape}")
     p = w.data.shape[2]
     xt = x.data.transpose(1, 0, 2)
-    _count_muls(m * k * q * p)
 
     def rule(g: np.ndarray):
         gt = g.transpose(1, 0, 2)
@@ -321,13 +317,13 @@ def _tower_matmul_parts(x: Tensor, w: Tensor):
                 if x.requires_grad else None,
                 xt.transpose(0, 2, 1) @ gt if w.requires_grad else None)
 
-    return (xt @ w.data).transpose(1, 0, 2), rule
+    return (xt @ w.data).transpose(1, 0, 2), rule, m * k * q * p
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors; dY flows as dA = g @ B^T, dB = A^T @ g."""
-    data, rule = _matmul_parts(a, b)
-    return _result(data, (a, b), rule)
+    data, rule, muls = _matmul_parts(a, b)
+    return _result(data, (a, b), rule, muls)
 
 
 def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
@@ -337,8 +333,8 @@ def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
     One ``np.matmul`` over the tower-major view (k, m, q) of ``x``; each
     tower's product is the same BLAS call ``matmul`` makes for it alone.
     """
-    data, rule = _tower_matmul_parts(x, w)
-    return _result(data, (x, w), rule)
+    data, rule, muls = _tower_matmul_parts(x, w)
+    return _result(data, (x, w), rule, muls)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -346,9 +342,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     (p,) bias, a tower stack ``w`` (k, q, p) maps (n, k, q) rows tower by
     tower with a (k, p) bias. The bias is added in the pass that lays the
     product out row-major, with the bits of ``matmul`` (or
-    ``tower_matmul``) followed by ``add_bias``, forward and backward.
+    ``tower_matmul``) followed by adding the bias to every row, forward and
+    backward; the bias's gradient sums the rows'.
     """
-    prod, mm_rule = (_tower_matmul_parts if w.data.ndim == 3 else _matmul_parts)(x, w)
+    prod, mm_rule, muls = (_tower_matmul_parts if w.data.ndim == 3 else _matmul_parts)(x, w)
     if b.data.shape != prod.shape[1:]:
         raise DimensionError(
             f"affine needs a bias of the output's row shape: {prod.shape} + {b.data.shape}")
@@ -358,7 +355,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (*mm_rule(g), g.sum(axis=0) if b.requires_grad else None)
 
-    return _result(out, (x, w, b), rule)
+    return _result(out, (x, w, b), rule, muls)
 
 
 def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
@@ -377,14 +374,14 @@ def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
         )
     p = mats.data.shape[1] // q
     m3 = mats.data.reshape(m, p, q)
-    _count_muls(m * p * q)
 
     def rule(g: np.ndarray):
         return (np.einsum("ip,iq->ipq", g, vecs.data).reshape(m, p * q)
                 if mats.requires_grad else None,
                 np.einsum("ipq,ip->iq", m3, g) if vecs.requires_grad else None)
 
-    return _result(np.einsum("ipq,iq->ip", m3, vecs.data), (mats, vecs), rule)
+    return _result(np.einsum("ipq,iq->ip", m3, vecs.data), (mats, vecs), rule,
+                   m * p * q)
 
 
 def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
@@ -423,7 +420,6 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
     m3 = mats.data.reshape((n_pairs, *mid, p, q))
     x = np.zeros((n_pairs, *mid, q, 2))
     x[pair, ..., side] = vecs.data
-    _count_muls(vecs.data.size * p)
 
     def rule(g: np.ndarray):
         gy = np.zeros((n_pairs, *mid, p, 2))
@@ -432,7 +428,8 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
                 (m3.swapaxes(-1, -2) @ gy)[pair, ..., side]
                 if vecs.requires_grad else None)
 
-    return _result((m3 @ x)[pair, ..., side], (mats, vecs), rule)
+    return _result((m3 @ x)[pair, ..., side], (mats, vecs), rule,
+                   vecs.data.size * p)
 
 
 def _check_same_shape(a: Tensor, b: Tensor) -> None:
@@ -450,21 +447,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), rule)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """The row ``b`` added to every row of ``x`` (a (d,) row for (n, d)
-    rows, a (k, d) row for (n, k, d) rows); backward sums the rows'
-    gradients into ``b``."""
-    if x.data.ndim < 2 or b.data.shape != x.data.shape[1:]:
-        raise DimensionError(
-            f"add_bias needs rows and a bias of their width: {x.data.shape} + {b.data.shape}")
-
-    def rule(g: np.ndarray):
-        return (g if x.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
-
-    return _result(x.data + b.data, (x, b), rule)
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b)
 
@@ -477,13 +459,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b)
     out = a.data * b.data
-    _count_muls(out.size)
 
     def rule(g: np.ndarray):
         return (g * b.data if a.requires_grad else None,
                 g * a.data if b.requires_grad else None)
 
-    return _result(out, (a, b), rule)
+    return _result(out, (a, b), rule, out.size)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -280,12 +280,8 @@ class TrainResult:
     params: dict[str, Tensor]           # weights of the best checkpoint
     best_step: int
     best_valid_mae: float               # mean over selected targets
-    valid_mae_per_target: dict[str, float]
     test_mae_per_target: dict[str, float]
-    history: list[dict]
-    initial_train_mse: float
-    final_train_mse: float
-    final_train_mae_per_target: dict[str, float]
+    history: list[dict]                 # the run log's records, in order
 
 
 def evaluate(egs: Sequence[EncodedGraph], y_norm: np.ndarray,
@@ -330,14 +326,12 @@ def train_run(train_graphs: Sequence[MolecularGraph],
     opt = Adam(params)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)
 
-    initial_mse, _ = evaluate(eg_train, yn_train, params, cfg, stats)
+    last_train_mse, _ = evaluate(eg_train, yn_train, params, cfg, stats)
     history: list[dict] = []
-    best = {"step": 0, "mae": math.inf, "per_target": {}, "snapshot": None}
-    log_lines: list[str] = []
-    last_train_mse = initial_mse
+    best = {"step": 0, "mae": math.inf, "snapshot": None}
 
     def evaluate_and_log(step: int) -> None:
-        valid_mse, valid_mae = evaluate(eg_valid, yn_valid, params, cfg, stats)
+        _, valid_mae = evaluate(eg_valid, yn_valid, params, cfg, stats)
         record = {
             "step": step,
             "lr": lr_at(step, train_cfg),
@@ -345,11 +339,9 @@ def train_run(train_graphs: Sequence[MolecularGraph],
             "valid_mae_per_target": {n: float(m) for n, m in zip(names, valid_mae)},
         }
         history.append(record)
-        log_lines.append(json.dumps(record, sort_keys=True))
         mean_mae = float(valid_mae.mean())
         if mean_mae < best["mae"]:
             best.update(step=step, mae=mean_mae,
-                        per_target={n: float(m) for n, m in zip(names, valid_mae)},
                         snapshot={k: p.data.copy() for k, p in params.items()})
 
     evaluate_and_log(0)
@@ -373,12 +365,11 @@ def train_run(train_graphs: Sequence[MolecularGraph],
         raise NumericError("no evaluation produced a finite validation MAE")
     for k, p in params.items():
         p.data[...] = best["snapshot"][k]
-    test_mse, test_mae = evaluate(eg_test, yn_test, params, cfg, stats)
-    final_train_mse, final_train_mae = evaluate(eg_train, yn_train, params,
-                                                cfg, stats)
+    _, test_mae = evaluate(eg_test, yn_test, params, cfg, stats)
 
     if log_path:
-        _atomic_write(log_path, "\n".join(log_lines) + "\n")
+        _atomic_write(log_path, "".join(json.dumps(record, sort_keys=True) + "\n"
+                                        for record in history))
     if checkpoint_path:
         tt.save_params(params, checkpoint_path)
 
@@ -389,13 +380,8 @@ def train_run(train_graphs: Sequence[MolecularGraph],
         params=params,
         best_step=best["step"],
         best_valid_mae=best["mae"],
-        valid_mae_per_target=best["per_target"],
         test_mae_per_target={n: float(m) for n, m in zip(names, test_mae)},
         history=history,
-        initial_train_mse=initial_mse,
-        final_train_mse=final_train_mse,
-        final_train_mae_per_target={n: float(m) for n, m in
-                                    zip(names, final_train_mae)},
     )
 
 

@@ -130,22 +130,6 @@ def random_encoded(rng, n=5, d_in=4, representation="chemical", alphabet=4,
     )
 
 
-def permute_encoded(eg, perm):
-    """Relabel nodes of an EncodedGraph: row v moves to position perm[v]."""
-    from mpnnkit.molgraph import EncodedGraph
-
-    perm = np.asarray(perm)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))  # inv[i] = old id of new node i
-    return EncodedGraph(
-        node_features=eg.node_features[inv],
-        edge_src=perm[eg.edge_src],
-        edge_dst=perm[eg.edge_dst],
-        edge_features=eg.edge_features,
-        representation=eg.representation,
-    )
-
-
 @pytest.fixture(autouse=True)
 def fresh_tape():
     """Each test starts and ends with an empty tape."""

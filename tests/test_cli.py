@@ -635,6 +635,15 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "'foo'" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        # zero or negative workers would run the trials one by one
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--data", "x", "--manifest", "m", "--out-dir", "o",
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+
 
 class TestDiagnostics:
     def test_bench_towers(self, capsys):
@@ -656,6 +665,23 @@ class TestDiagnostics:
         wall = [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("wall clock")]
         assert len(wall) == 1 and shown in wall[0]
+
+    def test_bench_towers_needs_an_edge(self, capsys):
+        # one node has no edges, so both message costs are zero
+        assert main(["bench-towers", "--d", "32", "--n", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n=1" in err
+
+    @pytest.mark.parametrize("suite", ["all", "invariance", "batching", "spectral"])
+    @pytest.mark.parametrize("graphs", ["0", "-3"])
+    def test_verify_needs_a_graph(self, capsys, suite, graphs):
+        # a sweep over no graphs checks nothing and must not print PASS
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--graphs", graphs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--graphs: must be at least 1" in captured.err
+        assert "PASS" not in captured.out
 
     def test_verify_spectral(self, capsys):
         assert main(["verify", "spectral", "--graphs", "10"]) == 0

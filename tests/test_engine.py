@@ -7,11 +7,11 @@ import pytest
 
 from mpnnkit import engine
 from mpnnkit import tensor as T
-from mpnnkit.checks import bench_towers
+from mpnnkit import checks
+from mpnnkit.checks import bench_towers, permute_graph
 from mpnnkit.engine import (
     MESSAGE_FNS,
     ModelConfig,
-    affine,
     init_params,
     param_shapes,
     propagate,
@@ -22,7 +22,6 @@ from mpnnkit.tensor import ContractError, Tensor
 from conftest import (
     check_grad_against_fd,
     jitter_biases,
-    permute_encoded,
     random_encoded,
 )
 from reference_mpnn import naive_propagate
@@ -197,12 +196,13 @@ class TestSingleEdgeMessages:
         params = init_params(cfg, seed=6)
         wdf = {id(params[f"msg_{ch}_dtnn_wdf"]) for ch in ("in", "out")}
         calls = []
+        affine = T.affine
 
         def counting_affine(x, w, b):
             calls.append(id(w) in wdf)
             return affine(x, w, b)
 
-        monkeypatch.setattr(engine, "affine", counting_affine)
+        monkeypatch.setattr(T, "affine", counting_affine)
         propagate(random_encoded(rng, n=5, d_in=4), params, cfg)
         assert sum(calls) == 2
         assert len(calls) == 2 + 2 * cfg.T
@@ -323,7 +323,7 @@ class TestPropagate:
             eg = random_encoded(rng, n=5, d_in=4, representation="raw_distance")
             perm = rng.permutation(5)
             original = propagate(eg, params, cfg).h.data
-            permuted = propagate(permute_encoded(eg, perm), params, cfg).h.data
+            permuted = propagate(permute_graph(eg, perm), params, cfg).h.data
             np.testing.assert_allclose(permuted[perm], original, atol=1e-9)
 
     def test_isolated_nodes_keep_updating(self, rng):
@@ -425,14 +425,30 @@ class TestTowers:
         result = bench_towers(d=16, n=6, k=4, T=2)
         assert result["message_multiplies"] == {1: 30720, 4: 7680}
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_bench_towers_needs_an_edge(self, n):
+        # no edges, no message cost: the ratio would divide zero by zero
+        with pytest.raises(ContractError, match=f"n={n}"):
+            bench_towers(d=16, n=n, k=4, T=1)
+
     def test_permutation_invariance_with_towers(self, rng):
         cfg = cfg_for("matmul", d=8, towers_k=4, T=3)
         params = init_params(cfg, seed=16)
         eg = random_encoded(rng, n=6, d_in=4)
         perm = rng.permutation(6)
         original = propagate(eg, params, cfg).h.data
-        permuted = propagate(permute_encoded(eg, perm), params, cfg).h.data
+        permuted = propagate(permute_graph(eg, perm), params, cfg).h.data
         np.testing.assert_allclose(permuted[perm], original, atol=1e-9)
+
+
+
+@pytest.mark.parametrize("suite", ["run_invariance_checks", "run_batch_checks",
+                                   "run_spectral_checks"])
+@pytest.mark.parametrize("n_graphs", [0, -3])
+def test_check_sweeps_need_a_graph(suite, n_graphs):
+    # a sweep over no graphs checks nothing and must not pass
+    with pytest.raises(ContractError, match="at least one graph"):
+        getattr(checks, suite)(seed=0, n_graphs=n_graphs)
 
 
 class TestParams:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpnnkit import tensor as T
+from mpnnkit.checks import permute_graph
 from mpnnkit.engine import ModelConfig, NodeStates, init_params
 from mpnnkit.model import model_forward, predict_batch
 from mpnnkit.readout import (
@@ -17,7 +18,6 @@ from mpnnkit.tensor import ContractError, Tensor
 from conftest import (
     check_grad_against_fd,
     jitter_biases,
-    permute_encoded,
     random_encoded,
 )
 from reference_mpnn import naive_forward, naive_readout
@@ -213,7 +213,7 @@ class TestFullForward:
             eg = random_encoded(rng, n=6, d_in=4, representation="raw_distance")
             base = model_forward(eg, params, cfg).data
             perm = rng.permutation(6)
-            got = model_forward(permute_encoded(eg, perm), params, cfg).data
+            got = model_forward(permute_graph(eg, perm), params, cfg).data
             np.testing.assert_allclose(got, base, atol=1e-9)
 
     def test_predict_batch_stacks_rows(self, rng):

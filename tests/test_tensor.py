@@ -188,32 +188,13 @@ class TestForwardValues:
         with pytest.raises(error):
             T.pair_matvec(t(np.ones((2, 4))), t(np.ones((2, 2))), pair, side)
 
-    def test_add_bias_equals_add_of_tiled_bias(self, rng):
-        # one bias row added to every row: the bytes of
-        # add(x, repeat_rows(b)) forward, and the same gradients backward
-        x, b = t(rng.normal(size=(5, 3)), rg=True), t(rng.normal(size=(3,)), rg=True)
-        g = rng.normal(size=(5, 3))
-        got = T.add_bias(x, b)
-        backward(T.reduce_sum(T.mul(got, t(g))))
-        got_grads = x.grad.copy(), b.grad.copy()
-        x.zero_grad(), b.zero_grad()
-        want = T.add(x, T.repeat_rows(b, 5))
-        backward(T.reduce_sum(T.mul(want, t(g))))
-        assert got.data.tobytes() == want.data.tobytes()
-        assert got_grads[0].tobytes() == x.grad.tobytes()
-        assert got_grads[1].tobytes() == b.grad.tobytes()
-
-    def test_add_bias_needs_a_row_of_the_width(self):
-        with pytest.raises(DimensionError):
-            T.add_bias(t(np.ones((2, 3))), t(np.ones(2)))
-        with pytest.raises(DimensionError):
-            T.add_bias(t(np.ones((2, 3))), t(np.ones((1, 3))))
-
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
         ((5, 3), (3, 4), (4,)),
         ((5, 2, 3), (2, 3, 4), (2, 4)),
     ], ids=["2d", "towers"])
     def test_affine_bits_equal_matmul_then_add_bias(self, rng, x_shape, w_shape, b_shape):
+        # the bits of the plain product plus a broadcast bias, forward and
+        # backward; the bias's gradient is the sum of the rows' gradients
         x, w, b = (t(rng.normal(size=s), rg=True) for s in (x_shape, w_shape, b_shape))
         g = t(rng.normal(size=x_shape[:-1] + w_shape[-1:]))
         got = T.affine(x, w, b)
@@ -222,11 +203,11 @@ class TestForwardValues:
         for p in (x, w, b):
             p.zero_grad()
         mm = T.tower_matmul if len(w_shape) == 3 else T.matmul
-        want = T.add_bias(mm(x, w), b)
-        backward(T.reduce_sum(T.mul(want, g)))
-        assert got.data.tobytes() == want.data.tobytes()
-        for grad, p in zip(got_grads, (x, w, b)):
-            assert grad.tobytes() == p.grad.tobytes()
+        prod = mm(x, w)
+        backward(T.reduce_sum(T.mul(prod, g)))
+        assert got.data.tobytes() == (prod.data + b.data).tobytes()
+        for grad, want in zip(got_grads, (x.grad, w.grad, g.data.sum(axis=0))):
+            assert grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
         ((5, 3), (3, 4), (4,)),
@@ -506,20 +487,6 @@ class TestGradientsAgainstFiniteDifferences:
                 [p[f"v{j}"] for j in range(len(SHARED_CALLS))], dense_at,
                 lambda j, y: T.tanh(y), lambda x: T.mul(x, x)),
             params, label="pair_matvec_shared")
-
-    def test_add_bias_over_towers(self, rng):
-        params = {"x": t(rng.normal(size=(4, 2, 3)), rg=True),
-                  "b": t(rng.normal(size=(2, 3)), rg=True)}
-        check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(T.add_bias(p["x"], p["b"]))),
-            params, label="add_bias_towers")
-
-    def test_add_bias(self, rng):
-        params = {"x": t(rng.normal(size=(4, 3)), rg=True),
-                  "b": t(rng.normal(size=(3,)), rg=True)}
-        check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(T.add_bias(p["x"], p["b"]))),
-            params, label="add_bias")
 
     def test_add_sub_mul_scalar_and_matched(self, rng):
         params = {
