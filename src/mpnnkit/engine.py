@@ -26,7 +26,10 @@ channel and one GRU, whatever k is; k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
 the matmul label groups, the tower-tiled edge vectors, DTNN's edge term and
-the edge network's matrices never change across the steps. The edge network
+the edge network's matrices never change across the steps, and neither do
+the index plans (``tt.segments``) of the edges' sources and destinations
+(per edge label for the matmul message), which gather every step's far-end
+states, sum its messages and sum both back in backward. The edge network
 builds one d_tower x d_tower matrix per channel, tower and undirected pair,
 as both orientations of a pair carry the same features; one
 ``tt.pair_matvec`` gives both directions' messages. Backward, each step's
@@ -323,16 +326,21 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
              cfg: ModelConfig) -> dict[str, Callable[[Tensor], Tensor]]:
     """Per channel, a function from the (n, k, d_tower) states to the sum of
     that channel's messages at every node, all towers at once. Edge-only
-    work runs here, once per forward; the returned functions do only what
-    depends on the states. ``far`` indexes the state each message is
-    computed from, ``near`` the node it is delivered to.
+    work runs here, once per forward, and so do the index plans; the
+    returned functions do only what depends on the states. ``far`` is the
+    plan that gathers the state each message is computed from, ``near`` the
+    plan that sums it onto the node it is delivered to: the two channels
+    share the plans of the edges' sources and destinations, roles swapped.
     """
     n = eg.n_atoms
     if cfg.message_fn == "matmul":
         labels = eg.edge_features
-        sels = [(int(label), np.flatnonzero(labels == label))
-                for label in np.unique(labels)]
+        label_ids = [int(label) for label in np.unique(labels)]
+        # one plan per end and edge label
+        src = [tt.segments(eg.edge_src[labels == label], n) for label in label_ids]
+        dst = [tt.segments(eg.edge_dst[labels == label], n) for label in label_ids]
     else:
+        src, dst = tt.segments(eg.edge_src, n), tt.segments(eg.edge_dst, n)
         vecs = edge_vectors(eg, cfg).data
         evec = Tensor(np.broadcast_to(vecs[:, None, :],
                                       (eg.n_edges, cfg.towers_k, vecs.shape[1])))
@@ -341,14 +349,14 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
         pair_vecs = Tensor(evec.data[rep])
 
     def matmul(far, near, prefix):
-        groups = [(params[f"{prefix}_A{label}"], far[sel], near[sel])
-                  for label, sel in sels]
+        groups = [(params[f"{prefix}_A{label}"], far_label, near_label)
+                  for label, far_label, near_label in zip(label_ids, far, near)]
 
         def send(h):
             total = None if groups else Tensor(np.zeros(h.data.shape))
-            for a, far_sel, near_sel in groups:
+            for a, far_label, near_label in groups:
                 part = tt.scatter_sum_rows(
-                    tt.tower_matmul(tt.gather_rows(h, far_sel), a), near_sel, n)
+                    tt.tower_matmul(tt.gather_rows(h, far_label), a), near_label)
                 total = part if total is None else tt.add(total, part)
             return total
         return send
@@ -357,12 +365,12 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
         # one matrix per undirected pair, which both orientations multiply
         mats = mlp2(pair_vecs, params, f"{prefix}_en")
         return lambda h: tt.scatter_sum_rows(
-            tt.pair_matvec(mats, tt.gather_rows(h, far), pair, side), near, n)
+            tt.pair_matvec(mats, tt.gather_rows(h, far), pair, side), near)
 
     def pair_message(far, near, prefix):
         return lambda h: tt.scatter_sum_rows(mlp2(tt.concat(
             [tt.gather_rows(h, far), tt.gather_rows(h, near), evec], axis=2),
-            params, f"{prefix}_pm"), near, n)
+            params, f"{prefix}_pm"), near)
 
     def dtnn(far, near, prefix):
         eterm = tt.affine(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
@@ -371,12 +379,12 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
             hterm = tt.affine(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
                               params[f"{prefix}_dtnn_b1"])
             return tt.scatter_sum_rows(tt.tanh(tt.tower_matmul(
-                tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"])), near, n)
+                tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"])), near)
         return send
 
     build = {"matmul": matmul, "edge_network": edge_network,
              "pair_message": pair_message, "dtnn": dtnn}[cfg.message_fn]
-    ends = {"in": (eg.edge_src, eg.edge_dst), "out": (eg.edge_dst, eg.edge_src)}
+    ends = {"in": (src, dst), "out": (dst, src)}
     return {ch: build(*ends[ch], f"msg_{ch}") for ch in CHANNELS}
 
 
@@ -416,8 +424,9 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     master = None
     master0 = None
     if cfg.d_master:
+        graph_plan = tt.segments(graph, n_graphs)
         master0 = tt.gather_rows(tt.reshape(params["master_h0"], (1, cfg.d_master)),
-                                 np.zeros(n_graphs, dtype=np.intp))
+                                 tt.segments(np.zeros(n_graphs, dtype=np.intp), 1))
         master = master0
 
     for _ in range(cfg.T):
@@ -426,12 +435,11 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
             # towers reject a master, so k = 1 and a (n_graphs, d) row
             # block is one tower
             msgs = [tt.add(m, tt.gather_rows(tt.reshape(
-                tt.matmul(master, params[f"m2n_{ch}"]), (n_graphs, 1, cfg.d)), graph))
+                tt.matmul(master, params[f"m2n_{ch}"]), (n_graphs, 1, cfg.d)), graph_plan))
                 for m, ch in zip(msgs, CHANNELS)]
         h_new = _update(msgs, h, "gru")
         if cfg.d_master:
-            h_sum = tt.reshape(tt.scatter_sum_rows(h, graph, n_graphs),
-                               (n_graphs, cfg.d))
+            h_sum = tt.reshape(tt.scatter_sum_rows(h, graph_plan), (n_graphs, cfg.d))
             master = _update([tt.matmul(h_sum, params[f"n2m_{ch}"]) for ch in CHANNELS],
                              master, "master_gru")
         h = h_new

@@ -25,17 +25,17 @@ __all__ = [
 
 
 def _with_master_rows(states: NodeStates, cfg: ModelConfig
-                      ) -> tuple[Tensor, Tensor, np.ndarray]:
+                      ) -> tuple[Tensor, Tensor, tt.Segments]:
     """Node states for the summing readouts, each master row appended to
-    its own graph when ``cfg.master_in_readout``, plus the graph index of
-    every row. ``ModelConfig`` admits a master in these sums only at width
-    d."""
+    its own graph when ``cfg.master_in_readout``, plus the plan of every
+    row's graph. ``ModelConfig`` admits a master in these sums only at
+    width d."""
     h, h0, graph = states.h, states.h0, states.node_graph
     if states.master is not None and cfg.master_in_readout:
         h = tt.concat([h, states.master], axis=0)
         h0 = tt.concat([h0, states.master0], axis=0)
         graph = np.concatenate([graph, np.arange(states.n_graphs)])
-    return h, h0, graph
+    return h, h0, tt.segments(graph, states.n_graphs)
 
 
 def readout_ggnn(states: NodeStates, params: dict[str, Tensor],
@@ -44,14 +44,14 @@ def readout_ggnn(states: NodeStates, params: dict[str, Tensor],
     h, h0, graph = _with_master_rows(states, cfg)
     gates = tt.sigmoid(mlp2(tt.concat([h, h0], axis=1), params, "ro_i"))
     values = mlp2(h, params, "ro_j")
-    return tt.scatter_sum_rows(tt.mul(gates, values), graph, states.n_graphs)
+    return tt.scatter_sum_rows(tt.mul(gates, values), graph)
 
 
 def readout_dtnn_sum(states: NodeStates, params: dict[str, Tensor],
                      cfg: ModelConfig) -> Tensor:
     """Sum of per-node MLP outputs over each graph's nodes."""
     h, _, graph = _with_master_rows(states, cfg)
-    return tt.scatter_sum_rows(mlp2(h, params, "ro_nn"), graph, states.n_graphs)
+    return tt.scatter_sum_rows(mlp2(h, params, "ro_nn"), graph)
 
 
 def readout_set2set(states: NodeStates, params: dict[str, Tensor],
@@ -77,17 +77,17 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
         memories = tt.concat(
             [memories, tt.matmul(master_tuple, params["s2s_master_proj"])], axis=0)
         graph = np.concatenate([graph, np.arange(n_graphs)])
+    plan = tt.segments(graph, n_graphs)
     q = Tensor(np.zeros((n_graphs, dq)))
     q_star = Tensor(np.zeros((n_graphs, 2 * dq)))
     gp = _gru_params(params, "s2s_gru")
     for _ in range(cfg.set2set_M):
         q = tt.gru_cell(q_star, q, gp)
         # one (1 x dq) matrix per memory row against its graph's query
-        scores = tt.batched_matvec(memories, tt.gather_rows(q, graph))
-        attn = tt.segment_softmax(scores, graph, n_graphs)
+        scores = tt.batched_matvec(memories, tt.gather_rows(q, plan))
+        attn = tt.segment_softmax(scores, plan)
         # one (dq x 1) matrix per memory row scaled by its weight
-        glimpse = tt.scatter_sum_rows(tt.batched_matvec(memories, attn),
-                                      graph, n_graphs)
+        glimpse = tt.scatter_sum_rows(tt.batched_matvec(memories, attn), plan)
         q_star = tt.concat([q, glimpse], axis=1)
     return mlp2(q_star, params, "s2s_out")
 

@@ -18,6 +18,14 @@ product instead of a dense array (``pair_matvec`` does, for its matrices);
 ``backward`` keeps an intermediate's factors until they are needed and
 sums them all in one matmul.
 
+Row indexes arrive as :class:`Segments` plans (``segments``), built once
+per index and reused by every op over it: ``gather_rows``,
+``scatter_sum_rows`` and ``segment_softmax``. A plan lays each segment's
+rows out as slots, so a sum over segments is one gather and one add per
+slot (``_segment_sum``), in the order and with the bits ``np.add.at``
+would give. ``gather_rows``' rule hands back ``(plan, rows)``, which
+``backward`` sums the same way.
+
 Every forward result is checked for NaN/Inf; divergence surfaces as a
 :class:`NumericError` at the op that produced it.
 """
@@ -56,6 +64,8 @@ __all__ = [
     "reduce_sum",
     "softmax",
     "segment_softmax",
+    "Segments",
+    "segments",
     "concat",
     "reshape",
     "gather_rows",
@@ -212,21 +222,87 @@ def _dense(factors: Sequence[_Factors], shape) -> np.ndarray:
     return (left @ right).reshape(shape)
 
 
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """A checked row index and the slot layout that sums rows by it; build
+    one with :func:`segments`.
+
+    ``index[i]`` is the segment of row i, in ``[0, num_segments)``.
+    ``slots`` is (D, num_segments), D the largest segment's row count:
+    ``slots[j, s]`` is the j-th row of segment s in row order, or
+    ``len(index)``, the pad row, where segment s has no j-th row. Both
+    arrays are read-only.
+    """
+
+    index: np.ndarray
+    num_segments: int
+    slots: np.ndarray
+
+    def slot_rows(self, rows: np.ndarray, pad: float) -> np.ndarray:
+        """``rows`` (one per index entry, any rank) laid out as
+        (D, num_segments, ...), with ``pad`` in every pad slot."""
+        padded = np.empty((rows.shape[0] + 1,) + rows.shape[1:])
+        padded[:-1] = rows
+        padded[-1] = pad
+        return np.take(padded, self.slots, axis=0)
+
+
+def segments(index, num_segments: int) -> Segments:
+    """The plan for ops over rows grouped by ``index`` into
+    ``num_segments`` segments, from one stable argsort and one bincount.
+
+    This is the only check of an index: it must be 1-D (DimensionError)
+    with every entry in ``[0, num_segments)`` (ContractError).
+    """
+    idx = np.array(index, dtype=np.intp)
+    n = int(num_segments)
+    if idx.ndim != 1:
+        raise DimensionError("segment index must be 1-D")
+    if n < 0 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+        raise ContractError(f"segment index out of range for {n} segments")
+    order = np.argsort(idx, kind="stable")
+    counts = np.bincount(idx, minlength=n)
+    ranked = idx[order]
+    rank = np.arange(idx.size) - (np.cumsum(counts) - counts)[ranked]
+    slots = np.full((int(counts.max(initial=0)), n), idx.size, dtype=np.intp)
+    slots[rank, ranked] = order
+    # checked once and shared by every op over it, so nothing may edit it
+    idx.flags.writeable = slots.flags.writeable = False
+    return Segments(idx, n, slots)
+
+
+def _segment_sum(seg: Segments, rows: np.ndarray, total=None) -> np.ndarray:
+    """A copy of ``total`` (zeros when None) plus each segment's ``rows``.
+
+    The rows are laid out in slots once, padded with -0.0 (the exact
+    additive identity: a +0.0 pad would turn a -0.0 total into +0.0), and
+    slot 0, 1, ... is added in turn. Each segment thus adds its rows one at
+    a time in row order, as ``np.add.at`` does, with the same bits. Neither
+    ``sum(axis=0)`` (pairwise) nor ``np.add.reduceat`` keeps that order.
+    """
+    out = (np.zeros((seg.num_segments,) + rows.shape[1:]) if total is None
+           else total.copy())
+    for row in seg.slot_rows(rows, -0.0):
+        out += row
+    return out
+
+
 def _accumulate(pending: dict, t: Tensor, g) -> None:
     """Add one gradient contribution for ``t``.
 
     A leaf sums into its ``grad`` in place. A taped intermediate keeps its
     first contribution uncopied in ``pending`` and adds later ones out of
     place, so an array a rule handed to several parents is never written
-    into. ``g`` may be ``(index, rows)``: the rows are added one at a time
-    onto the running total, in the order ``np.add.at`` gives. ``g`` may be
-    :class:`_Factors`: an intermediate collects them in a list until its own
-    rule runs or a contribution of another kind arrives, and then makes the
-    list dense with one matmul; a leaf makes them dense at once.
+    into. ``g`` may be ``(seg, rows)``, a :class:`Segments` plan and one
+    row per index entry: ``_segment_sum`` adds each segment's rows onto
+    its row of the running total. ``g`` may be :class:`_Factors`: an
+    intermediate collects them in a list until its own rule runs or a
+    contribution of another kind arrives, and then makes the list dense
+    with one matmul; a leaf makes them dense at once.
     """
     if t.grad is not None:
         if isinstance(g, tuple):
-            np.add.at(t.grad, *g)
+            t.grad[...] = _segment_sum(*g, t.grad)
         else:
             t.grad += _dense([g], t.data.shape) if isinstance(g, _Factors) else g
         return
@@ -242,9 +318,7 @@ def _accumulate(pending: dict, t: Tensor, g) -> None:
     elif isinstance(total, list):
         total = _dense(total, t.data.shape)
     if isinstance(g, tuple):
-        total = np.zeros_like(t.data) if total is None else total.copy()
-        np.add.at(total, *g)
-        pending[t] = total
+        pending[t] = _segment_sum(*g, total)
     else:
         pending[t] = g if total is None else total + g
 
@@ -521,35 +595,28 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _result(y, (x,), rule)
 
 
-def segment_softmax(x: Tensor, index, num_segments: int) -> Tensor:
+def segment_softmax(x: Tensor, seg: Segments) -> Tensor:
     """Softmax down each column over the rows of one segment.
 
-    ``index[i]`` is the segment of row i of the 2-D ``x``; the rows of a
-    segment need not be adjacent. A segment with one row gets weight 1; a
-    segment with no rows produces nothing. The per-segment maximum is
-    subtracted before exponentiating, so large logits do not overflow.
+    ``seg.index[i]`` is the segment of row i of the 2-D ``x``; the rows of
+    a segment need not be adjacent. A segment with one row gets weight 1; a
+    segment with no rows produces nothing. The per-segment maximum, taken
+    over the plan's slots, is subtracted before exponentiating, so large
+    logits do not overflow.
     """
     if x.data.ndim != 2:
         raise DimensionError("segment_softmax needs a 2-D tensor")
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.shape != (x.data.shape[0],):
+    if seg.index.shape != (x.data.shape[0],):
         raise DimensionError("segment index length must match rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
-        raise ContractError("segment_softmax index out of range")
     if not np.isfinite(x.data).all():
         raise NumericError("non-finite logits in segment_softmax")
-    shape = (int(num_segments), x.data.shape[1])
-    peak = np.full(shape, -np.inf)
-    np.maximum.at(peak, idx, x.data)
+    idx = seg.index
+    peak = seg.slot_rows(x.data, -np.inf).max(axis=0, initial=-np.inf)
     e = np.exp(x.data - peak[idx])
-    total = np.zeros(shape)
-    np.add.at(total, idx, e)
-    y = e / total[idx]
+    y = e / _segment_sum(seg, e)[idx]
 
     def rule(g: np.ndarray):
-        s = np.zeros(shape)
-        np.add.at(s, idx, g * y)
-        return (y * (g - s[idx]),)
+        return (y * (g - _segment_sum(seg, g * y)[idx]),)
 
     return _result(y, (x,), rule)
 
@@ -586,40 +653,35 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), rule)
 
 
-def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows (slices along the first axis) of a tensor of any rank by
-    integer index (repeats allowed)."""
+def gather_rows(x: Tensor, seg: Segments) -> Tensor:
+    """Select rows (slices along the first axis) of a tensor of any rank:
+    row i of the result is row ``seg.index[i]`` of ``x`` (repeats
+    allowed). ``seg`` has one segment per row of ``x``; backward sums the
+    gradients of each row's copies through it."""
     if x.data.ndim < 1:
         raise DimensionError("gather_rows needs a tensor with rows")
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError("gather_rows index must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ContractError("gather_rows index out of range")
+    if seg.num_segments != x.data.shape[0]:
+        raise DimensionError(
+            f"gather_rows plan has {seg.num_segments} segments for {x.data.shape[0]} rows")
 
     def rule(g: np.ndarray):
-        return ((idx, g),)
+        return ((seg, g),)
 
-    return _result(x.data[idx], (x,), rule)
+    return _result(x.data[seg.index], (x,), rule)
 
 
-def scatter_sum_rows(x: Tensor, index, num_rows: int) -> Tensor:
-    """Sum rows of ``x`` (any rank) into ``num_rows`` output rows grouped by
-    ``index``."""
+def scatter_sum_rows(x: Tensor, seg: Segments) -> Tensor:
+    """Sum rows of ``x`` (any rank) into ``seg.num_segments`` output rows:
+    row i of ``x`` goes to row ``seg.index[i]``."""
     if x.data.ndim < 1:
         raise DimensionError("scatter_sum_rows needs a tensor with rows")
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.shape != (x.data.shape[0],):
+    if seg.index.shape != (x.data.shape[0],):
         raise DimensionError("scatter index length must match rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise ContractError("scatter_sum_rows index out of range")
-    out = np.zeros((int(num_rows),) + x.data.shape[1:])
-    np.add.at(out, idx, x.data)
 
     def rule(g: np.ndarray):
-        return (g[idx],)
+        return (g[seg.index],)
 
-    return _result(out, (x,), rule)
+    return _result(_segment_sum(seg, x.data), (x,), rule)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

@@ -470,11 +470,14 @@ def random_search(space: SearchSpace, budget: int,
                   seed: int = 0, workers: int = 1) -> SearchResult:
     """Sample ``budget`` configs i.i.d., train each, rank by validation MAE.
 
-    Trials get disjoint seeds derived from ``seed``; with ``workers`` > 1
-    they run in separate processes (they share nothing mutable).
+    Trials get disjoint seeds derived from ``seed``; ``workers`` must be
+    at least 1, and with more they run in separate processes (they share
+    nothing mutable).
     """
     if budget < 1:
         raise ContractError("search budget must be positive")
+    if workers < 1:
+        raise ContractError(f"search workers must be positive, got {workers}")
     rng = np.random.default_rng(seed)
     tasks = []
     for i in range(budget):

@@ -16,6 +16,7 @@ from mpnnkit.engine import (
     param_shapes,
     propagate,
 )
+from mpnnkit.model import predict_batch
 from mpnnkit.molgraph import EncodedGraph
 from mpnnkit.tensor import ContractError, Tensor
 
@@ -206,6 +207,34 @@ class TestSingleEdgeMessages:
         propagate(random_encoded(rng, n=5, d_in=4), params, cfg)
         assert sum(calls) == 2
         assert len(calls) == 2 + 2 * cfg.T
+
+
+class TestIndexPlans:
+    @pytest.mark.parametrize("message_fn, readout, kw", [
+        ("edge_network", "set2set", {}),
+        ("matmul", "dtnn_sum", {"towers_k": 2}),
+        ("pair_message", "ggnn", {"d_master": 6}),
+    ], ids=["edge_network-set2set", "matmul-towers", "pair_message-master"])
+    def test_plans_are_built_once_per_forward(self, rng, monkeypatch,
+                                              message_fn, readout, kw):
+        # every index plan depends on the graphs only, so a forward builds
+        # the same number whatever T and the set2set steps are
+        calls = []
+        segments = T.segments
+
+        def counting_segments(index, num_segments):
+            calls.append(num_segments)
+            return segments(index, num_segments)
+
+        monkeypatch.setattr(T, "segments", counting_segments)
+        egs = [random_encoded(rng, n=5, ensure_connected=True) for _ in range(3)]
+        counts = []
+        for steps in (1, 3):
+            cfg = cfg_for(message_fn, readout=readout, T=steps, set2set_M=steps, **kw)
+            calls.clear()
+            predict_batch(egs, init_params(cfg, seed=0), cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestAggregate:

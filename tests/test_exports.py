@@ -26,6 +26,13 @@ def test_all_names_resolve(module_name):
     assert not missing, f"{module_name}.__all__ lists missing names {missing}"
 
 
+def test_tensor_exports_index_plans():
+    # gather_rows, scatter_sum_rows and segment_softmax take only a plan,
+    # so a caller needs the names that build and type one
+    tensor = importlib.import_module("mpnnkit.tensor")
+    assert {"segments", "Segments"} <= set(tensor.__all__)
+
+
 def test_benchmark_span_targets_resolve():
     # The traced benchmark run wraps each of these names; deleting one of
     # them must fail here rather than crash the traced run.

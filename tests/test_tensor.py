@@ -1,6 +1,8 @@
 """Autodiff core: forward values, gradients vs finite differences, contracts."""
 
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -109,20 +111,20 @@ class TestForwardValues:
 
     def test_gather_and_scatter_roundtrip(self):
         x = t([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        g = T.gather_rows(x, [2, 0, 2])
+        g = T.gather_rows(x, T.segments([2, 0, 2], 3))
         assert g.data.tolist() == [[3.0, 3.0], [1.0, 1.0], [3.0, 3.0]]
-        s = T.scatter_sum_rows(g, [0, 0, 1], num_rows=2)
+        s = T.scatter_sum_rows(g, T.segments([0, 0, 1], 2))
         assert s.data.tolist() == [[4.0, 4.0], [3.0, 3.0]]
 
     def test_scatter_leaves_untouched_rows_zero(self):
-        s = T.scatter_sum_rows(t([[5.0]]), [2], num_rows=4)
+        s = T.scatter_sum_rows(t([[5.0]]), T.segments([2], 4))
         assert s.data.tolist() == [[0.0], [0.0], [5.0], [0.0]]
 
     def test_gather_and_scatter_rows_of_any_rank(self, rng):
         x = rng.normal(size=(3, 2, 4))
-        g = T.gather_rows(t(x), [2, 0, 2])
+        g = T.gather_rows(t(x), T.segments([2, 0, 2], 3))
         np.testing.assert_array_equal(g.data, x[[2, 0, 2]])
-        s = T.scatter_sum_rows(g, [0, 0, 1], num_rows=2)
+        s = T.scatter_sum_rows(g, T.segments([0, 0, 1], 2))
         assert s.data.shape == (2, 2, 4)
         np.testing.assert_array_equal(s.data, [x[2] + x[0], x[2]])
 
@@ -279,7 +281,7 @@ class TestBackward:
         v = t(rng.normal(size=(2, 2)), rg=True)
         const = t(rng.normal(size=(3, 2)))
         h = T.tanh(T.matmul(w, v))
-        loss = T.reduce_sum(T.mul(T.sub(h, const), T.gather_rows(h, [2, 0, 2])))
+        loss = T.reduce_sum(T.mul(T.sub(h, const), T.gather_rows(h, T.segments([2, 0, 2], 3))))
         taped = [out for out, _, _ in T.active_tape()]
         assert len(taped) == 6 and all(out.grad is None for out in taped)
         backward(loss)
@@ -329,8 +331,8 @@ class TestBackward:
         i2, p2 = rng.integers(0, 5, size=30), rng.normal(size=(30, 4))
         x = T.reshape(w, (5, 4))
         s0 = T.reduce_sum(T.mul(T.matmul(x, m), t(p0)))
-        s1 = T.reduce_sum(T.mul(T.gather_rows(x, i1), t(p1)))
-        s2 = T.reduce_sum(T.mul(T.gather_rows(x, i2), t(p2)))
+        s1 = T.reduce_sum(T.mul(T.gather_rows(x, T.segments(i1, 5)), t(p1)))
+        s2 = T.reduce_sum(T.mul(T.gather_rows(x, T.segments(i2, 5)), t(p2)))
         backward(T.add(T.add(s0, s1), s2))
         want = np.zeros((5, 4))
         np.add.at(want, i2, p2)
@@ -533,9 +535,9 @@ class TestGradientsAgainstFiniteDifferences:
                   "row": t(rng.normal(size=(3,)), rg=True)}
 
         def loss(p):
-            g = T.gather_rows(p["x"], [1, 1, 3, 0])
+            g = T.gather_rows(p["x"], T.segments([1, 1, 3, 0], 4))
             r = T.repeat_rows(p["row"], 4)
-            s = T.scatter_sum_rows(T.mul(g, r), [0, 1, 1, 2], num_rows=3)
+            s = T.scatter_sum_rows(T.mul(g, r), T.segments([0, 1, 1, 2], 3))
             return T.reduce_sum(T.mul(s, s))
 
         check_grad_against_fd(loss, params, label="gather_scatter_repeat")
@@ -661,8 +663,8 @@ class TestMultiplyCounter:
     def test_index_ops_count_nothing(self):
         x = t(np.ones((4, 4)))
         with count_multiplies(MultiplyCounter()) as c:
-            T.gather_rows(x, [0, 1])
-            T.scatter_sum_rows(x, [0, 1, 0, 1], num_rows=2)
+            T.gather_rows(x, T.segments([0, 1], 4))
+            T.scatter_sum_rows(x, T.segments([0, 1, 0, 1], 2))
             T.concat([x, x], axis=0)
             T.reshape(x, (16,))
         assert c.total == 0
@@ -718,26 +720,26 @@ class TestSegmentSoftmax:
     def test_matches_dense_softmax_per_segment(self, rng):
         x = rng.normal(size=(7, 2))
         index = np.array([2, 0, 2, 1, 0, 2, 0])
-        got = T.segment_softmax(t(x), index, 3).data
+        got = T.segment_softmax(t(x), T.segments(index, 3)).data
         for s in range(3):
             rows = np.flatnonzero(index == s)
             want = T.softmax(t(x[rows]), axis=0).data
             np.testing.assert_allclose(got[rows], want, rtol=0, atol=1e-15)
 
     def test_one_row_segment_is_one(self, rng):
-        got = T.segment_softmax(t(rng.normal(size=(3, 1))), [0, 1, 1], 2).data
+        got = T.segment_softmax(t(rng.normal(size=(3, 1))), T.segments([0, 1, 1], 2)).data
         assert got[0, 0] == 1.0
 
     def test_empty_segment_is_skipped(self, rng):
         x = rng.normal(size=(4, 1))
-        got = T.segment_softmax(t(x), [0, 0, 2, 2], 4).data
+        got = T.segment_softmax(t(x), T.segments([0, 0, 2, 2], 4)).data
         np.testing.assert_allclose(
-            got, T.segment_softmax(t(x), [0, 0, 1, 1], 2).data, rtol=0, atol=0)
-        assert T.segment_softmax(t(np.zeros((0, 1))), [], 3).data.shape == (0, 1)
+            got, T.segment_softmax(t(x), T.segments([0, 0, 1, 1], 2)).data, rtol=0, atol=0)
+        assert T.segment_softmax(t(np.zeros((0, 1))), T.segments([], 3)).data.shape == (0, 1)
 
     def test_large_logits_do_not_overflow(self):
         x = t([[1e3], [1e3 - 1.0], [-1e3], [-1e3 + 2.0]])
-        got = T.segment_softmax(x, [0, 0, 1, 1], 2).data
+        got = T.segment_softmax(x, T.segments([0, 0, 1, 1], 2)).data
         e = np.exp([0.0, -1.0])
         np.testing.assert_allclose(got[:2, 0], e / e.sum(), atol=1e-15)
         e = np.exp([-2.0, 0.0])
@@ -748,18 +750,137 @@ class TestSegmentSoftmax:
             x = t([[0.0], [1.0]])
             x.data[1, 0] = bad
             with pytest.raises(NumericError):
-                T.segment_softmax(x, [0, 0], 1)
+                T.segment_softmax(x, T.segments([0, 0], 1))
 
     def test_index_contract(self):
         with pytest.raises(DimensionError):
-            T.segment_softmax(t([[0.0], [1.0]]), [0], 1)
+            T.segment_softmax(t([[0.0], [1.0]]), T.segments([0], 1))
         with pytest.raises(ContractError):
-            T.segment_softmax(t([[0.0], [1.0]]), [0, 1], 1)
+            T.segment_softmax(t([[0.0], [1.0]]), T.segments([0, 1], 1))
 
     def test_gradient_against_fd(self, rng):
         params = {"x": t(rng.normal(size=(6, 2)), rg=True)}
         w = t(rng.normal(size=(6, 2)))
         index = np.array([1, 0, 1, 1, 3, 0])
         check_grad_against_fd(
-            lambda p: T.reduce_sum(T.mul(T.segment_softmax(p["x"], index, 4), w)),
+            lambda p: T.reduce_sum(T.mul(T.segment_softmax(p["x"], T.segments(index, 4)), w)),
             params, label="segment_softmax")
+
+
+# Segment sizes for the plan oracle: 0 to 30 rows, empty segments among
+# them, so most segments are padded to the largest.
+ORACLE_DEGREES = [3, 0, 30, 1, 16, 0, 2, 9, 28, 4, 7, 0, 5]
+ORACLE_KINDS = ["degrees-0-30", "zero-rows", "width-1", "rank-3", "signed-zeros"]
+
+
+def oracle_case(kind, rng):
+    """(index, num_segments, rows, total) for the plan oracle: a shuffled
+    index, one row per entry, and a per-segment starting total that holds
+    zeros of both signs."""
+    degrees = [0] * 4 if kind == "zero-rows" else ORACLE_DEGREES
+    index = rng.permutation(np.repeat(np.arange(len(degrees)), degrees))
+    row_shape = {"width-1": (1,), "rank-3": (2, 3)}.get(kind, (3,))
+
+    def values(n):
+        # magnitudes 1e-4..1e4, so a change of summation order shows in
+        # the low bits
+        shape = (n, *row_shape)
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+        share = 0.6 if kind == "signed-zeros" else 0.2
+        return np.where(rng.random(shape) < share, rng.choice([0.0, -0.0], size=shape), v)
+
+    return index, len(degrees), values(index.size), values(len(degrees))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+class TestSegmentPlan:
+    """Every sum over a plan has ``np.add.at``'s bits."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_scatter_is_add_at(self, kind, rng):
+        index, n, rows, _ = oracle_case(kind, rng)
+        want = np.zeros((n, *rows.shape[1:]))
+        np.add.at(want, index, rows)
+        assert_same_bits(T.scatter_sum_rows(t(rows), T.segments(index, n)).data, want)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_gather_backward_onto_leaf_grad_is_add_at(self, kind, rng):
+        index, n, rows, total = oracle_case(kind, rng)
+        x = t(rng.normal(size=total.shape), rg=True)
+        x.grad[...] = total
+        backward(T.reduce_sum(T.mul(T.gather_rows(x, T.segments(index, n)), t(rows))))
+        want = total.copy()
+        np.add.at(want, index, rows)
+        assert_same_bits(x.grad, want)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_gather_backward_onto_pending_total_is_add_at(self, kind, rng):
+        # the dense consumer of z is taped after the gather, so backward
+        # reaches it first and the gathered rows add onto its total
+        index, n, rows, total = oracle_case(kind, rng)
+        x = t(rng.normal(size=total.shape), rg=True)
+        x.grad.fill(-0.0)  # -0.0 + v is v, so the leaf shows z's total as is
+        z = T.reshape(x, total.shape)
+        gathered = T.reduce_sum(T.mul(T.gather_rows(z, T.segments(index, n)), t(rows)))
+        backward(T.add(gathered, T.reduce_sum(T.mul(z, t(total)))))
+        want = total.copy()
+        np.add.at(want, index, rows)
+        assert_same_bits(x.grad, want)
+
+    @pytest.mark.parametrize("kind", [k for k in ORACLE_KINDS if k != "rank-3"])
+    def test_segment_softmax_is_the_add_at_formula(self, kind, rng):
+        index, n, x, _ = oracle_case(kind, rng)
+        g = rng.normal(size=x.shape)
+        peak = np.full((n, x.shape[1]), -np.inf)
+        np.maximum.at(peak, index, x)
+        e = np.exp(x - peak[index])
+        total = np.zeros((n, x.shape[1]))
+        np.add.at(total, index, e)
+        y = e / total[index]
+        s = np.zeros((n, x.shape[1]))
+        np.add.at(s, index, g * y)
+        xt = t(x, rg=True)
+        got = T.segment_softmax(xt, T.segments(index, n))
+        backward(T.reduce_sum(T.mul(got, t(g))))
+        assert_same_bits(got.data, y)
+        assert_same_bits(xt.grad, 0.0 + y * (g - s[index]))
+
+    def test_slots_hold_each_segments_rows_in_row_order(self):
+        seg = T.segments([2, 0, 2, 1, 2], 4)
+        pad = 5
+        np.testing.assert_array_equal(seg.slots, [[1, 3, 0, pad],
+                                                  [pad, pad, 2, pad],
+                                                  [pad, pad, 4, pad]])
+        assert T.segments([], 3).slots.shape == (0, 3)
+        with pytest.raises(ValueError):
+            seg.index[0] = 1
+
+    def test_plan_checks_its_index(self):
+        with pytest.raises(DimensionError):
+            T.segments([[0, 1]], 2)
+        for index in ([0, 2], [-1, 0]):
+            with pytest.raises(ContractError):
+                T.segments(index, 2)
+        x = t(np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            T.gather_rows(x, T.segments([0, 1], 2))
+        with pytest.raises(DimensionError):
+            T.scatter_sum_rows(x, T.segments([0, 1], 2))
+
+
+def test_no_ufunc_at_in_the_package():
+    # every sum by index goes through a plan (tensor._segment_sum); an
+    # unbuffered ufunc.at would re-read its index on every call and might
+    # sum in another order
+    src = pathlib.Path(T.__file__).parent
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "at"]
+    assert not calls, f"ufunc .at calls in the package: {calls}"

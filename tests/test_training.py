@@ -456,7 +456,7 @@ class TestSearchSpace:
 
 
 class TestRandomSearch:
-    def small_search(self, budget=2, **space_kw):
+    def small_search(self, budget=2, workers=1, **space_kw):
         graphs = toy_dataset(18, seed=2)
         train, valid, test = graphs[:10], graphs[10:14], graphs[14:]
         space = SearchSpace(t_range=(1, 2), m_range=(1, 2),
@@ -464,7 +464,7 @@ class TestRandomSearch:
         tc = TrainConfig(total_steps=10, batch_size=4, seed=0, targets=0,
                          eval_every=5)
         return random_search(space, budget, train, valid, test,
-                             small_model(), tc, seed=21)
+                             small_model(), tc, seed=21, workers=workers)
 
     def test_selects_min_validation_mae(self):
         result = self.small_search(budget=3)
@@ -498,3 +498,8 @@ class TestRandomSearch:
     def test_budget_validation(self):
         with pytest.raises(ContractError):
             self.small_search(budget=0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_validation(self, workers):
+        with pytest.raises(ContractError, match="workers"):
+            self.small_search(workers=workers)
