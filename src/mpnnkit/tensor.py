@@ -5,9 +5,10 @@ implemented: 2-D matrix products and their per-tower stack (alone or with a
 bias, as one affine op), per-row and per-pair matrix-vector products, a
 small set of pointwise functions, reductions, softmax (over an axis or per
 segment of rows), concatenation/slicing, row gather/scatter, and a GRU
-cell over row-stacked states composed from the primitives. Elementwise
-operands must match in shape, so every backward rule stays auditable at a
-glance.
+cell over row-stacked states. The GRU cell is one taped op whose rule
+replays, with the same bits, the tape the cell composed from the
+primitives would record. Elementwise operands must match in shape, so
+every backward rule stays auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
@@ -374,8 +375,8 @@ def _matmul_parts(a: Tensor, b: Tensor):
 
 def _tower_matmul_parts(x: Tensor, w: Tensor):
     """Checked forward value, backward rule and multiply count of
-    ``tower_matmul``; the value is a tower-major product seen through a
-    transpose."""
+    ``tower_matmul``; the tower-major product is written straight into a
+    fresh row-major (m, k, p) array."""
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError("tower_matmul needs (m, k, q) rows and (k, q, p) weights")
     m, k, q = x.data.shape
@@ -391,7 +392,9 @@ def _tower_matmul_parts(x: Tensor, w: Tensor):
                 if x.requires_grad else None,
                 xt.transpose(0, 2, 1) @ gt if w.requires_grad else None)
 
-    return (xt @ w.data).transpose(1, 0, 2), rule, m * k * q * p
+    out = np.empty((m, k, p))
+    np.matmul(xt, w.data, out=out.transpose(1, 0, 2))
+    return out, rule, m * k * q * p
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -404,8 +407,9 @@ def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
     """Per-tower matrix products: (m, k, q) rows times (k, q, p) weights
     give (m, k, p), with ``out[:, t] = x[:, t] @ w[t]`` for every tower t.
 
-    One ``np.matmul`` over the tower-major view (k, m, q) of ``x``; each
-    tower's product is the same BLAS call ``matmul`` makes for it alone.
+    One ``np.matmul`` over the tower-major view (k, m, q) of ``x`` into the
+    tower-major view of the row-major result; each tower's product is the
+    same BLAS call ``matmul`` makes for it alone.
     """
     data, rule, muls = _tower_matmul_parts(x, w)
     return _result(data, (x, w), rule, muls)
@@ -414,17 +418,16 @@ def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one taped op: a 2-D ``w`` maps (n, q) rows with a
     (p,) bias, a tower stack ``w`` (k, q, p) maps (n, k, q) rows tower by
-    tower with a (k, p) bias. The bias is added in the pass that lays the
-    product out row-major, with the bits of ``matmul`` (or
-    ``tower_matmul``) followed by adding the bias to every row, forward and
-    backward; the bias's gradient sums the rows'.
+    tower with a (k, p) bias. The bias is added in place into the fresh
+    row-major product, with the bits of ``matmul`` (or ``tower_matmul``)
+    followed by adding the bias to every row, forward and backward; the
+    bias's gradient sums the rows'.
     """
-    prod, mm_rule, muls = (_tower_matmul_parts if w.data.ndim == 3 else _matmul_parts)(x, w)
-    if b.data.shape != prod.shape[1:]:
+    out, mm_rule, muls = (_tower_matmul_parts if w.data.ndim == 3 else _matmul_parts)(x, w)
+    if b.data.shape != out.shape[1:]:
         raise DimensionError(
-            f"affine needs a bias of the output's row shape: {prod.shape} + {b.data.shape}")
-    out = prod if prod.flags.c_contiguous else np.empty(prod.shape)
-    np.add(prod, b.data, out=out)
+            f"affine needs a bias of the output's row shape: {out.shape} + {b.data.shape}")
+    out += b.data
 
     def rule(g: np.ndarray):
         return (*mm_rule(g), g.sum(axis=0) if b.requires_grad else None)
@@ -541,10 +544,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), rule, out.size)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` from ``e = exp(-|x|)``, which never overflows:
+    ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` elsewhere. The
+    numerator ``max(e, x >= 0)`` picks each sign's form without a branch
+    per element (``e <= 1``), with the bits of choosing between the two."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.maximum(e, x >= 0)
+    e += 1.0
+    y /= e
+    return y
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # exp(-|x|) never overflows; each sign takes its own stable form.
-    e = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(x.data)
 
     def rule(g: np.ndarray):
         return (g * (y * (1.0 - y)),)
@@ -739,7 +754,7 @@ class GruParams:
 
 
 def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """Gated recurrent update:
+    """Gated recurrent update, as one taped op:
 
         z = sigmoid(x Wz + h Uz)
         r = sigmoid(x Wr + h Ur)
@@ -748,8 +763,24 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
 
     States are row stacks: ``x`` is (n, d_in), ``h`` and the result (n, d).
     Weights with a leading tower axis, (k, d_in, d) and (k, d, d), run k
-    independent cells over (n, k, d_in) and (n, k, d) states through
-    ``tower_matmul``.
+    independent cells over (n, k, d_in) and (n, k, d) states, each product
+    as ``tower_matmul`` computes it.
+
+    The bits are those of the cell composed from ``matmul`` (or
+    ``tower_matmul``), ``add``, ``sigmoid``, ``tanh``, ``sub`` and ``mul``,
+    forward and backward, and so is the multiply count: the six products
+    plus three per output element. The rule replays that composition's
+    tape in reverse through the products' own rules. The parents name x
+    three times and h four times, once per gradient contribution, among
+    the weights in the order that tape delivered them, so ``backward``
+    adds each contribution into a pending total one at a time, as it did.
+    That order shows when h has another consumer, such as the master
+    node's per-graph sum of h.
+
+    Only the three pre-activations and the result are checked for NaN/Inf.
+    That is enough: a non-finite product makes its pre-activation
+    non-finite; the gates and ``tanh`` lie in [-1, 1], so ``r * h`` is
+    finite for a finite ``h``; and ``|h'| <= |h| + 1``.
     """
     lead = params.wz.data.shape[:-2]
     d_in, d = params.wz.data.shape[-2:]
@@ -765,11 +796,49 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
         raise DimensionError(
             f"GRU inputs {x.data.shape}, {h.data.shape} do not match weights "
             f"{params.wz.data.shape}")
-    mm = tower_matmul if lead else matmul
-    z = sigmoid(add(mm(x, params.wz), mm(h, params.uz)))
-    r = sigmoid(add(mm(x, params.wr), mm(h, params.ur)))
-    hbar = tanh(add(mm(x, params.wh), mm(mul(r, h), params.uh)))
-    return add(mul(sub(Tensor(np.ones_like(z.data)), z), h), mul(z, hbar))
+    p = params
+    parts = _tower_matmul_parts if lead else _matmul_parts
+
+    def pre_activation(a_parts, b_parts):
+        (a, a_rule, a_muls), (b, b_rule, b_muls) = a_parts, b_parts
+        a += b
+        if not np.isfinite(a).all():
+            raise NumericError("non-finite GRU pre-activation")
+        return a, a_rule, b_rule, a_muls + b_muls
+
+    s_z, xz_rule, hz_rule, muls_z = pre_activation(parts(x, p.wz), parts(h, p.uz))
+    s_r, xr_rule, hr_rule, muls_r = pre_activation(parts(x, p.wr), parts(h, p.ur))
+    z, r = _sigmoid(s_z), _sigmoid(s_r)
+    needs = lambda *ts: any(t.requires_grad for t in ts)
+    z_rg, r_rg = needs(x, h, p.wz, p.uz), needs(x, h, p.wr, p.ur)
+    rh = Tensor.__new__(Tensor)  # unchecked: |r| <= 1, so r * h is finite
+    rh.data, rh.requires_grad, rh.grad = r * h.data, r_rg, None
+    s_h, xh_rule, rhh_rule, muls_h = pre_activation(parts(x, p.wh), parts(rh, p.uh))
+    hbar = np.tanh(s_h)
+    hbar_rg = r_rg or needs(x, p.wh, p.uh)
+    omz = 1.0 - z
+    out = omz * h.data + z * hbar
+    none = (None, None)
+
+    def rule(g: np.ndarray):
+        # out = (1 - z) * h + z * hbar: h's first contribution is g * (1 - z),
+        # and z's gradient is g * hbar plus -(g * h), in that order
+        g_h1 = g * omz if h.requires_grad else None
+        g_sh = (g * z) * (1.0 - hbar * hbar) if hbar_rg else None
+        g_rh, g_uh = rhh_rule(g_sh) if hbar_rg else none
+        g_h2 = g_rh * r if h.requires_grad else None
+        g_x1, g_wh = xh_rule(g_sh) if hbar_rg else none
+        g_sr = (g_rh * h.data) * (r * (1.0 - r)) if r_rg else None
+        g_h3, g_ur = hr_rule(g_sr) if r_rg else none
+        g_x2, g_wr = xr_rule(g_sr) if r_rg else none
+        g_sz = (g * hbar + -(g * h.data)) * (z * (1.0 - z)) if z_rg else None
+        g_h4, g_uz = hz_rule(g_sz) if z_rg else none
+        g_x3, g_wz = xz_rule(g_sz) if z_rg else none
+        return (g_h1, g_uh, g_h2, g_x1, g_wh, g_h3, g_ur, g_x2, g_wr,
+                g_h4, g_uz, g_x3, g_wz)
+
+    parents = (h, p.uh, h, x, p.wh, h, p.ur, x, p.wr, h, p.uz, x, p.wz)
+    return _result(out, parents, rule, muls_z + muls_r + muls_h + 3 * out.size)
 
 
 # ---------------------------------------------------------------------------

@@ -192,13 +192,16 @@ class Adam:
             p.zero_grad()
 
     def step(self, lr: float) -> None:
+        """One update of every parameter; a non-finite gradient anywhere
+        raises NumericError before any parameter or moment changes."""
+        for k, p in self.params.items():
+            if not np.isfinite(p.grad).all():
+                raise NumericError(f"non-finite gradient for {k}")
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             g = p.grad
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for {k}")
             self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
             self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * (g * g)
             mhat = self.m[k] / b1c

@@ -52,7 +52,8 @@ class TestForwardValues:
         assert y[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_sigmoid_bits_match_the_masked_formula(self):
-        # the formula that split its input by sign with boolean masks
+        # the formulas that split the input by sign with boolean masks, and
+        # that chose between each sign's form per element with np.where
         def masked(xd):
             y = np.empty_like(xd)
             pos = xd >= 0
@@ -61,12 +62,18 @@ class TestForwardValues:
             y[~pos] = ex / (1.0 + ex)
             return y
 
+        def where(xd):
+            e = np.exp(-np.abs(xd))
+            return np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
         rng = np.random.default_rng(5)
+        edges = np.array([0.0, 1e-300, 745.2, 750.0, 800.0])
         for scale in (0.1, 1.0, 10.0, 100.0, 800.0):
             xd = np.concatenate([rng.normal(scale=scale, size=(400, 24)).ravel(),
-                                 [0.0, -0.0, 750.0, -750.0]])
-            got = T.sigmoid(t(xd)).data
-            assert got.tobytes() == masked(xd).tobytes()
+                                 edges, -edges])
+            got = T.sigmoid(t(xd)).data.view(np.uint64).tolist()
+            assert got == masked(xd).view(np.uint64).tolist()
+            assert got == where(xd).view(np.uint64).tolist()
 
     def test_relu_negative_clamps(self):
         x = t([-3.0], rg=True)
@@ -133,7 +140,7 @@ class TestForwardValues:
         x = rng.normal(size=(7, 3, 5))
         w = rng.normal(size=(3, 5, 4))
         out = T.tower_matmul(t(x), t(w)).data
-        assert out.shape == (7, 3, 4)
+        assert out.shape == (7, 3, 4) and out.flags.c_contiguous
         for k in range(3):
             assert out[:, k].tobytes() == T.matmul(t(x[:, k]), t(w[k])).data.tobytes()
 
@@ -207,7 +214,13 @@ class TestForwardValues:
         mm = T.tower_matmul if len(w_shape) == 3 else T.matmul
         prod = mm(x, w)
         backward(T.reduce_sum(T.mul(prod, g)))
+        assert got.data.flags.c_contiguous
         assert got.data.tobytes() == (prod.data + b.data).tobytes()
+        if len(w_shape) == 3:
+            # and so each tower's rows are its own 2-D product plus its bias
+            for k in range(w_shape[0]):
+                tower = T.matmul(t(x.data[:, k]), t(w.data[k])).data + b.data[k]
+                assert got.data[:, k].tobytes() == tower.tobytes()
         for grad, want in zip(got_grads, (x.grad, w.grad, g.data.sum(axis=0))):
             assert grad.tobytes() == want.tobytes()
 
@@ -580,6 +593,19 @@ class TestGradientsAgainstFiniteDifferences:
         check_grad_against_fd(loss, params, label="gru_towers")
 
 
+def composed_gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
+    """The GRU cell composed from taped primitives, 17 tape entries: the
+    bitwise oracle of the one-op ``T.gru_cell``, forward and backward."""
+    mm = T.tower_matmul if params.wz.data.ndim == 3 else T.matmul
+    z = T.sigmoid(T.add(mm(x, params.wz), mm(h, params.uz)))
+    r = T.sigmoid(T.add(mm(x, params.wr), mm(h, params.ur)))
+    hbar = T.tanh(T.add(mm(x, params.wh), mm(T.mul(r, h), params.uh)))
+    return T.add(T.mul(T.sub(Tensor(np.ones_like(z.data)), z), h), T.mul(z, hbar))
+
+
+GRU_LEADS = pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "towers"])
+
+
 class TestGruCell:
     def make_params(self, d_in, d, fill=0.0):
         mk = lambda shape: t(np.full(shape, fill), rg=True)
@@ -629,6 +655,66 @@ class TestGruCell:
             assert out[:, j].tobytes() == T.gru_cell(t(x[:, j]), t(h[:, j]), one).data.tobytes()
         with pytest.raises(DimensionError):
             T.gru_cell(t(x[:, :2]), t(h[:, :2]), stack)
+
+    @GRU_LEADS
+    @pytest.mark.parametrize("case", [
+        "leaves", "intermediates", "h_constant", "x_constant", "h_read_later"])
+    def test_bits_equal_composed_cell(self, rng, lead, case):
+        # x and h are leaves, or reshapes of leaves, so their gradients
+        # collect in backward's pending totals; in "h_read_later" h is also
+        # read after the cell, so its total holds that contribution before
+        # the cell's four arrive, which must be added one at a time
+        n, d_in, d = 6, 5, 4
+        xd, hd = rng.normal(size=(n, *lead, d_in)), rng.normal(size=(n, *lead, d))
+        wd = [rng.normal(size=(*lead, d_in if i % 2 == 0 else d, d)) * 0.5
+              for i in range(6)]
+        probe, later = rng.normal(size=hd.shape), rng.normal(size=hd.shape)
+
+        def run(cell):
+            x_leaf = t(xd, rg=case != "x_constant")
+            h_leaf = t(hd, rg=case != "h_constant")
+            gp = GruParams(*(t(w, rg=True) for w in wd))
+            x, h = ((x_leaf, h_leaf) if case == "leaves"
+                    else (T.reshape(x_leaf, xd.shape), T.reshape(h_leaf, hd.shape)))
+            out = cell(x, h, gp)
+            loss = T.reduce_sum(T.mul(out, t(probe)))
+            if case == "h_read_later":
+                loss = T.add(loss, T.reduce_sum(T.mul(T.tanh(h), t(later))))
+            backward(loss)
+            return [out.data] + [p.grad for p in (x_leaf, h_leaf, *gp.tensors().values())]
+
+        got, want = run(T.gru_cell), run(composed_gru_cell)
+        for name, a, b in zip(["out", "x", "h", "wz", "uz", "wr", "ur", "wh", "uh"],
+                              got, want):
+            if b is None:
+                assert a is None, name
+            else:
+                assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist(), name
+
+    @GRU_LEADS
+    def test_one_tape_entry_counting_the_composed_multiplies(self, rng, lead):
+        n, d_in, d = 4, 3, 2
+        x, h = t(rng.normal(size=(n, *lead, d_in))), t(rng.normal(size=(n, *lead, d)))
+        gp = GruParams(*(t(rng.normal(size=(*lead, d_in if i % 2 == 0 else d, d)), rg=True)
+                         for i in range(6)))
+        with count_multiplies(MultiplyCounter()) as fused:
+            out = T.gru_cell(x, h, gp)
+        assert [entry[0] for entry in T.active_tape()] == [out]
+        with count_multiplies(MultiplyCounter()) as composed:
+            composed_gru_cell(x, h, gp)
+        assert len(T.active_tape()) == 1 + 17
+        towers = lead[0] if lead else 1
+        products = 3 * n * towers * (d_in * d + d * d)
+        assert fused.total == composed.total == products + 3 * out.size
+
+    @pytest.mark.parametrize("weight", ["wz", "uz", "wr", "ur", "wh", "uh"])
+    def test_overflowing_pre_activation_raises(self, weight):
+        # one huge weight drives one pre-activation to +inf; its sigmoid or
+        # tanh would be a finite 1, and so would every later value
+        p = self.make_params(2, 2, fill=0.1)
+        getattr(p, weight).data[...] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            T.gru_cell(t([[2.0, 2.0]]), t([[2.0, 2.0]]), p)
 
 
 class TestMultiplyCounter:

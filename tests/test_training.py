@@ -230,6 +230,25 @@ class TestAdam:
         with pytest.raises(NumericError):
             opt.step(1e-4)
 
+    def test_bad_gradient_changes_nothing(self, rng):
+        # the NaN sits in the last parameter, so every other one would
+        # already have moved if the gradients were checked one at a time
+        params = {name: Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+                  for name in ("a", "b", "c")}
+        opt = Adam(params)
+        for p in params.values():
+            p.grad[...] = rng.normal(size=(3, 2))
+        opt.step(1e-3)
+        before = {name: (p.data.copy(), opt.m[name].copy(), opt.v[name].copy())
+                  for name, p in params.items()}
+        params["c"].grad[2, 1] = np.nan
+        with pytest.raises(NumericError, match="for c"):
+            opt.step(1e-3)
+        assert opt.t == 1
+        for name, p in params.items():
+            for got, want in zip((p.data, opt.m[name], opt.v[name]), before[name]):
+                assert got.tobytes() == want.tobytes()
+
     def test_two_hand_steps(self):
         # by-hand recursion with constant g = 2, lr = 1e-4
         w = Tensor([1.0], requires_grad=True)
