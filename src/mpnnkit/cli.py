@@ -43,6 +43,7 @@ from .training import (
     TrainConfig,
     error_ratio,
     evaluate,
+    keep_freed_memory,
     random_search,
     split_indices,
     targets_matrix,
@@ -514,6 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in ("train", "evaluate", "search"):
+        keep_freed_memory()
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

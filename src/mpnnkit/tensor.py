@@ -17,13 +17,18 @@ leaves (tensors created with ``requires_grad``) accumulate into ``grad``.
 A rule may hand a parent's gradient back as the two factors of a batched
 product instead of a dense array (``pair_matvec`` does, for its matrices);
 ``backward`` keeps an intermediate's factors until they are needed and
-sums them all in one matmul.
+sums them all in one matmul. Both factors hold the summed axis second to
+last, (..., r, p) and (..., r, q), so stacking them copies whole rows.
+Leaves that ``training.Adam`` optimizes hold views into its flat buffers
+as ``data`` and ``grad``; ``backward`` adds into ``grad`` in place and
+never rebinds it, so the sums land in Adam's buffer.
 
 Row indexes arrive as :class:`Segments` plans (``segments``), built once
 per index and reused by every op over it: ``gather_rows``,
 ``scatter_sum_rows`` and ``segment_softmax``. A plan lays each segment's
 rows out as slots, so a sum over segments is one gather and one add per
-slot (``_segment_sum``), in the order and with the bits ``np.add.at``
+slot (``_segment_sum``; rows of one value each summed from zeros go
+through ``np.bincount``), in the order and with the bits ``np.add.at``
 would give. ``gather_rows``' rule hands back ``(plan, rows)``, which
 ``backward`` sums the same way.
 
@@ -205,9 +210,11 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable,
 @dataclass(frozen=True)
 class _Factors:
     """A gradient handed back as the two factors of a batched product:
-    ``left`` (..., p, r) @ ``right`` (..., r, q), flattened to the parent's
-    shape. ``backward`` stacks the factors of an intermediate's pending
-    contributions along r and multiplies once, so their sum is one matmul."""
+    ``left`` (..., r, p) and ``right`` (..., r, q), summed over r as
+    ``left^T @ right`` and flattened to the parent's shape. ``backward``
+    stacks the factors of an intermediate's pending contributions along r,
+    whole rows at a time, and multiplies once, so their sum is one
+    matmul."""
 
     left: np.ndarray
     right: np.ndarray
@@ -218,9 +225,9 @@ def _dense(factors: Sequence[_Factors], shape) -> np.ndarray:
     if len(factors) == 1:
         left, right = factors[0].left, factors[0].right
     else:
-        left = np.concatenate([f.left for f in factors], axis=-1)
+        left = np.concatenate([f.left for f in factors], axis=-2)
         right = np.concatenate([f.right for f in factors], axis=-2)
-    return (left @ right).reshape(shape)
+    return (left.swapaxes(-1, -2) @ right).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +287,15 @@ def _segment_sum(seg: Segments, rows: np.ndarray, total=None) -> np.ndarray:
     slot 0, 1, ... is added in turn. Each segment thus adds its rows one at
     a time in row order, as ``np.add.at`` does, with the same bits. Neither
     ``sum(axis=0)`` (pairwise) nor ``np.add.reduceat`` keeps that order.
+
+    Rows of one value each, summed from zeros, go through ``np.bincount``
+    instead: it too adds each segment's values in row order onto a +0.0
+    start, without the slot copy or one add per slot. (With no rows it
+    would return integers, so those take the slot path.)
     """
+    if total is None and rows.shape[0] and rows.size == rows.shape[0]:
+        return np.bincount(seg.index, rows.ravel(), minlength=seg.num_segments
+                           ).reshape((seg.num_segments,) + rows.shape[1:])
     out = (np.zeros((seg.num_segments,) + rows.shape[1:]) if total is None
            else total.copy())
     for row in seg.slot_rows(rows, -0.0):
@@ -468,11 +483,16 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
     (P, ..., p*q); ``vecs`` is (m, ..., q), with the same middle axes (the
     towers, if any). Row i of ``vecs`` takes slot ``side[i]`` (0 or 1) of
     pair ``pair[i]``, and no two rows may share a slot. Returns (m, ..., p)
-    with ``out[i, j] = mats[pair[i], j] @ vecs[i, j]``. The vectors are
-    stacked as (P, ..., q, 2), an empty slot as a zero column, and
-    multiplied in one batched matmul; each matrix's gradient sums both of
-    its slots and is handed back as :class:`_Factors`, so ``backward`` sums
-    the gradients of every call that shares ``mats`` in one matmul.
+    with ``out[i, j] = mats[pair[i], j] @ vecs[i, j]``. The forward
+    stacks the vectors as (P, ..., q, 2) columns, an empty slot as a zero
+    column, and multiplies in one batched matmul. Its rule lays the output
+    gradient and the vectors out slot-major, (P, ..., 2, p) and
+    (P, ..., 2, q), writing whole rows through ``sel = (pair, :, ...,
+    side)``. Each matrix's gradient sums both of its slots and is handed
+    back as those two :class:`_Factors`, so ``backward`` sums the
+    gradients of every call that shares ``mats`` in one matmul, stacking
+    whole rows. (Multiplying the slot-major vectors in the forward too
+    changes its bits at q = 16 and 25, so the forward keeps columns.)
     """
     if mats.data.ndim < 2 or vecs.data.ndim != mats.data.ndim:
         raise DimensionError("pair_matvec operands must share a rank of at least 2")
@@ -497,12 +517,18 @@ def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
     m3 = mats.data.reshape((n_pairs, *mid, p, q))
     x = np.zeros((n_pairs, *mid, q, 2))
     x[pair, ..., side] = vecs.data
+    sel = (pair, *(slice(None),) * len(mid), side)
 
     def rule(g: np.ndarray):
-        gy = np.zeros((n_pairs, *mid, p, 2))
-        gy[pair, ..., side] = g
-        return (_Factors(gy, x.swapaxes(-1, -2)) if mats.requires_grad else None,
-                (m3.swapaxes(-1, -2) @ gy)[pair, ..., side]
+        gy = np.zeros((n_pairs, *mid, 2, p))
+        gy[sel] = g
+        g_mats = None
+        if mats.requires_grad:
+            xt = np.zeros((n_pairs, *mid, 2, q))
+            xt[sel] = vecs.data
+            g_mats = _Factors(gy, xt)
+        return (g_mats,
+                (m3.swapaxes(-1, -2) @ gy.swapaxes(-1, -2))[pair, ..., side]
                 if vecs.requires_grad else None)
 
     return _result((m3 @ x)[pair, ..., side], (mats, vecs), rule,

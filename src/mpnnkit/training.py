@@ -6,10 +6,15 @@ reported errors are mean absolute error in original units. Every run is
 bitwise deterministic given its seed and config: parameter init, batch
 order, and evaluation cadence all derive from the seed, and run logs carry
 no wall-clock data.
+
+``Adam`` owns the parameters' storage: every parameter tensor's ``data``
+and ``grad`` are views into its two flat buffers, and one step updates
+them all at once.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -44,6 +49,7 @@ __all__ = [
     "train_run",
     "random_search",
     "write_report_csv",
+    "keep_freed_memory",
 ]
 
 
@@ -179,34 +185,74 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict.
+
+    Adam owns the parameters' storage. ``__init__`` moves every
+    parameter's values, in dict order, into one flat float64 array
+    ``values`` and its gradient into a second one, ``grads``; each tensor's
+    ``data`` and ``grad`` become reshaped views into them. So ``backward``,
+    which sums into leaf gradients in place, fills ``grads``, and code that
+    writes ``p.data[...]`` writes ``values``. The moments ``m_flat`` and
+    ``v_flat`` lie the same way, and ``m[name]`` and ``v[name]`` are views
+    into them. A step is one update over the whole buffer.
+    """
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        for k, p in params.items():
+            if p.grad is None:
+                raise ContractError(f"parameter {k} does not require a gradient")
+        starts = np.cumsum([0] + [p.data.size for p in params.values()])
+        size = int(starts[-1])
+        self.values, self.grads = np.empty(size), np.empty(size)
+        self.m_flat, self.v_flat = np.zeros(size), np.zeros(size)
+        self._scratch = np.empty(size), np.empty(size)
+        self.m, self.v = {}, {}
+        for (k, p), lo, hi in zip(params.items(), starts, starts[1:]):
+            span, shape = slice(lo, hi), p.data.shape
+            self.values[span] = p.data.ravel()
+            self.grads[span] = p.grad.ravel()
+            p.data = self.values[span].reshape(shape)
+            p.grad = self.grads[span].reshape(shape)
+            self.m[k] = self.m_flat[span].reshape(shape)
+            self.v[k] = self.v_flat[span].reshape(shape)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
     def step(self, lr: float) -> None:
         """One update of every parameter; a non-finite gradient anywhere
-        raises NumericError before any parameter or moment changes."""
-        for k, p in self.params.items():
-            if not np.isfinite(p.grad).all():
-                raise NumericError(f"non-finite gradient for {k}")
+        raises NumericError, naming the first such parameter, before any
+        parameter or moment changes.
+
+        Each element goes through the operations of the textbook update,
+        in its order: ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
+        ``data -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps)``, written with
+        ``out=`` into the moments and two scratch arrays.
+        """
+        g = self.grads
+        if not np.isfinite(g).all():
+            bad = next(k for k, p in self.params.items() if not np.isfinite(p.grad).all())
+            raise NumericError(f"non-finite gradient for {bad}")
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * (g * g)
-            mhat = self.m[k] / b1c
-            vhat = self.v[k] / b2c
-            p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        m, v, (a, b) = self.m_flat, self.v_flat, self._scratch
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m *= ADAM_BETA1
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += a
+        np.divide(m, b1c, out=a)
+        a *= lr
+        np.divide(v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        self.values -= a
 
 
 def loss_and_metrics(pred_norm: np.ndarray, target_norm: np.ndarray,
@@ -268,6 +314,32 @@ def targets_matrix(graphs: Sequence[MolecularGraph],
             raise ContractError("graph without targets in a training set")
         rows.append([g.targets[i] for i in indices])
     return np.array(rows, dtype=np.float64)
+
+
+# glibc mallopt parameters and the values keep_freed_memory sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # glibc's largest
+TRIM_THRESHOLD = 1 << 30
+
+
+def keep_freed_memory() -> bool:
+    """Make glibc keep freed blocks of up to 32 MB in the process.
+
+    By default glibc hands large freed arrays back to the kernel and maps
+    them afresh, page fault by page fault, on the next allocation; a train
+    step allocates and frees the same arrays every time. This sets
+    ``M_MMAP_THRESHOLD`` to 32 MB and ``M_TRIM_THRESHOLD`` to 1 GB for the
+    whole process, so ``mpnnkit train``, ``evaluate`` and ``search`` call
+    it and a library caller of ``train_run`` decides for itself. Returns
+    False where there is no glibc ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +416,7 @@ def train_run(train_graphs: Sequence[MolecularGraph],
         history.append(record)
         mean_mae = float(valid_mae.mean())
         if mean_mae < best["mae"]:
-            best.update(step=step, mae=mean_mae,
-                        snapshot={k: p.data.copy() for k, p in params.items()})
+            best.update(step=step, mae=mean_mae, snapshot=opt.values.copy())
 
     evaluate_and_log(0)
     n_train = len(eg_train)
@@ -366,8 +437,7 @@ def train_run(train_graphs: Sequence[MolecularGraph],
     # Restore the best checkpoint before the test evaluation.
     if best["snapshot"] is None:
         raise NumericError("no evaluation produced a finite validation MAE")
-    for k, p in params.items():
-        p.data[...] = best["snapshot"][k]
+    opt.values[...] = best["snapshot"]
     _, test_mae = evaluate(eg_test, yn_test, params, cfg, stats)
 
     if log_path:
@@ -475,7 +545,7 @@ def random_search(space: SearchSpace, budget: int,
 
     Trials get disjoint seeds derived from ``seed``; ``workers`` must be
     at least 1, and with more they run in separate processes (they share
-    nothing mutable).
+    nothing mutable), each of which calls ``keep_freed_memory`` first.
     """
     if budget < 1:
         raise ContractError("search budget must be positive")
@@ -489,7 +559,8 @@ def random_search(space: SearchSpace, budget: int,
                       model_cfg, train_cfg, seed + 1000 * (i + 1)))
     if workers > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=keep_freed_memory) as pool:
             trials = list(pool.map(_run_trial, tasks))
     else:
         trials = [_run_trial(t) for t in tasks]

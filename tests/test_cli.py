@@ -183,6 +183,30 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
 
+class TestFreedMemory:
+    @pytest.mark.parametrize("command, kept", [
+        (["train", "--out-dir", "o"], True),
+        (["evaluate", "--checkpoint", "c", "--meta", "m", "--out", "r"], True),
+        (["search", "--out-dir", "o"], True),
+        (["prepare", "--out", "d.jsonl"], False),
+    ], ids=["train", "evaluate", "search", "prepare"])
+    def test_only_commands_that_train_or_evaluate_keep_freed_memory(
+            self, monkeypatch, tmp_path, command, kept):
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))
+        monkeypatch.chdir(tmp_path)
+        data = [] if command[0] == "prepare" else ["--data", "nope.jsonl",
+                                                   "--manifest", "nope.json"]
+        assert main(command + data) == 1  # missing input or source
+        assert calls == ([1] if kept else [])
+
+    def test_glibc_keeps_freed_memory(self):
+        import platform
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt is glibc's")
+        assert cli.keep_freed_memory() is True
+
+
 class TestTrainCommand:
     def run_train(self, dataset, out_dir, seed="2"):
         return main(["train", "--data", dataset["data"],

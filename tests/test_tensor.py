@@ -854,18 +854,22 @@ class TestSegmentSoftmax:
 
 
 # Segment sizes for the plan oracle: 0 to 30 rows, empty segments among
-# them, so most segments are padded to the largest.
+# them, so most segments are padded to the largest. The hub kinds give one
+# segment 400 rows among segments of 0 to 3.
 ORACLE_DEGREES = [3, 0, 30, 1, 16, 0, 2, 9, 28, 4, 7, 0, 5]
-ORACLE_KINDS = ["degrees-0-30", "zero-rows", "width-1", "rank-3", "signed-zeros"]
+HUB_DEGREES = [1, 3, 0, 400, 2, 1, 0, 3]
+ORACLE_KINDS = ["degrees-0-30", "zero-rows", "width-1", "rank-3", "signed-zeros",
+                "hub", "width-1-hub"]
 
 
 def oracle_case(kind, rng):
     """(index, num_segments, rows, total) for the plan oracle: a shuffled
     index, one row per entry, and a per-segment starting total that holds
     zeros of both signs."""
-    degrees = [0] * 4 if kind == "zero-rows" else ORACLE_DEGREES
+    degrees = ([0] * 4 if kind == "zero-rows"
+               else HUB_DEGREES if kind.endswith("hub") else ORACLE_DEGREES)
     index = rng.permutation(np.repeat(np.arange(len(degrees)), degrees))
-    row_shape = {"width-1": (1,), "rank-3": (2, 3)}.get(kind, (3,))
+    row_shape = {"width-1": (1,), "width-1-hub": (1,), "rank-3": (2, 3)}.get(kind, (3,))
 
     def values(n):
         # magnitudes 1e-4..1e4, so a change of summation order shows in

@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from mpnnkit import tensor as tt
-from mpnnkit.engine import ModelConfig
+from mpnnkit.engine import ModelConfig, init_params
+from mpnnkit.model import predict_batch, prepare_graph
 from mpnnkit.molgraph import TARGET_NAMES, Atom, Bond, MolecularGraph
 from mpnnkit.tensor import ContractError, NumericError, Tensor
 from mpnnkit.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CHEMICAL_ACCURACY,
     Adam,
     DegenerateTargetError,
@@ -264,6 +268,136 @@ class TestAdam:
             vhat = v / (1 - 0.999 ** t)
             x -= 1e-4 * mhat / (math.sqrt(vhat) + 1e-8)
         assert abs(w.data[0] - x) < 1e-15
+
+
+    def test_bad_gradient_in_the_first_parameter(self, rng):
+        params = {name: Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+                  for name in ("a", "b", "c")}
+        opt = Adam(params)
+        for p in params.values():
+            p.grad[...] = rng.normal(size=(3, 2))
+        opt.step(1e-3)
+        before = opt.values.copy(), opt.m_flat.copy(), opt.v_flat.copy()
+        params["a"].grad[0, 0] = np.inf
+        with pytest.raises(NumericError, match="for a$"):
+            opt.step(1e-3)
+        assert opt.t == 1
+        for got, want in zip((opt.values, opt.m_flat, opt.v_flat), before):
+            assert got.tobytes() == want.tobytes()
+
+    def test_parameter_without_gradient_is_refused(self):
+        with pytest.raises(ContractError, match="w does not require"):
+            Adam({"w": Tensor([1.0])})
+
+
+def reference_adam_step(params, m, v, t, lr):
+    """The per-parameter update ``Adam.step`` made before the flat buffer:
+    step ``t`` of every tensor in ``params``, rebinding the moment arrays
+    in the dicts ``m`` and ``v``."""
+    b1c = 1.0 - ADAM_BETA1 ** t
+    b2c = 1.0 - ADAM_BETA2 ** t
+    for k, p in params.items():
+        g = p.grad
+        m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+        v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * (g * g)
+        mhat = m[k] / b1c
+        vhat = v[k] / b2c
+        p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+BUFFER_MODELS = {
+    "edge_network": dict(message_fn="edge_network", readout="set2set",
+                         edge_repr="raw_distance", d=16, T=2),
+    "towers": dict(towers_k=2, T=2),
+}
+
+
+def buffer_model(kind, n_graphs=5):
+    """(config, params, encoded graphs, normalized targets) for one model."""
+    cfg = small_model(**BUFFER_MODELS[kind])
+    graphs = toy_dataset(n_graphs, seed=31)
+    egs = [prepare_graph(g, cfg) for g in graphs]
+    y = targets_matrix(graphs, [0])
+    return cfg, init_params(cfg, seed=5), egs, (y - y.mean()) / y.std()
+
+
+def batch_loss(egs, y, params, cfg):
+    diff = tt.sub(predict_batch(egs, params, cfg), Tensor(y))
+    return tt.reduce_sum(tt.mul(diff, diff))
+
+
+class TestParameterBuffer:
+    """Adam owns one flat array of values and one of gradients; every
+    parameter tensor holds views into them."""
+
+    @pytest.mark.parametrize("kind", sorted(BUFFER_MODELS))
+    def test_flat_update_is_the_per_parameter_update(self, kind):
+        cfg, params, egs, y = buffer_model(kind)
+        ref = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+        m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        opt = Adam(params)
+        for t in range(1, 7):
+            tt.backward(batch_loss(egs, y, params, cfg))
+            for k, p in params.items():
+                ref[k].grad[...] = p.grad
+            lr = 1e-2 / t
+            opt.step(lr)
+            reference_adam_step(ref, m, v, t, lr)
+            opt.zero_grad()
+            for k, p in params.items():
+                assert same_bits(p.data, ref[k].data), (t, k)
+                assert same_bits(opt.m[k], m[k]) and same_bits(opt.v[k], v[k]), (t, k)
+        # the update moved the weights and the gradients reached every kind
+        # of parameter
+        assert not all(same_bits(p.data, q.data)
+                       for p, q in zip(params.values(), init_params(cfg, seed=5).values()))
+
+    def test_tensors_are_views_into_the_buffers(self, rng):
+        params = {"a": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=(4,)), requires_grad=True),
+                  "c": Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)}
+        for p in params.values():
+            p.grad[...] = rng.normal(size=p.data.shape)
+        values = np.concatenate([p.data.ravel() for p in params.values()])
+        grads = np.concatenate([p.grad.ravel() for p in params.values()])
+        shapes = [p.data.shape for p in params.values()]
+        opt = Adam(params)
+        assert same_bits(opt.values, values) and same_bits(opt.grads, grads)
+        assert opt.m_flat.shape == opt.v_flat.shape == values.shape
+        for (k, p), shape in zip(params.items(), shapes):
+            assert p.data.shape == p.grad.shape == shape
+            assert p.data.flags.c_contiguous and p.grad.flags.c_contiguous
+            assert np.shares_memory(p.data, opt.values)
+            assert np.shares_memory(p.grad, opt.grads)
+            assert np.shares_memory(opt.m[k], opt.m_flat)
+            assert np.shares_memory(opt.v[k], opt.v_flat)
+
+    def test_backward_step_and_zero_grad_through_the_views(self):
+        cfg, params, egs, y = buffer_model("edge_network")
+        opt = Adam(params)
+        tt.backward(batch_loss(egs, y, params, cfg))
+        # backward summed into the views, so the flat buffer holds every
+        # gradient in dict order
+        assert same_bits(opt.grads, np.concatenate([p.grad.ravel()
+                                                    for p in params.values()]))
+        assert np.count_nonzero(opt.grads) > opt.grads.size // 2
+        before = opt.values.copy()
+        opt.step(1e-3)
+        assert np.count_nonzero(opt.values != before) == np.count_nonzero(opt.grads)
+        assert same_bits(opt.values, np.concatenate([p.data.ravel()
+                                                     for p in params.values()]))
+        opt.zero_grad()
+        assert all(not p.grad.any() for p in params.values())
+        # writes through a tensor land in the buffer
+        first = next(iter(params.values()))
+        first.data[...] = 0.0
+        assert not opt.values[:first.data.size].any()
 
 
 class TestLossAndMetrics:
@@ -517,6 +651,13 @@ class TestRandomSearch:
     def test_budget_validation(self):
         with pytest.raises(ContractError):
             self.small_search(budget=0)
+
+    def test_worker_processes_match_one_process(self):
+        # each worker first runs keep_freed_memory as the pool initializer
+        a = self.small_search(budget=2)
+        b = self.small_search(budget=2, workers=2)
+        assert [t.sampled for t in a.trials] == [t.sampled for t in b.trials]
+        assert [t.best_valid_mae for t in a.trials] == [t.best_valid_mae for t in b.trials]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_validation(self, workers):
