@@ -11,9 +11,9 @@ exist, so the update input has width 2d.
 There is one path: node states are (n, k, d/k) row stacks through every
 step, k the towers count, and each message function has a single
 implementation over the whole edge list that gathers far-end rows,
-computes one message per edge and scatter-sums the messages onto their
-receiving nodes. A graph with no edges takes the same path: its zero
-message rows sum to zeros.
+computes one message per edge and sums the messages onto their receiving
+nodes. A graph with no edges takes the same path: its zero message rows
+sum to zeros.
 
 Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
@@ -21,18 +21,21 @@ map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and
 ``tt.tower_matmul`` multiplies all towers in one call. So a step runs one
-gather, product and scatter per edge label (or one pair product) per
-channel and one GRU, whatever k is; k = 1 is a tower axis of size 1.
+taped message op per channel (``tt.matmul_message`` for every edge label
+at once) or one gather, product and scatter (the other message
+functions), and one GRU, whatever k is; k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
 the matmul label groups, the tower-tiled edge vectors, DTNN's edge term and
 the edge network's matrices never change across the steps, and neither do
 the index plans (``tt.segments``) of the edges' sources and destinations
 (per edge label for the matmul message), which gather every step's far-end
-states, sum its messages and sum both back in backward. The edge network
-builds one d_tower x d_tower matrix per channel, tower and undirected pair,
-as both orientations of a pair carry the same features; one
-``tt.pair_matvec`` gives both directions' messages. Backward, each step's
+states, sum its messages and sum both back in backward. The matmul message
+takes each label's far-end states straight into its near plan's slot
+order, so it computes its products where the sum needs them. The edge
+network builds one d_tower x d_tower matrix per channel, tower and
+undirected pair, as both orientations of a pair carry the same features;
+one ``tt.pair_matvec`` gives both directions' messages. Backward, each step's
 ``pair_matvec`` hands the matrices' gradient back as factors, and
 ``tt.backward`` sums the T steps' factors in one matmul per channel before
 the edge network's last ``tt.affine`` (product and bias in one taped op)
@@ -331,6 +334,10 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     plan that gathers the state each message is computed from, ``near`` the
     plan that sums it onto the node it is delivered to: the two channels
     share the plans of the edges' sources and destinations, roles swapped.
+    The matmul message keeps one pair of plans per edge label, and per
+    label the far ends listed in the near plan's slot-major order, so that
+    ``tt.matmul_message`` takes the states it multiplies straight into the
+    order its sum adds them in.
     """
     n = eg.n_atoms
     if cfg.message_fn == "matmul":
@@ -349,17 +356,10 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
         pair_vecs = Tensor(evec.data[rep])
 
     def matmul(far, near, prefix):
-        groups = [(params[f"{prefix}_A{label}"], far_label, near_label)
-                  for label, far_label, near_label in zip(label_ids, far, near)]
-
-        def send(h):
-            total = None if groups else Tensor(np.zeros(h.data.shape))
-            for a, far_label, near_label in groups:
-                part = tt.scatter_sum_rows(
-                    tt.tower_matmul(tt.gather_rows(h, far_label), a), near_label)
-                total = part if total is None else tt.add(total, part)
-            return total
-        return send
+        weights = [params[f"{prefix}_A{label}"] for label in label_ids]
+        # each label's far ends, in the order its near plan sums them
+        sources = [f.index[nr.row_order] for f, nr in zip(far, near)]
+        return lambda h: tt.matmul_message(h, weights, far, near, sources)
 
     def edge_network(far, near, prefix):
         # one matrix per undirected pair, which both orientations multiply

@@ -4,11 +4,13 @@ Only the operations the graph models in this package actually need are
 implemented: 2-D matrix products and their per-tower stack (alone or with a
 bias, as one affine op), per-row and per-pair matrix-vector products, a
 small set of pointwise functions, reductions, softmax (over an axis or per
-segment of rows), concatenation/slicing, row gather/scatter, and a GRU
-cell over row-stacked states. The GRU cell is one taped op whose rule
-replays, with the same bits, the tape the cell composed from the
-primitives would record. Elementwise operands must match in shape, so
-every backward rule stays auditable at a glance.
+segment of rows), concatenation/slicing, row gather/scatter, the matmul
+message of every edge label (gathered, multiplied per tower and summed at
+each node), and a GRU cell over row-stacked states. The message and the
+GRU cell are each one taped op whose rule replays, with the same bits, the
+tape the op composed from the primitives would record. Elementwise
+operands must match in shape, so every backward rule stays auditable at a
+glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
@@ -25,10 +27,13 @@ never rebinds it, so the sums land in Adam's buffer.
 
 Row indexes arrive as :class:`Segments` plans (``segments``), built once
 per index and reused by every op over it: ``gather_rows``,
-``scatter_sum_rows`` and ``segment_softmax``. A plan lays each segment's
-rows out as slots, so a sum over segments is one gather and one add per
-slot (``_segment_sum``; rows of one value each summed from zeros go
-through ``np.bincount``), in the order and with the bits ``np.add.at``
+``scatter_sum_rows``, ``segment_softmax`` and ``matmul_message``. A plan
+orders the segments by decreasing row count and lists the rows
+slot-major, slot j holding the j-th row of every segment that has one, so
+a sum over segments is one take of the rows, one add per slot onto the
+prefix of segments that slot covers, and one take back (``_segment_sum``;
+rows of one value each summed from zeros go through ``np.bincount``),
+touching each row once, in the order and with the bits ``np.add.at``
 would give. ``gather_rows``' rule hands back ``(plan, rows)``, which
 ``backward`` sums the same way.
 
@@ -76,6 +81,7 @@ __all__ = [
     "reshape",
     "gather_rows",
     "scatter_sum_rows",
+    "matmul_message",
     "slice_cols",
     "repeat_rows",
     "gru_cell",
@@ -232,32 +238,33 @@ def _dense(factors: Sequence[_Factors], shape) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Segments:
-    """A checked row index and the slot layout that sums rows by it; build
-    one with :func:`segments`.
+    """A checked row index and the slot-major layout that sums rows by it;
+    build one with :func:`segments`.
 
     ``index[i]`` is the segment of row i, in ``[0, num_segments)``.
-    ``slots`` is (D, num_segments), D the largest segment's row count:
-    ``slots[j, s]`` is the j-th row of segment s in row order, or
-    ``len(index)``, the pad row, where segment s has no j-th row. Both
-    arrays are read-only.
+    ``order`` lists the segments by decreasing row count (ties in segment
+    order) and ``back[s]`` is segment s's place in it. Slot j holds the
+    j-th row, in row order, of each of the first ``widths[j]`` segments of
+    ``order``, those with more than j rows, so the widths never increase
+    and add up to the row count. ``row_order`` is every row's number, slot
+    0 first, each slot in ``order``. Nothing is padded. The arrays are
+    read-only and ``widths`` is a tuple.
     """
 
     index: np.ndarray
     num_segments: int
-    slots: np.ndarray
-
-    def slot_rows(self, rows: np.ndarray, pad: float) -> np.ndarray:
-        """``rows`` (one per index entry, any rank) laid out as
-        (D, num_segments, ...), with ``pad`` in every pad slot."""
-        padded = np.empty((rows.shape[0] + 1,) + rows.shape[1:])
-        padded[:-1] = rows
-        padded[-1] = pad
-        return np.take(padded, self.slots, axis=0)
+    row_order: np.ndarray
+    widths: tuple[int, ...]
+    order: np.ndarray
+    back: np.ndarray
 
 
 def segments(index, num_segments: int) -> Segments:
     """The plan for ops over rows grouped by ``index`` into
-    ``num_segments`` segments, from one stable argsort and one bincount.
+    ``num_segments`` segments, from one stable argsort of the rows, one of
+    the counts and two bincounts; each row's place is ``offset[rank] +
+    back[segment]``, its rank within its segment found from the sorted
+    rows, so no second row sort is needed.
 
     This is the only check of an index: it must be 1-D (DimensionError)
     with every entry in ``[0, num_segments)`` (ContractError).
@@ -268,39 +275,67 @@ def segments(index, num_segments: int) -> Segments:
         raise DimensionError("segment index must be 1-D")
     if n < 0 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
         raise ContractError(f"segment index out of range for {n} segments")
-    order = np.argsort(idx, kind="stable")
     counts = np.bincount(idx, minlength=n)
-    ranked = idx[order]
+    order = np.argsort(-counts, kind="stable")
+    back = np.empty(n, dtype=np.intp)
+    back[order] = np.arange(n)
+    # widths[j]: the segments with more than j rows
+    widths = n - np.cumsum(np.bincount(counts))[:-1]
+    offset = np.cumsum(widths) - widths
+    # the same permutation; numpy sorts keys of 16 bits or less by radix,
+    # in O(rows), and larger ones by merging
+    rows = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    ranked = idx[rows]
     rank = np.arange(idx.size) - (np.cumsum(counts) - counts)[ranked]
-    slots = np.full((int(counts.max(initial=0)), n), idx.size, dtype=np.intp)
-    slots[rank, ranked] = order
+    row_order = np.empty(idx.size, dtype=np.intp)
+    row_order[offset[rank] + back[ranked]] = rows
     # checked once and shared by every op over it, so nothing may edit it
-    idx.flags.writeable = slots.flags.writeable = False
-    return Segments(idx, n, slots)
+    for arr in (idx, row_order, order, back):
+        arr.flags.writeable = False
+    return Segments(idx, n, row_order, tuple(widths.tolist()), order, back)
+
+
+def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Fold ``taken``, rows in the plan's slot-major order, into ``out``,
+    one running row per segment in ``seg.order``: slot j goes into the
+    first ``widths[j]`` rows through ``ufunc``, in place, so each segment
+    takes its rows one at a time in row order."""
+    start = 0
+    for width in seg.widths:
+        head = out[:width]
+        ufunc(head, taken[start:start + width], out=head)
+        start += width
+    return out
+
+
+def _slot_sum(seg: Segments, taken: np.ndarray, total=None) -> np.ndarray:
+    """``total`` (zeros when None) plus ``taken``, rows already in the
+    plan's slot-major order, each added onto its segment's row: the
+    running totals are kept in ``seg.order`` and one take puts them back
+    in segment order."""
+    out = (np.zeros((seg.num_segments,) + taken.shape[1:]) if total is None
+           else np.take(total, seg.order, axis=0))
+    return np.take(_slot_fold(seg, np.add, out, taken), seg.back, axis=0)
 
 
 def _segment_sum(seg: Segments, rows: np.ndarray, total=None) -> np.ndarray:
     """A copy of ``total`` (zeros when None) plus each segment's ``rows``.
 
-    The rows are laid out in slots once, padded with -0.0 (the exact
-    additive identity: a +0.0 pad would turn a -0.0 total into +0.0), and
-    slot 0, 1, ... is added in turn. Each segment thus adds its rows one at
-    a time in row order, as ``np.add.at`` does, with the same bits. Neither
+    One take lays the rows out slot-major (``_slot_sum``), and slot 0, 1,
+    ... is added in turn onto the segments that have such a row
+    (``_slot_fold``). Each segment thus adds its rows one at a time in row
+    order, as ``np.add.at`` does, with the same bits. Neither
     ``sum(axis=0)`` (pairwise) nor ``np.add.reduceat`` keeps that order.
 
     Rows of one value each, summed from zeros, go through ``np.bincount``
     instead: it too adds each segment's values in row order onto a +0.0
-    start, without the slot copy or one add per slot. (With no rows it
-    would return integers, so those take the slot path.)
+    start, without the takes or one add per slot. (With no rows it would
+    return integers, so those take the slot path.)
     """
     if total is None and rows.shape[0] and rows.size == rows.shape[0]:
         return np.bincount(seg.index, rows.ravel(), minlength=seg.num_segments
                            ).reshape((seg.num_segments,) + rows.shape[1:])
-    out = (np.zeros((seg.num_segments,) + rows.shape[1:]) if total is None
-           else total.copy())
-    for row in seg.slot_rows(rows, -0.0):
-        out += row
-    return out
+    return _slot_sum(seg, np.take(rows, seg.row_order, axis=0), total)
 
 
 def _accumulate(pending: dict, t: Tensor, g) -> None:
@@ -399,17 +434,28 @@ def _tower_matmul_parts(x: Tensor, w: Tensor):
         raise DimensionError(
             f"tower_matmul towers or inner dimensions disagree: {x.data.shape} x {w.data.shape}")
     p = w.data.shape[2]
-    xt = x.data.transpose(1, 0, 2)
 
     def rule(g: np.ndarray):
-        gt = g.transpose(1, 0, 2)
-        return ((gt @ w.data.transpose(0, 2, 1)).transpose(1, 0, 2)
-                if x.requires_grad else None,
-                xt.transpose(0, 2, 1) @ gt if w.requires_grad else None)
+        return _tower_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
 
-    out = np.empty((m, k, p))
-    np.matmul(xt, w.data, out=out.transpose(1, 0, 2))
-    return out, rule, m * k * q * p
+    return _tower_product(x.data, w.data), rule, m * k * q * p
+
+
+def _tower_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m, k, q) rows times (k, q, p) weights, tower-major into a fresh
+    row-major (m, k, p) array."""
+    out = np.empty(x.shape[:2] + w.shape[2:])
+    np.matmul(x.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
+    return out
+
+
+def _tower_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, x_rg: bool,
+                 w_rg: bool):
+    """The gradients of ``_tower_product(x, w)``'s rows and weights for its
+    gradient ``g``, each None where not needed."""
+    gt = g.transpose(1, 0, 2)
+    return ((gt @ w.transpose(0, 2, 1)).transpose(1, 0, 2) if x_rg else None,
+            x.transpose(1, 2, 0) @ gt if w_rg else None)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -641,9 +687,9 @@ def segment_softmax(x: Tensor, seg: Segments) -> Tensor:
 
     ``seg.index[i]`` is the segment of row i of the 2-D ``x``; the rows of
     a segment need not be adjacent. A segment with one row gets weight 1; a
-    segment with no rows produces nothing. The per-segment maximum, taken
-    over the plan's slots, is subtracted before exponentiating, so large
-    logits do not overflow.
+    segment with no rows produces nothing. The per-segment maximum, one
+    prefix ``np.maximum`` per slot of the plan, is subtracted before
+    exponentiating, so large logits do not overflow.
     """
     if x.data.ndim != 2:
         raise DimensionError("segment_softmax needs a 2-D tensor")
@@ -652,8 +698,10 @@ def segment_softmax(x: Tensor, seg: Segments) -> Tensor:
     if not np.isfinite(x.data).all():
         raise NumericError("non-finite logits in segment_softmax")
     idx = seg.index
-    peak = seg.slot_rows(x.data, -np.inf).max(axis=0, initial=-np.inf)
-    e = np.exp(x.data - peak[idx])
+    # the maxima are in the plan's segment order
+    peak = np.full((seg.num_segments, x.data.shape[1]), -np.inf)
+    _slot_fold(seg, np.maximum, peak, np.take(x.data, seg.row_order, axis=0))
+    e = np.exp(x.data - peak[seg.back[idx]])
     y = e / _segment_sum(seg, e)[idx]
 
     def rule(g: np.ndarray):
@@ -723,6 +771,81 @@ def scatter_sum_rows(x: Tensor, seg: Segments) -> Tensor:
         return (g[seg.index],)
 
     return _result(_segment_sum(seg, x.data), (x,), rule)
+
+
+def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments],
+                   near: Sequence[Segments], sources: Sequence[np.ndarray]) -> Tensor:
+    """The matmul message of every edge label summed at each node, all
+    towers at once, as one taped op: the value of ``scatter_sum_rows(
+    tower_matmul(gather_rows(h, far[l]), weights[l]), near[l])`` per label
+    l, the labels' parts added in order (zeros of h's shape for no label).
+
+    ``h`` is (n, k, q) and ``weights[l]`` (k, q, p). Label l's edges are
+    the rows of its two plans: ``far[l]`` (one segment per row of h) picks
+    the state each message is computed from, ``near[l]`` the node it is
+    summed onto. ``sources[l]`` must be ``far[l].index`` in ``near[l]``'s
+    slot-major order, ``far[l].index[near[l].row_order]``; a caller builds
+    it once per pair of plans. The forward takes h's rows straight into
+    that order, multiplies them there, adds the slots onto the nodes
+    (``_slot_sum``) and takes the sums back once: no message is copied
+    into slots. Each node still adds its messages one at a time in edge
+    order, as the scatter does. A product row has the composed product's
+    bits where BLAS gives a row the same bits wherever it sits in the
+    block; at some tower widths (17-19, 25-27 and 33-35 on one OpenBLAS
+    build, among them the paper's d=200, k=8) it may not, and the sums
+    then differ in the last bits.
+
+    The rule replays the composed tape in reverse with its parts' own numpy
+    calls, last label first, in edge order: ``g[near.index]``, the tower
+    rule for the weight and the rows, and ``(far, rows)`` for h, which
+    ``backward`` sums through the plan. The parents name each label's
+    weight and then h, last label first, as the composed tape delivered
+    them, so every gradient keeps the composed bits and h's contributions
+    add onto its running total one label at a time. The multiply count is
+    the products', as before.
+
+    Only the result is checked for NaN/Inf. That is enough: every product
+    row is added into exactly one result row, and IEEE addition never turns
+    inf or NaN back into a finite number, so a non-finite product or
+    partial sum leaves the result non-finite.
+    """
+    if h.data.ndim != 3:
+        raise DimensionError("matmul_message needs (n, k, q) states")
+    groups = list(zip(weights, far, near, sources))
+    if not len(groups) == len(weights) == len(far) == len(near) == len(sources):
+        raise DimensionError(
+            "matmul_message needs a weight, two plans and sources per label")
+    n, k, q = h.data.shape
+    out_shape = ((near[0].num_segments, k, weights[0].data.shape[-1]) if groups
+                 else h.data.shape)
+    for w, f, nr, src in groups:
+        if w.data.shape[:2] != (k, q) or w.data.ndim != 3:
+            raise DimensionError(
+                f"matmul_message weight {w.data.shape} does not fit states {h.data.shape}")
+        if (nr.num_segments, k, w.data.shape[2]) != out_shape:
+            raise DimensionError("matmul_message labels disagree on the result's shape")
+        if f.num_segments != n:
+            raise DimensionError(f"matmul_message far plan has {f.num_segments} "
+                                 f"segments for {n} states")
+        if not f.index.shape == nr.index.shape == np.shape(src):
+            raise DimensionError("matmul_message plans and sources disagree on the edges")
+    parts = [_slot_sum(nr, _tower_product(np.take(h.data, src, axis=0), w.data))
+             for w, _, nr, src in groups]
+    total = parts[0] if parts else np.zeros(h.data.shape)
+    for part in parts[1:]:
+        total += part
+
+    def rule(g: np.ndarray):
+        grads = []
+        for w, f, nr, _ in reversed(groups):
+            g_rows, g_w = _tower_grads(h.data[f.index], w.data, g[nr.index],
+                                       h.requires_grad, w.requires_grad)
+            grads += [g_w, None if g_rows is None else (f, g_rows)]
+        return grads
+
+    parents = [t for w, *_ in reversed(groups) for t in (w, h)]
+    return _result(total, parents, rule,
+                   sum(src.size * w.data.size for w, _, _, src in groups))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

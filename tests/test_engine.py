@@ -236,6 +236,20 @@ class TestIndexPlans:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    @pytest.mark.parametrize("towers_k", [1, 2])
+    def test_matmul_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
+        # the matmul message of all labels is one op; no gather, product or
+        # scatter of its own reaches the tape
+        cfg = cfg_for("matmul", T=3, towers_k=towers_k)
+        eg = random_encoded(rng, n=7, ensure_connected=True)
+        assert np.unique(eg.edge_features).size > 1
+        T.active_tape().clear()
+        propagate(eg, init_params(cfg, seed=0), cfg)
+        ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
+        T.active_tape().clear()
+        assert ops.count("matmul_message") == 2 * cfg.T
+        assert not {"gather_rows", "tower_matmul", "scatter_sum_rows", "add"} & set(ops)
+
 
 class TestAggregate:
     def test_single_edge_concat(self, rng):

@@ -717,6 +717,134 @@ class TestGruCell:
             T.gru_cell(t([[2.0, 2.0]]), t([[2.0, 2.0]]), p)
 
 
+def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
+    """The matmul message composed from taped primitives, a gather, a
+    ``tower_matmul`` and a scatter per label joined by ``add``: the bitwise
+    oracle of the one-op ``T.matmul_message``, forward and backward."""
+    total = None if weights else Tensor(np.zeros(h.data.shape))
+    for a, far_label, near_label in zip(weights, far, near):
+        part = T.scatter_sum_rows(T.tower_matmul(T.gather_rows(h, far_label), a), near_label)
+        total = part if total is None else T.add(total, part)
+    return total
+
+
+MESSAGE_CASES = ["leaf", "intermediate", "h_read_later", "one_label", "missing_label",
+                 "no_edges"]
+
+
+def message_case(rng, case, n, n_edges, k, q, alphabet=3):
+    """(h, weights, edge groups) for the fused-message oracle: random edges
+    over n nodes with a hub (node 0 receives a third of them), labels drawn
+    from the alphabet, and one (k, q, q) weight per label of the alphabet.
+    The groups hold, per label present, its index into the weights and its
+    far and near plans, as ``engine._senders`` builds them."""
+    n_edges = 0 if case == "no_edges" else n_edges
+    src, dst = rng.integers(0, n, size=(2, n_edges))
+    dst[: n_edges // 3] = 0
+    labels = {"one_label": np.ones(n_edges, dtype=int),
+              "missing_label": rng.choice([0, 2], size=n_edges)
+              }.get(case, rng.integers(0, alphabet, size=n_edges))
+    groups = [(int(label), T.segments(src[labels == label], n),
+               T.segments(dst[labels == label], n)) for label in np.unique(labels)]
+    h = rng.normal(size=(n, k, q))
+    weights = [rng.normal(size=(k, q, q)) / np.sqrt(q) for _ in range(alphabet)]
+    return h, weights, groups
+
+
+def run_message(fused, case, h_data, w_data, groups, probe, later):
+    """Forward and backward through either message; returns the value and
+    the gradients of h and of every weight of the alphabet."""
+    h_leaf = t(h_data, rg=True)
+    ws = [t(w, rg=True) for w in w_data]
+    h = h_leaf if case == "leaf" else T.reshape(h_leaf, h_data.shape)
+    used = [ws[label] for label, _, _ in groups]
+    far = [f for _, f, _ in groups]
+    near = [nr for _, _, nr in groups]
+    if fused:
+        out = T.matmul_message(h, used, far, near,
+                               [f.index[nr.row_order] for f, nr in zip(far, near)])
+    else:
+        out = composed_matmul_message(h, used, far, near)
+    loss = T.reduce_sum(T.mul(out, t(probe)))
+    if case in ("h_read_later", "no_edges"):
+        # h's pending total holds this contribution before the message's
+        # arrive, one label at a time
+        loss = T.add(loss, T.reduce_sum(T.mul(T.tanh(h), t(later))))
+    backward(loss)
+    return [out.data, h_leaf.grad] + [w.grad for w in ws]
+
+
+class TestMatmulMessage:
+    @pytest.mark.parametrize("q", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("case", MESSAGE_CASES)
+    def test_bits_equal_composed_message(self, rng, case, k, q):
+        h, ws, groups = message_case(rng, case, n=9, n_edges=40, k=k, q=q)
+        probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
+        got = run_message(True, case, h, ws, groups, probe, later)
+        want = run_message(False, case, h, ws, groups, probe, later)
+        for name, a, b in zip(["out", "h", "A0", "A1", "A2"], got, want):
+            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist(), name
+
+    def test_agrees_with_composed_message_at_tower_width_25(self, rng):
+        # at this width BLAS may give a row other bits at another place in
+        # the block, so the products in slot order need not match the
+        # composed ones bit for bit (the paper's d=200, k=8)
+        h, ws, groups = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
+        probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
+        got = run_message(True, "leaf", h, ws, groups, probe, later)
+        want = run_message(False, "leaf", h, ws, groups, probe, later)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+    def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
+        h_data, ws, groups = message_case(rng, "leaf", n=9, n_edges=40, k=3, q=4)
+        h = t(h_data, rg=True)
+        used = [t(ws[label], rg=True) for label, _, _ in groups]
+        far = [f for _, f, _ in groups]
+        near = [nr for _, _, nr in groups]
+        sources = [f.index[nr.row_order] for f, nr in zip(far, near)]
+        with count_multiplies(MultiplyCounter()) as fused:
+            out = T.matmul_message(h, used, far, near, sources)
+        assert [entry[0] for entry in T.active_tape()] == [out]
+        with count_multiplies(MultiplyCounter()) as composed:
+            composed_matmul_message(h, used, far, near)
+        labels = len(groups)
+        assert len(T.active_tape()) == 1 + 3 * labels + labels - 1
+        assert fused.total == composed.total == 40 * 3 * 4 * 4
+        T.active_tape().clear()
+        # no edges: zeros of h's shape, and nothing to tape
+        out = T.matmul_message(h, [], [], [], [])
+        assert out.data.tobytes() == np.zeros(h.shape).tobytes()
+        assert not T.active_tape()
+
+    def test_overflowing_label_raises(self, rng):
+        h_data, ws, groups = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
+        far = [f for _, f, _ in groups]
+        near = [nr for _, _, nr in groups]
+        sources = [f.index[nr.row_order] for f, nr in zip(far, near)]
+        for huge in range(len(groups)):
+            used = [t(np.full((2, 3, 3), 1e308) if i == huge else ws[label])
+                    for i, (label, _, _) in enumerate(groups)]
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+                T.matmul_message(t(np.full(h_data.shape, 2.0)), used, far, near, sources)
+
+    def test_shape_validation(self, rng):
+        h_data, ws, groups = message_case(rng, "one_label", n=9, n_edges=40, k=2, q=3)
+        (_, f, nr), = groups
+        src = [f.index[nr.row_order]]
+        with pytest.raises(DimensionError):
+            T.matmul_message(t(h_data[:, 0]), [t(ws[1])], [f], [nr], src)
+        with pytest.raises(DimensionError):
+            T.matmul_message(t(h_data), [t(ws[1][:, :2])], [f], [nr], src)
+        with pytest.raises(DimensionError):
+            T.matmul_message(t(h_data[:5]), [t(ws[1])], [f], [nr], src)
+        with pytest.raises(DimensionError):
+            T.matmul_message(t(h_data), [t(ws[1])], [f], [nr], [src[0][:-1]])
+        with pytest.raises(DimensionError):
+            T.matmul_message(t(h_data), [t(ws[1])], [f], [], src)
+
+
 class TestMultiplyCounter:
     def test_matmul_counts_mkn(self):
         with count_multiplies(MultiplyCounter()) as c:
@@ -854,12 +982,16 @@ class TestSegmentSoftmax:
 
 
 # Segment sizes for the plan oracle: 0 to 30 rows, empty segments among
-# them, so most segments are padded to the largest. The hub kinds give one
-# segment 400 rows among segments of 0 to 3.
+# them, so the slots narrow unevenly. The hub kinds give one segment 400
+# rows among segments of 0 to 3; the last three kinds put every row in one
+# segment, one hub among empty segments, and empty segments between
+# segments of one size.
 ORACLE_DEGREES = [3, 0, 30, 1, 16, 0, 2, 9, 28, 4, 7, 0, 5]
 HUB_DEGREES = [1, 3, 0, 400, 2, 1, 0, 3]
+SHAPED_DEGREES = {"one-segment": [37], "hub-among-empty": [0, 0, 0, 60, 0, 0],
+                  "empty-between-full": [6, 0, 0, 6, 0, 6, 6, 0]}
 ORACLE_KINDS = ["degrees-0-30", "zero-rows", "width-1", "rank-3", "signed-zeros",
-                "hub", "width-1-hub"]
+                "hub", "width-1-hub", *SHAPED_DEGREES]
 
 
 def oracle_case(kind, rng):
@@ -867,7 +999,8 @@ def oracle_case(kind, rng):
     index, one row per entry, and a per-segment starting total that holds
     zeros of both signs."""
     degrees = ([0] * 4 if kind == "zero-rows"
-               else HUB_DEGREES if kind.endswith("hub") else ORACLE_DEGREES)
+               else HUB_DEGREES if kind.endswith("hub")
+               else SHAPED_DEGREES.get(kind, ORACLE_DEGREES))
     index = rng.permutation(np.repeat(np.arange(len(degrees)), degrees))
     row_shape = {"width-1": (1,), "width-1-hub": (1,), "rank-3": (2, 3)}.get(kind, (3,))
 
@@ -940,15 +1073,37 @@ class TestSegmentPlan:
         assert_same_bits(got.data, y)
         assert_same_bits(xt.grad, 0.0 + y * (g - s[index]))
 
-    def test_slots_hold_each_segments_rows_in_row_order(self):
+    def test_plan_lays_rows_out_slot_major(self, rng):
+        # counts 1, 1, 3, 0: segment 2 first, then 0 and 1 in their order
         seg = T.segments([2, 0, 2, 1, 2], 4)
-        pad = 5
-        np.testing.assert_array_equal(seg.slots, [[1, 3, 0, pad],
-                                                  [pad, pad, 2, pad],
-                                                  [pad, pad, 4, pad]])
-        assert T.segments([], 3).slots.shape == (0, 3)
-        with pytest.raises(ValueError):
-            seg.index[0] = 1
+        assert seg.order.tolist() == [2, 0, 1, 3]
+        assert seg.back.tolist() == [1, 2, 0, 3]
+        assert seg.widths == (3, 1, 1)
+        assert seg.row_order.tolist() == [0, 1, 3, 2, 4]
+        # equal counts keep segment order
+        assert T.segments([0, 1, 2, 3, 1, 3, 0, 2, 1, 3], 4).order.tolist() == [1, 3, 0, 2]
+        empty = T.segments([], 3)
+        assert empty.widths == () and empty.row_order.shape == (0,)
+        # ties among 64 segments; more than 256 segments need 16-bit sort keys
+        many = rng.permutation(np.repeat(np.arange(64), rng.integers(0, 3, size=64)))
+        wide = rng.integers(0, 300, size=900)
+        for index, n in ([oracle_case(kind, rng)[:2] for kind in ORACLE_KINDS]
+                         + [(many, 64), (wide, 300)]):
+            seg = T.segments(index, n)
+            counts = np.bincount(index, minlength=n)
+            # Python's sort is stable
+            assert seg.order.tolist() == sorted(range(n), key=lambda s: -counts[s])
+            assert np.array_equal(seg.back[seg.order], np.arange(n))
+            assert list(seg.widths) == sorted(seg.widths, reverse=True)
+            starts = np.cumsum((0,) + seg.widths)
+            for j, width in enumerate(seg.widths):
+                # slot j: the j-th row of each of the first widths[j] segments
+                want = [np.flatnonzero(index == s)[j] for s in seg.order[:width]]
+                assert seg.row_order[starts[j]:starts[j + 1]].tolist() == want
+            assert starts[-1] == index.size
+        for arr in (seg.index, seg.row_order, seg.order, seg.back):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_plan_checks_its_index(self):
         with pytest.raises(DimensionError):
