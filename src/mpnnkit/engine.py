@@ -19,11 +19,11 @@ Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
 map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
-towers first, such as (k, d/k, d/k) per matmul label, and
-``tt.tower_matmul`` multiplies all towers in one call. So a step runs one
-taped message op per channel (``tt.matmul_message`` for every edge label
-at once) or one gather, product and scatter (the other message
-functions), and one GRU, whatever k is; k = 1 is a tower axis of size 1.
+towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
+multiplies all towers in one call. So a step runs one taped message op per
+channel (``tt.matmul_message`` for every edge label at once) or one
+gather, product and scatter (the other message functions), and one GRU,
+whatever k is; k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
 the matmul label groups, the tower-tiled edge vectors, DTNN's edge term and
@@ -38,7 +38,7 @@ undirected pair, as both orientations of a pair carry the same features;
 one ``tt.pair_matvec`` gives both directions' messages. Backward, each step's
 ``pair_matvec`` hands the matrices' gradient back as factors, and
 ``tt.backward`` sums the T steps' factors in one matmul per channel before
-the edge network's last ``tt.affine`` (product and bias in one taped op)
+the edge network's last ``tt.matmul`` (product and bias in one taped op)
 takes it.
 
 The master node (the paper's latent node joined to every atom by a special
@@ -254,8 +254,8 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 def mlp2(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     """Single-hidden-layer MLP: affine, relu, affine."""
-    h = tt.relu(tt.affine(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
-    return tt.affine(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
+    h = tt.relu(tt.matmul(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
+    return tt.matmul(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
 def pad_features(features: np.ndarray, d: int) -> Tensor:
@@ -373,12 +373,12 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
             params, f"{prefix}_pm"), near)
 
     def dtnn(far, near, prefix):
-        eterm = tt.affine(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
+        eterm = tt.matmul(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
 
         def send(h):
-            hterm = tt.affine(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
+            hterm = tt.matmul(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
                               params[f"{prefix}_dtnn_b1"])
-            return tt.scatter_sum_rows(tt.tanh(tt.tower_matmul(
+            return tt.scatter_sum_rows(tt.tanh(tt.matmul(
                 tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"])), near)
         return send
 
@@ -444,7 +444,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
                              master, "master_gru")
         h = h_new
         if k > 1:
-            h = tt.reshape(tt.affine(tt.reshape(h, (n, cfg.d)), params["mix_w"],
+            h = tt.reshape(tt.matmul(tt.reshape(h, (n, cfg.d)), params["mix_w"],
                                      params["mix_b"]), towered)
     return NodeStates(h=tt.reshape(h, (n, cfg.d)), h0=h0, node_graph=graph,
                       n_graphs=n_graphs, master=master, master0=master0)

@@ -1,16 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Only the operations the graph models in this package actually need are
-implemented: 2-D matrix products and their per-tower stack (alone or with a
-bias, as one affine op), per-row and per-pair matrix-vector products, a
-small set of pointwise functions, reductions, softmax (over an axis or per
-segment of rows), concatenation/slicing, row gather/scatter, the matmul
-message of every edge label (gathered, multiplied per tower and summed at
-each node), and a GRU cell over row-stacked states. The message and the
-GRU cell are each one taped op whose rule replays, with the same bits, the
-tape the op composed from the primitives would record. Elementwise
-operands must match in shape, so every backward rule stays auditable at a
-glance.
+implemented: one weight product, ``matmul``, of rows by a matrix or by a
+per-tower stack of matrices (with an optional bias added in the same op),
+per-row and per-pair matrix-vector products, a small set of pointwise
+functions, reductions, softmax (over an axis or per segment of rows),
+concatenation/slicing, row gather/scatter, the matmul message of every edge
+label (gathered, multiplied per tower and summed at each node), and a GRU
+cell over row-stacked states. The message and the GRU cell are each one
+taped op whose rule replays, with the same bits, the tape the op composed
+from the primitives would record. Elementwise operands must match in shape,
+so every backward rule stays auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
@@ -62,8 +62,6 @@ __all__ = [
     "backward",
     "active_tape",
     "matmul",
-    "tower_matmul",
-    "affine",
     "batched_matvec",
     "pair_matvec",
     "add",
@@ -405,95 +403,70 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _matmul_parts(a: Tensor, b: Tensor):
-    """Checked forward value, backward rule and multiply count of ``matmul``."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul operands must be 2-D")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
-        )
-    m, k = a.data.shape
-    n = b.data.shape[1]
-
-    def rule(g: np.ndarray):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return a.data @ b.data, rule, m * k * n
-
-
-def _tower_matmul_parts(x: Tensor, w: Tensor):
-    """Checked forward value, backward rule and multiply count of
-    ``tower_matmul``; the tower-major product is written straight into a
-    fresh row-major (m, k, p) array."""
-    if x.data.ndim != 3 or w.data.ndim != 3:
-        raise DimensionError("tower_matmul needs (m, k, q) rows and (k, q, p) weights")
-    m, k, q = x.data.shape
-    if w.data.shape[:2] != (k, q):
-        raise DimensionError(
-            f"tower_matmul towers or inner dimensions disagree: {x.data.shape} x {w.data.shape}")
-    p = w.data.shape[2]
-
-    def rule(g: np.ndarray):
-        return _tower_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
-
-    return _tower_product(x.data, w.data), rule, m * k * q * p
-
-
-def _tower_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(m, k, q) rows times (k, q, p) weights, tower-major into a fresh
-    row-major (m, k, p) array."""
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m, q) rows times a (q, p) matrix, or (m, k, q) rows times a (k, q,
+    p) stack tower by tower, ``out[:, t] = x[:, t] @ w[t]``. A stack runs
+    one ``np.matmul`` over the tower-major view (k, m, q) of ``x`` into the
+    tower-major view of a fresh row-major (m, k, p) array, each tower's
+    product the same BLAS call a matrix makes alone; a matrix stays on
+    ``x @ w``, which skips the views and costs less per call. This rank
+    test and the one in ``_product_grads`` are the only places where the
+    code picks a product."""
+    if w.ndim == 2:
+        return x @ w
     out = np.empty(x.shape[:2] + w.shape[2:])
     np.matmul(x.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
     return out
 
 
-def _tower_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, x_rg: bool,
-                 w_rg: bool):
-    """The gradients of ``_tower_product(x, w)``'s rows and weights for its
+def _product_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, x_rg: bool,
+                   w_rg: bool):
+    """The gradients of ``_product(x, w)``'s rows and weights for its
     gradient ``g``, each None where not needed."""
+    if w.ndim == 2:
+        return (g @ w.T if x_rg else None, x.T @ g if w_rg else None)
     gt = g.transpose(1, 0, 2)
     return ((gt @ w.transpose(0, 2, 1)).transpose(1, 0, 2) if x_rg else None,
             x.transpose(1, 2, 0) @ gt if w_rg else None)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors; dY flows as dA = g @ B^T, dB = A^T @ g."""
-    data, rule, muls = _matmul_parts(a, b)
-    return _result(data, (a, b), rule, muls)
-
-
-def tower_matmul(x: Tensor, w: Tensor) -> Tensor:
-    """Per-tower matrix products: (m, k, q) rows times (k, q, p) weights
-    give (m, k, p), with ``out[:, t] = x[:, t] @ w[t]`` for every tower t.
-
-    One ``np.matmul`` over the tower-major view (k, m, q) of ``x`` into the
-    tower-major view of the row-major result; each tower's product is the
-    same BLAS call ``matmul`` makes for it alone.
-    """
-    data, rule, muls = _tower_matmul_parts(x, w)
-    return _result(data, (x, w), rule, muls)
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one taped op: a 2-D ``w`` maps (n, q) rows with a
-    (p,) bias, a tower stack ``w`` (k, q, p) maps (n, k, q) rows tower by
-    tower with a (k, p) bias. The bias is added in place into the fresh
-    row-major product, with the bits of ``matmul`` (or ``tower_matmul``)
-    followed by adding the bias to every row, forward and backward; the
-    bias's gradient sums the rows'.
-    """
-    out, mm_rule, muls = (_tower_matmul_parts if w.data.ndim == 3 else _matmul_parts)(x, w)
-    if b.data.shape != out.shape[1:]:
+def _product_parts(x: Tensor, w: Tensor):
+    """Checked forward value, backward rule and multiply count of
+    ``_product(x, w)``: the ranks must be equal, 2 or 3, and ``w``'s shape
+    without its last axis must be ``x``'s without its first."""
+    xs, ws = x.data.shape, w.data.shape
+    if not (len(xs) == len(ws) in (2, 3) and ws[:-1] == xs[1:]):
         raise DimensionError(
-            f"affine needs a bias of the output's row shape: {out.shape} + {b.data.shape}")
-    out += b.data
+            f"matmul needs (m, q) rows and a (q, p) matrix, or (m, k, q) rows "
+            f"and a (k, q, p) stack: {xs} x {ws}")
 
     def rule(g: np.ndarray):
-        return (*mm_rule(g), g.sum(axis=0) if b.requires_grad else None)
+        return _product_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
 
-    return _result(out, (x, w, b), rule, muls)
+    return _product(x.data, w.data), rule, x.data.size * ws[-1]
+
+
+def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w`` (plus ``b``) as one taped op: a (q, p) matrix ``w`` maps
+    (m, q) rows, with a (p,) bias; a (k, q, p) stack maps (m, k, q) rows
+    tower by tower, ``out[:, t] = x[:, t] @ w[t]``, with a (k, p) bias.
+
+    dX = g @ W^T and dW = X^T @ g, per tower for a stack. A bias is added
+    in place into the fresh row-major product, with the bits of adding it
+    to every row afterwards, and its gradient sums the rows'.
+    """
+    out, product_rule, muls = _product_parts(x, w)
+    if b is not None:
+        if b.data.shape != out.shape[1:]:
+            raise DimensionError(
+                f"matmul needs a bias of the output's row shape: {out.shape} + {b.data.shape}")
+        out += b.data
+
+    def rule(g: np.ndarray):
+        grads = product_rule(g)
+        return grads if b is None else (*grads, g.sum(axis=0) if b.requires_grad else None)
+
+    return _result(out, (x, w) if b is None else (x, w, b), rule, muls)
 
 
 def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
@@ -669,6 +642,7 @@ def reduce_sum(x: Tensor) -> Tensor:
     return _result(x.data.sum(), (x,), rule)
 
 
+# no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)
 def softmax(x: Tensor, axis: int) -> Tensor:
     ax = _check_axis(x, axis)
     shifted = x.data - x.data.max(axis=ax, keepdims=True)
@@ -777,8 +751,8 @@ def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments]
                    near: Sequence[Segments], sources: Sequence[np.ndarray]) -> Tensor:
     """The matmul message of every edge label summed at each node, all
     towers at once, as one taped op: the value of ``scatter_sum_rows(
-    tower_matmul(gather_rows(h, far[l]), weights[l]), near[l])`` per label
-    l, the labels' parts added in order (zeros of h's shape for no label).
+    matmul(gather_rows(h, far[l]), weights[l]), near[l])`` per label l,
+    the labels' parts added in order (zeros of h's shape for no label).
 
     ``h`` is (n, k, q) and ``weights[l]`` (k, q, p). Label l's edges are
     the rows of its two plans: ``far[l]`` (one segment per row of h) picks
@@ -796,13 +770,13 @@ def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments]
     then differ in the last bits.
 
     The rule replays the composed tape in reverse with its parts' own numpy
-    calls, last label first, in edge order: ``g[near.index]``, the tower
-    rule for the weight and the rows, and ``(far, rows)`` for h, which
-    ``backward`` sums through the plan. The parents name each label's
-    weight and then h, last label first, as the composed tape delivered
-    them, so every gradient keeps the composed bits and h's contributions
-    add onto its running total one label at a time. The multiply count is
-    the products', as before.
+    calls, last label first, in edge order: ``g[near.index]``, the product
+    kernel's gradients (``_product_grads``) for the weight and the rows,
+    and ``(far, rows)`` for h, which ``backward`` sums through the plan.
+    The parents name each label's weight and then h, last label first, as
+    the composed tape delivered them, so every gradient keeps the composed
+    bits and h's contributions add onto its running total one label at a
+    time. The multiply count is the products', as before.
 
     Only the result is checked for NaN/Inf. That is enough: every product
     row is added into exactly one result row, and IEEE addition never turns
@@ -829,7 +803,7 @@ def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments]
                                  f"segments for {n} states")
         if not f.index.shape == nr.index.shape == np.shape(src):
             raise DimensionError("matmul_message plans and sources disagree on the edges")
-    parts = [_slot_sum(nr, _tower_product(np.take(h.data, src, axis=0), w.data))
+    parts = [_slot_sum(nr, _product(np.take(h.data, src, axis=0), w.data))
              for w, _, nr, src in groups]
     total = parts[0] if parts else np.zeros(h.data.shape)
     for part in parts[1:]:
@@ -838,8 +812,8 @@ def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments]
     def rule(g: np.ndarray):
         grads = []
         for w, f, nr, _ in reversed(groups):
-            g_rows, g_w = _tower_grads(h.data[f.index], w.data, g[nr.index],
-                                       h.requires_grad, w.requires_grad)
+            g_rows, g_w = _product_grads(h.data[f.index], w.data, g[nr.index],
+                                         h.requires_grad, w.requires_grad)
             grads += [g_w, None if g_rows is None else (f, g_rows)]
         return grads
 
@@ -848,6 +822,7 @@ def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments]
                    sum(src.size * w.data.size for w, _, _, src in groups))
 
 
+# no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("slice_cols needs a 2-D tensor")
@@ -862,6 +837,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(x.data[:, start:stop].copy(), (x,), rule)
 
 
+# no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)
 def repeat_rows(x: Tensor, n: int) -> Tensor:
     """Tile a (d,) or (1, d) tensor into n identical rows; backward sums rows."""
     if x.data.ndim == 1:
@@ -912,19 +888,17 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
 
     States are row stacks: ``x`` is (n, d_in), ``h`` and the result (n, d).
     Weights with a leading tower axis, (k, d_in, d) and (k, d, d), run k
-    independent cells over (n, k, d_in) and (n, k, d) states, each product
-    as ``tower_matmul`` computes it.
+    independent cells over (n, k, d_in) and (n, k, d) states.
 
-    The bits are those of the cell composed from ``matmul`` (or
-    ``tower_matmul``), ``add``, ``sigmoid``, ``tanh``, ``sub`` and ``mul``,
-    forward and backward, and so is the multiply count: the six products
-    plus three per output element. The rule replays that composition's
-    tape in reverse through the products' own rules. The parents name x
-    three times and h four times, once per gradient contribution, among
-    the weights in the order that tape delivered them, so ``backward``
-    adds each contribution into a pending total one at a time, as it did.
-    That order shows when h has another consumer, such as the master
-    node's per-graph sum of h.
+    The bits are those of the cell composed from ``matmul``, ``add``,
+    ``sigmoid``, ``tanh``, ``sub`` and ``mul``, forward and backward, and so
+    is the multiply count: the six products plus three per output element.
+    The rule replays that composition's tape in reverse through the
+    products' own rules. The parents name x three times and h four times,
+    once per gradient contribution, among the weights in the order that tape
+    delivered them, so ``backward`` adds each contribution into a pending
+    total one at a time, as it did. That order shows when h has another
+    consumer, such as the master node's per-graph sum of h.
 
     Only the three pre-activations and the result are checked for NaN/Inf.
     That is enough: a non-finite product makes its pre-activation
@@ -946,23 +920,23 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
             f"GRU inputs {x.data.shape}, {h.data.shape} do not match weights "
             f"{params.wz.data.shape}")
     p = params
-    parts = _tower_matmul_parts if lead else _matmul_parts
 
-    def pre_activation(a_parts, b_parts):
-        (a, a_rule, a_muls), (b, b_rule, b_muls) = a_parts, b_parts
+    def pre_activation(u, wu, v, wv):
+        # u wu + v wv, each product from matmul's kernel, for either rank
+        (a, a_rule, a_muls), (b, b_rule, b_muls) = _product_parts(u, wu), _product_parts(v, wv)
         a += b
         if not np.isfinite(a).all():
             raise NumericError("non-finite GRU pre-activation")
         return a, a_rule, b_rule, a_muls + b_muls
 
-    s_z, xz_rule, hz_rule, muls_z = pre_activation(parts(x, p.wz), parts(h, p.uz))
-    s_r, xr_rule, hr_rule, muls_r = pre_activation(parts(x, p.wr), parts(h, p.ur))
+    s_z, xz_rule, hz_rule, muls_z = pre_activation(x, p.wz, h, p.uz)
+    s_r, xr_rule, hr_rule, muls_r = pre_activation(x, p.wr, h, p.ur)
     z, r = _sigmoid(s_z), _sigmoid(s_r)
     needs = lambda *ts: any(t.requires_grad for t in ts)
     z_rg, r_rg = needs(x, h, p.wz, p.uz), needs(x, h, p.wr, p.ur)
     rh = Tensor.__new__(Tensor)  # unchecked: |r| <= 1, so r * h is finite
     rh.data, rh.requires_grad, rh.grad = r * h.data, r_rg, None
-    s_h, xh_rule, rhh_rule, muls_h = pre_activation(parts(x, p.wh), parts(rh, p.uh))
+    s_h, xh_rule, rhh_rule, muls_h = pre_activation(x, p.wh, rh, p.uh)
     hbar = np.tanh(s_h)
     hbar_rg = r_rg or needs(x, p.wh, p.uh)
     omz = 1.0 - z
@@ -997,11 +971,17 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
 
 def _atomic_write(path: str, text: str) -> None:
     """Replace ``path`` with ``text`` so readers see the old or the new file,
-    never a partial one."""
+    never a partial one. A failed write or replace removes its temporary
+    file and re-raises."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _refuse_constant(token: str):

@@ -146,7 +146,8 @@ class TrainConfig:
         if self.eval_every < 1:
             raise ContractError("eval_every must be positive")
         if self.targets != "all":
-            if not isinstance(self.targets, int) or not 0 <= self.targets < len(TARGET_NAMES):
+            # type, not isinstance: a bool is an int, and True would pick target 1
+            if type(self.targets) is not int or not 0 <= self.targets < len(TARGET_NAMES):
                 raise ContractError(f"targets must be 'all' or an index in [0, "
                                     f"{len(TARGET_NAMES)})")
 

@@ -191,19 +191,20 @@ class TestSingleEdgeMessages:
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_dtnn_edge_term_built_once_per_channel(self, rng, monkeypatch):
-        # W_df e + b2 depends only on the edges: one affine per channel and
-        # forward, not one per channel and step
+        # W_df e + b2 depends only on the edges: one biased product per
+        # channel and forward, not one per channel and step
         cfg = cfg_for("dtnn", T=3)
         params = init_params(cfg, seed=6)
         wdf = {id(params[f"msg_{ch}_dtnn_wdf"]) for ch in ("in", "out")}
         calls = []
-        affine = T.affine
+        matmul = T.matmul
 
-        def counting_affine(x, w, b):
-            calls.append(id(w) in wdf)
-            return affine(x, w, b)
+        def counting_matmul(x, w, b=None):
+            if b is not None:
+                calls.append(id(w) in wdf)
+            return matmul(x, w, b)
 
-        monkeypatch.setattr(T, "affine", counting_affine)
+        monkeypatch.setattr(T, "matmul", counting_matmul)
         propagate(random_encoded(rng, n=5, d_in=4), params, cfg)
         assert sum(calls) == 2
         assert len(calls) == 2 + 2 * cfg.T
@@ -239,7 +240,8 @@ class TestIndexPlans:
     @pytest.mark.parametrize("towers_k", [1, 2])
     def test_matmul_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
         # the matmul message of all labels is one op; no gather, product or
-        # scatter of its own reaches the tape
+        # scatter of its own reaches the tape: the only products taped are
+        # the tower mix's, one per step when there are towers
         cfg = cfg_for("matmul", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
         assert np.unique(eg.edge_features).size > 1
@@ -248,7 +250,8 @@ class TestIndexPlans:
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
         assert ops.count("matmul_message") == 2 * cfg.T
-        assert not {"gather_rows", "tower_matmul", "scatter_sum_rows", "add"} & set(ops)
+        assert ops.count("matmul") == (cfg.T if towers_k > 1 else 0)
+        assert not {"gather_rows", "scatter_sum_rows", "add"} & set(ops)
 
 
 class TestAggregate:

@@ -136,22 +136,13 @@ class TestForwardValues:
         np.testing.assert_array_equal(s.data, [x[2] + x[0], x[2]])
 
     def test_tower_matmul_is_each_towers_matmul(self, rng):
-        # bit for bit: tower t's product is the 2-D matmul of its slices
+        # bit for bit: a stack's tower t product is the 2-D matmul of its slices
         x = rng.normal(size=(7, 3, 5))
         w = rng.normal(size=(3, 5, 4))
-        out = T.tower_matmul(t(x), t(w)).data
+        out = T.matmul(t(x), t(w)).data
         assert out.shape == (7, 3, 4) and out.flags.c_contiguous
         for k in range(3):
             assert out[:, k].tobytes() == T.matmul(t(x[:, k]), t(w[k])).data.tobytes()
-
-    @pytest.mark.parametrize("x_shape, w_shape", [
-        ((7, 3, 5), (2, 5, 4)),  # towers disagree
-        ((7, 3, 5), (3, 4, 4)),  # inner dimensions disagree
-        ((7, 15), (3, 5, 4)),    # rows without a tower axis
-    ], ids=["towers", "inner", "rank"])
-    def test_tower_matmul_shape_mismatch(self, x_shape, w_shape):
-        with pytest.raises(DimensionError):
-            T.tower_matmul(t(np.ones(x_shape)), t(np.ones(w_shape)))
 
     def test_pair_matvec_over_towers_matches_loop(self, rng):
         # three pairs of two towers, each tower a 2x3 matrix
@@ -202,17 +193,17 @@ class TestForwardValues:
         ((5, 2, 3), (2, 3, 4), (2, 4)),
     ], ids=["2d", "towers"])
     def test_affine_bits_equal_matmul_then_add_bias(self, rng, x_shape, w_shape, b_shape):
-        # the bits of the plain product plus a broadcast bias, forward and
-        # backward; the bias's gradient is the sum of the rows' gradients
+        # a biased product has the bits of the plain product plus a
+        # broadcast bias, forward and backward; the bias's gradient is the
+        # sum of the rows' gradients
         x, w, b = (t(rng.normal(size=s), rg=True) for s in (x_shape, w_shape, b_shape))
         g = t(rng.normal(size=x_shape[:-1] + w_shape[-1:]))
-        got = T.affine(x, w, b)
+        got = T.matmul(x, w, b)
         backward(T.reduce_sum(T.mul(got, g)))
         got_grads = [p.grad.copy() for p in (x, w, b)]
         for p in (x, w, b):
             p.zero_grad()
-        mm = T.tower_matmul if len(w_shape) == 3 else T.matmul
-        prod = mm(x, w)
+        prod = T.matmul(x, w)
         backward(T.reduce_sum(T.mul(prod, g)))
         assert got.data.flags.c_contiguous
         assert got.data.tobytes() == (prod.data + b.data).tobytes()
@@ -230,17 +221,8 @@ class TestForwardValues:
     ], ids=["2d", "towers"])
     def test_affine_is_one_tape_entry(self, x_shape, w_shape, b_shape):
         x, w, b = (t(np.ones(s), rg=True) for s in (x_shape, w_shape, b_shape))
-        out = T.affine(x, w, b)
+        out = T.matmul(x, w, b)
         assert [(o, parents) for o, parents, _ in T.active_tape()] == [(out, (x, w, b))]
-
-    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
-        ((5, 3), (3, 4), (3,)),      # bias of the input's width
-        ((5, 3), (3, 4), (1, 4)),    # bias with a row axis
-        ((5, 2, 3), (2, 3, 4), (4,)),  # one bias for every tower
-    ])
-    def test_affine_needs_a_bias_of_the_row_shape(self, x_shape, w_shape, b_shape):
-        with pytest.raises(DimensionError):
-            T.affine(*(t(np.ones(s)) for s in (x_shape, w_shape, b_shape)))
 
     def test_nan_raises_numeric_error(self):
         big = t([[1e308]])
@@ -250,6 +232,94 @@ class TestForwardValues:
     def test_item_requires_scalar(self):
         with pytest.raises(ContractError):
             t([1.0, 2.0]).item()
+
+
+WEIGHTS = pytest.mark.parametrize("w_shape", [(3, 4), (2, 3, 4)], ids=["matrix", "stack"])
+BIAS = pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+
+
+def matmul_operands(rng, w_shape, bias, scale=1.0):
+    """Leaf rows, weights and (when ``bias``) a bias for ``T.matmul`` with
+    weights of ``w_shape``: five rows, a (p,) bias for a matrix and a (k,
+    p) one for a stack."""
+    shapes = [(5,) + w_shape[:-1], w_shape] + ([w_shape[:-2] + w_shape[-1:]] if bias else [])
+    return [t(rng.normal(size=s) * scale, rg=True) for s in shapes]
+
+
+class TestMatmul:
+    """``T.matmul(x, w, b=None)``, the one weight product, over a matrix
+    and a tower stack, with and without a bias."""
+
+    @BIAS
+    @WEIGHTS
+    def test_bits_tape_and_count(self, rng, w_shape, bias):
+        # plain numpy's bits, per tower for a stack, then the bias added to
+        # every row; one tape entry and m * q * p multiplies per tower
+        x, w, *b = matmul_operands(rng, w_shape, bias)
+        g = rng.normal(size=x.shape[:-1] + w_shape[-1:])
+        with count_multiplies(MultiplyCounter()) as c:
+            out = T.matmul(x, w, *b)
+        assert [(o, parents) for o, parents, _ in T.active_tape()] == [(out, (x, w, *b))]
+        assert c.total == x.size * w_shape[-1]
+        xd, wd = x.data, w.data
+        if len(w_shape) == 2:
+            want, want_gx, want_gw = xd @ wd, g @ wd.T, xd.T @ g
+        else:
+            towers = range(w_shape[0])
+            want = np.stack([xd[:, k] @ wd[k] for k in towers], axis=1)
+            want_gx = np.stack([g[:, k] @ wd[k].T for k in towers], axis=1)
+            want_gw = np.stack([xd[:, k].T @ g[:, k] for k in towers])
+        if bias:
+            want = want + b[0].data
+        assert out.data.flags.c_contiguous
+        assert out.data.tobytes() == want.tobytes()
+        backward(T.reduce_sum(T.mul(out, t(g))))
+        assert x.grad.tobytes() == want_gx.tobytes()
+        assert w.grad.tobytes() == want_gw.tobytes()
+        if bias:
+            assert b[0].grad.tobytes() == g.sum(axis=0).tobytes()
+
+    @BIAS
+    @WEIGHTS
+    def test_gradients_against_finite_differences(self, rng, w_shape, bias):
+        # small enough that tanh stays off its flat tails, where the
+        # central difference of a small entry misses the relative tolerance
+        params = dict(zip("xwb", matmul_operands(rng, w_shape, bias, scale=0.5)))
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.tanh(T.matmul(p["x"], p["w"], p.get("b")))),
+            params, label="matmul")
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((5, 6), (2, 3, 4), None),
+        ((5, 2, 3), (3, 4), None),
+        ((3,), (3,), None),
+        ((5, 2, 2, 3), (2, 2, 3, 4), None),
+        ((5, 3, 3), (2, 3, 4), None),
+        ((5, 2, 3), (2, 4, 4), None),
+        ((5, 3), (4, 4), None),
+        ((5, 3), (3, 4), (3,)),
+        ((5, 3), (3, 4), (1, 4)),
+        ((5, 2, 3), (2, 3, 4), (4,)),
+    ], ids=["matrix_rows_stack", "stack_rows_matrix", "rank_1", "rank_4", "towers",
+            "inner_stack", "inner_matrix", "bias_of_input_width", "bias_with_row_axis",
+            "one_bias_for_every_tower"])
+    def test_shape_mismatch(self, x_shape, w_shape, b_shape):
+        operands = [t(np.ones(s)) for s in (x_shape, w_shape, b_shape) if s is not None]
+        with pytest.raises(DimensionError):
+            T.matmul(*operands)
+
+    @pytest.mark.parametrize("m", [1, 5, 64, 300])
+    def test_matrix_bits_equal_plain_numpy(self, rng, m):
+        # a matrix stays on x @ w, g @ w.T and x.T @ g, whatever the sizes
+        for q in (1, 25, 200):
+            for p in (1, 13, 25, 200):
+                x, w = t(rng.normal(size=(m, q)), rg=True), t(rng.normal(size=(q, p)), rg=True)
+                g = rng.normal(size=(m, p))
+                out = T.matmul(x, w)
+                backward(T.reduce_sum(T.mul(out, t(g))))
+                assert out.data.tobytes() == (x.data @ w.data).tobytes()
+                assert x.grad.tobytes() == (g @ w.data.T).tobytes()
+                assert w.grad.tobytes() == (x.data.T @ g).tobytes()
 
 
 class TestBackward:
@@ -452,15 +522,6 @@ class TestGradientsAgainstFiniteDifferences:
             lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
             params, label="pair_matvec")
 
-    def test_tower_matmul(self, rng):
-        params = {
-            "x": t(rng.normal(size=(5, 3, 4)), rg=True),
-            "w": t(rng.normal(size=(3, 4, 2)), rg=True),
-        }
-        check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(T.tower_matmul(p["x"], p["w"]))),
-            params, label="tower_matmul")
-
     def test_pair_matvec_over_towers(self, rng):
         pair, side = [2, 0, 1, 0], [1, 0, 0, 1]
         params = {
@@ -472,20 +533,6 @@ class TestGradientsAgainstFiniteDifferences:
         check_grad_against_fd(
             lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
             params, label="pair_matvec_towers")
-
-    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
-        ((4, 3), (3, 2), (2,)),
-        ((4, 2, 3), (2, 3, 2), (2, 2)),
-    ], ids=["2d", "towers"])
-    def test_affine(self, rng, x_shape, w_shape, b_shape):
-        # small enough that tanh stays off its flat tails, where the
-        # central difference of a small entry misses the relative tolerance
-        params = {"x": t(rng.normal(size=x_shape) * 0.5, rg=True),
-                  "w": t(rng.normal(size=w_shape) * 0.5, rg=True),
-                  "b": t(rng.normal(size=b_shape) * 0.5, rg=True)}
-        check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(T.affine(p["x"], p["w"], p["b"]))),
-            params, label="affine")
 
     @pytest.mark.parametrize("dense_at", [None, "first", "last"],
                              ids=["no_dense", "dense_first", "dense_last"])
@@ -596,10 +643,9 @@ class TestGradientsAgainstFiniteDifferences:
 def composed_gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     """The GRU cell composed from taped primitives, 17 tape entries: the
     bitwise oracle of the one-op ``T.gru_cell``, forward and backward."""
-    mm = T.tower_matmul if params.wz.data.ndim == 3 else T.matmul
-    z = T.sigmoid(T.add(mm(x, params.wz), mm(h, params.uz)))
-    r = T.sigmoid(T.add(mm(x, params.wr), mm(h, params.ur)))
-    hbar = T.tanh(T.add(mm(x, params.wh), mm(T.mul(r, h), params.uh)))
+    z = T.sigmoid(T.add(T.matmul(x, params.wz), T.matmul(h, params.uz)))
+    r = T.sigmoid(T.add(T.matmul(x, params.wr), T.matmul(h, params.ur)))
+    hbar = T.tanh(T.add(T.matmul(x, params.wh), T.matmul(T.mul(r, h), params.uh)))
     return T.add(T.mul(T.sub(Tensor(np.ones_like(z.data)), z), h), T.mul(z, hbar))
 
 
@@ -719,11 +765,11 @@ class TestGruCell:
 
 def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
     """The matmul message composed from taped primitives, a gather, a
-    ``tower_matmul`` and a scatter per label joined by ``add``: the bitwise
-    oracle of the one-op ``T.matmul_message``, forward and backward."""
+    ``matmul`` and a scatter per label joined by ``add``: the bitwise oracle
+    of the one-op ``T.matmul_message``, forward and backward."""
     total = None if weights else Tensor(np.zeros(h.data.shape))
     for a, far_label, near_label in zip(weights, far, near):
-        part = T.scatter_sum_rows(T.tower_matmul(T.gather_rows(h, far_label), a), near_label)
+        part = T.scatter_sum_rows(T.matmul(T.gather_rows(h, far_label), a), near_label)
         total = part if total is None else T.add(total, part)
     return total
 
@@ -863,7 +909,7 @@ class TestMultiplyCounter:
 
     def test_tower_matmul_counts_mkqp(self):
         with count_multiplies(MultiplyCounter()) as c:
-            T.tower_matmul(t(np.ones((7, 3, 5))), t(np.ones((3, 5, 4))))
+            T.matmul(t(np.ones((7, 3, 5))), t(np.ones((3, 5, 4))))
         assert c.total == 7 * 3 * 5 * 4
 
     def test_pair_matvec_counts_useful_mpq(self):
@@ -914,6 +960,15 @@ class TestCheckpoint:
         obj = json.loads(path.read_text())
         assert list(obj) == ["aa", "zz"]
         assert obj["aa"] == {"shape": [1, 2], "values": [2.0, 3.0]}
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        # the target is a directory, so the final replace fails
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            T.save_params({"w": t([1.0])}, str(target))
+        assert not list(tmp_path.glob("*.tmp.*"))
+        assert target.is_dir() and not list(target.iterdir())
 
 
 class TestFiniteDifferenceOracle:

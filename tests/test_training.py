@@ -195,6 +195,10 @@ class TestTrainConfigValidation:
             TrainConfig(total_steps=10, targets=13)
         with pytest.raises(ContractError):
             TrainConfig(total_steps=10, targets="homo")
+        # a bool is an int to isinstance; True must not pick target 1
+        for flag in (True, False):
+            with pytest.raises(ContractError):
+                TrainConfig(total_steps=10, targets=flag)
 
 
 class TestAdam:
