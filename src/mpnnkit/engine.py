@@ -21,9 +21,10 @@ map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
 multiplies all towers in one call. So a step runs one taped message op per
-channel (``tt.matmul_message`` for every edge label at once) or one
-gather, product and scatter (the other message functions), and one GRU,
-whatever k is; k = 1 is a tower axis of size 1.
+channel (``tt.matmul_message`` for every edge label at once,
+``tt.pair_message`` for the edge network) or one gather, product and
+scatter (the other message functions), and one GRU, whatever k is; k = 1
+is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
 the matmul label groups, the tower-tiled edge vectors, DTNN's edge term and
@@ -34,12 +35,15 @@ states, sum its messages and sum both back in backward. The matmul message
 takes each label's far-end states straight into its near plan's slot
 order, so it computes its products where the sum needs them. The edge
 network builds one d_tower x d_tower matrix per channel, tower and
-undirected pair, as both orientations of a pair carry the same features;
-one ``tt.pair_matvec`` gives both directions' messages. Backward, each step's
-``pair_matvec`` hands the matrices' gradient back as factors, and
-``tt.backward`` sums the T steps' factors in one matmul per channel before
-the edge network's last ``tt.matmul`` (product and bias in one taped op)
-takes it.
+undirected pair, as both orientations of a pair carry the same features
+(``_edge_pairs`` refuses edges that cannot share one), and each channel's
+``tt.pair_slots``: every edge's pair and side, also in its near plan's
+slot order. ``tt.pair_message`` then gives both directions' messages and
+reads each product straight into the order its sum adds them in.
+Backward, each step's ``pair_message`` hands the matrices' gradient back
+as factors, and ``tt.backward`` sums the T steps' factors in one matmul
+per channel before the edge network's last ``tt.matmul`` (product and
+bias in one taped op) takes it.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -337,7 +341,9 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     The matmul message keeps one pair of plans per edge label, and per
     label the far ends listed in the near plan's slot-major order, so that
     ``tt.matmul_message`` takes the states it multiplies straight into the
-    order its sum adds them in.
+    order its sum adds them in. The edge network keeps each channel's
+    ``tt.pair_slots``, so that ``tt.pair_message`` reads each edge's
+    product into that order.
     """
     n = eg.n_atoms
     if cfg.message_fn == "matmul":
@@ -364,8 +370,8 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     def edge_network(far, near, prefix):
         # one matrix per undirected pair, which both orientations multiply
         mats = mlp2(pair_vecs, params, f"{prefix}_en")
-        return lambda h: tt.scatter_sum_rows(
-            tt.pair_matvec(mats, tt.gather_rows(h, far), pair, side), near)
+        slots = tt.pair_slots(pair, side, rep.size, near)
+        return lambda h: tt.pair_message(h, mats, far, near, slots)
 
     def pair_message(far, near, prefix):
         return lambda h: tt.scatter_sum_rows(mlp2(tt.concat(

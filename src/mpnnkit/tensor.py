@@ -3,42 +3,49 @@
 Only the operations the graph models in this package actually need are
 implemented: one weight product, ``matmul``, of rows by a matrix or by a
 per-tower stack of matrices (with an optional bias added in the same op),
-per-row and per-pair matrix-vector products, a small set of pointwise
-functions, reductions, softmax (over an axis or per segment of rows),
-concatenation/slicing, row gather/scatter, the matmul message of every edge
-label (gathered, multiplied per tower and summed at each node), and a GRU
-cell over row-stacked states. The message and the GRU cell are each one
-taped op whose rule replays, with the same bits, the tape the op composed
-from the primitives would record. Elementwise operands must match in shape,
-so every backward rule stays auditable at a glance.
+per-row matrix-vector products, a small set of pointwise functions,
+reductions, softmax (over an axis or per segment of rows),
+concatenation/slicing, row gather/scatter, two messages summed at each
+node (the matmul message of every edge label, ``matmul_message``, and the
+edge network's message through one matrix per undirected pair,
+``pair_message``; each gathers, multiplies per tower and sums), and a GRU
+cell over row-stacked states. Each message and the GRU cell is one taped
+op whose rule replays, with the same bits, the tape the op composed from
+the primitives would record. Elementwise operands must match in shape, so
+every backward rule stays auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
 that stores and sums gradients; taped intermediates never hold one, and
 leaves (tensors created with ``requires_grad``) accumulate into ``grad``.
 A rule may hand a parent's gradient back as the two factors of a batched
-product instead of a dense array (``pair_matvec`` does, for its matrices);
-``backward`` keeps an intermediate's factors until they are needed and
-sums them all in one matmul. Both factors hold the summed axis second to
-last, (..., r, p) and (..., r, q), so stacking them copies whole rows.
-Leaves that ``training.Adam`` optimizes hold views into its flat buffers
-as ``data`` and ``grad``; ``backward`` adds into ``grad`` in place and
-never rebinds it, so the sums land in Adam's buffer.
+product instead of a dense array (``pair_message`` does, for its
+matrices); ``backward`` keeps an intermediate's factors until they are
+needed and sums them all in one matmul. Both factors hold the summed axis
+second to last, (..., r, p) and (..., r, q), so stacking them copies whole
+rows. Leaves that ``training.Adam`` optimizes hold views into its flat
+buffers as ``data`` and ``grad``; ``backward`` adds into ``grad`` in place
+and never rebinds it, so the sums land in Adam's buffer.
 
 Row indexes arrive as :class:`Segments` plans (``segments``), built once
 per index and reused by every op over it: ``gather_rows``,
-``scatter_sum_rows``, ``segment_softmax`` and ``matmul_message``. A plan
-orders the segments by decreasing row count and lists the rows
-slot-major, slot j holding the j-th row of every segment that has one, so
-a sum over segments is one take of the rows, one add per slot onto the
-prefix of segments that slot covers, and one take back (``_segment_sum``;
-rows of one value each summed from zeros go through ``np.bincount``),
-touching each row once, in the order and with the bits ``np.add.at``
-would give. ``gather_rows``' rule hands back ``(plan, rows)``, which
-``backward`` sums the same way.
+``scatter_sum_rows``, ``segment_softmax``, ``matmul_message`` and
+``pair_message``. A plan orders the segments by decreasing row count and
+lists the rows slot-major, slot j holding the j-th row of every segment
+that has one, so a sum over segments is one take of the rows, one add per
+slot onto the prefix of segments that slot covers, and one take back
+(``_segment_sum``; rows of one value each summed from zeros go through
+``np.bincount``), touching each row once, in the order and with the bits
+``np.add.at`` would give. ``gather_rows``' rule hands back ``(plan,
+rows)``, which ``backward`` sums the same way. ``pair_message`` also takes
+its edges' places among the pairs as :class:`PairSlots` (``pair_slots``),
+checked once when they are built.
 
-Every forward result is checked for NaN/Inf; divergence surfaces as a
-:class:`NumericError` at the op that produced it.
+Every op checks its forward result for NaN/Inf, so divergence surfaces as
+a :class:`NumericError` at the op that produced it. The fused ops check
+less and say in their docstrings why that is enough: ``matmul_message``
+and ``pair_message`` check only their result, and ``gru_cell`` its three
+pre-activations and its result.
 """
 
 from __future__ import annotations
@@ -63,7 +70,6 @@ __all__ = [
     "active_tape",
     "matmul",
     "batched_matvec",
-    "pair_matvec",
     "add",
     "sub",
     "mul",
@@ -80,6 +86,9 @@ __all__ = [
     "gather_rows",
     "scatter_sum_rows",
     "matmul_message",
+    "PairSlots",
+    "pair_slots",
+    "pair_message",
     "slice_cols",
     "repeat_rows",
     "gru_cell",
@@ -495,65 +504,6 @@ def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
                    m * p * q)
 
 
-def pair_matvec(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
-    """Matrix-vector products where each matrix serves up to two rows.
-
-    ``mats`` holds one row-major (p x q) matrix per pair, flattened to
-    (P, ..., p*q); ``vecs`` is (m, ..., q), with the same middle axes (the
-    towers, if any). Row i of ``vecs`` takes slot ``side[i]`` (0 or 1) of
-    pair ``pair[i]``, and no two rows may share a slot. Returns (m, ..., p)
-    with ``out[i, j] = mats[pair[i], j] @ vecs[i, j]``. The forward
-    stacks the vectors as (P, ..., q, 2) columns, an empty slot as a zero
-    column, and multiplies in one batched matmul. Its rule lays the output
-    gradient and the vectors out slot-major, (P, ..., 2, p) and
-    (P, ..., 2, q), writing whole rows through ``sel = (pair, :, ...,
-    side)``. Each matrix's gradient sums both of its slots and is handed
-    back as those two :class:`_Factors`, so ``backward`` sums the
-    gradients of every call that shares ``mats`` in one matmul, stacking
-    whole rows. (Multiplying the slot-major vectors in the forward too
-    changes its bits at q = 16 and 25, so the forward keeps columns.)
-    """
-    if mats.data.ndim < 2 or vecs.data.ndim != mats.data.ndim:
-        raise DimensionError("pair_matvec operands must share a rank of at least 2")
-    m, q = vecs.data.shape[0], vecs.data.shape[-1]
-    n_pairs, width = mats.data.shape[0], mats.data.shape[-1]
-    mid = vecs.data.shape[1:-1]
-    if mats.data.shape[1:-1] != mid:
-        raise DimensionError(
-            f"pair_matvec middle axes disagree: {mats.data.shape} vs {vecs.data.shape}")
-    if width % q != 0:
-        raise DimensionError(f"matrix rows of width {width} do not factor over q={q}")
-    pair = np.asarray(pair, dtype=np.intp)
-    side = np.asarray(side, dtype=np.intp)
-    if pair.shape != (m,) or side.shape != (m,):
-        raise DimensionError("pair_matvec needs one pair and one side per vector row")
-    if m and (pair.min() < 0 or pair.max() >= n_pairs
-              or side.min() < 0 or side.max() > 1):
-        raise ContractError("pair_matvec pair or side out of range")
-    if m and np.bincount(2 * pair + side).max() > 1:
-        raise ContractError("two pair_matvec rows share a slot")
-    p = width // q
-    m3 = mats.data.reshape((n_pairs, *mid, p, q))
-    x = np.zeros((n_pairs, *mid, q, 2))
-    x[pair, ..., side] = vecs.data
-    sel = (pair, *(slice(None),) * len(mid), side)
-
-    def rule(g: np.ndarray):
-        gy = np.zeros((n_pairs, *mid, 2, p))
-        gy[sel] = g
-        g_mats = None
-        if mats.requires_grad:
-            xt = np.zeros((n_pairs, *mid, 2, q))
-            xt[sel] = vecs.data
-            g_mats = _Factors(gy, xt)
-        return (g_mats,
-                (m3.swapaxes(-1, -2) @ gy.swapaxes(-1, -2))[pair, ..., side]
-                if vecs.requires_grad else None)
-
-    return _result((m3 @ x)[pair, ..., side], (mats, vecs), rule,
-                   vecs.data.size * p)
-
-
 def _check_same_shape(a: Tensor, b: Tensor) -> None:
     if a.data.shape != b.data.shape:
         raise DimensionError(
@@ -820,6 +770,120 @@ def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments]
     parents = [t for w, *_ in reversed(groups) for t in (w, h)]
     return _result(total, parents, rule,
                    sum(src.size * w.data.size for w, _, _, src in groups))
+
+
+@dataclass(frozen=True, eq=False)
+class PairSlots:
+    """Where each edge's vector sits among the pairs' columns in
+    :func:`pair_message`; build one with :func:`pair_slots`.
+
+    Edge i takes slot ``side[i]`` (0 or 1) of pair ``pair[i]``, and no two
+    edges share a slot. ``near_pair`` and ``near_side`` list the same in
+    the slot-major order of the plan that sums the edges
+    (``near.row_order``). The arrays are read-only.
+    """
+
+    num_pairs: int
+    pair: np.ndarray
+    side: np.ndarray
+    near_pair: np.ndarray
+    near_side: np.ndarray
+
+
+def pair_slots(pair, side, num_pairs: int, near: Segments) -> PairSlots:
+    """The slots of ``pair_message`` for the edges ``near`` sums, one pair
+    and one side per row of the plan (DimensionError).
+
+    This is the only check of them: every pair must lie in ``[0,
+    num_pairs)``, every side be 0 or 1, and no slot hold two edges
+    (ContractError).
+    """
+    pair = np.array(pair, dtype=np.intp)
+    side = np.array(side, dtype=np.intp)
+    m = near.index.size
+    if pair.shape != (m,) or side.shape != (m,):
+        raise DimensionError("pair_slots needs one pair and one side per edge of the plan")
+    if m and (pair.min() < 0 or pair.max() >= num_pairs
+              or side.min() < 0 or side.max() > 1):
+        raise ContractError(f"pair_slots pair or side out of range for {num_pairs} pairs")
+    if m and np.bincount(2 * pair + side).max() > 1:
+        raise ContractError("two edges share a pair_slots slot")
+    arrays = (pair, side, pair[near.row_order], side[near.row_order])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return PairSlots(int(num_pairs), *arrays)
+
+
+def pair_message(h: Tensor, mats: Tensor, far: Segments, near: Segments,
+                 slots: PairSlots) -> Tensor:
+    """The edge network's message summed at each node, all towers at once,
+    as one taped op. Each undirected pair has one matrix, which both of its
+    directed edges multiply.
+
+    ``h`` is (n, k, q) and ``mats`` (P, k, p*q), one row-major (p x q)
+    matrix per pair and tower. Edge i's message is ``mats[pair[i], t] @
+    h[far.index[i], t]`` per tower t, and it is summed onto node
+    ``near.index[i]``; ``slots`` (:func:`pair_slots`, built from ``near``)
+    gives each edge's pair and side. The result is (near.num_segments, k,
+    p), the value of gathering h's rows by ``far``, multiplying each by its
+    pair's matrix and summing them by ``near``.
+
+    The forward stacks h's far-end rows as (P, k, q, 2) columns, an empty
+    slot a zero column, and multiplies in one batched matmul: multiplying
+    slot-major (P, k, 2, q) rows instead changes the bits at q = 16 and 25.
+    It reads each edge's product straight into ``near``'s slot order and
+    adds the slots onto the nodes (``_slot_sum``), so each node adds its
+    messages one at a time in edge order, as a scatter does: the value has
+    the bits of the gather, product and scatter composed from taped ops.
+
+    The rule replays that composed tape in reverse with its numpy calls, in
+    edge order: ``g[near.index]`` and h's far-end rows are laid out
+    slot-major, (P, k, 2, p) and (P, k, 2, q). Each matrix's gradient sums
+    both of its slots and is handed back as those two :class:`_Factors`, so
+    ``backward`` sums the gradients of every step that shares ``mats`` in
+    one matmul; h's is ``(far, rows)``, which ``backward`` sums through the
+    plan. The parents are ``(mats, h)``, in the order the composed tape
+    delivered them, so every gradient keeps the composed bits. The multiply
+    count is the edges' products, not the empty slots' zero columns.
+
+    Only the result is checked for NaN/Inf. That is enough: of the composed
+    ops' checks only the products' could fail, since the gathered rows copy
+    the checked ``h``; every product row is added into exactly one result
+    row, and IEEE addition never turns inf or NaN back into a finite number.
+    A matrix that no edge uses reaches neither the value nor a gradient.
+    """
+    if h.data.ndim != 3:
+        raise DimensionError("pair_message needs (n, k, q) states")
+    n, k, q = h.data.shape
+    width = mats.data.shape[-1]
+    if mats.data.shape != (slots.num_pairs, k, width) or width % q:
+        raise DimensionError(
+            f"pair_message needs ({slots.num_pairs}, {k}, p*{q}) matrices: {mats.data.shape}")
+    if far.num_segments != n:
+        raise DimensionError(f"pair_message far plan has {far.num_segments} "
+                             f"segments for {n} states")
+    if not far.index.shape == near.index.shape == slots.pair.shape:
+        raise DimensionError("pair_message plans and slots disagree on the edges")
+    p = width // q
+    m3 = mats.data.reshape(slots.num_pairs, k, p, q)
+    x = np.zeros((slots.num_pairs, k, q, 2))
+    x[slots.pair, ..., slots.side] = h.data[far.index]
+    total = _slot_sum(near, (m3 @ x)[slots.near_pair, ..., slots.near_side])
+    sel = (slots.pair, slice(None), slots.side)
+
+    def rule(g: np.ndarray):
+        gy = np.zeros((slots.num_pairs, k, 2, p))
+        gy[sel] = g[near.index]
+        g_mats = None
+        if mats.requires_grad:
+            xt = np.zeros((slots.num_pairs, k, 2, q))
+            xt[sel] = h.data[far.index]
+            g_mats = _Factors(gy, xt)
+        return (g_mats,
+                (far, (m3.swapaxes(-1, -2) @ gy.swapaxes(-1, -2))[slots.pair, ..., slots.side])
+                if h.requires_grad else None)
+
+    return _result(total, (mats, h), rule, far.index.size * k * p * q)
 
 
 # no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)

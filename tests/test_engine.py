@@ -253,6 +253,21 @@ class TestIndexPlans:
         assert ops.count("matmul") == (cfg.T if towers_k > 1 else 0)
         assert not {"gather_rows", "scatter_sum_rows", "add"} & set(ops)
 
+    @pytest.mark.parametrize("towers_k", [1, 2])
+    def test_edge_network_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
+        # the gather, per-pair product and scatter of the edge network's
+        # message are one op; the only products taped are each channel's
+        # matrix build (two per channel, once per forward) and the tower mix
+        cfg = cfg_for("edge_network", T=3, towers_k=towers_k)
+        eg = random_encoded(rng, n=7, ensure_connected=True)
+        T.active_tape().clear()
+        propagate(eg, init_params(cfg, seed=0), cfg)
+        ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
+        T.active_tape().clear()
+        assert ops.count("pair_message") == 2 * cfg.T
+        assert ops.count("matmul") == 2 * 2 + (cfg.T if towers_k > 1 else 0)
+        assert not {"gather_rows", "scatter_sum_rows"} & set(ops)
+
 
 class TestAggregate:
     def test_single_edge_concat(self, rng):

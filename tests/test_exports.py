@@ -111,3 +111,53 @@ def test_benchmark_names_resolve():
                 refused |= {f"{name}({k}=)" for k in keywords if k not in params}
     assert not missing, f"the benchmark reads missing names {sorted(missing)}"
     assert not refused, f"the benchmark passes unknown keywords {sorted(refused)}"
+
+
+def _tensor_reads_in_src() -> set[str]:
+    """The names of ``mpnnkit.tensor`` that the package's code reads: an
+    attribute of the module (``tt.name``), a name imported from it, or, in
+    ``tensor.py`` itself, a bare name that the file never binds to a local
+    value, outside that name's own top-level definition. Importing a name
+    is not reading it."""
+    reads = set()
+    for path in sorted((ROOT / "src" / "mpnnkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules, imported = set(), set()
+        local = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+        local |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {a.asname or a.name for a in node.names}
+                if node.module is None:
+                    modules |= {a.asname or a.name for a in node.names if a.name == "tensor"}
+                elif node.module == "tensor":
+                    imported |= names
+        for top in tree.body:
+            own = getattr(top, "name", None) if path.name == "tensor.py" else None
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in modules):
+                    reads.add(node.attr)
+                elif (isinstance(node, ast.Name) and node.id != own
+                      and (node.id in imported
+                           or path.name == "tensor.py" and node.id not in local)):
+                    reads.add(node.id)
+    return reads
+
+
+def test_every_tensor_export_is_used():
+    # an op that nothing calls any more must leave the autodiff core, not
+    # linger in its exports: every name is read by the package's code, or
+    # wrapped or read by the benchmark
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench.tracing import TENSOR_OPS
+
+    tensor = importlib.import_module("mpnnkit.tensor")
+    reads = _tensor_reads_in_src()
+    assert {"matmul", "segments", "Segments", "ContractError"} <= reads
+    bench = set(TENSOR_OPS) | {chain[1] for _, module, chain, _ in _benchmark_uses()
+                               if module == "mpnnkit" and chain[0] == "tensor" and len(chain) > 1}
+    unused = sorted(set(tensor.__all__) - reads - bench)
+    assert not unused, f"mpnnkit.tensor exports names nothing uses: {unused}"

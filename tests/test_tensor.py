@@ -1,6 +1,7 @@
 """Autodiff core: forward values, gradients vs finite differences, contracts."""
 
 import ast
+import hashlib
 import json
 import pathlib
 
@@ -25,6 +26,15 @@ from conftest import check_grad_against_fd, finite_difference_grad, assert_grads
 
 def t(data, rg=False):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=rg)
+
+
+def pair_rows(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
+    """``T.pair_message`` with one node per vector row at both ends, so row
+    i of the result is row i's own message, ``mats[pair[i], j] @ vecs[i,
+    j]`` per tower j, from slot ``side[i]`` of pair ``pair[i]``."""
+    plan = T.segments(np.arange(len(pair)), len(pair))
+    return T.pair_message(vecs, mats, plan, plan,
+                          T.pair_slots(pair, side, mats.data.shape[0], plan))
 
 
 class TestForwardValues:
@@ -149,7 +159,7 @@ class TestForwardValues:
         mats = rng.normal(size=(3, 2, 6))
         vecs = rng.normal(size=(3, 2, 3))
         pair, side = [0, 1, 0], [1, 0, 0]
-        out = T.pair_matvec(t(mats), t(vecs), pair, side).data
+        out = pair_rows(t(mats), t(vecs), pair, side).data
         for i in range(3):
             for k in range(2):
                 np.testing.assert_allclose(
@@ -170,13 +180,13 @@ class TestForwardValues:
             np.testing.assert_allclose(out[i], mats[i].reshape(2, 3) @ vecs[i])
 
     def test_pair_matvec_matches_loop(self, rng):
-        # three 2x3 matrices; pair 1 has one vector, pair 2 none
-        mats = rng.normal(size=(3, 6))
-        vecs = rng.normal(size=(3, 3))
+        # three 2x3 matrices and one tower; pair 1 has one vector, pair 2 none
+        mats = rng.normal(size=(3, 1, 6))
+        vecs = rng.normal(size=(3, 1, 3))
         pair, side = [0, 1, 0], [1, 0, 0]
-        out = T.pair_matvec(t(mats), t(vecs), pair, side).data
+        out = pair_rows(t(mats), t(vecs), pair, side).data
         for i in range(3):
-            np.testing.assert_allclose(out[i], mats[pair[i]].reshape(2, 3) @ vecs[i])
+            np.testing.assert_allclose(out[i, 0], mats[pair[i], 0].reshape(2, 3) @ vecs[i, 0])
 
     @pytest.mark.parametrize("pair, side, error", [
         ([0, 0], [1, 1], ContractError),  # two rows in one slot
@@ -185,8 +195,10 @@ class TestForwardValues:
         ([0], [0], DimensionError),       # one pair per vector row
     ])
     def test_pair_matvec_refuses_bad_slots(self, pair, side, error):
+        # two pairs and a plan of two edges; the slots are checked once,
+        # where they are built
         with pytest.raises(error):
-            T.pair_matvec(t(np.ones((2, 4))), t(np.ones((2, 2))), pair, side)
+            T.pair_slots(pair, side, 2, T.segments([0, 1], 2))
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
         ((5, 3), (3, 4), (4,)),
@@ -424,7 +436,7 @@ class TestBackward:
         assert w.grad.tobytes() == want.tobytes()
 
 
-# Three pair_matvec calls on one (3 pairs, 2 towers, 2x3) matrix stack, as
+# Three pair_message calls on one (3 pairs, 2 towers, 2x3) matrix stack, as
 # the T steps of an edge network use one channel's matrices; pair 2 is
 # one-way in the first call, and the last call has no vector rows.
 SHARED_CALLS = [([0, 1, 2, 0], [0, 0, 1, 1]),
@@ -433,13 +445,13 @@ SHARED_CALLS = [([0, 1, 2, 0], [0, 0, 1, 1]),
 
 
 def _shared_mats_loss(mats, vecs, dense_at, per_call, dense):
-    """One scalar from three ``pair_matvec`` calls on ``mats`` (each output
+    """One scalar from three ``pair_rows`` calls on ``mats`` (each output
     through ``per_call``) and, unless ``dense_at`` is None, one dense
     consumer of ``mats`` (``dense``) taped "first" or "last". Backward meets
     the dense gradient after the calls' factors if it is taped first, and
     before them if it is taped last."""
     terms = [T.reduce_sum(dense(mats))] if dense_at == "first" else []
-    terms += [T.reduce_sum(per_call(j, T.pair_matvec(mats, v, pair, side)))
+    terms += [T.reduce_sum(per_call(j, pair_rows(mats, v, pair, side)))
               for j, ((pair, side), v) in enumerate(zip(SHARED_CALLS, vecs))]
     if dense_at == "last":
         terms.append(T.reduce_sum(dense(mats)))
@@ -450,7 +462,7 @@ def _shared_mats_loss(mats, vecs, dense_at, per_call, dense):
 
 
 class TestFactoredMatrixGradient:
-    """pair_matvec hands back its matrices' gradient as factors, which
+    """pair_message hands back its matrices' gradient as factors, which
     backward sums over every call sharing the matrices in one matmul."""
 
     @pytest.mark.parametrize("dense_at", [None, "first", "last"],
@@ -480,9 +492,9 @@ class TestFactoredMatrixGradient:
         m = t(np.zeros((0, 2, 6)), rg=True)
         v = t(np.zeros((0, 2, 3)), rg=True)
         mats = m if leaf else T.reshape(m, (0, 2, 6))
-        loss = T.reduce_sum(T.pair_matvec(mats, v, [], []))
+        loss = T.reduce_sum(pair_rows(mats, v, [], []))
         for _ in range(2):
-            loss = T.add(loss, T.reduce_sum(T.pair_matvec(mats, v, [], [])))
+            loss = T.add(loss, T.reduce_sum(pair_rows(mats, v, [], [])))
         backward(T.add(loss, T.reduce_sum(T.tanh(mats))))
         assert m.grad.shape == (0, 2, 6) and v.grad.shape == (0, 2, 3)
 
@@ -515,11 +527,11 @@ class TestGradientsAgainstFiniteDifferences:
     ], ids=["full_pairs", "one_way"])
     def test_pair_matvec(self, rng, pair, side):
         params = {
-            "m": t(rng.normal(size=(3, 12)), rg=True),
-            "v": t(rng.normal(size=(len(pair), 4)), rg=True),
+            "m": t(rng.normal(size=(3, 1, 12)), rg=True),
+            "v": t(rng.normal(size=(len(pair), 1, 4)), rg=True),
         }
         check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
+            lambda p: T.reduce_sum(T.tanh(pair_rows(p["m"], p["v"], pair, side))),
             params, label="pair_matvec")
 
     def test_pair_matvec_over_towers(self, rng):
@@ -531,7 +543,7 @@ class TestGradientsAgainstFiniteDifferences:
             "v": t(rng.normal(size=(len(pair), 2, 4)), rg=True),
         }
         check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(T.pair_matvec(p["m"], p["v"], pair, side))),
+            lambda p: T.reduce_sum(T.tanh(pair_rows(p["m"], p["v"], pair, side))),
             params, label="pair_matvec_towers")
 
     @pytest.mark.parametrize("dense_at", [None, "first", "last"],
@@ -891,6 +903,180 @@ class TestMatmulMessage:
             T.matmul_message(t(h_data), [t(ws[1])], [f], [], src)
 
 
+def composed_pair_message(h: Tensor, mats: Tensor, far, near, pair, side) -> Tensor:
+    """The edge network's message composed from taped ops, a gather, a
+    per-pair product and a scatter: the bitwise oracle of the one-op
+    ``T.pair_message``, forward and backward. The product is taped as its
+    own op once was: the gathered vectors stacked as (P, k, q, 2) columns,
+    an empty slot a zero column, in one batched matmul, and a rule that
+    lays the output gradient and the vectors out slot-major and hands the
+    matrices' gradient back as two factors."""
+    vecs = T.gather_rows(h, far)
+    n_pairs, k, width = mats.data.shape
+    q = vecs.data.shape[-1]
+    p = width // q
+    m3 = mats.data.reshape(n_pairs, k, p, q)
+    x = np.zeros((n_pairs, k, q, 2))
+    x[pair, ..., side] = vecs.data
+    sel = (pair, slice(None), side)
+
+    def rule(g: np.ndarray):
+        gy = np.zeros((n_pairs, k, 2, p))
+        gy[sel] = g
+        xt = np.zeros((n_pairs, k, 2, q))
+        xt[sel] = vecs.data
+        return (T._Factors(gy, xt) if mats.requires_grad else None,
+                (m3.swapaxes(-1, -2) @ gy.swapaxes(-1, -2))[pair, ..., side]
+                if vecs.requires_grad else None)
+
+    product = T._result((m3 @ x)[pair, ..., side], (mats, vecs), rule, vecs.data.size * p)
+    return T.scatter_sum_rows(product, near)
+
+
+def pair_edges(rng, n, n_pairs, one_way):
+    """Directed edges over n nodes for the edge-network oracle: n_pairs
+    distinct undirected pairs, the first ``one_way`` of them in one
+    direction only and the rest in both, listed in a shuffled order.
+    Returns (src, dst, pair, side): each edge's ends, its pair and its side
+    (0 from the lower node to the higher), as ``engine._edge_pairs`` gives
+    them."""
+    ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = []
+    for rank, c in enumerate(rng.choice(len(ends), size=n_pairs, replace=False)):
+        a, b = ends[c]
+        if rank < one_way:
+            edges.append((a, b) if rng.random() < 0.5 else (b, a))
+        else:
+            edges += [(a, b), (b, a)]
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2)[rng.permutation(len(edges))].T
+    _, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_inverse=True)
+    return src, dst, pair.reshape(-1), (src > dst).astype(np.intp)
+
+
+# seed, nodes, pairs, one-way pairs, towers k, tower width q
+PAIR_CASES = {"k1": (1, 7, 15, 3, 1, 4), "k1_width1": (2, 6, 10, 4, 1, 1),
+              "k2_width25": (3, 9, 30, 5, 2, 25), "one_way_shuffled": (4, 8, 20, 20, 3, 8),
+              "edgeless": (5, 5, 0, 0, 2, 3)}
+PAIR_MODES = ["leaf", "intermediate", "steps"]
+
+
+def run_pair_message(fused, mode, case):
+    """Forward and backward through either message, both channels, as one
+    step of an edge network with a ``tanh(h + messages)`` update, so h is
+    read again after the messages; ``steps`` runs three such steps on one
+    pair of matrix stacks, whose factors backward then sums in one matmul.
+    ``leaf`` passes h and the matrices as leaves, the other modes as
+    intermediates. Returns the final states and the gradients of h and of
+    the matrices."""
+    seed, n, n_pairs, one_way, k, q = case
+    rng = np.random.default_rng(seed)
+    src, dst, pair, side = pair_edges(rng, n, n_pairs, one_way)
+    h0 = t(rng.normal(size=(n, k, q)), rg=True)
+    m = t(rng.normal(size=(n_pairs, k, q * q)) / np.sqrt(q), rg=True)
+    probe = t(rng.normal(size=(n, k, q)))
+    leaf = mode == "leaf"
+    mats = m if leaf else T.reshape(m, m.shape)
+    h = h0 if leaf else T.reshape(h0, h0.shape)
+    a, b = T.segments(src, n), T.segments(dst, n)
+    for _ in range(3 if mode == "steps" else 1):
+        msgs = [T.pair_message(h, mats, far, near, T.pair_slots(pair, side, n_pairs, near))
+                if fused else composed_pair_message(h, mats, far, near, pair, side)
+                for far, near in ((a, b), (b, a))]
+        h = T.tanh(T.add(h, T.add(*msgs)))
+    backward(T.reduce_sum(T.mul(h, probe)))
+    return [h.data, h0.grad, m.grad]
+
+
+class TestPairMessage:
+    @pytest.mark.parametrize("mode", PAIR_MODES)
+    @pytest.mark.parametrize("case", list(PAIR_CASES))
+    def test_bits_equal_composed_message(self, case, mode):
+        got = run_pair_message(True, mode, PAIR_CASES[case])
+        want = run_pair_message(False, mode, PAIR_CASES[case])
+        for name, a, b in zip(["out", "h", "mats"], got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("case, digest", [
+        ("k1", "edf7c5b644d1029ddcb882dff3b78415533b2b8d21b9fab7d937ee1a8e19e27e"),
+        ("k1_width1", "9b7fc337e4d4cfbd152ccd270abaded3adf1cb3146a272e37f9199d33ce4acae"),
+        ("k2_width25", "22fa8f6817694975f81c1b9e5ec40da6f7bccbef82196cbb1b54e6b218a1247d"),
+        ("one_way_shuffled", "d25357596420bde9ecb2a22c940ae8bf48cc70b77dece39651ecb4e0734690c6"),
+        ("edgeless", "546fe5cd00c2c5b6b541ef945d07a3980f4ac8314f38d472af1994341cb63375"),
+    ])
+    def test_steps_pinned(self, case, digest):
+        # pinned on the gather_rows -> pair_matvec -> scatter_sum_rows ops
+        # the one op replaces, with the composed oracle's bits as well
+        for fused in (True, False):
+            blobs = b"".join(a.tobytes() for a in run_pair_message(fused, "steps", PAIR_CASES[case]))
+            assert hashlib.sha256(blobs).hexdigest() == digest
+
+    def test_gradients_against_finite_differences(self, rng):
+        # both channels over one-way and two-way pairs; the states are also
+        # read after the messages, as the update reads them
+        n, k, q = 6, 2, 3
+        src, dst, pair, side = pair_edges(rng, n, 9, 4)
+        a, b = T.segments(src, n), T.segments(dst, n)
+        slots = {id(near): T.pair_slots(pair, side, 9, near) for near in (a, b)}
+        params = {"h": t(rng.normal(size=(n, k, q)), rg=True),
+                  # scaled like the GRU weights: at unit scale the central
+                  # difference of one small entry misses the relative tolerance
+                  "m": t(rng.normal(size=(9, k, q * q)) * 0.5, rg=True)}
+
+        def loss(p):
+            msgs = [T.pair_message(p["h"], p["m"], far, near, slots[id(near)])
+                    for far, near in ((a, b), (b, a))]
+            return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
+
+        check_grad_against_fd(loss, params, label="pair_message")
+
+    def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
+        n, k, q = 7, 2, 3
+        src, dst, pair, side = pair_edges(rng, n, 12, 5)
+        far, near = T.segments(src, n), T.segments(dst, n)
+        h = t(rng.normal(size=(n, k, q)), rg=True)
+        mats = t(rng.normal(size=(12, k, q * q)), rg=True)
+        with count_multiplies(MultiplyCounter()) as fused:
+            out = T.pair_message(h, mats, far, near, T.pair_slots(pair, side, 12, near))
+        assert [entry[0] for entry in T.active_tape()] == [out]
+        with count_multiplies(MultiplyCounter()) as composed:
+            composed_pair_message(h, mats, far, near, pair, side)
+        assert len(T.active_tape()) == 1 + 3
+        assert fused.total == composed.total == src.size * k * q * q == 19 * 18
+
+    @pytest.mark.parametrize("value, one_way", [(np.inf, False), (np.nan, True)],
+                             ids=["inf_in_a_pair", "nan_in_a_one_way_pair"])
+    def test_non_finite_matrix_raises(self, rng, value, one_way):
+        # the result is the only value checked, so it must show a matrix
+        # entry that is not finite, whether its pair sends one message or two
+        n, k, q = 6, 2, 3
+        src, dst, pair, side = pair_edges(rng, n, 8, 3)
+        counts = np.bincount(pair, minlength=8)
+        j = int(np.flatnonzero(counts == (1 if one_way else 2))[0])
+        mats = t(rng.normal(size=(8, k, q * q)), rg=True)
+        mats.data[j, 1, 4] = value
+        far, near = T.segments(src, n), T.segments(dst, n)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            T.pair_message(t(rng.normal(size=(n, k, q))), mats, far, near,
+                           T.pair_slots(pair, side, 8, near))
+
+    def test_shape_validation(self, rng):
+        n, k, q = 5, 2, 3
+        src, dst, pair, side = pair_edges(rng, n, 6, 2)
+        far, near = T.segments(src, n), T.segments(dst, n)
+        slots = T.pair_slots(pair, side, 6, near)
+        h, mats = t(np.ones((n, k, q))), t(np.ones((6, k, q * q)))
+        assert T.pair_message(h, mats, far, near, slots).shape == (n, k, q)
+        bad = [(t(np.ones((n, k * q))), mats, far, near, slots),          # no tower axis
+               (h, t(np.ones((5, k, q * q))), far, near, slots),           # pairs
+               (h, t(np.ones((6, 1, q * q))), far, near, slots),           # towers
+               (h, t(np.ones((6, k, q * q + 1))), far, near, slots),       # not p x q
+               (h, mats, T.segments(src, n + 1), near, slots),             # far plan
+               (h, mats, far, T.segments(dst[1:], n), slots)]              # edges
+        for args in bad:
+            with pytest.raises(DimensionError):
+                T.pair_message(*args)
+
+
 class TestMultiplyCounter:
     def test_matmul_counts_mkn(self):
         with count_multiplies(MultiplyCounter()) as c:
@@ -916,8 +1102,8 @@ class TestMultiplyCounter:
         # five vector rows over three pairs: only the rows' products count,
         # not the empty slot's zero column
         with count_multiplies(MultiplyCounter()) as c:
-            T.pair_matvec(t(np.ones((3, 6))), t(np.ones((5, 3))),
-                          [0, 0, 1, 1, 2], [0, 1, 0, 1, 1])
+            pair_rows(t(np.ones((3, 1, 6))), t(np.ones((5, 1, 3))),
+                      [0, 0, 1, 1, 2], [0, 1, 0, 1, 1])
         assert c.total == 5 * 2 * 3
 
     def test_index_ops_count_nothing(self):
