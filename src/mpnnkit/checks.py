@@ -113,13 +113,16 @@ def _fd_max_rel_err(build_loss, params: dict[str, Tensor]) -> float:
     return worst
 
 
-# one config per message function plus one per readout; the GRU update is
-# exercised by all of them
+# one config per message function plus one per readout, and the edge
+# network over both raw distances and labels, which it computes in two
+# ways; the GRU update is exercised by all of them
 GRADIENT_CONFIGS = (
     ("matmul+ggnn", dict(message_fn="matmul", readout="ggnn",
                          edge_repr="chemical")),
     ("edge_network+set2set", dict(message_fn="edge_network", readout="set2set",
                                   edge_repr="raw_distance")),
+    ("edge_network_labels+ggnn", dict(message_fn="edge_network", readout="ggnn",
+                                      edge_repr="chemical")),
     ("pair_message+dtnn_sum", dict(message_fn="pair_message", readout="dtnn_sum",
                                    edge_repr="distance_bins")),
     ("dtnn+ggnn", dict(message_fn="dtnn", readout="ggnn",
@@ -162,18 +165,23 @@ def _check_graph_count(n_graphs: int) -> None:
 
 
 def _sweep_configs():
-    """Every combination of message function, readout, and towers k in {1, 4}."""
-    for message_fn in MESSAGE_FNS:
+    """Every combination of message function, readout, and towers k in {1, 4},
+    over distance bins, and the edge network's combinations again over raw
+    distances: it contracts those without building a matrix, and the two
+    edge-network workloads run it so."""
+    sweep = [(message_fn, "distance_bins") for message_fn in MESSAGE_FNS]
+    sweep.append(("edge_network", "raw_distance"))
+    for message_fn, edge_repr in sweep:
         for readout in READOUTS:
             for k in (1, 4):
                 yield ModelConfig(message_fn=message_fn, readout=readout,
                                   towers_k=k, T=2, d=8, n_targets=3,
-                                  set2set_M=3, edge_repr="distance_bins")
+                                  set2set_M=3, edge_repr=edge_repr)
 
 
 def run_invariance_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     """Graph outputs under random node relabelings, for every combination of
-    message function, readout, and towers k in {1, 4}."""
+    ``_sweep_configs``."""
     _check_graph_count(n_graphs)
     results = []
     for cfg in _sweep_configs():
@@ -189,8 +197,9 @@ def run_invariance_checks(seed: int = 0, n_graphs: int = 100) -> dict:
                 out_p = model_forward(permute_graph(eg, perm),
                                       params, cfg).data
                 worst = max(worst, float(np.max(np.abs(out - out_p))))
-        results.append({"message_fn": cfg.message_fn, "readout": cfg.readout,
-                        "towers_k": cfg.towers_k, "max_deviation": worst})
+        results.append({"message_fn": cfg.message_fn, "edge_repr": cfg.edge_repr,
+                        "readout": cfg.readout, "towers_k": cfg.towers_k,
+                        "max_deviation": worst})
     overall = max(r["max_deviation"] for r in results)
     return {"combos": results, "n_graphs": n_graphs,
             "max_deviation": overall, "tolerance": INVARIANCE_TOLERANCE,
@@ -199,7 +208,7 @@ def run_invariance_checks(seed: int = 0, n_graphs: int = 100) -> dict:
 
 def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     """``predict_batch`` rows against one graph at a time, for every
-    combination of message function, readout, and towers k in {1, 4}.
+    combination of ``_sweep_configs``.
 
     The batch mixes graphs of 2 to 8 nodes with a zero-edge and a zero-atom
     graph, and holds more directed edges than ``UNION_EDGE_BUDGET``, so it
@@ -218,8 +227,9 @@ def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
         with tt.no_grad():
             batch = predict_batch(egs, params, cfg).data
             alone = np.stack([model_forward(eg, params, cfg).data for eg in egs])
-        results.append({"message_fn": cfg.message_fn, "readout": cfg.readout,
-                        "towers_k": cfg.towers_k, "graphs": len(egs),
+        results.append({"message_fn": cfg.message_fn, "edge_repr": cfg.edge_repr,
+                        "readout": cfg.readout, "towers_k": cfg.towers_k,
+                        "graphs": len(egs),
                         "max_deviation": float(np.max(np.abs(batch - alone)))})
     overall = max(r["max_deviation"] for r in results)
     return {"combos": results, "max_deviation": overall,

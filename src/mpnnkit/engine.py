@@ -21,29 +21,28 @@ map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
 multiplies all towers in one call. So a step runs one taped message op per
-channel (``tt.matmul_message`` for every edge label at once,
-``tt.pair_message`` for the edge network) or one gather, product and
-scatter (the other message functions), and one GRU, whatever k is; k = 1
-is a tower axis of size 1.
+channel (``tt.matmul_message`` for every edge label at once, and for the
+edge network over labels; ``tt.edge_message`` for the edge network over raw
+vectors) or one gather, product and scatter (the other message functions),
+and one GRU, whatever k is; k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
-the matmul label groups, the tower-tiled edge vectors, DTNN's edge term and
-the edge network's matrices never change across the steps, and neither do
-the index plans (``tt.segments``) of the edges' sources and destinations
-(per edge label for the matmul message), which gather every step's far-end
-states, sum its messages and sum both back in backward. The matmul message
-takes each label's far-end states straight into its near plan's slot
-order, so it computes its products where the sum needs them. The edge
-network builds one d_tower x d_tower matrix per channel, tower and
-undirected pair, as both orientations of a pair carry the same features
-(``_edge_pairs`` refuses edges that cannot share one), and each channel's
-``tt.pair_slots``: every edge's pair and side, also in its near plan's
-slot order. ``tt.pair_message`` then gives both directions' messages and
-reads each product straight into the order its sum adds them in.
-Backward, each step's ``pair_message`` hands the matrices' gradient back
-as factors, and ``tt.backward`` sums the T steps' factors in one matmul
-per channel before the edge network's last ``tt.matmul`` (product and
-bias in one taped op) takes it.
+the label groups, the tower-tiled edge vectors, DTNN's edge term and the
+edge network's label matrices or hidden rows never change across the steps,
+and neither do the index plans (``tt.segments``) of the edges' sources and
+destinations (per edge label for labelled messages), which gather every
+step's far-end states, sum its messages and sum both back in backward. The
+matmul message takes each label's far-end states straight into its near
+plan's slot order, so it computes its products where the sum needs them.
+
+The edge network's matrix A(e) is a two-layer network of the edge vector
+whose last layer is linear. Over discrete labels (chemical, distance bins)
+e takes one value per label, so it builds one d_tower x d_tower matrix per
+channel, tower and label present, and multiplies through the matmul
+message. Over raw vectors (complete graphs, one vector per directed edge)
+it builds no matrix at all: ``tt.edge_message`` multiplies the states by
+the last layer's matrices once per node and contracts each edge's hidden
+row with its far node's products.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -294,36 +293,6 @@ def edge_vectors(eg: EncodedGraph, cfg: ModelConfig) -> Tensor:
     return Tensor(out)
 
 
-def _edge_pairs(eg: EncodedGraph, evec: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(pair, side, rep): the undirected pair of every directed edge, its
-    side (0 from the lower node to the higher, 1 back), and one edge of
-    every pair.
-
-    A pair whose other side is empty holds a one-way edge. A repeated
-    directed edge, or an edge whose reverse has another row of ``evec``
-    (the edge vectors), raises ContractError: neither fits one matrix per
-    pair.
-    """
-    src, dst = eg.edge_src, eg.edge_dst
-    side = (src > dst).astype(np.intp)
-    key = np.minimum(src, dst).astype(np.intp) * eg.n_atoms + np.maximum(src, dst)
-    _, rep, pair = np.unique(key, return_index=True, return_inverse=True)
-    edge = np.full((rep.size, 2), -1, dtype=np.intp)
-    edge[pair, side] = np.arange(eg.n_edges)
-    # a repeated edge overwrites its twin's entry
-    repeated = np.flatnonzero(edge[pair, side] != np.arange(eg.n_edges))
-    if repeated.size:
-        e = repeated[0]
-        raise ContractError(f"directed edge {src[e]} -> {dst[e]} appears more than once")
-    a, b = edge[(edge >= 0).all(axis=1)].T
-    differ = np.flatnonzero((evec[a] != evec[b]).any(axis=1))
-    if differ.size:
-        e = a[differ[0]]
-        raise ContractError(
-            f"edge {src[e]} -> {dst[e]} and its reverse have different features")
-    return pair, side, rep
-
-
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
@@ -341,12 +310,17 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     The matmul message keeps one pair of plans per edge label, and per
     label the far ends listed in the near plan's slot-major order, so that
     ``tt.matmul_message`` takes the states it multiplies straight into the
-    order its sum adds them in. The edge network keeps each channel's
-    ``tt.pair_slots``, so that ``tt.pair_message`` reads each edge's
-    product into that order.
+    order its sum adds them in. The edge network over discrete labels does
+    the same with one matrix per label present; over raw vectors it keeps
+    each edge's hidden row for ``tt.edge_message``.
     """
     n = eg.n_atoms
-    if cfg.message_fn == "matmul":
+    k, dt = cfg.towers_k, cfg.d_tower
+    towered = lambda rows: Tensor(np.broadcast_to(rows[:, None, :],
+                                                  (rows.shape[0], k, rows.shape[1])))
+    labelled = cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
+                                              and eg.representation != "raw_distance")
+    if labelled:
         labels = eg.edge_features
         label_ids = [int(label) for label in np.unique(labels)]
         # one plan per end and edge label
@@ -354,24 +328,33 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
         dst = [tt.segments(eg.edge_dst[labels == label], n) for label in label_ids]
     else:
         src, dst = tt.segments(eg.edge_src, n), tt.segments(eg.edge_dst, n)
-        vecs = edge_vectors(eg, cfg).data
-        evec = Tensor(np.broadcast_to(vecs[:, None, :],
-                                      (eg.n_edges, cfg.towers_k, vecs.shape[1])))
-    if cfg.message_fn == "edge_network":
-        pair, side, rep = _edge_pairs(eg, vecs)
-        pair_vecs = Tensor(evec.data[rep])
+        evec = towered(edge_vectors(eg, cfg).data)
 
-    def matmul(far, near, prefix):
-        weights = [params[f"{prefix}_A{label}"] for label in label_ids]
+    def matmul_message(weights, far, near):
         # each label's far ends, in the order its near plan sums them
         sources = [f.index[nr.row_order] for f, nr in zip(far, near)]
         return lambda h: tt.matmul_message(h, weights, far, near, sources)
 
+    def matmul(far, near, prefix):
+        return matmul_message([params[f"{prefix}_A{label}"] for label in label_ids],
+                              far, near)
+
     def edge_network(far, near, prefix):
-        # one matrix per undirected pair, which both orientations multiply
-        mats = mlp2(pair_vecs, params, f"{prefix}_en")
-        slots = tt.pair_slots(pair, side, rep.size, near)
-        return lambda h: tt.pair_message(h, mats, far, near, slots)
+        pre = f"{prefix}_en"
+        if labelled:
+            # each label's row-major (p x q) matrix A from its one-hot row,
+            # transposed: the matmul message multiplies states by (q, p)
+            # weights, and h A^T is A h
+            count = len(label_ids)
+            onehot = towered(np.eye(cfg.edge_width)[label_ids])
+            mats = tt.transpose(tt.reshape(mlp2(onehot, params, pre), (count, k, dt, dt)))
+            return matmul_message([tt.reshape(tt.gather_rows(mats, tt.segments([i], count)),
+                                              (k, dt, dt)) for i in range(count)], far, near)
+        # raw vectors: each edge's hidden row, contracted with the states'
+        # products with the last layer
+        hidden = tt.relu(tt.matmul(evec, params[f"{pre}_w1"], params[f"{pre}_b1"]))
+        return lambda h: tt.edge_message(h, hidden, params[f"{pre}_w2"],
+                                         params[f"{pre}_b2"], far, near)
 
     def pair_message(far, near, prefix):
         return lambda h: tt.scatter_sum_rows(mlp2(tt.concat(

@@ -15,15 +15,20 @@ from .tensor import ContractError, Tensor
 __all__ = ["UNION_EDGE_BUDGET", "prepare_graph", "model_forward",
            "predict_batch", "union_groups"]
 
-# Most directed edges one union may hold. The edge network materialises a
-# d x d matrix per undirected pair and channel: one union of 64 explicit-H
-# molecules (about 12.8k edges) evaluated at 0.6x the speed of one graph at
-# a time and took 2.5x the peak memory. Measured from 256 to 4096 at d=32,
-# when the matrices were still built per directed edge, eval was fastest at
-# 512-1024; below 1024 a training batch of six explicit-H molecules splits
-# into more unions and trains slower. A full union now keeps each per-pair
-# array at 4 MB. The budget was not retuned for the smaller arrays: that is
-# its own measured change.
+# Most directed edges one union may hold. No message builds a matrix per
+# edge or pair any more, so a union's largest arrays are per edge, E x k x
+# a few d_tower (the edge network's hidden rows, the other messages'
+# gathered rows), or per node: the edge network over raw distances keeps,
+# per channel and step, each node's products with its d_tower + 1 unit
+# matrices, n x (d_tower + 1) x d, and the zero-padded blocks of each
+# node's edges, n x k x (largest degree) x (d_tower + 1). The budget bounds
+# the first directly and the second through the node count: at d=32 a
+# 1024-edge union of 181 implicit-H atoms keeps 1.5 MB of node products
+# per step. Measured from 256 to 4096 at d=32, when the edge network still
+# built a matrix per directed edge, eval was fastest at 512-1024; below
+# 1024 a training batch of six explicit-H molecules splits into more unions
+# and trains slower. The budget was not retuned since: that is its own
+# measured change, and it moves prediction bits.
 UNION_EDGE_BUDGET = 1024
 
 

@@ -5,46 +5,42 @@ implemented: one weight product, ``matmul``, of rows by a matrix or by a
 per-tower stack of matrices (with an optional bias added in the same op),
 per-row matrix-vector products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
-concatenation/slicing, row gather/scatter, two messages summed at each
-node (the matmul message of every edge label, ``matmul_message``, and the
-edge network's message through one matrix per undirected pair,
-``pair_message``; each gathers, multiplies per tower and sums), and a GRU
-cell over row-stacked states. Each message and the GRU cell is one taped
-op whose rule replays, with the same bits, the tape the op composed from
-the primitives would record. Elementwise operands must match in shape, so
-every backward rule stays auditable at a glance.
+concatenation/slicing/transposition, row gather/scatter, two messages
+summed at each node (the matmul message of every edge label,
+``matmul_message``, and the edge network's message from each edge's
+hidden row, ``edge_message``, which contracts it with per-node products
+and builds no matrix per edge), and a GRU cell over row-stacked states.
+Each message and the GRU cell is one taped op whose rule replays, with the
+same bits, the tape the op composed from simpler ops would record.
+Elementwise operands must match in shape, so every backward rule stays
+auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
 that stores and sums gradients; taped intermediates never hold one, and
 leaves (tensors created with ``requires_grad``) accumulate into ``grad``.
-A rule may hand a parent's gradient back as the two factors of a batched
-product instead of a dense array (``pair_message`` does, for its
-matrices); ``backward`` keeps an intermediate's factors until they are
-needed and sums them all in one matmul. Both factors hold the summed axis
-second to last, (..., r, p) and (..., r, q), so stacking them copies whole
-rows. Leaves that ``training.Adam`` optimizes hold views into its flat
+Leaves that ``training.Adam`` optimizes hold views into its flat
 buffers as ``data`` and ``grad``; ``backward`` adds into ``grad`` in place
 and never rebinds it, so the sums land in Adam's buffer.
 
 Row indexes arrive as :class:`Segments` plans (``segments``), built once
 per index and reused by every op over it: ``gather_rows``,
 ``scatter_sum_rows``, ``segment_softmax``, ``matmul_message`` and
-``pair_message``. A plan orders the segments by decreasing row count and
+``edge_message``. A plan orders the segments by decreasing row count and
 lists the rows slot-major, slot j holding the j-th row of every segment
 that has one, so a sum over segments is one take of the rows, one add per
 slot onto the prefix of segments that slot covers, and one take back
 (``_segment_sum``; rows of one value each summed from zeros go through
 ``np.bincount``), touching each row once, in the order and with the bits
 ``np.add.at`` would give. ``gather_rows``' rule hands back ``(plan,
-rows)``, which ``backward`` sums the same way. ``pair_message`` also takes
-its edges' places among the pairs as :class:`PairSlots` (``pair_slots``),
-checked once when they are built.
+rows)``, which ``backward`` sums the same way. A row's slot is also its
+place in a zero-padded block of its segment's rows, where ``edge_message``
+puts each node's edges.
 
 Every op checks its forward result for NaN/Inf, so divergence surfaces as
 a :class:`NumericError` at the op that produced it. The fused ops check
 less and say in their docstrings why that is enough: ``matmul_message``
-and ``pair_message`` check only their result, and ``gru_cell`` its three
+and ``edge_message`` check only their result, and ``gru_cell`` its three
 pre-activations and its result.
 """
 
@@ -86,9 +82,8 @@ __all__ = [
     "gather_rows",
     "scatter_sum_rows",
     "matmul_message",
-    "PairSlots",
-    "pair_slots",
-    "pair_message",
+    "edge_message",
+    "transpose",
     "slice_cols",
     "repeat_rows",
     "gru_cell",
@@ -220,29 +215,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable,
     return out
 
 
-@dataclass(frozen=True)
-class _Factors:
-    """A gradient handed back as the two factors of a batched product:
-    ``left`` (..., r, p) and ``right`` (..., r, q), summed over r as
-    ``left^T @ right`` and flattened to the parent's shape. ``backward``
-    stacks the factors of an intermediate's pending contributions along r,
-    whole rows at a time, and multiplies once, so their sum is one
-    matmul."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-
-def _dense(factors: Sequence[_Factors], shape) -> np.ndarray:
-    """The sum of the products of ``factors``, from one batched matmul."""
-    if len(factors) == 1:
-        left, right = factors[0].left, factors[0].right
-    else:
-        left = np.concatenate([f.left for f in factors], axis=-2)
-        right = np.concatenate([f.right for f in factors], axis=-2)
-    return (left.swapaxes(-1, -2) @ right).reshape(shape)
-
-
 @dataclass(frozen=True, eq=False)
 class Segments:
     """A checked row index and the slot-major layout that sums rows by it;
@@ -254,7 +226,8 @@ class Segments:
     j-th row, in row order, of each of the first ``widths[j]`` segments of
     ``order``, those with more than j rows, so the widths never increase
     and add up to the row count. ``row_order`` is every row's number, slot
-    0 first, each slot in ``order``. Nothing is padded. The arrays are
+    0 first, each slot in ``order``, and ``slot[i]`` is row i's slot, its
+    place among its segment's rows. Nothing is padded. The arrays are
     read-only and ``widths`` is a tuple.
     """
 
@@ -264,6 +237,7 @@ class Segments:
     widths: tuple[int, ...]
     order: np.ndarray
     back: np.ndarray
+    slot: np.ndarray
 
 
 def segments(index, num_segments: int) -> Segments:
@@ -296,10 +270,12 @@ def segments(index, num_segments: int) -> Segments:
     rank = np.arange(idx.size) - (np.cumsum(counts) - counts)[ranked]
     row_order = np.empty(idx.size, dtype=np.intp)
     row_order[offset[rank] + back[ranked]] = rows
+    slot = np.empty(idx.size, dtype=np.intp)
+    slot[rows] = rank
     # checked once and shared by every op over it, so nothing may edit it
-    for arr in (idx, row_order, order, back):
+    for arr in (idx, row_order, order, back, slot):
         arr.flags.writeable = False
-    return Segments(idx, n, row_order, tuple(widths.tolist()), order, back)
+    return Segments(idx, n, row_order, tuple(widths.tolist()), order, back, slot)
 
 
 def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -353,28 +329,15 @@ def _accumulate(pending: dict, t: Tensor, g) -> None:
     place, so an array a rule handed to several parents is never written
     into. ``g`` may be ``(seg, rows)``, a :class:`Segments` plan and one
     row per index entry: ``_segment_sum`` adds each segment's rows onto
-    its row of the running total. ``g`` may be :class:`_Factors`: an
-    intermediate collects them in a list until its own rule runs or a
-    contribution of another kind arrives, and then makes the list dense
-    with one matmul; a leaf makes them dense at once.
+    its row of the running total.
     """
     if t.grad is not None:
         if isinstance(g, tuple):
             t.grad[...] = _segment_sum(*g, t.grad)
         else:
-            t.grad += _dense([g], t.data.shape) if isinstance(g, _Factors) else g
+            t.grad += g
         return
     total = pending.get(t)
-    if isinstance(g, _Factors):
-        if total is None:
-            pending[t] = [g]
-            return
-        if isinstance(total, list):
-            total.append(g)
-            return
-        g = _dense([g], t.data.shape)
-    elif isinstance(total, list):
-        total = _dense(total, t.data.shape)
     if isinstance(g, tuple):
         pending[t] = _segment_sum(*g, total)
     else:
@@ -399,8 +362,6 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(out, None)
         if g is None:
             continue
-        if isinstance(g, list):
-            g = _dense(g, out.data.shape)
         for parent, pg in zip(parents, rule(g)):
             if pg is not None:
                 _accumulate(pending, parent, pg)
@@ -666,6 +627,18 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), rule)
 
 
+def transpose(x: Tensor) -> Tensor:
+    """Every matrix of a stack transposed: the last two axes swapped, in a
+    fresh row-major array."""
+    if x.data.ndim < 2:
+        raise DimensionError("transpose needs a tensor of matrices")
+
+    def rule(g: np.ndarray):
+        return (g.swapaxes(-1, -2),)
+
+    return _result(x.data.swapaxes(-1, -2), (x,), rule)
+
+
 def gather_rows(x: Tensor, seg: Segments) -> Tensor:
     """Select rows (slices along the first axis) of a tensor of any rank:
     row i of the result is row ``seg.index[i]`` of ``x`` (repeats
@@ -772,118 +745,91 @@ def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments]
                    sum(src.size * w.data.size for w, _, _, src in groups))
 
 
-@dataclass(frozen=True, eq=False)
-class PairSlots:
-    """Where each edge's vector sits among the pairs' columns in
-    :func:`pair_message`; build one with :func:`pair_slots`.
-
-    Edge i takes slot ``side[i]`` (0 or 1) of pair ``pair[i]``, and no two
-    edges share a slot. ``near_pair`` and ``near_side`` list the same in
-    the slot-major order of the plan that sums the edges
-    (``near.row_order``). The arrays are read-only.
-    """
-
-    num_pairs: int
-    pair: np.ndarray
-    side: np.ndarray
-    near_pair: np.ndarray
-    near_side: np.ndarray
-
-
-def pair_slots(pair, side, num_pairs: int, near: Segments) -> PairSlots:
-    """The slots of ``pair_message`` for the edges ``near`` sums, one pair
-    and one side per row of the plan (DimensionError).
-
-    This is the only check of them: every pair must lie in ``[0,
-    num_pairs)``, every side be 0 or 1, and no slot hold two edges
-    (ContractError).
-    """
-    pair = np.array(pair, dtype=np.intp)
-    side = np.array(side, dtype=np.intp)
-    m = near.index.size
-    if pair.shape != (m,) or side.shape != (m,):
-        raise DimensionError("pair_slots needs one pair and one side per edge of the plan")
-    if m and (pair.min() < 0 or pair.max() >= num_pairs
-              or side.min() < 0 or side.max() > 1):
-        raise ContractError(f"pair_slots pair or side out of range for {num_pairs} pairs")
-    if m and np.bincount(2 * pair + side).max() > 1:
-        raise ContractError("two edges share a pair_slots slot")
-    arrays = (pair, side, pair[near.row_order], side[near.row_order])
-    for arr in arrays:
-        arr.flags.writeable = False
-    return PairSlots(int(num_pairs), *arrays)
-
-
-def pair_message(h: Tensor, mats: Tensor, far: Segments, near: Segments,
-                 slots: PairSlots) -> Tensor:
+def edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far: Segments,
+                 near: Segments) -> Tensor:
     """The edge network's message summed at each node, all towers at once,
-    as one taped op. Each undirected pair has one matrix, which both of its
-    directed edges multiply.
+    as one taped op that builds no matrix per edge.
 
-    ``h`` is (n, k, q) and ``mats`` (P, k, p*q), one row-major (p x q)
-    matrix per pair and tower. Edge i's message is ``mats[pair[i], t] @
-    h[far.index[i], t]`` per tower t, and it is summed onto node
-    ``near.index[i]``; ``slots`` (:func:`pair_slots`, built from ``near``)
-    gives each edge's pair and side. The result is (near.num_segments, k,
-    p), the value of gathering h's rows by ``far``, multiplying each by its
-    pair's matrix and summing them by ``near``.
+    ``h`` is (n, k, q) and ``hidden`` (E, k, r), the edge network's hidden
+    row of every edge of the two plans; ``w2`` (k, r, p*q) and ``b2`` (k,
+    p*q) are its last layer, so edge i's matrix in tower t is the row-major
+    (p x q) ``A = hidden[i, t] @ w2[t] + b2[t]``. Its message ``A @
+    h[far.index[i], t]`` is summed onto node ``near.index[i]``; the result
+    is (near.num_segments, k, p).
 
-    The forward stacks h's far-end rows as (P, k, q, 2) columns, an empty
-    slot a zero column, and multiplies in one batched matmul: multiplying
-    slot-major (P, k, 2, q) rows instead changes the bits at q = 16 and 25.
-    It reads each edge's product straight into ``near``'s slot order and
-    adds the slots onto the nodes (``_slot_sum``), so each node adds its
-    messages one at a time in edge order, as a scatter does: the value has
-    the bits of the gather, product and scatter composed from taped ops.
+    A's last layer is linear, so the forward takes the states first: every
+    node's products with the r matrices of ``w2`` and with ``b2``'s, ``U``
+    (n, k, r, p) and ``C`` (n, k, p), one product each per tower
+    (``_product``). Each node's edges (``far``) are the rows of a
+    zero-padded (D, r) block, D the largest count, placed by ``far.slot``;
+    one batched matmul contracts every node's block with its U, and C is
+    added to each row. So it makes n products with r + 1 matrices, not E
+    matrices, and its largest arrays are U and the (n, k, D, r) blocks. The
+    messages are read straight into ``near``'s slot order and added onto the
+    nodes (``_slot_sum``), each node adding its messages one at a time in
+    edge order, as a scatter does.
 
-    The rule replays that composed tape in reverse with its numpy calls, in
-    edge order: ``g[near.index]`` and h's far-end rows are laid out
-    slot-major, (P, k, 2, p) and (P, k, 2, q). Each matrix's gradient sums
-    both of its slots and is handed back as those two :class:`_Factors`, so
-    ``backward`` sums the gradients of every step that shares ``mats`` in
-    one matmul; h's is ``(far, rows)``, which ``backward`` sums through the
-    plan. The parents are ``(mats, h)``, in the order the composed tape
-    delivered them, so every gradient keeps the composed bits. The multiply
-    count is the edges' products, not the empty slots' zero columns.
+    The rule runs the same products transposed. The message gradients
+    ``g[near.index]`` go into padded blocks; their products with U and with
+    the hidden blocks give the hidden rows' and U's gradients, and their
+    sums over each block C's. Those times the states give ``w2``'s and
+    ``b2``'s gradients, dense and of their own shapes, which a leaf adds
+    into its ``grad`` in place; those times the weights give h's. The
+    parents are ``(w2, b2, hidden, h)``, in the order the tape of the node
+    products, the contraction and a scatter would deliver them. The
+    multiply count is the node products and the edges' contractions, not
+    the padding's.
 
-    Only the result is checked for NaN/Inf. That is enough: of the composed
-    ops' checks only the products' could fail, since the gathered rows copy
-    the checked ``h``; every product row is added into exactly one result
-    row, and IEEE addition never turns inf or NaN back into a finite number.
-    A matrix that no edge uses reaches neither the value nor a gradient.
+    Only the result is checked for NaN/Inf. That is enough: h and the
+    hidden rows were checked where they were made; every entry of a
+    sending node's U and C is multiplied or added into each of its
+    messages (zero times inf is NaN), every message is added into exactly
+    one result row, and IEEE addition never turns inf or NaN back into a
+    finite number. The U and C of a node that sends no message reach
+    neither the value nor a gradient.
     """
-    if h.data.ndim != 3:
-        raise DimensionError("pair_message needs (n, k, q) states")
+    if h.data.ndim != 3 or hidden.data.ndim != 3:
+        raise DimensionError("edge_message needs (n, k, q) states and (E, k, r) hidden rows")
     n, k, q = h.data.shape
-    width = mats.data.shape[-1]
-    if mats.data.shape != (slots.num_pairs, k, width) or width % q:
-        raise DimensionError(
-            f"pair_message needs ({slots.num_pairs}, {k}, p*{q}) matrices: {mats.data.shape}")
+    m, _, r = hidden.data.shape
+    width = b2.data.shape[-1]
+    if (hidden.data.shape[1] != k or b2.data.shape != (k, width) or width % q
+            or w2.data.shape != (k, r, width)):
+        raise DimensionError(f"edge_message needs ({k}, {r}, p*{q}) and ({k}, p*{q}) weights "
+                             f"for states {h.data.shape} and hidden rows "
+                             f"{hidden.data.shape}: {w2.data.shape}, {b2.data.shape}")
     if far.num_segments != n:
-        raise DimensionError(f"pair_message far plan has {far.num_segments} "
+        raise DimensionError(f"edge_message far plan has {far.num_segments} "
                              f"segments for {n} states")
-    if not far.index.shape == near.index.shape == slots.pair.shape:
-        raise DimensionError("pair_message plans and slots disagree on the edges")
+    if not far.index.shape == near.index.shape == (m,):
+        raise DimensionError("edge_message plans and hidden rows disagree on the edges")
     p = width // q
-    m3 = mats.data.reshape(slots.num_pairs, k, p, q)
-    x = np.zeros((slots.num_pairs, k, q, 2))
-    x[slots.pair, ..., slots.side] = h.data[far.index]
-    total = _slot_sum(near, (m3 @ x)[slots.near_pair, ..., slots.near_side])
-    sel = (slots.pair, slice(None), slots.side)
+    w = w2.data.reshape(k, r * p, q)
+    b = b2.data.reshape(k, p, q)
+    u = _product(h.data, w.transpose(0, 2, 1)).reshape(n, k, r, p)
+    blocks = np.zeros((n, k, len(far.widths), r))
+    blocks[far.index, :, far.slot] = hidden.data
+    y = blocks @ u
+    y += _product(h.data, b.transpose(0, 2, 1))[:, :, None]
+    total = _slot_sum(near, y[far.index[near.row_order], :, far.slot[near.row_order]])
+    y_shape = y.shape
 
     def rule(g: np.ndarray):
-        gy = np.zeros((slots.num_pairs, k, 2, p))
-        gy[sel] = g[near.index]
-        g_mats = None
-        if mats.requires_grad:
-            xt = np.zeros((slots.num_pairs, k, 2, q))
-            xt[sel] = h.data[far.index]
-            g_mats = _Factors(gy, xt)
-        return (g_mats,
-                (far, (m3.swapaxes(-1, -2) @ gy.swapaxes(-1, -2))[slots.pair, ..., slots.side])
-                if h.requires_grad else None)
+        g_y = np.zeros(y_shape)
+        g_y[far.index, :, far.slot] = g[near.index]
+        g_c = g_y.sum(axis=2)
+        g_u = (blocks.swapaxes(-1, -2) @ g_y).reshape(n, k, r * p)
+        rows = h.data.transpose(1, 0, 2)
+        return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
+                if w2.requires_grad else None,
+                (g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
+                if b2.requires_grad else None,
+                (g_y @ u.swapaxes(-1, -2))[far.index, :, far.slot]
+                if hidden.requires_grad else None,
+                _product(g_u, w) + _product(g_c, b) if h.requires_grad else None)
 
-    return _result(total, (mats, h), rule, far.index.size * k * p * q)
+    return _result(total, (w2, b2, hidden, h), rule,
+                   n * k * q * (r + 1) * p + m * k * r * p)
 
 
 # no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)

@@ -35,7 +35,8 @@ def make_cfg(message_fn, readout, **kw):
 
 def mixed_batch(rng, cfg, sizes=(3, 5, 1, 4)):
     """Graphs of the given sizes, plus a zero-edge and a zero-atom graph."""
-    representation, alphabet = REPRESENTATION[cfg.message_fn]
+    representation = cfg.edge_repr
+    alphabet = 14 if representation == "distance_bins" else 4
 
     def graph(n, edge_prob=0.6):
         return random_encoded(rng, n=n, d_in=4, representation=representation,
@@ -209,18 +210,20 @@ def _forward_backward_digest(cfg):
     ("matmul", "ggnn", dict(towers_k=4),
      "497125362d8adab6af8f4bdf6aa03220e1975994cf90199df23c72fe6b2e5242"),
     ("edge_network", "ggnn", {},
-     "d507f032e745a48686b456e494e4acb2a6ca54c4769a28c9509ab6a1f532dd2a"),
+     "3ee1c2755bad5124621b136ce4ab5471396faa86fd47c0e9b9134d3072462467"),
     ("edge_network", "ggnn", dict(towers_k=4),
-     "c14a2786a5a617fcd3c3b11f6c60212547f1066747e1da5be8e04d9303bc8c75"),
+     "a6928e82ba24defdcb19f1a6583420d1c9bb1b23f2960c539c83082d634df27a"),
+    ("edge_network", "ggnn", dict(edge_repr="chemical"),
+     "a2e35adec552b16b54928c9950911117a17a035bd5a197e2c63476358690e0f5"),
     ("pair_message", "dtnn_sum", {},
      "a149c1894637264c98a15a80b8cb08f3980c7a07137b1fc2891b6cd3724a491f"),
     ("pair_message", "dtnn_sum", dict(towers_k=4),
      "c7da7f9fd94e504e63548b57c9f36df44278576121919b31a39fabe96b6a6fec"),
     ("edge_network", "set2set", dict(d_master=8),
-     "2f0cdf2aced80fcf8c352c1ae3264a83286e60fac65b3e3a93e95c57c32c55f1"),
+     "bafa3a8c96717acfbf12ad413a767b9c81844bb1c7d854c6880815aeb581a940"),
     ("matmul", "set2set", dict(d_master=8, update_fn="dtnn_residual"),
      "dd96f1931115bb4321f281d4228e68990f1ee7baf39870ba2947f5e82f381591"),
-], ids=["matmul", "matmul_k4", "edge_network", "edge_network_k4",
+], ids=["matmul", "matmul_k4", "edge_network", "edge_network_k4", "edge_network_chemical",
         "pair_message", "pair_message_k4", "edge_network_master_set2set",
         "matmul_master_set2set_residual"])
 def test_outputs_and_gradients_pinned(message_fn, readout, overrides, digest):
@@ -229,6 +232,13 @@ def test_outputs_and_gradients_pinned(message_fn, readout, overrides, digest):
     # were re-pinned when pair_matvec's matrix gradient became factors that
     # backward sums over all steps in one matmul: forward outputs kept their
     # bits, the edge-network weight gradients moved by at most 3.4e-16 of
-    # their largest entry, and the other five digests did not change.
+    # their largest entry, and the other five digests did not change. They
+    # were re-pinned again when the edge network over raw distances stopped
+    # building a matrix per pair (``tt.edge_message``): against the per-pair
+    # path the outputs moved by at most 1.1e-16 and the gradients by at most
+    # 1.3e-15, each relative to its array's largest entry. The chemical-label
+    # case, which multiplies one matrix per label, was pinned on that change;
+    # against the per-pair path its outputs kept their bits and its
+    # gradients moved by at most 3.4e-16.
     cfg = make_cfg(message_fn, readout, d=8, **overrides)
     assert _forward_backward_digest(cfg) == digest

@@ -255,18 +255,37 @@ class TestIndexPlans:
 
     @pytest.mark.parametrize("towers_k", [1, 2])
     def test_edge_network_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
-        # the gather, per-pair product and scatter of the edge network's
-        # message are one op; the only products taped are each channel's
-        # matrix build (two per channel, once per forward) and the tower mix
-        cfg = cfg_for("edge_network", T=3, towers_k=towers_k)
-        eg = random_encoded(rng, n=7, ensure_connected=True)
+        # over raw vectors the edge network's message is one op; the only
+        # products taped are each channel's hidden layer (once per forward)
+        # and the tower mix
+        cfg = cfg_for("edge_network", T=3, towers_k=towers_k, edge_repr="raw_distance")
+        eg = random_encoded(rng, n=7, ensure_connected=True, representation="raw_distance")
         T.active_tape().clear()
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
-        assert ops.count("pair_message") == 2 * cfg.T
+        assert ops.count("edge_message") == 2 * cfg.T
+        assert ops.count("matmul") == 2 + (cfg.T if towers_k > 1 else 0)
+        assert not {"gather_rows", "scatter_sum_rows", "matmul_message"} & set(ops)
+
+    @pytest.mark.parametrize("towers_k", [1, 2])
+    def test_label_edge_network_is_one_matmul_message_per_channel_and_step(self, rng,
+                                                                             towers_k):
+        # over labels the edge network builds one matrix per label present
+        # (mlp2, then one gather per label, once per forward) and sends
+        # through the matmul message
+        cfg = cfg_for("edge_network", T=3, towers_k=towers_k)
+        eg = random_encoded(rng, n=7, ensure_connected=True)
+        n_labels = np.unique(eg.edge_features).size
+        assert n_labels > 1
+        T.active_tape().clear()
+        propagate(eg, init_params(cfg, seed=0), cfg)
+        ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
+        T.active_tape().clear()
+        assert ops.count("matmul_message") == 2 * cfg.T
         assert ops.count("matmul") == 2 * 2 + (cfg.T if towers_k > 1 else 0)
-        assert not {"gather_rows", "scatter_sum_rows"} & set(ops)
+        assert ops.count("gather_rows") == 2 * n_labels
+        assert not {"scatter_sum_rows", "edge_message"} & set(ops)
 
 
 class TestAggregate:
@@ -399,8 +418,9 @@ class TestPropagate:
 
 
 class TestEdgeNetworkPairs:
-    """The edge network builds one matrix per undirected pair and channel,
-    shared by both orientations of the pair."""
+    """Over discrete labels the edge network builds one matrix per label
+    present and channel; over raw vectors it builds none, and each directed
+    edge uses its own vector."""
 
     def test_matches_naive_with_one_way_and_shuffled_edges(self, rng):
         cfg = cfg_for("edge_network", T=3)
@@ -415,38 +435,61 @@ class TestEdgeNetworkPairs:
                                    atol=1e-12)
 
     def test_builds_one_matrix_per_pair(self, rng):
-        # Complete graph on 4 nodes: P = 6 pairs, E = 12 directed edges. A
-        # residual update multiplies nothing, so the count is the matrix
-        # build, 2 channels * P * (4*6 + 6*36) with 4 chemical labels and
-        # d = 6, plus the messages, T=1 * 2 channels * E * 6*6: 2880 + 864.
-        # One matrix per directed edge would make the build 5760.
+        # Complete graph on 4 nodes: P = 6 pairs, E = 12 directed edges, all
+        # of chemical label 0. A residual update multiplies nothing, so the
+        # count is the matrix build, 2 channels * 1 label * (4*6 + 6*36) with
+        # 4 chemical labels and d = 6, plus the messages, T=1 * 2 channels *
+        # E * 6*6: 480 + 864. The six pairs share their label's matrix; one
+        # matrix per pair made the build 2880, one per directed edge 5760.
         cfg = residual_cfg("edge_network")
         params = init_params(cfg, seed=22)
         edges = [(i, j) for i in range(4) for j in range(4) if i != j]
         eg = directed_graph(rng.normal(size=(4, 5)), edges)
         with T.count_multiplies(T.MultiplyCounter()) as counter:
             propagate(eg, params, cfg)
-        assert counter.total == 3744
+        assert counter.total == 1344
+
+    def test_raw_distances_build_no_matrix(self, rng):
+        # The same complete graph with raw 5-vectors: each channel's hidden
+        # layer, 2 * E * 5*6, then per channel and step the products of the
+        # n = 4 states with the 6 hidden units' matrices and the bias's and
+        # each edge's contraction, T=1 * 2 * (4*6*7*6 + 12*6*6): 720 + 2880.
+        cfg = residual_cfg("edge_network", edge_repr="raw_distance")
+        params = init_params(cfg, seed=22)
+        eg = random_encoded(rng, n=4, d_in=5, representation="raw_distance",
+                            edge_prob=1.0)
+        assert eg.n_edges == 12
+        with T.count_multiplies(T.MultiplyCounter()) as counter:
+            propagate(eg, params, cfg)
+        assert counter.total == 3600
 
     @pytest.mark.parametrize("edges, labels", [
         ([(0, 1), (1, 0), (0, 1)], [2, 2, 2]),  # 0 -> 1 twice
         ([(0, 1), (1, 0)], [1, 2]),             # reverse with another label
     ], ids=["duplicate_edge", "reverse_differs"])
-    def test_refuses_edges_that_do_not_share_a_matrix(self, rng, edges, labels):
+    def test_edges_without_a_shared_matrix_match_naive(self, rng, edges, labels):
+        # once refused, when both orientations of a pair shared one matrix
         cfg = cfg_for("edge_network")
         params = init_params(cfg, seed=23)
+        jitter_biases(params, rng)
         eg = directed_graph(rng.normal(size=(2, 5)), edges, np.array(labels))
-        with pytest.raises(ContractError, match="0 -> 1"):
-            propagate(eg, params, cfg)
+        want_h, _, _, _ = naive_propagate(eg, params, cfg)
+        np.testing.assert_allclose(propagate(eg, params, cfg).h.data, want_h,
+                                   atol=1e-12)
 
-    def test_refuses_reverse_with_other_distance(self, rng):
+    def test_reverse_with_other_distance_matches_naive(self, rng):
+        # once refused; now the last edge's own distance reaches its message
         cfg = cfg_for("edge_network", edge_repr="raw_distance")
         params = init_params(cfg, seed=24)
+        jitter_biases(params, rng)
         eg = random_encoded(rng, n=3, d_in=5, representation="raw_distance",
                             edge_prob=1.0)
-        eg.edge_features[-1, 0] += 1e-9
-        with pytest.raises(ContractError, match="different features"):
-            propagate(eg, params, cfg)
+        before = propagate(eg, params, cfg).h.data
+        eg.edge_features[-1, 0] += 0.25
+        want_h, _, _, _ = naive_propagate(eg, params, cfg)
+        after = propagate(eg, params, cfg).h.data
+        np.testing.assert_allclose(after, want_h, atol=1e-12)
+        assert np.abs(after - before).max() > 1e-6
 
 
 class TestTowers:

@@ -28,13 +28,18 @@ def t(data, rg=False):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=rg)
 
 
-def pair_rows(mats: Tensor, vecs: Tensor, pair, side) -> Tensor:
-    """``T.pair_message`` with one node per vector row at both ends, so row
-    i of the result is row i's own message, ``mats[pair[i], j] @ vecs[i,
-    j]`` per tower j, from slot ``side[i]`` of pair ``pair[i]``."""
-    plan = T.segments(np.arange(len(pair)), len(pair))
-    return T.pair_message(vecs, mats, plan, plan,
-                          T.pair_slots(pair, side, mats.data.shape[0], plan))
+def pair_rows(mats: Tensor, vecs: Tensor, pair) -> Tensor:
+    """``T.edge_message`` with one node per vector row at both ends, row
+    i's hidden row one-hot on ``pair[i]`` and a zero bias, so that the
+    row-major (p x q) matrices ``mats`` (k, P, p*q) act as matrices shared
+    by pairs of edges: row i of the result is ``mats[j, pair[i]]`` times
+    ``vecs[i, j]`` in tower j."""
+    m, k, _ = vecs.data.shape
+    hidden = np.zeros((m, k, mats.data.shape[1]))
+    hidden[np.arange(m), :, pair] = 1.0
+    plan = T.segments(np.arange(m), m)
+    return T.edge_message(vecs, t(hidden), mats, t(np.zeros((k, mats.data.shape[2]))),
+                          plan, plan)
 
 
 class TestForwardValues:
@@ -156,14 +161,20 @@ class TestForwardValues:
 
     def test_pair_matvec_over_towers_matches_loop(self, rng):
         # three pairs of two towers, each tower a 2x3 matrix
-        mats = rng.normal(size=(3, 2, 6))
+        mats = rng.normal(size=(2, 3, 6))
         vecs = rng.normal(size=(3, 2, 3))
-        pair, side = [0, 1, 0], [1, 0, 0]
-        out = pair_rows(t(mats), t(vecs), pair, side).data
+        pair = [0, 1, 0]
+        out = pair_rows(t(mats), t(vecs), pair).data
         for i in range(3):
             for k in range(2):
                 np.testing.assert_allclose(
-                    out[i, k], mats[pair[i], k].reshape(2, 3) @ vecs[i, k])
+                    out[i, k], mats[k, pair[i]].reshape(2, 3) @ vecs[i, k])
+
+    def test_transpose_swaps_the_last_two_axes(self, rng):
+        x = rng.normal(size=(4, 2, 3, 5))
+        out = T.transpose(t(x)).data
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, x.swapaxes(-1, -2))
 
     def test_slice_cols(self):
         x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -181,24 +192,12 @@ class TestForwardValues:
 
     def test_pair_matvec_matches_loop(self, rng):
         # three 2x3 matrices and one tower; pair 1 has one vector, pair 2 none
-        mats = rng.normal(size=(3, 1, 6))
+        mats = rng.normal(size=(1, 3, 6))
         vecs = rng.normal(size=(3, 1, 3))
-        pair, side = [0, 1, 0], [1, 0, 0]
-        out = pair_rows(t(mats), t(vecs), pair, side).data
+        pair = [0, 1, 0]
+        out = pair_rows(t(mats), t(vecs), pair).data
         for i in range(3):
-            np.testing.assert_allclose(out[i, 0], mats[pair[i], 0].reshape(2, 3) @ vecs[i, 0])
-
-    @pytest.mark.parametrize("pair, side, error", [
-        ([0, 0], [1, 1], ContractError),  # two rows in one slot
-        ([0, 2], [0, 1], ContractError),  # no pair 2
-        ([0, 1], [0, 2], ContractError),  # a pair has two sides
-        ([0], [0], DimensionError),       # one pair per vector row
-    ])
-    def test_pair_matvec_refuses_bad_slots(self, pair, side, error):
-        # two pairs and a plan of two edges; the slots are checked once,
-        # where they are built
-        with pytest.raises(error):
-            T.pair_slots(pair, side, 2, T.segments([0, 1], 2))
+            np.testing.assert_allclose(out[i, 0], mats[0, pair[i]].reshape(2, 3) @ vecs[i, 0])
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
         ((5, 3), (3, 4), (4,)),
@@ -436,23 +435,21 @@ class TestBackward:
         assert w.grad.tobytes() == want.tobytes()
 
 
-# Three pair_message calls on one (3 pairs, 2 towers, 2x3) matrix stack, as
-# the T steps of an edge network use one channel's matrices; pair 2 is
-# one-way in the first call, and the last call has no vector rows.
-SHARED_CALLS = [([0, 1, 2, 0], [0, 0, 1, 1]),
-                ([2, 1, 0, 2, 1], [0, 1, 1, 1, 0]),
-                ([], [])]
+# Three edge_message calls on one (2 towers, 3 pairs, 2x3) matrix stack,
+# as the T steps of an edge network use one channel's weights; pair 2 has
+# one row in the first call, and the last call has no rows.
+SHARED_CALLS = [[0, 1, 2, 0], [2, 1, 0, 2, 1], []]
 
 
 def _shared_mats_loss(mats, vecs, dense_at, per_call, dense):
     """One scalar from three ``pair_rows`` calls on ``mats`` (each output
-    through ``per_call``) and, unless ``dense_at`` is None, one dense
+    through ``per_call``) and, unless ``dense_at`` is None, one other
     consumer of ``mats`` (``dense``) taped "first" or "last". Backward meets
-    the dense gradient after the calls' factors if it is taped first, and
-    before them if it is taped last."""
+    its gradient after the calls' if it is taped first, and before them if
+    it is taped last."""
     terms = [T.reduce_sum(dense(mats))] if dense_at == "first" else []
-    terms += [T.reduce_sum(per_call(j, pair_rows(mats, v, pair, side)))
-              for j, ((pair, side), v) in enumerate(zip(SHARED_CALLS, vecs))]
+    terms += [T.reduce_sum(per_call(j, pair_rows(mats, v, pair)))
+              for j, (pair, v) in enumerate(zip(SHARED_CALLS, vecs))]
     if dense_at == "last":
         terms.append(T.reduce_sum(dense(mats)))
     loss = terms[0]
@@ -462,41 +459,42 @@ def _shared_mats_loss(mats, vecs, dense_at, per_call, dense):
 
 
 class TestFactoredMatrixGradient:
-    """pair_message hands back its matrices' gradient as factors, which
-    backward sums over every call sharing the matrices in one matmul."""
+    """The gradient of weights that several edge_message calls share, each
+    call a step of the edge network, is the sum of every call's products
+    with its rows, whichever order backward meets them in."""
 
     @pytest.mark.parametrize("dense_at", [None, "first", "last"],
                              ids=["no_dense", "dense_first", "dense_last"])
     @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "intermediate"])
     def test_equals_sum_of_per_call_products(self, rng, leaf, dense_at):
-        shape = (3, 2, 6)
+        shape = (2, 3, 6)
         m = t(rng.normal(size=shape), rg=True)
-        vecs = [t(rng.normal(size=(len(pair), 2, 3))) for pair, _ in SHARED_CALLS]
-        probes = [rng.normal(size=(len(pair), 2, 2)) for pair, _ in SHARED_CALLS]
+        vecs = [t(rng.normal(size=(len(pair), 2, 3))) for pair in SHARED_CALLS]
+        probes = [rng.normal(size=(len(pair), 2, 2)) for pair in SHARED_CALLS]
         dense_probe = rng.normal(size=shape)
         mats = m if leaf else T.reshape(m, shape)
         backward(_shared_mats_loss(mats, vecs, dense_at,
                                    lambda j, y: T.mul(y, t(probes[j])),
                                    lambda x: T.mul(x, t(dense_probe))))
         want = np.zeros(shape) if dense_at is None else dense_probe.copy()
-        for (pair, side), v, probe in zip(SHARED_CALLS, vecs, probes):
-            gy, x = np.zeros((3, 2, 2, 2)), np.zeros((3, 2, 3, 2))
-            gy[pair, ..., side] = probe
-            x[pair, ..., side] = v.data
-            want += (gy @ x.swapaxes(-1, -2)).reshape(shape)
+        for pair, v, probe in zip(SHARED_CALLS, vecs, probes):
+            for i, a in enumerate(pair):
+                for k in range(2):
+                    want[k, a] += np.outer(probe[i, k], v.data[i, k]).ravel()
         assert np.abs(m.grad - want).max() <= 1e-15 * np.abs(want).max()
         assert len(T.active_tape()) == 0
 
     @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "intermediate"])
     def test_no_pairs(self, leaf):
-        m = t(np.zeros((0, 2, 6)), rg=True)
+        m = t(np.zeros((2, 3, 6)), rg=True)
         v = t(np.zeros((0, 2, 3)), rg=True)
-        mats = m if leaf else T.reshape(m, (0, 2, 6))
-        loss = T.reduce_sum(pair_rows(mats, v, [], []))
+        mats = m if leaf else T.reshape(m, (2, 3, 6))
+        loss = T.reduce_sum(pair_rows(mats, v, []))
         for _ in range(2):
-            loss = T.add(loss, T.reduce_sum(pair_rows(mats, v, [], [])))
+            loss = T.add(loss, T.reduce_sum(pair_rows(mats, v, [])))
         backward(T.add(loss, T.reduce_sum(T.tanh(mats))))
-        assert m.grad.shape == (0, 2, 6) and v.grad.shape == (0, 2, 3)
+        assert m.grad.shape == (2, 3, 6) and v.grad.shape == (0, 2, 3)
+        np.testing.assert_array_equal(m.grad, np.ones((2, 3, 6)))
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -521,43 +519,50 @@ class TestGradientsAgainstFiniteDifferences:
             lambda p: T.reduce_sum(T.tanh(T.batched_matvec(p["m"], p["v"]))),
             params, label="batched_matvec")
 
-    @pytest.mark.parametrize("pair, side", [
-        ([0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1]),  # both sides of every pair
-        ([2, 0, 1, 0], [1, 0, 0, 1]),              # pairs 1 and 2 one-way
+    @pytest.mark.parametrize("pair", [
+        [0, 1, 2, 0, 1, 2],  # two rows on every matrix
+        [2, 0, 1, 0],        # matrices 1 and 2 on one row each
     ], ids=["full_pairs", "one_way"])
-    def test_pair_matvec(self, rng, pair, side):
+    def test_pair_matvec(self, rng, pair):
         params = {
-            "m": t(rng.normal(size=(3, 1, 12)), rg=True),
+            "m": t(rng.normal(size=(1, 3, 12)), rg=True),
             "v": t(rng.normal(size=(len(pair), 1, 4)), rg=True),
         }
         check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(pair_rows(p["m"], p["v"], pair, side))),
+            lambda p: T.reduce_sum(T.tanh(pair_rows(p["m"], p["v"], pair))),
             params, label="pair_matvec")
 
     def test_pair_matvec_over_towers(self, rng):
-        pair, side = [2, 0, 1, 0], [1, 0, 0, 1]
+        pair = [2, 0, 1, 0]
         params = {
             # scaled like the GRU weights: at unit scale the central
             # difference of one small entry misses the relative tolerance
-            "m": t(rng.normal(size=(3, 2, 12)) * 0.5, rg=True),
+            "m": t(rng.normal(size=(2, 3, 12)) * 0.5, rg=True),
             "v": t(rng.normal(size=(len(pair), 2, 4)), rg=True),
         }
         check_grad_against_fd(
-            lambda p: T.reduce_sum(T.tanh(pair_rows(p["m"], p["v"], pair, side))),
+            lambda p: T.reduce_sum(T.tanh(pair_rows(p["m"], p["v"], pair))),
             params, label="pair_matvec_towers")
+
+    def test_transpose(self, rng):
+        params = {"x": t(rng.normal(size=(2, 3, 4)), rg=True)}
+        probe = t(rng.normal(size=(2, 4, 3)))
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.mul(T.tanh(T.transpose(p["x"])), probe)),
+            params, label="transpose")
 
     @pytest.mark.parametrize("dense_at", [None, "first", "last"],
                              ids=["no_dense", "dense_first", "dense_last"])
     @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "intermediate"])
     def test_pair_matvec_shared_matrices(self, rng, leaf, dense_at):
-        # the factored gradient of one matrix stack under three calls and
-        # one dense consumer
-        params = {"m": t(rng.normal(size=(3, 2, 6)) * 0.5, rg=True)}
+        # the gradient of one matrix stack under three calls and one other
+        # consumer
+        params = {"m": t(rng.normal(size=(2, 3, 6)) * 0.5, rg=True)}
         params.update({f"v{j}": t(rng.normal(size=(len(pair), 2, 3)), rg=True)
-                       for j, (pair, _) in enumerate(SHARED_CALLS)})
+                       for j, pair in enumerate(SHARED_CALLS)})
         check_grad_against_fd(
             lambda p: _shared_mats_loss(
-                p["m"] if leaf else T.reshape(p["m"], (3, 2, 6)),
+                p["m"] if leaf else T.reshape(p["m"], (2, 3, 6)),
                 [p[f"v{j}"] for j in range(len(SHARED_CALLS))], dense_at,
                 lambda j, y: T.tanh(y), lambda x: T.mul(x, x)),
             params, label="pair_matvec_shared")
@@ -903,34 +908,53 @@ class TestMatmulMessage:
             T.matmul_message(t(h_data), [t(ws[1])], [f], [], src)
 
 
-def composed_pair_message(h: Tensor, mats: Tensor, far, near, pair, side) -> Tensor:
-    """The edge network's message composed from taped ops, a gather, a
-    per-pair product and a scatter: the bitwise oracle of the one-op
-    ``T.pair_message``, forward and backward. The product is taped as its
-    own op once was: the gathered vectors stacked as (P, k, q, 2) columns,
-    an empty slot a zero column, in one batched matmul, and a rule that
-    lays the output gradient and the vectors out slot-major and hands the
-    matrices' gradient back as two factors."""
-    vecs = T.gather_rows(h, far)
-    n_pairs, k, width = mats.data.shape
-    q = vecs.data.shape[-1]
-    p = width // q
-    m3 = mats.data.reshape(n_pairs, k, p, q)
-    x = np.zeros((n_pairs, k, q, 2))
-    x[pair, ..., side] = vecs.data
-    sel = (pair, slice(None), side)
+def composed_edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far,
+                          near) -> Tensor:
+    """The edge network's message composed from three taped ops: the node
+    products U and C, side by side in one output, the contraction of each
+    edge's hidden row with its far node's U plus its C, and a scatter. It
+    is the bitwise oracle of the one-op ``T.edge_message``, forward and
+    backward. The first two are taped with the numpy calls of the fused
+    op: the contraction pads each node's edges into a block by
+    ``far.slot``. U and C and their gradients are split off the shared
+    arrays as row-major copies, the layout the one op has them in, so that
+    BLAS sees the same operands."""
+    n, k, q = h.data.shape
+    m, _, r = hidden.data.shape
+    p = b2.data.shape[-1] // q
+    w = w2.data.reshape(k, r * p, q)
+    b = b2.data.reshape(k, p, q)
+    split = lambda x: (np.ascontiguousarray(x[..., :r * p]), np.ascontiguousarray(x[..., r * p:]))
+
+    def node_rule(g: np.ndarray):
+        g_u, g_c = split(g)
+        rows = h.data.transpose(1, 0, 2)
+        return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
+                if w2.requires_grad else None,
+                (g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
+                if b2.requires_grad else None,
+                T._product(g_u, w) + T._product(g_c, b) if h.requires_grad else None)
+
+    uc = T._result(np.concatenate([T._product(h.data, w.transpose(0, 2, 1)),
+                                   T._product(h.data, b.transpose(0, 2, 1))], axis=2),
+                   (w2, b2, h), node_rule, n * k * q * (r + 1) * p)
+    u, c = split(uc.data)
+    u = u.reshape(n, k, r, p)
+    blocks = np.zeros((n, k, len(far.widths), r))
+    blocks[far.index, :, far.slot] = hidden.data
+    y = blocks @ u
+    y += c[:, :, None]
 
     def rule(g: np.ndarray):
-        gy = np.zeros((n_pairs, k, 2, p))
-        gy[sel] = g
-        xt = np.zeros((n_pairs, k, 2, q))
-        xt[sel] = vecs.data
-        return (T._Factors(gy, xt) if mats.requires_grad else None,
-                (m3.swapaxes(-1, -2) @ gy.swapaxes(-1, -2))[pair, ..., side]
-                if vecs.requires_grad else None)
+        g_y = np.zeros(y.shape)
+        g_y[far.index, :, far.slot] = g
+        g_u = (blocks.swapaxes(-1, -2) @ g_y).reshape(n, k, r * p)
+        return ((g_y @ u.swapaxes(-1, -2))[far.index, :, far.slot]
+                if hidden.requires_grad else None,
+                np.concatenate([g_u, g_y.sum(axis=2)], axis=2) if uc.requires_grad else None)
 
-    product = T._result((m3 @ x)[pair, ..., side], (mats, vecs), rule, vecs.data.size * p)
-    return T.scatter_sum_rows(product, near)
+    msgs = T._result(y[far.index, :, far.slot], (hidden, uc), rule, m * k * r * p)
+    return T.scatter_sum_rows(msgs, near)
 
 
 def pair_edges(rng, n, n_pairs, one_way):
@@ -938,8 +962,7 @@ def pair_edges(rng, n, n_pairs, one_way):
     distinct undirected pairs, the first ``one_way`` of them in one
     direction only and the rest in both, listed in a shuffled order.
     Returns (src, dst, pair, side): each edge's ends, its pair and its side
-    (0 from the lower node to the higher), as ``engine._edge_pairs`` gives
-    them."""
+    (0 from the lower node to the higher)."""
     ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = []
     for rank, c in enumerate(rng.choice(len(ends), size=n_pairs, replace=False)):
@@ -960,52 +983,63 @@ PAIR_CASES = {"k1": (1, 7, 15, 3, 1, 4), "k1_width1": (2, 6, 10, 4, 1, 1),
 PAIR_MODES = ["leaf", "intermediate", "steps"]
 
 
+def hidden_rows(rng, n_edges, k, r):
+    """Hidden rows as the edge network makes them: a relu layer's output,
+    about half of it zero."""
+    return np.maximum(rng.normal(size=(n_edges, k, r)), 0.0)
+
+
 def run_pair_message(fused, mode, case):
     """Forward and backward through either message, both channels, as one
     step of an edge network with a ``tanh(h + messages)`` update, so h is
     read again after the messages; ``steps`` runs three such steps on one
-    pair of matrix stacks, whose factors backward then sums in one matmul.
-    ``leaf`` passes h and the matrices as leaves, the other modes as
-    intermediates. Returns the final states and the gradients of h and of
-    the matrices."""
+    pair of weights and hidden rows, whose gradients backward sums over
+    the steps. ``leaf passes h, the hidden rows and the weights as
+    leaves, the other modes as intermediates. The hidden width is q + 1.
+    Returns the final states and the gradients of h, the last layer and the
+    hidden rows."""
     seed, n, n_pairs, one_way, k, q = case
     rng = np.random.default_rng(seed)
-    src, dst, pair, side = pair_edges(rng, n, n_pairs, one_way)
+    src, dst, _, _ = pair_edges(rng, n, n_pairs, one_way)
+    r = q + 1
     h0 = t(rng.normal(size=(n, k, q)), rg=True)
-    m = t(rng.normal(size=(n_pairs, k, q * q)) / np.sqrt(q), rg=True)
+    w0 = t(rng.normal(size=(k, r, q * q)) / np.sqrt(q * r), rg=True)
+    b0 = t(rng.normal(size=(k, q * q)) / np.sqrt(q), rg=True)
+    e0 = t(hidden_rows(rng, src.size, k, r), rg=True)
     probe = t(rng.normal(size=(n, k, q)))
     leaf = mode == "leaf"
-    mats = m if leaf else T.reshape(m, m.shape)
-    h = h0 if leaf else T.reshape(h0, h0.shape)
+    w2, b2, hidden, h = (x if leaf else T.reshape(x, x.shape) for x in (w0, b0, e0, h0))
     a, b = T.segments(src, n), T.segments(dst, n)
+    send = T.edge_message if fused else composed_edge_message
     for _ in range(3 if mode == "steps" else 1):
-        msgs = [T.pair_message(h, mats, far, near, T.pair_slots(pair, side, n_pairs, near))
-                if fused else composed_pair_message(h, mats, far, near, pair, side)
-                for far, near in ((a, b), (b, a))]
+        msgs = [send(h, hidden, w2, b2, far, near) for far, near in ((a, b), (b, a))]
         h = T.tanh(T.add(h, T.add(*msgs)))
     backward(T.reduce_sum(T.mul(h, probe)))
-    return [h.data, h0.grad, m.grad]
+    return [h.data, h0.grad, w0.grad, b0.grad, e0.grad]
 
 
 class TestPairMessage:
+    """``T.edge_message``, the edge network's message over raw vectors,
+    against its composed oracle and finite differences, on edges that
+    come in two-way and one-way pairs."""
+
     @pytest.mark.parametrize("mode", PAIR_MODES)
     @pytest.mark.parametrize("case", list(PAIR_CASES))
     def test_bits_equal_composed_message(self, case, mode):
         got = run_pair_message(True, mode, PAIR_CASES[case])
         want = run_pair_message(False, mode, PAIR_CASES[case])
-        for name, a, b in zip(["out", "h", "mats"], got, want):
+        for name, a, b in zip(["out", "h", "w2", "b2", "hidden"], got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("case, digest", [
-        ("k1", "edf7c5b644d1029ddcb882dff3b78415533b2b8d21b9fab7d937ee1a8e19e27e"),
-        ("k1_width1", "9b7fc337e4d4cfbd152ccd270abaded3adf1cb3146a272e37f9199d33ce4acae"),
-        ("k2_width25", "22fa8f6817694975f81c1b9e5ec40da6f7bccbef82196cbb1b54e6b218a1247d"),
-        ("one_way_shuffled", "d25357596420bde9ecb2a22c940ae8bf48cc70b77dece39651ecb4e0734690c6"),
-        ("edgeless", "546fe5cd00c2c5b6b541ef945d07a3980f4ac8314f38d472af1994341cb63375"),
+        ("k1", "8d8b73cb9aa5ab39dbc0ef4883946ff29eecb135d44dcc04b46e340eb2f332e0"),
+        ("k1_width1", "327432a73d55dec44dd4156bf63a83611c72288bdac42ef43cf21e41ecea49c7"),
+        ("k2_width25", "bec633fb382b526f25d6733098bfa97f20a4a90e322d057971d72754b7d17e4b"),
+        ("one_way_shuffled", "5790aa9c69a58a372a4a99e975f945111c7494de9b1bccd8e6cc944d62f3c10b"),
+        ("edgeless", "d87ef6fb2c4bd67803caabbbaaea117290d1a6ce84bc223fe18fc434e7f41521"),
     ])
     def test_steps_pinned(self, case, digest):
-        # pinned on the gather_rows -> pair_matvec -> scatter_sum_rows ops
-        # the one op replaces, with the composed oracle's bits as well
+        # pinned on the one op, with the composed oracle's bits as well
         for fused in (True, False):
             blobs = b"".join(a.tobytes() for a in run_pair_message(fused, "steps", PAIR_CASES[case]))
             assert hashlib.sha256(blobs).hexdigest() == digest
@@ -1013,68 +1047,81 @@ class TestPairMessage:
     def test_gradients_against_finite_differences(self, rng):
         # both channels over one-way and two-way pairs; the states are also
         # read after the messages, as the update reads them
-        n, k, q = 6, 2, 3
-        src, dst, pair, side = pair_edges(rng, n, 9, 4)
+        n, k, q, r = 6, 2, 3, 4
+        src, dst, _, _ = pair_edges(rng, n, 9, 4)
         a, b = T.segments(src, n), T.segments(dst, n)
-        slots = {id(near): T.pair_slots(pair, side, 9, near) for near in (a, b)}
         params = {"h": t(rng.normal(size=(n, k, q)), rg=True),
-                  # scaled like the GRU weights: at unit scale the central
-                  # difference of one small entry misses the relative tolerance
-                  "m": t(rng.normal(size=(9, k, q * q)) * 0.5, rg=True)}
+                  # at 0.3 the central difference of one entry of 1e-3
+                  # misses the relative tolerance by its truncation error
+                  # (a step of 1e-5 agrees to 1e-9)
+                  "w2": t(rng.normal(size=(k, r, q * q)) * 0.2, rg=True),
+                  "b2": t(rng.normal(size=(k, q * q)) * 0.2, rg=True),
+                  "e": t(hidden_rows(rng, src.size, k, r) * 0.5 + 0.1, rg=True)}
 
         def loss(p):
-            msgs = [T.pair_message(p["h"], p["m"], far, near, slots[id(near)])
+            msgs = [T.edge_message(p["h"], p["e"], p["w2"], p["b2"], far, near)
                     for far, near in ((a, b), (b, a))]
             return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
 
-        check_grad_against_fd(loss, params, label="pair_message")
+        check_grad_against_fd(loss, params, label="edge_message")
 
     def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
-        n, k, q = 7, 2, 3
-        src, dst, pair, side = pair_edges(rng, n, 12, 5)
+        n, k, q, r = 7, 2, 3, 4
+        src, dst, _, _ = pair_edges(rng, n, 12, 5)
         far, near = T.segments(src, n), T.segments(dst, n)
         h = t(rng.normal(size=(n, k, q)), rg=True)
-        mats = t(rng.normal(size=(12, k, q * q)), rg=True)
+        w2 = t(rng.normal(size=(k, r, q * q)), rg=True)
+        b2 = t(rng.normal(size=(k, q * q)), rg=True)
+        hidden = t(hidden_rows(rng, src.size, k, r))
         with count_multiplies(MultiplyCounter()) as fused:
-            out = T.pair_message(h, mats, far, near, T.pair_slots(pair, side, 12, near))
+            out = T.edge_message(h, hidden, w2, b2, far, near)
         assert [entry[0] for entry in T.active_tape()] == [out]
         with count_multiplies(MultiplyCounter()) as composed:
-            composed_pair_message(h, mats, far, near, pair, side)
+            composed_edge_message(h, hidden, w2, b2, far, near)
         assert len(T.active_tape()) == 1 + 3
-        assert fused.total == composed.total == src.size * k * q * q == 19 * 18
+        # the node products with r + 1 matrices and the edges' contractions
+        assert fused.total == composed.total == n * k * q * (r + 1) * q + src.size * k * r * q
 
     @pytest.mark.parametrize("value, one_way", [(np.inf, False), (np.nan, True)],
                              ids=["inf_in_a_pair", "nan_in_a_one_way_pair"])
     def test_non_finite_matrix_raises(self, rng, value, one_way):
         # the result is the only value checked, so it must show a matrix
-        # entry that is not finite, whether its pair sends one message or two
-        n, k, q = 6, 2, 3
-        src, dst, pair, side = pair_edges(rng, n, 8, 3)
-        counts = np.bincount(pair, minlength=8)
-        j = int(np.flatnonzero(counts == (1 if one_way else 2))[0])
-        mats = t(rng.normal(size=(8, k, q * q)), rg=True)
-        mats.data[j, 1, 4] = value
+        # entry that is not finite, whether the edges use its hidden unit
+        # (a one-way pair's edge alone, or every edge) or multiply it by 0
+        n, k, q, r = 6, 2, 3, 4
+        src, dst, pair, _ = pair_edges(rng, n, 8, 3)
+        hidden = hidden_rows(rng, src.size, k, r)
+        if one_way:
+            j = int(np.flatnonzero(np.bincount(pair, minlength=8) == 1)[0])
+            hidden[:, :, 1] = 0.0
+            hidden[np.flatnonzero(pair == j), :, 1] = 2.0
+        w2 = t(rng.normal(size=(k, r, q * q)), rg=True)
+        w2.data[1, 1, 2 * q] = value  # unit 1's matrix in tower 1
         far, near = T.segments(src, n), T.segments(dst, n)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            T.pair_message(t(rng.normal(size=(n, k, q))), mats, far, near,
-                           T.pair_slots(pair, side, 8, near))
+            T.edge_message(t(rng.normal(size=(n, k, q))), t(hidden), w2,
+                           t(np.zeros((k, q * q))), far, near)
 
     def test_shape_validation(self, rng):
-        n, k, q = 5, 2, 3
-        src, dst, pair, side = pair_edges(rng, n, 6, 2)
+        n, k, q, r = 5, 2, 3, 4
+        src, dst, _, _ = pair_edges(rng, n, 6, 2)
         far, near = T.segments(src, n), T.segments(dst, n)
-        slots = T.pair_slots(pair, side, 6, near)
-        h, mats = t(np.ones((n, k, q))), t(np.ones((6, k, q * q)))
-        assert T.pair_message(h, mats, far, near, slots).shape == (n, k, q)
-        bad = [(t(np.ones((n, k * q))), mats, far, near, slots),          # no tower axis
-               (h, t(np.ones((5, k, q * q))), far, near, slots),           # pairs
-               (h, t(np.ones((6, 1, q * q))), far, near, slots),           # towers
-               (h, t(np.ones((6, k, q * q + 1))), far, near, slots),       # not p x q
-               (h, mats, T.segments(src, n + 1), near, slots),             # far plan
-               (h, mats, far, T.segments(dst[1:], n), slots)]              # edges
+        h, hidden = t(np.ones((n, k, q))), t(np.ones((src.size, k, r)))
+        w2, b2 = t(np.ones((k, r, q * q))), t(np.ones((k, q * q)))
+        assert T.edge_message(h, hidden, w2, b2, far, near).shape == (n, k, q)
+        bad = [(t(np.ones((n, k * q))), hidden, w2, b2, far, near),         # no tower axis
+               (h, t(np.ones((src.size, k * r))), w2, b2, far, near),      # no tower axis
+               (h, t(np.ones((src.size - 1, k, r))), w2, b2, far, near),   # edges
+               (h, t(np.ones((src.size, 1, r))), w2, b2, far, near),       # towers
+               (h, hidden, t(np.ones((1, r, q * q))), b2, far, near),      # towers
+               (h, hidden, t(np.ones((k, r + 1, q * q))), b2, far, near),  # hidden width
+               (h, hidden, w2, t(np.ones((k, q * q + 1))), far, near),     # not p x q
+               (h, hidden, t(np.ones((k, r, q * q + q))), b2, far, near),  # w2 and b2
+               (h, hidden, w2, b2, T.segments(src, n + 1), near),          # far plan
+               (h, hidden, w2, b2, far, T.segments(dst[1:], n))]           # edges
         for args in bad:
             with pytest.raises(DimensionError):
-                T.pair_message(*args)
+                T.edge_message(*args)
 
 
 class TestMultiplyCounter:
@@ -1099,12 +1146,15 @@ class TestMultiplyCounter:
         assert c.total == 7 * 3 * 5 * 4
 
     def test_pair_matvec_counts_useful_mpq(self):
-        # five vector rows over three pairs: only the rows' products count,
-        # not the empty slot's zero column
+        # five edges from two nodes, three from node 0 and two from node 1,
+        # with hidden width 4 and 2x3 matrices: the nodes' products with the
+        # four matrices and the bias's and each edge's contraction count,
+        # not the padding row that node 1's block holds
+        far = T.segments([0, 1, 0, 1, 0], 2)
         with count_multiplies(MultiplyCounter()) as c:
-            pair_rows(t(np.ones((3, 1, 6))), t(np.ones((5, 1, 3))),
-                      [0, 0, 1, 1, 2], [0, 1, 0, 1, 1])
-        assert c.total == 5 * 2 * 3
+            T.edge_message(t(np.ones((2, 1, 3))), t(np.ones((5, 1, 4))),
+                           t(np.ones((1, 4, 6))), t(np.ones((1, 6))), far, far)
+        assert c.total == 2 * 5 * 2 * 3 + 5 * 4 * 2
 
     def test_index_ops_count_nothing(self):
         x = t(np.ones((4, 4)))
@@ -1264,6 +1314,19 @@ def assert_same_bits(got, want):
 
 class TestSegmentPlan:
     """Every sum over a plan has ``np.add.at``'s bits."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_slot_is_each_rows_place_in_its_segment(self, kind, rng):
+        index, n, _, _ = oracle_case(kind, rng)
+        plan = T.segments(index, n)
+        want = np.zeros(index.size, dtype=np.intp)
+        for s in range(n):
+            rows = np.flatnonzero(index == s)
+            want[rows] = np.arange(rows.size)
+        np.testing.assert_array_equal(plan.slot, want)
+        # slot-major: slot j is the j-th stretch of widths[j] rows
+        np.testing.assert_array_equal(plan.slot[plan.row_order],
+                                      np.repeat(np.arange(len(plan.widths)), plan.widths))
 
     @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_scatter_is_add_at(self, kind, rng):
