@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as tt
 from .engine import MESSAGE_FNS, READOUTS, ModelConfig, init_params, propagate
-from .model import UNION_EDGE_BUDGET, model_forward, predict_batch
+from .model import model_forward, predict_batch, union_groups
 from .molgraph import EncodedGraph
 from .spectral import run_spectral_checks
 from .tensor import ContractError, MultiplyCounter, Tensor
@@ -39,6 +39,8 @@ GRADIENT_ABS_FLOOR = 1e-8
 INVARIANCE_TOLERANCE = 1e-9
 BATCH_TOLERANCE = 1e-12
 BENCH_REPEATS = 7
+BATCH_GROW_NODES = 24
+BATCH_GROW_LIMIT = 64   # about twice what the sweep's d=8 configs need
 GRADIENT_NODES = 5
 
 
@@ -211,8 +213,11 @@ def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     combination of ``_sweep_configs``.
 
     The batch mixes graphs of 2 to 8 nodes with a zero-edge and a zero-atom
-    graph, and holds more directed edges than ``UNION_EDGE_BUDGET``, so it
-    runs as several unions.
+    graph, and grows by complete graphs of ``BATCH_GROW_NODES`` nodes, at
+    most ``BATCH_GROW_LIMIT`` of them, until ``union_groups`` cuts it in two
+    at ``model.UNION_BYTES``. So it runs as several unions, their graphs in
+    another order than the batch's. Each combo records its union count, and
+    a combo that ran as one union fails the check.
     """
     _check_graph_count(n_graphs)
     results = []
@@ -222,18 +227,22 @@ def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
         egs = [random_graph(rng, int(rng.integers(2, 9)), cfg, edge_prob=1.0)
                for _ in range(n_graphs)]
         egs[1:1] = [random_graph(rng, 1, cfg), random_graph(rng, 0, cfg)]
-        while sum(eg.n_edges for eg in egs) <= UNION_EDGE_BUDGET:
-            egs.append(random_graph(rng, 8, cfg, edge_prob=1.0))
+        for _ in range(BATCH_GROW_LIMIT):
+            if len(union_groups(egs, cfg)) > 1:
+                break
+            egs.append(random_graph(rng, BATCH_GROW_NODES, cfg, edge_prob=1.0))
         with tt.no_grad():
             batch = predict_batch(egs, params, cfg).data
             alone = np.stack([model_forward(eg, params, cfg).data for eg in egs])
         results.append({"message_fn": cfg.message_fn, "edge_repr": cfg.edge_repr,
                         "readout": cfg.readout, "towers_k": cfg.towers_k,
-                        "graphs": len(egs),
+                        "graphs": len(egs), "unions": len(union_groups(egs, cfg)),
                         "max_deviation": float(np.max(np.abs(batch - alone)))})
     overall = max(r["max_deviation"] for r in results)
-    return {"combos": results, "max_deviation": overall,
-            "tolerance": BATCH_TOLERANCE, "passed": overall < BATCH_TOLERANCE}
+    fewest = min(r["unions"] for r in results)
+    return {"combos": results, "max_deviation": overall, "fewest_unions": fewest,
+            "tolerance": BATCH_TOLERANCE,
+            "passed": overall < BATCH_TOLERANCE and fewest >= 2}
 
 
 def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,

@@ -12,24 +12,33 @@ from .molgraph import EncodedGraph, MolecularGraph, disjoint_union, encode
 from .readout import apply_readout
 from .tensor import ContractError, Tensor
 
-__all__ = ["UNION_EDGE_BUDGET", "prepare_graph", "model_forward",
+__all__ = ["UNION_BYTES", "prepare_graph", "model_forward", "union_bytes",
            "predict_batch", "union_groups"]
 
-# Most directed edges one union may hold. No message builds a matrix per
-# edge or pair any more, so a union's largest arrays are per edge, E x k x
-# a few d_tower (the edge network's hidden rows, the other messages'
-# gathered rows), or per node: the edge network over raw distances keeps,
-# per channel and step, each node's products with its d_tower + 1 unit
-# matrices, n x (d_tower + 1) x d, and the zero-padded blocks of each
-# node's edges, n x k x (largest degree) x (d_tower + 1). The budget bounds
-# the first directly and the second through the node count: at d=32 a
-# 1024-edge union of 181 implicit-H atoms keeps 1.5 MB of node products
-# per step. Measured from 256 to 4096 at d=32, when the edge network still
-# built a matrix per directed edge, eval was fastest at 512-1024; below
-# 1024 a training batch of six explicit-H molecules splits into more unions
-# and trains slower. The budget was not retuned since: that is its own
-# measured change, and it moves prediction bits.
-UNION_EDGE_BUDGET = 1024
+# Most bytes a union's largest per-step array may take (``union_bytes``).
+# Over raw vectors the edge network's largest arrays are per node: its node
+# products, d x (d_tower + 1) x 8 bytes per atom (8448 at d=32), and its
+# edge blocks padded to the largest degree. Every other message's are the
+# gathered far-end states, d x 8 bytes per directed edge. So one bound in
+# bytes sizes a union by what it holds: 139 atoms at d=32 with the edge
+# network over raw vectors (the old 1024-edge budget held about 70 atoms of
+# complete explicit-H molecules), and 1152 edges for the towers config
+# (d=128, k=8). Swept in one process over perfbench's held-out graphs
+# (seed 7; eval graphs/s, median of 30 alternating passes per point; the
+# passes spread by up to a third, so only large gaps count):
+#
+#   bound (MiB)         1.0   1.125   1.25    1.5    2.0   1024 edges
+#   dense-explicit-h   1906    1903   1889   1993   2157   1532
+#   small-edgenet      4440    4938   4777   4242   5079   4826
+#   towers-matmul      5315    5604   5620   5572   5174   5374
+#
+# At 1 MiB small-edgenet's 64-graph eval chunks split into 4 unions, not
+# 3, and its eval slowed; 1.125 MiB is about the smallest bound that keeps
+# them at 3 and its 20-graph training batches (up to 126 atoms over the
+# seeds tried) in one. Larger bounds raise the towers config's eval peak
+# (tracemalloc 4.4 MB at 1 MiB, 4.7 at 1.125, 6.7 at 2), while the edge
+# network's gains level off.
+UNION_BYTES = 9 * 2**17
 
 
 def prepare_graph(g: MolecularGraph, cfg: ModelConfig) -> EncodedGraph:
@@ -52,17 +61,50 @@ def model_forward(eg: EncodedGraph, params: dict[str, Tensor],
     return tt.reshape(out, (cfg.n_targets,))
 
 
-def union_groups(egs: Sequence[EncodedGraph]) -> list[list[EncodedGraph]]:
-    """Consecutive runs of graphs with at most ``UNION_EDGE_BUDGET``
-    directed edges each; a graph with more edges is a run of its own."""
-    groups: list[list[EncodedGraph]] = []
-    edges = 0
-    for eg in egs:
-        if not groups or edges + eg.n_edges > UNION_EDGE_BUDGET:
+def _sized_by_nodes(cfg: ModelConfig) -> bool:
+    # the edge network over raw vectors runs ``tt.edge_message``, whose
+    # largest arrays are per node
+    return cfg.message_fn == "edge_network" and cfg.edge_repr == "raw_distance"
+
+
+def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
+    """Bytes of the largest array one propagation step makes per channel
+    for a union of ``atoms`` nodes and ``edges`` directed edges, no node
+    with more than ``degree`` edges in or out.
+
+    The edge network over raw vectors keeps each node's products with its
+    r + 1 unit matrices, n x k x (r + 1) x p, and each node's edges in a
+    block padded to the largest degree, n x k x D x r; r = p = d_tower.
+    Every other message gathers the far-end state of each edge, E x k x
+    d_tower.
+    """
+    k, q = cfg.towers_k, cfg.d_tower
+    if _sized_by_nodes(cfg):
+        return 8 * atoms * k * q * max(q + 1, degree)
+    return 8 * edges * k * q
+
+
+def union_groups(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> list[list[int]]:
+    """Positions in ``egs`` of each union's graphs.
+
+    The graphs are taken in order of atom count, ties in input order, and
+    cut into runs whose ``union_bytes`` stays within ``UNION_BYTES``; a
+    graph over the bound on its own is a run of its own. So each union
+    holds graphs of about one size, and the edge network pads few block
+    rows. The groups depend on nothing but the graphs and the config.
+    """
+    atoms = np.array([eg.n_atoms for eg in egs], dtype=np.intp)
+    groups: list[list[int]] = []
+    n = m = top = 0
+    for i in np.argsort(atoms, kind="stable").tolist():
+        eg = egs[i]
+        degree = (max(np.bincount(eg.edge_src).max(), np.bincount(eg.edge_dst).max())
+                  if eg.n_edges and _sized_by_nodes(cfg) else 0)
+        n, m, top = n + eg.n_atoms, m + eg.n_edges, max(top, degree)
+        if not groups or union_bytes(cfg, n, m, top) > UNION_BYTES:
             groups.append([])
-            edges = 0
-        groups[-1].append(eg)
-        edges += eg.n_edges
+            n, m, top = eg.n_atoms, eg.n_edges, degree
+        groups[-1].append(i)
     return groups
 
 
@@ -72,11 +114,20 @@ def predict_batch(egs: Sequence[EncodedGraph], params: dict[str, Tensor],
 
     The graphs propagate and read out as disjoint unions, one per group of
     ``union_groups``, so the op count per batch does not grow with the
-    number of graphs.
+    number of graphs. The unions' rows come in atom-count order, and one
+    ``tt.gather_rows`` puts them back in input order unless they already
+    are.
     """
-    rows = [apply_readout(propagate(disjoint_union(group), params, cfg),
-                          params, cfg)
-            for group in union_groups(egs)]
+    groups = union_groups(egs, cfg)
+    rows = [apply_readout(propagate(disjoint_union([egs[i] for i in group]),
+                                    params, cfg), params, cfg)
+            for group in groups]
     if not rows:
         return Tensor(np.zeros((0, cfg.n_targets)))
-    return rows[0] if len(rows) == 1 else tt.concat(rows, axis=0)
+    out = rows[0] if len(rows) == 1 else tt.concat(rows, axis=0)
+    order = np.concatenate(groups)
+    if np.array_equal(order, np.arange(order.size)):
+        return out
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return tt.gather_rows(out, tt.segments(place, order.size))

@@ -308,8 +308,8 @@ class EncodedGraph:
     """A molecule flattened into arrays the propagation engine consumes.
 
     Edges are directed and cover both orientations of every undirected pair,
-    with the same features (the edge network builds one matrix per pair and
-    refuses a graph whose orientations differ). ``edge_features`` is an int
+    with the same features; the engine reads each directed edge's own
+    features, so it does not rely on that. ``edge_features`` is an int
     label array for discrete representations and an (m, 5) float array for
     raw_distance.
 

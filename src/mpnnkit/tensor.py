@@ -348,8 +348,11 @@ def backward(loss: Tensor) -> None:
     """Add d(loss)/d(leaf) into ``grad`` of every leaf the scalar ``loss``
     depends on.
 
-    Walks the active tape once in reverse and clears it afterwards. An
-    intermediate's pending gradient is dropped once its own rule has run.
+    Walks the active tape once in reverse, taking each entry off it before
+    its rule runs, so that an entry's output and the arrays its rule holds
+    are freed as soon as nothing later needs them, not when the whole walk
+    ends. An intermediate's pending gradient is dropped once its own rule
+    has run.
     """
     if loss.data.size != 1:
         raise ContractError("backward requires a scalar loss")
@@ -358,14 +361,14 @@ def backward(loss: Tensor) -> None:
     pending: dict = {}
     _accumulate(pending, loss, np.ones_like(loss.data))
     tape = _ctx().tape
-    for out, parents, rule in reversed(tape):
+    while tape:
+        out, parents, rule = tape.pop()
         g = pending.pop(out, None)
         if g is None:
             continue
         for parent, pg in zip(parents, rule(g)):
             if pg is not None:
                 _accumulate(pending, parent, pg)
-    tape.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +772,12 @@ def edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far: Segment
     nodes (``_slot_sum``), each node adding its messages one at a time in
     edge order, as a scatter does.
 
-    The rule runs the same products transposed. The message gradients
-    ``g[near.index]`` go into padded blocks; their products with U and with
-    the hidden blocks give the hidden rows' and U's gradients, and their
+    The rule runs the same products transposed. It keeps U but not the
+    hidden blocks, which it lays out again from the hidden rows: a taped
+    step then holds one (n, k, r, p) array beyond its inputs, not two. The
+    message gradients ``g[near.index]`` go into padded blocks; their
+    products with U and with the hidden blocks give the hidden rows' and
+    U's gradients, and their
     sums over each block C's. Those times the states give ``w2``'s and
     ``b2``'s gradients, dense and of their own shapes, which a leaf adds
     into its ``grad`` in place; those times the weights give h's. The
@@ -807,18 +813,21 @@ def edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far: Segment
     w = w2.data.reshape(k, r * p, q)
     b = b2.data.reshape(k, p, q)
     u = _product(h.data, w.transpose(0, 2, 1)).reshape(n, k, r, p)
-    blocks = np.zeros((n, k, len(far.widths), r))
-    blocks[far.index, :, far.slot] = hidden.data
-    y = blocks @ u
+
+    def padded(rows, width):
+        # each node's edges as one zero-padded (D, width) block per tower
+        out = np.zeros((n, k, len(far.widths), width))
+        out[far.index, :, far.slot] = rows
+        return out
+
+    y = padded(hidden.data, r) @ u
     y += _product(h.data, b.transpose(0, 2, 1))[:, :, None]
     total = _slot_sum(near, y[far.index[near.row_order], :, far.slot[near.row_order]])
-    y_shape = y.shape
 
     def rule(g: np.ndarray):
-        g_y = np.zeros(y_shape)
-        g_y[far.index, :, far.slot] = g[near.index]
+        g_y = padded(g[near.index], p)
         g_c = g_y.sum(axis=2)
-        g_u = (blocks.swapaxes(-1, -2) @ g_y).reshape(n, k, r * p)
+        g_u = (padded(hidden.data, r).swapaxes(-1, -2) @ g_y).reshape(n, k, r * p)
         rows = h.data.transpose(1, 0, 2)
         return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
                 if w2.requires_grad else None,
@@ -942,15 +951,17 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     s_z, xz_rule, hz_rule, muls_z = pre_activation(x, p.wz, h, p.uz)
     s_r, xr_rule, hr_rule, muls_r = pre_activation(x, p.wr, h, p.ur)
     z, r = _sigmoid(s_z), _sigmoid(s_r)
+    del s_z, s_r  # not needed past here: freeing them lowers the call's peak
     needs = lambda *ts: any(t.requires_grad for t in ts)
     z_rg, r_rg = needs(x, h, p.wz, p.uz), needs(x, h, p.wr, p.ur)
     rh = Tensor.__new__(Tensor)  # unchecked: |r| <= 1, so r * h is finite
     rh.data, rh.requires_grad, rh.grad = r * h.data, r_rg, None
     s_h, xh_rule, rhh_rule, muls_h = pre_activation(x, p.wh, rh, p.uh)
-    hbar = np.tanh(s_h)
+    hbar = np.tanh(s_h, out=s_h)
     hbar_rg = r_rg or needs(x, p.wh, p.uh)
     omz = 1.0 - z
-    out = omz * h.data + z * hbar
+    out = omz * h.data
+    out += z * hbar
     none = (None, None)
 
     def rule(g: np.ndarray):

@@ -365,8 +365,8 @@ def evaluate(egs: Sequence[EncodedGraph], y_norm: np.ndarray,
              stats: TargetStats) -> tuple[float, np.ndarray]:
     """Full-split MSE and per-target MAE without touching the tape.
 
-    ``predict_batch`` bounds its unions by edges, so a whole split is one
-    call.
+    ``predict_batch`` packs the split into unions by atom count under
+    ``model.UNION_BYTES``, so a whole split is one call.
     """
     with tt.no_grad():
         pred = predict_batch(egs, params, cfg).data

@@ -1,5 +1,6 @@
 """A batch is one graph: disjoint unions against one graph at a time."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from mpnnkit import tensor as T
 from mpnnkit.engine import ModelConfig, init_params
+from mpnnkit import model
 from mpnnkit.model import (
-    UNION_EDGE_BUDGET,
+    UNION_BYTES,
     model_forward,
     predict_batch,
+    union_bytes,
     union_groups,
 )
 from mpnnkit.molgraph import disjoint_union
@@ -102,28 +105,130 @@ def test_empty_batch(rng):
     assert out.data.shape == (0, 3)
 
 
+def _largest_degree(eg):
+    if not eg.n_edges:
+        return 0
+    return int(max(np.bincount(eg.edge_src).max(), np.bincount(eg.edge_dst).max()))
+
+
+def _union_bytes_of(egs, cfg):
+    u = disjoint_union(egs)
+    return union_bytes(cfg, u.n_atoms, u.n_edges, _largest_degree(u))
+
+
 def test_batch_over_the_edge_budget_splits(rng):
-    cfg = make_cfg("edge_network", "set2set", d=4, T=1, set2set_M=1)
+    cfg = make_cfg("edge_network", "set2set", d=32, T=1, set2set_M=1)
     params = init_params(cfg, seed=4)
     representation, _ = REPRESENTATION[cfg.message_fn]
-    complete = [random_encoded(rng, n=int(n), d_in=4, edge_prob=1.1,
-                               representation=representation)
-                for n in rng.integers(14, 22, size=8)]
-    # a complete graph with more directed edges than the budget on its own
-    n_huge = int(np.ceil(np.sqrt(UNION_EDGE_BUDGET))) + 2
-    huge = random_encoded(rng, n=n_huge, d_in=4, edge_prob=1.1,
-                          representation=representation)
-    assert huge.n_edges > UNION_EDGE_BUDGET
-    egs = complete[:5] + [huge] + complete[5:]
-    groups = union_groups(egs)
-    assert [eg for group in groups for eg in group] == egs
-    assert [huge] in groups and len(groups) >= 3
-    for group in groups:
-        assert len(group) == 1 or sum(eg.n_edges for eg in group) <= UNION_EDGE_BUDGET
+
+    def complete(n):
+        return random_encoded(rng, n=n, d_in=4, edge_prob=1.1,
+                              representation=representation)
+
+    # the smallest complete graph over the byte bound on its own
+    n_huge = next(n for n in range(2, 200)
+                  if union_bytes(cfg, n, n * (n - 1), n - 1) > UNION_BYTES)
+    graphs = [complete(int(n)) for n in rng.integers(8, 24, size=24)]
+    egs = graphs[:9] + [complete(n_huge)] + graphs[9:]
+    huge = 9
+    groups = union_groups(egs, cfg)
+    order = [i for group in groups for i in group]
+    assert order == sorted(range(len(egs)), key=lambda i: (egs[i].n_atoms, i))
+    assert [huge] in groups and len(groups) >= 4
+    for group, after in zip(groups, groups[1:] + [None]):
+        members = [egs[i] for i in group]
+        assert len(group) == 1 or _union_bytes_of(members, cfg) <= UNION_BYTES
+        if after is not None:
+            # a union ends only where the next graph would cross the bound
+            assert _union_bytes_of(members + [egs[after[0]]], cfg) > UNION_BYTES
     with T.no_grad():
         batch = predict_batch(egs, params, cfg).data
         for i, eg in enumerate(egs):
             assert np.max(np.abs(batch[i] - model_forward(eg, params, cfg).data)) <= BATCH_TOL
+
+
+def test_union_bytes_bounds_the_largest_per_step_array():
+    edge = make_cfg("edge_network", "ggnn", d=32, towers_k=4)
+    # node products n k (r+1) p against padded blocks n k D r, r = p = 8
+    assert union_bytes(edge, 10, 90, 9) == 8 * 10 * 4 * 9 * 8
+    assert union_bytes(edge, 10, 90, 20) == 8 * 10 * 4 * 20 * 8
+    # gathered rows E k q for every other message
+    for cfg in (make_cfg("matmul", "ggnn", d=128, towers_k=8),
+                make_cfg("edge_network", "ggnn", d=128, towers_k=8,
+                         edge_repr="chemical")):
+        assert union_bytes(cfg, 10, 1024, 9) == 8 * 1024 * 128
+
+
+def shuffled_sizes_batch(rng, cfg, count):
+    """Graphs of 0 to 9 atoms in shuffled order, some without edges."""
+    sizes = rng.permutation(np.arange(count) % 10)
+    egs = [random_encoded(rng, n=int(n), d_in=4, representation=cfg.edge_repr,
+                          edge_prob=0.0 if i % 7 == 3 else 0.7)
+           for i, n in enumerate(sizes)]
+    assert [eg.n_atoms for eg in egs] != sorted(eg.n_atoms for eg in egs)
+    return egs
+
+
+@pytest.mark.parametrize("bound", ["module", "small"])
+@pytest.mark.parametrize("message_fn,readout,overrides", [
+    ("edge_network", "set2set", {}),
+    ("matmul", "dtnn_sum", dict(towers_k=2)),
+    ("dtnn", "ggnn", dict(d_master=4)),
+])
+def test_shuffled_sizes_come_back_in_input_order(rng, monkeypatch, bound, message_fn,
+                                                 readout, overrides):
+    cfg = make_cfg(message_fn, readout, d=4, n_targets=2, **overrides)
+    if bound == "small":
+        # a bound a few graphs fill, so the rows come from several unions
+        monkeypatch.setattr(model, "UNION_BYTES", 8 * 4 * 60)
+    params = init_params(cfg, seed=9)
+    jitter_biases(params, rng)
+    egs = shuffled_sizes_batch(rng, cfg, 12)
+    assert (len(union_groups(egs, cfg)) > 2) == (bound == "small")
+    with T.no_grad():
+        batch = predict_batch(egs, params, cfg).data
+        for i, eg in enumerate(egs):
+            assert np.max(np.abs(batch[i] - model_forward(eg, params, cfg).data)) <= BATCH_TOL
+    probe = Tensor(rng.normal(size=batch.shape))
+
+    def loss(p):
+        return T.reduce_sum(T.mul(predict_batch(egs, p, cfg), probe))
+
+    # over a dozen graphs some ReLU unit sits within a 1e-3 step of its kink
+    check_grad_against_fd(loss, params, label=f"{message_fn}+{readout}", step=1e-5)
+
+
+def test_rows_in_order_take_no_gather(rng):
+    cfg = make_cfg("matmul", "ggnn")
+    params = init_params(cfg, seed=10)
+    egs = [random_encoded(rng, n=n, d_in=4) for n in (2, 3, 3, 5)]
+
+    def taped(batch):
+        predict_batch(batch, params, cfg)
+        ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
+        T.active_tape().clear()
+        return ops
+
+    in_order, reversed_ = taped(egs), taped(egs[::-1])
+    assert reversed_[-1] == "gather_rows"
+    assert reversed_[:-1] == in_order
+
+
+def test_packing_depends_only_on_the_batch(rng):
+    cfg = make_cfg("edge_network", "ggnn", d=32, T=1)
+    params = init_params(cfg, seed=11)
+    egs = [random_encoded(rng, n=int(n), d_in=4, edge_prob=1.1,
+                          representation=cfg.edge_repr)
+           for n in rng.integers(4, 30, size=30)]
+    copies = [dataclasses.replace(eg, **{f: np.copy(v) for f, v in vars(eg).items()
+                                         if isinstance(v, np.ndarray)}) for eg in egs]
+    groups = union_groups(egs, cfg)
+    assert len(groups) > 1
+    assert union_groups(egs, cfg) == groups == union_groups(copies, cfg)
+    with T.no_grad():
+        first = predict_batch(egs, params, cfg).data
+        again = predict_batch(copies, params, cfg).data
+    assert first.tobytes() == again.tobytes()
 
 
 @pytest.mark.parametrize("message_fn,readout,overrides", [
@@ -206,23 +311,23 @@ def _forward_backward_digest(cfg):
 
 @pytest.mark.parametrize("message_fn,readout,overrides,digest", [
     ("matmul", "ggnn", {},
-     "e85ffb8335975890c6fc542a3b443b740f131e494b3313e6a8ec1bbf43389233"),
+     "1876a105d34d01cfb0cc594f6b0757535b5705093b1af533c92c50a7a81991d8"),
     ("matmul", "ggnn", dict(towers_k=4),
-     "497125362d8adab6af8f4bdf6aa03220e1975994cf90199df23c72fe6b2e5242"),
+     "2348e57a78aea08420b9d1bcf29719ed48ee196c9542a933eec083526128e04a"),
     ("edge_network", "ggnn", {},
-     "3ee1c2755bad5124621b136ce4ab5471396faa86fd47c0e9b9134d3072462467"),
+     "ef608e1a6a1d988651d4a36aea5db021587bf539142ae526f7335b55b4d9923c"),
     ("edge_network", "ggnn", dict(towers_k=4),
-     "a6928e82ba24defdcb19f1a6583420d1c9bb1b23f2960c539c83082d634df27a"),
+     "b646aa26fea33c360e890078656fd1d944efac92c679db1b56af83a3ed671dba"),
     ("edge_network", "ggnn", dict(edge_repr="chemical"),
-     "a2e35adec552b16b54928c9950911117a17a035bd5a197e2c63476358690e0f5"),
+     "02b04da2b747e6d4fa83c21dd9a22ef376e1c21df2159306743cc4ef6dd8ce1f"),
     ("pair_message", "dtnn_sum", {},
-     "a149c1894637264c98a15a80b8cb08f3980c7a07137b1fc2891b6cd3724a491f"),
+     "278df0a2a5a5bf7b23e6fea4fc0cd3780842b4c0d7176ad1dc3f982efdad88e1"),
     ("pair_message", "dtnn_sum", dict(towers_k=4),
-     "c7da7f9fd94e504e63548b57c9f36df44278576121919b31a39fabe96b6a6fec"),
+     "b62deb03fdf1613c13d710bc4a76a481970081c2cca8d7ce2d092faeba3b3229"),
     ("edge_network", "set2set", dict(d_master=8),
-     "bafa3a8c96717acfbf12ad413a767b9c81844bb1c7d854c6880815aeb581a940"),
+     "48084c07b33329992e026af567df1ebf663ff76e22f7c9676ea5f66068b78bc7"),
     ("matmul", "set2set", dict(d_master=8, update_fn="dtnn_residual"),
-     "dd96f1931115bb4321f281d4228e68990f1ee7baf39870ba2947f5e82f381591"),
+     "5380708dbdebdb0dc98f5a0aca6ae58acc971d0e35eba3bc603c1e0ae221c695"),
 ], ids=["matmul", "matmul_k4", "edge_network", "edge_network_k4", "edge_network_chemical",
         "pair_message", "pair_message_k4", "edge_network_master_set2set",
         "matmul_master_set2set_residual"])
@@ -240,5 +345,14 @@ def test_outputs_and_gradients_pinned(message_fn, readout, overrides, digest):
     # case, which multiplies one matrix per label, was pinned on that change;
     # against the per-pair path its outputs kept their bits and its
     # gradients moved by at most 3.4e-16.
+    # All nine were re-pinned when unions began to take their graphs in
+    # order of atom count (``model.union_groups``): the mixed batch is still
+    # one union, its nodes and edges now in another order. Against the
+    # input-order union every output kept its bits, and the largest gradient
+    # deviation, relative to its array's largest entry, was: matmul 3.7e-16,
+    # matmul_k4 7.4e-16, edge_network 3.3e-16, edge_network_k4 5.1e-16,
+    # edge_network_chemical 4.5e-16, pair_message 3.3e-16, pair_message_k4
+    # 4.4e-16, edge_network_master_set2set 2.9e-16,
+    # matmul_master_set2set_residual 1.5e-16.
     cfg = make_cfg(message_fn, readout, d=8, **overrides)
     assert _forward_backward_digest(cfg) == digest

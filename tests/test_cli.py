@@ -717,10 +717,20 @@ class TestDiagnostics:
         assert "PASS" in capsys.readouterr().out
 
     def test_verify_batching_small(self, capsys):
-        # three graphs per config, topped up past the union edge budget
+        # three graphs per config, topped up past the union byte bound
         assert main(["verify", "batching", "--graphs", "3"]) == 0
         captured = capsys.readouterr().out
         assert "batching" in captured and "PASS" in captured
+
+    def test_verify_batching_fails_when_the_batch_stays_one_union(self, capsys, monkeypatch):
+        # with no bound in reach the check cannot split its batch
+        from mpnnkit import checks, model
+        cfg = next(checks._sweep_configs())
+        monkeypatch.setattr(checks, "_sweep_configs", lambda: [cfg])
+        monkeypatch.setattr(model, "UNION_BYTES", 1 << 60)
+        assert main(["verify", "batching", "--graphs", "2"]) == 1
+        captured = capsys.readouterr().out
+        assert "at least 1 unions each" in captured and "FAIL" in captured
 
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "mpnnkit.cli",

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -369,6 +370,25 @@ class TestBackward:
         w = t([1.0], rg=True)
         backward(T.reduce_sum(T.mul(w, w)))
         assert len(T.active_tape()) == 0
+
+    def test_backward_frees_each_entry_before_the_earlier_rules_run(self):
+        # a rule runs with its own entry and every later one off the tape,
+        # so their outputs are garbage by the time earlier rules run
+        w = t([1.0, 2.0], rg=True)
+        seen = []
+
+        def rule(g):
+            seen.append((len(T.active_tape()), later() is None))
+            return (g,)
+
+        first = T._result(w.data * 1.0, (w,), rule)
+        product = T.mul(first, first)
+        later = weakref.ref(product.data)
+        loss = T.reduce_sum(product)
+        del product
+        backward(loss)
+        assert seen == [(0, True)]
+        assert w.grad.tolist() == [2.0, 4.0]
 
     def test_only_leaves_hold_gradients(self, rng):
         w = t(rng.normal(size=(3, 2)), rg=True)
