@@ -93,10 +93,9 @@ def union_groups(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> list[list[int
     holds graphs of about one size, and the edge network pads few block
     rows. The groups depend on nothing but the graphs and the config.
     """
-    atoms = np.array([eg.n_atoms for eg in egs], dtype=np.intp)
     groups: list[list[int]] = []
     n = m = top = 0
-    for i in np.argsort(atoms, kind="stable").tolist():
+    for i in sorted(range(len(egs)), key=lambda i: egs[i].n_atoms):
         eg = egs[i]
         degree = (max(np.bincount(eg.edge_src).max(), np.bincount(eg.edge_dst).max())
                   if eg.n_edges and _sized_by_nodes(cfg) else 0)
@@ -128,6 +127,5 @@ def predict_batch(egs: Sequence[EncodedGraph], params: dict[str, Tensor],
     order = np.concatenate(groups)
     if np.array_equal(order, np.arange(order.size)):
         return out
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    return tt.gather_rows(out, tt.segments(place, order.size))
+    # row i of the result is row argsort(order)[i], egs[i]'s place in order
+    return tt.gather_rows(out, tt.segments(np.argsort(order), order.size))
