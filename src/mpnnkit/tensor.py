@@ -959,15 +959,16 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     s_h, xh_rule, rhh_rule, muls_h = pre_activation(x, p.wh, rh, p.uh)
     hbar = np.tanh(s_h, out=s_h)
     hbar_rg = r_rg or needs(x, p.wh, p.uh)
-    omz = 1.0 - z
-    out = omz * h.data
+    # (1 - z) is made again where needed rather than kept: same bits
+    out = 1.0 - z
+    out *= h.data
     out += z * hbar
     none = (None, None)
 
     def rule(g: np.ndarray):
         # out = (1 - z) * h + z * hbar: h's first contribution is g * (1 - z),
         # and z's gradient is g * hbar plus -(g * h), in that order
-        g_h1 = g * omz if h.requires_grad else None
+        g_h1 = g * (1.0 - z) if h.requires_grad else None
         g_sh = (g * z) * (1.0 - hbar * hbar) if hbar_rg else None
         g_rh, g_uh = rhh_rule(g_sh) if hbar_rg else none
         g_h2 = g_rh * r if h.requires_grad else None
