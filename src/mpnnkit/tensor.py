@@ -773,8 +773,8 @@ def edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far: Segment
     edge order, as a scatter does.
 
     The rule runs the same products transposed. It keeps U but not the
-    hidden blocks, which it lays out again from the hidden rows: a taped
-    step then holds one (n, k, r, p) array beyond its inputs, not two. The
+    (n, k, D, r) hidden blocks, which it lays out again from the hidden
+    rows, so a taped step holds one array of its own instead of two. The
     message gradients ``g[near.index]`` go into padded blocks; their
     products with U and with the hidden blocks give the hidden rows' and
     U's gradients, and their
