@@ -249,11 +249,13 @@ def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,
                  seed: int = 0) -> dict:
     """Message-phase multiply counts and wall clock for towers vs. none.
 
-    Uses the matmul message on a complete graph, the regime where the
-    k-way state split cuts the message cost by exactly 1/k. The message
-    phase is what grows with the edges: the multiplies of a forward pass
-    over the graph minus those over the same nodes with no edges. Updates
-    and tower mixing do not depend on the edges, so they cancel. A master
+    Uses the matmul message on a complete graph. The message phase is what
+    the edges add: the multiplies of a forward pass over the graph minus
+    those over the same nodes with no edges, which send no message. Per
+    channel and step it is one product of a node's state with a label's
+    matrix at each (far node, label) pair some edge reads, d_tower^2 per
+    tower, so the k-way state split cuts it by exactly 1/k. Updates and
+    tower mixing do not depend on the edges, so they cancel. A master
     node's messages would cancel too; towers reject one. The wall clock is
     the median of ``BENCH_REPEATS`` whole forward passes per side, after
     one warm-up pass each, the two sides' passes taking turns so that a

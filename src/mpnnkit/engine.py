@@ -21,28 +21,30 @@ map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
 multiplies all towers in one call. So a step runs one taped message op per
-channel (``tt.matmul_message`` for every edge label at once, and for the
-edge network over labels; ``tt.edge_message`` for the edge network over raw
-vectors) or one gather, product and scatter (the other message functions),
-and one GRU, whatever k is; k = 1 is a tower axis of size 1.
+channel (``tt.edge_message`` for every matrix message: the matmul message
+and the edge network, over labels or raw vectors) or one gather, product
+and scatter (the other message functions), and one GRU, whatever k is;
+k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
-the label groups, the tower-tiled edge vectors, DTNN's edge term and the
-edge network's label matrices or hidden rows never change across the steps,
-and neither do the index plans (``tt.segments``) of the edges' sources and
-destinations (per edge label for labelled messages), which gather every
-step's far-end states, sum its messages and sum both back in backward. The
-matmul message takes each label's far-end states straight into its near
-plan's slot order, so it computes its products where the sum needs them.
+the labels present, the tower-tiled edge vectors, DTNN's edge term and the
+edge network's label matrices or hidden rows never change across the
+steps, and neither do the index plans (``tt.segments``) of the edges'
+sources and destinations and, for labelled messages, of each channel's
+(far node, label) pairs, which gather every step's far-end states or node
+products, sum its messages and sum both back in backward.
 
-The edge network's matrix A(e) is a two-layer network of the edge vector
-whose last layer is linear. Over discrete labels (chemical, distance bins)
-e takes one value per label, so it builds one d_tower x d_tower matrix per
-channel, tower and label present, and multiplies through the matmul
-message. Over raw vectors (complete graphs, one vector per directed edge)
-it builds no matrix at all: ``tt.edge_message`` multiplies the states by
-the last layer's matrices once per node and contracts each edge's hidden
-row with its far node's products.
+The matmul message is the discrete case of the edge network: A_{e_vw} h_w
+with one matrix per edge label. Both go through ``tt.edge_message``, which
+multiplies every node's state by each matrix once per step and builds no
+matrix per edge. Over discrete labels (chemical, distance bins) the edge
+network's A(e) takes one value per label, so it builds one d_tower x
+d_tower matrix per channel, tower and label present, as the matmul message
+stacks its own; each edge's message is then its far node's product with
+its label's matrix. Over raw vectors (complete graphs, one vector per
+directed edge) A(e) is a two-layer network whose last layer is linear, so
+the states are multiplied by the last layer's matrices, and each edge's
+hidden row is contracted with its far node's products.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -307,49 +309,46 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     plan that gathers the state each message is computed from, ``near`` the
     plan that sums it onto the node it is delivered to: the two channels
     share the plans of the edges' sources and destinations, roles swapped.
-    The matmul message keeps one pair of plans per edge label, and per
-    label the far ends listed in the near plan's slot-major order, so that
-    ``tt.matmul_message`` takes the states it multiplies straight into the
-    order its sum adds them in. The edge network over discrete labels does
-    the same with one matrix per label present; over raw vectors it keeps
-    each edge's hidden row for ``tt.edge_message``.
+    Over discrete labels, the matmul message and the edge network stack one
+    matrix per label present, (k, labels, d_tower^2), and each channel
+    keeps one plan of its edges' (far node, label) pairs, through which
+    ``tt.edge_message`` reads every message from the node products and
+    sums the gradients back. Over raw vectors the edge network keeps each
+    edge's hidden row for ``tt.edge_message``.
     """
     n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
     towered = lambda rows: Tensor(np.broadcast_to(rows[:, None, :],
                                                   (rows.shape[0], k, rows.shape[1])))
-    labelled = cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
-                                              and eg.representation != "raw_distance")
-    if labelled:
-        labels = eg.edge_features
-        label_ids = [int(label) for label in np.unique(labels)]
-        # one plan per end and edge label
-        src = [tt.segments(eg.edge_src[labels == label], n) for label in label_ids]
-        dst = [tt.segments(eg.edge_dst[labels == label], n) for label in label_ids]
+    src, dst = tt.segments(eg.edge_src, n), tt.segments(eg.edge_dst, n)
+    if cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
+                                      and eg.representation != "raw_distance"):
+        # each edge's label as its place among the labels present
+        present, label = np.unique(eg.edge_features, return_inverse=True)
+        count = present.size
     else:
-        src, dst = tt.segments(eg.edge_src, n), tt.segments(eg.edge_dst, n)
         evec = towered(edge_vectors(eg, cfg).data)
 
-    def matmul_message(weights, far, near):
-        # each label's far ends, in the order its near plan sums them
-        sources = [f.index[nr.row_order] for f, nr in zip(far, near)]
-        return lambda h: tt.matmul_message(h, weights, far, near, sources)
+    def label_message(mats, far, near):
+        pairs = tt.segments(far.index * count + label, n * count)
+        return lambda h: tt.edge_message(h, pairs, mats, None, far, near)
 
     def matmul(far, near, prefix):
-        return matmul_message([params[f"{prefix}_A{label}"] for label in label_ids],
-                              far, near)
+        # a label's message h A is A^T h: the stack holds each A transposed
+        weights = [params[f"{prefix}_A{value}"] for value in present]
+        mats = (tt.reshape(tt.transpose(tt.concat(weights, axis=2), (0, 2, 1)),
+                           (k, count, dt * dt))
+                if weights else Tensor(np.zeros((k, 0, dt * dt))))
+        return label_message(mats, far, near)
 
     def edge_network(far, near, prefix):
         pre = f"{prefix}_en"
-        if labelled:
+        if eg.representation != "raw_distance":
             # each label's row-major (p x q) matrix A from its one-hot row,
-            # transposed: the matmul message multiplies states by (q, p)
-            # weights, and h A^T is A h
-            count = len(label_ids)
-            onehot = towered(np.eye(cfg.edge_width)[label_ids])
-            mats = tt.transpose(tt.reshape(mlp2(onehot, params, pre), (count, k, dt, dt)))
-            return matmul_message([tt.reshape(tt.gather_rows(mats, tt.segments([i], count)),
-                                              (k, dt, dt)) for i in range(count)], far, near)
+            # the labels' axis moved behind the towers'
+            onehot = towered(np.eye(cfg.edge_width)[present])
+            return label_message(tt.transpose(mlp2(onehot, params, pre), (1, 0, 2)),
+                                 far, near)
         # raw vectors: each edge's hidden row, contracted with the states'
         # products with the last layer
         hidden = tt.relu(tt.matmul(evec, params[f"{pre}_w1"], params[f"{pre}_b1"]))

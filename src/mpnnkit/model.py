@@ -19,9 +19,9 @@ __all__ = ["UNION_BYTES", "prepare_graph", "model_forward", "union_bytes",
 # Over raw vectors the edge network's largest arrays are per node: its node
 # products, d x (d_tower + 1) x 8 bytes per atom (8448 at d=32), and its
 # edge blocks padded to the largest degree. Every other message's are the
-# gathered far-end states, d x 8 bytes per directed edge. So one bound in
-# bytes sizes a union by what it holds: 139 atoms at d=32 with the edge
-# network over raw vectors (the old 1024-edge budget held about 70 atoms of
+# gathered rows, d x 8 bytes per directed edge. So one bound in bytes
+# sizes a union by what it holds: 139 atoms at d=32 with the edge network
+# over raw vectors (the old 1024-edge budget held about 70 atoms of
 # complete explicit-H molecules), and 1152 edges for the towers config
 # (d=128, k=8). Swept in one process over perfbench's held-out graphs
 # (seed 7; eval graphs/s, median of 30 alternating passes per point; the
@@ -75,8 +75,15 @@ def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
     The edge network over raw vectors keeps each node's products with its
     r + 1 unit matrices, n x k x (r + 1) x p, and each node's edges in a
     block padded to the largest degree, n x k x D x r; r = p = d_tower.
-    Every other message gathers the far-end state of each edge, E x k x
-    d_tower.
+    Every other message gathers a row per edge, E x k x d_tower: the
+    far-end state, or over labels the far node's product with the edge's
+    label matrix. Over labels the node products, n x k x L x d_tower for
+    the L labels present, are as large as L rows per atom, and the bound
+    counts only the edges. On perfbench's towers-matmul unions the edges
+    bound both (247 atoms x 3 labels against 1114 edges on a seed-7
+    held-out union), but on sparse chemical unions without virtual edges
+    they do not: the CLI's default model puts 64 synthetic molecules
+    (seed 7) in one union of 348 atoms x 2 labels against 616 edges.
     """
     k, q = cfg.towers_k, cfg.d_tower
     if _sized_by_nodes(cfg):

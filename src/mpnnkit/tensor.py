@@ -5,15 +5,14 @@ implemented: one weight product, ``matmul``, of rows by a matrix or by a
 per-tower stack of matrices (with an optional bias added in the same op),
 per-row matrix-vector products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
-concatenation/slicing/transposition, row gather/scatter, two messages
-summed at each node (the matmul message of every edge label,
-``matmul_message``, and the edge network's message from each edge's
-hidden row, ``edge_message``, which contracts it with per-node products
-and builds no matrix per edge), and a GRU cell over row-stacked states.
-Each message and the GRU cell is one taped op whose rule replays, with the
-same bits, the tape the op composed from simpler ops would record.
-Elementwise operands must match in shape, so every backward rule stays
-auditable at a glance.
+concatenation/slicing/axis permutation, row gather/scatter, one matrix
+message summed at each node, ``edge_message`` (each node's state times
+the unit matrices once, each edge's message then read at its label or
+contracted with its hidden row, so that no matrix is built per edge), and
+a GRU cell over row-stacked states. The message and the GRU cell are each
+one taped op whose rule replays, with the same bits, the tape the op
+composed from simpler ops would record. Elementwise operands must match
+in shape, so every backward rule stays auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
@@ -25,23 +24,23 @@ and never rebinds it, so the sums land in Adam's buffer.
 
 Row indexes arrive as :class:`Segments` plans (``segments``), built once
 per index and reused by every op over it: ``gather_rows``,
-``scatter_sum_rows``, ``segment_softmax``, ``matmul_message`` and
-``edge_message``. A plan orders the segments by decreasing row count and
-lists the rows slot-major, slot j holding the j-th row of every segment
-that has one, so a sum over segments is one take of the rows, one add per
-slot onto the prefix of segments that slot covers, and one take back
-(``_segment_sum``; rows of one value each summed from zeros go through
-``np.bincount``), touching each row once, in the order and with the bits
-``np.add.at`` would give. ``gather_rows``' rule hands back ``(plan,
-rows)``, which ``backward`` sums the same way. A row's slot is also its
-place in a zero-padded block of its segment's rows, where ``edge_message``
-puts each node's edges.
+``scatter_sum_rows``, ``segment_softmax`` and ``edge_message``. A plan
+orders the segments by decreasing row count and lists the rows
+slot-major, slot j holding the j-th row of every segment that has one, so
+a sum over segments is one take of the rows, one add per slot onto the
+prefix of segments that slot covers, and one take back (``_segment_sum``;
+rows of one value each summed from zeros go through ``np.bincount``),
+touching each row once, in the order and with the bits ``np.add.at``
+would give. ``gather_rows``' rule hands back ``(plan, rows)``, which
+``backward`` sums the same way. A row's slot is also its place in a
+zero-padded block of its segment's rows, where ``edge_message`` puts each
+node's edges.
 
 Every op checks its forward result for NaN/Inf, so divergence surfaces as
 a :class:`NumericError` at the op that produced it. The fused ops check
-less and say in their docstrings why that is enough: ``matmul_message``
-and ``edge_message`` check only their result, and ``gru_cell`` its three
-pre-activations and its result.
+less and say in their docstrings why that is enough: ``edge_message``
+checks only its result, and ``gru_cell`` its three pre-activations and
+its result.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ __all__ = [
     "reshape",
     "gather_rows",
     "scatter_sum_rows",
-    "matmul_message",
     "edge_message",
     "transpose",
     "slice_cols",
@@ -630,16 +628,17 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), rule)
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Every matrix of a stack transposed: the last two axes swapped, in a
-    fresh row-major array."""
-    if x.data.ndim < 2:
-        raise DimensionError("transpose needs a tensor of matrices")
+def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
+    """The axes of ``x`` in the order ``axes`` lists them, as
+    ``np.transpose`` gives them, in a fresh row-major array."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise DimensionError(f"transpose needs a permutation of {x.data.ndim} axes: {axes}")
 
     def rule(g: np.ndarray):
-        return (g.swapaxes(-1, -2),)
+        return (g.transpose(np.argsort(axes)),)
 
-    return _result(x.data.swapaxes(-1, -2), (x,), rule)
+    return _result(x.data.transpose(axes), (x,), rule)
 
 
 def gather_rows(x: Tensor, seg: Segments) -> Tensor:
@@ -673,150 +672,132 @@ def scatter_sum_rows(x: Tensor, seg: Segments) -> Tensor:
     return _result(_segment_sum(seg, x.data), (x,), rule)
 
 
-def matmul_message(h: Tensor, weights: Sequence[Tensor], far: Sequence[Segments],
-                   near: Sequence[Segments], sources: Sequence[np.ndarray]) -> Tensor:
-    """The matmul message of every edge label summed at each node, all
-    towers at once, as one taped op: the value of ``scatter_sum_rows(
-    matmul(gather_rows(h, far[l]), weights[l]), near[l])`` per label l,
-    the labels' parts added in order (zeros of h's shape for no label).
-
-    ``h`` is (n, k, q) and ``weights[l]`` (k, q, p). Label l's edges are
-    the rows of its two plans: ``far[l]`` (one segment per row of h) picks
-    the state each message is computed from, ``near[l]`` the node it is
-    summed onto. ``sources[l]`` must be ``far[l].index`` in ``near[l]``'s
-    slot-major order, ``far[l].index[near[l].row_order]``; a caller builds
-    it once per pair of plans. The forward takes h's rows straight into
-    that order, multiplies them there, adds the slots onto the nodes
-    (``_slot_sum``) and takes the sums back once: no message is copied
-    into slots. Each node still adds its messages one at a time in edge
-    order, as the scatter does. A product row has the composed product's
-    bits where BLAS gives a row the same bits wherever it sits in the
-    block; at some tower widths (17-19, 25-27 and 33-35 on one OpenBLAS
-    build, among them the paper's d=200, k=8) it may not, and the sums
-    then differ in the last bits.
-
-    The rule replays the composed tape in reverse with its parts' own numpy
-    calls, last label first, in edge order: ``g[near.index]``, the product
-    kernel's gradients (``_product_grads``) for the weight and the rows,
-    and ``(far, rows)`` for h, which ``backward`` sums through the plan.
-    The parents name each label's weight and then h, last label first, as
-    the composed tape delivered them, so every gradient keeps the composed
-    bits and h's contributions add onto its running total one label at a
-    time. The multiply count is the products', as before.
-
-    Only the result is checked for NaN/Inf. That is enough: every product
-    row is added into exactly one result row, and IEEE addition never turns
-    inf or NaN back into a finite number, so a non-finite product or
-    partial sum leaves the result non-finite.
-    """
-    if h.data.ndim != 3:
-        raise DimensionError("matmul_message needs (n, k, q) states")
-    groups = list(zip(weights, far, near, sources))
-    if not len(groups) == len(weights) == len(far) == len(near) == len(sources):
-        raise DimensionError(
-            "matmul_message needs a weight, two plans and sources per label")
-    n, k, q = h.data.shape
-    out_shape = ((near[0].num_segments, k, weights[0].data.shape[-1]) if groups
-                 else h.data.shape)
-    for w, f, nr, src in groups:
-        if w.data.shape[:2] != (k, q) or w.data.ndim != 3:
-            raise DimensionError(
-                f"matmul_message weight {w.data.shape} does not fit states {h.data.shape}")
-        if (nr.num_segments, k, w.data.shape[2]) != out_shape:
-            raise DimensionError("matmul_message labels disagree on the result's shape")
-        if f.num_segments != n:
-            raise DimensionError(f"matmul_message far plan has {f.num_segments} "
-                                 f"segments for {n} states")
-        if not f.index.shape == nr.index.shape == np.shape(src):
-            raise DimensionError("matmul_message plans and sources disagree on the edges")
-    parts = [_slot_sum(nr, _product(np.take(h.data, src, axis=0), w.data))
-             for w, _, nr, src in groups]
-    total = parts[0] if parts else np.zeros(h.data.shape)
-    for part in parts[1:]:
-        total += part
-
-    def rule(g: np.ndarray):
-        grads = []
-        for w, f, nr, _ in reversed(groups):
-            g_rows, g_w = _product_grads(h.data[f.index], w.data, g[nr.index],
-                                         h.requires_grad, w.requires_grad)
-            grads += [g_w, None if g_rows is None else (f, g_rows)]
-        return grads
-
-    parents = [t for w, *_ in reversed(groups) for t in (w, h)]
-    return _result(total, parents, rule,
-                   sum(src.size * w.data.size for w, _, _, src in groups))
-
-
-def edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far: Segments,
+def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, far: Segments,
                  near: Segments) -> Tensor:
-    """The edge network's message summed at each node, all towers at once,
-    as one taped op that builds no matrix per edge.
+    """A matrix message summed at each node, all towers at once, as one
+    taped op that builds no matrix per edge: the edge network's, over raw
+    vectors or over labels, and the matmul message.
 
-    ``h`` is (n, k, q) and ``hidden`` (E, k, r), the edge network's hidden
-    row of every edge of the two plans; ``w2`` (k, r, p*q) and ``b2`` (k,
-    p*q) are its last layer, so edge i's matrix in tower t is the row-major
-    (p x q) ``A = hidden[i, t] @ w2[t] + b2[t]``. Its message ``A @
-    h[far.index[i], t]`` is summed onto node ``near.index[i]``; the result
-    is (near.num_segments, k, p).
+    ``h`` is (n, k, q) and ``w2`` (k, u, p*q), u row-major (p x q) unit
+    matrices per tower. Edge i's message in tower t is ``A @ h[far.index[i],
+    t]``, summed onto node ``near.index[i]``; the result is
+    (near.num_segments, k, p). What ``edges`` is picks how each edge gets
+    its A:
+
+    - hidden rows, an (E, k, u) Tensor: ``A = hidden[i, t] @ w2[t] +
+      b2[t]``, with ``b2`` (k, p*q), the edge network's last layer over raw
+      vectors;
+    - labels, a :class:`Segments` plan of each edge's (far node, label)
+      pair, ``far.index * u + label`` over n * u segments: A is the label's
+      unit matrix itself, and ``b2`` is None. Only the pairs plan and
+      ``near`` are read; ``far`` is checked as for hidden rows.
 
     A's last layer is linear, so the forward takes the states first: every
-    node's products with the r matrices of ``w2`` and with ``b2``'s, ``U``
-    (n, k, r, p) and ``C`` (n, k, p), one product each per tower
-    (``_product``). Each node's edges (``far``) are the rows of a
-    zero-padded (D, r) block, D the largest count, placed by ``far.slot``;
-    one batched matmul contracts every node's block with its U, and C is
-    added to each row. So it makes n products with r + 1 matrices, not E
-    matrices, and its largest arrays are U and the (n, k, D, r) blocks. The
-    messages are read straight into ``near``'s slot order and added onto the
-    nodes (``_slot_sum``), each node adding its messages one at a time in
-    edge order, as a scatter does.
+    node's products with the u unit matrices, ``U``. With labels they are
+    one product per tower and label, written in place as one (k, p) row
+    per (node, label) pair, and a message is its pair's row, so the op
+    makes n * u products, not one per edge. With hidden rows U is (n, k,
+    u, p), one product per tower (``_product``), and each node's products
+    with ``b2``'s matrices, ``C`` (n, k, p), are made too. Each node's
+    edges (``far``) are the rows of a zero-padded (D, u) block, D the
+    largest count, placed by ``far.slot``; one batched matmul contracts
+    every node's block with its U, and C is added to each row. So it makes
+    n products with u + 1 matrices, not E matrices, and its largest arrays
+    are U and the (n, k, D, u) blocks. Either way the messages are read
+    straight into ``near``'s slot order and added onto the nodes
+    (``_slot_sum``), each node adding its messages one at a time in edge
+    order, as a scatter does. With no labelled edge the result is zeros,
+    and nothing is taped.
 
-    The rule runs the same products transposed. It keeps U but not the
-    (n, k, D, r) hidden blocks, which it lays out again from the hidden
-    rows, so a taped step holds one array of its own instead of two. The
-    message gradients ``g[near.index]`` go into padded blocks; their
-    products with U and with the hidden blocks give the hidden rows' and
-    U's gradients, and their
-    sums over each block C's. Those times the states give ``w2``'s and
-    ``b2``'s gradients, dense and of their own shapes, which a leaf adds
-    into its ``grad`` in place; those times the weights give h's. The
-    parents are ``(w2, b2, hidden, h)``, in the order the tape of the node
-    products, the contraction and a scatter would deliver them. The
-    multiply count is the node products and the edges' contractions, not
-    the padding's.
+    The rule runs the same products transposed. With labels, the message
+    gradients ``g[near.index]`` are summed through the pairs plan into U's.
+    With hidden rows, the rule keeps U but not the (n, k, D, u) hidden
+    blocks, which it lays out again from the hidden rows, so a taped step
+    holds one array of its own instead of two. The message gradients go
+    into padded blocks; their products with U and with the hidden blocks
+    give the hidden rows' and U's gradients, and their sums over each block
+    C's. U's and C's gradients times the states give ``w2``'s and ``b2``'s,
+    dense and of their own shapes, which a leaf adds into its ``grad`` in
+    place; times the matrices they give h's. The parents are ``(w2, b2,
+    hidden, h)``, or ``(w2, h)`` with labels, in the order the tape of the
+    node products, the contraction or gather, and a scatter would deliver
+    them. The multiply count is the edges' contractions and the node
+    products, not the padding's; with labels, only the products at the
+    (node, label) pairs some edge reads (``edges.widths[0]`` of them), so
+    that a union counts what its graphs would count alone, whatever labels
+    the others bring.
 
     Only the result is checked for NaN/Inf. That is enough: h and the
-    hidden rows were checked where they were made; every entry of a
-    sending node's U and C is multiplied or added into each of its
-    messages (zero times inf is NaN), every message is added into exactly
-    one result row, and IEEE addition never turns inf or NaN back into a
-    finite number. The U and C of a node that sends no message reach
-    neither the value nor a gradient.
+    hidden rows were checked where they were made; every entry of a unit
+    matrix reaches each node's U (zero times inf is NaN); every entry of a
+    sending node's U and C is multiplied or added into each of its messages
+    with hidden rows, and with labels every unit is some edge's label (the
+    callers stack only the labels present), whose message copies it; every
+    message is added into exactly one result row, and IEEE addition never
+    turns inf or NaN back into a finite number. The U and C that no message
+    reads reach neither the value nor a gradient.
     """
-    if h.data.ndim != 3 or hidden.data.ndim != 3:
-        raise DimensionError("edge_message needs (n, k, q) states and (E, k, r) hidden rows")
+    labelled = isinstance(edges, Segments)
+    if h.data.ndim != 3 or w2.data.ndim != 3 or not (labelled or edges.data.ndim == 3):
+        raise DimensionError("edge_message needs (n, k, q) states, (k, u, p*q) matrices "
+                             "and (E, k, u) hidden rows or a plan of labels")
     n, k, q = h.data.shape
-    m, _, r = hidden.data.shape
-    width = b2.data.shape[-1]
-    if (hidden.data.shape[1] != k or b2.data.shape != (k, width) or width % q
-            or w2.data.shape != (k, r, width)):
-        raise DimensionError(f"edge_message needs ({k}, {r}, p*{q}) and ({k}, p*{q}) weights "
-                             f"for states {h.data.shape} and hidden rows "
-                             f"{hidden.data.shape}: {w2.data.shape}, {b2.data.shape}")
+    _, units, width = w2.data.shape
+    m = edges.index.shape[0] if labelled else edges.data.shape[0]
+    if w2.data.shape[0] != k or width % q:
+        raise DimensionError(f"edge_message needs ({k}, u, p*{q}) matrices for states "
+                             f"{h.data.shape}: {w2.data.shape}")
+    if labelled:
+        if b2 is not None or edges.num_segments != n * units:
+            raise DimensionError(f"edge_message needs labels over {n} x {units} (node, "
+                                 f"label) pairs and no bias: {edges.num_segments} pairs")
+    elif edges.data.shape[1:] != (k, units) or b2 is None or b2.data.shape != (k, width):
+        raise DimensionError(f"edge_message needs ({k}, {units}) hidden rows and a "
+                             f"({k}, {width}) bias for matrices {w2.data.shape}: "
+                             f"{edges.data.shape}, {None if b2 is None else b2.data.shape}")
     if far.num_segments != n:
         raise DimensionError(f"edge_message far plan has {far.num_segments} "
                              f"segments for {n} states")
     if not far.index.shape == near.index.shape == (m,):
-        raise DimensionError("edge_message plans and hidden rows disagree on the edges")
+        raise DimensionError("edge_message plans and edges disagree on the edges")
     p = width // q
-    w = w2.data.reshape(k, r * p, q)
+    if labelled and not m:
+        return _result(np.zeros((near.num_segments, k, p)), (), None)
+    w = w2.data.reshape(k, units * p, q)
+
+    def node_grads(g_u):
+        # w2's and h's gradients from U's, (n, k, u * p)
+        rows = h.data.transpose(1, 0, 2)
+        return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
+                if w2.requires_grad else None,
+                _product(g_u, w) if h.requires_grad else None)
+
+    if labelled:
+        # U one row per (node, label) pair, (n * u, k, p), each tower and
+        # label's product written in place
+        u = np.empty((n, units, k, p))
+        np.matmul(h.data.transpose(1, 0, 2)[:, None],
+                  w.reshape(k, units, p, q).swapaxes(-1, -2), out=u.transpose(2, 1, 0, 3))
+        msgs = np.take(u.reshape(n * units, k, p), edges.index[near.row_order], axis=0)
+        del u  # not needed past here: freeing it lowers the call's peak
+        total = _slot_sum(near, msgs)
+
+        def rule(g: np.ndarray):
+            # the message gradients g[near.index], taken straight into the
+            # pairs plan's slot order and summed there
+            g_u = _slot_sum(edges, np.take(g, near.index[edges.row_order], axis=0))
+            return node_grads(g_u.reshape(n, units, k, p).transpose(0, 2, 1, 3)
+                              .reshape(n, k, units * p))
+
+        return _result(total, (w2, h), rule, edges.widths[0] * k * q * p)
+
+    hidden, r = edges, units
     b = b2.data.reshape(k, p, q)
     u = _product(h.data, w.transpose(0, 2, 1)).reshape(n, k, r, p)
 
-    def padded(rows, width):
-        # each node's edges as one zero-padded (D, width) block per tower
-        out = np.zeros((n, k, len(far.widths), width))
+    def padded(rows, cols):
+        # each node's edges as one zero-padded (D, cols) block per tower
+        out = np.zeros((n, k, len(far.widths), cols))
         out[far.index, :, far.slot] = rows
         return out
 
@@ -827,15 +808,14 @@ def edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far: Segment
     def rule(g: np.ndarray):
         g_y = padded(g[near.index], p)
         g_c = g_y.sum(axis=2)
-        g_u = (padded(hidden.data, r).swapaxes(-1, -2) @ g_y).reshape(n, k, r * p)
-        rows = h.data.transpose(1, 0, 2)
-        return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
-                if w2.requires_grad else None,
-                (g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
+        g_w2, g_h = node_grads(
+            (padded(hidden.data, r).swapaxes(-1, -2) @ g_y).reshape(n, k, r * p))
+        return (g_w2,
+                (g_c.transpose(1, 2, 0) @ h.data.transpose(1, 0, 2)).reshape(b2.data.shape)
                 if b2.requires_grad else None,
                 (g_y @ u.swapaxes(-1, -2))[far.index, :, far.slot]
                 if hidden.requires_grad else None,
-                _product(g_u, w) + _product(g_c, b) if h.requires_grad else None)
+                g_h + _product(g_c, b) if h.requires_grad else None)
 
     return _result(total, (w2, b2, hidden, h), rule,
                    n * k * q * (r + 1) * p + m * k * r * p)

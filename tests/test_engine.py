@@ -239,9 +239,11 @@ class TestIndexPlans:
 
     @pytest.mark.parametrize("towers_k", [1, 2])
     def test_matmul_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
-        # the matmul message of all labels is one op; no gather, product or
-        # scatter of its own reaches the tape: the only products taped are
-        # the tower mix's, one per step when there are towers
+        # the matmul message of all labels is one edge_message op; no
+        # gather, product or scatter of its own reaches the tape. Once per
+        # forward each channel stacks its labels' weights (concat,
+        # transpose, reshape); the only products taped are the tower mix's,
+        # one per step when there are towers
         cfg = cfg_for("matmul", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
         assert np.unique(eg.edge_features).size > 1
@@ -249,8 +251,9 @@ class TestIndexPlans:
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
-        assert ops.count("matmul_message") == 2 * cfg.T
+        assert ops.count("edge_message") == 2 * cfg.T
         assert ops.count("matmul") == (cfg.T if towers_k > 1 else 0)
+        assert ops.count("transpose") == 2
         assert not {"gather_rows", "scatter_sum_rows", "add"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])
@@ -269,23 +272,23 @@ class TestIndexPlans:
         assert not {"gather_rows", "scatter_sum_rows", "matmul_message"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])
-    def test_label_edge_network_is_one_matmul_message_per_channel_and_step(self, rng,
-                                                                             towers_k):
+    def test_label_edge_network_is_one_edge_message_per_channel_and_step(self, rng,
+                                                                           towers_k):
         # over labels the edge network builds one matrix per label present
-        # (mlp2, then one gather per label, once per forward) and sends
-        # through the matmul message
+        # (mlp2 and one transpose per channel, once per forward) and sends
+        # through the same op as over raw vectors, with no gather of each
+        # label's matrix out of the stack
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
-        n_labels = np.unique(eg.edge_features).size
-        assert n_labels > 1
+        assert np.unique(eg.edge_features).size > 1
         T.active_tape().clear()
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
-        assert ops.count("matmul_message") == 2 * cfg.T
+        assert ops.count("edge_message") == 2 * cfg.T
         assert ops.count("matmul") == 2 * 2 + (cfg.T if towers_k > 1 else 0)
-        assert ops.count("gather_rows") == 2 * n_labels
-        assert not {"scatter_sum_rows", "edge_message"} & set(ops)
+        assert ops.count("transpose") == 2
+        assert not {"gather_rows", "scatter_sum_rows"} & set(ops)
 
 
 class TestAggregate:
@@ -438,16 +441,18 @@ class TestEdgeNetworkPairs:
         # Complete graph on 4 nodes: P = 6 pairs, E = 12 directed edges, all
         # of chemical label 0. A residual update multiplies nothing, so the
         # count is the matrix build, 2 channels * 1 label * (4*6 + 6*36) with
-        # 4 chemical labels and d = 6, plus the messages, T=1 * 2 channels *
-        # E * 6*6: 480 + 864. The six pairs share their label's matrix; one
-        # matrix per pair made the build 2880, one per directed edge 5760.
+        # 4 chemical labels and d = 6, plus the messages: per channel and
+        # step, one d_tower^2 product per (far node, label) pair some edge
+        # reads, here n * 1 label, T=1 * 2 channels * 4 * 6*6: 480 + 288.
+        # The six pairs share their label's matrix; one matrix per pair made
+        # the build 2880, one per directed edge 5760.
         cfg = residual_cfg("edge_network")
         params = init_params(cfg, seed=22)
         edges = [(i, j) for i in range(4) for j in range(4) if i != j]
         eg = directed_graph(rng.normal(size=(4, 5)), edges)
         with T.count_multiplies(T.MultiplyCounter()) as counter:
             propagate(eg, params, cfg)
-        assert counter.total == 1344
+        assert counter.total == 768
 
     def test_raw_distances_build_no_matrix(self, rng):
         # The same complete graph with raw 5-vectors: each channel's hidden
@@ -524,10 +529,12 @@ class TestTowers:
         assert "mix_w" in names and "mix_b" in names
 
     def test_message_multiplies_scale_inversely_with_k(self):
-        # Complete graph on 6 nodes, E = 30 directed edges; matmul messages
-        # cost E * (d/k)^2 per tower and channel: 2 * T * E * d^2 / k in all.
+        # Complete graph on 6 nodes, E = 30 directed edges over 4 labels;
+        # per tower, channel and step, matmul messages cost one (d/k)^2
+        # product per (far node, label) pair some edge reads, 19 of the
+        # n * labels = 24 here: 2 * T * 19 * d^2 / k in all.
         result = bench_towers(d=16, n=6, k=4, T=2)
-        assert result["message_multiplies"] == {1: 30720, 4: 7680}
+        assert result["message_multiplies"] == {1: 19456, 4: 4864}
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_bench_towers_needs_an_edge(self, n):

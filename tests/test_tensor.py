@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import pathlib
 import weakref
 
@@ -173,9 +174,16 @@ class TestForwardValues:
 
     def test_transpose_swaps_the_last_two_axes(self, rng):
         x = rng.normal(size=(4, 2, 3, 5))
-        out = T.transpose(t(x)).data
+        out = T.transpose(t(x), (0, 1, 3, 2)).data
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, x.swapaxes(-1, -2))
+
+    def test_transpose_permutes_any_axes(self, rng):
+        x = rng.normal(size=(4, 2, 3))
+        np.testing.assert_array_equal(T.transpose(t(x), (1, 0, 2)).data, x.transpose(1, 0, 2))
+        for axes in [(0, 1), (0, 1, 1), (0, 1, 3)]:
+            with pytest.raises(DimensionError):
+                T.transpose(t(x), axes)
 
     def test_slice_cols(self):
         x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -566,9 +574,9 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_transpose(self, rng):
         params = {"x": t(rng.normal(size=(2, 3, 4)), rg=True)}
-        probe = t(rng.normal(size=(2, 4, 3)))
+        probe = t(rng.normal(size=(3, 4, 2)))
         check_grad_against_fd(
-            lambda p: T.reduce_sum(T.mul(T.tanh(T.transpose(p["x"])), probe)),
+            lambda p: T.reduce_sum(T.mul(T.tanh(T.transpose(p["x"], (1, 2, 0))), probe)),
             params, label="transpose")
 
     @pytest.mark.parametrize("dense_at", [None, "first", "last"],
@@ -801,9 +809,11 @@ class TestGruCell:
 
 
 def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
-    """The matmul message composed from taped primitives, a gather, a
-    ``matmul`` and a scatter per label joined by ``add``: the bitwise oracle
-    of the one-op ``T.matmul_message``, forward and backward."""
+    """The matmul message composed per edge from taped primitives, a
+    gather, a ``matmul`` and a scatter per label joined by ``add``: each
+    edge's far state times its label's (k, q, p) weight, the labels' parts
+    added in order. It is the reference of ``T.edge_message`` over labels
+    where the two need not agree bit for bit."""
     total = None if weights else Tensor(np.zeros(h.data.shape))
     for a, far_label, near_label in zip(weights, far, near):
         part = T.scatter_sum_rows(T.matmul(T.gather_rows(h, far_label), a), near_label)
@@ -811,121 +821,226 @@ def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
     return total
 
 
+def label_stack(weights):
+    """The labels' (k, q, p) weights, which multiply states as ``h @ A``,
+    stacked as ``T.edge_message`` takes them, each transposed to the
+    row-major (p x q) matrix of ``A^T h``: (k, labels, p*q), from taped
+    ops as ``engine._senders`` stacks them."""
+    k, q, p = weights[0].data.shape
+    return T.reshape(T.transpose(T.concat(weights, axis=2), (0, 2, 1)),
+                     (k, len(weights), p * q))
+
+
+def node_form_message(h: Tensor, mats: Tensor, pairs, near) -> Tensor:
+    """The labelled message composed in node form from taped primitives:
+    every node's products with the label matrices, U, taped with the one
+    op's numpy calls and laid out one (node, label) row each; a gather of
+    each edge's row through its pairs plan; and a scatter onto the near
+    nodes. It is the bitwise oracle of ``T.edge_message`` over labels,
+    forward and backward, and counts the products as it does, at the pairs
+    some edge reads."""
+    n, k, q = h.data.shape
+    _, units, width = mats.data.shape
+    p = width // q
+    if not pairs.index.size:
+        return Tensor(np.zeros((near.num_segments, k, p)))
+    w = mats.data.reshape(k, units * p, q)
+
+    def rule(g: np.ndarray):
+        g_u = g.reshape(n, units, k, p).transpose(0, 2, 1, 3).reshape(n, k, units * p)
+        return ((g_u.transpose(1, 2, 0) @ h.data.transpose(1, 0, 2)).reshape(mats.data.shape)
+                if mats.requires_grad else None,
+                T._product(g_u, w) if h.requires_grad else None)
+
+    u = np.empty((n, units, k, p))
+    np.matmul(h.data.transpose(1, 0, 2)[:, None],
+              w.reshape(k, units, p, q).swapaxes(-1, -2), out=u.transpose(2, 1, 0, 3))
+    rows = T._result(u.reshape(n * units, k, p), (mats, h), rule, pairs.widths[0] * k * q * p)
+    return T.scatter_sum_rows(T.gather_rows(rows, pairs), near)
+
+
 MESSAGE_CASES = ["leaf", "intermediate", "h_read_later", "one_label", "missing_label",
                  "no_edges"]
 
 
 def message_case(rng, case, n, n_edges, k, q, alphabet=3):
-    """(h, weights, edge groups) for the fused-message oracle: random edges
+    """(h, weights, edges) for the label-message oracles: random edges
     over n nodes with a hub (node 0 receives a third of them), labels drawn
     from the alphabet, and one (k, q, q) weight per label of the alphabet.
-    The groups hold, per label present, its index into the weights and its
-    far and near plans, as ``engine._senders`` builds them."""
+    ``edges`` is (src, dst, labels)."""
     n_edges = 0 if case == "no_edges" else n_edges
     src, dst = rng.integers(0, n, size=(2, n_edges))
     dst[: n_edges // 3] = 0
     labels = {"one_label": np.ones(n_edges, dtype=int),
               "missing_label": rng.choice([0, 2], size=n_edges)
               }.get(case, rng.integers(0, alphabet, size=n_edges))
-    groups = [(int(label), T.segments(src[labels == label], n),
-               T.segments(dst[labels == label], n)) for label in np.unique(labels)]
     h = rng.normal(size=(n, k, q))
     weights = [rng.normal(size=(k, q, q)) / np.sqrt(q) for _ in range(alphabet)]
-    return h, weights, groups
+    return h, weights, (src, dst, labels)
 
 
-def run_message(fused, case, h_data, w_data, groups, probe, later):
-    """Forward and backward through either message; returns the value and
-    the gradients of h and of every weight of the alphabet."""
+def label_plans(edges, n):
+    """The labels present and the plans ``engine._senders`` builds for the
+    in channel: far (sources) and near (destinations) over the nodes, and
+    the (far node, label) pairs over n * labels."""
+    src, dst, labels = edges
+    present, label = np.unique(labels, return_inverse=True)
+    return (present, T.segments(src, n), T.segments(dst, n),
+            T.segments(src * present.size + label, n * present.size))
+
+
+def run_message(send, case, h_data, w_data, edges, probe, later):
+    """Forward and backward through the one op (``"fused"``), its node-form
+    oracle (``"node_form"``) or the per-edge composition (``"per_edge"``);
+    returns the value and the gradients of h and of every weight of the
+    alphabet."""
     h_leaf = t(h_data, rg=True)
     ws = [t(w, rg=True) for w in w_data]
     h = h_leaf if case == "leaf" else T.reshape(h_leaf, h_data.shape)
-    used = [ws[label] for label, _, _ in groups]
-    far = [f for _, f, _ in groups]
-    near = [nr for _, _, nr in groups]
-    if fused:
-        out = T.matmul_message(h, used, far, near,
-                               [f.index[nr.row_order] for f, nr in zip(far, near)])
+    present, far, near, pairs = label_plans(edges, h_data.shape[0])
+    used = [ws[label] for label in present]
+    if send == "per_edge":
+        src, dst, labels = edges
+        n = h_data.shape[0]
+        out = composed_matmul_message(
+            h, used, [T.segments(src[labels == label], n) for label in present],
+            [T.segments(dst[labels == label], n) for label in present])
     else:
-        out = composed_matmul_message(h, used, far, near)
+        k, q = h_data.shape[1:]
+        mats = label_stack(used) if used else t(np.zeros((k, 0, q * q)))
+        if send == "fused":
+            out = T.edge_message(h, pairs, mats, None, far, near)
+        else:
+            out = node_form_message(h, mats, pairs, near)
     loss = T.reduce_sum(T.mul(out, t(probe)))
     if case in ("h_read_later", "no_edges"):
         # h's pending total holds this contribution before the message's
-        # arrive, one label at a time
+        # arrive
         loss = T.add(loss, T.reduce_sum(T.mul(T.tanh(h), t(later))))
     backward(loss)
     return [out.data, h_leaf.grad] + [w.grad for w in ws]
 
 
+def sum_of_outer_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_e outer(a[e, t], b[e, t])`` per tower t, correctly rounded:
+    each factor is split into two halves of at most 26 significant bits
+    (Veltkamp), so that every product of halves is exact, and
+    ``math.fsum`` adds the products."""
+    def halves(x):
+        c = x * 134217729.0  # 2**27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    parts = np.concatenate([np.einsum("eti,etj->etij", x, y)
+                            for x in halves(a) for y in halves(b)])
+    return np.apply_along_axis(math.fsum, 0, parts)
+
+
+def stacked(weights):
+    """``label_stack``'s value from plain arrays."""
+    return label_stack([t(w) for w in weights]).data
+
+
 class TestMatmulMessage:
+    """``T.edge_message`` over labels: the matmul message, and the edge
+    network's over labels, against its node-form oracle, the per-edge
+    composition and finite differences."""
+
     @pytest.mark.parametrize("q", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("case", MESSAGE_CASES)
     def test_bits_equal_composed_message(self, rng, case, k, q):
-        h, ws, groups = message_case(rng, case, n=9, n_edges=40, k=k, q=q)
+        h, ws, edges = message_case(rng, case, n=9, n_edges=40, k=k, q=q)
         probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
-        got = run_message(True, case, h, ws, groups, probe, later)
-        want = run_message(False, case, h, ws, groups, probe, later)
+        got = run_message("fused", case, h, ws, edges, probe, later)
+        want = run_message("node_form", case, h, ws, edges, probe, later)
         for name, a, b in zip(["out", "h", "A0", "A1", "A2"], got, want):
             assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist(), name
 
     def test_agrees_with_composed_message_at_tower_width_25(self, rng):
-        # at this width BLAS may give a row other bits at another place in
-        # the block, so the products in slot order need not match the
-        # composed ones bit for bit (the paper's d=200, k=8)
-        h, ws, groups = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
+        # against the per-edge products summed label by label (the paper's
+        # d=200, k=8): each node now adds its messages in edge order, and
+        # BLAS may give a row other bits in another block. A weight's
+        # gradient sums about 270 edges' outer products; the per-edge
+        # composition sums them in one long product whose own error reached
+        # 2.2e-15 of the largest entry on other draws, three to five times
+        # the node form's (which first sums each (node, label) pair's
+        # edges), so the weights' gradients are held to the correctly
+        # rounded sums instead, at the same bound
+        h, ws, edges = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
         probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
-        got = run_message(True, "leaf", h, ws, groups, probe, later)
-        want = run_message(False, "leaf", h, ws, groups, probe, later)
-        for a, b in zip(got, want):
+        got = run_message("fused", "leaf", h, ws, edges, probe, later)
+        want = run_message("per_edge", "leaf", h, ws, edges, probe, later)
+        for a, b in zip(got[:2], want[:2]):
             assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+        src, dst, labels = edges
+        for label, a in enumerate(got[2:]):
+            exact = sum_of_outer_products(h[src[labels == label]], probe[dst[labels == label]])
+            assert np.abs(a - exact).max() <= 1e-15 * np.abs(exact).max()
+
+    def test_gradients_against_finite_differences(self, rng):
+        # both channels, with the states also read after the messages
+        h_data, ws, edges = message_case(rng, "leaf", n=6, n_edges=20, k=2, q=3)
+        present, a, b, pairs_in = label_plans(edges, 6)
+        src, dst, labels = edges
+        pairs_out = label_plans((dst, src, labels), 6)[3]
+        params = {"h": t(h_data, rg=True), "w": t(stacked([ws[l] for l in present]), rg=True)}
+
+        def loss(p):
+            msgs = [T.edge_message(p["h"], pairs, p["w"], None, far, near)
+                    for pairs, far, near in ((pairs_in, a, b), (pairs_out, b, a))]
+            return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
+
+        check_grad_against_fd(loss, params, label="edge_message over labels")
 
     def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
-        h_data, ws, groups = message_case(rng, "leaf", n=9, n_edges=40, k=3, q=4)
+        h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=3, q=4)
+        present, far, near, pairs = label_plans(edges, 9)
         h = t(h_data, rg=True)
-        used = [t(ws[label], rg=True) for label, _, _ in groups]
-        far = [f for _, f, _ in groups]
-        near = [nr for _, _, nr in groups]
-        sources = [f.index[nr.row_order] for f, nr in zip(far, near)]
+        mats = t(stacked([ws[label] for label in present]), rg=True)
         with count_multiplies(MultiplyCounter()) as fused:
-            out = T.matmul_message(h, used, far, near, sources)
+            out = T.edge_message(h, pairs, mats, None, far, near)
         assert [entry[0] for entry in T.active_tape()] == [out]
         with count_multiplies(MultiplyCounter()) as composed:
-            composed_matmul_message(h, used, far, near)
-        labels = len(groups)
-        assert len(T.active_tape()) == 1 + 3 * labels + labels - 1
-        assert fused.total == composed.total == 40 * 3 * 4 * 4
+            node_form_message(h, mats, pairs, near)
+        assert len(T.active_tape()) == 1 + 3
+        # one (q x p) product per tower at each (far node, label) pair read
+        src, _, labels = edges
+        reads = len(set(zip(src.tolist(), labels.tolist())))
+        assert fused.total == composed.total == reads * 3 * 4 * 4
         T.active_tape().clear()
         # no edges: zeros of h's shape, and nothing to tape
-        out = T.matmul_message(h, [], [], [], [])
+        out = T.edge_message(h, T.segments([], 0), t(np.zeros((3, 0, 16)), rg=True), None,
+                             T.segments([], 9), T.segments([], 9))
         assert out.data.tobytes() == np.zeros(h.shape).tobytes()
         assert not T.active_tape()
 
     def test_overflowing_label_raises(self, rng):
-        h_data, ws, groups = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
-        far = [f for _, f, _ in groups]
-        near = [nr for _, _, nr in groups]
-        sources = [f.index[nr.row_order] for f, nr in zip(far, near)]
-        for huge in range(len(groups)):
-            used = [t(np.full((2, 3, 3), 1e308) if i == huge else ws[label])
-                    for i, (label, _, _) in enumerate(groups)]
+        h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
+        present, far, near, pairs = label_plans(edges, 9)
+        for huge in range(present.size):
+            mats = stacked([ws[label] for label in present])
+            mats[:, huge] = 1e308
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-                T.matmul_message(t(np.full(h_data.shape, 2.0)), used, far, near, sources)
+                T.edge_message(t(np.full(h_data.shape, 2.0)), pairs, t(mats), None, far, near)
 
     def test_shape_validation(self, rng):
-        h_data, ws, groups = message_case(rng, "one_label", n=9, n_edges=40, k=2, q=3)
-        (_, f, nr), = groups
-        src = [f.index[nr.row_order]]
-        with pytest.raises(DimensionError):
-            T.matmul_message(t(h_data[:, 0]), [t(ws[1])], [f], [nr], src)
-        with pytest.raises(DimensionError):
-            T.matmul_message(t(h_data), [t(ws[1][:, :2])], [f], [nr], src)
-        with pytest.raises(DimensionError):
-            T.matmul_message(t(h_data[:5]), [t(ws[1])], [f], [nr], src)
-        with pytest.raises(DimensionError):
-            T.matmul_message(t(h_data), [t(ws[1])], [f], [nr], [src[0][:-1]])
-        with pytest.raises(DimensionError):
-            T.matmul_message(t(h_data), [t(ws[1])], [f], [], src)
+        h_data, ws, edges = message_case(rng, "one_label", n=9, n_edges=40, k=2, q=3)
+        _, far, near, pairs = label_plans(edges, 9)
+        src, dst, _ = edges
+        h, mats = t(h_data), t(stacked([ws[1]]))
+        assert T.edge_message(h, pairs, mats, None, far, near).shape == (9, 2, 3)
+        bad = [(t(h_data[:, 0]), pairs, mats, None, far, near),          # no tower axis
+               (h, pairs, t(mats.data[:, :, :8]), None, far, near),     # not p x q
+               (h, pairs, t(mats.data[:1]), None, far, near),           # towers
+               (h, pairs, t(np.concatenate([mats.data] * 2, axis=1)), None, far, near),
+               (t(h_data[:5]), pairs, mats, None, far, near),           # states
+               (h, pairs, mats, t(np.zeros((2, 9))), far, near),        # a bias
+               (h, T.segments(src[1:], 9), mats, None, far, near),      # edges
+               (h, pairs, mats, None, far, T.segments(dst[1:], 9))]     # edges
+        for args in bad:
+            with pytest.raises(DimensionError):
+                T.edge_message(*args)
 
 
 def composed_edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far,
