@@ -272,12 +272,12 @@ class TestIndexPlans:
         assert not {"gather_rows", "scatter_sum_rows", "matmul_message"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])
-    def test_label_edge_network_is_one_edge_message_per_channel_and_step(self, rng,
-                                                                           towers_k):
+    def test_label_edge_network_is_one_matmul_message_per_channel_and_step(self, rng,
+                                                                             towers_k):
         # over labels the edge network builds one matrix per label present
         # (mlp2 and one transpose per channel, once per forward) and sends
-        # through the same op as over raw vectors, with no gather of each
-        # label's matrix out of the stack
+        # through the matmul message's op, edge_message, as over raw vectors,
+        # with no gather of each label's matrix out of the stack
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
         assert np.unique(eg.edge_features).size > 1
