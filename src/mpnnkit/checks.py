@@ -14,10 +14,10 @@ import time
 import numpy as np
 
 from . import tensor as tt
-from .engine import MESSAGE_FNS, READOUTS, ModelConfig, init_params, propagate
+from .engine import MESSAGE_FNS, READOUTS, ModelConfig, init_params, is_bias, propagate
 from .model import model_forward, predict_batch, union_groups
 from .molgraph import EncodedGraph
-from .spectral import run_spectral_checks
+from .spectral import _check_graph_count, run_spectral_checks
 from .tensor import ContractError, MultiplyCounter, Tensor
 
 __all__ = [
@@ -86,7 +86,7 @@ def _jitter_biases(params: dict[str, Tensor], rng: np.random.Generator) -> None:
     # zero-initialized biases leave ReLU layers dead at the linearization
     # point, which makes gradient checks vacuously pass or trip on kinks
     for name, p in params.items():
-        if name.endswith(("_b1", "_b2")) or name == "mix_b":
+        if is_bias(name):
             p.data[...] = rng.normal(scale=0.3, size=p.data.shape)
 
 
@@ -158,12 +158,6 @@ def run_gradient_checks(seed: int = 0) -> dict:
     return {"checks": results, "max_rel_err": overall,
             "tolerance": GRADIENT_TOLERANCE,
             "passed": overall < GRADIENT_TOLERANCE}
-
-
-def _check_graph_count(n_graphs: int) -> None:
-    # a sweep over no graphs checks nothing and must not pass
-    if n_graphs < 1:
-        raise ContractError(f"a check sweep needs at least one graph, got {n_graphs}")
 
 
 def _sweep_configs():

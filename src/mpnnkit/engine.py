@@ -67,7 +67,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor as tt
-from .molgraph import EncodedGraph, edge_alphabet_size, edge_feature_width
+from .molgraph import EDGE_REPRS, EncodedGraph, edge_alphabet_size, edge_feature_width
 from .tensor import ContractError, GruParams, Tensor
 
 __all__ = [
@@ -77,6 +77,7 @@ __all__ = [
     "ModelConfig",
     "NodeStates",
     "init_params",
+    "is_bias",
     "propagate",
     "edge_vectors",
     "pad_features",
@@ -134,7 +135,7 @@ class ModelConfig:
         if self.message_fn == "matmul" and self.edge_repr == "raw_distance":
             raise ContractError(
                 "matmul message needs discrete edge labels, not raw distances")
-        if self.edge_repr not in ("chemical", "distance_bins", "raw_distance"):
+        if self.edge_repr not in EDGE_REPRS:
             raise ContractError(f"unknown edge representation {self.edge_repr!r}")
 
     @property
@@ -183,21 +184,19 @@ def _message_shapes(cfg: ModelConfig, prefix: str) -> list[tuple[str, tuple]]:
     if cfg.message_fn == "matmul":
         return [(f"{prefix}_A{l}", (k, dt, dt)) for l in range(cfg.alphabet)]
     if cfg.message_fn == "edge_network":
-        return [(f"{prefix}_en_w1", (k, ew, dt)), (f"{prefix}_en_b1", (k, dt)),
-                (f"{prefix}_en_w2", (k, dt, dt * dt)), (f"{prefix}_en_b2", (k, dt * dt))]
+        return _mlp2_shapes(f"{prefix}_en", ew, dt, dt * dt, (k,))
     if cfg.message_fn == "pair_message":
-        hidden = 2 * dt
-        return [(f"{prefix}_pm_w1", (k, 2 * dt + ew, hidden)), (f"{prefix}_pm_b1", (k, hidden)),
-                (f"{prefix}_pm_w2", (k, hidden, dt)), (f"{prefix}_pm_b2", (k, dt))]
+        return _mlp2_shapes(f"{prefix}_pm", 2 * dt + ew, 2 * dt, dt, (k,))
     hidden = dt
     return [(f"{prefix}_dtnn_wcf", (k, dt, hidden)), (f"{prefix}_dtnn_b1", (k, hidden)),
             (f"{prefix}_dtnn_wdf", (k, ew, hidden)), (f"{prefix}_dtnn_b2", (k, hidden)),
             (f"{prefix}_dtnn_wfc", (k, hidden, dt))]
 
 
-def _mlp2_shapes(prefix: str, d_in: int, hidden: int, d_out: int) -> list[tuple[str, tuple]]:
-    return [(f"{prefix}_w1", (d_in, hidden)), (f"{prefix}_b1", (hidden,)),
-            (f"{prefix}_w2", (hidden, d_out)), (f"{prefix}_b2", (d_out,))]
+def _mlp2_shapes(prefix: str, d_in: int, hidden: int, d_out: int,
+                 towers: tuple = ()) -> list[tuple[str, tuple]]:
+    return [(f"{prefix}_w1", towers + (d_in, hidden)), (f"{prefix}_b1", towers + (hidden,)),
+            (f"{prefix}_w2", towers + (hidden, d_out)), (f"{prefix}_b2", towers + (d_out,))]
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
@@ -234,6 +233,11 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
     return shapes
 
 
+def is_bias(name: str) -> bool:
+    """Whether the named parameter is a bias, which starts at zero."""
+    return name.endswith(("_b1", "_b2", "mix_b"))
+
+
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Weights uniform in +-1/sqrt(fan_in), biases zero, deterministic order.
 
@@ -243,7 +247,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(cfg):
-        if name.endswith(("_b1", "_b2", "mix_b")):
+        if is_bias(name):
             data = np.zeros(shape)
         else:
             bound = 1.0 / np.sqrt(shape[-2] if len(shape) > 1 else shape[0])
@@ -273,10 +277,13 @@ def pad_features(features: np.ndarray, d: int) -> Tensor:
     return Tensor(out)
 
 
-def _check_edge_labels(eg: EncodedGraph, cfg: ModelConfig) -> None:
-    """Discrete edge labels must index the configured alphabet: they pick a
-    matrix of the matmul bank and a column of the one-hot edge vectors."""
-    if eg.representation == "raw_distance":
+def _check_encoding(eg: EncodedGraph, cfg: ModelConfig) -> None:
+    """The graph must have the config's encoding, which the engine then reads
+    from the config only, and its discrete labels must index the alphabet."""
+    if eg.representation != cfg.edge_repr:
+        raise ContractError(f"graph is encoded as {eg.representation!r}, "
+                            f"the model config as {cfg.edge_repr!r}")
+    if cfg.edge_repr == "raw_distance":
         return
     labels = eg.edge_features
     bad = labels[(labels < 0) | (labels >= cfg.edge_width)]
@@ -287,12 +294,9 @@ def _check_edge_labels(eg: EncodedGraph, cfg: ModelConfig) -> None:
 
 def edge_vectors(eg: EncodedGraph, cfg: ModelConfig) -> Tensor:
     """Continuous per-edge vectors: raw 5-vectors, or one-hot labels."""
-    if eg.representation == "raw_distance":
+    if cfg.edge_repr == "raw_distance":
         return Tensor(eg.edge_features)
-    labels = eg.edge_features
-    out = np.zeros((labels.shape[0], cfg.edge_width))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return Tensor(out)
+    return Tensor(np.eye(cfg.edge_width)[eg.edge_features])
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +326,7 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
                                                   (rows.shape[0], k, rows.shape[1])))
     src, dst = tt.segments(eg.edge_src, n), tt.segments(eg.edge_dst, n)
     if cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
-                                      and eg.representation != "raw_distance"):
+                                      and cfg.edge_repr != "raw_distance"):
         # each edge's label as its place among the labels present
         present, label = np.unique(eg.edge_features, return_inverse=True)
         count = present.size
@@ -343,7 +347,7 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
 
     def edge_network(far, near, prefix):
         pre = f"{prefix}_en"
-        if eg.representation != "raw_distance":
+        if cfg.edge_repr != "raw_distance":
             # each label's row-major (p x q) matrix A from its one-hot row,
             # the labels' axis moved behind the towers'
             onehot = towered(np.eye(cfg.edge_width)[present])
@@ -397,7 +401,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
                                _gru_params(params, prefix))
         return tt.add(h, tt.add(*msgs))
 
-    _check_edge_labels(eg, cfg)
+    _check_encoding(eg, cfg)
     n = eg.n_atoms
     k = cfg.towers_k
     h0 = pad_features(eg.node_features, cfg.d)

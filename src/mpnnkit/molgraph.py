@@ -373,8 +373,6 @@ def featurize_atom(a: Atom, include_partial_charge: bool = False) -> np.ndarray:
     one-hot(3) hybridization (all zero when unset), hydrogen count, and the
     partial charge appended only when requested.
     """
-    if a.element not in ELEMENTS:
-        raise UnsupportedElementError(f"unsupported element {a.element!r}")
     width = ATOM_FEATURE_WIDTH + (1 if include_partial_charge else 0)
     v = np.zeros(width)
     v[list(ELEMENTS).index(a.element)] = 1.0

@@ -33,6 +33,8 @@ __all__ = [
     "gcn_as_mpnn",
     "random_weighted_graph",
     "random_binary_graph",
+    "SPECTRAL_TOLERANCE",
+    "GCN_TOLERANCE",
     "run_spectral_checks",
 ]
 
@@ -219,17 +221,24 @@ def random_binary_graph(rng: np.random.Generator, n: int) -> np.ndarray:
 # CHECK_MAX_CHANNELS channels per layer side
 CHECK_MAX_NODES = 8
 CHECK_MAX_CHANNELS = 4
+# most absolute deviation of each message form from its dense form
+SPECTRAL_TOLERANCE = 1e-8
+GCN_TOLERANCE = 1e-10
+
+
+def _check_graph_count(n_graphs: int) -> None:
+    # every check sweep's guard: a sweep over no graphs checks nothing and must not pass
+    if n_graphs < 1:
+        raise ContractError(f"a check sweep needs at least one graph, got {n_graphs}")
 
 
 def run_spectral_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     """Compare both rewrites against their dense forms on random graphs.
 
-    Returns the maximum absolute deviations observed, for the CLI and the
-    acceptance suite to threshold.
+    Returns the maximum absolute deviations observed, each with its
+    tolerance and verdict, and ``passed`` when both are within theirs.
     """
-    if n_graphs < 1:
-        # a sweep over no graphs checks nothing and must not pass
-        raise ContractError(f"a check sweep needs at least one graph, got {n_graphs}")
+    _check_graph_count(n_graphs)
     rng = np.random.default_rng(seed)
     worst_spectral = 0.0
     worst_gcn = 0.0
@@ -251,6 +260,11 @@ def run_spectral_checks(seed: int = 0, n_graphs: int = 100) -> dict:
         H = rng.normal(size=(n, d1))
         dev = np.abs(gcn_dense(H, gcn) - gcn_as_mpnn(H, gcn)).max()
         worst_gcn = max(worst_gcn, float(dev))
-    return {"graphs": n_graphs,
-            "max_spectral_deviation": worst_spectral,
-            "max_gcn_deviation": worst_gcn}
+    result = {"graphs": n_graphs,
+              "max_spectral_deviation": worst_spectral,
+              "spectral_tolerance": SPECTRAL_TOLERANCE,
+              "spectral_passed": worst_spectral < SPECTRAL_TOLERANCE,
+              "max_gcn_deviation": worst_gcn,
+              "gcn_tolerance": GCN_TOLERANCE,
+              "gcn_passed": worst_gcn < GCN_TOLERANCE}
+    return dict(result, passed=result["spectral_passed"] and result["gcn_passed"])

@@ -64,7 +64,7 @@ assert tuple(CHEMICAL_ACCURACY) == TARGET_NAMES
 
 
 class DegenerateTargetError(ValueError):
-    """A target is constant on the training split; it cannot be normalized."""
+    """A target's std is not positive (a constant one's is 0); it cannot be normalized."""
 
 
 class SearchFailedError(RuntimeError):
@@ -79,6 +79,12 @@ class TargetStats:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        bad = np.flatnonzero(self.std <= 0)
+        if bad.size:
+            raise DegenerateTargetError(
+                f"target(s) {[self.names[i] for i in bad]} have std <= 0: cannot normalize")
+
     @classmethod
     def from_matrix(cls, y: np.ndarray, names: Sequence[str]) -> "TargetStats":
         y = np.asarray(y, dtype=np.float64)
@@ -86,11 +92,6 @@ class TargetStats:
             raise ContractError("target matrix must be (n_samples, n_targets)")
         mean = y.mean(axis=0)
         std = y.std(axis=0)  # population convention: divide by N
-        bad = np.flatnonzero(std <= 0)
-        if bad.size:
-            raise DegenerateTargetError(
-                f"constant target(s) on the training split: "
-                f"{[names[i] for i in bad]}")
         return cls(names=tuple(names), mean=mean, std=std)
 
     def normalize(self, y: np.ndarray) -> np.ndarray:
@@ -463,8 +464,7 @@ def write_report_csv(path: str, mae_per_target: dict[str, float]) -> None:
     """Per-target MAE, accuracy threshold, and their ratio, one row per target."""
     lines = ["target,mae,chemical_accuracy,error_ratio"]
     for name, mae in mae_per_target.items():
-        acc = CHEMICAL_ACCURACY[name]
-        lines.append(f"{name},{mae!r},{acc!r},{mae / acc!r}")
+        lines.append(f"{name},{mae!r},{CHEMICAL_ACCURACY[name]!r},{error_ratio(mae, name)!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -499,7 +499,7 @@ class TrialResult:
     index: int
     sampled: dict
     failed: bool
-    best_valid_mae: float = math.inf
+    best_valid_mae: float | None = None   # None: the trial failed
     test_mae_per_target: dict[str, float] = field(default_factory=dict)
     error: str = ""
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mpnnkit import tensor as T
+from mpnnkit.engine import is_bias
 
 FD_STEP = 1e-3
 FD_REL_TOL = 1e-4
@@ -92,7 +93,7 @@ def jitter_biases(params, rng, scale=0.3):
     upstream is zero). Tests that do FD checks call this first.
     """
     for name, p in params.items():
-        if name.endswith(("_b1", "_b2")) or name == "mix_b":
+        if is_bias(name):
             p.data[...] = rng.uniform(-scale, scale, size=p.data.shape)
 
 

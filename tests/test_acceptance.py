@@ -30,7 +30,7 @@ from mpnnkit.molgraph import (
     edge_alphabet_size,
     encode,
 )
-from mpnnkit.spectral import run_spectral_checks
+from mpnnkit.spectral import GCN_TOLERANCE, SPECTRAL_TOLERANCE, run_spectral_checks
 from mpnnkit.synthetic import generate_synthetic
 from mpnnkit.training import (
     SearchSpace,
@@ -80,9 +80,9 @@ def test_criterion_3_graph_convolution_equivalence():
     elapsed = time.monotonic() - start
     spec, gcn = result["max_spectral_deviation"], result["max_gcn_deviation"]
     check(3, "spectral and convolutional layers as message passing",
-          spec < 1e-8 and gcn < 1e-10 and elapsed < 30.0,
-          f"spectral dev {spec:.3e} < 1e-08, normalized-adjacency dev "
-          f"{gcn:.3e} < 1e-10 on {result['graphs']} graphs, "
+          spec < SPECTRAL_TOLERANCE and gcn < GCN_TOLERANCE and elapsed < 30.0,
+          f"spectral dev {spec:.3e} < {SPECTRAL_TOLERANCE:.0e}, normalized-adjacency dev "
+          f"{gcn:.3e} < {GCN_TOLERANCE:.0e} on {result['graphs']} graphs, "
           f"{elapsed:.1f}s < 30s")
 
 

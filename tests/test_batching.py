@@ -256,6 +256,7 @@ def test_multiply_count_is_the_sum_over_graphs(rng, message_fn, readout, overrid
     ("matmul", "ggnn", dict(d_master=4)),
     ("dtnn", "dtnn_sum", dict(towers_k=2)),
     ("matmul", "ggnn", dict(towers_k=2)),
+    ("edge_network", "ggnn", dict(towers_k=2)),
 ])
 def test_fd_gradients_over_a_three_graph_batch(rng, message_fn, readout, overrides):
     cfg = make_cfg(message_fn, readout, d=4, n_targets=2, **overrides)

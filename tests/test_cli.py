@@ -377,6 +377,26 @@ class TestEvaluateCommand:
                      "--checkpoint", str(ckpt), "--meta", str(meta_path),
                      "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("std", [0, -1])
+    def test_stats_without_a_positive_std_refused(self, dataset, tmp_path, capsys, std):
+        # such stats cannot normalize: they would report an MAE of nan or
+        # of the wrong sign
+        cfg = ModelConfig(message_fn="matmul", readout="ggnn", T=1, d=16,
+                          n_targets=1, edge_repr="chemical")
+        ckpt = tmp_path / "p.json"
+        save_params(init_params(cfg, seed=0), str(ckpt))
+        meta_path = tmp_path / "meta.json"
+        write_meta(meta_path, dataset, cfg, TrainConfig(total_steps=10, targets=0),
+                   stats={"names": ["mu"], "mean": [0.0], "std": [std]})
+        out = tmp_path / "report.csv"
+        assert main(["evaluate", "--data", dataset["data"],
+                     "--manifest", dataset["manifest"],
+                     "--checkpoint", str(ckpt), "--meta", str(meta_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta_path}: ") and "'mu'" in err
+        assert not out.exists()
+
     def test_other_dataset_or_manifest_rejected(self, dataset, tmp_path, capsys):
         run = tmp_path / "run"
         assert main(["train", "--data", dataset["data"],
@@ -731,6 +751,18 @@ class TestDiagnostics:
         assert main(["verify", "batching", "--graphs", "2"]) == 1
         captured = capsys.readouterr().out
         assert "at least 1 unions each" in captured and "FAIL" in captured
+
+    def test_verify_spectral_fails_when_the_suite_says_so(self, capsys, monkeypatch):
+        # the verdict is the suite's: push the convolution's message form
+        # past its tolerance and only that line fails
+        from mpnnkit import spectral
+        exact = spectral.gcn_as_mpnn
+        monkeypatch.setattr(spectral, "gcn_as_mpnn",
+                            lambda H, layer: exact(H, layer) + 1e-6)
+        assert main(["verify", "spectral", "--graphs", "5"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in out] == ["PASS", "FAIL"]
+        assert out[1].startswith("graph convolution equivalence")
 
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "mpnnkit.cli",

@@ -16,7 +16,7 @@ from mpnnkit.engine import (
     param_shapes,
     propagate,
 )
-from mpnnkit.model import predict_batch
+from mpnnkit.model import model_forward, predict_batch
 from mpnnkit.molgraph import EncodedGraph
 from mpnnkit.tensor import ContractError, Tensor
 
@@ -560,6 +560,30 @@ def test_check_sweeps_need_a_graph(suite, n_graphs):
     # a sweep over no graphs checks nothing and must not pass
     with pytest.raises(ContractError, match="at least one graph"):
         getattr(checks, suite)(seed=0, n_graphs=n_graphs)
+
+
+# (message, the config's encoding, virtual edges, the graph's encoding);
+# each of these ran on its config's weights before the encoding was checked
+MISMATCHED_ENCODINGS = [
+    ("edge_network", "raw_distance", False, "chemical"),
+    ("edge_network", "chemical", True, "raw_distance"),
+    ("matmul", "distance_bins", False, "chemical"),
+]
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("message_fn,edge_repr,virtual_edges,encoded_as",
+                         MISMATCHED_ENCODINGS)
+def test_graph_must_have_the_configs_encoding(rng, batched, message_fn, edge_repr,
+                                              virtual_edges, encoded_as):
+    cfg = cfg_for(message_fn, edge_repr=edge_repr, virtual_edges=virtual_edges)
+    params = init_params(cfg, seed=0)
+    eg = random_encoded(rng, n=4, representation=encoded_as, edge_prob=1.0)
+    with pytest.raises(ContractError, match=f"encoded as '{encoded_as}'"):
+        if batched:
+            predict_batch([eg, eg], params, cfg)
+        else:
+            model_forward(eg, params, cfg)
 
 
 class TestParams:

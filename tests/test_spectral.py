@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mpnnkit.spectral import (
+    GCN_TOLERANCE,
+    SPECTRAL_TOLERANCE,
     GcnLayer,
     SpectralLayer,
     gcn_as_mpnn,
@@ -102,7 +104,7 @@ class TestSpectralLayer:
                                   F=rng.normal(size=(d1, d2, n)), sigma="relu")
             x = rng.normal(size=(n, d1))
             np.testing.assert_allclose(spectral_layer_dense(x, layer),
-                                       spectral_as_mpnn(x, layer), atol=1e-8)
+                                       spectral_as_mpnn(x, layer), atol=SPECTRAL_TOLERANCE)
 
 
 class TestGcn:
@@ -135,7 +137,7 @@ class TestGcn:
                              W=rng.normal(size=(d, d2)), sigma="relu")
             H = rng.normal(size=(n, d))
             np.testing.assert_allclose(gcn_dense(H, layer),
-                                       gcn_as_mpnn(H, layer), atol=1e-10)
+                                       gcn_as_mpnn(H, layer), atol=GCN_TOLERANCE)
 
 
 class TestCheckSuite:
@@ -143,6 +145,18 @@ class TestCheckSuite:
         r1 = run_spectral_checks(seed=7, n_graphs=30)
         r2 = run_spectral_checks(seed=7, n_graphs=30)
         assert r1 == r2
-        assert r1["max_spectral_deviation"] < 1e-8
-        assert r1["max_gcn_deviation"] < 1e-10
+        assert r1["max_spectral_deviation"] < SPECTRAL_TOLERANCE
+        assert r1["max_gcn_deviation"] < GCN_TOLERANCE
         assert r1["graphs"] == 30
+        assert r1["spectral_passed"] and r1["gcn_passed"] and r1["passed"]
+
+    def test_a_deviation_past_its_tolerance_fails_the_suite(self, monkeypatch):
+        # the suite gives each layer's verdict, and its own from both
+        import mpnnkit.spectral as spectral
+        exact = spectral.gcn_as_mpnn
+        monkeypatch.setattr(spectral, "gcn_as_mpnn",
+                            lambda H, layer: exact(H, layer) + 2 * GCN_TOLERANCE)
+        result = run_spectral_checks(seed=7, n_graphs=3)
+        assert result["spectral_passed"]
+        assert not result["gcn_passed"] and not result["passed"]
+        assert result["gcn_tolerance"] == GCN_TOLERANCE

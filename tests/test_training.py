@@ -105,6 +105,13 @@ class TestTargetStats:
         with pytest.raises(DegenerateTargetError):
             TargetStats.from_matrix(y, ["mu", "alpha"])
 
+    @pytest.mark.parametrize("std", [0, -1])
+    def test_stored_std_must_be_positive(self, std):
+        # the rule from_matrix applies holds for stats read back, too
+        with pytest.raises(DegenerateTargetError, match="'alpha'"):
+            TargetStats.from_dict({"names": ["mu", "alpha"], "mean": [0.0, 0.0],
+                                   "std": [1.0, std]})
+
     def test_shape_validation(self):
         with pytest.raises(ContractError):
             TargetStats.from_matrix(np.zeros(5), ["mu"])
@@ -637,6 +644,22 @@ class TestRandomSearch:
         assert [t.sampled for t in a.trials] == [t.sampled for t in b.trials]
         assert a.best_index == b.best_index
         assert a.best.best_valid_mae == b.best.best_valid_mae
+
+    def test_failed_trial_has_no_validation_mae(self, monkeypatch):
+        # one value for "no MAE": search.json writes it as null
+        from mpnnkit import training
+        real, calls = training.train_run, []
+
+        def first_diverges(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise NumericError("diverged")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_run", first_diverges)
+        result = self.small_search(budget=2)
+        assert result.trials[0].failed and result.trials[0].best_valid_mae is None
+        assert result.best_index == 1
 
     def test_failed_trials_recorded(self):
         # a NaN target poisons the loss tensor and the trial must be
