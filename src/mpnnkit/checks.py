@@ -22,6 +22,7 @@ from .tensor import ContractError, MultiplyCounter, Tensor
 
 __all__ = [
     "GRADIENT_TOLERANCE",
+    "GRADIENT_ABS_FLOOR",
     "INVARIANCE_TOLERANCE",
     "BATCH_TOLERANCE",
     "random_graph",
@@ -90,13 +91,17 @@ def _jitter_biases(params: dict[str, Tensor], rng: np.random.Generator) -> None:
             p.data[...] = rng.normal(scale=0.3, size=p.data.shape)
 
 
-def _fd_max_rel_err(build_loss, params: dict[str, Tensor]) -> float:
+def _fd_max_rel_err(build_loss, params: dict[str, Tensor]) -> tuple[float, int]:
+    """The worst relative error of the analytic gradient against central
+    differences, over the entries whose two values differ by more than
+    ``GRADIENT_ABS_FLOOR``, and how many entries that is: with none, the
+    error reads 0 and says nothing of the margin."""
     loss = build_loss()
     tt.backward(loss)
     analytic = {k: p.grad.copy() for k, p in params.items()}
     for p in params.values():
         p.zero_grad()
-    worst = 0.0
+    worst, compared = 0.0, 0
     with tt.no_grad():
         for k, p in params.items():
             flat = p.data.reshape(-1)
@@ -111,8 +116,9 @@ def _fd_max_rel_err(build_loss, params: dict[str, Tensor]) -> float:
                 numeric = (up - down) / (2.0 * FD_STEP)
                 err = abs(grads[idx] - numeric)
                 if err > GRADIENT_ABS_FLOOR:
+                    compared += 1
                     worst = max(worst, err / max(abs(grads[idx]), abs(numeric)))
-    return worst
+    return worst, compared
 
 
 # one config per message function plus one per readout, and the edge
@@ -135,7 +141,8 @@ GRADIENT_CONFIGS = (
 def run_gradient_checks(seed: int = 0) -> dict:
     """End-to-end FD check of every parameter for each config, on a random
     graph of ``GRADIENT_NODES`` nodes; returns the per-config and overall
-    worst relative errors."""
+    worst relative errors, and per config how many entries were compared
+    above the floor (``above_floor``)."""
     results = []
     for label, overrides in GRADIENT_CONFIGS:
         cfg = ModelConfig(T=2, d=4, n_targets=2, set2set_M=2, **overrides)
@@ -151,9 +158,9 @@ def run_gradient_checks(seed: int = 0) -> dict:
                           tt.reduce_sum(tt.mul(out, out)))
 
         n_entries = sum(p.data.size for p in params.values())
-        err = _fd_max_rel_err(build_loss, params)
+        err, compared = _fd_max_rel_err(build_loss, params)
         results.append({"label": label, "max_rel_err": err,
-                        "params_checked": n_entries})
+                        "params_checked": n_entries, "above_floor": compared})
     overall = max(r["max_rel_err"] for r in results)
     return {"checks": results, "max_rel_err": overall,
             "tolerance": GRADIENT_TOLERANCE,

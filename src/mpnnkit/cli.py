@@ -143,11 +143,12 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--steps", type=int, default=10000,
                        help="total optimization steps")
     group.add_argument("--batch-size", type=int, default=20)
-    group.add_argument("--lr", type=float, default=1e-4,
+    group.add_argument("--lr", type=float, default=TrainConfig.init_lr,
                        help="initial learning rate")
-    group.add_argument("--decay-start", type=float, default=0.5,
+    group.add_argument("--decay-start", type=float,
+                       default=TrainConfig.decay_start_fraction,
                        help="fraction of steps before the linear decay")
-    group.add_argument("--decay-factor", type=float, default=0.1,
+    group.add_argument("--decay-factor", type=float, default=TrainConfig.decay_factor,
                        help="final lr as a fraction of the initial lr")
     group.add_argument("--targets", type=_parse_targets, default="all",
                        help="'all' or one target index to train")
@@ -400,7 +401,8 @@ def cmd_verify(args) -> int:
         for check in result["checks"]:
             print(f"  gradient {check['label']}: rel err "
                   f"{check['max_rel_err']:.3e} "
-                  f"({check['params_checked']} parameters)")
+                  f"({check['params_checked']} parameters, {check['above_floor']} "
+                  f"above the {checks.GRADIENT_ABS_FLOOR:.0e} floor)")
         report("gradients", result["max_rel_err"], result["tolerance"],
                result["passed"])
     if args.suite in ("all", "invariance"):

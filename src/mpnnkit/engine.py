@@ -28,11 +28,12 @@ k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
 the labels present, the tower-tiled edge vectors, DTNN's edge term and the
-edge network's label matrices or hidden rows never change across the
-steps, and neither do the index plans (``tt.segments``) of the edges'
-sources and destinations and, for labelled messages, of each channel's
-(far node, label) pairs, which gather every step's far-end states or node
-products, sum its messages and sum both back in backward.
+edge network's label matrices, or its hidden rows laid out in each far
+node's zero-padded block (``tt.segment_blocks``, one per channel), never
+change across the steps, and neither do the index plans (``tt.segments``)
+of the edges' sources and destinations and, for labelled messages, of each
+channel's (far node, label) pairs, which gather every step's far-end
+states or node products, sum its messages and sum both back in backward.
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Both go through ``tt.edge_message``, which
@@ -44,7 +45,8 @@ stacks its own; each edge's message is then its far node's product with
 its label's matrix. Over raw vectors (complete graphs, one vector per
 directed edge) A(e) is a two-layer network whose last layer is linear, so
 the states are multiplied by the last layer's matrices, and each edge's
-hidden row is contracted with its far node's products.
+hidden row, read from its far node's block, is contracted with that
+node's products.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -317,8 +319,10 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     matrix per label present, (k, labels, d_tower^2), and each channel
     keeps one plan of its edges' (far node, label) pairs, through which
     ``tt.edge_message`` reads every message from the node products and
-    sums the gradients back. Over raw vectors the edge network keeps each
-    edge's hidden row for ``tt.edge_message``.
+    sums the gradients back. Over raw vectors the edge network lays each
+    channel's hidden rows out in its far nodes' blocks once, and every
+    step's ``tt.edge_message`` reads those blocks; backward sums the steps'
+    block gradients and gathers the rows' out of them once.
     """
     n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
@@ -353,10 +357,11 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
             onehot = towered(np.eye(cfg.edge_width)[present])
             return label_message(tt.transpose(mlp2(onehot, params, pre), (1, 0, 2)),
                                  far, near)
-        # raw vectors: each edge's hidden row, contracted with the states'
-        # products with the last layer
-        hidden = tt.relu(tt.matmul(evec, params[f"{pre}_w1"], params[f"{pre}_b1"]))
-        return lambda h: tt.edge_message(h, hidden, params[f"{pre}_w2"],
+        # raw vectors: each edge's hidden row, laid out in its far node's
+        # block and contracted with the states' products with the last layer
+        blocks = tt.segment_blocks(tt.relu(tt.matmul(
+            evec, params[f"{pre}_w1"], params[f"{pre}_b1"])), far)
+        return lambda h: tt.edge_message(h, blocks, params[f"{pre}_w2"],
                                          params[f"{pre}_b2"], far, near)
 
     def pair_message(far, near, prefix):

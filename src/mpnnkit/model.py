@@ -74,7 +74,7 @@ def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
 
     The edge network over raw vectors keeps each node's products with its
     r + 1 unit matrices, n x k x (r + 1) x p, and each node's edges in a
-    block padded to the largest degree, n x k x D x r; r = p = d_tower.
+    block padded to the largest degree, n x D x k x r; r = p = d_tower.
     Every other message gathers a row per edge, E x k x d_tower: the
     far-end state, or over labels the far node's product with the edge's
     label matrix. Over labels the node products, n x k x L x d_tower for
@@ -104,8 +104,7 @@ def union_groups(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> list[list[int
     n = m = top = 0
     for i in sorted(range(len(egs)), key=lambda i: egs[i].n_atoms):
         eg = egs[i]
-        degree = (max(np.bincount(eg.edge_src).max(), np.bincount(eg.edge_dst).max())
-                  if eg.n_edges and _sized_by_nodes(cfg) else 0)
+        degree = eg.max_degree if _sized_by_nodes(cfg) else 0
         n, m, top = n + eg.n_atoms, m + eg.n_edges, max(top, degree)
         if not groups or union_bytes(cfg, n, m, top) > UNION_BYTES:
             groups.append([])

@@ -25,6 +25,7 @@ propagation engine, with the width ``ModelConfig.d_master``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -333,6 +334,14 @@ class EncodedGraph:
     @property
     def n_edges(self) -> int:
         return self.edge_src.shape[0]
+
+    @cached_property
+    def max_degree(self) -> int:
+        """The most edges any node has in or out, 0 with no edges; counted
+        on first use and kept."""
+        if not self.n_edges:
+            return 0
+        return int(max(np.bincount(self.edge_src).max(), np.bincount(self.edge_dst).max()))
 
 
 def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:

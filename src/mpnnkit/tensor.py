@@ -5,11 +5,12 @@ implemented: one weight product, ``matmul``, of rows by a matrix or by a
 per-tower stack of matrices (with an optional bias added in the same op),
 per-row matrix-vector products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
-concatenation/slicing/axis permutation, row gather/scatter, one matrix
-message summed at each node, ``edge_message`` (each node's state times
-the unit matrices once, each edge's message then read at its label or
-contracted with its hidden row, so that no matrix is built per edge), and
-a GRU cell over row-stacked states. The message and the GRU cell are each
+concatenation/slicing/axis permutation, row gather/scatter, rows laid
+out in zero-padded blocks per segment, one matrix message summed at each
+node, ``edge_message`` (each node's state times the unit matrices once,
+each edge's message then read at its label or contracted with its hidden
+row, so that no matrix is built per edge), and a GRU cell over
+row-stacked states. The message and the GRU cell are each
 one taped op whose rule replays, with the same bits, the tape the op
 composed from simpler ops would record. Elementwise operands must match
 in shape, so every backward rule stays auditable at a glance.
@@ -24,17 +25,20 @@ and never rebinds it, so the sums land in Adam's buffer.
 
 Row indexes arrive as :class:`Segments` plans (``segments``), built once
 per index and reused by every op over it: ``gather_rows``,
-``scatter_sum_rows``, ``segment_softmax`` and ``edge_message``. A plan
-orders the segments by decreasing row count and lists the rows
-slot-major, slot j holding the j-th row of every segment that has one, so
-a sum over segments is one take of the rows, one add per slot onto the
-prefix of segments that slot covers, and one take back (``_segment_sum``;
-rows of one value each summed from zeros go through ``np.bincount``),
-touching each row once, in the order and with the bits ``np.add.at``
-would give. ``gather_rows``' rule hands back ``(plan, rows)``, which
-``backward`` sums the same way. A row's slot is also its place in a
-zero-padded block of its segment's rows, where ``edge_message`` puts each
-node's edges.
+``scatter_sum_rows``, ``segment_softmax``, ``segment_blocks`` and
+``edge_message``. A plan orders the segments by decreasing row count and
+lists the rows slot-major, slot j holding the j-th row of every segment
+that has one, so a sum over segments is one take of the rows, one add per
+slot onto the prefix of segments that slot covers, and one take back
+(``_segment_sum``; rows of one value each summed from zeros go through
+``np.bincount``), touching each row once, in the order and with the bits
+``np.add.at`` would give. ``gather_rows``' rule hands back ``(plan,
+rows)``, which ``backward`` sums the same way. A row's slot is also its
+place in a zero-padded block of its segment's rows (``segment_blocks``).
+The edge network lays each node's edges' hidden rows out in such blocks
+once per forward, and every step's ``edge_message`` reads them;
+``backward`` sums the steps' gradients of the blocks before one gather
+takes the rows' out.
 
 Every op checks its forward result for NaN/Inf, so divergence surfaces as
 a :class:`NumericError` at the op that produced it. The fused ops check
@@ -80,6 +84,7 @@ __all__ = [
     "reshape",
     "gather_rows",
     "scatter_sum_rows",
+    "segment_blocks",
     "edge_message",
     "transpose",
     "slice_cols",
@@ -672,6 +677,27 @@ def scatter_sum_rows(x: Tensor, seg: Segments) -> Tensor:
     return _result(_segment_sum(seg, x.data), (x,), rule)
 
 
+def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
+    """Each segment's rows of ``x`` (any rank) as one zero-padded block:
+    row i goes to slot ``seg.slot[i]`` of block ``seg.index[i]``, so the
+    result is (seg.num_segments, D) plus the row shape, D the largest count
+    (``len(seg.widths)``). Backward is one take of each row's slot out of
+    the blocks' gradient, however many ops read the blocks."""
+    if x.data.ndim < 1 or seg.index.shape != (x.data.shape[0],):
+        raise DimensionError(f"segment_blocks plan has {seg.index.shape[0]} rows "
+                             f"for {x.data.shape}")
+    depth, row = len(seg.widths), x.data.shape[1:]
+    # each row's cell in the blocks flattened to their (num_segments * D) rows
+    cells = seg.index * depth + seg.slot
+    out = np.zeros((seg.num_segments * depth,) + row)
+    out[cells] = x.data
+
+    def rule(g: np.ndarray):
+        return (np.take(g.reshape(out.shape), cells, axis=0),)
+
+    return _result(out.reshape((seg.num_segments, depth) + row), (x,), rule)
+
+
 def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, far: Segments,
                  near: Segments) -> Tensor:
     """A matrix message summed at each node, all towers at once, as one
@@ -684,80 +710,87 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, far: Segments,
     (near.num_segments, k, p). What ``edges`` is picks how each edge gets
     its A:
 
-    - hidden rows, an (E, k, u) Tensor: ``A = hidden[i, t] @ w2[t] +
-      b2[t]``, with ``b2`` (k, p*q), the edge network's last layer over raw
-      vectors;
+    - hidden blocks, an (n, D, k, u) Tensor: each edge's hidden row laid
+      out in its far node's block by ``segment_blocks(hidden, far)``, D the
+      largest count of ``far``, and ``A = hidden[i, t] @ w2[t] + b2[t]``,
+      with ``b2`` (k, p*q), the edge network's last layer over raw vectors;
     - labels, a :class:`Segments` plan of each edge's (far node, label)
       pair, ``far.index * u + label`` over n * u segments: A is the label's
       unit matrix itself, and ``b2`` is None. Only the pairs plan and
-      ``near`` are read; ``far`` is checked as for hidden rows.
+      ``near`` are read; ``far`` is checked as for hidden blocks.
 
     A's last layer is linear, so the forward takes the states first: every
     node's products with the u unit matrices, ``U``. With labels they are
     one product per tower and label, written in place as one (k, p) row
     per (node, label) pair, and a message is its pair's row, so the op
-    makes n * u products, not one per edge. With hidden rows U is (n, k,
+    makes n * u products, not one per edge. With hidden blocks U is (n, k,
     u, p), one product per tower (``_product``), and each node's products
-    with ``b2``'s matrices, ``C`` (n, k, p), are made too. Each node's
-    edges (``far``) are the rows of a zero-padded (D, u) block, D the
-    largest count, placed by ``far.slot``; one batched matmul contracts
-    every node's block with its U, and C is added to each row. So it makes
-    n products with u + 1 matrices, not E matrices, and its largest arrays
-    are U and the (n, k, D, u) blocks. Either way the messages are read
-    straight into ``near``'s slot order and added onto the nodes
-    (``_slot_sum``), each node adding its messages one at a time in edge
-    order, as a scatter does. With no labelled edge the result is zeros,
-    and nothing is taped.
+    with ``b2``'s matrices, ``C`` (n, k, p), are made too. One batched
+    matmul contracts every node's (D, u) block with its U, through the
+    blocks' tower-major view, into messages laid out as the blocks are,
+    and C is added to each row. So it makes n products with u + 1
+    matrices, not E matrices, and its largest arrays are U and the (n, D,
+    k, p) messages. Either way the messages are read straight into
+    ``near``'s slot order, with blocks by one flat take of their cells,
+    and added onto the nodes (``_slot_sum``), each node adding its
+    messages one at a time in edge order, as a scatter does. With no
+    labelled edge the result is zeros, and nothing is taped.
 
     The rule runs the same products transposed. With labels, the message
     gradients ``g[near.index]`` are summed through the pairs plan into U's.
-    With hidden rows, the rule keeps U but not the (n, k, D, u) hidden
-    blocks, which it lays out again from the hidden rows, so a taped step
-    holds one array of its own instead of two. The message gradients go
-    into padded blocks; their products with U and with the hidden blocks
-    give the hidden rows' and U's gradients, and their sums over each block
-    C's. U's and C's gradients times the states give ``w2``'s and ``b2``'s,
-    dense and of their own shapes, which a leaf adds into its ``grad`` in
-    place; times the matrices they give h's. The parents are ``(w2, b2,
-    hidden, h)``, or ``(w2, h)`` with labels, in the order the tape of the
-    node products, the contraction or gather, and a scatter would deliver
-    them. The multiply count is the edges' contractions and the node
+    With hidden blocks, a taped step holds U, its one array of its own;
+    the blocks are the caller's, laid out once for every step. One take
+    fills each cell with its edge's message gradient, a pad cell with
+    zeros. Their products with U and with the blocks give the blocks' and
+    U's gradients, and their sums over each block C's. U's and C's
+    gradients times the states give ``w2``'s and ``b2``'s, dense and of
+    their own shapes, which a leaf adds into its ``grad`` in place; times
+    the matrices they give h's. The blocks' gradient keeps their layout,
+    so ``backward`` sums the steps' block gradients elementwise and
+    ``segment_blocks``' rule gathers the rows out once. The parents are
+    ``(w2, b2, blocks, h)``, or ``(w2, h)`` with labels, in the order the
+    tape of the node products, the contraction or gather, and a scatter
+    would deliver them. The multiply count is the edges' contractions and
+    the node
     products, not the padding's; with labels, only the products at the
     (node, label) pairs some edge reads (``edges.widths[0]`` of them), so
     that a union counts what its graphs would count alone, whatever labels
     the others bring.
 
     Only the result is checked for NaN/Inf. That is enough: h and the
-    hidden rows were checked where they were made; every entry of a unit
+    hidden blocks were checked where they were made; every entry of a unit
     matrix reaches each node's U (zero times inf is NaN); every entry of a
     sending node's U and C is multiplied or added into each of its messages
-    with hidden rows, and with labels every unit is some edge's label (the
+    with hidden blocks (a pad cell's product may be NaN, but no message
+    reads it), and with labels every unit is some edge's label (the
     callers stack only the labels present), whose message copies it; every
     message is added into exactly one result row, and IEEE addition never
     turns inf or NaN back into a finite number. The U and C that no message
     reads reach neither the value nor a gradient.
     """
     labelled = isinstance(edges, Segments)
-    if h.data.ndim != 3 or w2.data.ndim != 3 or not (labelled or edges.data.ndim == 3):
+    if h.data.ndim != 3 or w2.data.ndim != 3 or not (labelled or edges.data.ndim == 4):
         raise DimensionError("edge_message needs (n, k, q) states, (k, u, p*q) matrices "
-                             "and (E, k, u) hidden rows or a plan of labels")
+                             "and (n, D, k, u) hidden blocks or a plan of labels")
     n, k, q = h.data.shape
     _, units, width = w2.data.shape
-    m = edges.index.shape[0] if labelled else edges.data.shape[0]
+    m = edges.index.shape[0] if labelled else far.index.shape[0]
     if w2.data.shape[0] != k or width % q:
         raise DimensionError(f"edge_message needs ({k}, u, p*{q}) matrices for states "
                              f"{h.data.shape}: {w2.data.shape}")
+    if far.num_segments != n:
+        raise DimensionError(f"edge_message far plan has {far.num_segments} "
+                             f"segments for {n} states")
     if labelled:
         if b2 is not None or edges.num_segments != n * units:
             raise DimensionError(f"edge_message needs labels over {n} x {units} (node, "
                                  f"label) pairs and no bias: {edges.num_segments} pairs")
-    elif edges.data.shape[1:] != (k, units) or b2 is None or b2.data.shape != (k, width):
-        raise DimensionError(f"edge_message needs ({k}, {units}) hidden rows and a "
-                             f"({k}, {width}) bias for matrices {w2.data.shape}: "
-                             f"{edges.data.shape}, {None if b2 is None else b2.data.shape}")
-    if far.num_segments != n:
-        raise DimensionError(f"edge_message far plan has {far.num_segments} "
-                             f"segments for {n} states")
+    elif (edges.data.shape != (n, len(far.widths), k, units) or b2 is None
+          or b2.data.shape != (k, width)):
+        raise DimensionError(f"edge_message needs ({n}, {len(far.widths)}, {k}, {units}) "
+                             f"hidden blocks and a ({k}, {width}) bias for matrices "
+                             f"{w2.data.shape}: {edges.data.shape}, "
+                             f"{None if b2 is None else b2.data.shape}")
     if not far.index.shape == near.index.shape == (m,):
         raise DimensionError("edge_message plans and edges disagree on the edges")
     p = width // q
@@ -791,33 +824,39 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, far: Segments,
 
         return _result(total, (w2, h), rule, edges.widths[0] * k * q * p)
 
-    hidden, r = edges, units
+    blocks, r, depth = edges, units, len(far.widths)
     b = b2.data.reshape(k, p, q)
     u = _product(h.data, w.transpose(0, 2, 1)).reshape(n, k, r, p)
-
-    def padded(rows, cols):
-        # each node's edges as one zero-padded (D, cols) block per tower
-        out = np.zeros((n, k, len(far.widths), cols))
-        out[far.index, :, far.slot] = rows
-        return out
-
-    y = padded(hidden.data, r) @ u
-    y += _product(h.data, b.transpose(0, 2, 1))[:, :, None]
-    total = _slot_sum(near, y[far.index[near.row_order], :, far.slot[near.row_order]])
+    # each edge's cell in the blocks, flattened to (n * D) rows of (k, .)
+    cells = far.index * depth + far.slot
+    # the messages in the blocks' layout, (n, D, k, p), written through
+    # their tower-major view
+    y = np.empty((n, depth, k, p))
+    np.matmul(blocks.data.transpose(0, 2, 1, 3), u, out=y.transpose(0, 2, 1, 3))
+    y += _product(h.data, b.transpose(0, 2, 1))[:, None]
+    total = _slot_sum(near, np.take(y.reshape(n * depth, k, p), cells[near.row_order], axis=0))
 
     def rule(g: np.ndarray):
-        g_y = padded(g[near.index], p)
-        g_c = g_y.sum(axis=2)
+        # each cell's message gradient, a pad cell's from an appended zero row
+        source = np.full(n * depth, near.num_segments)
+        source[cells] = near.index
+        g_y = np.take(np.concatenate([g, np.zeros((1, k, p))]), source, axis=0
+                      ).reshape(n, depth, k, p)
+        g_c = g_y.sum(axis=1)
+        g_y = g_y.transpose(0, 2, 1, 3)
         g_w2, g_h = node_grads(
-            (padded(hidden.data, r).swapaxes(-1, -2) @ g_y).reshape(n, k, r * p))
+            (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, k, r * p))
+        g_blocks = None
+        if blocks.requires_grad:
+            g_blocks = np.empty((n, depth, k, r))
+            np.matmul(g_y, u.swapaxes(-1, -2), out=g_blocks.transpose(0, 2, 1, 3))
         return (g_w2,
                 (g_c.transpose(1, 2, 0) @ h.data.transpose(1, 0, 2)).reshape(b2.data.shape)
                 if b2.requires_grad else None,
-                (g_y @ u.swapaxes(-1, -2))[far.index, :, far.slot]
-                if hidden.requires_grad else None,
+                g_blocks,
                 g_h + _product(g_c, b) if h.requires_grad else None)
 
-    return _result(total, (w2, b2, hidden, h), rule,
+    return _result(total, (w2, b2, blocks, h), rule,
                    n * k * q * (r + 1) * p + m * k * r * p)
 
 

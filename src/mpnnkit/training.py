@@ -30,6 +30,9 @@ from .tensor import ContractError, NumericError, Tensor, _atomic_write
 
 __all__ = [
     "CHEMICAL_ACCURACY",
+    "LR_RANGE",
+    "DECAY_START_RANGE",
+    "DECAY_FACTOR_RANGE",
     "DegenerateTargetError",
     "SearchFailedError",
     "TargetStats",
@@ -121,6 +124,13 @@ class TargetStats:
                    std=np.array(obj["std"], dtype=np.float64))
 
 
+# The values TrainConfig accepts, each a closed range, and so the ranges
+# SearchSpace samples by default.
+LR_RANGE = (1e-5, 5e-4)
+DECAY_START_RANGE = (0.1, 0.9)
+DECAY_FACTOR_RANGE = (0.01, 1.0)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     total_steps: int
@@ -138,12 +148,11 @@ class TrainConfig:
             raise ContractError("total_steps must be positive")
         if self.batch_size < 1:
             raise ContractError("batch_size must be positive")
-        if not 1e-5 <= self.init_lr <= 5e-4:
-            raise ContractError("init_lr must lie in [1e-5, 5e-4]")
-        if not 0.1 <= self.decay_start_fraction <= 0.9:
-            raise ContractError("decay_start_fraction must lie in [0.1, 0.9]")
-        if not 0.01 <= self.decay_factor <= 1.0:
-            raise ContractError("decay_factor must lie in [0.01, 1]")
+        for name, (low, high) in (("init_lr", LR_RANGE),
+                                  ("decay_start_fraction", DECAY_START_RANGE),
+                                  ("decay_factor", DECAY_FACTOR_RANGE)):
+            if not low <= getattr(self, name) <= high:
+                raise ContractError(f"{name} must lie in [{low:g}, {high:g}]")
         if self.eval_every < 1:
             raise ContractError("eval_every must be positive")
         if self.targets != "all":
@@ -477,9 +486,9 @@ def write_report_csv(path: str, mae_per_target: dict[str, float]) -> None:
 class SearchSpace:
     t_range: tuple[int, int] = (3, 8)
     m_range: tuple[int, int] = (1, 12)
-    lr_range: tuple[float, float] = (1e-5, 5e-4)
-    decay_start_range: tuple[float, float] = (0.1, 0.9)
-    decay_factor_range: tuple[float, float] = (0.01, 1.0)
+    lr_range: tuple[float, float] = LR_RANGE
+    decay_start_range: tuple[float, float] = DECAY_START_RANGE
+    decay_factor_range: tuple[float, float] = DECAY_FACTOR_RANGE
     message_fns: tuple[str, ...] = ("edge_network",)
 
     def sample(self, rng: np.random.Generator) -> dict:

@@ -231,6 +231,27 @@ def test_packing_depends_only_on_the_batch(rng):
     assert first.tobytes() == again.tobytes()
 
 
+def test_each_graphs_degree_is_counted_once(rng, monkeypatch):
+    # the edge network over raw vectors packs by each graph's largest
+    # degree, which a graph counts on first use and keeps: packing the same
+    # graphs again counts nothing
+    cfg = make_cfg("edge_network", "ggnn", d=32, T=1)
+    egs = [random_encoded(rng, n=int(n), d_in=4, edge_prob=0.7,
+                          representation=cfg.edge_repr)
+           for n in rng.integers(4, 30, size=30)]
+    egs.append(random_encoded(rng, n=3, d_in=4, edge_prob=0.0, representation=cfg.edge_repr))
+    groups = union_groups(egs, cfg)
+    assert len(groups) > 1
+    for eg in egs:
+        counts = [np.bincount(ends, minlength=eg.n_atoms) for ends in (eg.edge_src, eg.edge_dst)]
+        assert eg.max_degree == max(c.max() for c in counts)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(a) or bincount(*a, **kw))
+    assert union_groups(egs, cfg) == groups
+    assert not calls
+
+
 @pytest.mark.parametrize("message_fn,readout,overrides", [
     ("edge_network", "set2set", {}),
     ("matmul", "ggnn", dict(towers_k=2)),

@@ -642,6 +642,15 @@ def test_every_model_field_is_set_by_the_cli(monkeypatch):
     assert set(kwargs) == names - {"n_targets"}
 
 
+def test_training_flags_default_to_the_train_config():
+    # the rate and decay flags take TrainConfig's defaults, not copies
+    args = cli.build_parser().parse_args(
+        ["train", "--data", "d", "--manifest", "m", "--out-dir", "o"])
+    got, want = cli._train_config(args), TrainConfig(total_steps=args.steps)
+    for field in ("init_lr", "decay_start_fraction", "decay_factor"):
+        assert getattr(got, field) == getattr(want, field)
+
+
 class TestSearchCommand:
     def test_runs_and_writes_results(self, dataset, tmp_path):
         out = tmp_path / "search"
@@ -751,6 +760,22 @@ class TestDiagnostics:
         assert main(["verify", "batching", "--graphs", "2"]) == 1
         captured = capsys.readouterr().out
         assert "at least 1 unions each" in captured and "FAIL" in captured
+
+    def test_verify_gradients_prints_the_entries_compared_above_the_floor(self, capsys,
+                                                                          monkeypatch):
+        # a config reads rel err 0 when every difference falls under the
+        # floor; its line says how many entries the error was taken over
+        from mpnnkit import checks
+        monkeypatch.setattr(checks, "GRADIENT_CONFIGS", tuple(
+            c for c in checks.GRADIENT_CONFIGS if c[0] in ("matmul+ggnn", "dtnn+ggnn")))
+        want = {c["label"]: c for c in checks.run_gradient_checks(seed=0)["checks"]}
+        assert want["dtnn+ggnn"]["above_floor"] == 0 < want["matmul+ggnn"]["above_floor"]
+        assert main(["verify", "gradients"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for line, (label, check) in zip(out, want.items()):
+            assert line == (f"  gradient {label}: rel err {check['max_rel_err']:.3e} "
+                            f"({check['params_checked']} parameters, "
+                            f"{check['above_floor']} above the 1e-08 floor)")
 
     def test_verify_spectral_fails_when_the_suite_says_so(self, capsys, monkeypatch):
         # the verdict is the suite's: push the convolution's message form

@@ -272,6 +272,32 @@ class TestIndexPlans:
         assert not {"gather_rows", "scatter_sum_rows", "matmul_message"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])
+    def test_edge_network_lays_out_each_channels_blocks_once_per_forward(self, rng,
+                                                                        towers_k):
+        # over raw vectors each channel's hidden rows are laid out in their
+        # far nodes' blocks once per forward, and every step's message reads
+        # those blocks: a channel's relu output has that layout as its one
+        # reader, so its gradient is one gather of the steps' summed block
+        # gradients
+        cfg = cfg_for("edge_network", T=3, towers_k=towers_k, edge_repr="raw_distance")
+        eg = random_encoded(rng, n=7, ensure_connected=True, representation="raw_distance")
+        T.active_tape().clear()
+        propagate(eg, init_params(cfg, seed=0), cfg)
+        tape = list(T.active_tape())
+        T.active_tape().clear()
+        op = lambda rule: rule.__qualname__.split(".")[0]
+        readers = lambda t: [op(rule) for _, parents, rule in tape
+                             if any(p is t for p in parents)]
+        made_by = {id(out): op(rule) for out, _, rule in tape}
+        layouts = [(out, parents) for out, parents, rule in tape if op(rule) == "segment_blocks"]
+        assert len(layouts) == 2
+        assert [op(rule) for _, _, rule in tape].count("edge_message") == 2 * cfg.T
+        for blocks, (hidden,) in layouts:
+            assert made_by[id(hidden)] == "relu"
+            assert readers(hidden) == ["segment_blocks"]
+            assert readers(blocks) == ["edge_message"] * cfg.T
+
+    @pytest.mark.parametrize("towers_k", [1, 2])
     def test_label_edge_network_is_one_matmul_message_per_channel_and_step(self, rng,
                                                                              towers_k):
         # over labels the edge network builds one matrix per label present

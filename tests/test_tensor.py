@@ -40,8 +40,8 @@ def pair_rows(mats: Tensor, vecs: Tensor, pair) -> Tensor:
     hidden = np.zeros((m, k, mats.data.shape[1]))
     hidden[np.arange(m), :, pair] = 1.0
     plan = T.segments(np.arange(m), m)
-    return T.edge_message(vecs, t(hidden), mats, t(np.zeros((k, mats.data.shape[2]))),
-                          plan, plan)
+    return T.edge_message(vecs, T.segment_blocks(t(hidden), plan), mats,
+                          t(np.zeros((k, mats.data.shape[2]))), plan, plan)
 
 
 class TestForwardValues:
@@ -1145,12 +1145,56 @@ def run_pair_message(fused, mode, case):
     leaf = mode == "leaf"
     w2, b2, hidden, h = (x if leaf else T.reshape(x, x.shape) for x in (w0, b0, e0, h0))
     a, b = T.segments(src, n), T.segments(dst, n)
-    send = T.edge_message if fused else composed_edge_message
+    # the one op takes each far node's block of hidden rows; one hidden
+    # feeds both channels here, so laying it out per call keeps the order
+    # in which backward sums its gradient the composed message's
+    send = (lambda h, hidden, w2, b2, far, near: T.edge_message(
+        h, T.segment_blocks(hidden, far), w2, b2, far, near)) if fused else composed_edge_message
     for _ in range(3 if mode == "steps" else 1):
         msgs = [send(h, hidden, w2, b2, far, near) for far, near in ((a, b), (b, a))]
         h = T.tanh(T.add(h, T.add(*msgs)))
     backward(T.reduce_sum(T.mul(h, probe)))
     return [h.data, h0.grad, w0.grad, b0.grad, e0.grad]
+
+
+class TestSegmentBlocks:
+    """``T.segment_blocks``, each segment's rows in one zero-padded block,
+    the layout ``T.edge_message`` reads its hidden rows in."""
+
+    def test_rows_at_their_slots_and_pad_rows_zero(self, rng):
+        index = [2, 0, 2, 3, 2, 0]
+        x = rng.normal(size=(6, 2, 3))
+        out = T.segment_blocks(t(x), T.segments(index, 5)).data
+        assert out.shape == (5, 3, 2, 3)
+        want = np.zeros(out.shape)
+        seen = [0] * 5
+        for i, s in enumerate(index):
+            want[s, seen[s]] = x[i]
+            seen[s] += 1
+        assert out.tobytes() == want.tobytes()
+
+    def test_rule_is_the_gather_of_each_rows_slot(self, rng):
+        plan = T.segments([1, 1, 0, 1], 3)
+        x = t(rng.normal(size=(4, 2)), rg=True)
+        probe = rng.normal(size=(3, 3, 2))
+        backward(T.reduce_sum(T.mul(T.segment_blocks(x, plan), t(probe))))
+        assert x.grad.tobytes() == probe[plan.index, plan.slot].tobytes()
+
+    def test_no_rows(self):
+        out = T.segment_blocks(t(np.zeros((0, 2, 3))), T.segments([], 4))
+        assert out.shape == (4, 0, 2, 3)
+
+    def test_plan_of_the_wrong_size_raises(self):
+        for rows in (np.zeros((3, 2)), np.zeros(5)):
+            with pytest.raises(DimensionError):
+                T.segment_blocks(t(rows), T.segments([0, 1, 0, 1], 2))
+
+    def test_gradients_against_finite_differences(self, rng):
+        plan = T.segments([0, 2, 2, 1, 2], 3)
+        probe = t(rng.normal(size=(3, 3, 2, 2)))
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.mul(T.tanh(T.segment_blocks(p["x"], plan)), probe)),
+            {"x": t(rng.normal(size=(5, 2, 2)), rg=True)}, label="segment_blocks")
 
 
 class TestPairMessage:
@@ -1194,7 +1238,9 @@ class TestPairMessage:
                   "e": t(hidden_rows(rng, src.size, k, r) * 0.5 + 0.1, rg=True)}
 
         def loss(p):
-            msgs = [T.edge_message(p["h"], p["e"], p["w2"], p["b2"], far, near)
+            # the hidden rows' gradient passes through their blocks
+            msgs = [T.edge_message(p["h"], T.segment_blocks(p["e"], far), p["w2"], p["b2"],
+                                   far, near)
                     for far, near in ((a, b), (b, a))]
             return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
 
@@ -1209,7 +1255,7 @@ class TestPairMessage:
         b2 = t(rng.normal(size=(k, q * q)), rg=True)
         hidden = t(hidden_rows(rng, src.size, k, r))
         with count_multiplies(MultiplyCounter()) as fused:
-            out = T.edge_message(h, hidden, w2, b2, far, near)
+            out = T.edge_message(h, T.segment_blocks(hidden, far), w2, b2, far, near)
         assert [entry[0] for entry in T.active_tape()] == [out]
         with count_multiplies(MultiplyCounter()) as composed:
             composed_edge_message(h, hidden, w2, b2, far, near)
@@ -1234,26 +1280,28 @@ class TestPairMessage:
         w2.data[1, 1, 2 * q] = value  # unit 1's matrix in tower 1
         far, near = T.segments(src, n), T.segments(dst, n)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            T.edge_message(t(rng.normal(size=(n, k, q))), t(hidden), w2,
-                           t(np.zeros((k, q * q))), far, near)
+            T.edge_message(t(rng.normal(size=(n, k, q))), T.segment_blocks(t(hidden), far),
+                           w2, t(np.zeros((k, q * q))), far, near)
 
     def test_shape_validation(self, rng):
         n, k, q, r = 5, 2, 3, 4
         src, dst, _, _ = pair_edges(rng, n, 6, 2)
         far, near = T.segments(src, n), T.segments(dst, n)
-        h, hidden = t(np.ones((n, k, q))), t(np.ones((src.size, k, r)))
+        depth = len(far.widths)
+        h, blocks = t(np.ones((n, k, q))), T.segment_blocks(t(np.ones((src.size, k, r))), far)
         w2, b2 = t(np.ones((k, r, q * q))), t(np.ones((k, q * q)))
-        assert T.edge_message(h, hidden, w2, b2, far, near).shape == (n, k, q)
-        bad = [(t(np.ones((n, k * q))), hidden, w2, b2, far, near),         # no tower axis
-               (h, t(np.ones((src.size, k * r))), w2, b2, far, near),      # no tower axis
-               (h, t(np.ones((src.size - 1, k, r))), w2, b2, far, near),   # edges
-               (h, t(np.ones((src.size, 1, r))), w2, b2, far, near),       # towers
-               (h, hidden, t(np.ones((1, r, q * q))), b2, far, near),      # towers
-               (h, hidden, t(np.ones((k, r + 1, q * q))), b2, far, near),  # hidden width
-               (h, hidden, w2, t(np.ones((k, q * q + 1))), far, near),     # not p x q
-               (h, hidden, t(np.ones((k, r, q * q + q))), b2, far, near),  # w2 and b2
-               (h, hidden, w2, b2, T.segments(src, n + 1), near),          # far plan
-               (h, hidden, w2, b2, far, T.segments(dst[1:], n))]           # edges
+        assert T.edge_message(h, blocks, w2, b2, far, near).shape == (n, k, q)
+        bad = [(t(np.ones((n, k * q))), blocks, w2, b2, far, near),         # no tower axis
+               (h, t(np.ones((n, depth, k * r))), w2, b2, far, near),      # no tower axis
+               (h, t(np.ones((n, depth + 1, k, r))), w2, b2, far, near),   # block depth
+               (h, t(np.ones((n - 1, depth, k, r))), w2, b2, far, near),   # nodes
+               (h, t(np.ones((n, depth, 1, r))), w2, b2, far, near),       # towers
+               (h, blocks, t(np.ones((1, r, q * q))), b2, far, near),      # towers
+               (h, blocks, t(np.ones((k, r + 1, q * q))), b2, far, near),  # hidden width
+               (h, blocks, w2, t(np.ones((k, q * q + 1))), far, near),     # not p x q
+               (h, blocks, t(np.ones((k, r, q * q + q))), b2, far, near),  # w2 and b2
+               (h, blocks, w2, b2, T.segments(src, n + 1), near),          # far plan
+               (h, blocks, w2, b2, far, T.segments(dst[1:], n))]           # edges
         for args in bad:
             with pytest.raises(DimensionError):
                 T.edge_message(*args)
@@ -1287,7 +1335,7 @@ class TestMultiplyCounter:
         # not the padding row that node 1's block holds
         far = T.segments([0, 1, 0, 1, 0], 2)
         with count_multiplies(MultiplyCounter()) as c:
-            T.edge_message(t(np.ones((2, 1, 3))), t(np.ones((5, 1, 4))),
+            T.edge_message(t(np.ones((2, 1, 3))), T.segment_blocks(t(np.ones((5, 1, 4))), far),
                            t(np.ones((1, 4, 6))), t(np.ones((1, 6))), far, far)
         assert c.total == 2 * 5 * 2 * 3 + 5 * 4 * 2
 

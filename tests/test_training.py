@@ -618,6 +618,19 @@ class TestSearchSpace:
         ts = {space.sample(rng)["T"] for _ in range(300)}
         assert ts == {3, 4, 5, 6, 7, 8}  # inclusive integer range
 
+    def test_default_ranges_are_the_ones_train_config_accepts(self):
+        # a sampled config is one TrainConfig takes, at either end of the
+        # range, and a value just outside is refused
+        space = SearchSpace()
+        for field, (low, high) in (("init_lr", space.lr_range),
+                                   ("decay_start_fraction", space.decay_start_range),
+                                   ("decay_factor", space.decay_factor_range)):
+            for value in (low, high):
+                TrainConfig(total_steps=1, **{field: value})
+            for value in (low * 0.99, high * 1.01):
+                with pytest.raises(ContractError):
+                    TrainConfig(total_steps=1, **{field: value})
+
 
 class TestRandomSearch:
     def small_search(self, budget=2, workers=1, **space_kw):
