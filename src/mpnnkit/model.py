@@ -15,29 +15,41 @@ from .tensor import ContractError, Tensor
 __all__ = ["UNION_BYTES", "prepare_graph", "model_forward", "union_bytes",
            "predict_batch", "union_groups"]
 
-# Most bytes a union's largest per-step array may take (``union_bytes``).
-# Over raw vectors the edge network's largest arrays are per node: its node
-# products, d x (d_tower + 1) x 8 bytes per atom (8448 at d=32), and its
-# edge blocks padded to the largest degree. Every other message's are the
-# gathered rows, d x 8 bytes per directed edge. So one bound in bytes
-# sizes a union by what it holds: 139 atoms at d=32 with the edge network
-# over raw vectors (the old 1024-edge budget held about 70 atoms of
-# complete explicit-H molecules), and 1152 edges for the towers config
-# (d=128, k=8). Swept in one process over perfbench's held-out graphs
-# (seed 7; eval graphs/s, median of 30 alternating passes per point; the
-# passes spread by up to a third, so only large gaps count):
+# Most bytes a union's largest array may take (``union_bytes``). Over raw
+# vectors the edge network's is each channel's edge blocks, padded to the
+# union's largest degree: d x 8 bytes per atom and degree (256 at d=32),
+# laid out once per forward and read by every step. Every other message's
+# are its gathered rows, d x 8 bytes per directed edge, at least one row per
+# atom. The node products of one ``tt.edge_message`` call, over raw vectors
+# (d x (d_tower + 1) x 8 bytes per atom, 8448 at d=32) or over labels (one
+# row per atom and label present), are written and read once inside the call
+# and freed when it returns, so they are not counted, even where they are
+# the larger: 348 atoms x 2 labels against 616 edges in a 64-molecule union
+# of the CLI's default model (seed 7). One bound in bytes then sizes a union
+# by what it holds: 4608 atom-degree cells at d=32 with the edge network
+# over raw vectors (a whole 64-graph eval chunk of small-edgenet; 49 to 349
+# atoms of complete explicit-H molecules) and 1152 edges for the towers
+# config (d=128, k=8). Swept in one process over perfbench's held-out graphs
+# (seed 7; eval graphs/s, median of 30 passes per point, the bounds
+# alternating pass by pass, with unions per eval pass and the tracemalloc
+# peak of the largest eval chunk in MB; the passes spread by up to a third,
+# so only large gaps count):
 #
-#   bound (MiB)         1.0   1.125   1.25    1.5    2.0   1024 edges
-#   dense-explicit-h   1906    1903   1889   1993   2157   1532
-#   small-edgenet      4440    4938   4777   4242   5079   4826
-#   towers-matmul      5315    5604   5620   5572   5174   5374
+#   bound (MiB)                 0.5   0.75    1.0  1.125    1.5    2.0
+#   dense-explicit-h  graphs/s 1544   1640   1683   1662   1735   1721
+#                     unions     14     10      8      8      6      6
+#                     peak      4.2    5.6    7.0    8.3   10.9   12.9
+#   small-edgenet     graphs/s 5383   6015   6101   5541   5695   5887
+#                     unions      4      2      2      2      2      2
+#                     peak      5.0    6.9    6.9    6.9    6.9    6.9
+#   towers-matmul     graphs/s 4293   4982   4842   5285   5147   5118
+#                     unions     10      6      6      4      4      4
+#                     peak      2.1    2.8    3.5    3.7    4.7    5.9
 #
-# At 1 MiB small-edgenet's 64-graph eval chunks split into 4 unions, not
-# 3, and its eval slowed; 1.125 MiB is about the smallest bound that keeps
-# them at 3 and its 20-graph training batches (up to 126 atoms over the
-# seeds tried) in one. Larger bounds raise the towers config's eval peak
-# (tracemalloc 4.4 MB at 1 MiB, 4.7 at 1.125, 6.7 at 2), while the edge
-# network's gains level off.
+# 1.125 MiB is the smallest bound tried that keeps the towers config's
+# 64-graph chunks in 2 unions; small-edgenet's are one union from 0.75 MiB.
+# Above it only dense-explicit-h cuts fewer unions, with no clear gain, and
+# its eval peak would pass its train step's (about 9 MB) at 1.5 MiB.
 UNION_BYTES = 9 * 2**17
 
 
@@ -61,34 +73,36 @@ def model_forward(eg: EncodedGraph, params: dict[str, Tensor],
     return tt.reshape(out, (cfg.n_targets,))
 
 
-def _sized_by_nodes(cfg: ModelConfig) -> bool:
-    # the edge network over raw vectors runs ``tt.edge_message``, whose
-    # largest arrays are per node
+def _sized_by_blocks(cfg: ModelConfig) -> bool:
+    # the edge network over raw vectors lays each channel's hidden rows out
+    # in per-node blocks padded to the largest degree (``tt.segment_blocks``)
     return cfg.message_fn == "edge_network" and cfg.edge_repr == "raw_distance"
 
 
 def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
-    """Bytes of the largest array one propagation step makes per channel
-    for a union of ``atoms`` nodes and ``edges`` directed edges, no node
-    with more than ``degree`` edges in or out.
+    """Bytes of the largest array a union of ``atoms`` nodes and ``edges``
+    directed edges, no node with more than ``degree`` edges in or out, holds
+    through its propagation steps, per channel.
 
-    The edge network over raw vectors keeps each node's products with its
-    r + 1 unit matrices, n x k x (r + 1) x p, and each node's edges in a
-    block padded to the largest degree, n x D x k x r; r = p = d_tower.
-    Every other message gathers a row per edge, E x k x d_tower: the
-    far-end state, or over labels the far node's product with the edge's
-    label matrix. Over labels the node products, n x k x L x d_tower for
-    the L labels present, are as large as L rows per atom, and the bound
-    counts only the edges. On perfbench's towers-matmul unions the edges
-    bound both (247 atoms x 3 labels against 1114 edges on a seed-7
-    held-out union), but on sparse chemical unions without virtual edges
-    they do not: the CLI's default model puts 64 synthetic molecules
+    The edge network over raw vectors lays each node's edges out in a block
+    padded to the largest degree, n x max(D, 1) x k x d_tower, once per
+    forward, and every step reads the blocks. Every other message gathers a
+    row per edge, max(E, n) x k x d_tower: the far-end state, or over labels
+    the far node's product with the edge's label matrix. Both count at least
+    one row per atom, so a union of edgeless graphs stays bounded too.
+
+    ``tt.edge_message``'s node products are not counted: over raw vectors
+    each node's products with the r + 1 matrices of the last layer, n x k x
+    (r + 1) x d_tower, and over labels each node's products with the L label
+    matrices present, n x L x k x d_tower. Both are written and read once
+    inside one call and freed when it returns. They can be the larger
+    array: the CLI's default model (labels) puts 64 synthetic molecules
     (seed 7) in one union of 348 atoms x 2 labels against 616 edges.
     """
     k, q = cfg.towers_k, cfg.d_tower
-    if _sized_by_nodes(cfg):
-        return 8 * atoms * k * q * max(q + 1, degree)
-    return 8 * edges * k * q
+    if _sized_by_blocks(cfg):
+        return 8 * atoms * max(degree, 1) * k * q
+    return 8 * max(edges, atoms) * k * q
 
 
 def union_groups(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> list[list[int]]:
@@ -97,14 +111,16 @@ def union_groups(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> list[list[int
     The graphs are taken in order of atom count, ties in input order, and
     cut into runs whose ``union_bytes`` stays within ``UNION_BYTES``; a
     graph over the bound on its own is a run of its own. So each union
-    holds graphs of about one size, and the edge network pads few block
-    rows. The groups depend on nothing but the graphs and the config.
+    holds graphs of about one size: over raw vectors the edge network's
+    blocks, padded to the union's largest degree, hold few zero rows, and
+    its unions grow until those blocks fill the bound. The groups depend
+    on nothing but the graphs and the config.
     """
     groups: list[list[int]] = []
     n = m = top = 0
     for i in sorted(range(len(egs)), key=lambda i: egs[i].n_atoms):
         eg = egs[i]
-        degree = eg.max_degree if _sized_by_nodes(cfg) else 0
+        degree = eg.max_degree if _sized_by_blocks(cfg) else 0
         n, m, top = n + eg.n_atoms, m + eg.n_edges, max(top, degree)
         if not groups or union_bytes(cfg, n, m, top) > UNION_BYTES:
             groups.append([])

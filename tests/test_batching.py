@@ -125,10 +125,16 @@ def test_batch_over_the_edge_budget_splits(rng):
         return random_encoded(rng, n=n, d_in=4, edge_prob=1.1,
                               representation=representation)
 
-    # the smallest complete graph over the byte bound on its own
-    n_huge = next(n for n in range(2, 200)
-                  if union_bytes(cfg, n, n * (n - 1), n - 1) > UNION_BYTES)
-    graphs = [complete(int(n)) for n in rng.integers(8, 24, size=24)]
+    def over_the_bound(copies, n):
+        return union_bytes(cfg, copies * n, copies * n * (n - 1), n - 1) > UNION_BYTES
+
+    # the smallest complete graph over the byte bound on its own, and the
+    # smallest of which 8 copies are: a union of graphs at least that large
+    # holds at most 7 of them, so the 24 below make at least 4 unions
+    n_huge = next(n for n in range(2, 200) if over_the_bound(1, n))
+    n_small = next(n for n in range(2, 200) if over_the_bound(8, n))
+    assert n_small + 16 <= n_huge
+    graphs = [complete(int(n)) for n in rng.integers(n_small, n_small + 16, size=24)]
     egs = graphs[:9] + [complete(n_huge)] + graphs[9:]
     huge = 9
     groups = union_groups(egs, cfg)
@@ -149,14 +155,32 @@ def test_batch_over_the_edge_budget_splits(rng):
 
 def test_union_bytes_bounds_the_largest_per_step_array():
     edge = make_cfg("edge_network", "ggnn", d=32, towers_k=4)
-    # node products n k (r+1) p against padded blocks n k D r, r = p = 8
-    assert union_bytes(edge, 10, 90, 9) == 8 * 10 * 4 * 9 * 8
-    assert union_bytes(edge, 10, 90, 20) == 8 * 10 * 4 * 20 * 8
-    # gathered rows E k q for every other message
+    # padded blocks n D k q, q = d_tower = 8; the node products
+    # n k (q + 1) q that one edge_message call makes and frees do not count
+    assert union_bytes(edge, 10, 90, 9) == 8 * 10 * 9 * 4 * 8
+    assert union_bytes(edge, 10, 90, 20) == 8 * 10 * 20 * 4 * 8
+    assert union_bytes(edge, 10, 24, 3) == 8 * 10 * 3 * 4 * 8
+    # no edges: one row per atom
+    assert union_bytes(edge, 10, 0, 0) == 8 * 10 * 1 * 4 * 8
+    # gathered rows E k q for every other message, at least one per atom
     for cfg in (make_cfg("matmul", "ggnn", d=128, towers_k=8),
                 make_cfg("edge_network", "ggnn", d=128, towers_k=8,
                          edge_repr="chemical")):
         assert union_bytes(cfg, 10, 1024, 9) == 8 * 1024 * 128
+        assert union_bytes(cfg, 10, 4, 1) == union_bytes(cfg, 10, 0, 0) == 8 * 10 * 128
+
+
+@pytest.mark.parametrize("message_fn", ["edge_network", "matmul"])
+def test_edgeless_graphs_are_cut_by_the_bound(rng, message_fn):
+    # QM9's single-heavy-atom molecules have no edges with implicit H; each
+    # atom still counts one row, so such a batch cannot grow without bound
+    cfg = make_cfg(message_fn, "ggnn", d=128)
+    atoms_per_union = UNION_BYTES // union_bytes(cfg, 1, 0, 0)
+    egs = [random_encoded(rng, n=1, d_in=4, edge_prob=0.0, representation=cfg.edge_repr)
+           for _ in range(2 * atoms_per_union + 1)]
+    assert all(eg.n_edges == 0 for eg in egs)
+    groups = union_groups(egs, cfg)
+    assert [len(group) for group in groups] == [atoms_per_union] * 2 + [1]
 
 
 def shuffled_sizes_batch(rng, cfg, count):

@@ -921,19 +921,27 @@ def run_message(send, case, h_data, w_data, edges, probe, later):
     return [out.data, h_leaf.grad] + [w.grad for w in ws]
 
 
-def sum_of_outer_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``sum_e outer(a[e, t], b[e, t])`` per tower t, correctly rounded:
-    each factor is split into two halves of at most 26 significant bits
-    (Veltkamp), so that every product of halves is exact, and
-    ``math.fsum`` adds the products."""
+def sum_of_products(a: np.ndarray, b: np.ndarray, axes: int = 1) -> np.ndarray:
+    """``a * b`` summed over its first ``axes`` axes, correctly rounded: each
+    factor is split into two halves of at most 26 significant bits
+    (Veltkamp), so that every product of halves is exact, and ``math.fsum``
+    adds the products."""
     def halves(x):
         c = x * 134217729.0  # 2**27 + 1
         hi = c - (c - x)
         return hi, x - hi
 
-    parts = np.concatenate([np.einsum("eti,etj->etij", x, y)
-                            for x in halves(a) for y in halves(b)])
+    shape = np.broadcast_shapes(a.shape, b.shape)[axes:]
+    parts = np.concatenate([(x * y).reshape(-1, *shape) for x in halves(a) for y in halves(b)])
     return np.apply_along_axis(math.fsum, 0, parts)
+
+
+def exact_message(x: np.ndarray, far, near, mats: np.ndarray) -> np.ndarray:
+    """``sum_e x[far[e]] @ mats[e]`` onto each node ``near[e]``, per tower,
+    correctly rounded: x is (n, k, q) and mats (E, k, q, p)."""
+    return np.stack([sum_of_products(x[far[near == v]].transpose(0, 2, 1)[..., None],
+                                     mats[near == v].transpose(0, 2, 1, 3), axes=2)
+                     for v in range(x.shape[0])])
 
 
 def stacked(weights):
@@ -958,25 +966,27 @@ class TestMatmulMessage:
             assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist(), name
 
     def test_agrees_with_composed_message_at_tower_width_25(self, rng):
-        # against the per-edge products summed label by label (the paper's
-        # d=200, k=8): each node now adds its messages in edge order, and
-        # BLAS may give a row other bits in another block. A weight's
-        # gradient sums about 270 edges' outer products; the per-edge
-        # composition sums them in one long product whose own error reached
-        # 2.2e-15 of the largest entry on other draws, three to five times
-        # the node form's (which first sums each (node, label) pair's
-        # edges), so the weights' gradients are held to the correctly
-        # rounded sums instead, at the same bound
+        # the paper's d=200, k=8: each node adds its messages in edge order,
+        # and BLAS may give a row other bits in another block. The gradients
+        # are held to their correctly rounded sums: the per-edge
+        # composition's own error reached 2.2e-15 of the largest entry on
+        # other draws. h's gradient sends the probe back along each edge
+        # through the transposed matrix, and a weight's gradient sums about
+        # 270 edges' outer products. The output is held to the per-edge
+        # composition: the hub's sum of about 290 messages in slot order is
+        # itself 1.3e-15 from its correctly rounded sum at this draw
         h, ws, edges = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
         probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
         got = run_message("fused", "leaf", h, ws, edges, probe, later)
-        want = run_message("per_edge", "leaf", h, ws, edges, probe, later)
-        for a, b in zip(got[:2], want[:2]):
-            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
         src, dst, labels = edges
-        for label, a in enumerate(got[2:]):
-            exact = sum_of_outer_products(h[src[labels == label]], probe[dst[labels == label]])
-            assert np.abs(a - exact).max() <= 1e-15 * np.abs(exact).max()
+        mats = np.stack(ws)[labels].transpose(0, 1, 3, 2)
+        want = [run_message("per_edge", "leaf", h, ws, edges, probe, later)[0],
+                exact_message(probe, dst, src, mats)]
+        want += [sum_of_products(h[src[labels == label]][..., None],
+                                 probe[dst[labels == label]][..., None, :])
+                 for label in range(len(ws))]
+        for a, b in zip(got, want, strict=True):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
     def test_gradients_against_finite_differences(self, rng):
         # both channels, with the states also read after the messages
