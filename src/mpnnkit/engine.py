@@ -46,7 +46,11 @@ its label's matrix. Over raw vectors (complete graphs, one vector per
 directed edge) A(e) is a two-layer network whose last layer is linear, so
 the states are multiplied by the last layer's matrices, and each edge's
 hidden row, read from its far node's block, is contracted with that
-node's products.
+node's products. The network runs in homogeneous coordinates: each edge
+vector gets a 1 appended, the first layer is the stack [[w1, 0], [b1,
+1]], so each hidden row ends in a unit 1, and the last layer's bias is
+one more matrix that unit weighs. The blocks thus hold d_tower + 1 units
+per edge, and neither bias costs a pass of its own over them.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -319,10 +323,17 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     matrix per label present, (k, labels, d_tower^2), and each channel
     keeps one plan of its edges' (far node, label) pairs, through which
     ``tt.edge_message`` reads every message from the node products and
-    sums the gradients back. Over raw vectors the edge network lays each
-    channel's hidden rows out in its far nodes' blocks once, and every
-    step's ``tt.edge_message`` reads those blocks; backward sums the steps'
-    block gradients and gathers the rows' out of them once.
+    sums the gradients back. Over raw vectors the edge network runs its
+    first layer once, as one product of the edge vectors, a 1 appended,
+    with the stack [[w1, 0], [b1, 1]] (a taped concat of the parameters
+    and a constant unit column, so names, shapes and checkpoints stay
+    those of w1 and b1). relu keeps the appended unit at 1, and each
+    channel's hidden rows, d_tower + 1 units wide, are laid out in its far
+    nodes' blocks once, where a pad cell's unit is 0. Every step's
+    ``tt.edge_message`` reads those blocks through the channel's
+    ``tt.block_plan``, made once here too, and the unit weighs the last
+    layer's bias; backward sums the steps' block gradients and gathers the
+    rows' out of them once.
     """
     n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
@@ -335,11 +346,14 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
         present, label = np.unique(eg.edge_features, return_inverse=True)
         count = present.size
     else:
-        evec = towered(edge_vectors(eg, cfg).data)
+        rows = edge_vectors(eg, cfg).data
+        if cfg.message_fn == "edge_network":
+            rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
+        evec = towered(rows)
 
     def label_message(mats, far, near):
         pairs = tt.segments(far.index * count + label, n * count)
-        return lambda h: tt.edge_message(h, pairs, mats, None, far, near)
+        return lambda h: tt.edge_message(h, pairs, mats, None, near)
 
     def matmul(far, near, prefix):
         # a label's message h A is A^T h: the stack holds each A transposed
@@ -357,12 +371,20 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
             onehot = towered(np.eye(cfg.edge_width)[present])
             return label_message(tt.transpose(mlp2(onehot, params, pre), (1, 0, 2)),
                                  far, near)
-        # raw vectors: each edge's hidden row, laid out in its far node's
-        # block and contracted with the states' products with the last layer
-        blocks = tt.segment_blocks(tt.relu(tt.matmul(
-            evec, params[f"{pre}_w1"], params[f"{pre}_b1"])), far)
+        # raw vectors, in homogeneous coordinates: each edge's vector with
+        # a 1 appended times [[w1, 0], [b1, 1]] gives its hidden row with a
+        # unit 1 appended, which weighs the last layer's bias; the rows are
+        # laid out in their far nodes' blocks and contracted with the
+        # states' products with the last layer
+        unit = np.zeros((k, cfg.edge_width + 1, 1))
+        unit[:, -1] = 1.0
+        layer = tt.concat([tt.concat([params[f"{pre}_w1"],
+                                      tt.reshape(params[f"{pre}_b1"], (k, 1, dt))], axis=1),
+                           Tensor(unit)], axis=2)
+        blocks = tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), far)
+        plan = tt.block_plan(far, near)
         return lambda h: tt.edge_message(h, blocks, params[f"{pre}_w2"],
-                                         params[f"{pre}_b2"], far, near)
+                                         params[f"{pre}_b2"], plan)
 
     def pair_message(far, near, prefix):
         return lambda h: tt.scatter_sum_rows(mlp2(tt.concat(

@@ -49,7 +49,9 @@ __all__ = ["UNION_BYTES", "prepare_graph", "model_forward", "union_bytes",
 # 1.125 MiB is the smallest bound tried that keeps the towers config's
 # 64-graph chunks in 2 unions; small-edgenet's are one union from 0.75 MiB.
 # Above it only dense-explicit-h cuts fewer unions, with no clear gain, and
-# its eval peak would pass its train step's (about 9 MB) at 1.5 MiB.
+# its eval peak would pass its train step's (about 9 MB) at 1.5 MiB. The edge
+# blocks now hold d_tower + 1 units per tower, the last a unit 1 that weighs
+# the bias; the count keeps d_tower, by which the bound and the sweep were set.
 UNION_BYTES = 9 * 2**17
 
 
@@ -86,7 +88,9 @@ def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
 
     The edge network over raw vectors lays each node's edges out in a block
     padded to the largest degree, n x max(D, 1) x k x d_tower, once per
-    forward, and every step reads the blocks. Every other message gathers a
+    forward, and every step reads the blocks. (The blocks hold d_tower + 1
+    units, the last a unit 1 that weighs the bias; the count keeps d_tower,
+    by which ``UNION_BYTES`` was chosen.) Every other message gathers a
     row per edge, max(E, n) x k x d_tower: the far-end state, or over labels
     the far node's product with the edge's label matrix. Both count at least
     one row per atom, so a union of edgeless graphs stays bounded too.

@@ -9,7 +9,8 @@ concatenation/slicing/axis permutation, row gather/scatter, rows laid
 out in zero-padded blocks per segment, one matrix message summed at each
 node, ``edge_message`` (each node's state times the unit matrices once,
 each edge's message then read at its label or contracted with its hidden
-row, so that no matrix is built per edge), and a GRU cell over
+row, whose last unit weighs the bias's matrix, so that no matrix is built
+per edge), and a GRU cell over
 row-stacked states. The message and the GRU cell are each
 one taped op whose rule replays, with the same bits, the tape the op
 composed from simpler ops would record. Elementwise operands must match
@@ -36,15 +37,22 @@ slot onto the prefix of segments that slot covers, and one take back
 rows)``, which ``backward`` sums the same way. A row's slot is also its
 place in a zero-padded block of its segment's rows (``segment_blocks``).
 The edge network lays each node's edges' hidden rows out in such blocks
-once per forward, and every step's ``edge_message`` reads them;
-``backward`` sums the steps' gradients of the blocks before one gather
-takes the rows' out.
+once per forward, with a :class:`BlockPlan` (``block_plan``) of where each
+edge's cell is and which node its message goes to, and every step's
+``edge_message`` reads both; ``backward`` sums the steps' gradients of
+the blocks before one gather takes the rows' out.
 
-Every op checks its forward result for NaN/Inf, so divergence surfaces as
-a :class:`NumericError` at the op that produced it. The fused ops check
-less and say in their docstrings why that is enough: ``edge_message``
-checks only its result, and ``gru_cell`` its three pre-activations and
-its result.
+Every op that computes new values checks its forward result for NaN/Inf,
+so divergence surfaces as a :class:`NumericError` at the op that produced
+it. The ops that only move values, ``reshape``, ``transpose``, ``concat``,
+``gather_rows`` and ``segment_blocks``, do not scan their result again:
+each input was checked where it was made, so what they pass on is
+finite, and a value made non-finite past that check (written into a
+leaf in place) still raises at the first op that computes from it.
+``relu`` clips, and checks only its input's least entry, the -inf that a
+clip would turn into 0. The fused ops check less and say in their
+docstrings why that is enough: ``edge_message`` checks only its result,
+and ``gru_cell`` its three pre-activations and its result.
 """
 
 from __future__ import annotations
@@ -80,6 +88,8 @@ __all__ = [
     "segment_softmax",
     "Segments",
     "segments",
+    "BlockPlan",
+    "block_plan",
     "concat",
     "reshape",
     "gather_rows",
@@ -198,17 +208,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _taped(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over ``parents`` is taped: taping is on and some parent
+    needs a gradient."""
+    return _ctx().grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable,
-            muls: int = 0) -> Tensor:
+            muls: int = 0, check: bool = True) -> Tensor:
     """Count the op's ``muls`` scalar multiplies, wrap its forward result,
-    check finiteness, and tape it when needed."""
+    check finiteness unless ``check`` is false, and tape it when needed.
+
+    Only an op that moves or clips values already checked passes ``check``
+    false, and its docstring says why that is enough."""
     ctx = _ctx()
     if ctx.mul_counter is not None:
         ctx.mul_counter.total += int(muls)
     data = np.asarray(data, dtype=np.float64, order="C")
-    if not np.isfinite(data).all():
+    if check and not np.isfinite(data).all():
         raise NumericError("non-finite value produced by a forward op")
-    rg = ctx.grad_enabled and any(p.requires_grad for p in parents)
+    rg = _taped(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = rg
@@ -279,6 +298,44 @@ def segments(index, num_segments: int) -> Segments:
     for arr in (idx, row_order, order, back, slot):
         arr.flags.writeable = False
     return Segments(idx, n, row_order, tuple(widths.tolist()), order, back, slot)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPlan:
+    """Where ``edge_message`` reads each edge's message among the blocks
+    ``segment_blocks(rows, far)`` lays out, and where it writes each
+    message's gradient; build one with :func:`block_plan`, once for every
+    step that reads the same blocks.
+
+    ``far`` lays the edges out in blocks of depth D = ``len(far.widths)``
+    and ``near`` sums their messages. ``taken[j]`` is the cell, among the
+    blocks' n * D flattened, of edge ``near.row_order[j]``, so one take
+    reads the messages straight into ``near``'s slot order. ``source[c]``
+    is the near node of cell c's edge, or ``near.num_segments`` for a pad
+    cell, so one take of the message gradients with a zero row appended
+    fills every cell. The arrays are read-only.
+    """
+
+    far: Segments
+    near: Segments
+    taken: np.ndarray
+    source: np.ndarray
+
+
+def block_plan(far: Segments, near: Segments) -> BlockPlan:
+    """The plan of edges laid out by ``far`` and summed by ``near``; the two
+    must index the same edges (DimensionError)."""
+    if far.index.shape != near.index.shape:
+        raise DimensionError(f"block plan needs one far and one near node per edge: "
+                             f"{far.index.shape[0]} vs {near.index.shape[0]}")
+    depth = len(far.widths)
+    cells = far.index * depth + far.slot
+    source = np.full(far.num_segments * depth, near.num_segments)
+    source[cells] = near.index
+    taken = cells[near.row_order]
+    for arr in (taken, source):
+        arr.flags.writeable = False
+    return BlockPlan(far, near, taken, source)
 
 
 def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -539,10 +596,21 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """``max(x, 0)``, elementwise.
+
+    The result is not scanned for NaN/Inf: the clip of a finite input is
+    finite, and the input was checked where it was made. A clip is also
+    where a non-finite value would vanish, -inf turning into 0, so relu
+    checks its input's least entry instead, one reduction that makes no
+    array: NaN or -inf there raises, and +inf passes on to the next op
+    that computes from it."""
+    if x.data.size and not np.isfinite(x.data.min()):
+        raise NumericError("non-finite input to relu")
+
     def rule(g: np.ndarray):
         return (g * (x.data > 0),)
 
-    return _result(np.maximum(x.data, 0.0), (x,), rule)
+    return _result(np.maximum(x.data, 0.0), (x,), rule, check=False)
 
 
 def _check_axis(x: Tensor, axis: int) -> int:
@@ -602,6 +670,8 @@ def segment_softmax(x: Tensor, seg: Segments) -> Tensor:
 
 
 def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
+    """The tensors joined along ``axis``. It only moves values, each
+    checked where it was made, so the result is not scanned again."""
     if not xs:
         raise DimensionError("concat of an empty sequence")
     ax = _check_axis(xs[0], axis)
@@ -619,10 +689,13 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
         parts = np.split(g, offsets[1:-1], axis=ax)
         return [part if t.requires_grad else None for t, part in zip(xs, parts)]
 
-    return _result(np.concatenate([t.data for t in xs], axis=ax), tuple(xs), rule)
+    return _result(np.concatenate([t.data for t in xs], axis=ax), tuple(xs), rule,
+                   check=False)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    """``x``'s values in another shape, a view where numpy gives one. It
+    moves no value, so the result is not scanned again."""
     shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise DimensionError(f"cannot reshape {x.data.shape} to {shape}")
@@ -630,12 +703,13 @@ def reshape(x: Tensor, shape) -> Tensor:
     def rule(g: np.ndarray):
         return (g.reshape(x.data.shape),)
 
-    return _result(x.data.reshape(shape), (x,), rule)
+    return _result(x.data.reshape(shape), (x,), rule, check=False)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     """The axes of ``x`` in the order ``axes`` lists them, as
-    ``np.transpose`` gives them, in a fresh row-major array."""
+    ``np.transpose`` gives them, in a fresh row-major array. It only moves
+    values, so the result is not scanned again."""
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"transpose needs a permutation of {x.data.ndim} axes: {axes}")
@@ -643,14 +717,17 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     def rule(g: np.ndarray):
         return (g.transpose(np.argsort(axes)),)
 
-    return _result(x.data.transpose(axes), (x,), rule)
+    return _result(x.data.transpose(axes), (x,), rule, check=False)
 
 
 def gather_rows(x: Tensor, seg: Segments) -> Tensor:
     """Select rows (slices along the first axis) of a tensor of any rank:
     row i of the result is row ``seg.index[i]`` of ``x`` (repeats
     allowed). ``seg`` has one segment per row of ``x``; backward sums the
-    gradients of each row's copies through it."""
+    gradients of each row's copies through it.
+
+    It only copies rows, so the result is not scanned again. A row it
+    leaves out reaches neither the value nor a gradient."""
     if x.data.ndim < 1:
         raise DimensionError("gather_rows needs a tensor with rows")
     if seg.num_segments != x.data.shape[0]:
@@ -660,7 +737,7 @@ def gather_rows(x: Tensor, seg: Segments) -> Tensor:
     def rule(g: np.ndarray):
         return ((seg, g),)
 
-    return _result(x.data[seg.index], (x,), rule)
+    return _result(x.data[seg.index], (x,), rule, check=False)
 
 
 def scatter_sum_rows(x: Tensor, seg: Segments) -> Tensor:
@@ -682,7 +759,10 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
     row i goes to slot ``seg.slot[i]`` of block ``seg.index[i]``, so the
     result is (seg.num_segments, D) plus the row shape, D the largest count
     (``len(seg.widths)``). Backward is one take of each row's slot out of
-    the blocks' gradient, however many ops read the blocks."""
+    the blocks' gradient, however many ops read the blocks.
+
+    It only moves rows and writes zeros, so the result is not scanned
+    again."""
     if x.data.ndim < 1 or seg.index.shape != (x.data.shape[0],):
         raise DimensionError(f"segment_blocks plan has {seg.index.shape[0]} rows "
                              f"for {x.data.shape}")
@@ -695,112 +775,124 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
     def rule(g: np.ndarray):
         return (np.take(g.reshape(out.shape), cells, axis=0),)
 
-    return _result(out.reshape((seg.num_segments, depth) + row), (x,), rule)
+    return _result(out.reshape((seg.num_segments, depth) + row), (x,), rule, check=False)
 
 
-def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, far: Segments,
-                 near: Segments) -> Tensor:
+def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, plan) -> Tensor:
     """A matrix message summed at each node, all towers at once, as one
     taped op that builds no matrix per edge: the edge network's, over raw
     vectors or over labels, and the matmul message.
 
     ``h`` is (n, k, q) and ``w2`` (k, u, p*q), u row-major (p x q) unit
-    matrices per tower. Edge i's message in tower t is ``A @ h[far.index[i],
-    t]``, summed onto node ``near.index[i]``; the result is
-    (near.num_segments, k, p). What ``edges`` is picks how each edge gets
-    its A:
+    matrices per tower. Edge i's message in tower t is ``A @ h[w, t]``, w
+    its far node, summed onto its near node, row i of the near plan; the
+    result is (near.num_segments, k, p). What ``edges`` is picks how each
+    edge gets its A, and what ``plan`` is:
 
-    - hidden blocks, an (n, D, k, u) Tensor: each edge's hidden row laid
-      out in its far node's block by ``segment_blocks(hidden, far)``, D the
-      largest count of ``far``, and ``A = hidden[i, t] @ w2[t] + b2[t]``,
-      with ``b2`` (k, p*q), the edge network's last layer over raw vectors;
+    - hidden blocks, an (n, D, k, u + 1) Tensor, with the
+      :class:`BlockPlan` of the edges' far and near plans: each edge's
+      hidden row laid out in its far node's block by
+      ``segment_blocks(hidden, plan.far)``, D the largest count of
+      ``plan.far``. The rows are in homogeneous coordinates, their last
+      unit 1 (and 0 in a pad cell), so ``A = hidden[i, t, :u] @ w2[t] +
+      b2[t]``, with ``b2`` (k, p*q): the edge network's last layer over raw
+      vectors, whose bias is one more unit matrix;
     - labels, a :class:`Segments` plan of each edge's (far node, label)
-      pair, ``far.index * u + label`` over n * u segments: A is the label's
-      unit matrix itself, and ``b2`` is None. Only the pairs plan and
-      ``near`` are read; ``far`` is checked as for hidden blocks.
+      pair, ``far * u + label`` over n * u segments, with the near plan
+      itself: A is the label's unit matrix, and ``b2`` is None.
 
     A's last layer is linear, so the forward takes the states first: every
-    node's products with the u unit matrices, ``U``. With labels they are
+    node's products with the unit matrices, ``U``. With labels they are
     one product per tower and label, written in place as one (k, p) row
     per (node, label) pair, and a message is its pair's row, so the op
     makes n * u products, not one per edge. With hidden blocks U is (n, k,
-    u, p), one product per tower (``_product``), and each node's products
-    with ``b2``'s matrices, ``C`` (n, k, p), are made too. One batched
-    matmul contracts every node's (D, u) block with its U, through the
-    blocks' tower-major view, into messages laid out as the blocks are,
-    and C is added to each row. So it makes n products with u + 1
-    matrices, not E matrices, and its largest arrays are U and the (n, D,
-    k, p) messages. Either way the messages are read straight into
-    ``near``'s slot order, with blocks by one flat take of their cells,
-    and added onto the nodes (``_slot_sum``), each node adding its
-    messages one at a time in edge order, as a scatter does. With no
-    labelled edge the result is zeros, and nothing is taped.
+    u + 1, p), one product per tower with w2's matrices (``_product``) and
+    one with b2's, written in place into the last unit. One batched matmul
+    contracts every node's (D, u + 1) block with its U, through the
+    blocks' tower-major view, into messages laid out as the blocks are:
+    the last unit adds each edge's bias, and a pad cell's zeros add none.
+    So it makes n products with u + 1 matrices, not E matrices, and its
+    largest arrays are U and the (n, D, k, p) messages; a call that is not
+    taped frees U once the messages are made. Either way the
+    messages are read straight into ``near``'s slot order, with blocks by
+    one flat take of the plan's cells, and added onto the nodes
+    (``_slot_sum``), each node adding its messages one at a time in edge
+    order, as a scatter does. With no labelled edge the result is zeros,
+    and nothing is taped.
 
     The rule runs the same products transposed. With labels, the message
     gradients ``g[near.index]`` are summed through the pairs plan into U's.
     With hidden blocks, a taped step holds U, its one array of its own;
-    the blocks are the caller's, laid out once for every step. One take
-    fills each cell with its edge's message gradient, a pad cell with
-    zeros. Their products with U and with the blocks give the blocks' and
-    U's gradients, and their sums over each block C's. U's and C's
-    gradients times the states give ``w2``'s and ``b2``'s, dense and of
-    their own shapes, which a leaf adds into its ``grad`` in place; times
-    the matrices they give h's. The blocks' gradient keeps their layout,
-    so ``backward`` sums the steps' block gradients elementwise and
-    ``segment_blocks``' rule gathers the rows out once. The parents are
-    ``(w2, b2, blocks, h)``, or ``(w2, h)`` with labels, in the order the
-    tape of the node products, the contraction or gather, and a scatter
-    would deliver them. The multiply count is the edges' contractions and
-    the node
-    products, not the padding's; with labels, only the products at the
-    (node, label) pairs some edge reads (``edges.widths[0]`` of them), so
-    that a union counts what its graphs would count alone, whatever labels
-    the others bring.
+    the blocks and the plan are the caller's, made once for every step.
+    One take fills each cell with its edge's message gradient, a pad cell
+    with zeros. Their products with the blocks give U's gradient, whose
+    last unit is the bias's, and then with U the blocks'; U's gradient is
+    freed before the blocks' is made. U's gradient times the states gives
+    ``w2``'s and ``b2``'s, dense and of their own shapes, which a leaf adds
+    into its ``grad`` in place; times the matrices it gives h's. The
+    blocks' gradient keeps their layout, so ``backward`` sums the steps'
+    block gradients elementwise and ``segment_blocks``' rule gathers the
+    rows out once. The parents are ``(w2, b2, blocks, h)``, or ``(w2, h)``
+    with labels, in the order the tape of the node products, the
+    contraction or gather, and a scatter would deliver them. The multiply
+    count is the edges' contractions over the u hidden units and the node
+    products, not the padding's or the bias unit's; with labels, only the
+    products at the (node, label) pairs some edge reads
+    (``edges.widths[0]`` of them), so that a union counts what its graphs
+    would count alone, whatever labels the others bring.
 
-    Only the result is checked for NaN/Inf. That is enough: h and the
-    hidden blocks were checked where they were made; every entry of a unit
-    matrix reaches each node's U (zero times inf is NaN); every entry of a
-    sending node's U and C is multiplied or added into each of its messages
-    with hidden blocks (a pad cell's product may be NaN, but no message
+    Only the result is checked for NaN/Inf. That is enough: h was checked
+    where it was made, and the hidden blocks hold the first layer's
+    checked products, clipped by relu and moved by their layout, their
+    unit exactly 1; every entry of a unit matrix, b2's included, reaches
+    each node's U (zero times inf is NaN); every entry of a sending node's
+    U is multiplied into each of its messages with hidden blocks, the
+    bias's unit by 1 (a pad cell's product may be NaN, but no message
     reads it), and with labels every unit is some edge's label (the
     callers stack only the labels present), whose message copies it; every
     message is added into exactly one result row, and IEEE addition never
-    turns inf or NaN back into a finite number. The U and C that no message
-    reads reach neither the value nor a gradient.
+    turns inf or NaN back into a finite number. The U that no message
+    reads reaches neither the value nor a gradient.
     """
     labelled = isinstance(edges, Segments)
-    if h.data.ndim != 3 or w2.data.ndim != 3 or not (labelled or edges.data.ndim == 4):
+    if (h.data.ndim != 3 or w2.data.ndim != 3
+            or not (isinstance(plan, Segments) if labelled
+                    else edges.data.ndim == 4 and isinstance(plan, BlockPlan))):
         raise DimensionError("edge_message needs (n, k, q) states, (k, u, p*q) matrices "
-                             "and (n, D, k, u) hidden blocks or a plan of labels")
+                             "and (n, D, k, u + 1) hidden blocks with their BlockPlan, "
+                             "or a plan of labels with the near plan")
     n, k, q = h.data.shape
     _, units, width = w2.data.shape
-    m = edges.index.shape[0] if labelled else far.index.shape[0]
+    near = plan if labelled else plan.near
     if w2.data.shape[0] != k or width % q:
         raise DimensionError(f"edge_message needs ({k}, u, p*{q}) matrices for states "
                              f"{h.data.shape}: {w2.data.shape}")
-    if far.num_segments != n:
-        raise DimensionError(f"edge_message far plan has {far.num_segments} "
-                             f"segments for {n} states")
     if labelled:
         if b2 is not None or edges.num_segments != n * units:
             raise DimensionError(f"edge_message needs labels over {n} x {units} (node, "
                                  f"label) pairs and no bias: {edges.num_segments} pairs")
-    elif (edges.data.shape != (n, len(far.widths), k, units) or b2 is None
-          or b2.data.shape != (k, width)):
-        raise DimensionError(f"edge_message needs ({n}, {len(far.widths)}, {k}, {units}) "
-                             f"hidden blocks and a ({k}, {width}) bias for matrices "
-                             f"{w2.data.shape}: {edges.data.shape}, "
-                             f"{None if b2 is None else b2.data.shape}")
-    if not far.index.shape == near.index.shape == (m,):
-        raise DimensionError("edge_message plans and edges disagree on the edges")
+        if edges.index.shape != near.index.shape:
+            raise DimensionError("edge_message plans and edges disagree on the edges")
+    else:
+        depth = len(plan.far.widths)
+        if plan.far.num_segments != n:
+            raise DimensionError(f"edge_message far plan has {plan.far.num_segments} "
+                                 f"segments for {n} states")
+        if (edges.data.shape != (n, depth, k, units + 1) or b2 is None
+                or b2.data.shape != (k, width)):
+            raise DimensionError(f"edge_message needs ({n}, {depth}, {k}, {units + 1}) "
+                                 f"hidden blocks and a ({k}, {width}) bias for matrices "
+                                 f"{w2.data.shape}: {edges.data.shape}, "
+                                 f"{None if b2 is None else b2.data.shape}")
     p = width // q
+    m = near.index.shape[0]
     if labelled and not m:
         return _result(np.zeros((near.num_segments, k, p)), (), None)
     w = w2.data.reshape(k, units * p, q)
+    rows = h.data.transpose(1, 0, 2)
 
     def node_grads(g_u):
         # w2's and h's gradients from U's, (n, k, u * p)
-        rows = h.data.transpose(1, 0, 2)
         return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
                 if w2.requires_grad else None,
                 _product(g_u, w) if h.requires_grad else None)
@@ -809,8 +901,8 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, far: Segments,
         # U one row per (node, label) pair, (n * u, k, p), each tower and
         # label's product written in place
         u = np.empty((n, units, k, p))
-        np.matmul(h.data.transpose(1, 0, 2)[:, None],
-                  w.reshape(k, units, p, q).swapaxes(-1, -2), out=u.transpose(2, 1, 0, 3))
+        np.matmul(rows[:, None], w.reshape(k, units, p, q).swapaxes(-1, -2),
+                  out=u.transpose(2, 1, 0, 3))
         msgs = np.take(u.reshape(n * units, k, p), edges.index[near.row_order], axis=0)
         del u  # not needed past here: freeing it lowers the call's peak
         total = _slot_sum(near, msgs)
@@ -824,40 +916,42 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, far: Segments,
 
         return _result(total, (w2, h), rule, edges.widths[0] * k * q * p)
 
-    blocks, r, depth = edges, units, len(far.widths)
+    blocks, r = edges, units
     b = b2.data.reshape(k, p, q)
-    u = _product(h.data, w.transpose(0, 2, 1)).reshape(n, k, r, p)
-    # each edge's cell in the blocks, flattened to (n * D) rows of (k, .)
-    cells = far.index * depth + far.slot
+    # U, (n, k, r + 1, p): the products with w2's matrices, and b2's in the
+    # last unit, each written through U's tower-major view
+    u = np.empty((n, k, r + 1, p))
+    for mats, cols in ((w, slice(None, r * p)), (b, slice(r * p, None))):
+        np.matmul(rows, mats.transpose(0, 2, 1),
+                  out=u.reshape(n, k, (r + 1) * p)[:, :, cols].transpose(1, 0, 2))
     # the messages in the blocks' layout, (n, D, k, p), written through
     # their tower-major view
     y = np.empty((n, depth, k, p))
     np.matmul(blocks.data.transpose(0, 2, 1, 3), u, out=y.transpose(0, 2, 1, 3))
-    y += _product(h.data, b.transpose(0, 2, 1))[:, None]
-    total = _slot_sum(near, np.take(y.reshape(n * depth, k, p), cells[near.row_order], axis=0))
+    parents = (w2, b2, blocks, h)
+    if not _taped(parents):
+        del u  # no rule will read it: freeing it lowers the call's peak
+    total = _slot_sum(near, np.take(y.reshape(n * depth, k, p), plan.taken, axis=0))
 
     def rule(g: np.ndarray):
         # each cell's message gradient, a pad cell's from an appended zero row
-        source = np.full(n * depth, near.num_segments)
-        source[cells] = near.index
-        g_y = np.take(np.concatenate([g, np.zeros((1, k, p))]), source, axis=0
-                      ).reshape(n, depth, k, p)
-        g_c = g_y.sum(axis=1)
-        g_y = g_y.transpose(0, 2, 1, 3)
-        g_w2, g_h = node_grads(
-            (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, k, r * p))
+        g_y = np.take(np.concatenate([g, np.zeros((1, k, p))]), plan.source, axis=0
+                      ).reshape(n, depth, k, p).transpose(0, 2, 1, 3)
+        g_u = (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, k, (r + 1) * p)
+        g_w2, g_h = node_grads(g_u[:, :, :r * p])
+        g_c = g_u[:, :, r * p:]
+        g_b2 = ((g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
+                if b2.requires_grad else None)
+        if h.requires_grad:
+            g_h += _product(g_c, b)
+        del g_u, g_c  # freed before the blocks' gradient is made
         g_blocks = None
         if blocks.requires_grad:
-            g_blocks = np.empty((n, depth, k, r))
+            g_blocks = np.empty((n, depth, k, r + 1))
             np.matmul(g_y, u.swapaxes(-1, -2), out=g_blocks.transpose(0, 2, 1, 3))
-        return (g_w2,
-                (g_c.transpose(1, 2, 0) @ h.data.transpose(1, 0, 2)).reshape(b2.data.shape)
-                if b2.requires_grad else None,
-                g_blocks,
-                g_h + _product(g_c, b) if h.requires_grad else None)
+        return g_w2, g_b2, g_blocks, g_h
 
-    return _result(total, (w2, b2, blocks, h), rule,
-                   n * k * q * (r + 1) * p + m * k * r * p)
+    return _result(total, parents, rule, n * k * q * (r + 1) * p + m * k * r * p)
 
 
 # no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)

@@ -19,7 +19,7 @@ from mpnnkit.model import (
 from mpnnkit.molgraph import disjoint_union
 from mpnnkit.tensor import ContractError, MultiplyCounter, Tensor
 
-from conftest import check_grad_against_fd, jitter_biases, random_encoded
+from support import check_grad_against_fd, jitter_biases, random_encoded
 from reference_mpnn import naive_forward
 
 BATCH_TOL = 1e-12
@@ -411,3 +411,16 @@ def test_outputs_and_gradients_pinned(message_fn, readout, overrides, digest):
     # array's largest entry; the other five kept their bits.
     cfg = make_cfg(message_fn, readout, d=8, **overrides)
     assert _forward_backward_digest(cfg) == digest
+
+
+@pytest.mark.parametrize("name", ["msg_in_en_w1", "msg_out_en_b2"])
+def test_non_finite_edge_network_weight_raises(rng, name):
+    # a NaN written into a weight past Tensor's check, as an in-place update
+    # could write it, reaches the moves that lay out the first layer's
+    # stack (w1) or the last unit of the node products (b2), which do not
+    # scan, and must still stop the forward
+    cfg = make_cfg("edge_network", "set2set")
+    params = init_params(cfg, seed=3)
+    params[name].data[(0,) * params[name].data.ndim] = np.nan
+    with T.no_grad(), pytest.raises(T.NumericError):
+        predict_batch(mixed_batch(rng, cfg), params, cfg)

@@ -20,7 +20,7 @@ from mpnnkit.model import model_forward, predict_batch
 from mpnnkit.molgraph import EncodedGraph
 from mpnnkit.tensor import ContractError, Tensor
 
-from conftest import (
+from support import (
     check_grad_against_fd,
     jitter_biases,
     random_encoded,
@@ -482,9 +482,11 @@ class TestEdgeNetworkPairs:
 
     def test_raw_distances_build_no_matrix(self, rng):
         # The same complete graph with raw 5-vectors: each channel's hidden
-        # layer, 2 * E * 5*6, then per channel and step the products of the
-        # n = 4 states with the 6 hidden units' matrices and the bias's and
-        # each edge's contraction, T=1 * 2 * (4*6*7*6 + 12*6*6): 720 + 2880.
+        # layer in homogeneous coordinates, the edge vectors with a 1
+        # appended times [[w1, 0], [b1, 1]], 2 * E * 6*7, then per channel
+        # and step the products of the n = 4 states with the 6 hidden
+        # units' matrices and the bias's and each edge's contraction over
+        # the 6 hidden units, T=1 * 2 * (4*6*7*6 + 12*6*6): 1008 + 2880.
         cfg = residual_cfg("edge_network", edge_repr="raw_distance")
         params = init_params(cfg, seed=22)
         eg = random_encoded(rng, n=4, d_in=5, representation="raw_distance",
@@ -492,7 +494,7 @@ class TestEdgeNetworkPairs:
         assert eg.n_edges == 12
         with T.count_multiplies(T.MultiplyCounter()) as counter:
             propagate(eg, params, cfg)
-        assert counter.total == 3600
+        assert counter.total == 3888
 
     @pytest.mark.parametrize("edges, labels", [
         ([(0, 1), (1, 0), (0, 1)], [2, 2, 2]),  # 0 -> 1 twice

@@ -15,7 +15,7 @@ from mpnnkit.readout import (
 )
 from mpnnkit.tensor import ContractError, Tensor
 
-from conftest import (
+from support import (
     check_grad_against_fd,
     jitter_biases,
     random_encoded,

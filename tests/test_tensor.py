@@ -23,25 +23,31 @@ from mpnnkit.tensor import (
     no_grad,
 )
 
-from conftest import check_grad_against_fd, finite_difference_grad, assert_grads_close
+from support import check_grad_against_fd, finite_difference_grad, assert_grads_close
 
 
 def t(data, rg=False):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=rg)
 
 
+def homogeneous(rows: np.ndarray) -> np.ndarray:
+    """Hidden rows (E, k, u) with the unit 1 appended, (E, k, u + 1), as the
+    edge network's first layer makes them in homogeneous coordinates."""
+    return np.concatenate([rows, np.ones(rows.shape[:-1] + (1,))], axis=-1)
+
+
 def pair_rows(mats: Tensor, vecs: Tensor, pair) -> Tensor:
     """``T.edge_message`` with one node per vector row at both ends, row
-    i's hidden row one-hot on ``pair[i]`` and a zero bias, so that the
-    row-major (p x q) matrices ``mats`` (k, P, p*q) act as matrices shared
-    by pairs of edges: row i of the result is ``mats[j, pair[i]]`` times
-    ``vecs[i, j]`` in tower j."""
+    i's hidden row one-hot on ``pair[i]`` with the unit appended and a
+    zero bias, so that the row-major (p x q) matrices ``mats`` (k, P, p*q)
+    act as matrices shared by pairs of edges: row i of the result is
+    ``mats[j, pair[i]]`` times ``vecs[i, j]`` in tower j."""
     m, k, _ = vecs.data.shape
     hidden = np.zeros((m, k, mats.data.shape[1]))
     hidden[np.arange(m), :, pair] = 1.0
     plan = T.segments(np.arange(m), m)
-    return T.edge_message(vecs, T.segment_blocks(t(hidden), plan), mats,
-                          t(np.zeros((k, mats.data.shape[2]))), plan, plan)
+    return T.edge_message(vecs, T.segment_blocks(t(homogeneous(hidden)), plan), mats,
+                          t(np.zeros((k, mats.data.shape[2]))), T.block_plan(plan, plan))
 
 
 class TestForwardValues:
@@ -909,7 +915,7 @@ def run_message(send, case, h_data, w_data, edges, probe, later):
         k, q = h_data.shape[1:]
         mats = label_stack(used) if used else t(np.zeros((k, 0, q * q)))
         if send == "fused":
-            out = T.edge_message(h, pairs, mats, None, far, near)
+            out = T.edge_message(h, pairs, mats, None, near)
         else:
             out = node_form_message(h, mats, pairs, near)
     loss = T.reduce_sum(T.mul(out, t(probe)))
@@ -949,6 +955,24 @@ def stacked(weights):
     return label_stack([t(w) for w in weights]).data
 
 
+def assert_agrees_at_tower_width_25(rng):
+    """The labelled op at tower width 25 against the per-edge composition
+    (its output) and the correctly rounded sums (its gradients), each
+    within 1e-15 of the largest entry."""
+    h, ws, edges = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
+    probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
+    got = run_message("fused", "leaf", h, ws, edges, probe, later)
+    src, dst, labels = edges
+    mats = np.stack(ws)[labels].transpose(0, 1, 3, 2)
+    want = [run_message("per_edge", "leaf", h, ws, edges, probe, later)[0],
+            exact_message(probe, dst, src, mats)]
+    want += [sum_of_products(h[src[labels == label]][..., None],
+                             probe[dst[labels == label]][..., None, :])
+             for label in range(len(ws))]
+    for name, a, b in zip(["out", "h", "A0", "A1", "A2"], got, want, strict=True):
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), name
+
+
 class TestMatmulMessage:
     """``T.edge_message`` over labels: the matmul message, and the edge
     network's over labels, against its node-form oracle, the per-edge
@@ -975,18 +999,18 @@ class TestMatmulMessage:
         # 270 edges' outer products. The output is held to the per-edge
         # composition: the hub's sum of about 290 messages in slot order is
         # itself 1.3e-15 from its correctly rounded sum at this draw
-        h, ws, edges = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
-        probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
-        got = run_message("fused", "leaf", h, ws, edges, probe, later)
-        src, dst, labels = edges
-        mats = np.stack(ws)[labels].transpose(0, 1, 3, 2)
-        want = [run_message("per_edge", "leaf", h, ws, edges, probe, later)[0],
-                exact_message(probe, dst, src, mats)]
-        want += [sum_of_products(h[src[labels == label]][..., None],
-                                 probe[dst[labels == label]][..., None, :])
-                 for label in range(len(ws))]
-        for a, b in zip(got, want, strict=True):
-            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+        assert_agrees_at_tower_width_25(rng)
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "CHANGES.md FOUND line on this test: its output comparison holds only by "
+            "the draw; the hub's slot-order sum reads 1.05e-15 to 1.41e-15 of the "
+            "largest entry from the per-edge composition on these draws")))
+        if seed in (0, 1, 3, 5) else seed for seed in range(6)])
+    def test_agrees_with_composed_message_at_tower_width_25_on_other_draws(self, seed):
+        # the fixture's check on six more draws: the gradients hold on each,
+        # the output only on draws 2 and 4
+        assert_agrees_at_tower_width_25(np.random.default_rng(seed))
 
     def test_gradients_against_finite_differences(self, rng):
         # both channels, with the states also read after the messages
@@ -997,8 +1021,8 @@ class TestMatmulMessage:
         params = {"h": t(h_data, rg=True), "w": t(stacked([ws[l] for l in present]), rg=True)}
 
         def loss(p):
-            msgs = [T.edge_message(p["h"], pairs, p["w"], None, far, near)
-                    for pairs, far, near in ((pairs_in, a, b), (pairs_out, b, a))]
+            msgs = [T.edge_message(p["h"], pairs, p["w"], None, near)
+                    for pairs, near in ((pairs_in, b), (pairs_out, a))]
             return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
 
         check_grad_against_fd(loss, params, label="edge_message over labels")
@@ -1009,7 +1033,7 @@ class TestMatmulMessage:
         h = t(h_data, rg=True)
         mats = t(stacked([ws[label] for label in present]), rg=True)
         with count_multiplies(MultiplyCounter()) as fused:
-            out = T.edge_message(h, pairs, mats, None, far, near)
+            out = T.edge_message(h, pairs, mats, None, near)
         assert [entry[0] for entry in T.active_tape()] == [out]
         with count_multiplies(MultiplyCounter()) as composed:
             node_form_message(h, mats, pairs, near)
@@ -1021,7 +1045,7 @@ class TestMatmulMessage:
         T.active_tape().clear()
         # no edges: zeros of h's shape, and nothing to tape
         out = T.edge_message(h, T.segments([], 0), t(np.zeros((3, 0, 16)), rg=True), None,
-                             T.segments([], 9), T.segments([], 9))
+                             T.segments([], 9))
         assert out.data.tobytes() == np.zeros(h.shape).tobytes()
         assert not T.active_tape()
 
@@ -1032,22 +1056,23 @@ class TestMatmulMessage:
             mats = stacked([ws[label] for label in present])
             mats[:, huge] = 1e308
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-                T.edge_message(t(np.full(h_data.shape, 2.0)), pairs, t(mats), None, far, near)
+                T.edge_message(t(np.full(h_data.shape, 2.0)), pairs, t(mats), None, near)
 
     def test_shape_validation(self, rng):
         h_data, ws, edges = message_case(rng, "one_label", n=9, n_edges=40, k=2, q=3)
         _, far, near, pairs = label_plans(edges, 9)
         src, dst, _ = edges
         h, mats = t(h_data), t(stacked([ws[1]]))
-        assert T.edge_message(h, pairs, mats, None, far, near).shape == (9, 2, 3)
-        bad = [(t(h_data[:, 0]), pairs, mats, None, far, near),          # no tower axis
-               (h, pairs, t(mats.data[:, :, :8]), None, far, near),     # not p x q
-               (h, pairs, t(mats.data[:1]), None, far, near),           # towers
-               (h, pairs, t(np.concatenate([mats.data] * 2, axis=1)), None, far, near),
-               (t(h_data[:5]), pairs, mats, None, far, near),           # states
-               (h, pairs, mats, t(np.zeros((2, 9))), far, near),        # a bias
-               (h, T.segments(src[1:], 9), mats, None, far, near),      # edges
-               (h, pairs, mats, None, far, T.segments(dst[1:], 9))]     # edges
+        assert T.edge_message(h, pairs, mats, None, near).shape == (9, 2, 3)
+        bad = [(t(h_data[:, 0]), pairs, mats, None, near),          # no tower axis
+               (h, pairs, t(mats.data[:, :, :8]), None, near),     # not p x q
+               (h, pairs, t(mats.data[:1]), None, near),           # towers
+               (h, pairs, t(np.concatenate([mats.data] * 2, axis=1)), None, near),
+               (t(h_data[:5]), pairs, mats, None, near),           # states
+               (h, pairs, mats, t(np.zeros((2, 9))), near),        # a bias
+               (h, pairs, mats, None, T.block_plan(far, near)),    # a block plan
+               (h, T.segments(src[1:], 9), mats, None, near),      # edges
+               (h, pairs, mats, None, T.segments(dst[1:], 9))]     # edges
         for args in bad:
             with pytest.raises(DimensionError):
                 T.edge_message(*args)
@@ -1056,24 +1081,24 @@ class TestMatmulMessage:
 def composed_edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far,
                           near) -> Tensor:
     """The edge network's message composed from three taped ops: the node
-    products U and C, side by side in one output, the contraction of each
-    edge's hidden row with its far node's U plus its C, and a scatter. It
-    is the bitwise oracle of the one-op ``T.edge_message``, forward and
-    backward. The first two are taped with the numpy calls of the fused
-    op: the contraction pads each node's edges into a block by
-    ``far.slot``. U and C and their gradients are split off the shared
-    arrays as row-major copies, the layout the one op has them in, so that
-    BLAS sees the same operands."""
+    products U, with b2's matrices as the last unit's, the contraction of
+    each edge's hidden row, its unit 1 appended, with its far node's U,
+    and a scatter. It is the bitwise oracle of the one-op
+    ``T.edge_message``, forward and backward. The first two are taped with
+    the numpy calls of the fused op: the node products side by side in
+    one row-major array, whose rule reads the bias's gradient from the
+    last unit of U's, and the contraction, which pads each node's edges
+    into a block by ``far.slot``."""
     n, k, q = h.data.shape
-    m, _, r = hidden.data.shape
+    m, _, units = hidden.data.shape
+    r = units - 1
     p = b2.data.shape[-1] // q
     w = w2.data.reshape(k, r * p, q)
     b = b2.data.reshape(k, p, q)
-    split = lambda x: (np.ascontiguousarray(x[..., :r * p]), np.ascontiguousarray(x[..., r * p:]))
+    rows = h.data.transpose(1, 0, 2)
 
     def node_rule(g: np.ndarray):
-        g_u, g_c = split(g)
-        rows = h.data.transpose(1, 0, 2)
+        g_u, g_c = g[:, :, :r * p], g[:, :, r * p:]
         return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
                 if w2.requires_grad else None,
                 (g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
@@ -1082,21 +1107,19 @@ def composed_edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far
 
     uc = T._result(np.concatenate([T._product(h.data, w.transpose(0, 2, 1)),
                                    T._product(h.data, b.transpose(0, 2, 1))], axis=2),
-                   (w2, b2, h), node_rule, n * k * q * (r + 1) * p)
-    u, c = split(uc.data)
-    u = u.reshape(n, k, r, p)
-    blocks = np.zeros((n, k, len(far.widths), r))
+                   (w2, b2, h), node_rule, n * k * q * units * p)
+    u = uc.data.reshape(n, k, units, p)
+    blocks = np.zeros((n, k, len(far.widths), units))
     blocks[far.index, :, far.slot] = hidden.data
     y = blocks @ u
-    y += c[:, :, None]
 
     def rule(g: np.ndarray):
         g_y = np.zeros(y.shape)
         g_y[far.index, :, far.slot] = g
-        g_u = (blocks.swapaxes(-1, -2) @ g_y).reshape(n, k, r * p)
         return ((g_y @ u.swapaxes(-1, -2))[far.index, :, far.slot]
                 if hidden.requires_grad else None,
-                np.concatenate([g_u, g_y.sum(axis=2)], axis=2) if uc.requires_grad else None)
+                (blocks.swapaxes(-1, -2) @ g_y).reshape(n, k, units * p)
+                if uc.requires_grad else None)
 
     msgs = T._result(y[far.index, :, far.slot], (hidden, uc), rule, m * k * r * p)
     return T.scatter_sum_rows(msgs, near)
@@ -1129,9 +1152,9 @@ PAIR_MODES = ["leaf", "intermediate", "steps"]
 
 
 def hidden_rows(rng, n_edges, k, r):
-    """Hidden rows as the edge network makes them: a relu layer's output,
-    about half of it zero."""
-    return np.maximum(rng.normal(size=(n_edges, k, r)), 0.0)
+    """Hidden rows as the edge network makes them: a relu layer's r units,
+    about half of them zero, with the unit 1 appended."""
+    return homogeneous(np.maximum(rng.normal(size=(n_edges, k, r)), 0.0))
 
 
 def run_pair_message(fused, mode, case):
@@ -1140,9 +1163,9 @@ def run_pair_message(fused, mode, case):
     read again after the messages; ``steps`` runs three such steps on one
     pair of weights and hidden rows, whose gradients backward sums over
     the steps. ``leaf passes h, the hidden rows and the weights as
-    leaves, the other modes as intermediates. The hidden width is q + 1.
-    Returns the final states and the gradients of h, the last layer and the
-    hidden rows."""
+    leaves, the other modes as intermediates. The hidden width is q + 1,
+    and the unit appended to it weighs the bias. Returns the final states
+    and the gradients of h, the last layer and the hidden rows."""
     seed, n, n_pairs, one_way, k, q = case
     rng = np.random.default_rng(seed)
     src, dst, _, _ = pair_edges(rng, n, n_pairs, one_way)
@@ -1159,7 +1182,8 @@ def run_pair_message(fused, mode, case):
     # feeds both channels here, so laying it out per call keeps the order
     # in which backward sums its gradient the composed message's
     send = (lambda h, hidden, w2, b2, far, near: T.edge_message(
-        h, T.segment_blocks(hidden, far), w2, b2, far, near)) if fused else composed_edge_message
+        h, T.segment_blocks(hidden, far), w2, b2, T.block_plan(far, near))
+            ) if fused else composed_edge_message
     for _ in range(3 if mode == "steps" else 1):
         msgs = [send(h, hidden, w2, b2, far, near) for far, near in ((a, b), (b, a))]
         h = T.tanh(T.add(h, T.add(*msgs)))
@@ -1221,10 +1245,10 @@ class TestPairMessage:
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("case, digest", [
-        ("k1", "8d8b73cb9aa5ab39dbc0ef4883946ff29eecb135d44dcc04b46e340eb2f332e0"),
-        ("k1_width1", "327432a73d55dec44dd4156bf63a83611c72288bdac42ef43cf21e41ecea49c7"),
-        ("k2_width25", "bec633fb382b526f25d6733098bfa97f20a4a90e322d057971d72754b7d17e4b"),
-        ("one_way_shuffled", "5790aa9c69a58a372a4a99e975f945111c7494de9b1bccd8e6cc944d62f3c10b"),
+        ("k1", "710106d83e9e0a1580332417d7e4943c356a38f3c5cfdc7723c762f4010528e8"),
+        ("k1_width1", "e78ee7457bcf0355c752c31d738c6ec3d6bac9f7b047dabc560fefa76fedcd35"),
+        ("k2_width25", "3394abd5ed5e04f2fc767cb24d60d89d5b1c84f4f755f20b3fef2a69f2d2c311"),
+        ("one_way_shuffled", "7a57f9cdfcef19f1522b109d610a1d9f766702e3c98c30adde28adeaf35680fa"),
         ("edgeless", "d87ef6fb2c4bd67803caabbbaaea117290d1a6ce84bc223fe18fc434e7f41521"),
     ])
     def test_steps_pinned(self, case, digest):
@@ -1245,16 +1269,59 @@ class TestPairMessage:
                   # (a step of 1e-5 agrees to 1e-9)
                   "w2": t(rng.normal(size=(k, r, q * q)) * 0.2, rg=True),
                   "b2": t(rng.normal(size=(k, q * q)) * 0.2, rg=True),
-                  "e": t(hidden_rows(rng, src.size, k, r) * 0.5 + 0.1, rg=True)}
+                  "e": t(homogeneous(hidden_rows(rng, src.size, k, r)[..., :r] * 0.5 + 0.1),
+                         rg=True)}
 
         def loss(p):
             # the hidden rows' gradient passes through their blocks
             msgs = [T.edge_message(p["h"], T.segment_blocks(p["e"], far), p["w2"], p["b2"],
-                                   far, near)
+                                   T.block_plan(far, near))
                     for far, near in ((a, b), (b, a))]
             return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
 
         check_grad_against_fd(loss, params, label="edge_message")
+
+    def test_homogeneous_network_equals_the_affine_one(self, rng):
+        # the edge network as the engine runs it, each layer's bias a row
+        # of weights times a unit 1, against the same network with each
+        # bias added after its product, at jittered biases: messages and
+        # gradients agree to the last places
+        n, k, q, r, width = 7, 2, 3, 4, 5
+        src, dst, _, _ = pair_edges(rng, n, 12, 4)
+        far, near = T.segments(src, n), T.segments(dst, n)
+        x = rng.normal(size=(src.size, k, width))
+        leaves = {"h": t(rng.normal(size=(n, k, q)), rg=True),
+                  "w1": t(rng.normal(size=(k, width, r)) / np.sqrt(width), rg=True),
+                  "b1": t(rng.uniform(-0.3, 0.3, size=(k, r)), rg=True),
+                  "w2": t(rng.normal(size=(k, r, q * q)) / np.sqrt(r), rg=True),
+                  "b2": t(rng.uniform(-0.3, 0.3, size=(k, q * q)), rg=True)}
+        probe = t(rng.normal(size=(n, k, q)))
+        unit = np.zeros((k, width + 1, 1))
+        unit[:, -1] = 1.0
+
+        def homogeneous_net(p):
+            layer = T.concat([T.concat([p["w1"], T.reshape(p["b1"], (k, 1, r))], axis=1),
+                              t(unit)], axis=2)
+            hidden = T.relu(T.matmul(t(homogeneous(x)), layer))
+            return T.edge_message(p["h"], T.segment_blocks(hidden, far), p["w2"], p["b2"],
+                                  T.block_plan(far, near))
+
+        def affine_net(p):
+            # each edge's matrix, (E * k, q * q), times its far state
+            mats = T.matmul(T.relu(T.matmul(t(x), p["w1"], p["b1"])), p["w2"], p["b2"])
+            msgs = T.batched_matvec(T.reshape(mats, (src.size * k, q * q)),
+                                    T.reshape(T.gather_rows(p["h"], far), (src.size * k, q)))
+            return T.scatter_sum_rows(T.reshape(msgs, (src.size, k, q)), near)
+
+        results = []
+        for net in (homogeneous_net, affine_net):
+            for leaf in leaves.values():
+                leaf.zero_grad()
+            out = net(leaves)
+            backward(T.reduce_sum(T.mul(out, probe)))
+            results.append([out.data] + [leaf.grad.copy() for leaf in leaves.values()])
+        for name, a, b in zip(["out"] + list(leaves), *results):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), name
 
     def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
         n, k, q, r = 7, 2, 3, 4
@@ -1265,12 +1332,14 @@ class TestPairMessage:
         b2 = t(rng.normal(size=(k, q * q)), rg=True)
         hidden = t(hidden_rows(rng, src.size, k, r))
         with count_multiplies(MultiplyCounter()) as fused:
-            out = T.edge_message(h, T.segment_blocks(hidden, far), w2, b2, far, near)
+            out = T.edge_message(h, T.segment_blocks(hidden, far), w2, b2,
+                                 T.block_plan(far, near))
         assert [entry[0] for entry in T.active_tape()] == [out]
         with count_multiplies(MultiplyCounter()) as composed:
             composed_edge_message(h, hidden, w2, b2, far, near)
         assert len(T.active_tape()) == 1 + 3
-        # the node products with r + 1 matrices and the edges' contractions
+        # the node products with r + 1 matrices, the bias's the last, and
+        # the edges' contractions over the r hidden units, not the unit
         assert fused.total == composed.total == n * k * q * (r + 1) * q + src.size * k * r * q
 
     @pytest.mark.parametrize("value, one_way", [(np.inf, False), (np.nan, True)],
@@ -1291,30 +1360,107 @@ class TestPairMessage:
         far, near = T.segments(src, n), T.segments(dst, n)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             T.edge_message(t(rng.normal(size=(n, k, q))), T.segment_blocks(t(hidden), far),
-                           w2, t(np.zeros((k, q * q))), far, near)
+                           w2, t(np.zeros((k, q * q))), T.block_plan(far, near))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bias_raises(self, rng, value):
+        # the bias is the last unit's matrix, which every edge weighs by 1
+        n, k, q, r = 6, 2, 3, 4
+        src, dst, _, _ = pair_edges(rng, n, 8, 3)
+        far, near = T.segments(src, n), T.segments(dst, n)
+        b2 = t(rng.normal(size=(k, q * q)), rg=True)
+        b2.data[0, q + 1] = value
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            T.edge_message(t(rng.normal(size=(n, k, q))),
+                           T.segment_blocks(t(hidden_rows(rng, src.size, k, r)), far),
+                           t(rng.normal(size=(k, r, q * q))), b2, T.block_plan(far, near))
 
     def test_shape_validation(self, rng):
         n, k, q, r = 5, 2, 3, 4
         src, dst, _, _ = pair_edges(rng, n, 6, 2)
         far, near = T.segments(src, n), T.segments(dst, n)
+        plan = T.block_plan(far, near)
         depth = len(far.widths)
-        h, blocks = t(np.ones((n, k, q))), T.segment_blocks(t(np.ones((src.size, k, r))), far)
+        h = t(np.ones((n, k, q)))
+        blocks = T.segment_blocks(t(np.ones((src.size, k, r + 1))), far)
         w2, b2 = t(np.ones((k, r, q * q))), t(np.ones((k, q * q)))
-        assert T.edge_message(h, blocks, w2, b2, far, near).shape == (n, k, q)
-        bad = [(t(np.ones((n, k * q))), blocks, w2, b2, far, near),         # no tower axis
-               (h, t(np.ones((n, depth, k * r))), w2, b2, far, near),      # no tower axis
-               (h, t(np.ones((n, depth + 1, k, r))), w2, b2, far, near),   # block depth
-               (h, t(np.ones((n - 1, depth, k, r))), w2, b2, far, near),   # nodes
-               (h, t(np.ones((n, depth, 1, r))), w2, b2, far, near),       # towers
-               (h, blocks, t(np.ones((1, r, q * q))), b2, far, near),      # towers
-               (h, blocks, t(np.ones((k, r + 1, q * q))), b2, far, near),  # hidden width
-               (h, blocks, w2, t(np.ones((k, q * q + 1))), far, near),     # not p x q
-               (h, blocks, t(np.ones((k, r, q * q + q))), b2, far, near),  # w2 and b2
-               (h, blocks, w2, b2, T.segments(src, n + 1), near),          # far plan
-               (h, blocks, w2, b2, far, T.segments(dst[1:], n))]           # edges
+        assert T.edge_message(h, blocks, w2, b2, plan).shape == (n, k, q)
+        bad = [(t(np.ones((n, k * q))), blocks, w2, b2, plan),           # no tower axis
+               (h, t(np.ones((n, depth, k * (r + 1)))), w2, b2, plan),   # no tower axis
+               (h, t(np.ones((n, depth + 1, k, r + 1))), w2, b2, plan),  # block depth
+               (h, t(np.ones((n - 1, depth, k, r + 1))), w2, b2, plan),  # nodes
+               (h, t(np.ones((n, depth, 1, r + 1))), w2, b2, plan),      # towers
+               (h, t(np.ones((n, depth, k, r))), w2, b2, plan),          # no unit
+               (h, blocks, t(np.ones((1, r, q * q))), b2, plan),         # towers
+               (h, blocks, t(np.ones((k, r + 1, q * q))), b2, plan),     # hidden width
+               (h, blocks, w2, t(np.ones((k, q * q + 1))), plan),        # not p x q
+               (h, blocks, t(np.ones((k, r, q * q + q))), b2, plan),     # w2 and b2
+               (h, blocks, w2, None, plan),                              # no bias
+               (h, blocks, w2, b2, near),                                # not a block plan
+               (h, blocks, w2, b2, T.block_plan(T.segments(src, n + 1),
+                                                T.segments(dst, n + 1)))]  # far plan
         for args in bad:
             with pytest.raises(DimensionError):
                 T.edge_message(*args)
+        with pytest.raises(DimensionError):
+            T.block_plan(far, T.segments(dst[1:], n))                   # edges
+
+    def test_block_plan_reads_each_edge_at_its_cell(self, rng):
+        # each edge's cell in near's slot order, and each cell's near node
+        # (a pad cell's the appended row past the last)
+        n = 6
+        src, dst, _, _ = pair_edges(rng, n, 7, 3)
+        far, near = T.segments(src, n), T.segments(dst, n)
+        plan = T.block_plan(far, near)
+        depth = len(far.widths)
+        cells = [src[i] * depth + far.slot[i] for i in range(src.size)]
+        assert plan.taken.tolist() == [cells[i] for i in near.row_order]
+        want = [n] * (n * depth)
+        for i, cell in enumerate(cells):
+            want[cell] = dst[i]
+        assert plan.source.tolist() == want
+        assert not plan.taken.flags.writeable and not plan.source.flags.writeable
+
+
+# The ops that only move or clip values, each fed by a leaf: (op, leaf
+# shape, the entry the op passes on).
+MOVERS = {
+    "reshape": (lambda x: T.reshape(x, (3, 4)), (4, 3), (2, 1)),
+    "transpose": (lambda x: T.transpose(x, (1, 0, 2)), (2, 3, 2), (1, 2, 0)),
+    "concat": (lambda x: T.concat([t(np.ones((2, 3))), x], axis=0), (4, 3), (3, 2)),
+    "gather_rows": (lambda x: T.gather_rows(x, T.segments([3, 1, 1], 4)), (4, 2), (1, 0)),
+    "segment_blocks": (lambda x: T.segment_blocks(x, T.segments([1, 0, 1, 1], 2)), (4, 2),
+                       (2, 1)),
+    "relu": (T.relu, (3, 4), (0, 3)),
+}
+
+
+class TestUnscannedMovers:
+    """reshape, transpose, concat, gather_rows, segment_blocks and relu do
+    not scan their result for NaN/Inf: their input was checked where it was
+    made. A value written into a leaf past ``Tensor``'s check still raises,
+    no later than the first op that computes from it."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("op", list(MOVERS))
+    def test_non_finite_leaf_raises_by_the_next_computing_op(self, op, value):
+        move, shape, at = MOVERS[op]
+        x = t(np.full(shape, 0.5), rg=True)
+        x.data[at] = value
+        with pytest.raises(NumericError):
+            T.reduce_sum(move(x))
+        T.active_tape().clear()
+
+    def test_relu_checks_the_input_a_clip_would_hide(self):
+        # max(-inf, 0) is 0, so relu itself refuses it; +inf passes on
+        for value in (-np.inf, np.nan):
+            x = t(np.full((2, 3), 0.5))
+            x.data[1, 2] = value
+            with pytest.raises(NumericError):
+                T.relu(x)
+        x = t(np.full((2, 3), 0.5))
+        x.data[1, 2] = np.inf
+        assert T.relu(x).data[1, 2] == np.inf
 
 
 class TestMultiplyCounter:
@@ -1340,13 +1486,14 @@ class TestMultiplyCounter:
 
     def test_pair_matvec_counts_useful_mpq(self):
         # five edges from two nodes, three from node 0 and two from node 1,
-        # with hidden width 4 and 2x3 matrices: the nodes' products with the
-        # four matrices and the bias's and each edge's contraction count,
-        # not the padding row that node 1's block holds
+        # with hidden width 4, the unit appended, and 2x3 matrices: the
+        # nodes' products with the four matrices and the bias's and each
+        # edge's contraction over the four hidden units count, not the
+        # unit's nor the padding row that node 1's block holds
         far = T.segments([0, 1, 0, 1, 0], 2)
         with count_multiplies(MultiplyCounter()) as c:
-            T.edge_message(t(np.ones((2, 1, 3))), T.segment_blocks(t(np.ones((5, 1, 4))), far),
-                           t(np.ones((1, 4, 6))), t(np.ones((1, 6))), far, far)
+            T.edge_message(t(np.ones((2, 1, 3))), T.segment_blocks(t(np.ones((5, 1, 5))), far),
+                           t(np.ones((1, 4, 6))), t(np.ones((1, 6))), T.block_plan(far, far))
         assert c.total == 2 * 5 * 2 * 3 + 5 * 4 * 2
 
     def test_index_ops_count_nothing(self):
