@@ -31,9 +31,10 @@ the labels present, the tower-tiled edge vectors, DTNN's edge term and the
 edge network's label matrices, or its hidden rows laid out in each far
 node's zero-padded block (``tt.segment_blocks``, one per channel), never
 change across the steps, and neither do the index plans (``tt.segments``)
-of the edges' sources and destinations and, for labelled messages, of each
-channel's (far node, label) pairs, which gather every step's far-end
-states or node products, sum its messages and sum both back in backward.
+of the edges' sources and destinations and, for labelled messages, each
+channel's ``tt.label_plan`` of its (far node, label) pairs, which gather
+every step's far-end states or node products, sum its messages and sum
+both back in backward.
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Both go through ``tt.edge_message``, which
@@ -42,7 +43,12 @@ matrix per edge. Over discrete labels (chemical, distance bins) the edge
 network's A(e) takes one value per label, so it builds one d_tower x
 d_tower matrix per channel, tower and label present, as the matmul message
 stacks its own; each edge's message is then its far node's product with
-its label's matrix. Over raw vectors (complete graphs, one vector per
+its label's matrix. Both hand the op their label matrices side by side in
+the orientation the matmul message stores them, (k, d_tower, labels x
+d_tower), a message being h A: the matmul message with one taped concat,
+the edge network with its one transpose of the network's rows. So the
+node products are one product per tower and step, not one per tower and
+label. Over raw vectors (complete graphs, one vector per
 directed edge) A(e) is a two-layer network whose last layer is linear, so
 the states are multiplied by the last layer's matrices, and each edge's
 hidden row, read from its far node's block, is contracted with that
@@ -320,10 +326,15 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     plan that sums it onto the node it is delivered to: the two channels
     share the plans of the edges' sources and destinations, roles swapped.
     Over discrete labels, the matmul message and the edge network stack one
-    matrix per label present, (k, labels, d_tower^2), and each channel
-    keeps one plan of its edges' (far node, label) pairs, through which
-    ``tt.edge_message`` reads every message from the node products and
-    sums the gradients back. Over raw vectors the edge network runs its
+    matrix per label present side by side, (k, d_tower, labels x d_tower),
+    each A such that a message is h A: the matmul message's weights as
+    stored, by one taped concat, and the edge network's rows moved there by
+    one transpose, its reshapes views. Each channel keeps one
+    ``tt.label_plan`` of its edges' (far node, label) pairs and its near
+    plan, through which ``tt.edge_message`` reads every message from the
+    node products and sums the gradients back; the plan holds both
+    permutations between the two plans' slot orders, so no step takes
+    them again. Over raw vectors the edge network runs its
     first layer once, as one product of the edge vectors, a 1 appended,
     with the stack [[w1, 0], [b1, 1]] (a taped concat of the parameters
     and a constant unit column, so names, shapes and checkpoints stay
@@ -351,26 +362,27 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
             rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
         evec = towered(rows)
 
-    def label_message(mats, far, near):
-        pairs = tt.segments(far.index * count + label, n * count)
-        return lambda h: tt.edge_message(h, pairs, mats, None, near)
+    def label_message(stack, far, near):
+        plan = tt.label_plan(tt.segments(far.index * count + label, n * count), near)
+        return lambda h: tt.edge_message(h, None, stack, None, plan)
 
     def matmul(far, near, prefix):
-        # a label's message h A is A^T h: the stack holds each A transposed
+        # the labels' matrices side by side as stored, (k, d_tower, labels
+        # * d_tower): a label's message is h A
         weights = [params[f"{prefix}_A{value}"] for value in present]
-        mats = (tt.reshape(tt.transpose(tt.concat(weights, axis=2), (0, 2, 1)),
-                           (k, count, dt * dt))
-                if weights else Tensor(np.zeros((k, 0, dt * dt))))
-        return label_message(mats, far, near)
+        return label_message(tt.concat(weights, axis=2) if weights
+                             else Tensor(np.zeros((k, dt, 0))), far, near)
 
     def edge_network(far, near, prefix):
         pre = f"{prefix}_en"
         if cfg.edge_repr != "raw_distance":
-            # each label's row-major (p x q) matrix A from its one-hot row,
-            # the labels' axis moved behind the towers'
+            # each label's row-major (p x q) matrix M from its one-hot row,
+            # whose message M h is h M^T: the stack holds the M^T side by
+            # side, (k, q, labels * p), moved there by one transpose
             onehot = towered(np.eye(cfg.edge_width)[present])
-            return label_message(tt.transpose(mlp2(onehot, params, pre), (1, 0, 2)),
-                                 far, near)
+            mats = tt.reshape(mlp2(onehot, params, pre), (count, k, dt, dt))
+            return label_message(tt.reshape(tt.transpose(mats, (1, 3, 0, 2)),
+                                            (k, dt, count * dt)), far, near)
         # raw vectors, in homogeneous coordinates: each edge's vector with
         # a 1 appended times [[w1, 0], [b1, 1]] gives its hidden row with a
         # unit 1 appended, which weighs the last layer's bias; the rows are

@@ -99,7 +99,10 @@ def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
     each node's products with the r + 1 matrices of the last layer, n x k x
     (r + 1) x d_tower, and over labels each node's products with the L label
     matrices present, n x L x k x d_tower. Both are written and read once
-    inside one call and freed when it returns. They can be the larger
+    inside one call and freed when it returns. Over labels the call briefly
+    holds two such arrays: the one product per tower, (k, n, L x d_tower),
+    and U's copy of it in one row per (node, label) pair, until the copy is
+    made and the product freed. They can be the larger
     array: the CLI's default model (labels) puts 64 synthetic molecules
     (seed 7) in one union of 348 atoms x 2 labels against 616 edges.
     """

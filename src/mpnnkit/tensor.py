@@ -10,10 +10,11 @@ out in zero-padded blocks per segment, one matrix message summed at each
 node, ``edge_message`` (each node's state times the unit matrices once,
 each edge's message then read at its label or contracted with its hidden
 row, whose last unit weighs the bias's matrix, so that no matrix is built
-per edge), and a GRU cell over
-row-stacked states. The message and the GRU cell are each
-one taped op whose rule replays, with the same bits, the tape the op
-composed from simpler ops would record. Elementwise operands must match
+per edge; over labels the matrices arrive as one stack in their stored
+orientation, so the node products are one product per tower), and a GRU
+cell over row-stacked states. The message and the GRU cell are each one
+taped op whose rule replays, with the same bits, the tape the op composed
+from simpler ops would record. Elementwise operands must match
 in shape, so every backward rule stays auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
@@ -40,7 +41,11 @@ The edge network lays each node's edges' hidden rows out in such blocks
 once per forward, with a :class:`BlockPlan` (``block_plan``) of where each
 edge's cell is and which node its message goes to, and every step's
 ``edge_message`` reads both; ``backward`` sums the steps' gradients of
-the blocks before one gather takes the rows' out.
+the blocks before one gather takes the rows' out. Over labels a
+:class:`LabelPlan` (``label_plan``), also made once per forward, holds
+each edge's (far node, label) pair and the two permutations between that
+plan's slot order and the near plan's, which every step's message and
+rule take through.
 
 Every op that computes new values checks its forward result for NaN/Inf,
 so divergence surfaces as a :class:`NumericError` at the op that produced
@@ -90,6 +95,8 @@ __all__ = [
     "segments",
     "BlockPlan",
     "block_plan",
+    "LabelPlan",
+    "label_plan",
     "concat",
     "reshape",
     "gather_rows",
@@ -336,6 +343,40 @@ def block_plan(far: Segments, near: Segments) -> BlockPlan:
     for arr in (taken, source):
         arr.flags.writeable = False
     return BlockPlan(far, near, taken, source)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelPlan:
+    """Where ``edge_message`` reads each labelled edge's message among the
+    node products, and where it sums each message's gradient; build one
+    with :func:`label_plan`, once for every step over the same edges.
+
+    ``pairs`` groups the edges by their (far node, label) pair, ``far * L +
+    label`` over n * L segments for L labels, and ``near`` sums their
+    messages. ``taken[j]`` is the pair of edge ``near.row_order[j]``, so one
+    take reads the messages straight into ``near``'s slot order;
+    ``source[j]`` is the near node of edge ``pairs.row_order[j]``, so one
+    take reads the message gradients straight into ``pairs``' slot order.
+    The arrays are read-only.
+    """
+
+    pairs: Segments
+    near: Segments
+    taken: np.ndarray
+    source: np.ndarray
+
+
+def label_plan(pairs: Segments, near: Segments) -> LabelPlan:
+    """The plan of edges read through ``pairs`` and summed by ``near``; the
+    two must index the same edges (DimensionError)."""
+    if pairs.index.shape != near.index.shape:
+        raise DimensionError(f"label plan needs one pair and one near node per edge: "
+                             f"{pairs.index.shape[0]} vs {near.index.shape[0]}")
+    taken = pairs.index[near.row_order]
+    source = near.index[pairs.row_order]
+    for arr in (taken, source):
+        arr.flags.writeable = False
+    return LabelPlan(pairs, near, taken, source)
 
 
 def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -783,51 +824,58 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, plan) -> Tenso
     taped op that builds no matrix per edge: the edge network's, over raw
     vectors or over labels, and the matmul message.
 
-    ``h`` is (n, k, q) and ``w2`` (k, u, p*q), u row-major (p x q) unit
-    matrices per tower. Edge i's message in tower t is ``A @ h[w, t]``, w
-    its far node, summed onto its near node, row i of the near plan; the
-    result is (near.num_segments, k, p). What ``edges`` is picks how each
-    edge gets its A, and what ``plan`` is:
+    ``h`` is (n, k, q). Edge i's message in tower t is its far node w's
+    state times a matrix A, summed onto its near node, row i of the near
+    plan; the result is (near.num_segments, k, p). What ``plan`` is picks
+    how each edge gets its A, and what ``edges``, ``w2`` and ``b2`` are:
 
-    - hidden blocks, an (n, D, k, u + 1) Tensor, with the
-      :class:`BlockPlan` of the edges' far and near plans: each edge's
-      hidden row laid out in its far node's block by
-      ``segment_blocks(hidden, plan.far)``, D the largest count of
-      ``plan.far``. The rows are in homogeneous coordinates, their last
-      unit 1 (and 0 in a pad cell), so ``A = hidden[i, t, :u] @ w2[t] +
-      b2[t]``, with ``b2`` (k, p*q): the edge network's last layer over raw
-      vectors, whose bias is one more unit matrix;
-    - labels, a :class:`Segments` plan of each edge's (far node, label)
-      pair, ``far * u + label`` over n * u segments, with the near plan
-      itself: A is the label's unit matrix, and ``b2`` is None.
+    - a :class:`BlockPlan` of the edges' far and near plans, with hidden
+      blocks, an (n, D, k, u + 1) Tensor, as ``edges``: each edge's hidden
+      row laid out in its far node's block by ``segment_blocks(hidden,
+      plan.far)``, D the largest count of ``plan.far``. ``w2`` is (k, u,
+      p*q), u row-major (p x q) unit matrices per tower, and ``b2`` (k,
+      p*q). The rows are in homogeneous coordinates, their last unit 1 (and
+      0 in a pad cell), so the message is ``A @ h[w, t]`` with ``A =
+      hidden[i, t, :u] @ w2[t] + b2[t]``: the edge network's last layer over
+      raw vectors, whose bias is one more unit matrix;
+    - a :class:`LabelPlan` of each edge's (far node, label) pair, with
+      ``edges`` and ``b2`` None: ``w2`` is the stack of the L labels' q x q
+      matrices side by side, as the weights are stored, (k, q, L * q) =
+      [A_0 | A_1 | ...], and the message is ``h[w, t] @ A``, A its label's
+      block (so p = q).
 
     A's last layer is linear, so the forward takes the states first: every
-    node's products with the unit matrices, ``U``. With labels they are
-    one product per tower and label, written in place as one (k, p) row
-    per (node, label) pair, and a message is its pair's row, so the op
-    makes n * u products, not one per edge. With hidden blocks U is (n, k,
-    u + 1, p), one product per tower with w2's matrices (``_product``) and
-    one with b2's, written in place into the last unit. One batched matmul
-    contracts every node's (D, u + 1) block with its U, through the
+    node's products with the unit matrices, ``U``. With labels they are one
+    product per tower, the states times the whole stack, copied into one
+    (k, p) row per (node, label) pair, and a message is its pair's row, so
+    the op makes n * L products, not one per edge; the call holds the
+    product beside U only until it is copied. With hidden blocks U is (n,
+    k, u + 1, p), one product per tower with w2's matrices (``_product``)
+    and one with b2's, written in place into the last unit. One batched
+    matmul contracts every node's (D, u + 1) block with its U, through the
     blocks' tower-major view, into messages laid out as the blocks are:
     the last unit adds each edge's bias, and a pad cell's zeros add none.
     So it makes n products with u + 1 matrices, not E matrices, and its
     largest arrays are U and the (n, D, k, p) messages; a call that is not
-    taped frees U once the messages are made. Either way the
-    messages are read straight into ``near``'s slot order, with blocks by
-    one flat take of the plan's cells, and added onto the nodes
-    (``_slot_sum``), each node adding its messages one at a time in edge
-    order, as a scatter does. With no labelled edge the result is zeros,
-    and nothing is taped.
+    taped frees U once the messages are made. Either way the messages are
+    read straight into ``near``'s slot order by one take of the plan's
+    ``taken`` cells or pairs, and added onto the nodes (``_slot_sum``),
+    each node adding its messages one at a time in edge order, as a
+    scatter does. With no labelled edge the result is zeros, and nothing
+    is taped.
 
-    The rule runs the same products transposed. With labels, the message
-    gradients ``g[near.index]`` are summed through the pairs plan into U's.
-    With hidden blocks, a taped step holds U, its one array of its own;
-    the blocks and the plan are the caller's, made once for every step.
-    One take fills each cell with its edge's message gradient, a pad cell
-    with zeros. Their products with the blocks give U's gradient, whose
-    last unit is the bias's, and then with U the blocks'; U's gradient is
-    freed before the blocks' is made. U's gradient times the states gives
+    The rule runs the same products transposed. With labels, one take of
+    the plan's ``source`` reads the message gradients into the pairs
+    plan's slot order, where they are summed into U's. The stack's
+    gradient is ``(g_U^T h)^T`` and h's is g_U times a row-major copy of
+    the stack transposed, the orientation of one (p x q) matrix per label:
+    ``h^T g_U`` would move the last bits of the weights' gradients. With
+    hidden blocks, a taped step holds U, its one array of its own; the
+    blocks and the plan are the caller's, made once for every step. One
+    take fills each cell with its edge's message gradient, a pad cell with
+    zeros. Their products with the blocks give U's gradient, whose last
+    unit is the bias's, and then with U the blocks'; U's gradient is freed
+    before the blocks' is made. U's gradient times the states gives
     ``w2``'s and ``b2``'s, dense and of their own shapes, which a leaf adds
     into its ``grad`` in place; times the matrices it gives h's. The
     blocks' gradient keeps their layout, so ``backward`` sums the steps'
@@ -838,86 +886,78 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, plan) -> Tenso
     count is the edges' contractions over the u hidden units and the node
     products, not the padding's or the bias unit's; with labels, only the
     products at the (node, label) pairs some edge reads
-    (``edges.widths[0]`` of them), so that a union counts what its graphs
-    would count alone, whatever labels the others bring.
+    (``plan.pairs.widths[0]`` of them), so that a union counts what its
+    graphs would count alone, whatever labels the others bring.
 
     Only the result is checked for NaN/Inf. That is enough: h was checked
     where it was made, and the hidden blocks hold the first layer's
     checked products, clipped by relu and moved by their layout, their
-    unit exactly 1; every entry of a unit matrix, b2's included, reaches
-    each node's U (zero times inf is NaN); every entry of a sending node's
-    U is multiplied into each of its messages with hidden blocks, the
-    bias's unit by 1 (a pad cell's product may be NaN, but no message
-    reads it), and with labels every unit is some edge's label (the
-    callers stack only the labels present), whose message copies it; every
-    message is added into exactly one result row, and IEEE addition never
-    turns inf or NaN back into a finite number. The U that no message
-    reads reaches neither the value nor a gradient.
+    unit exactly 1; every entry of a unit matrix, b2's included, and of
+    the label stack reaches each node's U (zero times inf is NaN); every
+    entry of a sending node's U is multiplied into each of its messages
+    with hidden blocks, the bias's unit by 1 (a pad cell's product may be
+    NaN, but no message reads it), and with labels every block of the
+    stack is some edge's label (the callers stack only the labels
+    present), whose message copies its pair's row of U; every message is
+    added into exactly one result row, and IEEE addition never turns inf
+    or NaN back into a finite number. The U that no message reads reaches
+    neither the value nor a gradient.
     """
-    labelled = isinstance(edges, Segments)
+    labelled = isinstance(plan, LabelPlan)
     if (h.data.ndim != 3 or w2.data.ndim != 3
-            or not (isinstance(plan, Segments) if labelled
-                    else edges.data.ndim == 4 and isinstance(plan, BlockPlan))):
-        raise DimensionError("edge_message needs (n, k, q) states, (k, u, p*q) matrices "
-                             "and (n, D, k, u + 1) hidden blocks with their BlockPlan, "
-                             "or a plan of labels with the near plan")
+            or not (edges is None if labelled
+                    else isinstance(edges, Tensor) and edges.data.ndim == 4
+                    and isinstance(plan, BlockPlan))):
+        raise DimensionError("edge_message needs (n, k, q) states and (k, u, p*q) "
+                             "matrices with (n, D, k, u + 1) hidden blocks and their "
+                             "BlockPlan, or a (k, q, L*q) label stack with a LabelPlan")
     n, k, q = h.data.shape
-    _, units, width = w2.data.shape
-    near = plan if labelled else plan.near
-    if w2.data.shape[0] != k or width % q:
-        raise DimensionError(f"edge_message needs ({k}, u, p*{q}) matrices for states "
-                             f"{h.data.shape}: {w2.data.shape}")
-    if labelled:
-        if b2 is not None or edges.num_segments != n * units:
-            raise DimensionError(f"edge_message needs labels over {n} x {units} (node, "
-                                 f"label) pairs and no bias: {edges.num_segments} pairs")
-        if edges.index.shape != near.index.shape:
-            raise DimensionError("edge_message plans and edges disagree on the edges")
-    else:
-        depth = len(plan.far.widths)
-        if plan.far.num_segments != n:
-            raise DimensionError(f"edge_message far plan has {plan.far.num_segments} "
-                                 f"segments for {n} states")
-        if (edges.data.shape != (n, depth, k, units + 1) or b2 is None
-                or b2.data.shape != (k, width)):
-            raise DimensionError(f"edge_message needs ({n}, {depth}, {k}, {units + 1}) "
-                                 f"hidden blocks and a ({k}, {width}) bias for matrices "
-                                 f"{w2.data.shape}: {edges.data.shape}, "
-                                 f"{None if b2 is None else b2.data.shape}")
-    p = width // q
-    m = near.index.shape[0]
-    if labelled and not m:
-        return _result(np.zeros((near.num_segments, k, p)), (), None)
-    w = w2.data.reshape(k, units * p, q)
+    near = plan.near
     rows = h.data.transpose(1, 0, 2)
-
-    def node_grads(g_u):
-        # w2's and h's gradients from U's, (n, k, u * p)
-        return ((g_u.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
-                if w2.requires_grad else None,
-                _product(g_u, w) if h.requires_grad else None)
-
     if labelled:
-        # U one row per (node, label) pair, (n * u, k, p), each tower and
-        # label's product written in place
+        units, p = w2.data.shape[2] // q, q
+        if (w2.data.shape != (k, q, units * q) or b2 is not None
+                or plan.pairs.num_segments != n * units):
+            raise DimensionError(f"edge_message needs a ({k}, {q}, L*{q}) label stack for "
+                                 f"states {h.data.shape}, no bias, and n x L (node, label) "
+                                 f"pairs: {w2.data.shape}, {plan.pairs.num_segments} pairs")
+        pairs = plan.pairs
+        if not near.index.shape[0]:
+            return _result(np.zeros((near.num_segments, k, p)), (), None)
+        # U one row per (node, label) pair, (n * L, k, p), from one product
+        # per tower, (n, L * p), copied in
         u = np.empty((n, units, k, p))
-        np.matmul(rows[:, None], w.reshape(k, units, p, q).swapaxes(-1, -2),
-                  out=u.transpose(2, 1, 0, 3))
-        msgs = np.take(u.reshape(n * units, k, p), edges.index[near.row_order], axis=0)
+        u.transpose(2, 0, 1, 3)[...] = (rows @ w2.data).reshape(k, n, units, p)
+        msgs = np.take(u.reshape(n * units, k, p), plan.taken, axis=0)
         del u  # not needed past here: freeing it lowers the call's peak
         total = _slot_sum(near, msgs)
 
         def rule(g: np.ndarray):
-            # the message gradients g[near.index], taken straight into the
-            # pairs plan's slot order and summed there
-            g_u = _slot_sum(edges, np.take(g, near.index[edges.row_order], axis=0))
-            return node_grads(g_u.reshape(n, units, k, p).transpose(0, 2, 1, 3)
-                              .reshape(n, k, units * p))
+            # the message gradients taken straight into the pairs plan's
+            # slot order and summed there into U's, laid out (n, k, L * p)
+            g_u = (_slot_sum(pairs, np.take(g, plan.source, axis=0))
+                   .reshape(n, units, k, p).transpose(0, 2, 1, 3).reshape(n, k, units * p))
+            return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
+                    if w2.requires_grad else None,
+                    _product(g_u, np.ascontiguousarray(w2.data.transpose(0, 2, 1)))
+                    if h.requires_grad else None)
 
-        return _result(total, (w2, h), rule, edges.widths[0] * k * q * p)
+        return _result(total, (w2, h), rule, pairs.widths[0] * k * q * p)
 
-    blocks, r = edges, units
-    b = b2.data.reshape(k, p, q)
+    _, r, width = w2.data.shape
+    depth = len(plan.far.widths)
+    if plan.far.num_segments != n:
+        raise DimensionError(f"edge_message far plan has {plan.far.num_segments} "
+                             f"segments for {n} states")
+    if (w2.data.shape[0] != k or width % q or edges.data.shape != (n, depth, k, r + 1)
+            or b2 is None or b2.data.shape != (k, width)):
+        raise DimensionError(f"edge_message needs ({k}, r, p*{q}) matrices, "
+                             f"({n}, {depth}, {k}, r + 1) hidden blocks and a ({k}, p*{q}) "
+                             f"bias for states {h.data.shape}: {w2.data.shape}, "
+                             f"{edges.data.shape}, {None if b2 is None else b2.data.shape}")
+    p = width // q
+    m = near.index.shape[0]
+    blocks, w, b = edges, w2.data.reshape(k, r * p, q), b2.data.reshape(k, p, q)
     # U, (n, k, r + 1, p): the products with w2's matrices, and b2's in the
     # last unit, each written through U's tower-major view
     u = np.empty((n, k, r + 1, p))
@@ -938,13 +978,15 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, plan) -> Tenso
         g_y = np.take(np.concatenate([g, np.zeros((1, k, p))]), plan.source, axis=0
                       ).reshape(n, depth, k, p).transpose(0, 2, 1, 3)
         g_u = (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, k, (r + 1) * p)
-        g_w2, g_h = node_grads(g_u[:, :, :r * p])
-        g_c = g_u[:, :, r * p:]
+        g_w, g_c = g_u[:, :, :r * p], g_u[:, :, r * p:]
+        g_w2 = ((g_w.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
+                if w2.requires_grad else None)
+        g_h = _product(g_w, w) if h.requires_grad else None
         g_b2 = ((g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
                 if b2.requires_grad else None)
         if h.requires_grad:
             g_h += _product(g_c, b)
-        del g_u, g_c  # freed before the blocks' gradient is made
+        del g_u, g_w, g_c  # freed before the blocks' gradient is made
         g_blocks = None
         if blocks.requires_grad:
             g_blocks = np.empty((n, depth, k, r + 1))

@@ -241,9 +241,10 @@ class TestIndexPlans:
     def test_matmul_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
         # the matmul message of all labels is one edge_message op; no
         # gather, product or scatter of its own reaches the tape. Once per
-        # forward each channel stacks its labels' weights (concat,
-        # transpose, reshape); the only products taped are the tower mix's,
-        # one per step when there are towers
+        # forward each channel stacks its labels' weights as stored, one
+        # concat and no transpose or reshape; the only products taped are
+        # the tower mix's, one per step when there are towers, and the
+        # only reshapes the mix's two per step and the final states' one
         cfg = cfg_for("matmul", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
         assert np.unique(eg.edge_features).size > 1
@@ -253,7 +254,9 @@ class TestIndexPlans:
         T.active_tape().clear()
         assert ops.count("edge_message") == 2 * cfg.T
         assert ops.count("matmul") == (cfg.T if towers_k > 1 else 0)
-        assert ops.count("transpose") == 2
+        assert ops.count("concat") == 2 + cfg.T  # and the GRU input's, per step
+        assert ops.count("transpose") == 0
+        assert ops.count("reshape") == 1 + (2 * cfg.T if towers_k > 1 else 0)
         assert not {"gather_rows", "scatter_sum_rows", "add"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])

@@ -829,40 +829,37 @@ def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
 
 def label_stack(weights):
     """The labels' (k, q, p) weights, which multiply states as ``h @ A``,
-    stacked as ``T.edge_message`` takes them, each transposed to the
-    row-major (p x q) matrix of ``A^T h``: (k, labels, p*q), from taped
-    ops as ``engine._senders`` stacks them."""
-    k, q, p = weights[0].data.shape
-    return T.reshape(T.transpose(T.concat(weights, axis=2), (0, 2, 1)),
-                     (k, len(weights), p * q))
+    side by side as ``T.edge_message`` takes them, (k, q, labels * p), from
+    the one taped concat ``engine._senders`` stacks them with."""
+    return T.concat(weights, axis=2)
 
 
-def node_form_message(h: Tensor, mats: Tensor, pairs, near) -> Tensor:
+def node_form_message(h: Tensor, stack: Tensor, plan) -> Tensor:
     """The labelled message composed in node form from taped primitives:
-    every node's products with the label matrices, U, taped with the one
-    op's numpy calls and laid out one (node, label) row each; a gather of
-    each edge's row through its pairs plan; and a scatter onto the near
+    every node's products with the label stack, U, taped with the one op's
+    numpy calls and laid out one (node, label) row each; a gather of each
+    edge's row through the plan's pairs; and a scatter onto its near
     nodes. It is the bitwise oracle of ``T.edge_message`` over labels,
     forward and backward, and counts the products as it does, at the pairs
     some edge reads."""
     n, k, q = h.data.shape
-    _, units, width = mats.data.shape
-    p = width // q
-    if not pairs.index.size:
-        return Tensor(np.zeros((near.num_segments, k, p)))
-    w = mats.data.reshape(k, units * p, q)
+    units, p = stack.data.shape[2] // q, q
+    if not plan.pairs.index.size:
+        return Tensor(np.zeros((plan.near.num_segments, k, p)))
+    rows = h.data.transpose(1, 0, 2)
 
     def rule(g: np.ndarray):
         g_u = g.reshape(n, units, k, p).transpose(0, 2, 1, 3).reshape(n, k, units * p)
-        return ((g_u.transpose(1, 2, 0) @ h.data.transpose(1, 0, 2)).reshape(mats.data.shape)
-                if mats.requires_grad else None,
-                T._product(g_u, w) if h.requires_grad else None)
+        return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
+                if stack.requires_grad else None,
+                T._product(g_u, np.ascontiguousarray(stack.data.transpose(0, 2, 1)))
+                if h.requires_grad else None)
 
     u = np.empty((n, units, k, p))
-    np.matmul(h.data.transpose(1, 0, 2)[:, None],
-              w.reshape(k, units, p, q).swapaxes(-1, -2), out=u.transpose(2, 1, 0, 3))
-    rows = T._result(u.reshape(n * units, k, p), (mats, h), rule, pairs.widths[0] * k * q * p)
-    return T.scatter_sum_rows(T.gather_rows(rows, pairs), near)
+    u.transpose(2, 0, 1, 3)[...] = (rows @ stack.data).reshape(k, n, units, p)
+    out = T._result(u.reshape(n * units, k, p), (stack, h), rule,
+                    plan.pairs.widths[0] * k * q * p)
+    return T.scatter_sum_rows(T.gather_rows(out, plan.pairs), plan.near)
 
 
 MESSAGE_CASES = ["leaf", "intermediate", "h_read_later", "one_label", "missing_label",
@@ -888,11 +885,13 @@ def message_case(rng, case, n, n_edges, k, q, alphabet=3):
 def label_plans(edges, n):
     """The labels present and the plans ``engine._senders`` builds for the
     in channel: far (sources) and near (destinations) over the nodes, and
-    the (far node, label) pairs over n * labels."""
+    the label plan of the (far node, label) pairs over n * labels and the
+    near plan."""
     src, dst, labels = edges
     present, label = np.unique(labels, return_inverse=True)
-    return (present, T.segments(src, n), T.segments(dst, n),
-            T.segments(src * present.size + label, n * present.size))
+    near = T.segments(dst, n)
+    return (present, T.segments(src, n), near,
+            T.label_plan(T.segments(src * present.size + label, n * present.size), near))
 
 
 def run_message(send, case, h_data, w_data, edges, probe, later):
@@ -903,7 +902,7 @@ def run_message(send, case, h_data, w_data, edges, probe, later):
     h_leaf = t(h_data, rg=True)
     ws = [t(w, rg=True) for w in w_data]
     h = h_leaf if case == "leaf" else T.reshape(h_leaf, h_data.shape)
-    present, far, near, pairs = label_plans(edges, h_data.shape[0])
+    present, far, near, plan = label_plans(edges, h_data.shape[0])
     used = [ws[label] for label in present]
     if send == "per_edge":
         src, dst, labels = edges
@@ -913,11 +912,11 @@ def run_message(send, case, h_data, w_data, edges, probe, later):
             [T.segments(dst[labels == label], n) for label in present])
     else:
         k, q = h_data.shape[1:]
-        mats = label_stack(used) if used else t(np.zeros((k, 0, q * q)))
+        stack = label_stack(used) if used else t(np.zeros((k, q, 0)))
         if send == "fused":
-            out = T.edge_message(h, pairs, mats, None, near)
+            out = T.edge_message(h, None, stack, None, plan)
         else:
-            out = node_form_message(h, mats, pairs, near)
+            out = node_form_message(h, stack, plan)
     loss = T.reduce_sum(T.mul(out, t(probe)))
     if case in ("h_read_later", "no_edges"):
         # h's pending total holds this contribution before the message's
@@ -1015,28 +1014,28 @@ class TestMatmulMessage:
     def test_gradients_against_finite_differences(self, rng):
         # both channels, with the states also read after the messages
         h_data, ws, edges = message_case(rng, "leaf", n=6, n_edges=20, k=2, q=3)
-        present, a, b, pairs_in = label_plans(edges, 6)
+        present, _, _, plan_in = label_plans(edges, 6)
         src, dst, labels = edges
-        pairs_out = label_plans((dst, src, labels), 6)[3]
+        plan_out = label_plans((dst, src, labels), 6)[3]
         params = {"h": t(h_data, rg=True), "w": t(stacked([ws[l] for l in present]), rg=True)}
 
         def loss(p):
-            msgs = [T.edge_message(p["h"], pairs, p["w"], None, near)
-                    for pairs, near in ((pairs_in, b), (pairs_out, a))]
+            msgs = [T.edge_message(p["h"], None, p["w"], None, plan)
+                    for plan in (plan_in, plan_out)]
             return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
 
         check_grad_against_fd(loss, params, label="edge_message over labels")
 
     def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
         h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=3, q=4)
-        present, far, near, pairs = label_plans(edges, 9)
+        present, far, near, plan = label_plans(edges, 9)
         h = t(h_data, rg=True)
-        mats = t(stacked([ws[label] for label in present]), rg=True)
+        stack = t(stacked([ws[label] for label in present]), rg=True)
         with count_multiplies(MultiplyCounter()) as fused:
-            out = T.edge_message(h, pairs, mats, None, near)
+            out = T.edge_message(h, None, stack, None, plan)
         assert [entry[0] for entry in T.active_tape()] == [out]
         with count_multiplies(MultiplyCounter()) as composed:
-            node_form_message(h, mats, pairs, near)
+            node_form_message(h, stack, plan)
         assert len(T.active_tape()) == 1 + 3
         # one (q x p) product per tower at each (far node, label) pair read
         src, _, labels = edges
@@ -1044,38 +1043,43 @@ class TestMatmulMessage:
         assert fused.total == composed.total == reads * 3 * 4 * 4
         T.active_tape().clear()
         # no edges: zeros of h's shape, and nothing to tape
-        out = T.edge_message(h, T.segments([], 0), t(np.zeros((3, 0, 16)), rg=True), None,
-                             T.segments([], 9))
+        out = T.edge_message(h, None, t(np.zeros((3, 4, 0)), rg=True), None,
+                             T.label_plan(T.segments([], 0), T.segments([], 9)))
         assert out.data.tobytes() == np.zeros(h.shape).tobytes()
         assert not T.active_tape()
 
     def test_overflowing_label_raises(self, rng):
         h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
-        present, far, near, pairs = label_plans(edges, 9)
+        present, far, near, plan = label_plans(edges, 9)
         for huge in range(present.size):
-            mats = stacked([ws[label] for label in present])
-            mats[:, huge] = 1e308
+            stack = stacked([ws[label] for label in present])
+            stack[:, :, 3 * huge:3 * huge + 3] = 1e308
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-                T.edge_message(t(np.full(h_data.shape, 2.0)), pairs, t(mats), None, near)
+                T.edge_message(t(np.full(h_data.shape, 2.0)), None, t(stack), None, plan)
 
     def test_shape_validation(self, rng):
         h_data, ws, edges = message_case(rng, "one_label", n=9, n_edges=40, k=2, q=3)
-        _, far, near, pairs = label_plans(edges, 9)
+        _, far, near, plan = label_plans(edges, 9)
         src, dst, _ = edges
-        h, mats = t(h_data), t(stacked([ws[1]]))
-        assert T.edge_message(h, pairs, mats, None, near).shape == (9, 2, 3)
-        bad = [(t(h_data[:, 0]), pairs, mats, None, near),          # no tower axis
-               (h, pairs, t(mats.data[:, :, :8]), None, near),     # not p x q
-               (h, pairs, t(mats.data[:1]), None, near),           # towers
-               (h, pairs, t(np.concatenate([mats.data] * 2, axis=1)), None, near),
-               (t(h_data[:5]), pairs, mats, None, near),           # states
-               (h, pairs, mats, t(np.zeros((2, 9))), near),        # a bias
-               (h, pairs, mats, None, T.block_plan(far, near)),    # a block plan
-               (h, T.segments(src[1:], 9), mats, None, near),      # edges
-               (h, pairs, mats, None, T.segments(dst[1:], 9))]     # edges
+        h, stack = t(h_data), t(stacked([ws[1]]))
+        assert T.edge_message(h, None, stack, None, plan).shape == (9, 2, 3)
+        bad = [(t(h_data[:, 0]), None, stack, None, plan),          # no tower axis
+               (h, None, t(stack.data[:, :, :2]), None, plan),     # not q x q
+               (h, None, t(stack.data[:, :2]), None, plan),        # not q rows
+               (h, None, t(stack.data[:1]), None, plan),           # towers
+               (h, None, t(np.concatenate([stack.data] * 2, axis=2)), None, plan),
+               (t(h_data[:5]), None, stack, None, plan),           # states
+               (h, None, stack, t(np.zeros((2, 9))), plan),        # a bias
+               (h, t(np.zeros((9, 1, 2, 2))), stack, None, plan),  # hidden blocks
+               (h, None, stack, None, T.block_plan(far, near)),    # a block plan
+               (h, None, stack, None, near)]                        # no label plan
         for args in bad:
             with pytest.raises(DimensionError):
                 T.edge_message(*args)
+        for pairs, to in ((T.segments(src[1:], 9), near),          # edges
+                          (plan.pairs, T.segments(dst[1:], 9))):
+            with pytest.raises(DimensionError):
+                T.label_plan(pairs, to)
 
 
 def composed_edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far,
@@ -1231,6 +1235,17 @@ class TestSegmentBlocks:
             {"x": t(rng.normal(size=(5, 2, 2)), rg=True)}, label="segment_blocks")
 
 
+# the digests ``TestPairMessage.test_steps_pinned`` holds each case's steps
+# to, kept out of the test ids so that a deliberate re-pin renames no test
+PAIR_STEP_DIGESTS = {
+    "k1": "710106d83e9e0a1580332417d7e4943c356a38f3c5cfdc7723c762f4010528e8",
+    "k1_width1": "e78ee7457bcf0355c752c31d738c6ec3d6bac9f7b047dabc560fefa76fedcd35",
+    "k2_width25": "3394abd5ed5e04f2fc767cb24d60d89d5b1c84f4f755f20b3fef2a69f2d2c311",
+    "one_way_shuffled": "7a57f9cdfcef19f1522b109d610a1d9f766702e3c98c30adde28adeaf35680fa",
+    "edgeless": "d87ef6fb2c4bd67803caabbbaaea117290d1a6ce84bc223fe18fc434e7f41521",
+}
+
+
 class TestPairMessage:
     """``T.edge_message``, the edge network's message over raw vectors,
     against its composed oracle and finite differences, on edges that
@@ -1244,18 +1259,12 @@ class TestPairMessage:
         for name, a, b in zip(["out", "h", "w2", "b2", "hidden"], got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
-    @pytest.mark.parametrize("case, digest", [
-        ("k1", "710106d83e9e0a1580332417d7e4943c356a38f3c5cfdc7723c762f4010528e8"),
-        ("k1_width1", "e78ee7457bcf0355c752c31d738c6ec3d6bac9f7b047dabc560fefa76fedcd35"),
-        ("k2_width25", "3394abd5ed5e04f2fc767cb24d60d89d5b1c84f4f755f20b3fef2a69f2d2c311"),
-        ("one_way_shuffled", "7a57f9cdfcef19f1522b109d610a1d9f766702e3c98c30adde28adeaf35680fa"),
-        ("edgeless", "d87ef6fb2c4bd67803caabbbaaea117290d1a6ce84bc223fe18fc434e7f41521"),
-    ])
-    def test_steps_pinned(self, case, digest):
+    @pytest.mark.parametrize("case", list(PAIR_STEP_DIGESTS))
+    def test_steps_pinned(self, case):
         # pinned on the one op, with the composed oracle's bits as well
         for fused in (True, False):
             blobs = b"".join(a.tobytes() for a in run_pair_message(fused, "steps", PAIR_CASES[case]))
-            assert hashlib.sha256(blobs).hexdigest() == digest
+            assert hashlib.sha256(blobs).hexdigest() == PAIR_STEP_DIGESTS[case]
 
     def test_gradients_against_finite_differences(self, rng):
         # both channels over one-way and two-way pairs; the states are also
