@@ -142,7 +142,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("training")
     group.add_argument("--steps", type=int, default=10000,
                        help="total optimization steps")
-    group.add_argument("--batch-size", type=int, default=20)
+    group.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     group.add_argument("--lr", type=float, default=TrainConfig.init_lr,
                        help="initial learning rate")
     group.add_argument("--decay-start", type=float,
@@ -150,9 +150,9 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                        help="fraction of steps before the linear decay")
     group.add_argument("--decay-factor", type=float, default=TrainConfig.decay_factor,
                        help="final lr as a fraction of the initial lr")
-    group.add_argument("--targets", type=_parse_targets, default="all",
+    group.add_argument("--targets", type=_parse_targets, default=TrainConfig.targets,
                        help="'all' or one target index to train")
-    group.add_argument("--eval-every", type=int, default=1000,
+    group.add_argument("--eval-every", type=int, default=TrainConfig.eval_every,
                        help="validation cadence in steps")
 
 

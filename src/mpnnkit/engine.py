@@ -21,42 +21,34 @@ map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
 multiplies all towers in one call. So a step runs one taped message op per
-channel (``tt.edge_message`` for every matrix message: the matmul message
-and the edge network, over labels or raw vectors) or one gather, product
-and scatter (the other message functions), and one GRU, whatever k is;
-k = 1 is a tower axis of size 1.
+channel (``tt.label_message`` for the matmul message and the edge network
+over labels, ``tt.edge_message`` for the edge network over raw vectors)
+or one gather, product and scatter (the other message functions), and one
+GRU, whatever k is; k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_senders``):
 the labels present, the tower-tiled edge vectors, DTNN's edge term and the
 edge network's label matrices, or its hidden rows laid out in each far
 node's zero-padded block (``tt.segment_blocks``, one per channel), never
 change across the steps, and neither do the index plans (``tt.segments``)
-of the edges' sources and destinations and, for labelled messages, each
-channel's ``tt.label_plan`` of its (far node, label) pairs, which gather
-every step's far-end states or node products, sum its messages and sum
-both back in backward.
+of the edges' sources and destinations and each channel's plan for its
+message op (``tt.label_plan`` or ``tt.block_plan``).
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
-with one matrix per edge label. Both go through ``tt.edge_message``, which
-multiplies every node's state by each matrix once per step and builds no
-matrix per edge. Over discrete labels (chemical, distance bins) the edge
-network's A(e) takes one value per label, so it builds one d_tower x
-d_tower matrix per channel, tower and label present, as the matmul message
-stacks its own; each edge's message is then its far node's product with
-its label's matrix. Both hand the op their label matrices side by side in
-the orientation the matmul message stores them, (k, d_tower, labels x
-d_tower), a message being h A: the matmul message with one taped concat,
-the edge network with its one transpose of the network's rows. So the
-node products are one product per tower and step, not one per tower and
-label. Over raw vectors (complete graphs, one vector per
-directed edge) A(e) is a two-layer network whose last layer is linear, so
-the states are multiplied by the last layer's matrices, and each edge's
-hidden row, read from its far node's block, is contracted with that
-node's products. The network runs in homogeneous coordinates: each edge
-vector gets a 1 appended, the first layer is the stack [[w1, 0], [b1,
-1]], so each hidden row ends in a unit 1, and the last layer's bias is
-one more matrix that unit weighs. The blocks thus hold d_tower + 1 units
-per edge, and neither bias costs a pass of its own over them.
+with one matrix per edge label. Over discrete labels (chemical, distance
+bins) the edge network's A(e) takes one value per label, so it builds one
+d_tower x d_tower matrix per channel, tower and label present, as the
+matmul message stacks its own, and both send through
+``tt.label_message``, whose docstring gives the stack's layout. Over raw
+vectors (complete graphs, one vector per directed edge) A(e) is a
+two-layer network whose last layer is linear, so ``tt.edge_message``
+multiplies the states by the last layer's matrices and contracts each
+edge's hidden row with its far node's products. The network runs in
+homogeneous coordinates: each edge vector gets a 1 appended, the first
+layer is the stack [[w1, 0], [b1, 1]], so each hidden row ends in a unit
+1, and the last layer's bias is one more matrix that unit weighs. A
+hidden row thus holds d_tower + 1 units, and neither bias costs a pass of
+its own over the edges. Neither op builds a matrix per edge.
 
 The master node (the paper's latent node joined to every atom by a special
 edge type) lives only here, as one state row of width ``cfg.d_master`` per
@@ -326,25 +318,18 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     plan that sums it onto the node it is delivered to: the two channels
     share the plans of the edges' sources and destinations, roles swapped.
     Over discrete labels, the matmul message and the edge network stack one
-    matrix per label present side by side, (k, d_tower, labels x d_tower),
-    each A such that a message is h A: the matmul message's weights as
-    stored, by one taped concat, and the edge network's rows moved there by
-    one transpose, its reshapes views. Each channel keeps one
-    ``tt.label_plan`` of its edges' (far node, label) pairs and its near
-    plan, through which ``tt.edge_message`` reads every message from the
-    node products and sums the gradients back; the plan holds both
-    permutations between the two plans' slot orders, so no step takes
-    them again. Over raw vectors the edge network runs its
-    first layer once, as one product of the edge vectors, a 1 appended,
-    with the stack [[w1, 0], [b1, 1]] (a taped concat of the parameters
-    and a constant unit column, so names, shapes and checkpoints stay
-    those of w1 and b1). relu keeps the appended unit at 1, and each
-    channel's hidden rows, d_tower + 1 units wide, are laid out in its far
-    nodes' blocks once, where a pad cell's unit is 0. Every step's
-    ``tt.edge_message`` reads those blocks through the channel's
-    ``tt.block_plan``, made once here too, and the unit weighs the last
-    layer's bias; backward sums the steps' block gradients and gathers the
-    rows' out of them once.
+    matrix per label present as ``tt.label_message`` takes them: the matmul
+    message's weights as stored, by one taped concat, and the edge
+    network's rows moved there by one transpose, its reshapes views. Each
+    channel keeps one ``tt.label_plan`` for every step. Over raw vectors the
+    edge network runs its first layer once, as one product of the edge
+    vectors, a 1 appended, with the stack [[w1, 0], [b1, 1]] (a taped
+    concat of the parameters and a constant unit column, so names, shapes
+    and checkpoints stay those of w1 and b1). relu keeps the appended unit
+    at 1, and each channel's hidden rows, d_tower + 1 units wide, are laid
+    out in its far nodes' blocks once, where a pad cell's unit is 0, with
+    one ``tt.block_plan`` that every step's ``tt.edge_message`` reads them
+    through.
     """
     n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
@@ -364,7 +349,7 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
 
     def label_message(stack, far, near):
         plan = tt.label_plan(tt.segments(far.index * count + label, n * count), near)
-        return lambda h: tt.edge_message(h, None, stack, None, plan)
+        return lambda h: tt.label_message(h, stack, plan)
 
     def matmul(far, near, prefix):
         # the labels' matrices side by side as stored, (k, d_tower, labels

@@ -6,16 +6,14 @@ per-tower stack of matrices (with an optional bias added in the same op),
 per-row matrix-vector products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
 concatenation/slicing/axis permutation, row gather/scatter, rows laid
-out in zero-padded blocks per segment, one matrix message summed at each
-node, ``edge_message`` (each node's state times the unit matrices once,
-each edge's message then read at its label or contracted with its hidden
-row, whose last unit weighs the bias's matrix, so that no matrix is built
-per edge; over labels the matrices arrive as one stack in their stored
-orientation, so the node products are one product per tower), and a GRU
-cell over row-stacked states. The message and the GRU cell are each one
-taped op whose rule replays, with the same bits, the tape the op composed
-from simpler ops would record. Elementwise operands must match
-in shape, so every backward rule stays auditable at a glance.
+out in zero-padded blocks per segment, the two matrix messages summed at
+each node with no matrix built per edge (``label_message`` over discrete
+labels, ``edge_message`` over the edge network's hidden rows; each
+docstring gives its layout), and a GRU cell over row-stacked states. The
+messages and the GRU cell are each one taped op whose rule replays, with
+the same bits, the tape the op composed from simpler ops would record.
+Elementwise operands must match in shape, so every backward rule stays
+auditable at a glance.
 
 A backward rule is a pure function of its output's gradient: it returns
 one gradient per parent and writes nothing. ``backward`` is the only code
@@ -27,25 +25,19 @@ and never rebinds it, so the sums land in Adam's buffer.
 
 Row indexes arrive as :class:`Segments` plans (``segments``), built once
 per index and reused by every op over it: ``gather_rows``,
-``scatter_sum_rows``, ``segment_softmax``, ``segment_blocks`` and
-``edge_message``. A plan orders the segments by decreasing row count and
-lists the rows slot-major, slot j holding the j-th row of every segment
-that has one, so a sum over segments is one take of the rows, one add per
-slot onto the prefix of segments that slot covers, and one take back
-(``_segment_sum``; rows of one value each summed from zeros go through
-``np.bincount``), touching each row once, in the order and with the bits
-``np.add.at`` would give. ``gather_rows``' rule hands back ``(plan,
-rows)``, which ``backward`` sums the same way. A row's slot is also its
-place in a zero-padded block of its segment's rows (``segment_blocks``).
-The edge network lays each node's edges' hidden rows out in such blocks
-once per forward, with a :class:`BlockPlan` (``block_plan``) of where each
-edge's cell is and which node its message goes to, and every step's
-``edge_message`` reads both; ``backward`` sums the steps' gradients of
-the blocks before one gather takes the rows' out. Over labels a
-:class:`LabelPlan` (``label_plan``), also made once per forward, holds
-each edge's (far node, label) pair and the two permutations between that
-plan's slot order and the near plan's, which every step's message and
-rule take through.
+``scatter_sum_rows``, ``segment_softmax``, ``segment_blocks``,
+``label_message`` and ``edge_message``. A plan orders the segments by
+decreasing row count and lists the rows slot-major, slot j holding the
+j-th row of every segment that has one, so a sum over segments is one
+take of the rows, one add per slot onto the prefix of segments that slot
+covers, and one take back (``_segment_sum``; rows of one value each
+summed from zeros go through ``np.bincount``), touching each row once, in
+the order and with the bits ``np.add.at`` would give. ``gather_rows``'
+rule hands back ``(plan, rows)``, which ``backward`` sums the same way. A
+row's slot is also its place in a zero-padded block of its segment's rows
+(``segment_blocks``). Each message op reads its edges through a plan made
+once per forward and shared by every step: a :class:`LabelPlan`
+(``label_plan``) or a :class:`BlockPlan` (``block_plan``).
 
 Every op that computes new values checks its forward result for NaN/Inf,
 so divergence surfaces as a :class:`NumericError` at the op that produced
@@ -56,13 +48,15 @@ finite, and a value made non-finite past that check (written into a
 leaf in place) still raises at the first op that computes from it.
 ``relu`` clips, and checks only its input's least entry, the -inf that a
 clip would turn into 0. The fused ops check less and say in their
-docstrings why that is enough: ``edge_message`` checks only its result,
-and ``gru_cell`` its three pre-activations and its result.
+docstrings why that is enough: ``label_message`` and ``edge_message``
+check only their result, and ``gru_cell`` its three pre-activations and
+its result.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import threading
@@ -102,6 +96,7 @@ __all__ = [
     "gather_rows",
     "scatter_sum_rows",
     "segment_blocks",
+    "label_message",
     "edge_message",
     "transpose",
     "slice_cols",
@@ -317,16 +312,24 @@ class BlockPlan:
     ``far`` lays the edges out in blocks of depth D = ``len(far.widths)``
     and ``near`` sums their messages. ``taken[j]`` is the cell, among the
     blocks' n * D flattened, of edge ``near.row_order[j]``, so one take
-    reads the messages straight into ``near``'s slot order. ``source[c]``
-    is the near node of cell c's edge, or ``near.num_segments`` for a pad
-    cell, so one take of the message gradients with a zero row appended
-    fills every cell. The arrays are read-only.
+    reads the messages straight into ``near``'s slot order. The arrays are
+    read-only.
     """
 
     far: Segments
     near: Segments
     taken: np.ndarray
-    source: np.ndarray
+
+    @functools.cached_property
+    def source(self) -> np.ndarray:
+        """Each cell's edge's near node, ``near.num_segments`` for a pad cell:
+        one take of the message gradients, a zero row appended, fills every
+        cell. The first rule to read it makes it; an untaped forward never."""
+        depth = len(self.far.widths)
+        source = np.full(self.far.num_segments * depth, self.near.num_segments)
+        source[self.far.index * depth + self.far.slot] = self.near.index
+        source.flags.writeable = False
+        return source
 
 
 def block_plan(far: Segments, near: Segments) -> BlockPlan:
@@ -335,35 +338,36 @@ def block_plan(far: Segments, near: Segments) -> BlockPlan:
     if far.index.shape != near.index.shape:
         raise DimensionError(f"block plan needs one far and one near node per edge: "
                              f"{far.index.shape[0]} vs {near.index.shape[0]}")
-    depth = len(far.widths)
-    cells = far.index * depth + far.slot
-    source = np.full(far.num_segments * depth, near.num_segments)
-    source[cells] = near.index
-    taken = cells[near.row_order]
-    for arr in (taken, source):
-        arr.flags.writeable = False
-    return BlockPlan(far, near, taken, source)
+    taken = (far.index * len(far.widths) + far.slot)[near.row_order]
+    taken.flags.writeable = False
+    return BlockPlan(far, near, taken)
 
 
 @dataclass(frozen=True, eq=False)
 class LabelPlan:
-    """Where ``edge_message`` reads each labelled edge's message among the
-    node products, and where it sums each message's gradient; build one
-    with :func:`label_plan`, once for every step over the same edges.
+    """Where ``label_message`` reads each edge's message among the node
+    products, and where it sums each message's gradient; build one with
+    :func:`label_plan`, once for every step over the same edges.
 
     ``pairs`` groups the edges by their (far node, label) pair, ``far * L +
     label`` over n * L segments for L labels, and ``near`` sums their
     messages. ``taken[j]`` is the pair of edge ``near.row_order[j]``, so one
-    take reads the messages straight into ``near``'s slot order;
-    ``source[j]`` is the near node of edge ``pairs.row_order[j]``, so one
-    take reads the message gradients straight into ``pairs``' slot order.
-    The arrays are read-only.
+    take reads the messages straight into ``near``'s slot order. The arrays
+    are read-only.
     """
 
     pairs: Segments
     near: Segments
     taken: np.ndarray
-    source: np.ndarray
+
+    @functools.cached_property
+    def source(self) -> np.ndarray:
+        """The near node of edge ``pairs.row_order[j]``: one take reads the
+        message gradients into ``pairs``' slot order. The first rule to read
+        it makes it; an untaped forward never."""
+        source = self.near.index[self.pairs.row_order]
+        source.flags.writeable = False
+        return source
 
 
 def label_plan(pairs: Segments, near: Segments) -> LabelPlan:
@@ -373,10 +377,8 @@ def label_plan(pairs: Segments, near: Segments) -> LabelPlan:
         raise DimensionError(f"label plan needs one pair and one near node per edge: "
                              f"{pairs.index.shape[0]} vs {near.index.shape[0]}")
     taken = pairs.index[near.row_order]
-    source = near.index[pairs.row_order]
-    for arr in (taken, source):
-        arr.flags.writeable = False
-    return LabelPlan(pairs, near, taken, source)
+    taken.flags.writeable = False
+    return LabelPlan(pairs, near, taken)
 
 
 def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -819,145 +821,141 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
     return _result(out.reshape((seg.num_segments, depth) + row), (x,), rule, check=False)
 
 
-def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, plan) -> Tensor:
-    """A matrix message summed at each node, all towers at once, as one
-    taped op that builds no matrix per edge: the edge network's, over raw
-    vectors or over labels, and the matmul message.
+def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
+    """The message over discrete edge labels, summed at each node, all
+    towers at once, as one taped op that builds no matrix per edge: the
+    matmul message, and the edge network over labels.
 
-    ``h`` is (n, k, q). Edge i's message in tower t is its far node w's
-    state times a matrix A, summed onto its near node, row i of the near
-    plan; the result is (near.num_segments, k, p). What ``plan`` is picks
-    how each edge gets its A, and what ``edges``, ``w2`` and ``b2`` are:
+    ``h`` is (n, k, q) and ``stack`` the L labels' q x q matrices side by
+    side as the weights are stored, (k, q, L * q) = [A_0 | A_1 | ...]. Edge
+    i's message in tower t is ``h[w, t] @ A``, w its far node and A its
+    label's block, summed onto its near node, row i of ``plan.near``; the
+    result is (near.num_segments, k, q).
 
-    - a :class:`BlockPlan` of the edges' far and near plans, with hidden
-      blocks, an (n, D, k, u + 1) Tensor, as ``edges``: each edge's hidden
-      row laid out in its far node's block by ``segment_blocks(hidden,
-      plan.far)``, D the largest count of ``plan.far``. ``w2`` is (k, u,
-      p*q), u row-major (p x q) unit matrices per tower, and ``b2`` (k,
-      p*q). The rows are in homogeneous coordinates, their last unit 1 (and
-      0 in a pad cell), so the message is ``A @ h[w, t]`` with ``A =
-      hidden[i, t, :u] @ w2[t] + b2[t]``: the edge network's last layer over
-      raw vectors, whose bias is one more unit matrix;
-    - a :class:`LabelPlan` of each edge's (far node, label) pair, with
-      ``edges`` and ``b2`` None: ``w2`` is the stack of the L labels' q x q
-      matrices side by side, as the weights are stored, (k, q, L * q) =
-      [A_0 | A_1 | ...], and the message is ``h[w, t] @ A``, A its label's
-      block (so p = q).
+    The forward takes the states first: U, the states times the whole
+    stack, one product per tower, copied into one (k, q) row per (node,
+    label) pair (the product is freed once copied), so the op makes n * L
+    products, not one per edge. A message is its pair's row: one take of
+    ``plan.taken`` reads them into ``near``'s slot order, and ``_slot_sum``
+    adds each node's one at a time in edge order, as a scatter does. With
+    no edge the result is zeros, and nothing is taped. The multiply count
+    is the products at the ``plan.pairs.widths[0]`` pairs some edge reads,
+    so a union counts what its graphs would count alone.
 
-    A's last layer is linear, so the forward takes the states first: every
-    node's products with the unit matrices, ``U``. With labels they are one
-    product per tower, the states times the whole stack, copied into one
-    (k, p) row per (node, label) pair, and a message is its pair's row, so
-    the op makes n * L products, not one per edge; the call holds the
-    product beside U only until it is copied. With hidden blocks U is (n,
-    k, u + 1, p), one product per tower with w2's matrices (``_product``)
-    and one with b2's, written in place into the last unit. One batched
-    matmul contracts every node's (D, u + 1) block with its U, through the
-    blocks' tower-major view, into messages laid out as the blocks are:
-    the last unit adds each edge's bias, and a pad cell's zeros add none.
-    So it makes n products with u + 1 matrices, not E matrices, and its
-    largest arrays are U and the (n, D, k, p) messages; a call that is not
-    taped frees U once the messages are made. Either way the messages are
-    read straight into ``near``'s slot order by one take of the plan's
-    ``taken`` cells or pairs, and added onto the nodes (``_slot_sum``),
-    each node adding its messages one at a time in edge order, as a
-    scatter does. With no labelled edge the result is zeros, and nothing
-    is taped.
-
-    The rule runs the same products transposed. With labels, one take of
-    the plan's ``source`` reads the message gradients into the pairs
-    plan's slot order, where they are summed into U's. The stack's
-    gradient is ``(g_U^T h)^T`` and h's is g_U times a row-major copy of
-    the stack transposed, the orientation of one (p x q) matrix per label:
-    ``h^T g_U`` would move the last bits of the weights' gradients. With
-    hidden blocks, a taped step holds U, its one array of its own; the
-    blocks and the plan are the caller's, made once for every step. One
-    take fills each cell with its edge's message gradient, a pad cell with
-    zeros. Their products with the blocks give U's gradient, whose last
-    unit is the bias's, and then with U the blocks'; U's gradient is freed
-    before the blocks' is made. U's gradient times the states gives
-    ``w2``'s and ``b2``'s, dense and of their own shapes, which a leaf adds
-    into its ``grad`` in place; times the matrices it gives h's. The
-    blocks' gradient keeps their layout, so ``backward`` sums the steps'
-    block gradients elementwise and ``segment_blocks``' rule gathers the
-    rows out once. The parents are ``(w2, b2, blocks, h)``, or ``(w2, h)``
-    with labels, in the order the tape of the node products, the
-    contraction or gather, and a scatter would deliver them. The multiply
-    count is the edges' contractions over the u hidden units and the node
-    products, not the padding's or the bias unit's; with labels, only the
-    products at the (node, label) pairs some edge reads
-    (``plan.pairs.widths[0]`` of them), so that a union counts what its
-    graphs would count alone, whatever labels the others bring.
+    The rule takes the message gradients by ``plan.source`` into the pairs
+    plan's slot order and sums them there into U's. The stack's gradient is
+    ``(g_U^T h)^T`` and h's is g_U times a row-major copy of the stack
+    transposed, one q x q matrix per label: ``h^T g_U`` would move the last
+    bits of the weights' gradients. The parents are ``(stack, h)``, in the
+    order the tape of the node products, a gather and a scatter would
+    deliver them.
 
     Only the result is checked for NaN/Inf. That is enough: h was checked
-    where it was made, and the hidden blocks hold the first layer's
-    checked products, clipped by relu and moved by their layout, their
-    unit exactly 1; every entry of a unit matrix, b2's included, and of
-    the label stack reaches each node's U (zero times inf is NaN); every
-    entry of a sending node's U is multiplied into each of its messages
-    with hidden blocks, the bias's unit by 1 (a pad cell's product may be
-    NaN, but no message reads it), and with labels every block of the
-    stack is some edge's label (the callers stack only the labels
-    present), whose message copies its pair's row of U; every message is
-    added into exactly one result row, and IEEE addition never turns inf
-    or NaN back into a finite number. The U that no message reads reaches
-    neither the value nor a gradient.
+    where it was made; every entry of the stack reaches each node's U (zero
+    times inf is NaN); every block of the stack is some edge's label (the
+    callers stack only the labels present), whose message copies its
+    pair's row of U; and each message is added into exactly one result
+    row, where IEEE addition never turns inf or NaN finite again. The U
+    that no message reads reaches neither the value nor a gradient.
     """
-    labelled = isinstance(plan, LabelPlan)
-    if (h.data.ndim != 3 or w2.data.ndim != 3
-            or not (edges is None if labelled
-                    else isinstance(edges, Tensor) and edges.data.ndim == 4
-                    and isinstance(plan, BlockPlan))):
-        raise DimensionError("edge_message needs (n, k, q) states and (k, u, p*q) "
-                             "matrices with (n, D, k, u + 1) hidden blocks and their "
-                             "BlockPlan, or a (k, q, L*q) label stack with a LabelPlan")
+    if h.data.ndim != 3 or stack.data.ndim != 3 or not isinstance(plan, LabelPlan):
+        raise DimensionError("label_message needs (n, k, q) states, a (k, q, L*q) label "
+                             "stack and a LabelPlan")
     n, k, q = h.data.shape
-    near = plan.near
+    units, p = stack.data.shape[2] // q, q
+    if stack.data.shape != (k, q, units * q) or plan.pairs.num_segments != n * units:
+        raise DimensionError(f"label_message needs a ({k}, {q}, L*{q}) label stack for "
+                             f"states {h.data.shape} and n x L (node, label) pairs: "
+                             f"{stack.data.shape}, {plan.pairs.num_segments} pairs")
+    pairs, near = plan.pairs, plan.near
+    if not near.index.shape[0]:
+        return _result(np.zeros((near.num_segments, k, p)), (), None)
     rows = h.data.transpose(1, 0, 2)
-    if labelled:
-        units, p = w2.data.shape[2] // q, q
-        if (w2.data.shape != (k, q, units * q) or b2 is not None
-                or plan.pairs.num_segments != n * units):
-            raise DimensionError(f"edge_message needs a ({k}, {q}, L*{q}) label stack for "
-                                 f"states {h.data.shape}, no bias, and n x L (node, label) "
-                                 f"pairs: {w2.data.shape}, {plan.pairs.num_segments} pairs")
-        pairs = plan.pairs
-        if not near.index.shape[0]:
-            return _result(np.zeros((near.num_segments, k, p)), (), None)
-        # U one row per (node, label) pair, (n * L, k, p), from one product
-        # per tower, (n, L * p), copied in
-        u = np.empty((n, units, k, p))
-        u.transpose(2, 0, 1, 3)[...] = (rows @ w2.data).reshape(k, n, units, p)
-        msgs = np.take(u.reshape(n * units, k, p), plan.taken, axis=0)
-        del u  # not needed past here: freeing it lowers the call's peak
-        total = _slot_sum(near, msgs)
+    # U one row per (node, label) pair, (n * L, k, p), from one product per
+    # tower, (n, L * p), copied in
+    u = np.empty((n, units, k, p))
+    u.transpose(2, 0, 1, 3)[...] = (rows @ stack.data).reshape(k, n, units, p)
+    msgs = np.take(u.reshape(n * units, k, p), plan.taken, axis=0)
+    del u  # not needed past here: freeing it lowers the call's peak
+    total = _slot_sum(near, msgs)
 
-        def rule(g: np.ndarray):
-            # the message gradients taken straight into the pairs plan's
-            # slot order and summed there into U's, laid out (n, k, L * p)
-            g_u = (_slot_sum(pairs, np.take(g, plan.source, axis=0))
-                   .reshape(n, units, k, p).transpose(0, 2, 1, 3).reshape(n, k, units * p))
-            return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
-                    if w2.requires_grad else None,
-                    _product(g_u, np.ascontiguousarray(w2.data.transpose(0, 2, 1)))
-                    if h.requires_grad else None)
+    def rule(g: np.ndarray):
+        # the message gradients taken straight into the pairs plan's slot
+        # order and summed there into U's, laid out (n, k, L * p)
+        g_u = (_slot_sum(pairs, np.take(g, plan.source, axis=0))
+               .reshape(n, units, k, p).transpose(0, 2, 1, 3).reshape(n, k, units * p))
+        return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
+                if stack.requires_grad else None,
+                _product(g_u, np.ascontiguousarray(stack.data.transpose(0, 2, 1)))
+                if h.requires_grad else None)
 
-        return _result(total, (w2, h), rule, pairs.widths[0] * k * q * p)
+    return _result(total, (stack, h), rule, pairs.widths[0] * k * q * p)
 
+
+def edge_message(h: Tensor, blocks: Tensor, w2: Tensor, b2: Tensor, plan: BlockPlan) -> Tensor:
+    """The edge network's message over raw edge vectors, summed at each
+    node, all towers at once, as one taped op that builds no matrix per
+    edge.
+
+    ``h`` is (n, k, q). ``blocks``, (n, D, k, u + 1), holds each edge's
+    hidden row in its far node's block, as ``segment_blocks(hidden,
+    plan.far)`` lays it out, D the largest count of ``plan.far``. ``w2`` is
+    (k, u, p*q), u row-major p x q unit matrices per tower, and ``b2`` (k,
+    p*q). The rows are in homogeneous coordinates, their last unit 1 (0 in
+    a pad cell), so edge i's message in tower t is ``A @ h[w, t]``, w its
+    far node and ``A = hidden[i, t, :u] @ w2[t] + b2[t]`` the last layer,
+    whose bias is one more unit matrix, summed onto its near node, row i of
+    ``plan.near``; the result is (near.num_segments, k, p).
+
+    The layer is linear, so the forward takes the states first: U, (n, k,
+    u + 1, p), one product per tower with w2's matrices and one with b2's,
+    written in place into the last unit. One batched matmul contracts every
+    node's (D, u + 1) block with its U, through the blocks' tower-major
+    view, into messages laid out as the blocks are, the last unit adding
+    each edge's bias and a pad cell's zeros none: n products with u + 1
+    matrices, not E matrices. Its largest arrays are U, which a call that
+    is not taped frees once the messages are made, and the (n, D, k, p)
+    messages, read by ``plan.taken`` into ``near``'s slot order and summed
+    as ``label_message`` sums its own. The multiply count is the edges'
+    contractions over the u hidden units and the node products, not the
+    padding's or the bias unit's.
+
+    The rule holds U, its one array of its own; the blocks and the plan are
+    the caller's, made once for every step. A take by ``plan.source`` fills
+    each cell with its edge's message gradient, a pad cell with zeros.
+    Their products with the blocks give U's gradient (its last unit the
+    bias's), which times the states gives ``w2``'s and ``b2``'s, dense, and
+    times the matrices h's; it is freed before the blocks' gradient, the
+    cells' times U, is made. That keeps the blocks' layout, so ``backward``
+    sums the steps' block gradients elementwise and ``segment_blocks``'
+    rule gathers the rows out once. The parents are ``(w2, b2, blocks,
+    h)``, in the order the tape of the node products, the contraction and a
+    scatter would deliver them.
+
+    Only the result is checked for NaN/Inf, as in ``label_message`` and for
+    the same reasons. Here the blocks hold the first layer's checked
+    products, clipped by relu and moved by their layout, their unit exactly
+    1; every entry of w2 and b2 reaches each node's U; and every entry of a
+    sending node's U is multiplied into each of its messages, the bias's
+    unit by 1 (a pad cell's product may be NaN, but no message reads it).
+    """
+    if (h.data.ndim != 3 or w2.data.ndim != 3 or blocks.data.ndim != 4
+            or not isinstance(plan, BlockPlan)):
+        raise DimensionError("edge_message needs (n, k, q) states, (n, D, k, u + 1) hidden "
+                             "blocks, (k, u, p*q) matrices and a BlockPlan")
+    n, k, q = h.data.shape
     _, r, width = w2.data.shape
     depth = len(plan.far.widths)
-    if plan.far.num_segments != n:
-        raise DimensionError(f"edge_message far plan has {plan.far.num_segments} "
-                             f"segments for {n} states")
-    if (w2.data.shape[0] != k or width % q or edges.data.shape != (n, depth, k, r + 1)
-            or b2 is None or b2.data.shape != (k, width)):
+    if (w2.data.shape[0] != k or width % q or blocks.data.shape != (n, depth, k, r + 1)
+            or b2.data.shape != (k, width) or plan.far.num_segments != n):
         raise DimensionError(f"edge_message needs ({k}, r, p*{q}) matrices, "
-                             f"({n}, {depth}, {k}, r + 1) hidden blocks and a ({k}, p*{q}) "
-                             f"bias for states {h.data.shape}: {w2.data.shape}, "
-                             f"{edges.data.shape}, {None if b2 is None else b2.data.shape}")
-    p = width // q
-    m = near.index.shape[0]
-    blocks, w, b = edges, w2.data.reshape(k, r * p, q), b2.data.reshape(k, p, q)
+                             f"({n}, {depth}, {k}, r + 1) hidden blocks, a ({k}, p*{q}) "
+                             f"bias and {n} far segments for states {h.data.shape}: "
+                             f"{w2.data.shape}, {blocks.data.shape}, {b2.data.shape}, "
+                             f"{plan.far.num_segments}")
+    p, near = width // q, plan.near
+    rows = h.data.transpose(1, 0, 2)
+    w, b = w2.data.reshape(k, r * p, q), b2.data.reshape(k, p, q)
     # U, (n, k, r + 1, p): the products with w2's matrices, and b2's in the
     # last unit, each written through U's tower-major view
     u = np.empty((n, k, r + 1, p))
@@ -993,7 +991,8 @@ def edge_message(h: Tensor, edges, w2: Tensor, b2: Tensor | None, plan) -> Tenso
             np.matmul(g_y, u.swapaxes(-1, -2), out=g_blocks.transpose(0, 2, 1, 3))
         return g_w2, g_b2, g_blocks, g_h
 
-    return _result(total, parents, rule, n * k * q * (r + 1) * p + m * k * r * p)
+    return _result(total, parents, rule,
+                   n * k * q * (r + 1) * p + near.index.shape[0] * k * r * p)
 
 
 # no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)

@@ -403,9 +403,10 @@ def test_outputs_and_gradients_pinned(message_fn, readout, overrides, digest):
     # matmul_master_set2set_residual 1.5e-16.
     # The four digests over labels (matmul, matmul_k4, edge_network_chemical
     # and matmul_master_set2set_residual) were re-pinned when every matrix
-    # message became one ``tt.edge_message`` that reads each message from
-    # its far node's products: each node now adds its messages in edge
-    # order, not label by label. Against the per-label message the outputs
+    # message became one ``tt.edge_message`` (over labels now
+    # ``tt.label_message``) that reads each message from its far node's
+    # products: each node now adds its messages in edge order, not label by
+    # label. Against the per-label message the outputs
     # moved by at most 4.1e-17, 0, 0 and 1.0e-16 and the gradients by at
     # most 3.5e-16, 2.5e-16, 6.2e-16 and 9.0e-16, each relative to its
     # array's largest entry; the other five kept their bits.

@@ -643,11 +643,12 @@ def test_every_model_field_is_set_by_the_cli(monkeypatch):
 
 
 def test_training_flags_default_to_the_train_config():
-    # the rate and decay flags take TrainConfig's defaults, not copies
+    # the training flags take TrainConfig's defaults, not copies
     args = cli.build_parser().parse_args(
         ["train", "--data", "d", "--manifest", "m", "--out-dir", "o"])
     got, want = cli._train_config(args), TrainConfig(total_steps=args.steps)
-    for field in ("init_lr", "decay_start_fraction", "decay_factor"):
+    for field in ("batch_size", "init_lr", "decay_start_fraction", "decay_factor",
+                  "targets", "eval_every"):
         assert getattr(got, field) == getattr(want, field)
 
 

@@ -239,7 +239,7 @@ class TestIndexPlans:
 
     @pytest.mark.parametrize("towers_k", [1, 2])
     def test_matmul_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
-        # the matmul message of all labels is one edge_message op; no
+        # the matmul message of all labels is one label_message op; no
         # gather, product or scatter of its own reaches the tape. Once per
         # forward each channel stacks its labels' weights as stored, one
         # concat and no transpose or reshape; the only products taped are
@@ -252,7 +252,8 @@ class TestIndexPlans:
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
-        assert ops.count("edge_message") == 2 * cfg.T
+        assert ops.count("label_message") == 2 * cfg.T
+        assert "edge_message" not in ops
         assert ops.count("matmul") == (cfg.T if towers_k > 1 else 0)
         assert ops.count("concat") == 2 + cfg.T  # and the GRU input's, per step
         assert ops.count("transpose") == 0
@@ -271,6 +272,7 @@ class TestIndexPlans:
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
         assert ops.count("edge_message") == 2 * cfg.T
+        assert "label_message" not in ops
         assert ops.count("matmul") == 2 + (cfg.T if towers_k > 1 else 0)
         assert not {"gather_rows", "scatter_sum_rows", "matmul_message"} & set(ops)
 
@@ -305,8 +307,8 @@ class TestIndexPlans:
                                                                              towers_k):
         # over labels the edge network builds one matrix per label present
         # (mlp2 and one transpose per channel, once per forward) and sends
-        # through the matmul message's op, edge_message, as over raw vectors,
-        # with no gather of each label's matrix out of the stack
+        # through the matmul message's op, label_message, with no gather of
+        # each label's matrix out of the stack
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
         assert np.unique(eg.edge_features).size > 1
@@ -314,7 +316,8 @@ class TestIndexPlans:
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
-        assert ops.count("edge_message") == 2 * cfg.T
+        assert ops.count("label_message") == 2 * cfg.T
+        assert "edge_message" not in ops
         assert ops.count("matmul") == 2 * 2 + (cfg.T if towers_k > 1 else 0)
         assert ops.count("transpose") == 2
         assert not {"gather_rows", "scatter_sum_rows"} & set(ops)

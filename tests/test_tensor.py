@@ -818,8 +818,8 @@ def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
     """The matmul message composed per edge from taped primitives, a
     gather, a ``matmul`` and a scatter per label joined by ``add``: each
     edge's far state times its label's (k, q, p) weight, the labels' parts
-    added in order. It is the reference of ``T.edge_message`` over labels
-    where the two need not agree bit for bit."""
+    added in order. It is the reference of ``T.label_message`` where the
+    two need not agree bit for bit."""
     total = None if weights else Tensor(np.zeros(h.data.shape))
     for a, far_label, near_label in zip(weights, far, near):
         part = T.scatter_sum_rows(T.matmul(T.gather_rows(h, far_label), a), near_label)
@@ -829,7 +829,7 @@ def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
 
 def label_stack(weights):
     """The labels' (k, q, p) weights, which multiply states as ``h @ A``,
-    side by side as ``T.edge_message`` takes them, (k, q, labels * p), from
+    side by side as ``T.label_message`` takes them, (k, q, labels * p), from
     the one taped concat ``engine._senders`` stacks them with."""
     return T.concat(weights, axis=2)
 
@@ -839,9 +839,9 @@ def node_form_message(h: Tensor, stack: Tensor, plan) -> Tensor:
     every node's products with the label stack, U, taped with the one op's
     numpy calls and laid out one (node, label) row each; a gather of each
     edge's row through the plan's pairs; and a scatter onto its near
-    nodes. It is the bitwise oracle of ``T.edge_message`` over labels,
-    forward and backward, and counts the products as it does, at the pairs
-    some edge reads."""
+    nodes. It is the bitwise oracle of ``T.label_message``, forward and
+    backward, and counts the products as it does, at the pairs some edge
+    reads."""
     n, k, q = h.data.shape
     units, p = stack.data.shape[2] // q, q
     if not plan.pairs.index.size:
@@ -914,7 +914,7 @@ def run_message(send, case, h_data, w_data, edges, probe, later):
         k, q = h_data.shape[1:]
         stack = label_stack(used) if used else t(np.zeros((k, q, 0)))
         if send == "fused":
-            out = T.edge_message(h, None, stack, None, plan)
+            out = T.label_message(h, stack, plan)
         else:
             out = node_form_message(h, stack, plan)
     loss = T.reduce_sum(T.mul(out, t(probe)))
@@ -973,9 +973,9 @@ def assert_agrees_at_tower_width_25(rng):
 
 
 class TestMatmulMessage:
-    """``T.edge_message`` over labels: the matmul message, and the edge
-    network's over labels, against its node-form oracle, the per-edge
-    composition and finite differences."""
+    """``T.label_message``: the matmul message, and the edge network's over
+    labels, against its node-form oracle, the per-edge composition and
+    finite differences."""
 
     @pytest.mark.parametrize("q", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("k", [1, 3])
@@ -1020,11 +1020,11 @@ class TestMatmulMessage:
         params = {"h": t(h_data, rg=True), "w": t(stacked([ws[l] for l in present]), rg=True)}
 
         def loss(p):
-            msgs = [T.edge_message(p["h"], None, p["w"], None, plan)
+            msgs = [T.label_message(p["h"], p["w"], plan)
                     for plan in (plan_in, plan_out)]
             return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
 
-        check_grad_against_fd(loss, params, label="edge_message over labels")
+        check_grad_against_fd(loss, params, label="label_message")
 
     def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
         h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=3, q=4)
@@ -1032,7 +1032,7 @@ class TestMatmulMessage:
         h = t(h_data, rg=True)
         stack = t(stacked([ws[label] for label in present]), rg=True)
         with count_multiplies(MultiplyCounter()) as fused:
-            out = T.edge_message(h, None, stack, None, plan)
+            out = T.label_message(h, stack, plan)
         assert [entry[0] for entry in T.active_tape()] == [out]
         with count_multiplies(MultiplyCounter()) as composed:
             node_form_message(h, stack, plan)
@@ -1043,10 +1043,26 @@ class TestMatmulMessage:
         assert fused.total == composed.total == reads * 3 * 4 * 4
         T.active_tape().clear()
         # no edges: zeros of h's shape, and nothing to tape
-        out = T.edge_message(h, None, t(np.zeros((3, 4, 0)), rg=True), None,
-                             T.label_plan(T.segments([], 0), T.segments([], 9)))
+        out = T.label_message(h, t(np.zeros((3, 4, 0)), rg=True),
+                              T.label_plan(T.segments([], 0), T.segments([], 9)))
         assert out.data.tobytes() == np.zeros(h.shape).tobytes()
         assert not T.active_tape()
+
+    def test_only_a_rule_makes_the_plans_source(self, rng):
+        # the rule's permutation: an untaped call leaves it unmade, and the
+        # first rule makes it once for every later step
+        h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
+        present, _, near, plan = label_plans(edges, 9)
+        stack = t(stacked([ws[label] for label in present]), rg=True)
+        with no_grad():
+            T.label_message(t(h_data), stack, plan)
+        assert "source" not in vars(plan)
+        backward(T.reduce_sum(T.label_message(t(h_data, rg=True), stack, plan)))
+        source = plan.source
+        assert source.tolist() == near.index[plan.pairs.row_order].tolist()
+        assert not source.flags.writeable
+        backward(T.reduce_sum(T.label_message(t(h_data, rg=True), stack, plan)))
+        assert plan.source is source
 
     def test_overflowing_label_raises(self, rng):
         h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
@@ -1055,27 +1071,25 @@ class TestMatmulMessage:
             stack = stacked([ws[label] for label in present])
             stack[:, :, 3 * huge:3 * huge + 3] = 1e308
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-                T.edge_message(t(np.full(h_data.shape, 2.0)), None, t(stack), None, plan)
+                T.label_message(t(np.full(h_data.shape, 2.0)), t(stack), plan)
 
     def test_shape_validation(self, rng):
         h_data, ws, edges = message_case(rng, "one_label", n=9, n_edges=40, k=2, q=3)
         _, far, near, plan = label_plans(edges, 9)
         src, dst, _ = edges
         h, stack = t(h_data), t(stacked([ws[1]]))
-        assert T.edge_message(h, None, stack, None, plan).shape == (9, 2, 3)
-        bad = [(t(h_data[:, 0]), None, stack, None, plan),          # no tower axis
-               (h, None, t(stack.data[:, :, :2]), None, plan),     # not q x q
-               (h, None, t(stack.data[:, :2]), None, plan),        # not q rows
-               (h, None, t(stack.data[:1]), None, plan),           # towers
-               (h, None, t(np.concatenate([stack.data] * 2, axis=2)), None, plan),
-               (t(h_data[:5]), None, stack, None, plan),           # states
-               (h, None, stack, t(np.zeros((2, 9))), plan),        # a bias
-               (h, t(np.zeros((9, 1, 2, 2))), stack, None, plan),  # hidden blocks
-               (h, None, stack, None, T.block_plan(far, near)),    # a block plan
-               (h, None, stack, None, near)]                        # no label plan
+        assert T.label_message(h, stack, plan).shape == (9, 2, 3)
+        bad = [(t(h_data[:, 0]), stack, plan),                  # no tower axis
+               (h, t(stack.data[:, :, :2]), plan),             # not q x q
+               (h, t(stack.data[:, :2]), plan),                # not q rows
+               (h, t(stack.data[:1]), plan),                   # towers
+               (h, t(np.concatenate([stack.data] * 2, axis=2)), plan),
+               (t(h_data[:5]), stack, plan),                   # states
+               (h, stack, T.block_plan(far, near)),            # a block plan
+               (h, stack, near)]                               # no label plan
         for args in bad:
             with pytest.raises(DimensionError):
-                T.edge_message(*args)
+                T.label_message(*args)
         for pairs, to in ((T.segments(src[1:], 9), near),          # edges
                           (plan.pairs, T.segments(dst[1:], 9))):
             with pytest.raises(DimensionError):
@@ -1404,7 +1418,6 @@ class TestPairMessage:
                (h, blocks, t(np.ones((k, r + 1, q * q))), b2, plan),     # hidden width
                (h, blocks, w2, t(np.ones((k, q * q + 1))), plan),        # not p x q
                (h, blocks, t(np.ones((k, r, q * q + q))), b2, plan),     # w2 and b2
-               (h, blocks, w2, None, plan),                              # no bias
                (h, blocks, w2, b2, near),                                # not a block plan
                (h, blocks, w2, b2, T.block_plan(T.segments(src, n + 1),
                                                 T.segments(dst, n + 1)))]  # far plan
@@ -1413,6 +1426,29 @@ class TestPairMessage:
                 T.edge_message(*args)
         with pytest.raises(DimensionError):
             T.block_plan(far, T.segments(dst[1:], n))                   # edges
+
+    def test_only_a_rule_makes_the_plans_source(self, rng):
+        # the rule's cell source: an untaped call leaves it unmade, and the
+        # first rule makes it once for every later step
+        n, k, q, r = 6, 2, 3, 4
+        src, dst, _, _ = pair_edges(rng, n, 8, 3)
+        far, near = T.segments(src, n), T.segments(dst, n)
+        plan = T.block_plan(far, near)
+        blocks = T.segment_blocks(t(hidden_rows(rng, src.size, k, r), rg=True), far)
+        w2, b2 = t(rng.normal(size=(k, r, q * q)), rg=True), t(rng.normal(size=(k, q * q)))
+        h = t(rng.normal(size=(n, k, q)))
+        with no_grad():
+            T.edge_message(h, blocks, w2, b2, plan)
+        assert "source" not in vars(plan)
+        backward(T.reduce_sum(T.edge_message(h, blocks, w2, b2, plan)))
+        source = plan.source
+        depth = len(far.widths)
+        want = np.full(n * depth, n)
+        want[src * depth + far.slot] = dst
+        assert source.tolist() == want.tolist()
+        assert not source.flags.writeable
+        backward(T.reduce_sum(T.edge_message(h, blocks, w2, b2, plan)))
+        assert plan.source is source
 
     def test_block_plan_reads_each_edge_at_its_cell(self, rng):
         # each edge's cell in near's slot order, and each cell's near node
