@@ -14,7 +14,14 @@ are supported:
 Both distance encodings enumerate atom pairs through ``pair_distances``,
 which fixes the pair order (i < j, row-major) and the distance formula;
 bond perception (``qm9.infer_bonds``) and the synthetic mean-distance
-target use it too.
+target use it too. The pair list is made once per atom count and shared,
+read-only.
+
+``Atom``, ``Bond`` and ``MolecularGraph`` are frozen, slotted records: a
+dataset holds one of each per atom and bond, so none carries an instance
+dict. ``encode`` builds a molecule's node features as one array, and
+``featurize_atom`` is the same function applied to one atom, so the
+feature layout is written once.
 
 A molecule holds only chemical bonds. The paper's two model-only graph
 elements live elsewhere: virtual edges are part of the ``chemical``
@@ -25,7 +32,7 @@ propagation engine, with the width ``ModelConfig.d_master``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -120,7 +127,7 @@ def _check_fields(entries: list, known: frozenset, kind: str) -> None:
     raise ContractError(f"{kind} {idx} has unknown field {min(extra)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     element: str
     acceptor: bool = False
@@ -148,7 +155,7 @@ class Atom:
             raise ContractError("atom field 'partial_charge' must be a number, "
                                 f"got {self.partial_charge!r}")
         if self.position is not None:
-            object.__setattr__(self, "position", tuple(float(c) for c in self.position))
+            object.__setattr__(self, "position", tuple(map(float, self.position)))
             if len(self.position) != 3:
                 raise ContractError("position must be a 3-vector")
 
@@ -157,7 +164,7 @@ class Atom:
         return ELEMENTS[self.element]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bond:
     i: int
     j: int
@@ -181,7 +188,7 @@ class Bond:
             raise ContractError("bond distance must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MolecularGraph:
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
@@ -375,28 +382,43 @@ def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
     )
 
 
+# The column of each element's one and of each hybridization's. An atom
+# without a hybridization writes its one into the hydrogen-count column,
+# which the counts then overwrite, so its three columns stay zero.
+_ELEMENT_COLUMN = {e: k for k, e in enumerate(ELEMENTS)}
+_HYBRIDIZATION_COLUMN = {None: 12, **{h: 9 + k for k, h in enumerate(HYBRIDIZATIONS)}}
+
+
+def _atom_features(atoms: Sequence[Atom], include_partial_charge: bool) -> np.ndarray:
+    """The (n, width) feature matrix of ``atoms``, one row per atom, built
+    as one array: the one-hots set through index arrays, the other columns
+    from one list per field."""
+    n = len(atoms)
+    x = np.zeros((n, ATOM_FEATURE_WIDTH + bool(include_partial_charge)))
+    if not n:
+        return x
+    rows = np.arange(n)
+    x[rows, [_ELEMENT_COLUMN[a.element] for a in atoms]] = 1.0
+    x[rows, [_HYBRIDIZATION_COLUMN[a.hybridization] for a in atoms]] = 1.0
+    x[:, 5:9] = [(ELEMENTS[a.element], a.acceptor, a.donor, a.aromatic) for a in atoms]
+    x[:, 12] = [a.hydrogen_count for a in atoms]
+    if include_partial_charge:
+        charges = [a.partial_charge for a in atoms]
+        if None in charges:
+            raise ContractError("partial charge requested but absent on atom")
+        x[:, 13] = charges
+    return x
+
+
 def featurize_atom(a: Atom, include_partial_charge: bool = False) -> np.ndarray:
-    """Fixed-width atom feature vector.
+    """Fixed-width atom feature vector: row 0 of ``encode``'s feature
+    matrix for a molecule of this one atom.
 
     Layout: one-hot(5) element, atomic number, acceptor, donor, aromatic,
     one-hot(3) hybridization (all zero when unset), hydrogen count, and the
     partial charge appended only when requested.
     """
-    width = ATOM_FEATURE_WIDTH + (1 if include_partial_charge else 0)
-    v = np.zeros(width)
-    v[list(ELEMENTS).index(a.element)] = 1.0
-    v[5] = float(a.atomic_number)
-    v[6] = float(a.acceptor)
-    v[7] = float(a.donor)
-    v[8] = float(a.aromatic)
-    if a.hybridization is not None:
-        v[9 + HYBRIDIZATIONS.index(a.hybridization)] = 1.0
-    v[12] = float(a.hydrogen_count)
-    if include_partial_charge:
-        if a.partial_charge is None:
-            raise ContractError("partial charge requested but absent on atom")
-        v[13] = a.partial_charge
-    return v
+    return _atom_features((a,), include_partial_charge)[0]
 
 
 def bin_distance(dist):
@@ -415,10 +437,21 @@ def bin_distance(dist):
     return int(bins) if bins.ndim == 0 else bins
 
 
+@lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major i < j pair list of ``n`` atoms, made once per atom
+    count. Every caller shares the arrays, so they are read-only."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def pair_distances(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every atom pair i < j and its distance, as arrays (i, j, dist).
 
     Pairs come in row-major order: (0, 1), (0, 2), ..., (1, 2), ... .
+    ``i`` and ``j`` are made once per atom count and shared, so they are
+    read-only; the last 64 atom counts are kept.
     Each distance is the square root of a stacked 1x3 @ 3x1 product, which
     equals the per-pair ``np.linalg.norm(pos[i] - pos[j])`` bit for bit
     (the tests compare the two); ``norm(axis=1)``, ``einsum`` and a plain
@@ -426,7 +459,7 @@ def pair_distances(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     pos = np.asarray(positions, dtype=np.float64)
     pos = pos.reshape(len(pos), 3)
-    i, j = np.triu_indices(len(pos), k=1)
+    i, j = _pair_index(len(pos))
     d = pos[i] - pos[j]
     return i, j, np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
@@ -452,16 +485,18 @@ def encode(g: MolecularGraph, representation: str,
            virtual_edges: bool = False) -> EncodedGraph:
     """Flatten a molecule into node features plus a directed edge list.
 
+    The node features are one (n, ``ATOM_FEATURE_WIDTH`` [+1]) array, its
+    rows laid out as ``featurize_atom`` describes; a missing partial charge
+    is refused when one is asked for. The distance representations take
+    their pairs from ``pair_distances``.
+
     ``virtual_edges`` appends every unbonded pair to the ``chemical`` edges,
     after the bonds and in row-major order, with ``VIRTUAL_LABEL``. The
     distance representations are complete graphs already and ignore it.
     """
     if representation not in EDGE_REPRS:
         raise ContractError(f"unknown edge representation {representation!r}")
-    node_features = (
-        np.stack([featurize_atom(a, include_partial_charge) for a in g.atoms])
-        if g.atoms else np.zeros((0, ATOM_FEATURE_WIDTH + bool(include_partial_charge)))
-    )
+    node_features = _atom_features(g.atoms, include_partial_charge)
     if representation == "chemical":
         pairs = [(b.i, b.j) for b in g.bonds]
         labels = [BOND_LABELS[b.bond_type] for b in g.bonds]

@@ -725,12 +725,15 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
             raise DimensionError("concat inputs must share rank")
         if other[:ax] != base[:ax] or other[ax + 1:] != base[ax + 1:]:
             raise DimensionError("concat inputs disagree off the concat axis")
-    sizes = [t.data.shape[ax] for t in xs]
-    offsets = np.cumsum([0] + sizes)
+    # each input's gradient is a view of g: its span of the concat axis
+    lead = (slice(None),) * ax
+    cuts, end = [], 0
+    for t in xs:
+        start, end = end, end + t.data.shape[ax]
+        cuts.append(lead + (slice(start, end),))
 
     def rule(g: np.ndarray):
-        parts = np.split(g, offsets[1:-1], axis=ax)
-        return [part if t.requires_grad else None for t, part in zip(xs, parts)]
+        return [g[cut] if t.requires_grad else None for t, cut in zip(xs, cuts)]
 
     return _result(np.concatenate([t.data for t in xs], axis=ax), tuple(xs), rule,
                    check=False)

@@ -130,3 +130,77 @@ def random_encoded(rng, n=5, d_in=4, representation="chemical", alphabet=4,
         edge_features=feats,
         representation=representation,
     )
+
+
+def oracle_featurize_atom(a, include_partial_charge=False) -> np.ndarray:
+    """One atom's feature row, written field by field into a zero vector:
+    the per-atom formula ``encode`` used before it built a molecule's
+    matrix as one array. The oracle for ``featurize_atom`` and ``encode``'s
+    node features."""
+    from mpnnkit.molgraph import ATOM_FEATURE_WIDTH, ELEMENTS, HYBRIDIZATIONS
+    from mpnnkit.tensor import ContractError
+
+    v = np.zeros(ATOM_FEATURE_WIDTH + (1 if include_partial_charge else 0))
+    v[list(ELEMENTS).index(a.element)] = 1.0
+    v[5] = float(a.atomic_number)
+    v[6] = float(a.acceptor)
+    v[7] = float(a.donor)
+    v[8] = float(a.aromatic)
+    if a.hybridization is not None:
+        v[9 + HYBRIDIZATIONS.index(a.hybridization)] = 1.0
+    v[12] = float(a.hydrogen_count)
+    if include_partial_charge:
+        if a.partial_charge is None:
+            raise ContractError("partial charge requested but absent on atom")
+        v[13] = a.partial_charge
+    return v
+
+
+def oracle_encode(g, representation, include_partial_charge=False,
+                  virtual_edges=False):
+    """``encode`` as it was written before its feature matrix became one
+    array and its pair list one per atom count: a stack of per-atom rows,
+    and ``np.triu_indices`` afresh for every molecule. Returns the
+    ``EncodedGraph``."""
+    from mpnnkit.molgraph import (ATOM_FEATURE_WIDTH, BOND_LABELS, BOND_TYPES,
+                                  VIRTUAL_LABEL, EncodedGraph, bin_distance)
+
+    node_features = (
+        np.stack([oracle_featurize_atom(a, include_partial_charge) for a in g.atoms])
+        if g.atoms else np.zeros((0, ATOM_FEATURE_WIDTH + bool(include_partial_charge)))
+    )
+    if representation == "chemical":
+        pairs = [(b.i, b.j) for b in g.bonds]
+        labels = [BOND_LABELS[b.bond_type] for b in g.bonds]
+        if virtual_edges:
+            bonded = set(pairs) | {(j, i) for i, j in pairs}
+            free = [(i, j) for i in range(g.n_atoms)
+                    for j in range(i + 1, g.n_atoms) if (i, j) not in bonded]
+            pairs += free
+            labels += [VIRTUAL_LABEL] * len(free)
+        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        features = np.array(labels, dtype=np.intp)
+    else:
+        pos = g.positions().reshape(g.n_atoms, 3)
+        i, j = np.triu_indices(len(pos), k=1)
+        d = pos[i] - pos[j]
+        dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        labels = np.full((g.n_atoms, g.n_atoms), -1, dtype=np.intp)
+        bi, bj = [b.i for b in g.bonds], [b.j for b in g.bonds]
+        labels[bi, bj] = labels[bj, bi] = [BOND_LABELS[b.bond_type] for b in g.bonds]
+        bond = labels[i, j]
+        free = bond < 0
+        if representation == "distance_bins":
+            features = bond
+            features[free] = len(BOND_TYPES) + bin_distance(dist[free])
+        else:
+            features = np.zeros((len(dist), 5))
+            features[:, 0] = dist
+            features[~free, 1 + bond[~free]] = 1.0
+    return EncodedGraph(
+        node_features=node_features,
+        edge_src=np.concatenate([i, j]),
+        edge_dst=np.concatenate([j, i]),
+        edge_features=np.concatenate([features, features]),
+        representation=representation,
+    )

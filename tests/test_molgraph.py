@@ -1,6 +1,7 @@
 """Molecular graph model, featurization, and edge encodings."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from mpnnkit.engine import ModelConfig
 from mpnnkit.model import prepare_graph
 from mpnnkit.molgraph import (
     ATOM_FEATURE_WIDTH,
+    ELEMENTS,
+    HYBRIDIZATIONS,
     Atom,
     BOND_LABELS,
     BOND_TYPES,
@@ -27,6 +30,7 @@ from mpnnkit.molgraph import (
 )
 from mpnnkit.synthetic import generate_synthetic
 from mpnnkit.tensor import ContractError
+from support import oracle_encode, oracle_featurize_atom
 
 
 def methane_like():
@@ -463,3 +467,172 @@ class TestGraphValidation:
         back = MolecularGraph.from_dict(json.loads(json.dumps(g.to_dict())))
         assert back.atoms[0].position == pos
         assert back.targets[0] == np.pi
+
+
+def explicit(g):
+    """``g`` with each implicit hydrogen as its own atom, bonded to its heavy
+    atom, 1.09 A away along a fixed direction per hydrogen."""
+    atoms = [dataclasses.replace(a, hydrogen_count=0) for a in g.atoms]
+    bonds = list(g.bonds)
+    for k, heavy in enumerate(g.atoms):
+        for h in range(heavy.hydrogen_count):
+            direction = np.array([np.cos(h), np.sin(h), 0.5 * h - 1.0])
+            pos = np.asarray(heavy.position) + 1.09 * direction / np.linalg.norm(direction)
+            atoms.append(Atom("H", position=tuple(pos)))
+            bonds.append(Bond(k, len(atoms) - 1, "single", distance=1.09))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds),
+                          explicit_hydrogens=True).validate()
+
+
+def charged(g, rng):
+    """``g`` with a partial charge on every atom, a float or an int, and
+    every third atom's hybridization unset."""
+    atoms = tuple(dataclasses.replace(
+        a, partial_charge=float(rng.normal()) if k % 4 else int(rng.integers(-2, 3)),
+        hybridization=None if k % 3 == 0 else a.hybridization)
+        for k, a in enumerate(g.atoms))
+    return dataclasses.replace(g, atoms=atoms)
+
+
+def encoding_cases():
+    """Molecules that reach every feature and edge path of ``encode``."""
+    rng = np.random.default_rng(11)
+    synthetic = generate_synthetic(24, seed=3)
+    every_element = MolecularGraph(
+        atoms=tuple(Atom(e, position=tuple(rng.uniform(-3, 3, 3)),
+                         acceptor=k % 2 == 0, donor=k % 3 == 0, aromatic=k == 1,
+                         hybridization=((None,) + HYBRIDIZATIONS)[k % 4],
+                         hydrogen_count=(k * 7) % 4, partial_charge=0.25 * k - 0.5)
+                    for k, e in enumerate(ELEMENTS)),
+        bonds=(Bond(1, 2, "aromatic"), Bond(3, 1, "double"), Bond(0, 4, "triple")))
+    # counts and charges far from any molecule's, still converted one by one
+    awkward = MolecularGraph(atoms=(
+        Atom("C", position=(0.0, 0.0, 0.0), hydrogen_count=2 ** 60 + 1,
+             partial_charge=2 ** 62 + 3),
+        Atom("N", position=(0.1, 0.2, 0.3), partial_charge=-1e-300)), bonds=())
+    tiny = [MolecularGraph(atoms=tuple(Atom("O", position=(0.5 * k, 0.0, 0.25),
+                                            hybridization="sp3", partial_charge=0.1)
+                                       for k in range(n)),
+                           bonds=(Bond(0, 1, "single"),) if n == 2 else ())
+            for n in (0, 1, 2)]
+    plain = synthetic + [explicit(g) for g in synthetic[:12]]
+    with_charges = ([charged(g, rng) for g in plain] + [every_element, awkward]
+                    + tiny)
+    return plain, with_charges
+
+
+ENCODINGS = [("chemical", False), ("chemical", True),
+             ("distance_bins", False), ("raw_distance", False)]
+
+
+class TestEncodingOracle:
+    @pytest.mark.parametrize("representation,virtual_edges", ENCODINGS)
+    @pytest.mark.parametrize("charges", [False, True])
+    def test_every_array_matches_the_per_atom_oracle(self, representation,
+                                                     virtual_edges, charges):
+        plain, with_charges = encoding_cases()
+        graphs = with_charges if charges else plain + with_charges
+        for g in graphs:
+            got = encode(g, representation, charges, virtual_edges)
+            want = oracle_encode(g, representation, charges, virtual_edges)
+            for field in dataclasses.fields(EncodedGraph):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
+
+    def test_missing_charge_refused_as_before(self):
+        plain, _ = encoding_cases()
+        for g in plain:
+            with pytest.raises(ContractError, match="partial charge"):
+                encode(g, "chemical", include_partial_charge=True)
+            with pytest.raises(ContractError, match="partial charge"):
+                oracle_encode(g, "chemical", include_partial_charge=True)
+
+    def test_featurize_atom_is_the_oracle_row(self):
+        _, with_charges = encoding_cases()
+        for g in with_charges:
+            for a in g.atoms:
+                for charges in (False, True):
+                    got, want = featurize_atom(a, charges), oracle_featurize_atom(a, charges)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
+class TestSlottedRecords:
+    def records(self):
+        g = explicit(generate_synthetic(3, seed=4)[2])
+        g = dataclasses.replace(g, targets=tuple(range(13)))
+        return g, g.atoms[0], g.bonds[0]
+
+    def test_no_instance_dict(self):
+        for record in self.records():
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(record)[0].name, None)
+            # no slot to hold it; Python 3.11's frozen-slots setattr says so
+            # with a TypeError, later versions with a FrozenInstanceError
+            with pytest.raises((TypeError, AttributeError)):
+                record.extra = 1
+        # the encoded graph keeps one: its max_degree is cached there
+        eg = encode(self.records()[0], "chemical")
+        assert eg.max_degree == vars(eg)["max_degree"]
+
+    def test_pickle_round_trip(self):
+        # random_search ships graphs to its worker processes this way
+        for record in self.records():
+            back = pickle.loads(pickle.dumps(record))
+            assert back == record and type(back) is type(record)
+        g = self.records()[0]
+        back = pickle.loads(pickle.dumps(g))
+        for field in dataclasses.fields(EncodedGraph):
+            a = getattr(encode(back, "raw_distance"), field.name)
+            b = getattr(encode(g, "raw_distance"), field.name)
+            assert np.array_equal(a, b)
+
+    def test_replace_runs_the_checks(self):
+        g, atom, bond = self.records()
+        assert dataclasses.replace(atom, hydrogen_count=3).hydrogen_count == 3
+        assert dataclasses.replace(bond, bond_type="double").bond_type == "double"
+        assert dataclasses.replace(g, targets=None).targets is None
+        with pytest.raises(UnsupportedElementError):
+            dataclasses.replace(atom, element="Si")
+        with pytest.raises(ContractError):
+            dataclasses.replace(bond, j=bond.i)
+
+    def test_equality_and_hash_are_by_field(self):
+        for record in self.records():
+            fields = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+            assert hash(record) == hash(fields)
+            copy = type(record)(*fields)
+            assert copy == record and hash(copy) == hash(record)
+            assert copy != dataclasses.replace(record, **{
+                dataclasses.fields(record)[0].name: {
+                    Atom: "N", Bond: 7, MolecularGraph: ()}[type(record)]})
+
+
+class TestPairCache:
+    def test_shared_arrays_are_read_only(self):
+        g = generate_synthetic(2, seed=8)[1]
+        before = encode(g, "distance_bins")
+        i, j, _ = pair_distances(g.positions())
+        for idx in (i, j):
+            with pytest.raises(ValueError):
+                idx[0] = 5
+            with pytest.raises(ValueError):
+                idx += 1
+        again = pair_distances(g.positions())
+        assert again[0] is i and again[1] is j
+        after = encode(g, "distance_bins")
+        for field in ("edge_src", "edge_dst", "edge_features"):
+            assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
+            assert getattr(after, field).flags.writeable
+
+    def test_cache_is_bounded(self, rng):
+        from mpnnkit.molgraph import _pair_index
+        for n in range(200):
+            pair_distances(rng.normal(size=(n, 3)))
+        info = _pair_index.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 200

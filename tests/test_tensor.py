@@ -125,6 +125,29 @@ class TestForwardValues:
         assert T.concat([a, b], axis=0).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert T.concat([a, b], axis=1).data.tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_concat_gradients_are_views_of_g(self, rng, axis):
+        # The rule cuts g at the forward's offsets; no part is copied, and
+        # an input that needs no gradient gets None.
+        shapes = [[4, 3, 2], [4, 3, 2], [4, 3, 2]]
+        for shape, size in zip(shapes, (1, 3, 2)):
+            shape[axis] = size
+        xs = [t(rng.normal(size=s), rg=rg) for s, rg in zip(shapes, (True, False, True))]
+        y = T.concat(xs, axis=axis)
+        (out, parents, rule), = T.active_tape()
+        assert out is y and parents == tuple(xs)
+        g = rng.normal(size=y.data.shape)
+        parts = rule(g)
+        assert parts[1] is None
+        for x, part in zip(xs, parts):
+            if part is not None:
+                assert part.shape == x.data.shape
+                assert np.shares_memory(part, g)
+        want = np.split(g, np.cumsum([x.data.shape[axis] for x in xs])[:-1], axis=axis)
+        for part, w in zip((parts[0], parts[2]), (want[0], want[2])):
+            assert part.tobytes() == w.tobytes()
+        backward(T.reduce_sum(y))
+
     def test_concat_rejects_ragged(self):
         with pytest.raises(DimensionError):
             T.concat([t([[1.0, 2.0]]), t([[1.0, 2.0, 3.0]])], axis=0)
