@@ -321,7 +321,9 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
     matrix per label present as ``tt.label_message`` takes them: the matmul
     message's weights as stored, by one taped concat, and the edge
     network's rows moved there by one transpose, its reshapes views. Each
-    channel keeps one ``tt.label_plan`` for every step. Over raw vectors the
+    channel keeps one ``tt.label_plan`` for every step, made from its far
+    plan and each edge's label, its place among the labels present; the
+    plan builds the (far node, label) pairs itself. Over raw vectors the
     edge network runs its first layer once, as one product of the edge
     vectors, a 1 appended, with the stack [[w1, 0], [b1, 1]] (a taped
     concat of the parameters and a constant unit column, so names, shapes
@@ -348,7 +350,7 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
         evec = towered(rows)
 
     def label_message(stack, far, near):
-        plan = tt.label_plan(tt.segments(far.index * count + label, n * count), near)
+        plan = tt.label_plan(far, label, count, near)
         return lambda h: tt.label_message(h, stack, plan)
 
     def matmul(far, near, prefix):
@@ -432,7 +434,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     # States are (n, k, d_tower) through every step: tower t holds columns
     # t*d_tower to (t+1)*d_tower of the (n, d) state.
     towered = (n, k, cfg.d_tower)
-    h = Tensor(h0.data.reshape(towered))
+    h = tt.reshape(h0, towered)
     senders = _senders(eg, params, cfg)
 
     n_graphs = eg.n_graphs

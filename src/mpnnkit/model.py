@@ -20,21 +20,16 @@ __all__ = ["UNION_BYTES", "prepare_graph", "model_forward", "union_bytes",
 # union's largest degree: d x 8 bytes per atom and degree (256 at d=32),
 # laid out once per forward and read by every step. Every other message's
 # are its gathered rows, d x 8 bytes per directed edge, at least one row per
-# atom. The node products of one message op's call, ``tt.edge_message``
-# over raw vectors (d x (d_tower + 1) x 8 bytes per atom, 8448 at d=32) or
-# ``tt.label_message`` over labels (one row per atom and label present), are
-# written and read once inside the call and freed when it returns, so they
-# are not counted, even where they are the larger: 348 atoms x 2 labels
-# against 616 edges in a 64-molecule union of the CLI's default model
-# (seed 7). One bound in bytes then sizes a union by what it holds: 4608
-# atom-degree cells at d=32 with the edge network over raw vectors (a whole
-# 64-graph eval chunk of small-edgenet; 49 to 349 atoms of complete
-# explicit-H molecules) and 1152 edges for the towers config (d=128, k=8).
-# Swept in one process over perfbench's held-out graphs
-# (seed 7; eval graphs/s, median of 30 passes per point, the bounds
-# alternating pass by pass, with unions per eval pass and the tracemalloc
-# peak of the largest eval chunk in MB; the passes spread by up to a third,
-# so only large gaps count):
+# atom. The node products that one message op's call makes and frees are
+# not counted; ``union_bytes``' docstring says which and why. One bound in
+# bytes then sizes a union by what it holds: 4608 atom-degree cells at d=32
+# with the edge network over raw vectors (a whole 64-graph eval chunk of
+# small-edgenet; 49 to 349 atoms of complete explicit-H molecules) and 1152
+# edges for the towers config (d=128, k=8). Swept in one process over
+# perfbench's held-out graphs (seed 7; eval graphs/s, median of 30 passes
+# per point, the bounds alternating pass by pass, with unions per eval pass
+# and the tracemalloc peak of the largest eval chunk in MB; the passes
+# spread by up to a third, so only large gaps count):
 #
 #   bound (MiB)                 0.5   0.75    1.0  1.125    1.5    2.0
 #   dense-explicit-h  graphs/s 1544   1640   1683   1662   1735   1721
@@ -97,12 +92,13 @@ def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
     one row per atom, so a union of edgeless graphs stays bounded too.
 
     The message ops' node products are not counted: ``tt.edge_message``'s
-    over raw vectors, n x k x (r + 1) x d_tower, and ``tt.label_message``'s
-    over labels, n x L x k x d_tower for the L labels present, each laid
-    out as its op's docstring says. Both are written and read once inside
-    one call and freed when it returns. They can be the larger array: the
-    CLI's default model (labels) puts 64 synthetic molecules (seed 7) in
-    one union of 348 atoms x 2 labels against 616 edges.
+    over raw vectors, n x k x (r + 1) x d_tower (8448 bytes per atom at d =
+    32), and ``tt.label_message``'s over labels, n x L x k x d_tower for the
+    L labels present, each laid out as its op's docstring says. Both are
+    written and read once inside one call and freed when it returns. They
+    can be the larger array, and are still not counted: the CLI's default
+    model (labels) puts 64 synthetic molecules (seed 7) in one union of 348
+    atoms x 2 labels against 616 edges.
     """
     k, q = cfg.towers_k, cfg.d_tower
     if _sized_by_blocks(cfg):

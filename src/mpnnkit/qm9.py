@@ -469,11 +469,12 @@ def read_split_manifest(path: str) -> dict:
 
 
 def apply_split_manifest(graphs: list[MolecularGraph], manifest: dict,
-                         dataset_hash: str | None = None,
-                         path: str = "split manifest"):
-    """(train, valid, test) per the manifest; verifies the dataset hash.
+                         dataset_hash: str, path: str = "split manifest"):
+    """(train, valid, test) per the manifest. ``dataset_hash``, the hash of
+    the dataset file the graphs were read from, is required and must be the
+    one the manifest records, so no dataset is split by another's manifest.
     Errors name ``path``, the manifest's file, and the offending index."""
-    if dataset_hash is not None and dataset_hash != manifest["dataset_sha256"]:
+    if dataset_hash != manifest["dataset_sha256"]:
         raise ContractError(f"{path} does not match this dataset file "
                             f"(hash {dataset_hash[:12]} != "
                             f"{manifest['dataset_sha256'][:12]})")

@@ -34,10 +34,12 @@ covers, and one take back (``_segment_sum``; rows of one value each
 summed from zeros go through ``np.bincount``), touching each row once, in
 the order and with the bits ``np.add.at`` would give. ``gather_rows``'
 rule hands back ``(plan, rows)``, which ``backward`` sums the same way. A
-row's slot is also its place in a zero-padded block of its segment's rows
-(``segment_blocks``). Each message op reads its edges through a plan made
-once per forward and shared by every step: a :class:`LabelPlan`
-(``label_plan``) or a :class:`BlockPlan` (``block_plan``).
+row's slot is also its place in a zero-padded block of its segment's rows,
+and ``Segments.cells`` its cell among the blocks flattened, computed once
+per plan for ``segment_blocks`` and ``block_plan``. Each message op reads
+its edges through a plan made once per forward and shared by every step: a
+:class:`LabelPlan` (``label_plan``, which builds its own plan of the
+(far node, label) pairs) or a :class:`BlockPlan` (``block_plan``).
 
 Every op that computes new values checks its forward result for NaN/Inf,
 so divergence surfaces as a :class:`NumericError` at the op that produced
@@ -47,10 +49,13 @@ each input was checked where it was made, so what they pass on is
 finite, and a value made non-finite past that check (written into a
 leaf in place) still raises at the first op that computes from it.
 ``relu`` clips, and checks only its input's least entry, the -inf that a
-clip would turn into 0. The fused ops check less and say in their
-docstrings why that is enough: ``label_message`` and ``edge_message``
-check only their result, and ``gru_cell`` its three pre-activations and
-its result.
+clip would turn into 0; ``segment_softmax`` checks its logits the same
+way, since ``exp`` would turn -inf into a weight of 0, and a +inf logit
+makes its segment's weights NaN, which its result's check catches. The
+fused ops check less and say in their docstrings why that is enough:
+``label_message`` and ``edge_message`` check only their result, and
+``gru_cell`` its three pre-activations and its result. ``_result`` is the
+only code that makes a Tensor without ``Tensor()``'s check.
 """
 
 from __future__ import annotations
@@ -128,17 +133,19 @@ class MultiplyCounter:
     total: int = 0
 
 
-# Tapes are confined to one worker; thread-local state keeps that true even
-# if callers use threads instead of processes.
-_local = threading.local()
+class _TapingState(threading.local):
+    """The taping state of one thread: its tape, whether ops are taped and
+    the counter multiplies go to. Tapes are confined to one worker; each
+    thread starts with its own defaults, so that stays true even if callers
+    use threads instead of processes."""
+
+    def __init__(self):
+        self.tape: list = []
+        self.grad_enabled = True
+        self.mul_counter: MultiplyCounter | None = None
 
 
-def _ctx():
-    if not hasattr(_local, "tape"):
-        _local.tape = []
-        _local.grad_enabled = True
-        _local.mul_counter = None
-    return _local
+_state = _TapingState()
 
 
 def active_tape() -> list[tuple["Tensor", tuple["Tensor", ...], Callable]]:
@@ -149,31 +156,29 @@ def active_tape() -> list[tuple["Tensor", tuple["Tensor", ...], Callable]]:
     inputs were created before the op itself. ``backward`` walks it once in
     reverse and then clears it.
     """
-    return _ctx().tape
+    return _state.tape
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable taping inside the block (forward values only)."""
-    ctx = _ctx()
-    prev = ctx.grad_enabled
-    ctx.grad_enabled = False
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        ctx.grad_enabled = prev
+        _state.grad_enabled = prev
 
 
 @contextlib.contextmanager
 def count_multiplies(counter: MultiplyCounter):
     """Route multiply counts of ops executed inside the block to ``counter``."""
-    ctx = _ctx()
-    prev = ctx.mul_counter
-    ctx.mul_counter = counter
+    prev = _state.mul_counter
+    _state.mul_counter = counter
     try:
         yield counter
     finally:
-        ctx.mul_counter = prev
+        _state.mul_counter = prev
 
 
 class Tensor:
@@ -213,7 +218,7 @@ class Tensor:
 def _taped(parents: Sequence[Tensor]) -> bool:
     """Whether an op over ``parents`` is taped: taping is on and some parent
     needs a gradient."""
-    return _ctx().grad_enabled and any(p.requires_grad for p in parents)
+    return _state.grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable,
@@ -223,9 +228,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable,
 
     Only an op that moves or clips values already checked passes ``check``
     false, and its docstring says why that is enough."""
-    ctx = _ctx()
-    if ctx.mul_counter is not None:
-        ctx.mul_counter.total += int(muls)
+    if _state.mul_counter is not None:
+        _state.mul_counter.total += int(muls)
     data = np.asarray(data, dtype=np.float64, order="C")
     if check and not np.isfinite(data).all():
         raise NumericError("non-finite value produced by a forward op")
@@ -235,7 +239,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], rule: Callable,
     out.requires_grad = rg
     out.grad = None
     if rg:
-        ctx.tape.append((out, tuple(parents), rule))
+        _state.tape.append((out, tuple(parents), rule))
     return out
 
 
@@ -262,6 +266,16 @@ class Segments:
     order: np.ndarray
     back: np.ndarray
     slot: np.ndarray
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """Row i's cell, ``index[i] * D + slot[i]``, among the zero-padded
+        blocks of the segments' rows flattened to ``num_segments * D`` rows,
+        D = ``len(widths)`` (``segment_blocks``). Made once, by the first op
+        that reads it, and read-only."""
+        cells = self.index * len(self.widths) + self.slot
+        cells.flags.writeable = False
+        return cells
 
 
 def segments(index, num_segments: int) -> Segments:
@@ -325,20 +339,20 @@ class BlockPlan:
         """Each cell's edge's near node, ``near.num_segments`` for a pad cell:
         one take of the message gradients, a zero row appended, fills every
         cell. The first rule to read it makes it; an untaped forward never."""
-        depth = len(self.far.widths)
-        source = np.full(self.far.num_segments * depth, self.near.num_segments)
-        source[self.far.index * depth + self.far.slot] = self.near.index
+        source = np.full(self.far.num_segments * len(self.far.widths), self.near.num_segments)
+        source[self.far.cells] = self.near.index
         source.flags.writeable = False
         return source
 
 
 def block_plan(far: Segments, near: Segments) -> BlockPlan:
-    """The plan of edges laid out by ``far`` and summed by ``near``; the two
-    must index the same edges (DimensionError)."""
+    """The plan of edges laid out by ``far`` and summed by ``near``, taking
+    the edges' cells from ``far.cells``, as ``segment_blocks`` lays them
+    out; the two must index the same edges (DimensionError)."""
     if far.index.shape != near.index.shape:
         raise DimensionError(f"block plan needs one far and one near node per edge: "
                              f"{far.index.shape[0]} vs {near.index.shape[0]}")
-    taken = (far.index * len(far.widths) + far.slot)[near.row_order]
+    taken = far.cells[near.row_order]
     taken.flags.writeable = False
     return BlockPlan(far, near, taken)
 
@@ -349,11 +363,11 @@ class LabelPlan:
     products, and where it sums each message's gradient; build one with
     :func:`label_plan`, once for every step over the same edges.
 
-    ``pairs`` groups the edges by their (far node, label) pair, ``far * L +
-    label`` over n * L segments for L labels, and ``near`` sums their
-    messages. ``taken[j]`` is the pair of edge ``near.row_order[j]``, so one
-    take reads the messages straight into ``near``'s slot order. The arrays
-    are read-only.
+    ``pairs``, which ``label_plan`` builds, groups the edges by their (far
+    node, label) pair, ``far * L + label`` over n * L segments for L
+    labels, and ``near`` sums their messages. ``taken[j]`` is the pair of
+    edge ``near.row_order[j]``, so one take reads the messages straight
+    into ``near``'s slot order. The arrays are read-only.
     """
 
     pairs: Segments
@@ -370,12 +384,20 @@ class LabelPlan:
         return source
 
 
-def label_plan(pairs: Segments, near: Segments) -> LabelPlan:
-    """The plan of edges read through ``pairs`` and summed by ``near``; the
-    two must index the same edges (DimensionError)."""
-    if pairs.index.shape != near.index.shape:
-        raise DimensionError(f"label plan needs one pair and one near node per edge: "
-                             f"{pairs.index.shape[0]} vs {near.index.shape[0]}")
+def label_plan(far: Segments, label, labels: int, near: Segments) -> LabelPlan:
+    """The plan of edges sent from ``far``'s nodes and summed by ``near``,
+    ``label[i]`` edge i's label. It builds the pairs plan itself, ``far.index
+    * labels + label`` over ``far.num_segments * labels`` segments. A label
+    must lie in ``[0, labels)`` (ContractError), or it would index another
+    node's pair; ``far``, ``label`` and ``near`` must index the same edges
+    (DimensionError)."""
+    label = np.asarray(label, dtype=np.intp)
+    if not far.index.shape == label.shape == near.index.shape:
+        raise DimensionError(f"label plan needs one far node, label and near node per "
+                             f"edge: {far.index.shape}, {label.shape}, {near.index.shape}")
+    if label.size and (label.min() < 0 or label.max() >= labels):
+        raise ContractError(f"edge label out of range for {labels} labels")
+    pairs = segments(far.index * labels + label, far.num_segments * labels)
     taken = pairs.index[near.row_order]
     taken.flags.writeable = False
     return LabelPlan(pairs, near, taken)
@@ -463,7 +485,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss is not connected to any tracked tensor")
     pending: dict = {}
     _accumulate(pending, loss, np.ones_like(loss.data))
-    tape = _ctx().tape
+    tape = _state.tape
     while tape:
         out, parents, rule = tape.pop()
         g = pending.pop(out, None)
@@ -506,22 +528,6 @@ def _product_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, x_rg: bool,
             x.transpose(1, 2, 0) @ gt if w_rg else None)
 
 
-def _product_parts(x: Tensor, w: Tensor):
-    """Checked forward value, backward rule and multiply count of
-    ``_product(x, w)``: the ranks must be equal, 2 or 3, and ``w``'s shape
-    without its last axis must be ``x``'s without its first."""
-    xs, ws = x.data.shape, w.data.shape
-    if not (len(xs) == len(ws) in (2, 3) and ws[:-1] == xs[1:]):
-        raise DimensionError(
-            f"matmul needs (m, q) rows and a (q, p) matrix, or (m, k, q) rows "
-            f"and a (k, q, p) stack: {xs} x {ws}")
-
-    def rule(g: np.ndarray):
-        return _product_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
-
-    return _product(x.data, w.data), rule, x.data.size * ws[-1]
-
-
 def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w`` (plus ``b``) as one taped op: a (q, p) matrix ``w`` maps
     (m, q) rows, with a (p,) bias; a (k, q, p) stack maps (m, k, q) rows
@@ -531,7 +537,11 @@ def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     in place into the fresh row-major product, with the bits of adding it
     to every row afterwards, and its gradient sums the rows'.
     """
-    out, product_rule, muls = _product_parts(x, w)
+    xs, ws = x.data.shape, w.data.shape
+    if not (len(xs) == len(ws) in (2, 3) and ws[:-1] == xs[1:]):
+        raise DimensionError(f"matmul needs (m, q) rows and a (q, p) matrix, or (m, k, q) "
+                             f"rows and a (k, q, p) stack: {xs} x {ws}")
+    out = _product(x.data, w.data)
     if b is not None:
         if b.data.shape != out.shape[1:]:
             raise DimensionError(
@@ -539,10 +549,10 @@ def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out += b.data
 
     def rule(g: np.ndarray):
-        grads = product_rule(g)
+        grads = _product_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
         return grads if b is None else (*grads, g.sum(axis=0) if b.requires_grad else None)
 
-    return _result(out, (x, w) if b is None else (x, w, b), rule, muls)
+    return _result(out, (x, w) if b is None else (x, w, b), rule, x.data.size * ws[-1])
 
 
 def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
@@ -692,12 +702,17 @@ def segment_softmax(x: Tensor, seg: Segments) -> Tensor:
     segment with no rows produces nothing. The per-segment maximum, one
     prefix ``np.maximum`` per slot of the plan, is subtracted before
     exponentiating, so large logits do not overflow.
+
+    As in ``relu``, only the logits' least entry is checked, one reduction
+    that makes no array: NaN or -inf there raises, where ``exp`` would turn
+    -inf into a weight of 0. A +inf logit makes its segment's maximum +inf
+    and so its weights NaN, which the result's check catches.
     """
     if x.data.ndim != 2:
         raise DimensionError("segment_softmax needs a 2-D tensor")
     if seg.index.shape != (x.data.shape[0],):
         raise DimensionError("segment index length must match rows")
-    if not np.isfinite(x.data).all():
+    if x.data.size and not np.isfinite(x.data.min()):
         raise NumericError("non-finite logits in segment_softmax")
     idx = seg.index
     # the maxima are in the plan's segment order
@@ -804,8 +819,11 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
     """Each segment's rows of ``x`` (any rank) as one zero-padded block:
     row i goes to slot ``seg.slot[i]`` of block ``seg.index[i]``, so the
     result is (seg.num_segments, D) plus the row shape, D the largest count
-    (``len(seg.widths)``). Backward is one take of each row's slot out of
-    the blocks' gradient, however many ops read the blocks.
+    (``len(seg.widths)``). The rows are written to, and backward takes them
+    from, their cells ``seg.cells`` among the blocks flattened, which the
+    plan computes once for every op over it: backward is one take of each
+    row's cell out of the blocks' gradient, however many ops read the
+    blocks.
 
     It only moves rows and writes zeros, so the result is not scanned
     again."""
@@ -813,13 +831,11 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
         raise DimensionError(f"segment_blocks plan has {seg.index.shape[0]} rows "
                              f"for {x.data.shape}")
     depth, row = len(seg.widths), x.data.shape[1:]
-    # each row's cell in the blocks flattened to their (num_segments * D) rows
-    cells = seg.index * depth + seg.slot
     out = np.zeros((seg.num_segments * depth,) + row)
-    out[cells] = x.data
+    out[seg.cells] = x.data
 
     def rule(g: np.ndarray):
-        return (np.take(g.reshape(out.shape), cells, axis=0),)
+        return (np.take(g.reshape(out.shape), seg.cells, axis=0),)
 
     return _result(out.reshape((seg.num_segments, depth) + row), (x,), rule, check=False)
 
@@ -1069,12 +1085,15 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     The bits are those of the cell composed from ``matmul``, ``add``,
     ``sigmoid``, ``tanh``, ``sub`` and ``mul``, forward and backward, and so
     is the multiply count: the six products plus three per output element.
-    The rule replays that composition's tape in reverse through the
-    products' own rules. The parents name x three times and h four times,
-    once per gradient contribution, among the weights in the order that tape
-    delivered them, so ``backward`` adds each contribution into a pending
-    total one at a time, as it did. That order shows when h has another
-    consumer, such as the master node's per-graph sum of h.
+    The pre-activations come from ``matmul``'s kernel (``_product``), and
+    the rule replays that composition's tape in reverse through the
+    products' gradients as ``matmul``'s rule computes them
+    (``_product_grads``); ``r * h`` is an array, not a Tensor. The parents
+    name x three times and h four times, once per gradient contribution,
+    among the weights in the order that tape delivered them, so
+    ``backward`` adds each contribution into a pending total one at a
+    time, as it did. That order shows when h has another consumer, such as
+    the master node's per-graph sum of h.
 
     Only the three pre-activations and the result are checked for NaN/Inf.
     That is enough: a non-finite product makes its pre-activation
@@ -1099,21 +1118,24 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
 
     def pre_activation(u, wu, v, wv):
         # u wu + v wv, each product from matmul's kernel, for either rank
-        (a, a_rule, a_muls), (b, b_rule, b_muls) = _product_parts(u, wu), _product_parts(v, wv)
-        a += b
+        a = _product(u, wu.data)
+        a += _product(v, wv.data)
         if not np.isfinite(a).all():
             raise NumericError("non-finite GRU pre-activation")
-        return a, a_rule, b_rule, a_muls + b_muls
+        return a
 
-    s_z, xz_rule, hz_rule, muls_z = pre_activation(x, p.wz, h, p.uz)
-    s_r, xr_rule, hr_rule, muls_r = pre_activation(x, p.wr, h, p.ur)
+    def grads(u, u_rg, w, g):
+        # the gradients of one product u w, as matmul's rule gives them
+        return _product_grads(u, w.data, g, u_rg, w.requires_grad)
+
+    s_z = pre_activation(x.data, p.wz, h.data, p.uz)
+    s_r = pre_activation(x.data, p.wr, h.data, p.ur)
     z, r = _sigmoid(s_z), _sigmoid(s_r)
     del s_z, s_r  # not needed past here: freeing them lowers the call's peak
     needs = lambda *ts: any(t.requires_grad for t in ts)
     z_rg, r_rg = needs(x, h, p.wz, p.uz), needs(x, h, p.wr, p.ur)
-    rh = Tensor.__new__(Tensor)  # unchecked: |r| <= 1, so r * h is finite
-    rh.data, rh.requires_grad, rh.grad = r * h.data, r_rg, None
-    s_h, xh_rule, rhh_rule, muls_h = pre_activation(x, p.wh, rh, p.uh)
+    rh = r * h.data  # not checked: |r| <= 1, so r * h is finite
+    s_h = pre_activation(x.data, p.wh, rh, p.uh)
     hbar = np.tanh(s_h, out=s_h)
     hbar_rg = r_rg or needs(x, p.wh, p.uh)
     # (1 - z) is made again where needed rather than kept: same bits
@@ -1127,20 +1149,21 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
         # and z's gradient is g * hbar plus -(g * h), in that order
         g_h1 = g * (1.0 - z) if h.requires_grad else None
         g_sh = (g * z) * (1.0 - hbar * hbar) if hbar_rg else None
-        g_rh, g_uh = rhh_rule(g_sh) if hbar_rg else none
+        g_rh, g_uh = grads(rh, r_rg, p.uh, g_sh) if hbar_rg else none
         g_h2 = g_rh * r if h.requires_grad else None
-        g_x1, g_wh = xh_rule(g_sh) if hbar_rg else none
+        g_x1, g_wh = grads(x.data, x.requires_grad, p.wh, g_sh) if hbar_rg else none
         g_sr = (g_rh * h.data) * (r * (1.0 - r)) if r_rg else None
-        g_h3, g_ur = hr_rule(g_sr) if r_rg else none
-        g_x2, g_wr = xr_rule(g_sr) if r_rg else none
+        g_h3, g_ur = grads(h.data, h.requires_grad, p.ur, g_sr) if r_rg else none
+        g_x2, g_wr = grads(x.data, x.requires_grad, p.wr, g_sr) if r_rg else none
         g_sz = (g * hbar + -(g * h.data)) * (z * (1.0 - z)) if z_rg else None
-        g_h4, g_uz = hz_rule(g_sz) if z_rg else none
-        g_x3, g_wz = xz_rule(g_sz) if z_rg else none
+        g_h4, g_uz = grads(h.data, h.requires_grad, p.uz, g_sz) if z_rg else none
+        g_x3, g_wz = grads(x.data, x.requires_grad, p.wz, g_sz) if z_rg else none
         return (g_h1, g_uh, g_h2, g_x1, g_wh, g_h3, g_ur, g_x2, g_wr,
                 g_h4, g_uz, g_x3, g_wz)
 
     parents = (h, p.uh, h, x, p.wh, h, p.ur, x, p.wr, h, p.uz, x, p.wz)
-    return _result(out, parents, rule, muls_z + muls_r + muls_h + 3 * out.size)
+    # six products of d columns: three of x's rows, three of h's or r * h's
+    return _result(out, parents, rule, 3 * (x.data.size + h.data.size) * d + 3 * out.size)
 
 
 # ---------------------------------------------------------------------------

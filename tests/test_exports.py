@@ -161,3 +161,16 @@ def test_every_tensor_export_is_used():
                                if module == "mpnnkit" and chain[0] == "tensor" and len(chain) > 1}
     unused = sorted(set(tensor.__all__) - reads - bench)
     assert not unused, f"mpnnkit.tensor exports names nothing uses: {unused}"
+
+
+def test_only_result_makes_a_tensor_without_its_check():
+    # ``Tensor()`` checks its values for NaN/Inf; ``tensor._result`` is the
+    # one place that makes a tensor without that check, through
+    # ``Tensor.__new__``, so no op hand-builds an unchecked tensor
+    calls = []
+    for path in sorted((ROOT / "src" / "mpnnkit").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls += [(path.name, getattr(top, "name", None), ast.unparse(node.value))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert calls == [("tensor.py", "_result", "Tensor")], calls

@@ -324,9 +324,17 @@ class TestSplitManifest:
         graphs = generate_synthetic(15, seed=2)
         m = write_split_manifest(str(tmp_path / "m.json"), 15, seed=4,
                                  valid_size=3, test_size=3, dataset_hash="x")
-        by_manifest = apply_split_manifest(graphs, m)
+        by_manifest = apply_split_manifest(graphs, m, "x")
         direct = split_dataset(graphs, seed=4, valid_size=3, test_size=3)
         assert by_manifest == tuple(direct)
+
+    def test_dataset_hash_is_required(self, tmp_path):
+        # no caller can skip the check that the manifest is this dataset's
+        graphs = generate_synthetic(15, seed=2)
+        m = write_split_manifest(str(tmp_path / "m.json"), 15, seed=4,
+                                 valid_size=3, test_size=3, dataset_hash="x")
+        with pytest.raises(TypeError):
+            apply_split_manifest(graphs, m)
 
 
 class TestSynthetic:

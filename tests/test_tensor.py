@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pathlib
+import threading
 import weakref
 
 import numpy as np
@@ -908,13 +909,12 @@ def message_case(rng, case, n, n_edges, k, q, alphabet=3):
 def label_plans(edges, n):
     """The labels present and the plans ``engine._senders`` builds for the
     in channel: far (sources) and near (destinations) over the nodes, and
-    the label plan of the (far node, label) pairs over n * labels and the
-    near plan."""
+    the label plan of the edges, each edge's label its place among the
+    labels present."""
     src, dst, labels = edges
     present, label = np.unique(labels, return_inverse=True)
-    near = T.segments(dst, n)
-    return (present, T.segments(src, n), near,
-            T.label_plan(T.segments(src * present.size + label, n * present.size), near))
+    far, near = T.segments(src, n), T.segments(dst, n)
+    return present, far, near, T.label_plan(far, label, present.size, near)
 
 
 def run_message(send, case, h_data, w_data, edges, probe, later):
@@ -1067,7 +1067,7 @@ class TestMatmulMessage:
         T.active_tape().clear()
         # no edges: zeros of h's shape, and nothing to tape
         out = T.label_message(h, t(np.zeros((3, 4, 0)), rg=True),
-                              T.label_plan(T.segments([], 0), T.segments([], 9)))
+                              T.label_plan(T.segments([], 9), [], 0, T.segments([], 9)))
         assert out.data.tobytes() == np.zeros(h.shape).tobytes()
         assert not T.active_tape()
 
@@ -1113,10 +1113,51 @@ class TestMatmulMessage:
         for args in bad:
             with pytest.raises(DimensionError):
                 T.label_message(*args)
-        for pairs, to in ((T.segments(src[1:], 9), near),          # edges
-                          (plan.pairs, T.segments(dst[1:], 9))):
+        label = np.zeros(src.size, dtype=int)
+        for frm, lab, to in ((T.segments(src[1:], 9), label, near),    # edges
+                             (far, label, T.segments(dst[1:], 9))):
             with pytest.raises(DimensionError):
-                T.label_plan(pairs, to)
+                T.label_plan(frm, lab, 1, to)
+
+
+class TestLabelPlan:
+    """``T.label_plan`` builds its (far node, label) pairs plan from the far
+    plan and the labels, and refuses what would index the wrong pair."""
+
+    @staticmethod
+    def edges(rng, n=7, n_edges=30, labels=3):
+        src, dst = rng.integers(0, n, size=(2, n_edges))
+        return T.segments(src, n), rng.integers(0, labels, size=n_edges), T.segments(dst, n)
+
+    def test_pairs_plan_is_far_times_labels_plus_label(self, rng):
+        far, label, near = self.edges(rng)
+        plan = T.label_plan(far, label, 3, near)
+        want = T.segments(far.index * 3 + label, 7 * 3)
+        for name in ("index", "row_order", "order", "back", "slot"):
+            assert getattr(plan.pairs, name).tolist() == getattr(want, name).tolist()
+        assert (plan.pairs.num_segments, plan.pairs.widths) == (21, want.widths)
+        assert plan.near is near
+        assert plan.taken.tolist() == want.index[near.row_order].tolist()
+
+    def test_label_out_of_range_raises(self, rng):
+        far, label, near = self.edges(rng)
+        for bad in (-1, 3):
+            # label 3 of node w would be pair 3w + 3, node w + 1's label 0
+            wrong = label.copy()
+            wrong[4] = bad
+            with pytest.raises(ContractError):
+                T.label_plan(far, wrong, 3, near)
+        with pytest.raises(ContractError):
+            T.label_plan(far, np.zeros_like(label), 0, near)
+
+    def test_edge_lists_of_different_lengths_raise(self, rng):
+        far, label, near = self.edges(rng)
+        short = T.segments(far.index[1:], 7)
+        for frm, lab, to in ((short, label, near), (far, label[1:], near),
+                             (far, label, T.segments(near.index[1:], 7)),
+                             (far, label[:, None], near)):
+            with pytest.raises(DimensionError):
+                T.label_plan(frm, lab, 3, to)
 
 
 def composed_edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far,
@@ -1580,6 +1621,38 @@ class TestMultiplyCounter:
         assert c.total == 0
 
 
+class TestTapingStatePerThread:
+    """The tape, ``no_grad`` and the multiply counter are each thread's own:
+    a worker thread starts with the defaults whatever the thread that
+    started it has open."""
+
+    def test_worker_starts_taped_with_no_counter_and_its_own_tape(self):
+        seen = {}
+
+        def work():
+            x = t(np.ones((2, 3)), rg=True)
+            y = T.mul(x, x)
+            seen["taped"] = [entry[0] for entry in T.active_tape()] == [y]
+            seen["tape"] = T.active_tape()
+            with count_multiplies(MultiplyCounter()) as own:
+                T.mul(x, x)
+            seen["own"] = own.total
+
+        main = MultiplyCounter()
+        with no_grad(), count_multiplies(main):
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            # taping and counting are still off and on here
+            T.mul(t(np.ones(2), rg=True), t(np.ones(2)))
+            assert not T.active_tape()
+        assert seen["taped"] and seen["own"] == 6
+        assert seen["tape"] is not T.active_tape()
+        # the worker's 6 + 6 multiplies went to no counter of this thread
+        assert main.total == 2
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bit_exact(self, tmp_path, rng):
         params = {
@@ -1816,6 +1889,22 @@ class TestSegmentPlan:
         for arr in (seg.index, seg.row_order, seg.order, seg.back):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_cells_are_each_rows_block_cell(self, kind, rng):
+        index, n, _, _ = oracle_case(kind, rng)
+        plan = T.segments(index, n)
+        want = plan.index * len(plan.widths) + plan.slot
+        assert plan.cells.dtype == want.dtype and plan.cells.tolist() == want.tolist()
+        # made once, and read-only like the plan's other arrays
+        assert plan.cells is plan.cells
+        assert not plan.cells.flags.writeable
+
+    def test_cells_refuse_writes(self):
+        cells = T.segments([1, 0, 1], 2).cells
+        assert cells.tolist() == [2, 0, 3]
+        with pytest.raises(ValueError):
+            cells[0] = 1
 
     def test_plan_checks_its_index(self):
         with pytest.raises(DimensionError):
