@@ -35,7 +35,8 @@ from .qm9 import (
     write_split_manifest,
 )
 from .synthetic import generate_synthetic
-from .tensor import ContractError, _atomic_write, _read_json, load_params
+from .tensor import (ContractError, _atomic_write, _check_object, _is_number, _of_type,
+                     _read_json, load_params)
 from .training import (
     CHEMICAL_ACCURACY,
     SearchSpace,
@@ -52,6 +53,12 @@ from .training import (
 )
 
 META_SCHEMA = "mpnnkit/run/v1"
+
+# The fields of the meta.json ``train`` writes; its model, train and stats
+# objects each check their own fields.
+_META_CHECKS = {"schema": _of_type(str), "model": _of_type(dict), "train": _of_type(dict),
+                "dataset_sha256": _of_type(str), "manifest_sha256": _of_type(str),
+                "stats": _of_type(dict), "best_step": _of_type(int)}
 
 # CLI spellings -> internal names
 MESSAGES = {"matmul": "matmul", "edgenet": "edge_network",
@@ -163,26 +170,15 @@ def _train_config(args) -> TrainConfig:
                        targets=args.targets, eval_every=args.eval_every)
 
 
-def _config_from(cls, meta: dict, block: str):
-    """``cls`` built from ``meta[block]`` once every field is present and
-    every value has the JSON type of its field (an int may stand for a
-    float, a boolean for neither). A missing field is refused, not filled
-    with its default: the run was trained with the value it had."""
-    fields = meta[block]
-    if not isinstance(fields, dict):
-        raise ContractError(f"field {block!r} is not a JSON object")
-    for field in dataclasses.fields(cls):
-        if field.name not in fields:
-            raise ContractError(f"{block} field {field.name!r} is missing")
-    kinds = typing.get_type_hints(cls)  # an unknown field fails in cls() below
-    for key, value in fields.items():
-        kind = kinds.get(key, object)
-        if kind is float:
-            kind = (int, float)
-        if (not isinstance(value, kind)
-                or type(value) is bool and kind not in (bool, object)):
-            raise ContractError(f"{block} field {key!r} has the wrong type: "
-                                f"{value!r}")
+def _config_from(cls, fields, block: str):
+    """``cls`` built from meta.json's ``block`` object ``fields`` once it
+    holds every field of ``cls`` and no other, each of its field's JSON type
+    (an int may stand for a float, a boolean for neither). A missing field
+    is refused, not filled with its default: the run was trained with the
+    value it had."""
+    checks = {name: _is_number if kind is float else _of_type(*typing.get_args(kind) or [kind])
+              for name, kind in typing.get_type_hints(cls).items()}
+    _check_object(fields, checks, block)
     return cls(**fields)
 
 
@@ -302,20 +298,17 @@ def _check_checkpoint(path: str, params: dict, cfg: ModelConfig) -> None:
 
 def cmd_evaluate(args) -> int:
     meta = _read_json(args.meta)
-    if not isinstance(meta, dict):
-        raise ContractError(f"{args.meta}: metadata is not a JSON object")
-    if meta.get("schema") != META_SCHEMA:
-        raise ContractError(f"unknown metadata schema {meta.get('schema')!r}")
     try:
-        cfg = _config_from(ModelConfig, meta, "model")
-        train_cfg = _config_from(TrainConfig, meta, "train")
+        _check_object(meta, _META_CHECKS, "metadata")
+        if meta["schema"] != META_SCHEMA:
+            raise ContractError(f"unknown metadata schema {meta['schema']!r}")
+        cfg = _config_from(ModelConfig, meta["model"], "model")
+        train_cfg = _config_from(TrainConfig, meta["train"], "train")
         stats = TargetStats.from_dict(meta["stats"])
-        trained_on = ((args.data, meta["dataset_sha256"]),
-                      (args.manifest, meta["manifest_sha256"]))
-    except (KeyError, TypeError) as exc:
-        raise ContractError(f"{args.meta}: missing or unknown field: {exc}") from None
     except ValueError as exc:  # a ContractError, or stats that cannot normalize
         raise ContractError(f"{args.meta}: {exc}") from None
+    trained_on = ((args.data, meta["dataset_sha256"]),
+                  (args.manifest, meta["manifest_sha256"]))
     for path, digest in trained_on:
         if file_sha256(path) != digest:
             raise ContractError(f"{path} is not the file this run was trained with")

@@ -19,7 +19,11 @@ read-only.
 
 ``Atom``, ``Bond`` and ``MolecularGraph`` are frozen, slotted records: a
 dataset holds one of each per atom and bond, so none carries an instance
-dict. ``encode`` builds a molecule's node features as one array, and
+dict. Assigning to one of their fields raises ``FrozenInstanceError``;
+assigning to a name that is not a field raises CPython 3.11's
+``TypeError`` (from ``super()`` in the frozen ``__setattr__``, which names
+the class before ``slots`` copied it). Either way nothing is written.
+``encode`` builds a molecule's node features as one array, and
 ``featurize_atom`` is the same function applied to one atom, so the
 feature layout is written once.
 
@@ -38,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import ContractError
+from .tensor import ContractError, _check_object, _is_number, _list_of, _of_type
 
 __all__ = [
     "Atom",
@@ -47,7 +51,6 @@ __all__ = [
     "EncodedGraph",
     "UnsupportedElementError",
     "ELEMENTS",
-    "HEAVY_ELEMENTS",
     "BOND_TYPES",
     "BOND_LABELS",
     "VIRTUAL_LABEL",
@@ -72,7 +75,6 @@ class UnsupportedElementError(ValueError):
 
 
 ELEMENTS = {"H": 1, "C": 6, "N": 7, "O": 8, "F": 9}
-HEAVY_ELEMENTS = frozenset(e for e in ELEMENTS if e != "H")
 
 BOND_TYPES = ("single", "double", "triple", "aromatic")
 BOND_LABELS = {t: i for i, t in enumerate(BOND_TYPES)}
@@ -94,27 +96,17 @@ NUM_DISTANCE_BINS = 10
 DISTANCE_BINS_ALPHABET = len(BOND_TYPES) + NUM_DISTANCE_BINS  # 14
 
 
-def _is_number(value) -> bool:
-    """An int or a float; a boolean is not a number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# Exact JSON types. ``issuperset`` over a ``map`` checks a list without
-# building a set of its types.
-_DICT, _LIST, _NUMBER = frozenset({dict}), frozenset({list}), frozenset({int, float})
-
-
-def _is_list_of(value, kinds: frozenset) -> bool:
-    """A list whose items all have one of ``kinds`` as their exact type."""
-    return type(value) is list and kinds.issuperset(map(type, value))
-
-
-# The atom and bond fields ``MolecularGraph.to_dict`` writes.
+# The atom and bond fields ``MolecularGraph.to_dict`` writes, and the check
+# of each record field. Atom and MolecularGraph turn any real number into a
+# float; in JSON only int and float are numbers.
 _ATOM_FIELDS = frozenset({"element", "acceptor", "donor", "aromatic",
                           "hybridization", "hydrogen_count", "partial_charge"})
 _BOND_FIELDS = frozenset({"i", "j", "type", "distance"})
-_RECORD_FIELDS = frozenset({"atoms", "bonds", "positions", "targets",
-                            "explicit_hydrogens"})
+_OBJECTS, _LISTS, _NUMBERS = _list_of(dict), _list_of(list), _list_of(int, float)
+_RECORD_CHECKS = {"atoms": _OBJECTS, "bonds": _OBJECTS,
+                  "positions": lambda value: value is None or _LISTS(value),
+                  "targets": lambda value: value is None or _NUMBERS(value),
+                  "explicit_hydrogens": _of_type(bool)}
 
 
 def _check_fields(entries: list, known: frozenset, kind: str) -> None:
@@ -271,43 +263,39 @@ class MolecularGraph:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MolecularGraph":
-        """The molecule ``to_dict`` wrote. A missing field raises KeyError,
-        one of the wrong JSON type, or a record, atom or bond field
-        ``to_dict`` does not write, ContractError (``Atom``, ``Bond`` and the
-        molecule check their own fields)."""
-        extra = obj.keys() - _RECORD_FIELDS
-        if extra:
-            raise ContractError(f"record has unknown field {min(extra)!r}")
-        for key in ("atoms", "bonds"):
-            if not _is_list_of(obj[key], _DICT):
-                raise ContractError(f"field {key!r} is not a list of JSON objects")
+        """The molecule ``to_dict`` wrote. A record, atom or bond that lacks
+        a field ``to_dict`` always writes or holds one it never writes, or a
+        value of the wrong JSON type, raises ContractError (``Atom``,
+        ``Bond`` and the molecule check their own fields)."""
+        _check_object(obj, _RECORD_CHECKS, "record")
         _check_fields(obj["atoms"], _ATOM_FIELDS, "atom")
         _check_fields(obj["bonds"], _BOND_FIELDS, "bond")
-        # Atom and MolecularGraph turn any real number into a float; in
-        # JSON only int and float are numbers.
-        positions = obj.get("positions")
+        positions, targets = obj["positions"], obj["targets"]
         if positions is not None and not (
-                _is_list_of(positions, _LIST) and len(positions) == len(obj["atoms"])
-                and _NUMBER.issuperset(map(type, chain.from_iterable(positions)))):
+                len(positions) == len(obj["atoms"])
+                and _NUMBERS(list(chain.from_iterable(positions)))):
             raise ContractError("field 'positions' is not one list of numbers per atom")
-        targets = obj.get("targets")
-        if targets is not None and not _is_list_of(targets, _NUMBER):
-            raise ContractError("field 'targets' is not a list of numbers")
-        atoms = tuple(
-            Atom(element=entry["element"],
-                 acceptor=entry.get("acceptor", False),
-                 donor=entry.get("donor", False),
-                 aromatic=entry.get("aromatic", False),
-                 hybridization=entry.get("hybridization"),
-                 hydrogen_count=entry.get("hydrogen_count", 0),
-                 position=None if positions is None else positions[idx],
-                 partial_charge=entry.get("partial_charge"))
-            for idx, entry in enumerate(obj["atoms"]))
-        bonds = tuple(Bond(i=e["i"], j=e["j"], bond_type=e["type"],
-                           distance=e.get("distance"))
-                      for e in obj["bonds"])
-        return cls(atoms=atoms, bonds=bonds,
-                   explicit_hydrogens=obj.get("explicit_hydrogens", False),
+        try:
+            atoms = tuple(
+                Atom(element=entry["element"],
+                     acceptor=entry["acceptor"],
+                     donor=entry["donor"],
+                     aromatic=entry["aromatic"],
+                     hybridization=entry["hybridization"],
+                     hydrogen_count=entry["hydrogen_count"],
+                     position=None if positions is None else positions[idx],
+                     partial_charge=entry.get("partial_charge"))
+                for idx, entry in enumerate(obj["atoms"]))
+            bonds = tuple(Bond(i=e["i"], j=e["j"], bond_type=e["type"],
+                               distance=e.get("distance"))
+                          for e in obj["bonds"])
+        except KeyError as exc:
+            # a field to_dict always writes; no atom field is a bond field
+            field = exc.args[0]
+            kind = "bond" if field in _BOND_FIELDS else "atom"
+            idx = next(idx for idx, entry in enumerate(obj[kind + "s"]) if field not in entry)
+            raise ContractError(f"{kind} {idx} is missing field {field!r}") from None
+        return cls(atoms=atoms, bonds=bonds, explicit_hydrogens=obj["explicit_hydrogens"],
                    targets=targets).validate()
 
 

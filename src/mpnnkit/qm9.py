@@ -43,7 +43,8 @@ from .molgraph import (
     UnsupportedElementError,
     pair_distances,
 )
-from .tensor import ContractError, _atomic_write, _read_json, _refuse_constant
+from .tensor import (ContractError, _atomic_write, _check_object, _list_of, _of_type,
+                     _read_json, _refuse_constant)
 
 __all__ = [
     "COVALENT_RADII",
@@ -379,10 +380,20 @@ def _json_line(path: str, lineno: int, line: str):
         raise ParseError(f"{path}: line {lineno}: not valid JSON ({exc})") from None
 
 
+# The fields ``write_dataset``'s header and ``write_split_manifest`` write.
+_HEADER_CHECKS = {"schema": _of_type(str), "count": _of_type(int),
+                  "explicit_hydrogens": _of_type(bool)}
+_MANIFEST_CHECKS = {"schema": _of_type(str), "seed": _of_type(int),
+                    "valid_size": _of_type(int), "test_size": _of_type(int),
+                    "dataset_sha256": _of_type(str), "train": _list_of(int),
+                    "valid": _list_of(int), "test": _list_of(int)}
+
+
 def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
     """The molecules and header ``write_dataset`` wrote. A line that is not
-    valid JSON, or holds a field that is missing or of the wrong type, raises
-    ParseError naming the file and the line."""
+    valid JSON, or whose header or record lacks a field, holds an unknown
+    one or one of the wrong JSON type, raises ParseError naming the file and
+    the line."""
     with open(path) as f:
         try:
             lines = f.read().splitlines()
@@ -391,29 +402,19 @@ def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
     if not lines:
         raise ParseError(f"{path}: empty dataset file")
     header = _json_line(path, 1, lines[0])
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: line 1: dataset header is not a JSON object")
-    if header.get("schema") != DATASET_SCHEMA:
-        raise ParseError(f"{path}: unknown dataset schema "
-                         f"{header.get('schema')!r}")
-    for key, kind in (("count", int), ("explicit_hydrogens", bool)):
-        if key not in header:
-            raise ParseError(f"{path}: dataset header lacks field {key!r}")
-        if type(header[key]) is not kind:
-            raise ParseError(f"{path}: line 1: header field {key!r} has the "
-                             f"wrong type: {header[key]!r}")
+    try:
+        _check_object(header, _HEADER_CHECKS, "dataset header")
+    except ContractError as exc:
+        raise ParseError(f"{path}: line 1: {exc}") from None
+    if header["schema"] != DATASET_SCHEMA:
+        raise ParseError(f"{path}: unknown dataset schema {header['schema']!r}")
     graphs = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         record = _json_line(path, lineno, line)
-        if not isinstance(record, dict):
-            raise ParseError(f"{path}: line {lineno}: record is not a JSON object")
         try:
             graphs.append(MolecularGraph.from_dict(record))
-        except KeyError as exc:
-            raise ParseError(f"{path}: line {lineno}: record lacks field "
-                             f"{exc}") from None
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if len(graphs) != header["count"]:
@@ -449,22 +450,13 @@ def write_split_manifest(path: str, n: int, seed: int, valid_size: int,
 
 
 def read_split_manifest(path: str) -> dict:
-    """The manifest ``write_split_manifest`` wrote; a missing field, or one
-    of the wrong type, raises ParseError naming the file and the field."""
+    """The manifest ``write_split_manifest`` wrote; a missing or unknown
+    field, or one of the wrong JSON type, raises ContractError naming the
+    file and the field."""
     manifest = _read_json(path)
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{path}: split manifest is not a JSON object")
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ParseError(f"{path}: unknown manifest schema "
-                         f"{manifest.get('schema')!r}")
-    for key in ("dataset_sha256", "train", "valid", "test"):
-        if key not in manifest:
-            raise ParseError(f"{path}: split manifest lacks field {key!r}")
-    if type(manifest["dataset_sha256"]) is not str:
-        raise ParseError(f"{path}: field 'dataset_sha256' is not a string")
-    for key in ("train", "valid", "test"):
-        if not (type(manifest[key]) is list and set(map(type, manifest[key])) <= {int}):
-            raise ParseError(f"{path}: field {key!r} is not a list of indices")
+    _check_object(manifest, _MANIFEST_CHECKS, f"{path}: split manifest")
+    if manifest["schema"] != MANIFEST_SCHEMA:
+        raise ContractError(f"{path}: unknown manifest schema {manifest['schema']!r}")
     return manifest
 
 
@@ -474,6 +466,9 @@ def apply_split_manifest(graphs: list[MolecularGraph], manifest: dict,
     the dataset file the graphs were read from, is required and must be the
     one the manifest records, so no dataset is split by another's manifest.
     Errors name ``path``, the manifest's file, and the offending index."""
+    if type(dataset_hash) is not str:
+        raise ContractError(f"{path}: the dataset hash to match is not a string: "
+                            f"{dataset_hash!r}")
     if dataset_hash != manifest["dataset_sha256"]:
         raise ContractError(f"{path} does not match this dataset file "
                             f"(hash {dataset_hash[:12]} != "

@@ -64,6 +64,7 @@ import contextlib
 import functools
 import json
 import os
+import reprlib
 import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -278,6 +279,16 @@ class Segments:
         return cells
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an array, refused (ContractError) unless it is empty or
+    of integer dtype: a float would truncate to another row's number, and a
+    boolean read as 0 and 1."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ContractError(f"{what} must hold integers, not {arr.dtype}")
+    return arr
+
+
 def segments(index, num_segments: int) -> Segments:
     """The plan for ops over rows grouped by ``index`` into
     ``num_segments`` segments, from one stable argsort of the rows, one of
@@ -286,9 +297,10 @@ def segments(index, num_segments: int) -> Segments:
     rows, so no second row sort is needed.
 
     This is the only check of an index: it must be 1-D (DimensionError)
-    with every entry in ``[0, num_segments)`` (ContractError).
+    and of integer dtype, unless empty, with every entry in
+    ``[0, num_segments)`` (ContractError).
     """
-    idx = np.array(index, dtype=np.intp)
+    idx = np.array(_integers(index, "segment index"), dtype=np.intp)
     n = int(num_segments)
     if idx.ndim != 1:
         raise DimensionError("segment index must be 1-D")
@@ -388,10 +400,10 @@ def label_plan(far: Segments, label, labels: int, near: Segments) -> LabelPlan:
     """The plan of edges sent from ``far``'s nodes and summed by ``near``,
     ``label[i]`` edge i's label. It builds the pairs plan itself, ``far.index
     * labels + label`` over ``far.num_segments * labels`` segments. A label
-    must lie in ``[0, labels)`` (ContractError), or it would index another
-    node's pair; ``far``, ``label`` and ``near`` must index the same edges
-    (DimensionError)."""
-    label = np.asarray(label, dtype=np.intp)
+    must be an integer in ``[0, labels)`` (ContractError), or it would
+    index another node's pair; ``far``, ``label`` and ``near`` must index
+    the same edges (DimensionError)."""
+    label = np.asarray(_integers(label, "edge label"), dtype=np.intp)
     if not far.index.shape == label.shape == near.index.shape:
         raise DimensionError(f"label plan needs one far node, label and near node per "
                              f"edge: {far.index.shape}, {label.shape}, {near.index.shape}")
@@ -1202,6 +1214,47 @@ def _read_json(path: str):
             raise ContractError(f"{path}: not valid JSON: {exc}") from None
 
 
+def _is_number(value) -> bool:
+    """An int or a float; a boolean is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _of_type(*kinds: type) -> Callable[[object], bool]:
+    """The check of a value whose exact type is one of ``kinds``, so a
+    boolean is not an int."""
+    return lambda value: type(value) in kinds
+
+
+def _list_of(*kinds: type) -> Callable[[object], bool]:
+    """The check of a list whose items each have one of ``kinds`` as their
+    exact type. ``issuperset`` over a ``map`` builds no set of the types."""
+    kinds = frozenset(kinds)
+    return lambda value: type(value) is list and kinds.issuperset(map(type, value))
+
+
+def _check_object(obj, checks: Mapping[str, Callable[[object], bool]], where: str) -> None:
+    """Refuse ``obj`` unless it is a JSON object with exactly the fields of
+    ``checks``, each value passing its field's check. Every writer writes
+    every field, so none is optional; a nullable field's check accepts
+    None. The refusals are ContractErrors naming ``where`` and the field, in
+    this order: not an object, an unknown field (a misspelled one would
+    otherwise read as missing), a missing field, a value that fails."""
+    if type(obj) is not dict:
+        raise ContractError(f"{where} is not a JSON object")
+    if obj.keys() != checks.keys():
+        unknown = obj.keys() - checks.keys()
+        if unknown:
+            raise ContractError(f"{where} has unknown field {min(unknown)!r}")
+        raise ContractError(f"{where} is missing field {min(checks.keys() - obj.keys())!r}")
+    for name, check in checks.items():
+        if not check(obj[name]):
+            raise ContractError(f"{where} field {name!r} has the wrong JSON type: "
+                                f"{reprlib.repr(obj[name])}")
+
+
+_ENTRY_CHECKS = {"shape": _list_of(int), "values": _list_of(int, float)}
+
+
 def save_params(params: Mapping[str, Tensor], path: str) -> None:
     """Write a flat name -> {shape, values} JSON checkpoint (bit-exact floats).
 
@@ -1216,26 +1269,18 @@ def save_params(params: Mapping[str, Tensor], path: str) -> None:
 
 
 def load_params(path: str) -> dict[str, Tensor]:
-    """The checkpoint ``save_params`` wrote; a missing field or a value of
-    the wrong JSON type raises a ContractError naming the file and entry."""
+    """The checkpoint ``save_params`` wrote. An entry that is not exactly
+    {shape, values}, a value of the wrong JSON type, or values that do not
+    fill their shape raise a ContractError naming the file and the entry."""
     obj = _read_json(path)
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise ContractError(f"{path}: checkpoint is not a JSON object")
     out: dict[str, Tensor] = {}
     for name, entry in obj.items():
         where = f"{path}: checkpoint entry {name!r}"
-        if not isinstance(entry, dict):
-            raise ContractError(f"{where} is not a JSON object")
-        for key in ("shape", "values"):
-            if key not in entry:
-                raise ContractError(f"{where} lacks field {key!r}")
+        _check_object(entry, _ENTRY_CHECKS, where)
         shape, values = entry["shape"], entry["values"]
-        if not (isinstance(shape, list) and set(map(type, shape)) <= {int}
-                and min(shape, default=0) >= 0):
-            raise ContractError(f"{where}: field 'shape' is not a list of sizes")
-        if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
-            raise ContractError(f"{where}: field 'values' is not a list of numbers")
-        if len(values) != int(np.prod(shape)):
+        if min(shape, default=0) < 0 or len(values) != int(np.prod(shape)):
             raise ContractError(f"{where}: {len(values)} values do not fill "
                                 f"shape {tuple(shape)}")
         out[name] = Tensor(np.array(values, dtype=np.float64).reshape(shape),

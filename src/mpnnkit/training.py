@@ -26,7 +26,8 @@ from . import tensor as tt
 from .engine import ModelConfig, init_params
 from .model import predict_batch, prepare_graph
 from .molgraph import TARGET_NAMES, EncodedGraph, MolecularGraph
-from .tensor import ContractError, NumericError, Tensor, _atomic_write
+from .tensor import (ContractError, NumericError, Tensor, _atomic_write, _check_object,
+                     _list_of)
 
 __all__ = [
     "CHEMICAL_ACCURACY",
@@ -74,6 +75,10 @@ class SearchFailedError(RuntimeError):
     """Every search trial diverged."""
 
 
+_STATS_CHECKS = {"names": _list_of(str), "mean": _list_of(int, float),
+                 "std": _list_of(int, float)}
+
+
 @dataclass(frozen=True)
 class TargetStats:
     """Mean and population standard deviation per target column."""
@@ -109,15 +114,14 @@ class TargetStats:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TargetStats":
-        """The stats ``to_dict`` wrote; a field of the wrong JSON type raises
-        ContractError naming it."""
+        """The stats ``to_dict`` wrote; a missing or unknown field, one of
+        the wrong JSON type, or a mean or std of another length than the
+        names raises ContractError naming it."""
+        _check_object(obj, _STATS_CHECKS, "stats")
         names = obj["names"]
-        if not (type(names) is list and set(map(type, names)) <= {str}):
-            raise ContractError("stats field 'names' is not a list of names")
         for key in ("mean", "std"):
-            if not (type(obj[key]) is list and len(obj[key]) == len(names)
-                    and set(map(type, obj[key])) <= {float, int}):
-                raise ContractError(f"stats field {key!r} is not a list of "
+            if len(obj[key]) != len(names):
+                raise ContractError(f"stats field {key!r} does not hold "
                                     f"{len(names)} numbers")
         return cls(names=tuple(names),
                    mean=np.array(obj["mean"], dtype=np.float64),

@@ -53,7 +53,8 @@ def write_meta(path, dataset, cfg, tc, **blocks):
     meta = {"schema": "mpnnkit/run/v1", "model": dataclasses.asdict(cfg),
             "train": dataclasses.asdict(tc), "stats": stats.to_dict(),
             "dataset_sha256": qm9.file_sha256(dataset["data"]),
-            "manifest_sha256": qm9.file_sha256(dataset["manifest"])}
+            "manifest_sha256": qm9.file_sha256(dataset["manifest"]),
+            "best_step": tc.total_steps}
     meta.update(blocks)
     path.write_text(json.dumps(meta))
 
@@ -565,6 +566,48 @@ class TestMalformedInputs:
         # a misspelled field must not load as the default it misspells
         error, path = self.error_line(dataset, tmp_path, capsys, "data", 1, edit)
         assert path in error and "line 2" in error and where in error
+
+    @pytest.mark.parametrize("kind, field", [
+        ("bonds", "i"), ("atoms", "element"), ("atoms", "hydrogen_count"),
+    ], ids=["bond_i", "atom_element", "atom_hydrogen_count"])
+    def test_missing_atom_or_bond_field_is_an_error_line(self, dataset, tmp_path, capsys,
+                                                         kind, field):
+        # neither loads as its default nor escapes as a KeyError
+        def drop(obj):
+            del obj[kind][0][field]
+            return obj
+
+        error, path = self.error_line(dataset, tmp_path, capsys, "data", 1, drop)
+        assert path in error and "line 2" in error
+        assert f"{kind[:-1]} 0 is missing field {field!r}" in error
+
+    @pytest.mark.parametrize("file, edit, where", [
+        ("data", put("comment", "x"), "'comment'"),
+        ("manifest", put("note", "x"), "'note'"),
+        ("checkpoint", put("ro_i_w1", "dtype", "float32"), "'dtype'"),
+        ("meta", put("notes", "x"), "'notes'"),
+        ("meta", put("stats", "median", [7.5]), "'median'"),
+    ], ids=["header", "manifest", "checkpoint_entry", "meta", "meta_stats"])
+    def test_unknown_extra_field_is_an_error_line(self, dataset, tmp_path, capsys,
+                                                  file, edit, where):
+        error, path = self.error_line(dataset, tmp_path, capsys, file, 0, edit)
+        assert path in error and "unknown field" in error and where in error
+        if file == "data":
+            assert "line 1" in error
+        if file == "checkpoint":
+            assert "'ro_i_w1'" in error
+
+    @pytest.mark.parametrize("file, edit, where", [
+        ("data", put("count", True), "'count'"),
+        ("manifest", put("seed", True), "'seed'"),
+        ("checkpoint", put("ro_i_w1", "shape", 0, True), "'shape'"),
+        ("meta", put("best_step", True), "'best_step'"),
+    ], ids=["header_count", "manifest_seed", "checkpoint_shape", "meta_best_step"])
+    def test_bool_where_an_int_is_due_is_an_error_line(self, dataset, tmp_path, capsys,
+                                                       file, edit, where):
+        error, path = self.error_line(dataset, tmp_path, capsys, file, 0, edit)
+        assert path in error and where in error and "wrong JSON type" in error
+        assert "True" in error
 
     @pytest.mark.parametrize("edit, where", [
         (put("train", 0, 99), "train index 99 is out of range"),

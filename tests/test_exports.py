@@ -174,3 +174,18 @@ def test_only_result_makes_a_tensor_without_its_check():
                       for node in ast.walk(top)
                       if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert calls == [("tensor.py", "_result", "Tensor")], calls
+
+
+def test_exact_json_types_are_checked_in_one_place():
+    # what a valid JSON list is, item types exact so that a boolean is not
+    # an int, is written once, in ``tensor._list_of``; every reader takes
+    # its checks from there rather than spelling ``map(type, ...)`` again
+    calls = []
+    for path in sorted((ROOT / "src" / "mpnnkit").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls += [(path.name, getattr(top, "name", None))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "map" and node.args
+                      and isinstance(node.args[0], ast.Name) and node.args[0].id == "type"]
+    assert calls == [("tensor.py", "_list_of")], calls

@@ -336,6 +336,14 @@ class TestSplitManifest:
         with pytest.raises(TypeError):
             apply_split_manifest(graphs, m)
 
+    @pytest.mark.parametrize("dataset_hash", [None, b"x"], ids=["none", "bytes"])
+    def test_dataset_hash_that_is_not_a_string_is_refused(self, tmp_path, dataset_hash):
+        graphs = generate_synthetic(15, seed=2)
+        m = write_split_manifest(str(tmp_path / "m.json"), 15, seed=4,
+                                 valid_size=3, test_size=3, dataset_hash="x")
+        with pytest.raises(ContractError, match="m.json: the dataset hash"):
+            apply_split_manifest(graphs, m, dataset_hash, path=str(tmp_path / "m.json"))
+
 
 class TestSynthetic:
     def test_deterministic(self):

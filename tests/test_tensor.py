@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import threading
 import weakref
 
@@ -1150,6 +1151,12 @@ class TestLabelPlan:
         with pytest.raises(ContractError):
             T.label_plan(far, np.zeros_like(label), 0, near)
 
+    def test_labels_that_are_not_integer_raise(self, rng):
+        far, label, near = self.edges(rng)
+        for bad in (label + 0.5, label.astype(float), label > 0):
+            with pytest.raises(ContractError, match="must hold integers"):
+                T.label_plan(far, bad, 3, near)
+
     def test_edge_lists_of_different_lengths_raise(self, rng):
         far, label, near = self.edges(rng)
         short = T.segments(far.index[1:], 7)
@@ -1678,6 +1685,12 @@ class TestCheckpoint:
         assert list(obj) == ["aa", "zz"]
         assert obj["aa"] == {"shape": [1, 2], "values": [2.0, 3.0]}
 
+    def test_entry_with_an_unknown_field_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"w": {"shape": [1], "values": [1.0], "dtype": "float32"}}')
+        with pytest.raises(ContractError, match="entry 'w' has unknown field 'dtype'"):
+            T.load_params(str(path))
+
     def test_failed_write_leaves_no_temporary_file(self, tmp_path):
         # the target is a directory, so the final replace fails
         target = tmp_path / "out"
@@ -1686,6 +1699,44 @@ class TestCheckpoint:
             T.save_params({"w": t([1.0])}, str(target))
         assert not list(tmp_path.glob("*.tmp.*"))
         assert target.is_dir() and not list(target.iterdir())
+
+
+class TestCheckObject:
+    """``tensor._check_object``, the one field check of every JSON object
+    the program reads, refuses in a fixed order."""
+
+    CHECKS = {"a": T._of_type(int), "b": T._list_of(int, float)}
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1], "thing is not a JSON object"),
+        ({"a": 1, "b": [], "c": 0}, "thing has unknown field 'c'"),
+        ({"a": 1}, "thing is missing field 'b'"),
+        ({"a": True, "b": []}, "thing field 'a' has the wrong JSON type: True"),
+        ({"a": 1, "b": [1, False]}, "thing field 'b' has the wrong JSON type"),
+    ], ids=["not_object", "unknown", "missing", "bool_for_int", "bool_in_list"])
+    def test_refusal_names_where_and_the_field(self, obj, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            T._check_object(obj, self.CHECKS, "thing")
+
+    def test_unknown_comes_before_missing(self):
+        # a misspelled field is both; the error names the misspelling
+        with pytest.raises(ContractError, match="unknown field 'bb'"):
+            T._check_object({"a": 1, "bb": []}, self.CHECKS, "thing")
+
+    def test_missing_comes_before_a_failed_check(self):
+        with pytest.raises(ContractError, match="missing field 'b'"):
+            T._check_object({"a": "1"}, self.CHECKS, "thing")
+
+    def test_admits_exactly_its_fields(self):
+        assert T._check_object({"b": [1, 2.5], "a": 3}, self.CHECKS, "thing") is None
+
+    def test_type_checks(self):
+        assert T._list_of(int)([1, 2]) and T._list_of(int)([])
+        assert not T._list_of(int)((1, 2))
+        assert not T._list_of(int)([1, 2.0])
+        assert T._of_type(str, int)(3) and not T._of_type(int)(True)
+        assert T._is_number(2) and T._is_number(2.5) and T._is_number(np.float64(1))
+        assert not T._is_number(True) and not T._is_number("2")
 
 
 class TestFiniteDifferenceOracle:
@@ -1917,6 +1968,18 @@ class TestSegmentPlan:
             T.gather_rows(x, T.segments([0, 1], 2))
         with pytest.raises(DimensionError):
             T.scatter_sum_rows(x, T.segments([0, 1], 2))
+
+    @pytest.mark.parametrize("index", [[0.5, 1.7], np.array([0.0, 1.0]), [True, False]],
+                             ids=["float", "whole_floats", "bool"])
+    def test_plan_refuses_an_index_that_is_not_integer(self, index):
+        # 0.5 would truncate to segment 0, True pass as segment 1
+        with pytest.raises(ContractError, match="must hold integers"):
+            T.segments(index, 2)
+
+    def test_plan_admits_an_empty_index_of_any_dtype(self):
+        # a graph of 0 or 1 node has np.array([]) edges, float64
+        plan = T.segments(np.array([]), 3)
+        assert plan.index.dtype == np.intp and plan.widths == ()
 
 
 def test_no_ufunc_at_in_the_package():
