@@ -183,12 +183,13 @@ def _config_from(cls, fields, block: str):
 
 
 def _load_splits(args):
+    """The dataset's header, its (train, valid, test) split by the manifest,
+    and the dataset file's hash, computed once here for every use."""
     graphs, header = read_dataset(args.data)
     manifest = read_split_manifest(args.manifest)
-    train, valid, test = apply_split_manifest(graphs, manifest,
-                                              file_sha256(args.data),
-                                              path=args.manifest)
-    return graphs, header, manifest, (train, valid, test)
+    digest = file_sha256(args.data)
+    splits = apply_split_manifest(graphs, manifest, digest, path=args.manifest)
+    return header, splits, digest
 
 
 def _print_report(mae_per_target: dict[str, float]) -> None:
@@ -248,7 +249,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _, header, _, (train, valid, test) = _load_splits(args)
+    header, (train, valid, test), digest = _load_splits(args)
     cfg = _model_config(args, explicit_hydrogens=header["explicit_hydrogens"])
     tc = _train_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -263,7 +264,7 @@ def cmd_train(args) -> int:
         "schema": META_SCHEMA,
         "model": dataclasses.asdict(result.model_cfg),
         "train": dataclasses.asdict(result.train_cfg),
-        "dataset_sha256": file_sha256(args.data),
+        "dataset_sha256": digest,
         "manifest_sha256": file_sha256(args.manifest),
         "stats": result.stats.to_dict(),
         "best_step": result.best_step,
@@ -299,23 +300,21 @@ def _check_checkpoint(path: str, params: dict, cfg: ModelConfig) -> None:
 def cmd_evaluate(args) -> int:
     meta = _read_json(args.meta)
     try:
-        _check_object(meta, _META_CHECKS, "metadata")
-        if meta["schema"] != META_SCHEMA:
-            raise ContractError(f"unknown metadata schema {meta['schema']!r}")
+        _check_object(meta, _META_CHECKS, "metadata", META_SCHEMA)
         cfg = _config_from(ModelConfig, meta["model"], "model")
         train_cfg = _config_from(TrainConfig, meta["train"], "train")
         stats = TargetStats.from_dict(meta["stats"])
     except ValueError as exc:  # a ContractError, or stats that cannot normalize
         raise ContractError(f"{args.meta}: {exc}") from None
-    trained_on = ((args.data, meta["dataset_sha256"]),
-                  (args.manifest, meta["manifest_sha256"]))
-    for path, digest in trained_on:
-        if file_sha256(path) != digest:
+    _, (train, valid, test), digest = _load_splits(args)
+    trained_on = ((args.data, digest, meta["dataset_sha256"]),
+                  (args.manifest, file_sha256(args.manifest), meta["manifest_sha256"]))
+    for path, got, trained in trained_on:
+        if got != trained:
             raise ContractError(f"{path} is not the file this run was trained with")
     indices, names = train_cfg.target_indices, train_cfg.target_names
     if list(stats.names) != names:
         raise ContractError(f"{args.meta}: stats do not match the trained targets")
-    _, _, _, (train, valid, test) = _load_splits(args)
     params = load_params(args.checkpoint)
     _check_checkpoint(args.checkpoint, params, cfg)
 
@@ -333,7 +332,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _, header, _, (train, valid, test) = _load_splits(args)
+    header, (train, valid, test), _ = _load_splits(args)
     cfg = _model_config(args, explicit_hydrogens=header["explicit_hydrogens"])
     tc = _train_config(args)
     space = SearchSpace(message_fns=args.search_messages)

@@ -1,12 +1,12 @@
 """Message passing over encoded molecular graphs.
 
 One propagation step sends a message along every directed edge, sums the
-arrivals per node and channel, and feeds the concatenated channels through
-a gated update, the same weights at every step. Channels: for a node v,
-the *in* channel collects messages computed from the states at the far end
-of edges arriving at v, the *out* channel collects messages computed from
-the far end of edges leaving v. Both orientations of each undirected edge
-exist, so the update input has width 2d.
+arrivals per node and channel, and feeds the two channels, side by side,
+through a gated update, the same weights at every step. Channels: for a
+node v, the *in* channel collects messages computed from the states at the
+far end of edges arriving at v, the *out* channel collects messages
+computed from the far end of edges leaving v. Both orientations of each
+undirected edge exist, so the update input has width 2d.
 
 There is one path: node states are (n, k, d/k) row stacks through every
 step, k the towers count, and each message function has a single
@@ -20,26 +20,33 @@ message/update pair per slice, and remix the slices through a shared affine
 map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
-multiplies all towers in one call. So a step runs one taped message op per
-channel (``tt.label_message`` for the matmul message and the edge network
-over labels, ``tt.edge_message`` for the edge network over raw vectors)
-or one gather, product and scatter (the other message functions), and one
-GRU, whatever k is; k = 1 is a tower axis of size 1.
+multiplies all towers in one call. So a step runs, whatever k is, one GRU
+and, for the matmul message and the edge network over labels, one taped
+``tt.label_message`` that sends both channels straight into the GRU's
+input; the edge network over raw vectors runs one ``tt.edge_message`` per
+channel, and the other message functions a gather, product and scatter
+per channel, each step's two channels joined by one concat. k = 1 is a
+tower axis of size 1.
 
-Edge-only work runs once per forward, per message function (``_senders``):
+Edge-only work runs once per forward, per message function (``_sender``):
 the labels present, the tower-tiled edge vectors, DTNN's edge term and the
 edge network's label matrices, or its hidden rows laid out in each far
 node's zero-padded block (``tt.segment_blocks``, one per channel), never
 change across the steps, and neither do the index plans (``tt.segments``)
-of the edges' sources and destinations and each channel's plan for its
-message op (``tt.label_plan`` or ``tt.block_plan``).
+of the edges' destinations and sources and the plans of the message ops:
+over labels one ``tt.label_plan`` of both channels, which pairs each edge
+with its reverse of the same label and needs no plan of the sources, over
+raw vectors one ``tt.block_plan`` per channel.
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Over discrete labels (chemical, distance
 bins) the edge network's A(e) takes one value per label, so it builds one
 d_tower x d_tower matrix per channel, tower and label present, as the
 matmul message stacks its own, and both send through
-``tt.label_message``, whose docstring gives the stack's layout. Over raw
+``tt.label_message``, whose docstring gives the stack's layout: edge w ->
+v's in-message and its reverse v -> w's out-message share their far node,
+near node and label, so one row of w's products under that label,
+[h_w A_in | h_w A_out], serves both. Over raw
 vectors (complete graphs, one vector per directed edge) A(e) is a
 two-layer network whose last layer is linear, so ``tt.edge_message``
 multiplies the states by the last layer's matrices and contracts each
@@ -308,73 +315,75 @@ def edge_vectors(eg: EncodedGraph, cfg: ModelConfig) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _senders(eg: EncodedGraph, params: dict[str, Tensor],
-             cfg: ModelConfig) -> dict[str, Callable[[Tensor], Tensor]]:
-    """Per channel, a function from the (n, k, d_tower) states to the sum of
-    that channel's messages at every node, all towers at once. Edge-only
-    work runs here, once per forward, and so do the index plans; the
-    returned functions do only what depends on the states. ``far`` is the
-    plan that gathers the state each message is computed from, ``near`` the
-    plan that sums it onto the node it is delivered to: the two channels
-    share the plans of the edges' sources and destinations, roles swapped.
-    Over discrete labels, the matmul message and the edge network stack one
-    matrix per label present as ``tt.label_message`` takes them: the matmul
-    message's weights as stored, by one taped concat, and the edge
-    network's rows moved there by one transpose, its reshapes views. Each
-    channel keeps one ``tt.label_plan`` for every step, made from its far
-    plan and each edge's label, its place among the labels present; the
-    plan builds the (far node, label) pairs itself. Over raw vectors the
-    edge network runs its first layer once, as one product of the edge
-    vectors, a 1 appended, with the stack [[w1, 0], [b1, 1]] (a taped
-    concat of the parameters and a constant unit column, so names, shapes
-    and checkpoints stay those of w1 and b1). relu keeps the appended unit
-    at 1, and each channel's hidden rows, d_tower + 1 units wide, are laid
-    out in its far nodes' blocks once, where a pad cell's unit is 0, with
-    one ``tt.block_plan`` that every step's ``tt.edge_message`` reads them
-    through.
+def _sender(eg: EncodedGraph, params: dict[str, Tensor],
+            cfg: ModelConfig) -> Callable[[Tensor], Tensor]:
+    """A function from the (n, k, d_tower) states to the update's input,
+    (n, k, 2 d_tower): per tower, the sum of each node's in-channel
+    messages, then of its out-channel messages. Edge-only work runs here,
+    once per forward, and so do the index plans; the returned function
+    does only what depends on the states. ``far`` is the plan that gathers
+    the state each message is computed from, ``near`` the plan that sums it
+    onto the node it is delivered to: the two channels share the plans of
+    the edges' sources and destinations, roles swapped.
+
+    Over discrete labels, the matmul message and the edge network stack
+    each label present's in- and out-channel matrices side by side as
+    ``tt.label_message`` takes them, and one ``tt.label_plan`` over the
+    edges, built here, pairs each edge with its reverse, so one op per step
+    sends both channels into the update's input. The matmul message's
+    weights go in as stored, by one taped concat; the edge network's
+    matrices, both channels' rows joined by one concat, are moved there by
+    one transpose, its reshapes views. The other message functions send
+    each channel by its own ops, and one concat joins the two. Over raw
+    vectors the edge network runs its first layer once per channel, as one
+    product of the edge vectors, a 1 appended, with the stack [[w1, 0],
+    [b1, 1]] (a taped concat of the parameters and a constant unit column,
+    so names, shapes and checkpoints stay those of w1 and b1). relu keeps
+    the appended unit at 1, and each channel's hidden rows, d_tower + 1
+    units wide, are laid out in its far nodes' blocks once, where a pad
+    cell's unit is 0, with one ``tt.block_plan`` that every step's
+    ``tt.edge_message`` reads them through.
     """
     n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
     towered = lambda rows: Tensor(np.broadcast_to(rows[:, None, :],
                                                   (rows.shape[0], k, rows.shape[1])))
-    src, dst = tt.segments(eg.edge_src, n), tt.segments(eg.edge_dst, n)
+    dst = tt.segments(eg.edge_dst, n)
     if cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
                                       and cfg.edge_repr != "raw_distance"):
         # each edge's label as its place among the labels present
         present, label = np.unique(eg.edge_features, return_inverse=True)
         count = present.size
-    else:
-        rows = edge_vectors(eg, cfg).data
-        if cfg.message_fn == "edge_network":
-            rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
-        evec = towered(rows)
-
-    def label_message(stack, far, near):
-        plan = tt.label_plan(far, label, count, near)
+        if cfg.message_fn == "matmul":
+            # each label's in- and out-channel matrices side by side as
+            # stored, (k, d_tower, labels * 2 d_tower): a label's message is h A
+            weights = [params[f"msg_{ch}_A{value}"] for value in present for ch in CHANNELS]
+            stack = (tt.concat(weights, axis=2) if weights
+                     else Tensor(np.zeros((k, dt, 0))))
+        else:
+            # each label's row-major (p x q) matrix M from its one-hot row,
+            # whose message M h is h M^T: the stack holds the M^T of each
+            # label's two channels side by side, (k, q, labels * 2p), moved
+            # there by one transpose
+            onehot = towered(np.eye(cfg.edge_width)[present])
+            mats = tt.reshape(tt.concat([mlp2(onehot, params, f"msg_{ch}_en")
+                                         for ch in CHANNELS], axis=0), (2, count, k, dt, dt))
+            stack = tt.reshape(tt.transpose(mats, (2, 4, 1, 0, 3)), (k, dt, count * 2 * dt))
+        plan = tt.label_plan(eg.edge_src, dst, label, count)
         return lambda h: tt.label_message(h, stack, plan)
-
-    def matmul(far, near, prefix):
-        # the labels' matrices side by side as stored, (k, d_tower, labels
-        # * d_tower): a label's message is h A
-        weights = [params[f"{prefix}_A{value}"] for value in present]
-        return label_message(tt.concat(weights, axis=2) if weights
-                             else Tensor(np.zeros((k, dt, 0))), far, near)
+    src = tt.segments(eg.edge_src, n)
+    rows = edge_vectors(eg, cfg).data
+    if cfg.message_fn == "edge_network":
+        rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
+    evec = towered(rows)
 
     def edge_network(far, near, prefix):
-        pre = f"{prefix}_en"
-        if cfg.edge_repr != "raw_distance":
-            # each label's row-major (p x q) matrix M from its one-hot row,
-            # whose message M h is h M^T: the stack holds the M^T side by
-            # side, (k, q, labels * p), moved there by one transpose
-            onehot = towered(np.eye(cfg.edge_width)[present])
-            mats = tt.reshape(mlp2(onehot, params, pre), (count, k, dt, dt))
-            return label_message(tt.reshape(tt.transpose(mats, (1, 3, 0, 2)),
-                                            (k, dt, count * dt)), far, near)
         # raw vectors, in homogeneous coordinates: each edge's vector with
         # a 1 appended times [[w1, 0], [b1, 1]] gives its hidden row with a
         # unit 1 appended, which weighs the last layer's bias; the rows are
         # laid out in their far nodes' blocks and contracted with the
         # states' products with the last layer
+        pre = f"{prefix}_en"
         unit = np.zeros((k, cfg.edge_width + 1, 1))
         unit[:, -1] = 1.0
         layer = tt.concat([tt.concat([params[f"{pre}_w1"],
@@ -400,10 +409,11 @@ def _senders(eg: EncodedGraph, params: dict[str, Tensor],
                 tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"])), near)
         return send
 
-    build = {"matmul": matmul, "edge_network": edge_network,
-             "pair_message": pair_message, "dtnn": dtnn}[cfg.message_fn]
+    build = {"edge_network": edge_network, "pair_message": pair_message,
+             "dtnn": dtnn}[cfg.message_fn]
     ends = {"in": (src, dst), "out": (dst, src)}
-    return {ch: build(*ends[ch], f"msg_{ch}") for ch in CHANNELS}
+    sends = [build(*ends[ch], f"msg_{ch}") for ch in CHANNELS]
+    return lambda h: tt.concat([send(h) for send in sends], axis=-1)
 
 
 def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
@@ -420,12 +430,13 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     To count multiplies, call it inside ``tt.count_multiplies``;
     ``checks.bench_towers`` isolates the message phase that way.
     """
-    def _update(msgs, h, prefix):
-        # one update rule for atom states (all towers) and master rows
+    def _update(x, h, prefix):
+        # one update rule for atom states (all towers) and master rows; x
+        # is the input, the in channel's messages beside the out channel's
         if cfg.update_fn == "gru":
-            return tt.gru_cell(tt.concat(msgs, axis=-1), h,
-                               _gru_params(params, prefix))
-        return tt.add(h, tt.add(*msgs))
+            return tt.gru_cell(x, h, _gru_params(params, prefix))
+        half = x.shape[-1] // 2
+        return tt.add(h, tt.add(tt.slice_cols(x, 0, half), tt.slice_cols(x, half, 2 * half)))
 
     _check_encoding(eg, cfg)
     n = eg.n_atoms
@@ -435,7 +446,7 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     # t*d_tower to (t+1)*d_tower of the (n, d) state.
     towered = (n, k, cfg.d_tower)
     h = tt.reshape(h0, towered)
-    senders = _senders(eg, params, cfg)
+    send = _sender(eg, params, cfg)
 
     n_graphs = eg.n_graphs
     graph = np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph
@@ -448,18 +459,19 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
         master = master0
 
     for _ in range(cfg.T):
-        msgs = [senders[ch](h) for ch in CHANNELS]
+        x = send(h)
         if cfg.d_master:
-            # towers reject a master, so k = 1 and a (n_graphs, d) row
-            # block is one tower
-            msgs = [tt.add(m, tt.gather_rows(tt.reshape(
-                tt.matmul(master, params[f"m2n_{ch}"]), (n_graphs, 1, cfg.d)), graph_plan))
-                for m, ch in zip(msgs, CHANNELS)]
-        h_new = _update(msgs, h, "gru")
+            # towers reject a master, so k = 1 and a (n_graphs, 2d) row
+            # block is one tower: each graph's two messages, added to its
+            # atoms' input
+            x = tt.add(x, tt.gather_rows(tt.reshape(tt.concat(
+                [tt.matmul(master, params[f"m2n_{ch}"]) for ch in CHANNELS], axis=1),
+                (n_graphs, 1, 2 * cfg.d)), graph_plan))
+        h_new = _update(x, h, "gru")
         if cfg.d_master:
             h_sum = tt.reshape(tt.scatter_sum_rows(h, graph_plan), (n_graphs, cfg.d))
-            master = _update([tt.matmul(h_sum, params[f"n2m_{ch}"]) for ch in CHANNELS],
-                             master, "master_gru")
+            master = _update(tt.concat([tt.matmul(h_sum, params[f"n2m_{ch}"])
+                                        for ch in CHANNELS], axis=-1), master, "master_gru")
         h = h_new
         if k > 1:
             h = tt.reshape(tt.matmul(tt.reshape(h, (n, cfg.d)), params["mix_w"],

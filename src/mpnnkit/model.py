@@ -93,12 +93,15 @@ def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
 
     The message ops' node products are not counted: ``tt.edge_message``'s
     over raw vectors, n x k x (r + 1) x d_tower (8448 bytes per atom at d =
-    32), and ``tt.label_message``'s over labels, n x L x k x d_tower for the
-    L labels present, each laid out as its op's docstring says. Both are
-    written and read once inside one call and freed when it returns. They
-    can be the larger array, and are still not counted: the CLI's default
-    model (labels) puts 64 synthetic molecules (seed 7) in one union of 348
-    atoms x 2 labels against 616 edges.
+    32), and ``tt.label_message``'s over labels, n x L x k x 2 d_tower for
+    the L labels present, both channels' side by side, each laid out as its
+    op's docstring says. Both are written and read once inside one call
+    and freed when it returns; ``tt.label_message`` makes its products and
+    messages for a group of towers at a time, at most
+    ``tt.LABEL_GROUP_BYTES`` at once. They can be the larger array, and are
+    still not counted: the CLI's default model (labels) puts 64 synthetic
+    molecules (seed 7) in one union of 348 atoms x 2 labels against 616
+    edges.
     """
     k, q = cfg.towers_k, cfg.d_tower
     if _sized_by_blocks(cfg):

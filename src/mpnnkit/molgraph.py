@@ -305,9 +305,12 @@ class EncodedGraph:
 
     Edges are directed and cover both orientations of every undirected pair,
     with the same features; the engine reads each directed edge's own
-    features, so it does not rely on that. ``edge_features`` is an int
-    label array for discrete representations and an (m, 5) float array for
-    raw_distance.
+    features, so it does not rely on that. Over labels it pairs each edge
+    with its reverse, whose out-channel message then rides on the edge's
+    row of ``tt.label_message``, but needs none: an edge without a reverse
+    of its label sends each message on a row of its own. ``edge_features``
+    is an int label array for discrete representations and an (m, 5) float
+    array for raw_distance.
 
     ``disjoint_union`` packs several encoded graphs into one; its
     ``node_graph`` names the member graph of every node. A lone molecule

@@ -392,8 +392,8 @@ _MANIFEST_CHECKS = {"schema": _of_type(str), "seed": _of_type(int),
 def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
     """The molecules and header ``write_dataset`` wrote. A line that is not
     valid JSON, or whose header or record lacks a field, holds an unknown
-    one or one of the wrong JSON type, raises ParseError naming the file and
-    the line."""
+    one or one of the wrong JSON type, or a header naming an unknown
+    schema, raises ParseError naming the file and the line."""
     with open(path) as f:
         try:
             lines = f.read().splitlines()
@@ -403,11 +403,9 @@ def read_dataset(path: str) -> tuple[list[MolecularGraph], dict]:
         raise ParseError(f"{path}: empty dataset file")
     header = _json_line(path, 1, lines[0])
     try:
-        _check_object(header, _HEADER_CHECKS, "dataset header")
+        _check_object(header, _HEADER_CHECKS, "dataset header", DATASET_SCHEMA)
     except ContractError as exc:
         raise ParseError(f"{path}: line 1: {exc}") from None
-    if header["schema"] != DATASET_SCHEMA:
-        raise ParseError(f"{path}: unknown dataset schema {header['schema']!r}")
     graphs = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -451,12 +449,10 @@ def write_split_manifest(path: str, n: int, seed: int, valid_size: int,
 
 def read_split_manifest(path: str) -> dict:
     """The manifest ``write_split_manifest`` wrote; a missing or unknown
-    field, or one of the wrong JSON type, raises ContractError naming the
-    file and the field."""
+    field, one of the wrong JSON type, or an unknown schema raises
+    ContractError naming the file and the field."""
     manifest = _read_json(path)
-    _check_object(manifest, _MANIFEST_CHECKS, f"{path}: split manifest")
-    if manifest["schema"] != MANIFEST_SCHEMA:
-        raise ContractError(f"{path}: unknown manifest schema {manifest['schema']!r}")
+    _check_object(manifest, _MANIFEST_CHECKS, f"{path}: split manifest", MANIFEST_SCHEMA)
     return manifest
 
 

@@ -8,8 +8,9 @@ reductions, softmax (over an axis or per segment of rows),
 concatenation/slicing/axis permutation, row gather/scatter, rows laid
 out in zero-padded blocks per segment, the two matrix messages summed at
 each node with no matrix built per edge (``label_message`` over discrete
-labels, ``edge_message`` over the edge network's hidden rows; each
-docstring gives its layout), and a GRU cell over row-stacked states. The
+labels, both channels at once, ``edge_message`` over the edge network's
+hidden rows; each docstring gives its layout), and a GRU cell over
+row-stacked states. The
 messages and the GRU cell are each one taped op whose rule replays, with
 the same bits, the tape the op composed from simpler ops would record.
 Elementwise operands must match in shape, so every backward rule stays
@@ -38,8 +39,9 @@ row's slot is also its place in a zero-padded block of its segment's rows,
 and ``Segments.cells`` its cell among the blocks flattened, computed once
 per plan for ``segment_blocks`` and ``block_plan``. Each message op reads
 its edges through a plan made once per forward and shared by every step: a
-:class:`LabelPlan` (``label_plan``, which builds its own plan of the
-(far node, label) pairs) or a :class:`BlockPlan` (``block_plan``).
+:class:`LabelPlan` (``label_plan``, which pairs each edge with its reverse
+and builds its own plan of the (far node, label) pairs) or a
+:class:`BlockPlan` (``block_plan``).
 
 Every op that computes new values checks its forward result for NaN/Inf,
 so divergence surfaces as a :class:`NumericError` at the op that produced
@@ -371,24 +373,34 @@ def block_plan(far: Segments, near: Segments) -> BlockPlan:
 
 @dataclass(frozen=True, eq=False)
 class LabelPlan:
-    """Where ``label_message`` reads each edge's message among the node
+    """Where ``label_message`` reads both channels' messages among the node
     products, and where it sums each message's gradient; build one with
     :func:`label_plan`, once for every step over the same edges.
 
-    ``pairs``, which ``label_plan`` builds, groups the edges by their (far
-    node, label) pair, ``far * L + label`` over n * L segments for L
-    labels, and ``near`` sums their messages. ``taken[j]`` is the pair of
-    edge ``near.row_order[j]``, so one take reads the messages straight
-    into ``near``'s slot order. The arrays are read-only.
+    A row carries up to two messages to its near node v from its far node
+    w under one label: the in-message of edge w -> v and the out-message of
+    its reverse v -> w, which has the same far node, near node and label.
+    Rows 0 to E - 1 are the edges in edge order, each with the out-message
+    of the reverse it is paired with; an edge no reverse is paired with
+    sends its out-message on a row of its own after them. ``pairs`` groups
+    the rows by (far node, label), ``far * L + label`` over n * L segments
+    for L labels, and ``near`` sums their messages. ``taken[j]`` is the
+    pair of row ``near.row_order[j]``, so one take reads the messages
+    straight into ``near``'s slot order. ``solo`` is None when every row
+    carries both messages; otherwise ``solo[r]`` is 0 where row r does, 1
+    where it carries only its in-message (a one-way edge, a duplicate, or
+    one whose reverse has another label) and 2 where only its
+    out-message. The arrays are read-only.
     """
 
     pairs: Segments
     near: Segments
     taken: np.ndarray
+    solo: np.ndarray | None
 
     @functools.cached_property
     def source(self) -> np.ndarray:
-        """The near node of edge ``pairs.row_order[j]``: one take reads the
+        """The near node of row ``pairs.row_order[j]``: one take reads the
         message gradients into ``pairs``' slot order. The first rule to read
         it makes it; an untaped forward never."""
         source = self.near.index[self.pairs.row_order]
@@ -396,23 +408,67 @@ class LabelPlan:
         return source
 
 
-def label_plan(far: Segments, label, labels: int, near: Segments) -> LabelPlan:
-    """The plan of edges sent from ``far``'s nodes and summed by ``near``,
-    ``label[i]`` edge i's label. It builds the pairs plan itself, ``far.index
-    * labels + label`` over ``far.num_segments * labels`` segments. A label
-    must be an integer in ``[0, labels)`` (ContractError), or it would
-    index another node's pair; ``far``, ``label`` and ``near`` must index
-    the same edges (DimensionError)."""
+def _partners(key_in: np.ndarray, key_out: np.ndarray) -> np.ndarray:
+    """For each in-row i, the out-row j with ``key_out[j] == key_in[i]`` it
+    is paired with, -1 for none: within one key the m-th in-row in row
+    order takes the m-th out-row, so each out-row goes to at most one."""
+    by_in = np.argsort(key_in, kind="stable")
+    by_out = np.argsort(key_out, kind="stable")
+    ins, outs = key_in[by_in], key_out[by_out]
+    partner = np.full(key_in.size, -1, dtype=np.intp)
+    if np.array_equal(ins, outs):
+        partner[by_in] = by_out
+        return partner
+    rank = np.arange(ins.size) - np.searchsorted(ins, ins)
+    first = np.searchsorted(outs, ins)
+    found = rank < np.searchsorted(outs, ins, side="right") - first
+    partner[by_in[found]] = by_out[first[found] + rank[found]]
+    return partner
+
+
+def label_plan(src, dst: Segments, label, labels: int) -> LabelPlan:
+    """The plan of both channels over the directed edges ``src[i]`` ->
+    ``dst.index[i]`` of label ``label[i]``: an edge's in-message goes from
+    its source to its destination, its out-message from its destination to
+    its source. Each edge w -> v is paired with an edge v -> w of its label
+    (``_partners``), whose out-message rides on its row; when all are
+    paired, as ``molgraph.encode`` makes every molecule, the rows are the
+    edges and ``near`` is ``dst`` itself. The pairs plan is built here,
+    ``far * labels + label`` over ``n * labels`` segments, n =
+    ``dst.num_segments``; it is also the check of ``src``, which needs no
+    plan of its own, since a source outside ``[0, n)`` would be a pair
+    outside the plan's.
+
+    A source and a label must be integers, a label in ``[0, labels)``
+    (ContractError), or it would index another node's pair; ``src``,
+    ``label`` and ``dst`` must index the same edges (DimensionError)."""
+    src = np.asarray(_integers(src, "edge source"), dtype=np.intp)
     label = np.asarray(_integers(label, "edge label"), dtype=np.intp)
-    if not far.index.shape == label.shape == near.index.shape:
-        raise DimensionError(f"label plan needs one far node, label and near node per "
-                             f"edge: {far.index.shape}, {label.shape}, {near.index.shape}")
+    if not src.shape == label.shape == dst.index.shape:
+        raise DimensionError(f"label plan needs one source, label and destination per "
+                             f"edge: {src.shape}, {label.shape}, {dst.index.shape}")
     if label.size and (label.min() < 0 or label.max() >= labels):
         raise ContractError(f"edge label out of range for {labels} labels")
-    pairs = segments(far.index * labels + label, far.num_segments * labels)
+    n = dst.num_segments
+    s, d = src.astype(np.int64), dst.index.astype(np.int64)
+    # keyed by (far node, near node, label): an edge's in-message, and the
+    # out-message of each edge, sent from its destination to its source
+    partner = _partners((s * n + d) * labels + label, (d * n + s) * labels + label)
+    sent = np.zeros(label.size, dtype=bool)
+    sent[partner[partner >= 0]] = True
+    alone = np.flatnonzero(~sent)  # edges whose out-message needs a row of its own
+    far, near, solo = src, dst, None
+    if alone.size:
+        far = np.concatenate([src, dst.index[alone]])
+        label = np.concatenate([label, label[alone]])
+        near = segments(np.concatenate([dst.index, src[alone]]), n)
+        solo = np.concatenate([np.where(partner < 0, 1, 0), np.full(alone.size, 2)]
+                              ).astype(np.int8)
+        solo.flags.writeable = False
+    pairs = segments(far * labels + label, n * labels)
     taken = pairs.index[near.row_order]
     taken.flags.writeable = False
-    return LabelPlan(pairs, near, taken)
+    return LabelPlan(pairs, near, taken, solo)
 
 
 def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -852,75 +908,128 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
     return _result(out.reshape((seg.num_segments, depth) + row), (x,), rule, check=False)
 
 
+# Most bytes one group of towers of ``label_message`` makes at once: its
+# node products, n x L rows of 2q per tower, and its messages, one row of
+# 2q per plan row and tower. A training batch's union runs every tower in
+# one group. On perfbench's towers-matmul eval unions (seed 7: 128-247
+# atoms, 968-1114 edges, 3 labels, k = 8, q = 16) the op's tracemalloc
+# peak, against 1.45-2.06 MB for the two per-channel calls and their
+# concat, was 0.99-1.40 MB at this bound (two or three towers per group),
+# 0.59-0.95 MB at 0.625 MiB, which ran the smaller unions 15-20% slower,
+# 1.58-1.85 MB at 1.5 MiB and 2.65-3.63 MB with every tower at once.
+LABEL_GROUP_BYTES = 2**20
+
+
+def _clear_halves(rows: np.ndarray, solo: np.ndarray, p: int) -> None:
+    """Zero, in place, the out half of each of ``rows`` (R, k, 2p) whose
+    ``solo`` code is 1 and the in half of each whose code is 2: the halves
+    of a ``LabelPlan`` row that carry no message."""
+    rows[solo == 1, :, p:] = 0.0
+    rows[solo == 2, :, :p] = 0.0
+
+
 def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
-    """The message over discrete edge labels, summed at each node, all
-    towers at once, as one taped op that builds no matrix per edge: the
-    matmul message, and the edge network over labels.
+    """Both channels' messages over discrete edge labels, summed at each
+    node, all towers at once, as one taped op that builds no matrix per
+    edge: the matmul message, and the edge network over labels.
 
-    ``h`` is (n, k, q) and ``stack`` the L labels' q x q matrices side by
-    side as the weights are stored, (k, q, L * q) = [A_0 | A_1 | ...]. Edge
-    i's message in tower t is ``h[w, t] @ A``, w its far node and A its
-    label's block, summed onto its near node, row i of ``plan.near``; the
-    result is (near.num_segments, k, q).
+    ``h`` is (n, k, q) and ``stack`` each label's in- and out-channel q x q
+    matrices side by side, (k, q, L * 2q) = [A_0 | B_0 | A_1 | B_1 | ...].
+    Edge w -> v of label l sends ``h[w, t] @ A_l`` in tower t to v's in
+    half and ``h[v, t] @ B_l`` to w's out half; the result is
+    (near.num_segments, k, 2q), each tower's in half first, so it is the
+    update's input as it stands.
 
-    The forward takes the states first: U, the states times the whole
-    stack, one product per tower, copied into one (k, q) row per (node,
-    label) pair (the product is freed once copied), so the op makes n * L
-    products, not one per edge. A message is its pair's row: one take of
-    ``plan.taken`` reads them into ``near``'s slot order, and ``_slot_sum``
-    adds each node's one at a time in edge order, as a scatter does. With
-    no edge the result is zeros, and nothing is taped. The multiply count
-    is the products at the ``plan.pairs.widths[0]`` pairs some edge reads,
-    so a union counts what its graphs would count alone.
+    The forward takes the states first: U, the states times each label's
+    two matrices, one product per tower and label written in place into
+    U's row for its (node, label) pair, (k, 2q), which holds both
+    channels' products; the op makes n * L of them, not one per edge. A
+    ``plan`` row reads its pair's row once: one take of ``plan.taken``
+    reads the rows straight into ``near``'s slot order, the halves a row
+    does not carry are zeroed (``plan.solo``), and ``_slot_sum`` adds each
+    node's rows one at a time in row order, as a scatter does. The in half
+    thus sums the edges in edge order, with the bits of the in channel
+    alone; the out half sums the reverses in the order of the edges they
+    are paired with. The towers go in groups whose
+    U and messages fit in ``LABEL_GROUP_BYTES``, all at once on a training
+    batch, so that a large union never holds every tower's products and
+    messages together. With no edge the result is zeros, and nothing is
+    taped. The multiply count is the products at the
+    ``plan.pairs.widths[0]`` pairs some row reads, so a union counts what
+    its graphs would count alone, and where every edge is paired, both
+    channels' own counts added.
 
     The rule takes the message gradients by ``plan.source`` into the pairs
-    plan's slot order and sums them there into U's. The stack's gradient is
-    ``(g_U^T h)^T`` and h's is g_U times a row-major copy of the stack
-    transposed, one q x q matrix per label: ``h^T g_U`` would move the last
-    bits of the weights' gradients. The parents are ``(stack, h)``, in the
-    order the tape of the node products, a gather and a scatter would
-    deliver them.
+    plan's slot order, zeroes the halves the forward zeroed, and sums them
+    there into U's. The stack's gradient is ``(g_U^T h)^T`` and h's is g_U
+    times a row-major copy of the stack transposed, both channels in one
+    product: ``h^T g_U`` would move the last bits of the weights'
+    gradients. The parents are ``(stack, h)``, in the order the tape of the
+    node products, a gather and a scatter would deliver them.
 
     Only the result is checked for NaN/Inf. That is enough: h was checked
     where it was made; every entry of the stack reaches each node's U (zero
     times inf is NaN); every block of the stack is some edge's label (the
-    callers stack only the labels present), whose message copies its
-    pair's row of U; and each message is added into exactly one result
-    row, where IEEE addition never turns inf or NaN finite again. The U
-    that no message reads reaches neither the value nor a gradient.
+    callers stack only the labels present), and every edge's in-message is
+    the in half of its own row and its out-message the out half of one
+    row, neither zeroed, which copy their pair's row of U; and each row is
+    added into exactly one result row, where IEEE addition never turns inf
+    or NaN finite again. The U that no message reads reaches neither the
+    value nor a gradient.
     """
     if h.data.ndim != 3 or stack.data.ndim != 3 or not isinstance(plan, LabelPlan):
-        raise DimensionError("label_message needs (n, k, q) states, a (k, q, L*q) label "
+        raise DimensionError("label_message needs (n, k, q) states, a (k, q, L*2q) label "
                              "stack and a LabelPlan")
     n, k, q = h.data.shape
-    units, p = stack.data.shape[2] // q, q
-    if stack.data.shape != (k, q, units * q) or plan.pairs.num_segments != n * units:
-        raise DimensionError(f"label_message needs a ({k}, {q}, L*{q}) label stack for "
+    p, width = q, 2 * q
+    units = stack.data.shape[2] // width
+    if stack.data.shape != (k, q, units * width) or plan.pairs.num_segments != n * units:
+        raise DimensionError(f"label_message needs a ({k}, {q}, L*2*{q}) label stack for "
                              f"states {h.data.shape} and n x L (node, label) pairs: "
                              f"{stack.data.shape}, {plan.pairs.num_segments} pairs")
-    pairs, near = plan.pairs, plan.near
-    if not near.index.shape[0]:
-        return _result(np.zeros((near.num_segments, k, p)), (), None)
+    pairs, near, taken = plan.pairs, plan.near, plan.taken
+    if not taken.size:
+        return _result(np.zeros((near.num_segments, k, width)), (), None)
+    solo = None if plan.solo is None else plan.solo[near.row_order]
+
+    def towers_sum(towers: slice) -> np.ndarray:
+        # U of these towers, one (kg, 2q) row per (node, label) pair, each
+        # tower and label's product written in place through U's view,
+        # and the messages taken from it; U is freed once read
+        rows, mats = h.data[:, towers].transpose(1, 0, 2), stack.data[towers]
+        kg = rows.shape[0]
+        u = np.empty((n, units, kg, width))
+        np.matmul(rows[:, None], mats.reshape(kg, q, units, width).transpose(0, 2, 1, 3),
+                  out=u.transpose(2, 1, 0, 3))
+        msgs = np.take(u.reshape(n * units, kg, width), taken, axis=0)
+        del u
+        if solo is not None:
+            _clear_halves(msgs, solo, p)
+        return _slot_sum(near, msgs)
+
+    group = max(1, LABEL_GROUP_BYTES // (8 * width * (n * units + taken.size)))
+    if group >= k:
+        total = towers_sum(slice(None))
+    else:
+        total = np.empty((near.num_segments, k, width))
+        for t0 in range(0, k, group):
+            total[:, t0:t0 + group] = towers_sum(slice(t0, t0 + group))
     rows = h.data.transpose(1, 0, 2)
-    # U one row per (node, label) pair, (n * L, k, p), from one product per
-    # tower, (n, L * p), copied in
-    u = np.empty((n, units, k, p))
-    u.transpose(2, 0, 1, 3)[...] = (rows @ stack.data).reshape(k, n, units, p)
-    msgs = np.take(u.reshape(n * units, k, p), plan.taken, axis=0)
-    del u  # not needed past here: freeing it lowers the call's peak
-    total = _slot_sum(near, msgs)
 
     def rule(g: np.ndarray):
         # the message gradients taken straight into the pairs plan's slot
-        # order and summed there into U's, laid out (n, k, L * p)
-        g_u = (_slot_sum(pairs, np.take(g, plan.source, axis=0))
-               .reshape(n, units, k, p).transpose(0, 2, 1, 3).reshape(n, k, units * p))
+        # order and summed there into U's, laid out (n, k, L * 2q)
+        g_rows = np.take(g, plan.source, axis=0)
+        if plan.solo is not None:
+            _clear_halves(g_rows, plan.solo[pairs.row_order], p)
+        g_u = (_slot_sum(pairs, g_rows).reshape(n, units, k, width)
+               .transpose(0, 2, 1, 3).reshape(n, k, units * width))
         return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
                 if stack.requires_grad else None,
                 _product(g_u, np.ascontiguousarray(stack.data.transpose(0, 2, 1)))
                 if h.requires_grad else None)
 
-    return _result(total, (stack, h), rule, pairs.widths[0] * k * q * p)
+    return _result(total, (stack, h), rule, pairs.widths[0] * k * q * width)
 
 
 def edge_message(h: Tensor, blocks: Tensor, w2: Tensor, b2: Tensor, plan: BlockPlan) -> Tensor:
@@ -1026,19 +1135,21 @@ def edge_message(h: Tensor, blocks: Tensor, w2: Tensor, b2: Tensor, plan: BlockP
                    n * k * q * (r + 1) * p + near.index.shape[0] * k * r * p)
 
 
-# no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError("slice_cols needs a 2-D tensor")
-    if not 0 <= start < stop <= x.data.shape[1]:
+    """Columns ``start`` to ``stop`` of the last axis of ``x``, in a fresh
+    array: the residual update takes each channel's messages out of its
+    input this way."""
+    if x.data.ndim < 1:
+        raise DimensionError("slice_cols needs a tensor with columns")
+    if not 0 <= start < stop <= x.data.shape[-1]:
         raise DimensionError(f"column slice [{start}:{stop}] invalid for {x.data.shape}")
 
     def rule(g: np.ndarray):
         full = np.zeros_like(x.data)
-        full[:, start:stop] = g
+        full[..., start:stop] = g
         return (full,)
 
-    return _result(x.data[:, start:stop].copy(), (x,), rule)
+    return _result(x.data[..., start:stop].copy(), (x,), rule)
 
 
 # no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)
@@ -1232,13 +1343,16 @@ def _list_of(*kinds: type) -> Callable[[object], bool]:
     return lambda value: type(value) is list and kinds.issuperset(map(type, value))
 
 
-def _check_object(obj, checks: Mapping[str, Callable[[object], bool]], where: str) -> None:
+def _check_object(obj, checks: Mapping[str, Callable[[object], bool]], where: str,
+                  schema: str | None = None) -> None:
     """Refuse ``obj`` unless it is a JSON object with exactly the fields of
-    ``checks``, each value passing its field's check. Every writer writes
-    every field, so none is optional; a nullable field's check accepts
-    None. The refusals are ContractErrors naming ``where`` and the field, in
-    this order: not an object, an unknown field (a misspelled one would
-    otherwise read as missing), a missing field, a value that fails."""
+    ``checks``, each value passing its field's check, and, when ``schema``
+    is given, its ``schema`` field naming it. Every writer writes every
+    field, so none is optional; a nullable field's check accepts None. The
+    refusals are ContractErrors naming ``where`` and the field, in this
+    order: not an object, an unknown field (a misspelled one would
+    otherwise read as missing), a missing field, a value that fails, an
+    unknown schema."""
     if type(obj) is not dict:
         raise ContractError(f"{where} is not a JSON object")
     if obj.keys() != checks.keys():
@@ -1250,6 +1364,9 @@ def _check_object(obj, checks: Mapping[str, Callable[[object], bool]], where: st
         if not check(obj[name]):
             raise ContractError(f"{where} field {name!r} has the wrong JSON type: "
                                 f"{reprlib.repr(obj[name])}")
+    if schema is not None and obj["schema"] != schema:
+        raise ContractError(f"{where} field 'schema' names an unknown schema: "
+                            f"{reprlib.repr(obj['schema'])}, not {schema!r}")
 
 
 _ENTRY_CHECKS = {"shape": _list_of(int), "values": _list_of(int, float)}

@@ -86,6 +86,53 @@ def check_grad_against_fd(build_loss, params: dict, label: str = "",
         assert_grads_close(analytic[k], numeric, label=f"{label}:{k}", rel_tol=rel_tol)
 
 
+def node_products(h: T.Tensor, stack: T.Tensor, width: int, muls: int = 0) -> T.Tensor:
+    """Every node's products with a label stack, (n * L, k, width) rows, one
+    per (node, label) pair, from ``T._product`` as ``T.label_message``
+    makes them, taped with the rule that op applies to its U: the stack's
+    gradient ``(g_U^T h)^T`` and h's g_U times the stack transposed.
+    ``stack`` is (k, q, L * width); ``muls`` is the count to report."""
+    n, k, q = h.data.shape
+    units = stack.data.shape[2] // width if width else 0
+    rows = h.data.transpose(1, 0, 2)
+
+    def rule(g):
+        g_u = g.reshape(n, units, k, width).transpose(0, 2, 1, 3).reshape(n, k, units * width)
+        return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
+                if stack.requires_grad else None,
+                T._product(g_u, np.ascontiguousarray(stack.data.transpose(0, 2, 1)))
+                if h.requires_grad else None)
+
+    u = T._product(h.data, stack.data).reshape(n, k, units, width).transpose(0, 2, 1, 3)
+    return T._result(u.reshape(n * units, k, width), (stack, h), rule, muls)
+
+
+def per_channel_label_messages(h: T.Tensor, stacks, src, dst, labels) -> T.Tensor:
+    """Both channels' label messages, each composed on its own and joined
+    side by side as the update reads them: per channel, the node products
+    with its own (k, q, L * q) stack (``node_products``), a gather of each
+    edge's (far node, label) row and a scatter onto its near node, the in
+    channel from the sources to the destinations and the out channel back.
+    It counts each channel's products at the pairs its edges read.
+
+    This is how the two channels were computed before one op sent both,
+    with its bits: the oracle of ``T.label_message``'s in half, bit for
+    bit, and of its multiply count, the two channels' added, on graphs
+    whose every edge has a reverse of its label. ``labels`` are each
+    edge's place among the stacks' labels."""
+    n, k, q = h.data.shape
+    units = stacks[0].data.shape[2] // q
+    halves = []
+    for stack, far, near in zip(stacks, (src, dst), (dst, src)):
+        pairs = T.segments(np.asarray(far) * units + labels, n * units)
+        if not pairs.index.size:
+            halves.append(T.Tensor(np.zeros((n, k, q))))
+            continue
+        u = node_products(h, stack, q, pairs.widths[0] * k * q * q)
+        halves.append(T.scatter_sum_rows(T.gather_rows(u, pairs), T.segments(near, n)))
+    return T.concat(halves, axis=2)
+
+
 def jitter_biases(params, rng, scale=0.3):
     """Nudge zero-initialized biases so relu units are generically active.
 

@@ -421,6 +421,22 @@ class TestEvaluateCommand:
             assert "not the file this run was trained with" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_each_file_is_hashed_once_per_command(self, dataset, tmp_path, monkeypatch):
+        # train hashes the dataset once, to match the manifest and for
+        # meta.json, and evaluate once, to match both
+        hashed, file_sha256 = [], cli.file_sha256
+        monkeypatch.setattr(cli, "file_sha256", lambda path: hashed.append(path)
+                            or file_sha256(path))
+        run = tmp_path / "run"
+        files = ["--data", dataset["data"], "--manifest", dataset["manifest"]]
+        assert main(["train"] + files + ["--out-dir", str(run)] + TRAIN_FLAGS) == 0
+        assert sorted(hashed) == sorted([dataset["data"], dataset["manifest"]])
+        hashed.clear()
+        assert main(["evaluate"] + files + ["--checkpoint", str(run / "checkpoint.json"),
+                                            "--meta", str(run / "meta.json"),
+                                            "--out", str(tmp_path / "r.csv")]) == 0
+        assert sorted(hashed) == sorted([dataset["data"], dataset["manifest"]])
+
 
 def cut(obj):
     """An edit whose result is its line cut in half: text that is not JSON."""
@@ -596,6 +612,18 @@ class TestMalformedInputs:
             assert "line 1" in error
         if file == "checkpoint":
             assert "'ro_i_w1'" in error
+
+    @pytest.mark.parametrize("file", ["data", "manifest", "meta"])
+    def test_unknown_schema_is_an_error_line(self, dataset, tmp_path, capsys, file):
+        # each file kind refuses a schema it does not know in the shared
+        # check's wording; the dataset's names its line, as its other
+        # header refusals do
+        error, path = self.error_line(dataset, tmp_path, capsys, file, 0,
+                                      put("schema", "mpnnkit/other/v9"))
+        assert path in error
+        assert "field 'schema' names an unknown schema: 'mpnnkit/other/v9'" in error
+        if file == "data":
+            assert "line 1" in error
 
     @pytest.mark.parametrize("file, edit, where", [
         ("data", put("count", True), "'count'"),

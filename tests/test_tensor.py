@@ -25,7 +25,8 @@ from mpnnkit.tensor import (
     no_grad,
 )
 
-from support import check_grad_against_fd, finite_difference_grad, assert_grads_close
+from support import (check_grad_against_fd, finite_difference_grad, assert_grads_close,
+                     node_products, per_channel_label_messages)
 
 
 def t(data, rg=False):
@@ -840,11 +841,11 @@ class TestGruCell:
 
 
 def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
-    """The matmul message composed per edge from taped primitives, a
-    gather, a ``matmul`` and a scatter per label joined by ``add``: each
-    edge's far state times its label's (k, q, p) weight, the labels' parts
-    added in order. It is the reference of ``T.label_message`` where the
-    two need not agree bit for bit."""
+    """One channel's matmul message composed per edge from taped
+    primitives, a gather, a ``matmul`` and a scatter per label joined by
+    ``add``: each edge's far state times its label's (k, q, p) weight, the
+    labels' parts added in order. It is the reference of each half of
+    ``T.label_message`` where the two need not agree bit for bit."""
     total = None if weights else Tensor(np.zeros(h.data.shape))
     for a, far_label, near_label in zip(weights, far, near):
         part = T.scatter_sum_rows(T.matmul(T.gather_rows(h, far_label), a), near_label)
@@ -852,91 +853,109 @@ def composed_matmul_message(h: Tensor, weights, far, near) -> Tensor:
     return total
 
 
-def label_stack(weights):
-    """The labels' (k, q, p) weights, which multiply states as ``h @ A``,
-    side by side as ``T.label_message`` takes them, (k, q, labels * p), from
-    the one taped concat ``engine._senders`` stacks them with."""
-    return T.concat(weights, axis=2)
+def label_stack(weights_in, weights_out):
+    """Each label's in- and out-channel (k, q, p) weights, which multiply
+    states as ``h @ A``, side by side as ``T.label_message`` takes them,
+    (k, q, labels * 2p), from the one taped concat ``engine._sender``
+    stacks them with."""
+    return T.concat([w for pair in zip(weights_in, weights_out) for w in pair], axis=2)
 
 
 def node_form_message(h: Tensor, stack: Tensor, plan) -> Tensor:
-    """The labelled message composed in node form from taped primitives:
-    every node's products with the label stack, U, taped with the one op's
-    numpy calls and laid out one (node, label) row each; a gather of each
-    edge's row through the plan's pairs; and a scatter onto its near
-    nodes. It is the bitwise oracle of ``T.label_message``, forward and
-    backward, and counts the products as it does, at the pairs some edge
-    reads."""
+    """Both channels' labelled messages composed in node form from taped
+    primitives: every node's products with the label stack, U, taped with
+    the one op's numpy calls and laid out one (node, label) row each
+    (``support.node_products``); a gather of each plan row's pair; the
+    halves a row does not carry zeroed by a product with a 0/1 mask; and a
+    scatter onto its near nodes. It is the bitwise oracle of
+    ``T.label_message``, forward and backward, and counts U's products as
+    it does, at the pairs some row reads (the mask's product counts on
+    top)."""
     n, k, q = h.data.shape
-    units, p = stack.data.shape[2] // q, q
     if not plan.pairs.index.size:
-        return Tensor(np.zeros((plan.near.num_segments, k, p)))
-    rows = h.data.transpose(1, 0, 2)
-
-    def rule(g: np.ndarray):
-        g_u = g.reshape(n, units, k, p).transpose(0, 2, 1, 3).reshape(n, k, units * p)
-        return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
-                if stack.requires_grad else None,
-                T._product(g_u, np.ascontiguousarray(stack.data.transpose(0, 2, 1)))
-                if h.requires_grad else None)
-
-    u = np.empty((n, units, k, p))
-    u.transpose(2, 0, 1, 3)[...] = (rows @ stack.data).reshape(k, n, units, p)
-    out = T._result(u.reshape(n * units, k, p), (stack, h), rule,
-                    plan.pairs.widths[0] * k * q * p)
-    return T.scatter_sum_rows(T.gather_rows(out, plan.pairs), plan.near)
+        return Tensor(np.zeros((plan.near.num_segments, k, 2 * q)))
+    rows = T.gather_rows(node_products(h, stack, 2 * q, plan.pairs.widths[0] * k * q * 2 * q),
+                         plan.pairs)
+    if plan.solo is not None:
+        mask = np.ones(rows.shape)
+        mask[plan.solo == 1, :, q:] = 0.0
+        mask[plan.solo == 2, :, :q] = 0.0
+        rows = T.mul(rows, t(mask))
+    return T.scatter_sum_rows(rows, plan.near)
 
 
 MESSAGE_CASES = ["leaf", "intermediate", "h_read_later", "one_label", "missing_label",
-                 "no_edges"]
+                 "no_edges", "paired", "unpaired"]
 
 
 def message_case(rng, case, n, n_edges, k, q, alphabet=3):
     """(h, weights, edges) for the label-message oracles: random edges
     over n nodes with a hub (node 0 receives a third of them), labels drawn
-    from the alphabet, and one (k, q, q) weight per label of the alphabet.
-    ``edges`` is (src, dst, labels)."""
+    from the alphabet, and one (k, q, q) weight per label of the alphabet
+    and channel, ``weights`` the in channel's list and the out channel's.
+    ``edges`` is (src, dst, labels). Random edges seldom have a reverse of
+    their label, so most rows carry one message; "paired" gives every edge
+    one, and "unpaired" pairs half the edges and adds a one-way edge, a
+    duplicate and a reverse with another label."""
     n_edges = 0 if case == "no_edges" else n_edges
     src, dst = rng.integers(0, n, size=(2, n_edges))
     dst[: n_edges // 3] = 0
     labels = {"one_label": np.ones(n_edges, dtype=int),
               "missing_label": rng.choice([0, 2], size=n_edges)
               }.get(case, rng.integers(0, alphabet, size=n_edges))
+    if case in ("paired", "unpaired"):
+        half = n_edges // 2
+        src, dst, labels = (np.concatenate([a[:half], b[:half]])
+                            for a, b in ((src, dst), (dst, src), (labels, labels)))
+    if case == "unpaired":
+        # 1 -> 2 one way, 3 -> 4 twice with one reverse, 5 -> 6 back with
+        # another label, and the first reverse moved to the end
+        src, dst, labels = (np.concatenate([a[:half], a[half + 1:], a[half:half + 1], extra])
+                            for a, extra in ((src, [1, 3, 3, 4, 5, 6]),
+                                             (dst, [2, 4, 4, 3, 6, 5]),
+                                             (labels, [0, 1, 1, 1, 2, 0])))
     h = rng.normal(size=(n, k, q))
-    weights = [rng.normal(size=(k, q, q)) / np.sqrt(q) for _ in range(alphabet)]
+    weights = [[rng.normal(size=(k, q, q)) / np.sqrt(q) for _ in range(alphabet)]
+               for _ in range(2)]
     return h, weights, (src, dst, labels)
 
 
 def label_plans(edges, n):
-    """The labels present and the plans ``engine._senders`` builds for the
-    in channel: far (sources) and near (destinations) over the nodes, and
-    the label plan of the edges, each edge's label its place among the
-    labels present."""
+    """The labels present and the plans ``engine._sender`` builds: the
+    edges' sources and destinations over the nodes, and the label plan of
+    the edges, each edge's label its place among the labels present."""
     src, dst, labels = edges
     present, label = np.unique(labels, return_inverse=True)
     far, near = T.segments(src, n), T.segments(dst, n)
-    return present, far, near, T.label_plan(far, label, present.size, near)
+    return present, far, near, T.label_plan(src, near, label, present.size)
 
 
 def run_message(send, case, h_data, w_data, edges, probe, later):
     """Forward and backward through the one op (``"fused"``), its node-form
-    oracle (``"node_form"``) or the per-edge composition (``"per_edge"``);
-    returns the value and the gradients of h and of every weight of the
-    alphabet."""
+    oracle (``"node_form"``), the two channels composed each on its own
+    (``"per_channel"``) or per edge (``"per_edge"``); returns the value and
+    the gradients of h and of every weight of the alphabet, the in
+    channel's first."""
     h_leaf = t(h_data, rg=True)
-    ws = [t(w, rg=True) for w in w_data]
+    ws = [[t(w, rg=True) for w in channel] for channel in w_data]
     h = h_leaf if case == "leaf" else T.reshape(h_leaf, h_data.shape)
     present, far, near, plan = label_plans(edges, h_data.shape[0])
-    used = [ws[label] for label in present]
+    used = [[channel[label] for label in present] for channel in ws]
+    k, q = h_data.shape[1:]
+    src, dst, labels = edges
     if send == "per_edge":
-        src, dst, labels = edges
         n = h_data.shape[0]
-        out = composed_matmul_message(
-            h, used, [T.segments(src[labels == label], n) for label in present],
-            [T.segments(dst[labels == label], n) for label in present])
+        halves = [composed_matmul_message(
+            h, used[c], [T.segments(a[labels == label], n) for label in present],
+            [T.segments(b[labels == label], n) for label in present])
+            for c, (a, b) in enumerate(((src, dst), (dst, src)))]
+        out = T.concat(halves, axis=2)
+    elif send == "per_channel":
+        stacks = [T.concat(c, axis=2) if c else t(np.zeros((k, q, 0))) for c in used]
+        out = per_channel_label_messages(h, stacks, src, dst,
+                                         np.unique(labels, return_inverse=True)[1])
     else:
-        k, q = h_data.shape[1:]
-        stack = label_stack(used) if used else t(np.zeros((k, q, 0)))
+        stack = label_stack(*used) if present.size else t(np.zeros((k, q, 0)))
         if send == "fused":
             out = T.label_message(h, stack, plan)
         else:
@@ -947,7 +966,7 @@ def run_message(send, case, h_data, w_data, edges, probe, later):
         # arrive
         loss = T.add(loss, T.reduce_sum(T.mul(T.tanh(h), t(later))))
     backward(loss)
-    return [out.data, h_leaf.grad] + [w.grad for w in ws]
+    return [out.data, h_leaf.grad] + [w.grad for channel in ws for w in channel]
 
 
 def sum_of_products(a: np.ndarray, b: np.ndarray, axes: int = 1) -> np.ndarray:
@@ -965,63 +984,110 @@ def sum_of_products(a: np.ndarray, b: np.ndarray, axes: int = 1) -> np.ndarray:
     return np.apply_along_axis(math.fsum, 0, parts)
 
 
-def exact_message(x: np.ndarray, far, near, mats: np.ndarray) -> np.ndarray:
-    """``sum_e x[far[e]] @ mats[e]`` onto each node ``near[e]``, per tower,
-    correctly rounded: x is (n, k, q) and mats (E, k, q, p)."""
+def exact_message(x: np.ndarray, far, near, mats: np.ndarray, nodes: int) -> np.ndarray:
+    """``sum_e x[far[e]] @ mats[e]`` onto each of ``nodes`` nodes
+    ``near[e]``, per tower, correctly rounded: x is (m, k, q) and mats (E,
+    k, q, p)."""
     return np.stack([sum_of_products(x[far[near == v]].transpose(0, 2, 1)[..., None],
                                      mats[near == v].transpose(0, 2, 1, 3), axes=2)
-                     for v in range(x.shape[0])])
+                     for v in range(nodes)])
 
 
-def stacked(weights):
+def channel_weights(ws, present):
+    """Each channel's weights of the labels present, as plain arrays."""
+    return [[channel[label] for label in present] for channel in ws]
+
+
+def stacked(weights_in, weights_out):
     """``label_stack``'s value from plain arrays."""
-    return label_stack([t(w) for w in weights]).data
+    return label_stack([t(w) for w in weights_in], [t(w) for w in weights_out]).data
 
 
 def assert_agrees_at_tower_width_25(rng):
     """The labelled op at tower width 25 against the per-edge composition
-    (its output) and the correctly rounded sums (its gradients), each
-    within 1e-15 of the largest entry."""
+    of each channel (its output) and the correctly rounded sums (its
+    gradients), each within 1e-15 of the largest entry, the out channel's
+    weight gradients within 2e-15. The in half is compared first: it has
+    the bits the in channel had alone."""
     h, ws, edges = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
-    probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
+    probe_in, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
+    probe_out = rng.normal(size=h.shape)
+    probe = np.concatenate([probe_in, probe_out], axis=2)
     got = run_message("fused", "leaf", h, ws, edges, probe, later)
+    got[:1] = [got[0][..., :25], got[0][..., 25:]]
     src, dst, labels = edges
-    mats = np.stack(ws)[labels].transpose(0, 1, 3, 2)
-    want = [run_message("per_edge", "leaf", h, ws, edges, probe, later)[0],
-            exact_message(probe, dst, src, mats)]
-    want += [sum_of_products(h[src[labels == label]][..., None],
-                             probe[dst[labels == label]][..., None, :])
-             for label in range(len(ws))]
-    for name, a, b in zip(["out", "h", "A0", "A1", "A2"], got, want, strict=True):
-        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), name
+    n = h.shape[0]
+    want = run_message("per_edge", "leaf", h, ws, edges, probe, later)[0]
+    want = [want[..., :25], want[..., 25:]]
+    # h's gradient sends each half of the probe back along its edges: the in
+    # probe at the destination through A^T to the source, the out probe at
+    # the source through B^T to the destination
+    mats = [np.stack(c)[labels].transpose(0, 1, 3, 2) for c in ws]
+    want.append(exact_message(np.concatenate([probe_in, probe_out]),
+                              np.concatenate([dst, src + n]), np.concatenate([src, dst]),
+                              np.concatenate(mats), n))
+    want += [sum_of_products(h[a[labels == label]][..., None],
+                             p[b[labels == label]][..., None, :])
+             for a, b, p in ((src, dst, probe_in), (dst, src, probe_out))
+             for label in range(len(ws[0]))]
+    # the out channel's far node is the destination, and node 0, the hub,
+    # is the far node of a third of its messages: a weight's gradient sums
+    # the hub pair's ~90 message gradients before its product, so B's are
+    # held to 2e-15; the out channel's own op read 1.54e-15 there on draw 4,
+    # as this one does
+    names = ["out_in", "out_out", "h", "A0", "A1", "A2", "B0", "B1", "B2"]
+    bounds = [1e-15] * 6 + [2e-15] * 3
+    for name, a, b, bound in zip(names, got, want, bounds, strict=True):
+        assert np.abs(a - b).max() <= bound * np.abs(b).max(), name
 
 
 class TestMatmulMessage:
-    """``T.label_message``: the matmul message, and the edge network's over
-    labels, against its node-form oracle, the per-edge composition and
-    finite differences."""
+    """``T.label_message``: both channels of the matmul message, and of the
+    edge network's over labels, against its node-form oracle, each channel
+    computed on its own, the per-edge composition and finite
+    differences."""
 
     @pytest.mark.parametrize("q", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("case", MESSAGE_CASES)
     def test_bits_equal_composed_message(self, rng, case, k, q):
         h, ws, edges = message_case(rng, case, n=9, n_edges=40, k=k, q=q)
-        probe, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
+        probe = rng.normal(size=h.shape[:2] + (2 * q,))
+        later = rng.normal(size=h.shape)
         got = run_message("fused", case, h, ws, edges, probe, later)
         want = run_message("node_form", case, h, ws, edges, probe, later)
-        for name, a, b in zip(["out", "h", "A0", "A1", "A2"], got, want):
+        names = ["out", "h", "A0", "A1", "A2", "B0", "B1", "B2"]
+        for name, a, b in zip(names, got, want, strict=True):
             assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist(), name
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("case", MESSAGE_CASES)
+    def test_in_half_has_the_bits_of_the_in_channel_alone(self, rng, case, k):
+        # the in half sums each node's edges in edge order, as the in
+        # channel's own op did; the out half sums the reverses in the order
+        # of the edges they ride with. (At some wider towers, such as 25,
+        # BLAS rounds a column of the op's 2q-column products otherwise
+        # than of the in channel's Lq-column one: CHANGES.md.)
+        h, ws, edges = message_case(rng, case, n=9, n_edges=40, k=k, q=8)
+        probe = rng.normal(size=h.shape[:2] + (16,))
+        later = rng.normal(size=h.shape)
+        got = run_message("fused", case, h, ws, edges, probe, later)
+        want = run_message("per_channel", case, h, ws, edges, probe, later)
+        assert got[0][..., :8].tobytes() == want[0][..., :8].tobytes()
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * max(np.abs(b).max(), 1.0))
+
     def test_agrees_with_composed_message_at_tower_width_25(self, rng):
-        # the paper's d=200, k=8: each node adds its messages in edge order,
+        # the paper's d=200, k=8: each node adds its messages in row order,
         # and BLAS may give a row other bits in another block. The gradients
         # are held to their correctly rounded sums: the per-edge
         # composition's own error reached 2.2e-15 of the largest entry on
-        # other draws. h's gradient sends the probe back along each edge
-        # through the transposed matrix, and a weight's gradient sums about
-        # 270 edges' outer products. The output is held to the per-edge
-        # composition: the hub's sum of about 290 messages in slot order is
-        # itself 1.3e-15 from its correctly rounded sum at this draw
+        # other draws. h's gradient sends each channel's probe back along
+        # each edge through the transposed matrix, and a weight's gradient
+        # sums about 270 edges' outer products. The output is held to the
+        # per-edge composition of each channel: the hub's sum of about 290
+        # in-messages in slot order is itself 1.3e-15 from its correctly
+        # rounded sum at this draw
         assert_agrees_at_tower_width_25(rng)
 
     @pytest.mark.parametrize("seed", [
@@ -1032,79 +1098,117 @@ class TestMatmulMessage:
         if seed in (0, 1, 3, 5) else seed for seed in range(6)])
     def test_agrees_with_composed_message_at_tower_width_25_on_other_draws(self, seed):
         # the fixture's check on six more draws: the gradients hold on each,
-        # the output only on draws 2 and 4
+        # the in half of the output only on draws 2 and 4
         assert_agrees_at_tower_width_25(np.random.default_rng(seed))
 
     def test_gradients_against_finite_differences(self, rng):
-        # both channels, with the states also read after the messages
-        h_data, ws, edges = message_case(rng, "leaf", n=6, n_edges=20, k=2, q=3)
-        present, _, _, plan_in = label_plans(edges, 6)
-        src, dst, labels = edges
-        plan_out = label_plans((dst, src, labels), 6)[3]
-        params = {"h": t(h_data, rg=True), "w": t(stacked([ws[l] for l in present]), rg=True)}
+        # both channels in one op, with the states also read after the
+        # messages; random edges leave most rows one message, "paired"
+        # none, and "unpaired" a one-way edge, a duplicate and a reverse
+        # with another label among paired ones
+        for case in ("leaf", "paired", "unpaired"):
+            h_data, ws, edges = message_case(rng, case, n=7, n_edges=20, k=2, q=3)
+            present, _, _, plan = label_plans(edges, 7)
+            params = {"h": t(h_data, rg=True),
+                      "w": t(stacked(*channel_weights(ws, present)), rg=True)}
 
-        def loss(p):
-            msgs = [T.label_message(p["h"], p["w"], plan)
-                    for plan in (plan_in, plan_out)]
-            return T.reduce_sum(T.tanh(T.add(p["h"], T.add(*msgs))))
+            def loss(p):
+                both = T.tanh(T.concat([p["h"], p["h"]], axis=2))
+                return T.reduce_sum(T.mul(both, T.label_message(p["h"], p["w"], plan)))
 
-        check_grad_against_fd(loss, params, label="label_message")
+            check_grad_against_fd(loss, params, label=f"label_message:{case}")
 
     def test_one_tape_entry_counting_the_composed_multiplies(self, rng):
-        h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=3, q=4)
+        h_data, ws, edges = message_case(rng, "paired", n=9, n_edges=40, k=3, q=4)
         present, far, near, plan = label_plans(edges, 9)
         h = t(h_data, rg=True)
-        stack = t(stacked([ws[label] for label in present]), rg=True)
+        stack = t(stacked(*channel_weights(ws, present)), rg=True)
         with count_multiplies(MultiplyCounter()) as fused:
             out = T.label_message(h, stack, plan)
         assert [entry[0] for entry in T.active_tape()] == [out]
-        with count_multiplies(MultiplyCounter()) as composed:
-            node_form_message(h, stack, plan)
-        assert len(T.active_tape()) == 1 + 3
-        # one (q x p) product per tower at each (far node, label) pair read
-        src, _, labels = edges
-        reads = len(set(zip(src.tolist(), labels.tolist())))
-        assert fused.total == composed.total == reads * 3 * 4 * 4
         T.active_tape().clear()
-        # no edges: zeros of h's shape, and nothing to tape
+        # every edge has its reverse: both channels' counts, each one
+        # (q x p) product per tower at each (far node, label) pair it reads
+        src, dst, labels = edges
+        stacks = [t(np.concatenate(c, axis=2)) for c in channel_weights(ws, present)]
+        with count_multiplies(MultiplyCounter()) as per_channel:
+            per_channel_label_messages(t(h_data), stacks, src, dst,
+                                       np.unique(labels, return_inverse=True)[1])
+        reads = len(set(zip(src.tolist(), labels.tolist())))
+        assert reads == len(set(zip(dst.tolist(), labels.tolist())))
+        assert fused.total == per_channel.total == 2 * reads * 3 * 4 * 4
+        # otherwise one product of both channels at each pair some row reads
+        h_data, ws, edges = message_case(rng, "unpaired", n=9, n_edges=40, k=3, q=4)
+        present, _, _, plan = label_plans(edges, 9)
+        stack = t(stacked(*channel_weights(ws, present)))
+        with count_multiplies(MultiplyCounter()) as fused:
+            T.label_message(t(h_data), stack, plan)
+        assert fused.total == plan.pairs.widths[0] * 3 * 4 * 8
+        # no edges: zeros of both halves, and nothing to tape
         out = T.label_message(h, t(np.zeros((3, 4, 0)), rg=True),
-                              T.label_plan(T.segments([], 9), [], 0, T.segments([], 9)))
-        assert out.data.tobytes() == np.zeros(h.shape).tobytes()
+                              T.label_plan([], T.segments([], 9), [], 0))
+        assert out.data.tobytes() == np.zeros((9, 3, 8)).tobytes()
         assert not T.active_tape()
+
+    @pytest.mark.parametrize("per_group, groups", [(8, 1), (3, 3), (1, 8), (0, 8)])
+    def test_tower_groups_keep_the_bits(self, rng, monkeypatch, per_group, groups):
+        # the forward makes U and the messages for as many towers at once as
+        # LABEL_GROUP_BYTES holds, one at least, with the bits of all at once
+        h, ws, edges = message_case(rng, "unpaired", n=9, n_edges=40, k=8, q=4)
+        present, _, _, plan = label_plans(edges, 9)
+        stack = t(stacked(*channel_weights(ws, present)))
+        towers, slot_sum = [], T._slot_sum
+        monkeypatch.setattr(T, "_slot_sum", lambda seg, rows: towers.append(rows.shape[1])
+                            or slot_sum(seg, rows))
+        with no_grad():
+            want = T.label_message(t(h), stack, plan).data
+        assert towers == [8]
+        towers.clear()
+        # one tower's U and messages, 2q = 8 values per (node, label) pair and row
+        monkeypatch.setattr(T, "LABEL_GROUP_BYTES",
+                            per_group * 8 * 8 * (9 * present.size + plan.taken.size))
+        with no_grad():
+            got = T.label_message(t(h), stack, plan).data
+        assert len(towers) == groups and sum(towers) == 8
+        assert got.tobytes() == want.tobytes()
 
     def test_only_a_rule_makes_the_plans_source(self, rng):
         # the rule's permutation: an untaped call leaves it unmade, and the
         # first rule makes it once for every later step
         h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
         present, _, near, plan = label_plans(edges, 9)
-        stack = t(stacked([ws[label] for label in present]), rg=True)
+        stack = t(stacked(*channel_weights(ws, present)), rg=True)
         with no_grad():
             T.label_message(t(h_data), stack, plan)
         assert "source" not in vars(plan)
         backward(T.reduce_sum(T.label_message(t(h_data, rg=True), stack, plan)))
         source = plan.source
-        assert source.tolist() == near.index[plan.pairs.row_order].tolist()
+        assert source.tolist() == plan.near.index[plan.pairs.row_order].tolist()
         assert not source.flags.writeable
         backward(T.reduce_sum(T.label_message(t(h_data, rg=True), stack, plan)))
         assert plan.source is source
 
     def test_overflowing_label_raises(self, rng):
-        h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=2, q=3)
-        present, far, near, plan = label_plans(edges, 9)
-        for huge in range(present.size):
-            stack = stacked([ws[label] for label in present])
-            stack[:, :, 3 * huge:3 * huge + 3] = 1e308
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-                T.label_message(t(np.full(h_data.shape, 2.0)), t(stack), plan)
+        # each label's in and out blocks reach some message, on rows that
+        # carry one message or both: an overflow in either is caught by the
+        # result's check
+        for case in ("leaf", "paired"):
+            h_data, ws, edges = message_case(rng, case, n=9, n_edges=40, k=2, q=3)
+            present, far, near, plan = label_plans(edges, 9)
+            for huge in range(2 * present.size):
+                stack = stacked(*channel_weights(ws, present))
+                stack[:, :, 3 * huge:3 * huge + 3] = 1e308
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+                    T.label_message(t(np.full(h_data.shape, 2.0)), t(stack), plan)
 
     def test_shape_validation(self, rng):
         h_data, ws, edges = message_case(rng, "one_label", n=9, n_edges=40, k=2, q=3)
         _, far, near, plan = label_plans(edges, 9)
-        src, dst, _ = edges
-        h, stack = t(h_data), t(stacked([ws[1]]))
-        assert T.label_message(h, stack, plan).shape == (9, 2, 3)
+        h, stack = t(h_data), t(stacked([ws[0][1]], [ws[1][1]]))
+        assert T.label_message(h, stack, plan).shape == (9, 2, 6)
         bad = [(t(h_data[:, 0]), stack, plan),                  # no tower axis
-               (h, t(stack.data[:, :, :2]), plan),             # not q x q
+               (h, t(stack.data[:, :, :5]), plan),             # not 2q columns per label
+               (h, t(stack.data[:, :, :3]), plan),             # one channel
                (h, t(stack.data[:, :2]), plan),                # not q rows
                (h, t(stack.data[:1]), plan),                   # towers
                (h, t(np.concatenate([stack.data] * 2, axis=2)), plan),
@@ -1114,57 +1218,112 @@ class TestMatmulMessage:
         for args in bad:
             with pytest.raises(DimensionError):
                 T.label_message(*args)
-        label = np.zeros(src.size, dtype=int)
-        for frm, lab, to in ((T.segments(src[1:], 9), label, near),    # edges
-                             (far, label, T.segments(dst[1:], 9))):
-            with pytest.raises(DimensionError):
-                T.label_plan(frm, lab, 1, to)
 
 
 class TestLabelPlan:
-    """``T.label_plan`` builds its (far node, label) pairs plan from the far
-    plan and the labels, and refuses what would index the wrong pair."""
+    """``T.label_plan`` pairs each edge with a reverse of its label, lays
+    out one row per edge and one per out-message left over, builds the
+    rows' (far node, label) pairs plan, and refuses what would index the
+    wrong pair."""
 
     @staticmethod
     def edges(rng, n=7, n_edges=30, labels=3):
         src, dst = rng.integers(0, n, size=(2, n_edges))
-        return T.segments(src, n), rng.integers(0, labels, size=n_edges), T.segments(dst, n)
+        return src, T.segments(dst, n), rng.integers(0, labels, size=n_edges)
 
     def test_pairs_plan_is_far_times_labels_plus_label(self, rng):
-        far, label, near = self.edges(rng)
-        plan = T.label_plan(far, label, 3, near)
-        want = T.segments(far.index * 3 + label, 7 * 3)
+        # both orientations of every pair with one label, as encode makes
+        # them, here in a shuffled order: the rows are the edges, near is
+        # the destinations' plan, and no half is zeroed
+        s, d = rng.integers(0, 7, size=(2, 15))
+        lab = rng.integers(0, 3, size=15)
+        order = rng.permutation(30)
+        src, dst, label = (np.concatenate(pair)[order] for pair in ((s, d), (d, s), (lab, lab)))
+        far, near = T.segments(src, 7), T.segments(dst, 7)
+        plan = T.label_plan(src, near, label, 3)
+        want = T.segments(src * 3 + label, 7 * 3)
         for name in ("index", "row_order", "order", "back", "slot"):
             assert getattr(plan.pairs, name).tolist() == getattr(want, name).tolist()
         assert (plan.pairs.num_segments, plan.pairs.widths) == (21, want.widths)
-        assert plan.near is near
+        assert plan.near is near and plan.solo is None
         assert plan.taken.tolist() == want.index[near.row_order].tolist()
 
+    def test_rows_that_carry_one_message(self):
+        # 0 -> 1 and 1 -> 0 pair; 2 -> 3 is one way; the second 0 -> 1 has
+        # no reverse left; 3 -> 4 and 4 -> 3 differ in label. Each edge
+        # without a partner carries its in-message alone, and the
+        # out-messages no edge carries follow on rows of their own
+        src, dst, label = [0, 1, 2, 0, 3, 4], [1, 0, 3, 1, 4, 3], [0, 0, 1, 0, 1, 2]
+        plan = T.label_plan(src, T.segments(dst, 5), np.array(label), 3)
+        far = [0, 1, 2, 0, 3, 4, 3, 1, 4, 3]
+        assert (plan.pairs.index // 3).tolist() == far
+        assert (plan.pairs.index % 3).tolist() == label + [1, 0, 1, 2]
+        assert plan.near.index.tolist() == dst + [2, 0, 3, 4]
+        assert plan.solo.tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        assert not plan.solo.flags.writeable
+        assert plan.taken.tolist() == plan.pairs.index[plan.near.row_order].tolist()
+
+    def test_every_message_rides_on_one_row(self, rng):
+        # many duplicates and reverses among 4 nodes and 2 labels: the rows
+        # carry each edge's in-message and out-message once, the edges
+        # first in edge order, and as many rows carry both as the edges'
+        # (far, near, label) keys allow
+        for _ in range(5):
+            src, dst, label = rng.integers(0, 4, size=40), rng.integers(0, 4, size=40), \
+                rng.integers(0, 2, size=40)
+            plan = T.label_plan(src, T.segments(dst, 4), label, 2)
+            rows = list(zip((plan.pairs.index // 2).tolist(), plan.near.index.tolist(),
+                            (plan.pairs.index % 2).tolist()))
+            solo = np.zeros(len(rows), dtype=int) if plan.solo is None else plan.solo
+            ins = sorted(zip(src.tolist(), dst.tolist(), label.tolist()))
+            outs = sorted(zip(dst.tolist(), src.tolist(), label.tolist()))
+            assert rows[:40] == list(zip(src.tolist(), dst.tolist(), label.tolist()))
+            assert sorted(r for r, c in zip(rows, solo) if c != 2) == ins
+            assert sorted(r for r, c in zip(rows, solo) if c != 1) == outs
+            both = sum(min(ins.count(key), outs.count(key)) for key in set(ins))
+            assert int((solo == 0).sum()) == both
+
     def test_label_out_of_range_raises(self, rng):
-        far, label, near = self.edges(rng)
+        far, near, label = self.edges(rng)
         for bad in (-1, 3):
             # label 3 of node w would be pair 3w + 3, node w + 1's label 0
             wrong = label.copy()
             wrong[4] = bad
             with pytest.raises(ContractError):
-                T.label_plan(far, wrong, 3, near)
+                T.label_plan(far, near, wrong, 3)
         with pytest.raises(ContractError):
-            T.label_plan(far, np.zeros_like(label), 0, near)
+            T.label_plan(far, near, np.zeros_like(label), 0)
 
     def test_labels_that_are_not_integer_raise(self, rng):
-        far, label, near = self.edges(rng)
+        far, near, label = self.edges(rng)
         for bad in (label + 0.5, label.astype(float), label > 0):
             with pytest.raises(ContractError, match="must hold integers"):
-                T.label_plan(far, bad, 3, near)
+                T.label_plan(far, near, bad, 3)
 
     def test_edge_lists_of_different_lengths_raise(self, rng):
-        far, label, near = self.edges(rng)
-        short = T.segments(far.index[1:], 7)
-        for frm, lab, to in ((short, label, near), (far, label[1:], near),
-                             (far, label, T.segments(near.index[1:], 7)),
-                             (far, label[:, None], near)):
+        far, near, label = self.edges(rng)
+        short = far[1:]
+        for frm, to, lab in ((short, near, label), (far, near, label[1:]),
+                             (far, T.segments(near.index[1:], 7), label),
+                             (far, near, label[:, None]), (far[:, None], near, label)):
             with pytest.raises(DimensionError):
-                T.label_plan(frm, lab, 3, to)
+                T.label_plan(frm, to, lab, 3)
+
+    def test_sources_out_of_range_or_not_integer_raise(self, rng):
+        # the sources need no plan of their own: each is the far node of its
+        # edge's row, so one outside the nodes names a pair outside the
+        # pairs plan, which refuses it, whether the edge has a partner or not
+        far, near, label = self.edges(rng)
+        paired = np.concatenate([far[:15], near.index[:15]])
+        for src, dst, lab in ((far, near, label),
+                              (paired, T.segments(paired[::-1], 7), np.zeros(30, int))):
+            for bad in (-1, 7):
+                wrong = src.copy()
+                wrong[4] = bad
+                with pytest.raises(ContractError, match="out of range"):
+                    T.label_plan(wrong, dst, lab, 3)
+        with pytest.raises(ContractError, match="must hold integers"):
+            T.label_plan(far + 0.5, near, label, 3)
 
 
 def composed_edge_message(h: Tensor, hidden: Tensor, w2: Tensor, b2: Tensor, far,
