@@ -47,29 +47,23 @@ GRADIENT_NODES = 5
 
 def random_graph(rng: np.random.Generator, n: int, cfg: ModelConfig,
                  edge_prob: float = 0.5) -> EncodedGraph:
-    """A connected random graph encoded for the given model config."""
+    """A connected random graph encoded for the given model config: its
+    pairs, then the same pairs reversed, each pair's features drawn once."""
     pairs = [(i, i + 1) for i in range(n - 1)]  # path keeps it connected
     for i in range(n):
         for j in range(i + 2, n):
             if rng.random() < edge_prob:
                 pairs.append((i, j))
-    src, dst = [], []
-    for i, j in pairs:
-        src += [i, j]
-        dst += [j, i]
-    m = len(src)
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    # one feature draw per pair, in pair order, for the pair and its reverse
     if cfg.edge_repr == "raw_distance":
-        edge_features = np.zeros((m, 5))
-        for k in range(0, m, 2):
-            vec = np.concatenate(([rng.uniform(0.8, 6.0)], rng.uniform(size=4)))
-            edge_features[k] = edge_features[k + 1] = vec
+        half = np.array([np.concatenate(([rng.uniform(0.8, 6.0)], rng.uniform(size=4)))
+                         for _ in pairs]).reshape(-1, 5)
     else:
-        edge_features = np.zeros(m, dtype=np.int64)
-        for k in range(0, m, 2):
-            edge_features[k] = edge_features[k + 1] = rng.integers(0, cfg.alphabet)
+        half = np.array([rng.integers(0, cfg.alphabet) for _ in pairs], dtype=np.int64)
     return EncodedGraph(node_features=rng.normal(size=(n, cfg.d)),
-                        edge_src=np.array(src), edge_dst=np.array(dst),
-                        edge_features=edge_features,
+                        edge_src=np.concatenate([i, j]), edge_dst=np.concatenate([j, i]),
+                        edge_features=np.concatenate([half, half]),
                         representation=cfg.edge_repr)
 
 

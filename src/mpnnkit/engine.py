@@ -5,48 +5,51 @@ arrivals per node and channel, and feeds the two channels, side by side,
 through a gated update, the same weights at every step. Channels: for a
 node v, the *in* channel collects messages computed from the states at the
 far end of edges arriving at v, the *out* channel collects messages
-computed from the far end of edges leaving v. Both orientations of each
-undirected edge exist, so the update input has width 2d.
+computed from the far end of edges leaving v, so the update input has
+width 2d. ``molgraph.EncodedGraph`` holds both orientations of each
+undirected edge with the same features, and refuses any other layout. So
+each edge leaving v has a reverse arriving at v from the same far node
+with the same features, and v's out channel is the sum, over the edges
+arriving at v, of their messages under the out weights: both channels
+read the same edges, from their sources to their destinations.
 
 There is one path: node states are (n, k, d/k) row stacks through every
 step, k the towers count, and each message function has a single
 implementation over the whole edge list that gathers far-end rows,
-computes one message per edge and sums the messages onto their receiving
-nodes. A graph with no edges takes the same path: its zero message rows
-sum to zeros.
+computes both channels' messages per edge and sums them onto their
+receiving nodes. A graph with no edges takes the same path: its zero
+message rows sum to zeros.
 
 Towers split the node state into k slices of width d/k, run an independent
 message/update pair per slice, and remix the slices through a shared affine
 map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
-multiplies all towers in one call. So a step runs, whatever k is, one GRU
-and, for the matmul message and the edge network over labels, one taped
-``tt.label_message`` that sends both channels straight into the GRU's
-input; the edge network over raw vectors runs one ``tt.edge_message`` per
-channel, and the other message functions a gather, product and scatter
-per channel, each step's two channels joined by one concat. k = 1 is a
-tower axis of size 1.
+multiplies all towers in one call, the message functions' two channels as
+two matrices per tower. So a step runs, whatever k is, one GRU and one
+message computation whose result is the GRU's input: one taped
+``tt.label_message`` for the matmul message and the edge network over
+labels, one ``tt.edge_message`` for the edge network over raw vectors, and
+one gather, product chain and scatter for the other message functions,
+with no concat of the channels. k = 1 is a tower axis of size 1.
 
 Edge-only work runs once per forward, per message function (``_sender``):
 the labels present, the tower-tiled edge vectors, DTNN's edge term and the
-edge network's label matrices, or its hidden rows laid out in each far
-node's zero-padded block (``tt.segment_blocks``, one per channel), never
-change across the steps, and neither do the index plans (``tt.segments``)
-of the edges' destinations and sources and the plans of the message ops:
-over labels one ``tt.label_plan`` of both channels, which pairs each edge
-with its reverse of the same label and needs no plan of the sources, over
-raw vectors one ``tt.block_plan`` per channel.
+edge network's label matrices, or its hidden rows laid out in their far
+nodes' zero-padded blocks (``tt.segment_blocks``), never change across the
+steps, and neither do the index plans (``tt.segments``) of the edges'
+destinations and sources and the plan of the message op: over labels one
+``tt.label_plan``, which needs no plan of the sources, over raw vectors
+one ``tt.block_plan``.
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Over discrete labels (chemical, distance
 bins) the edge network's A(e) takes one value per label, so it builds one
 d_tower x d_tower matrix per channel, tower and label present, as the
 matmul message stacks its own, and both send through
-``tt.label_message``, whose docstring gives the stack's layout: edge w ->
-v's in-message and its reverse v -> w's out-message share their far node,
-near node and label, so one row of w's products under that label,
-[h_w A_in | h_w A_out], serves both. Over raw
+``tt.label_message``, whose docstring gives the stack's layout: one row of
+w's products under an edge's label, [h_w A_in | h_w A_out], holds both of
+the edge's messages. Over raw
 vectors (complete graphs, one vector per directed edge) A(e) is a
 two-layer network whose last layer is linear, so ``tt.edge_message``
 multiplies the states by the last layer's matrices and contracts each
@@ -90,7 +93,6 @@ __all__ = [
     "init_params",
     "is_bias",
     "propagate",
-    "edge_vectors",
     "pad_features",
     "mlp2",
 ]
@@ -303,13 +305,6 @@ def _check_encoding(eg: EncodedGraph, cfg: ModelConfig) -> None:
             f"edge label {int(bad[0])} outside alphabet of size {cfg.edge_width}")
 
 
-def edge_vectors(eg: EncodedGraph, cfg: ModelConfig) -> Tensor:
-    """Continuous per-edge vectors: raw 5-vectors, or one-hot labels."""
-    if cfg.edge_repr == "raw_distance":
-        return Tensor(eg.edge_features)
-    return Tensor(np.eye(cfg.edge_width)[eg.edge_features])
-
-
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
@@ -321,33 +316,39 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
     (n, k, 2 d_tower): per tower, the sum of each node's in-channel
     messages, then of its out-channel messages. Edge-only work runs here,
     once per forward, and so do the index plans; the returned function
-    does only what depends on the states. ``far`` is the plan that gathers
-    the state each message is computed from, ``near`` the plan that sums it
-    onto the node it is delivered to: the two channels share the plans of
-    the edges' sources and destinations, roles swapped.
+    does only what depends on the states.
+
+    ``EncodedGraph`` holds each edge's reverse with its features, so a
+    node's out channel, the messages from the far ends of the edges
+    leaving it, is also the sum over the edges arriving at it, each sent
+    from its source under the out weights. So every message function reads
+    one plan of the far ends, the sources, and one of the near ends, the
+    destinations, and computes both channels per edge, side by side in
+    each tower, as ``tt.matmul`` and ``tt.edge_message`` take two matrices
+    per tower (a stack of 2k, tower-major): each channel's products keep
+    the bits they have alone, and the messages are the update's input with
+    no concat of the channels.
 
     Over discrete labels, the matmul message and the edge network stack
     each label present's in- and out-channel matrices side by side as
-    ``tt.label_message`` takes them, and one ``tt.label_plan`` over the
-    edges, built here, pairs each edge with its reverse, so one op per step
-    sends both channels into the update's input. The matmul message's
-    weights go in as stored, by one taped concat; the edge network's
-    matrices, both channels' rows joined by one concat, are moved there by
-    one transpose, its reshapes views. The other message functions send
-    each channel by its own ops, and one concat joins the two. Over raw
-    vectors the edge network runs its first layer once per channel, as one
-    product of the edge vectors, a 1 appended, with the stack [[w1, 0],
-    [b1, 1]] (a taped concat of the parameters and a constant unit column,
-    so names, shapes and checkpoints stay those of w1 and b1). relu keeps
-    the appended unit at 1, and each channel's hidden rows, d_tower + 1
-    units wide, are laid out in its far nodes' blocks once, where a pad
-    cell's unit is 0, with one ``tt.block_plan`` that every step's
-    ``tt.edge_message`` reads them through.
+    ``tt.label_message`` takes them, with one ``tt.label_plan`` over the
+    edges, built here, so one op per step sends both channels. The matmul
+    message's weights go in as stored, by one taped concat; the edge
+    network's matrices, both channels' rows joined by one concat, are
+    moved there by one transpose, its reshapes views. Over raw vectors the
+    edge network runs its first layer once, as one product of the edge
+    vectors, a 1 appended, with both channels' stacks [[w1, 0], [b1, 1]]
+    (taped concats of the parameters and a constant unit column, so names,
+    shapes and checkpoints stay those of w1 and b1). relu keeps the
+    appended unit at 1, and the hidden rows, d_tower + 1 units wide per
+    tower and channel, are laid out in their far nodes' blocks once, where
+    a pad cell's unit is 0, with one ``tt.block_plan`` that every step's
+    one ``tt.edge_message`` reads them through. The pair message and DTNN
+    gather the far rows (the pair message the near rows too), run both
+    channels' layers and scatter their messages once per step.
     """
     n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
-    towered = lambda rows: Tensor(np.broadcast_to(rows[:, None, :],
-                                                  (rows.shape[0], k, rows.shape[1])))
     dst = tt.segments(eg.edge_dst, n)
     if cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
                                       and cfg.edge_repr != "raw_distance"):
@@ -365,55 +366,54 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
             # whose message M h is h M^T: the stack holds the M^T of each
             # label's two channels side by side, (k, q, labels * 2p), moved
             # there by one transpose
-            onehot = towered(np.eye(cfg.edge_width)[present])
+            onehot = Tensor(np.broadcast_to(np.eye(cfg.edge_width)[present][:, None],
+                                            (count, k, cfg.edge_width)))
             mats = tt.reshape(tt.concat([mlp2(onehot, params, f"msg_{ch}_en")
                                          for ch in CHANNELS], axis=0), (2, count, k, dt, dt))
             stack = tt.reshape(tt.transpose(mats, (2, 4, 1, 0, 3)), (k, dt, count * 2 * dt))
         plan = tt.label_plan(eg.edge_src, dst, label, count)
         return lambda h: tt.label_message(h, stack, plan)
+
+    def both(name):
+        # the two channels' stacks of a weight, tower-major: (2k, ...),
+        # tower t's in-channel matrix at 2t and its out-channel one at 2t + 1
+        parts = [params[f"msg_{ch}_{name}"] for ch in CHANNELS]
+        shape = parts[0].shape[1:]
+        return tt.reshape(tt.concat([tt.reshape(w, (k, 1) + shape) for w in parts], axis=1),
+                          (2 * k,) + shape)
+
     src = tt.segments(eg.edge_src, n)
-    rows = edge_vectors(eg, cfg).data
+    # the edge vectors, raw 5-vectors or one-hot labels, once per tower;
+    # the edge network's with a 1 appended
+    rows = (eg.edge_features if cfg.edge_repr == "raw_distance"
+            else np.eye(cfg.edge_width)[eg.edge_features])
     if cfg.message_fn == "edge_network":
         rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
-    evec = towered(rows)
-
-    def edge_network(far, near, prefix):
+    evec = Tensor(np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1])))
+    # each edge's messages, (E, 2k, d_tower), as the update reads them
+    summed = lambda msgs: tt.scatter_sum_rows(tt.reshape(msgs, (eg.n_edges, k, 2 * dt)), dst)
+    if cfg.message_fn == "edge_network":
         # raw vectors, in homogeneous coordinates: each edge's vector with
         # a 1 appended times [[w1, 0], [b1, 1]] gives its hidden row with a
         # unit 1 appended, which weighs the last layer's bias; the rows are
         # laid out in their far nodes' blocks and contracted with the
         # states' products with the last layer
-        pre = f"{prefix}_en"
-        unit = np.zeros((k, cfg.edge_width + 1, 1))
+        unit = np.zeros((2 * k, cfg.edge_width + 1, 1))
         unit[:, -1] = 1.0
-        layer = tt.concat([tt.concat([params[f"{pre}_w1"],
-                                      tt.reshape(params[f"{pre}_b1"], (k, 1, dt))], axis=1),
-                           Tensor(unit)], axis=2)
-        blocks = tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), far)
-        plan = tt.block_plan(far, near)
-        return lambda h: tt.edge_message(h, blocks, params[f"{pre}_w2"],
-                                         params[f"{pre}_b2"], plan)
-
-    def pair_message(far, near, prefix):
-        return lambda h: tt.scatter_sum_rows(mlp2(tt.concat(
-            [tt.gather_rows(h, far), tt.gather_rows(h, near), evec], axis=2),
-            params, f"{prefix}_pm"), near)
-
-    def dtnn(far, near, prefix):
-        eterm = tt.matmul(evec, params[f"{prefix}_dtnn_wdf"], params[f"{prefix}_dtnn_b2"])
-
-        def send(h):
-            hterm = tt.matmul(tt.gather_rows(h, far), params[f"{prefix}_dtnn_wcf"],
-                              params[f"{prefix}_dtnn_b1"])
-            return tt.scatter_sum_rows(tt.tanh(tt.matmul(
-                tt.mul(hterm, eterm), params[f"{prefix}_dtnn_wfc"])), near)
-        return send
-
-    build = {"edge_network": edge_network, "pair_message": pair_message,
-             "dtnn": dtnn}[cfg.message_fn]
-    ends = {"in": (src, dst), "out": (dst, src)}
-    sends = [build(*ends[ch], f"msg_{ch}") for ch in CHANNELS]
-    return lambda h: tt.concat([send(h) for send in sends], axis=-1)
+        layer = tt.concat([tt.concat([both("en_w1"), tt.reshape(both("en_b1"), (2 * k, 1, dt))],
+                                     axis=1), Tensor(unit)], axis=2)
+        blocks = tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), src)
+        plan = tt.block_plan(src, dst)
+        w2, b2 = both("en_w2"), both("en_b2")
+        return lambda h: tt.edge_message(h, blocks, w2, b2, plan)
+    if cfg.message_fn == "pair_message":
+        pm = {f"pm_{name}": both(f"pm_{name}") for name in ("w1", "b1", "w2", "b2")}
+        return lambda h: summed(mlp2(tt.concat(
+            [tt.gather_rows(h, src), tt.gather_rows(h, dst), evec], axis=2), pm, "pm"))
+    wcf, b1, wfc = both("dtnn_wcf"), both("dtnn_b1"), both("dtnn_wfc")
+    eterm = tt.matmul(evec, both("dtnn_wdf"), both("dtnn_b2"))
+    return lambda h: summed(tt.tanh(tt.matmul(
+        tt.mul(tt.matmul(tt.gather_rows(h, src), wcf, b1), eterm), wfc)))
 
 
 def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:

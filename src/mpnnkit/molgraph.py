@@ -303,18 +303,22 @@ class MolecularGraph:
 class EncodedGraph:
     """A molecule flattened into arrays the propagation engine consumes.
 
-    Edges are directed and cover both orientations of every undirected pair,
-    with the same features; the engine reads each directed edge's own
-    features, so it does not rely on that. Over labels it pairs each edge
-    with its reverse, whose out-channel message then rides on the edge's
-    row of ``tt.label_message``, but needs none: an edge without a reverse
-    of its label sends each message on a row of its own. ``edge_features``
-    is an int label array for discrete representations and an (m, 5) float
-    array for raw_distance.
+    Edges are directed, and each graph's are its undirected pairs followed
+    by the same pairs reversed, with the same features: edge i + P is edge
+    i turned around, P the pair count. ``encode`` writes them so, and the
+    constructor refuses any other layout (ContractError): a one-way edge,
+    an odd edge count, halves in different orders, or a reverse with other
+    features. The engine relies on it: a node's out channel sums, under
+    the out weights, the messages of the edges arriving at it, since each
+    edge leaving it has such a reverse. The check is a few array compares.
+    ``edge_features`` is an int label array for discrete representations
+    and an (m, 5) float array for raw_distance.
 
     ``disjoint_union`` packs several encoded graphs into one; its
     ``node_graph`` names the member graph of every node. A lone molecule
-    leaves it None and counts as one graph.
+    leaves it None and counts as one graph. A union's edges come member by
+    member, each member's in the layout above, and the constructor checks
+    each member's, which also refuses an edge between two members.
     """
 
     node_features: np.ndarray          # (n, d_in) float64
@@ -324,6 +328,38 @@ class EncodedGraph:
     representation: str
     node_graph: Optional[np.ndarray] = None   # (n,) member graph per node
     n_graphs: int = 1
+
+    def __post_init__(self):
+        src, dst, features = self.edge_src, self.edge_dst, self.edge_features
+        m = src.shape[0]
+        if src.shape != (m,) or dst.shape != (m,) or features.shape[:1] != (m,):
+            raise ContractError(f"edge arrays disagree: {src.shape} sources, "
+                                f"{dst.shape} destinations, {features.shape} features")
+        if not m:
+            return
+        if self.node_graph is None:
+            half = m // 2
+            reversed_ok = m % 2 == 0 and (
+                (src[:half] == dst[half:]).all() and (src[half:] == dst[:half]).all()
+                and (features[:half] == features[half:]).all())
+        else:
+            if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= self.n_atoms:
+                raise ContractError(f"edge endpoint outside the {self.n_atoms} nodes")
+            member = self.node_graph[src]
+            counts = np.bincount(member)
+            if not np.array_equal(member, np.repeat(np.arange(counts.size), counts)):
+                raise ContractError("a union's edges must come member by member")
+            reversed_ok = not (counts % 2).any()
+            if reversed_ok:
+                # each edge's reverse, half its member's edge count on or back
+                half = counts // 2
+                reverse = np.arange(m) + np.repeat(np.stack([half, -half], axis=1).ravel(),
+                                                   np.repeat(half, 2))
+                reversed_ok = ((src[reverse] == dst).all()
+                               and (features[reverse] == features).all())
+        if not reversed_ok:
+            raise ContractError("edges must be pairs followed by the same pairs reversed, "
+                                "with the same features")
 
     @property
     def n_atoms(self) -> int:
@@ -335,18 +371,17 @@ class EncodedGraph:
 
     @cached_property
     def max_degree(self) -> int:
-        """The most edges any node has in or out, 0 with no edges; counted
-        on first use and kept."""
-        if not self.n_edges:
-            return 0
-        return int(max(np.bincount(self.edge_src).max(), np.bincount(self.edge_dst).max()))
+        """The most edges any node has in, and so out, 0 with no edges;
+        counted on first use and kept."""
+        return int(np.bincount(self.edge_dst).max()) if self.n_edges else 0
 
 
 def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
     """Several encoded graphs as one graph with no edges between members.
 
     Node and edge arrays are concatenated in order, and each member's edge
-    endpoints are shifted by the number of nodes before it. Every operation
+    endpoints are shifted by the number of nodes before it, so each
+    member's edges keep their layout in turn. Every operation
     of the engine and the readouts acts row by row, or sums rows per member
     graph, so member i's outputs are the ones it gets alone.
     """

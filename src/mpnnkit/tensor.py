@@ -2,14 +2,15 @@
 
 Only the operations the graph models in this package actually need are
 implemented: one weight product, ``matmul``, of rows by a matrix or by a
-per-tower stack of matrices (with an optional bias added in the same op),
+stack of matrices, one or more per tower (with an optional bias added in
+the same op),
 per-row matrix-vector products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
 concatenation/slicing/axis permutation, row gather/scatter, rows laid
 out in zero-padded blocks per segment, the two matrix messages summed at
-each node with no matrix built per edge (``label_message`` over discrete
-labels, both channels at once, ``edge_message`` over the edge network's
-hidden rows; each docstring gives its layout), and a GRU cell over
+each node with no matrix built per edge, both channels at once
+(``label_message`` over discrete labels, ``edge_message`` over the edge
+network's hidden rows; each docstring gives its layout), and a GRU cell over
 row-stacked states. The
 messages and the GRU cell are each one taped op whose rule replays, with
 the same bits, the tape the op composed from simpler ops would record.
@@ -39,9 +40,8 @@ row's slot is also its place in a zero-padded block of its segment's rows,
 and ``Segments.cells`` its cell among the blocks flattened, computed once
 per plan for ``segment_blocks`` and ``block_plan``. Each message op reads
 its edges through a plan made once per forward and shared by every step: a
-:class:`LabelPlan` (``label_plan``, which pairs each edge with its reverse
-and builds its own plan of the (far node, label) pairs) or a
-:class:`BlockPlan` (``block_plan``).
+:class:`LabelPlan` (``label_plan``, which builds its own plan of the
+(far node, label) pairs) or a :class:`BlockPlan` (``block_plan``).
 
 Every op that computes new values checks its forward result for NaN/Inf,
 so divergence surfaces as a :class:`NumericError` at the op that produced
@@ -377,30 +377,21 @@ class LabelPlan:
     products, and where it sums each message's gradient; build one with
     :func:`label_plan`, once for every step over the same edges.
 
-    A row carries up to two messages to its near node v from its far node
-    w under one label: the in-message of edge w -> v and the out-message of
-    its reverse v -> w, which has the same far node, near node and label.
-    Rows 0 to E - 1 are the edges in edge order, each with the out-message
-    of the reverse it is paired with; an edge no reverse is paired with
-    sends its out-message on a row of its own after them. ``pairs`` groups
-    the rows by (far node, label), ``far * L + label`` over n * L segments
-    for L labels, and ``near`` sums their messages. ``taken[j]`` is the
-    pair of row ``near.row_order[j]``, so one take reads the messages
-    straight into ``near``'s slot order. ``solo`` is None when every row
-    carries both messages; otherwise ``solo[r]`` is 0 where row r does, 1
-    where it carries only its in-message (a one-way edge, a duplicate, or
-    one whose reverse has another label) and 2 where only its
-    out-message. The arrays are read-only.
+    Row i is edge i, which carries both channels' messages to its near
+    node from its far node under its label. ``pairs`` groups the edges by
+    (far node, label), ``far * L + label`` over n * L segments for L
+    labels, and ``near`` sums their messages. ``taken[j]`` is the pair of
+    edge ``near.row_order[j]``, so one take reads the messages straight
+    into ``near``'s slot order. The arrays are read-only.
     """
 
     pairs: Segments
     near: Segments
     taken: np.ndarray
-    solo: np.ndarray | None
 
     @functools.cached_property
     def source(self) -> np.ndarray:
-        """The near node of row ``pairs.row_order[j]``: one take reads the
+        """The near node of edge ``pairs.row_order[j]``: one take reads the
         message gradients into ``pairs``' slot order. The first rule to read
         it makes it; an untaped forward never."""
         source = self.near.index[self.pairs.row_order]
@@ -408,36 +399,13 @@ class LabelPlan:
         return source
 
 
-def _partners(key_in: np.ndarray, key_out: np.ndarray) -> np.ndarray:
-    """For each in-row i, the out-row j with ``key_out[j] == key_in[i]`` it
-    is paired with, -1 for none: within one key the m-th in-row in row
-    order takes the m-th out-row, so each out-row goes to at most one."""
-    by_in = np.argsort(key_in, kind="stable")
-    by_out = np.argsort(key_out, kind="stable")
-    ins, outs = key_in[by_in], key_out[by_out]
-    partner = np.full(key_in.size, -1, dtype=np.intp)
-    if np.array_equal(ins, outs):
-        partner[by_in] = by_out
-        return partner
-    rank = np.arange(ins.size) - np.searchsorted(ins, ins)
-    first = np.searchsorted(outs, ins)
-    found = rank < np.searchsorted(outs, ins, side="right") - first
-    partner[by_in[found]] = by_out[first[found] + rank[found]]
-    return partner
-
-
 def label_plan(src, dst: Segments, label, labels: int) -> LabelPlan:
-    """The plan of both channels over the directed edges ``src[i]`` ->
-    ``dst.index[i]`` of label ``label[i]``: an edge's in-message goes from
-    its source to its destination, its out-message from its destination to
-    its source. Each edge w -> v is paired with an edge v -> w of its label
-    (``_partners``), whose out-message rides on its row; when all are
-    paired, as ``molgraph.encode`` makes every molecule, the rows are the
-    edges and ``near`` is ``dst`` itself. The pairs plan is built here,
-    ``far * labels + label`` over ``n * labels`` segments, n =
-    ``dst.num_segments``; it is also the check of ``src``, which needs no
-    plan of its own, since a source outside ``[0, n)`` would be a pair
-    outside the plan's.
+    """The plan of the directed edges ``src[i]`` -> ``dst.index[i]`` of
+    label ``label[i]``, each sending both channels' messages from its
+    source to its destination. The pairs plan is built here, ``src *
+    labels + label`` over ``n * labels`` segments, n = ``dst.num_segments``;
+    it is also the check of ``src``, which needs no plan of its own, since a
+    source outside ``[0, n)`` would be a pair outside the plan's.
 
     A source and a label must be integers, a label in ``[0, labels)``
     (ContractError), or it would index another node's pair; ``src``,
@@ -449,26 +417,10 @@ def label_plan(src, dst: Segments, label, labels: int) -> LabelPlan:
                              f"edge: {src.shape}, {label.shape}, {dst.index.shape}")
     if label.size and (label.min() < 0 or label.max() >= labels):
         raise ContractError(f"edge label out of range for {labels} labels")
-    n = dst.num_segments
-    s, d = src.astype(np.int64), dst.index.astype(np.int64)
-    # keyed by (far node, near node, label): an edge's in-message, and the
-    # out-message of each edge, sent from its destination to its source
-    partner = _partners((s * n + d) * labels + label, (d * n + s) * labels + label)
-    sent = np.zeros(label.size, dtype=bool)
-    sent[partner[partner >= 0]] = True
-    alone = np.flatnonzero(~sent)  # edges whose out-message needs a row of its own
-    far, near, solo = src, dst, None
-    if alone.size:
-        far = np.concatenate([src, dst.index[alone]])
-        label = np.concatenate([label, label[alone]])
-        near = segments(np.concatenate([dst.index, src[alone]]), n)
-        solo = np.concatenate([np.where(partner < 0, 1, 0), np.full(alone.size, 2)]
-                              ).astype(np.int8)
-        solo.flags.writeable = False
-    pairs = segments(far * labels + label, n * labels)
-    taken = pairs.index[near.row_order]
+    pairs = segments(src * labels + label, dst.num_segments * labels)
+    taken = pairs.index[dst.row_order]
     taken.flags.writeable = False
-    return LabelPlan(pairs, near, taken, solo)
+    return LabelPlan(pairs, dst, taken)
 
 
 def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -570,45 +522,69 @@ def backward(loss: Tensor) -> None:
 
 
 def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(m, q) rows times a (q, p) matrix, or (m, k, q) rows times a (k, q,
-    p) stack tower by tower, ``out[:, t] = x[:, t] @ w[t]``. A stack runs
-    one ``np.matmul`` over the tower-major view (k, m, q) of ``x`` into the
-    tower-major view of a fresh row-major (m, k, p) array, each tower's
-    product the same BLAS call a matrix makes alone; a matrix stays on
-    ``x @ w``, which skips the views and costs less per call. This rank
-    test and the one in ``_product_grads`` are the only places where the
+    """(m, q) rows times a (q, p) matrix, or (m, k, q) rows times a (k c,
+    q, p) stack of c matrices per tower, ``out[:, t c + j] = x[:, t] @ w[t c
+    + j]``, (m, k c, p). A stack runs one ``np.matmul`` over the
+    tower-major view (k, m, q) of ``x``, each tower's rows read by each of
+    its c matrices, into the tower-major view of a fresh row-major (m, k c,
+    p) array, each product the same BLAS call a matrix makes alone; a
+    matrix stays on ``x @ w``, and a stack of one matrix per tower on the
+    plain (k, m, q) view, which skip views and cost less per call. These
+    tests and the ones in ``_product_grads`` are the only places where the
     code picks a product."""
     if w.ndim == 2:
         return x @ w
-    out = np.empty(x.shape[:2] + w.shape[2:])
-    np.matmul(x.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
+    m, k, _ = x.shape
+    c = w.shape[0] // k
+    out = np.empty((m, w.shape[0], w.shape[2]))
+    if c == 1:
+        np.matmul(x.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
+    else:
+        np.matmul(x.transpose(1, 0, 2)[:, None], w.reshape(k, c, *w.shape[1:]),
+                  out=out.reshape(m, k, c, w.shape[2]).transpose(1, 2, 0, 3))
     return out
 
 
 def _product_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, x_rg: bool,
                    w_rg: bool):
     """The gradients of ``_product(x, w)``'s rows and weights for its
-    gradient ``g``, each None where not needed."""
+    gradient ``g``, each None where not needed. With c matrices per tower,
+    a tower's rows get their gradient from one product with its matrices
+    transposed side by side."""
     if w.ndim == 2:
         return (g @ w.T if x_rg else None, x.T @ g if w_rg else None)
-    gt = g.transpose(1, 0, 2)
-    return ((gt @ w.transpose(0, 2, 1)).transpose(1, 0, 2) if x_rg else None,
-            x.transpose(1, 2, 0) @ gt if w_rg else None)
+    m, k, q = x.shape
+    c, p = w.shape[0] // k, w.shape[2]
+    if c == 1:
+        gt = g.transpose(1, 0, 2)
+        return ((gt @ w.transpose(0, 2, 1)).transpose(1, 0, 2) if x_rg else None,
+                x.transpose(1, 2, 0) @ gt if w_rg else None)
+    wt = np.swapaxes(w.reshape(k, c, q, p), 2, 3).reshape(k, c * p, q)
+    return ((g.reshape(m, k, c * p).transpose(1, 0, 2) @ wt).transpose(1, 0, 2)
+            if x_rg else None,
+            (x.transpose(1, 2, 0)[:, None] @ g.reshape(m, k, c, p).transpose(1, 2, 0, 3)
+             ).reshape(w.shape) if w_rg else None)
 
 
 def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w`` (plus ``b``) as one taped op: a (q, p) matrix ``w`` maps
-    (m, q) rows, with a (p,) bias; a (k, q, p) stack maps (m, k, q) rows
-    tower by tower, ``out[:, t] = x[:, t] @ w[t]``, with a (k, p) bias.
+    (m, q) rows, with a (p,) bias; a (k c, q, p) stack maps (m, k, q) rows
+    to (m, k c, p), c matrices per tower, ``out[:, t c + j] = x[:, t] @
+    w[t c + j]``, with a (k c, p) bias. With c = 1 that is tower by tower;
+    the engine's message functions use c = 2, both channels' weights side
+    by side in each tower, so a channel's products keep the bits it has
+    alone.
 
-    dX = g @ W^T and dW = X^T @ g, per tower for a stack. A bias is added
-    in place into the fresh row-major product, with the bits of adding it
-    to every row afterwards, and its gradient sums the rows'.
+    dX = g @ W^T and dW = X^T @ g, per tower for a stack, dX summing the
+    tower's c products. A bias is added in place into the fresh row-major
+    product, with the bits of adding it to every row afterwards, and its
+    gradient sums the rows'.
     """
     xs, ws = x.data.shape, w.data.shape
-    if not (len(xs) == len(ws) in (2, 3) and ws[:-1] == xs[1:]):
+    if not (len(xs) == len(ws) in (2, 3) and ws[-2] == xs[-1]
+            and (len(ws) == 2 or xs[1] and ws[0] % xs[1] == 0)):
         raise DimensionError(f"matmul needs (m, q) rows and a (q, p) matrix, or (m, k, q) "
-                             f"rows and a (k, q, p) stack: {xs} x {ws}")
+                             f"rows and a (k c, q, p) stack: {xs} x {ws}")
     out = _product(x.data, w.data)
     if b is not None:
         if b.data.shape != out.shape[1:]:
@@ -620,7 +596,7 @@ def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         grads = _product_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
         return grads if b is None else (*grads, g.sum(axis=0) if b.requires_grad else None)
 
-    return _result(out, (x, w) if b is None else (x, w, b), rule, x.data.size * ws[-1])
+    return _result(out, (x, w) if b is None else (x, w, b), rule, out.size * xs[-1])
 
 
 def batched_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
@@ -910,7 +886,7 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
 
 # Most bytes one group of towers of ``label_message`` makes at once: its
 # node products, n x L rows of 2q per tower, and its messages, one row of
-# 2q per plan row and tower. A training batch's union runs every tower in
+# 2q per edge and tower. A training batch's union runs every tower in
 # one group. On perfbench's towers-matmul eval unions (seed 7: 128-247
 # atoms, 968-1114 edges, 3 labels, k = 8, q = 16) the op's tracemalloc
 # peak, against 1.45-2.06 MB for the two per-channel calls and their
@@ -918,14 +894,6 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
 # 0.59-0.95 MB at 0.625 MiB, which ran the smaller unions 15-20% slower,
 # 1.58-1.85 MB at 1.5 MiB and 2.65-3.63 MB with every tower at once.
 LABEL_GROUP_BYTES = 2**20
-
-
-def _clear_halves(rows: np.ndarray, solo: np.ndarray, p: int) -> None:
-    """Zero, in place, the out half of each of ``rows`` (R, k, 2p) whose
-    ``solo`` code is 1 and the in half of each whose code is 2: the halves
-    of a ``LabelPlan`` row that carry no message."""
-    rows[solo == 1, :, p:] = 0.0
-    rows[solo == 2, :, :p] = 0.0
 
 
 def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
@@ -936,52 +904,49 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     ``h`` is (n, k, q) and ``stack`` each label's in- and out-channel q x q
     matrices side by side, (k, q, L * 2q) = [A_0 | B_0 | A_1 | B_1 | ...].
     Edge w -> v of label l sends ``h[w, t] @ A_l`` in tower t to v's in
-    half and ``h[v, t] @ B_l`` to w's out half; the result is
+    half and ``h[w, t] @ B_l`` to v's out half; the result is
     (near.num_segments, k, 2q), each tower's in half first, so it is the
-    update's input as it stands.
+    update's input as it stands. (The engine's edge lists hold each edge's
+    reverse with its label, so the out half that edge w -> v delivers is
+    the out-message of v -> w.)
 
     The forward takes the states first: U, the states times each label's
     two matrices, one product per tower and label written in place into
     U's row for its (node, label) pair, (k, 2q), which holds both
-    channels' products; the op makes n * L of them, not one per edge. A
-    ``plan`` row reads its pair's row once: one take of ``plan.taken``
-    reads the rows straight into ``near``'s slot order, the halves a row
-    does not carry are zeroed (``plan.solo``), and ``_slot_sum`` adds each
-    node's rows one at a time in row order, as a scatter does. The in half
-    thus sums the edges in edge order, with the bits of the in channel
-    alone; the out half sums the reverses in the order of the edges they
-    are paired with. The towers go in groups whose
-    U and messages fit in ``LABEL_GROUP_BYTES``, all at once on a training
-    batch, so that a large union never holds every tower's products and
-    messages together. With no edge the result is zeros, and nothing is
-    taped. The multiply count is the products at the
-    ``plan.pairs.widths[0]`` pairs some row reads, so a union counts what
-    its graphs would count alone, and where every edge is paired, both
+    channels' products; the op makes n * L of them, not one per edge. An
+    edge reads its pair's row once: one take of ``plan.taken`` reads the
+    rows straight into ``near``'s slot order, and ``_slot_sum`` adds each
+    node's rows one at a time in edge order, as a scatter does. Each half
+    thus sums the edges in edge order, with the bits of its channel alone.
+    The towers go in groups whose U and messages fit in
+    ``LABEL_GROUP_BYTES``, all at once on a training batch, so that a
+    large union never holds every tower's products and messages together.
+    With no edge the result is zeros, and nothing is taped. The multiply
+    count is the products at the ``plan.pairs.widths[0]`` pairs some edge
+    reads, so a union counts what its graphs would count alone: both
     channels' own counts added.
 
     The rule takes the message gradients by ``plan.source`` into the pairs
-    plan's slot order, zeroes the halves the forward zeroed, and sums them
-    there into U's. The stack's gradient is ``(g_U^T h)^T`` and h's is g_U
-    times a row-major copy of the stack transposed, both channels in one
-    product: ``h^T g_U`` would move the last bits of the weights'
-    gradients. The parents are ``(stack, h)``, in the order the tape of the
-    node products, a gather and a scatter would deliver them.
+    plan's slot order and sums them there into U's. The stack's gradient
+    is ``(g_U^T h)^T`` and h's is g_U times a row-major copy of the stack
+    transposed, both channels in one product: ``h^T g_U`` would move the
+    last bits of the weights' gradients. The parents are ``(stack, h)``, in
+    the order the tape of the node products, a gather and a scatter would
+    deliver them.
 
     Only the result is checked for NaN/Inf. That is enough: h was checked
     where it was made; every entry of the stack reaches each node's U (zero
     times inf is NaN); every block of the stack is some edge's label (the
-    callers stack only the labels present), and every edge's in-message is
-    the in half of its own row and its out-message the out half of one
-    row, neither zeroed, which copy their pair's row of U; and each row is
-    added into exactly one result row, where IEEE addition never turns inf
-    or NaN finite again. The U that no message reads reaches neither the
-    value nor a gradient.
+    callers stack only the labels present), and every edge copies its
+    pair's row of U, both halves; and each edge is added into exactly one
+    result row, where IEEE addition never turns inf or NaN finite again.
+    The U that no message reads reaches neither the value nor a gradient.
     """
     if h.data.ndim != 3 or stack.data.ndim != 3 or not isinstance(plan, LabelPlan):
         raise DimensionError("label_message needs (n, k, q) states, a (k, q, L*2q) label "
                              "stack and a LabelPlan")
     n, k, q = h.data.shape
-    p, width = q, 2 * q
+    width = 2 * q
     units = stack.data.shape[2] // width
     if stack.data.shape != (k, q, units * width) or plan.pairs.num_segments != n * units:
         raise DimensionError(f"label_message needs a ({k}, {q}, L*2*{q}) label stack for "
@@ -990,7 +955,6 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     pairs, near, taken = plan.pairs, plan.near, plan.taken
     if not taken.size:
         return _result(np.zeros((near.num_segments, k, width)), (), None)
-    solo = None if plan.solo is None else plan.solo[near.row_order]
 
     def towers_sum(towers: slice) -> np.ndarray:
         # U of these towers, one (kg, 2q) row per (node, label) pair, each
@@ -1003,8 +967,6 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
                   out=u.transpose(2, 1, 0, 3))
         msgs = np.take(u.reshape(n * units, kg, width), taken, axis=0)
         del u
-        if solo is not None:
-            _clear_halves(msgs, solo, p)
         return _slot_sum(near, msgs)
 
     group = max(1, LABEL_GROUP_BYTES // (8 * width * (n * units + taken.size)))
@@ -1019,10 +981,7 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     def rule(g: np.ndarray):
         # the message gradients taken straight into the pairs plan's slot
         # order and summed there into U's, laid out (n, k, L * 2q)
-        g_rows = np.take(g, plan.source, axis=0)
-        if plan.solo is not None:
-            _clear_halves(g_rows, plan.solo[pairs.row_order], p)
-        g_u = (_slot_sum(pairs, g_rows).reshape(n, units, k, width)
+        g_u = (_slot_sum(pairs, np.take(g, plan.source, axis=0)).reshape(n, units, k, width)
                .transpose(0, 2, 1, 3).reshape(n, k, units * width))
         return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
                 if stack.requires_grad else None,
@@ -1034,43 +993,49 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
 
 def edge_message(h: Tensor, blocks: Tensor, w2: Tensor, b2: Tensor, plan: BlockPlan) -> Tensor:
     """The edge network's message over raw edge vectors, summed at each
-    node, all towers at once, as one taped op that builds no matrix per
-    edge.
+    node, all towers and channels at once, as one taped op that builds no
+    matrix per edge.
 
-    ``h`` is (n, k, q). ``blocks``, (n, D, k, u + 1), holds each edge's
-    hidden row in its far node's block, as ``segment_blocks(hidden,
-    plan.far)`` lays it out, D the largest count of ``plan.far``. ``w2`` is
-    (k, u, p*q), u row-major p x q unit matrices per tower, and ``b2`` (k,
-    p*q). The rows are in homogeneous coordinates, their last unit 1 (0 in
-    a pad cell), so edge i's message in tower t is ``A @ h[w, t]``, w its
-    far node and ``A = hidden[i, t, :u] @ w2[t] + b2[t]`` the last layer,
-    whose bias is one more unit matrix, summed onto its near node, row i of
-    ``plan.near``; the result is (near.num_segments, k, p).
+    ``h`` is (n, k, q). The edge network's weights come c per tower, one
+    per channel, as ``matmul``'s stacks do: ``w2`` is (k c, u, p*q), u
+    row-major p x q unit matrices per tower and channel, and ``b2`` (k c,
+    p*q). ``blocks``, (n, D, k c, u + 1), holds each edge's hidden row per
+    tower and channel in its far node's block, as ``segment_blocks(hidden,
+    plan.far)`` lays it out, D the largest count of ``plan.far``. The rows
+    are in homogeneous coordinates, their last unit 1 (0 in a pad cell), so
+    edge i's message in tower t and channel j is ``A @ h[w, t]``, w its far
+    node and ``A = hidden[i, t c + j, :u] @ w2[t c + j] + b2[t c + j]`` the
+    last layer, whose bias is one more unit matrix, summed onto its near
+    node, row i of ``plan.near``; the result is (near.num_segments, k, c p),
+    each tower's channels side by side, so with c = 2 it is the update's
+    input as it stands.
 
-    The layer is linear, so the forward takes the states first: U, (n, k,
-    u + 1, p), one product per tower with w2's matrices and one with b2's,
-    written in place into the last unit. One batched matmul contracts every
-    node's (D, u + 1) block with its U, through the blocks' tower-major
-    view, into messages laid out as the blocks are, the last unit adding
-    each edge's bias and a pad cell's zeros none: n products with u + 1
-    matrices, not E matrices. Its largest arrays are U, which a call that
-    is not taped frees once the messages are made, and the (n, D, k, p)
-    messages, read by ``plan.taken`` into ``near``'s slot order and summed
-    as ``label_message`` sums its own. The multiply count is the edges'
-    contractions over the u hidden units and the node products, not the
-    padding's or the bias unit's.
+    The layer is linear, so the forward takes the states first: U, (n, k c,
+    u + 1, p), one product per tower and channel with w2's matrices and one
+    with b2's, written in place into the last unit, each the BLAS call one
+    channel makes alone. One batched matmul contracts every node's (D, u +
+    1) block with its U, through the blocks' tower-major view, into
+    messages laid out as the blocks are, the last unit adding each edge's
+    bias and a pad cell's zeros none: n products with u + 1 matrices per
+    tower and channel, not E matrices. Its largest arrays are U, which a
+    call that is not taped frees once the messages are made, and the (n,
+    D, k c, p) messages, read by ``plan.taken`` into ``near``'s slot order
+    and summed as ``label_message`` sums its own, each channel's bits those
+    it has alone. The multiply count is the edges' contractions over the u
+    hidden units and the node products, not the padding's or the bias
+    unit's.
 
     The rule holds U, its one array of its own; the blocks and the plan are
     the caller's, made once for every step. A take by ``plan.source`` fills
     each cell with its edge's message gradient, a pad cell with zeros.
     Their products with the blocks give U's gradient (its last unit the
     bias's), which times the states gives ``w2``'s and ``b2``'s, dense, and
-    times the matrices h's; it is freed before the blocks' gradient, the
-    cells' times U, is made. That keeps the blocks' layout, so ``backward``
-    sums the steps' block gradients elementwise and ``segment_blocks``'
-    rule gathers the rows out once. The parents are ``(w2, b2, blocks,
-    h)``, in the order the tape of the node products, the contraction and a
-    scatter would deliver them.
+    times the matrices h's, each tower's channels' products summed; it is
+    freed before the blocks' gradient, the cells' times U, is made. That
+    keeps the blocks' layout, so ``backward`` sums the steps' block
+    gradients elementwise and ``segment_blocks``' rule gathers the rows out
+    once. The parents are ``(w2, b2, blocks, h)``, in the order the tape of
+    the node products, the contraction and a scatter would deliver them.
 
     Only the result is checked for NaN/Inf, as in ``label_message`` and for
     the same reasons. Here the blocks hold the first layer's checked
@@ -1081,58 +1046,65 @@ def edge_message(h: Tensor, blocks: Tensor, w2: Tensor, b2: Tensor, plan: BlockP
     """
     if (h.data.ndim != 3 or w2.data.ndim != 3 or blocks.data.ndim != 4
             or not isinstance(plan, BlockPlan)):
-        raise DimensionError("edge_message needs (n, k, q) states, (n, D, k, u + 1) hidden "
-                             "blocks, (k, u, p*q) matrices and a BlockPlan")
+        raise DimensionError("edge_message needs (n, k, q) states, (n, D, k c, u + 1) hidden "
+                             "blocks, (k c, u, p*q) matrices and a BlockPlan")
     n, k, q = h.data.shape
-    _, r, width = w2.data.shape
+    towers, r, width = w2.data.shape
     depth = len(plan.far.widths)
-    if (w2.data.shape[0] != k or width % q or blocks.data.shape != (n, depth, k, r + 1)
-            or b2.data.shape != (k, width) or plan.far.num_segments != n):
-        raise DimensionError(f"edge_message needs ({k}, r, p*{q}) matrices, "
-                             f"({n}, {depth}, {k}, r + 1) hidden blocks, a ({k}, p*{q}) "
-                             f"bias and {n} far segments for states {h.data.shape}: "
+    if (towers % k or width % q or blocks.data.shape != (n, depth, towers, r + 1)
+            or b2.data.shape != (towers, width) or plan.far.num_segments != n):
+        raise DimensionError(f"edge_message needs (c x {k}, r, p*{q}) matrices, "
+                             f"({n}, {depth}, c x {k}, r + 1) hidden blocks, a (c x {k}, "
+                             f"p*{q}) bias and {n} far segments for states {h.data.shape}: "
                              f"{w2.data.shape}, {blocks.data.shape}, {b2.data.shape}, "
                              f"{plan.far.num_segments}")
-    p, near = width // q, plan.near
+    c, p, near = towers // k, width // q, plan.near
     rows = h.data.transpose(1, 0, 2)
-    w, b = w2.data.reshape(k, r * p, q), b2.data.reshape(k, p, q)
-    # U, (n, k, r + 1, p): the products with w2's matrices, and b2's in the
-    # last unit, each written through U's tower-major view
-    u = np.empty((n, k, r + 1, p))
+    w, b = w2.data.reshape(towers, r * p, q), b2.data.reshape(towers, p, q)
+    # U, (n, k c, r + 1, p): the products with w2's matrices, and b2's in
+    # the last unit, each written through U's tower-major view
+    u = np.empty((n, towers, r + 1, p))
     for mats, cols in ((w, slice(None, r * p)), (b, slice(r * p, None))):
-        np.matmul(rows, mats.transpose(0, 2, 1),
-                  out=u.reshape(n, k, (r + 1) * p)[:, :, cols].transpose(1, 0, 2))
-    # the messages in the blocks' layout, (n, D, k, p), written through
+        np.matmul(rows[:, None], mats.reshape(k, c, mats.shape[1], q).transpose(0, 1, 3, 2),
+                  out=u.reshape(n, k, c, (r + 1) * p)[..., cols].transpose(1, 2, 0, 3))
+    # the messages in the blocks' layout, (n, D, k c, p), written through
     # their tower-major view
-    y = np.empty((n, depth, k, p))
+    y = np.empty((n, depth, towers, p))
     np.matmul(blocks.data.transpose(0, 2, 1, 3), u, out=y.transpose(0, 2, 1, 3))
     parents = (w2, b2, blocks, h)
     if not _taped(parents):
         del u  # no rule will read it: freeing it lowers the call's peak
-    total = _slot_sum(near, np.take(y.reshape(n * depth, k, p), plan.taken, axis=0))
+    total = _slot_sum(near, np.take(y.reshape(n * depth, towers, p), plan.taken, axis=0))
 
     def rule(g: np.ndarray):
         # each cell's message gradient, a pad cell's from an appended zero row
-        g_y = np.take(np.concatenate([g, np.zeros((1, k, p))]), plan.source, axis=0
-                      ).reshape(n, depth, k, p).transpose(0, 2, 1, 3)
-        g_u = (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, k, (r + 1) * p)
+        g_y = np.take(np.concatenate([g.reshape(near.num_segments, towers, p),
+                                      np.zeros((1, towers, p))]),
+                      plan.source, axis=0).reshape(n, depth, towers, p).transpose(0, 2, 1, 3)
+        g_u = (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, towers, (r + 1) * p)
         g_w, g_c = g_u[:, :, :r * p], g_u[:, :, r * p:]
-        g_w2 = ((g_w.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
-                if w2.requires_grad else None)
-        g_h = _product(g_w, w) if h.requires_grad else None
-        g_b2 = ((g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
-                if b2.requires_grad else None)
+        # each tower and channel's weight gradient from its tower's states
+        by_state = lambda part: (part.transpose(1, 2, 0).reshape(k, c, part.shape[2], n)
+                                 @ rows[:, None])
+        g_w2 = by_state(g_w).reshape(w2.data.shape) if w2.requires_grad else None
+        g_b2 = by_state(g_c).reshape(b2.data.shape) if b2.requires_grad else None
+        g_h = None
         if h.requires_grad:
-            g_h += _product(g_c, b)
+            # each tower and channel's product through U's (k, c) view, the
+            # tower's channels then summed: no copy of U's gradient
+            g_t = g_u.reshape(n, k, c, (r + 1) * p).transpose(1, 2, 0, 3)
+            g_h = (g_t[..., :r * p] @ w.reshape(k, c, r * p, q)).sum(axis=1)
+            g_h += (g_t[..., r * p:] @ b.reshape(k, c, p, q)).sum(axis=1)
+            g_h = g_h.transpose(1, 0, 2)
         del g_u, g_w, g_c  # freed before the blocks' gradient is made
         g_blocks = None
         if blocks.requires_grad:
-            g_blocks = np.empty((n, depth, k, r + 1))
+            g_blocks = np.empty((n, depth, towers, r + 1))
             np.matmul(g_y, u.swapaxes(-1, -2), out=g_blocks.transpose(0, 2, 1, 3))
         return g_w2, g_b2, g_blocks, g_h
 
-    return _result(total, parents, rule,
-                   n * k * q * (r + 1) * p + near.index.shape[0] * k * r * p)
+    return _result(total.reshape(near.num_segments, k, c * p), parents, rule,
+                   n * towers * q * (r + 1) * p + near.index.shape[0] * towers * r * p)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

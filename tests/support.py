@@ -111,26 +111,22 @@ def per_channel_label_messages(h: T.Tensor, stacks, src, dst, labels) -> T.Tenso
     """Both channels' label messages, each composed on its own and joined
     side by side as the update reads them: per channel, the node products
     with its own (k, q, L * q) stack (``node_products``), a gather of each
-    edge's (far node, label) row and a scatter onto its near node, the in
-    channel from the sources to the destinations and the out channel back.
-    It counts each channel's products at the pairs its edges read.
+    edge's (source, label) row and a scatter onto its destination. It
+    counts each channel's products at the pairs its edges read.
 
-    This is how the two channels were computed before one op sent both,
-    with its bits: the oracle of ``T.label_message``'s in half, bit for
-    bit, and of its multiply count, the two channels' added, on graphs
-    whose every edge has a reverse of its label. ``labels`` are each
+    This is how each channel was computed before one op sent both, with
+    its bits: the oracle of ``T.label_message``'s halves, bit for bit, and
+    of its multiply count, the two channels' added. ``labels`` are each
     edge's place among the stacks' labels."""
     n, k, q = h.data.shape
     units = stacks[0].data.shape[2] // q
-    halves = []
-    for stack, far, near in zip(stacks, (src, dst), (dst, src)):
-        pairs = T.segments(np.asarray(far) * units + labels, n * units)
-        if not pairs.index.size:
-            halves.append(T.Tensor(np.zeros((n, k, q))))
-            continue
-        u = node_products(h, stack, q, pairs.widths[0] * k * q * q)
-        halves.append(T.scatter_sum_rows(T.gather_rows(u, pairs), T.segments(near, n)))
-    return T.concat(halves, axis=2)
+    pairs = T.segments(np.asarray(src) * units + labels, n * units)
+    if not pairs.index.size:
+        return T.Tensor(np.zeros((n, k, 2 * q)))
+    near = T.segments(dst, n)
+    return T.concat([T.scatter_sum_rows(T.gather_rows(
+        node_products(h, stack, q, pairs.widths[0] * k * q * q), pairs), near)
+        for stack in stacks], axis=2)
 
 
 def jitter_biases(params, rng, scale=0.3):

@@ -41,21 +41,22 @@ def tower_gru_params(params, tower):
                           for n in ("wz", "uz", "wr", "ur", "wh", "uh")})
 
 
-def zero_message_params(params):
+def zero_message_params(params, prefix="msg_"):
     for name, p in params.items():
-        if name.startswith("msg_"):
+        if name.startswith(prefix):
             p.data[...] = 0.0
 
 
-def directed_graph(h, edges, labels=None):
-    """Graph whose node features are the rows of h, with exactly the given
-    directed (source, destination) edges and chemical labels (default 0)."""
-    src = np.array([s for s, _ in edges], dtype=np.intp)
-    dst = np.array([d for _, d in edges], dtype=np.intp)
-    labels = np.zeros(len(edges), dtype=np.intp) if labels is None else labels
+def undirected_graph(h, pairs, labels=None):
+    """Graph whose node features are the rows of h, with the given (i, j)
+    pairs and chemical labels (default 0), each pair both ways, as every
+    encoded graph holds them: the pairs i -> j, then the reverses."""
+    i = np.array([a for a, _ in pairs], dtype=np.intp)
+    j = np.array([b for _, b in pairs], dtype=np.intp)
+    labels = np.zeros(len(pairs), dtype=np.intp) if labels is None else labels
     return EncodedGraph(node_features=np.asarray(h, dtype=np.float64),
-                        edge_src=src, edge_dst=dst,
-                        edge_features=np.asarray(labels, dtype=np.intp),
+                        edge_src=np.concatenate([i, j]), edge_dst=np.concatenate([j, i]),
+                        edge_features=np.tile(np.asarray(labels, dtype=np.intp), 2),
                         representation="chemical")
 
 
@@ -65,12 +66,15 @@ def residual_cfg(message_fn, **kw):
 
 
 def one_edge_message(params, cfg, h_w, h_v, label=0):
-    """The message along a single directed edge w -> v.
+    """The in-channel message along edge w -> v.
 
-    After one residual step over that edge alone, v's state has moved by
-    the one message arriving on its in channel (v sends none out)."""
+    The graph holds the edge both ways, and the out channel's weights are
+    zeroed first, so that its every message is zero: after one residual
+    step, v's state has moved by the one message arriving on its in
+    channel."""
     assert cfg.update_fn == "dtnn_residual" and cfg.T == 1
-    states = propagate(directed_graph([h_w, h_v], [(0, 1)], [label]), params, cfg)
+    zero_message_params(params, "msg_out_")
+    states = propagate(undirected_graph([h_w, h_v], [(0, 1)], [label]), params, cfg)
     return states.h.data[1] - states.h0.data[1]
 
 
@@ -190,24 +194,27 @@ class TestSingleEdgeMessages:
         out = one_edge_message(params, cfg, rng.normal(size=6), rng.normal(size=6))
         np.testing.assert_array_equal(out, np.zeros(6))
 
-    def test_dtnn_edge_term_built_once_per_channel(self, rng, monkeypatch):
-        # W_df e + b2 depends only on the edges: one biased product per
-        # channel and forward, not one per channel and step
+    def test_dtnn_edge_term_built_once_per_forward(self, rng):
+        # W_df e + b2 depends only on the edges: one biased product of the
+        # edge vectors with both channels' stacks per forward, not one per
+        # channel and step; a step gathers the far rows once, multiplies
+        # both channels together and scatters once. The only concats are
+        # the five weights' channel stacks, once per forward
         cfg = cfg_for("dtnn", T=3)
         params = init_params(cfg, seed=6)
-        wdf = {id(params[f"msg_{ch}_dtnn_wdf"]) for ch in ("in", "out")}
-        calls = []
-        matmul = T.matmul
-
-        def counting_matmul(x, w, b=None):
-            if b is not None:
-                calls.append(id(w) in wdf)
-            return matmul(x, w, b)
-
-        monkeypatch.setattr(T, "matmul", counting_matmul)
+        T.active_tape().clear()
         propagate(random_encoded(rng, n=5, d_in=4), params, cfg)
-        assert sum(calls) == 2
-        assert len(calls) == 2 + 2 * cfg.T
+        tape = list(T.active_tape())
+        T.active_tape().clear()
+        ops = [rule.__qualname__.split(".")[0] for _, _, rule in tape]
+        products = [parents for _, parents, rule in tape
+                    if rule.__qualname__.startswith("matmul")]
+        assert cfg.edge_width != cfg.d_tower
+        assert [x.shape[-1] for x, *_ in products].count(cfg.edge_width) == 1
+        assert len(products) == 1 + 2 * cfg.T
+        # the first step gathers the input states, which need no gradient
+        assert ops.count("gather_rows") + 1 == ops.count("scatter_sum_rows") == cfg.T
+        assert ops.count("concat") == 5
 
 
 class TestIndexPlans:
@@ -263,29 +270,30 @@ class TestIndexPlans:
         assert not {"gather_rows", "scatter_sum_rows", "add"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])
-    def test_edge_network_message_is_one_tape_entry_per_channel_and_step(self, rng, towers_k):
-        # over raw vectors the edge network's message is one op; the only
-        # products taped are each channel's hidden layer (once per forward)
-        # and the tower mix
+    def test_edge_network_message_is_one_tape_entry_per_step(self, rng, towers_k):
+        # over raw vectors the edge network's message, both channels, is
+        # one op per step; the only products taped are the hidden layer of
+        # both channels (once per forward) and the tower mix, and the only
+        # concats build the layer and stack the channels' weights, once per
+        # forward: none joins the channels
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k, edge_repr="raw_distance")
         eg = random_encoded(rng, n=7, ensure_connected=True, representation="raw_distance")
         T.active_tape().clear()
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
         T.active_tape().clear()
-        assert ops.count("edge_message") == 2 * cfg.T
+        assert ops.count("edge_message") == cfg.T
         assert "label_message" not in ops
-        assert ops.count("matmul") == 2 + (cfg.T if towers_k > 1 else 0)
-        assert not {"gather_rows", "scatter_sum_rows", "matmul_message"} & set(ops)
+        assert ops.count("matmul") == 1 + (cfg.T if towers_k > 1 else 0)
+        assert ops.count("concat") == 4 + 2
+        assert not {"gather_rows", "scatter_sum_rows"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])
-    def test_edge_network_lays_out_each_channels_blocks_once_per_forward(self, rng,
-                                                                        towers_k):
-        # over raw vectors each channel's hidden rows are laid out in their
+    def test_edge_network_lays_out_its_blocks_once_per_forward(self, rng, towers_k):
+        # over raw vectors both channels' hidden rows are laid out in their
         # far nodes' blocks once per forward, and every step's message reads
-        # those blocks: a channel's relu output has that layout as its one
-        # reader, so its gradient is one gather of the steps' summed block
-        # gradients
+        # those blocks: the relu output has that layout as its one reader,
+        # so its gradient is one gather of the steps' summed block gradients
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k, edge_repr="raw_distance")
         eg = random_encoded(rng, n=7, ensure_connected=True, representation="raw_distance")
         T.active_tape().clear()
@@ -297,12 +305,12 @@ class TestIndexPlans:
                              if any(p is t for p in parents)]
         made_by = {id(out): op(rule) for out, _, rule in tape}
         layouts = [(out, parents) for out, parents, rule in tape if op(rule) == "segment_blocks"]
-        assert len(layouts) == 2
-        assert [op(rule) for _, _, rule in tape].count("edge_message") == 2 * cfg.T
-        for blocks, (hidden,) in layouts:
-            assert made_by[id(hidden)] == "relu"
-            assert readers(hidden) == ["segment_blocks"]
-            assert readers(blocks) == ["edge_message"] * cfg.T
+        assert len(layouts) == 1
+        (blocks, (hidden,)), = layouts
+        assert blocks.shape[2] == 2 * towers_k
+        assert made_by[id(hidden)] == "relu"
+        assert readers(hidden) == ["segment_blocks"]
+        assert readers(blocks) == ["edge_message"] * cfg.T
 
     @pytest.mark.parametrize("towers_k", [1, 2])
     def test_label_edge_network_is_one_matmul_message_per_step(self, rng, towers_k):
@@ -329,17 +337,16 @@ class TestIndexPlans:
 
 class TestAggregate:
     def test_single_edge_concat(self, rng):
-        # Identity in-bank, doubling out-bank: along the one edge 0 -> 1,
-        # node 1 receives concat(h_0, 0) and node 0 concat(0, 2 h_1).
+        # Identity in-bank, doubling out-bank: over the one pair {0, 1},
+        # node 1 receives concat(h_0, 2 h_0), its in channel from 0 -> 1
+        # and its out channel from 1 -> 0, and node 0 concat(h_1, 2 h_1).
         cfg = cfg_for("matmul", T=1, d=3)
         params = init_params(cfg, seed=0)
         params["msg_in_A0"].data[0] = np.eye(3)
         params["msg_out_A0"].data[0] = 2 * np.eye(3)
         h = rng.normal(size=(2, 3))
-        got = propagate(directed_graph(h, [(0, 1)]), params, cfg).h.data
-        msg = np.zeros((2, 6))
-        msg[1, :3] = h[0]
-        msg[0, 3:] = 2 * h[1]
+        got = propagate(undirected_graph(h, [(0, 1)]), params, cfg).h.data
+        msg = np.concatenate([h[::-1], 2 * h[::-1]], axis=1)
         want = T.gru_cell(Tensor(msg), Tensor(h), tower_gru_params(params, 0))
         np.testing.assert_array_equal(got, want.data)
 
@@ -352,9 +359,9 @@ class TestAggregate:
             cfg = residual_cfg(message_fn, d=4)
             params = init_params(cfg, seed=1)
             jitter_biases(params, rng)
-            one_edge = propagate(directed_graph(h, [(0, 1)]), params, cfg)
+            one_edge = propagate(undirected_graph(h, [(0, 1)]), params, cfg)
             np.testing.assert_array_equal(one_edge.h.data[2], one_edge.h0.data[2])
-            edgeless = propagate(directed_graph(h, []), params, cfg)
+            edgeless = propagate(undirected_graph(h, []), params, cfg)
             np.testing.assert_array_equal(edgeless.h.data, edgeless.h0.data)
 
     def test_sum_order_invariance(self, rng):
@@ -363,8 +370,8 @@ class TestAggregate:
         h = rng.normal(size=(7, 5))
         edges = [(w, 0) for w in range(1, 7)]
         labels = rng.integers(0, 4, size=6)
-        a = propagate(directed_graph(h, edges, labels), params, cfg).h.data
-        b = propagate(directed_graph(h, edges[::-1], labels[::-1]),
+        a = propagate(undirected_graph(h, edges, labels), params, cfg).h.data
+        b = propagate(undirected_graph(h, edges[::-1], labels[::-1]),
                       params, cfg).h.data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -461,14 +468,14 @@ class TestEdgeNetworkPairs:
     present and channel; over raw vectors it builds none, and each directed
     edge uses its own vector."""
 
-    def test_matches_naive_with_one_way_and_shuffled_edges(self, rng):
+    def test_matches_naive_with_shuffled_pairs(self, rng):
         cfg = cfg_for("edge_network", T=3)
         params = init_params(cfg, seed=21)
         jitter_biases(params, rng)
-        # pairs {0,1} and {2,3} both ways, {1,2} and {0,3} one way, in no order
-        edges = [(1, 2), (1, 0), (3, 2), (0, 3), (0, 1), (2, 3)]
-        labels = np.array([2, 1, 3, 0, 1, 3])
-        eg = directed_graph(rng.normal(size=(4, 5)), edges, labels)
+        # pairs in no order, in either orientation, one of them twice
+        edges = [(1, 2), (1, 0), (3, 2), (0, 3), (1, 0)]
+        labels = np.array([2, 1, 3, 0, 1])
+        eg = undirected_graph(rng.normal(size=(4, 5)), edges, labels)
         want_h, _, _, _ = naive_propagate(eg, params, cfg)
         np.testing.assert_allclose(propagate(eg, params, cfg).h.data, want_h,
                                    atol=1e-12)
@@ -484,8 +491,8 @@ class TestEdgeNetworkPairs:
         # the build 2880, one per directed edge 5760.
         cfg = residual_cfg("edge_network")
         params = init_params(cfg, seed=22)
-        edges = [(i, j) for i in range(4) for j in range(4) if i != j]
-        eg = directed_graph(rng.normal(size=(4, 5)), edges)
+        eg = undirected_graph(rng.normal(size=(4, 5)),
+                              [(i, j) for i in range(4) for j in range(i + 1, 4)])
         with T.count_multiplies(T.MultiplyCounter()) as counter:
             propagate(eg, params, cfg)
         assert counter.total == 768
@@ -505,34 +512,6 @@ class TestEdgeNetworkPairs:
         with T.count_multiplies(T.MultiplyCounter()) as counter:
             propagate(eg, params, cfg)
         assert counter.total == 3888
-
-    @pytest.mark.parametrize("edges, labels", [
-        ([(0, 1), (1, 0), (0, 1)], [2, 2, 2]),  # 0 -> 1 twice
-        ([(0, 1), (1, 0)], [1, 2]),             # reverse with another label
-    ], ids=["duplicate_edge", "reverse_differs"])
-    def test_edges_without_a_shared_matrix_match_naive(self, rng, edges, labels):
-        # once refused, when both orientations of a pair shared one matrix
-        cfg = cfg_for("edge_network")
-        params = init_params(cfg, seed=23)
-        jitter_biases(params, rng)
-        eg = directed_graph(rng.normal(size=(2, 5)), edges, np.array(labels))
-        want_h, _, _, _ = naive_propagate(eg, params, cfg)
-        np.testing.assert_allclose(propagate(eg, params, cfg).h.data, want_h,
-                                   atol=1e-12)
-
-    def test_reverse_with_other_distance_matches_naive(self, rng):
-        # once refused; now the last edge's own distance reaches its message
-        cfg = cfg_for("edge_network", edge_repr="raw_distance")
-        params = init_params(cfg, seed=24)
-        jitter_biases(params, rng)
-        eg = random_encoded(rng, n=3, d_in=5, representation="raw_distance",
-                            edge_prob=1.0)
-        before = propagate(eg, params, cfg).h.data
-        eg.edge_features[-1, 0] += 0.25
-        want_h, _, _, _ = naive_propagate(eg, params, cfg)
-        after = propagate(eg, params, cfg).h.data
-        np.testing.assert_allclose(after, want_h, atol=1e-12)
-        assert np.abs(after - before).max() > 1e-6
 
 
 class TestTowers:
@@ -691,28 +670,20 @@ class TestEndToEndGradients:
 
     @pytest.mark.parametrize("towers_k", [1, 2])
     @pytest.mark.parametrize("message_fn", ["matmul", "edge_network"])
-    def test_fd_gradients_with_rows_that_carry_one_channel(self, rng, message_fn, towers_k):
-        # 0 -> 1 and 1 -> 0 pair, 1 -> 2 is one way, 2 -> 3 comes twice with
-        # one reverse, and 3 -> 0 and 0 -> 3 differ in label: label_message
-        # zeroes a half of those rows, in its forward and in its rule
+    def test_fd_gradients_over_labels_with_towers(self, rng, message_fn, towers_k):
+        # both channels of label_message, with and without towers, on
+        # pairs of four labels
         cfg = cfg_for(message_fn, T=2, d=4, towers_k=towers_k, n_targets=1)
         params = init_params(cfg, seed=20)
         jitter_biases(params, rng)
-        edges = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (2, 3), (3, 0), (0, 3)]
-        labels = np.array([1, 1, 0, 2, 2, 2, 3, 0])
-        eg = directed_graph(rng.normal(size=(4, 3)), edges, labels)
-        plan = T.label_plan(eg.edge_src, T.segments(eg.edge_dst, 4),
-                            np.unique(labels, return_inverse=True)[1], 4)
-        assert sorted(set(plan.solo.tolist())) == [0, 1, 2]
+        eg = undirected_graph(rng.normal(size=(4, 3)), [(0, 1), (1, 2), (2, 3), (3, 0)],
+                              np.array([1, 0, 2, 3]))
 
         def loss(p):
             out = propagate(eg, p, cfg).h
             return T.reduce_sum(T.mul(out, out))
 
-        # a small step: at the default 1e-3 the central difference of one
-        # small mix_b entry (2.2e-4) is 3.4e-4 off by its own truncation
-        # error, and at 1e-5 it agrees
-        check_grad_against_fd(loss, params, label=f"{message_fn}:one_channel_rows", step=1e-5)
+        check_grad_against_fd(loss, params, label=f"{message_fn}:labels")
 
     def test_fd_gradients_with_master(self, rng):
         cfg = cfg_for("matmul", T=2, d=4, d_master=3, n_targets=1,

@@ -22,6 +22,7 @@ from mpnnkit.molgraph import (
     UnsupportedElementError,
     VIRTUAL_LABEL,
     bin_distance,
+    disjoint_union,
     edge_alphabet_size,
     edge_feature_width,
     encode,
@@ -636,3 +637,65 @@ class TestPairCache:
             pair_distances(rng.normal(size=(n, 3)))
         info = _pair_index.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize < 200
+
+
+def layout_graph(src, dst, features, representation="chemical", **union):
+    """An ``EncodedGraph`` of four nodes with exactly these edges."""
+    return EncodedGraph(node_features=np.zeros((4, 2)), edge_src=np.array(src, dtype=np.intp),
+                        edge_dst=np.array(dst, dtype=np.intp),
+                        edge_features=np.array(features), representation=representation,
+                        **union)
+
+
+RAW = np.arange(20, dtype=float).reshape(4, 5)
+
+
+class TestEdgeLayout:
+    """Each graph's edges are its pairs, then the same pairs reversed, with
+    the same features; ``EncodedGraph`` refuses any other layout."""
+
+    @pytest.mark.parametrize("src, dst, features, representation", [
+        ([0, 1, 1, 0], [1, 2, 0, 1], [0, 1, 0, 1], "chemical"),         # 1 -> 2 one way
+        ([0, 1, 2], [1, 0, 3], [0, 0, 1], "chemical"),                  # odd edge count
+        ([0, 1, 2, 1], [1, 2, 1, 0], [0, 1, 1, 0], "chemical"),         # halves shuffled
+        ([0, 1], [1, 0], [0, 1], "chemical"),                           # reverse's label
+        ([0, 2, 1, 3], [1, 3, 0, 2], RAW[[0, 1, 0, 2]], "raw_distance"),  # reverse's vector
+    ], ids=["one_way_edge", "odd_edge_count", "shuffled_halves", "reverse_with_other_label",
+            "reverse_with_other_raw_vector"])
+    def test_other_layouts_are_refused(self, src, dst, features, representation):
+        with pytest.raises(ContractError):
+            layout_graph(src, dst, features, representation)
+
+    def test_pairs_then_reverses_are_admitted(self):
+        eg = layout_graph([0, 2, 1, 3], [1, 3, 0, 2], RAW[[0, 1, 0, 1]], "raw_distance")
+        assert eg.max_degree == 1
+        assert layout_graph([], [], np.zeros((0, 5)), "raw_distance").max_degree == 0
+
+    @pytest.mark.parametrize("representation,virtual_edges", ENCODINGS)
+    def test_every_encoding_and_union_keeps_the_layout(self, representation, virtual_edges):
+        # implicit and explicit hydrogens, with and without virtual edges:
+        # edge i + P is edge i turned around, with its features, and a
+        # union keeps each member's edges in that layout in turn
+        plain, _ = encoding_cases()
+        egs = [encode(g, representation, virtual_edges=virtual_edges) for g in plain]
+        for eg in egs:
+            half = eg.n_edges // 2
+            assert eg.n_edges == 2 * half
+            np.testing.assert_array_equal(eg.edge_src[:half], eg.edge_dst[half:])
+            np.testing.assert_array_equal(eg.edge_dst[:half], eg.edge_src[half:])
+            np.testing.assert_array_equal(eg.edge_features[:half], eg.edge_features[half:])
+            assert eg.max_degree == max(np.bincount(eg.edge_src).max(),
+                                        np.bincount(eg.edge_dst).max())
+        union = disjoint_union(egs)
+        assert dataclasses.replace(union).n_edges == sum(eg.n_edges for eg in egs)
+
+    def test_a_union_is_checked_member_by_member(self):
+        # two members of two nodes each: their edges member by member, each
+        # member's pair then its reverse
+        members = dict(node_graph=np.array([0, 0, 1, 1]), n_graphs=2)
+        assert layout_graph([0, 1, 2, 3], [1, 0, 3, 2], [0, 0, 1, 1], **members).n_edges == 4
+        for src, dst in (([0, 2, 1, 3], [1, 3, 0, 2]),   # one graph's layout, not each member's
+                         ([0, 2, 3, 2], [2, 0, 2, 3]),   # an edge between members
+                         ([0, 1, 2, 3], [1, 0, 3, 4])):  # an endpoint past the nodes
+            with pytest.raises(ContractError):
+                layout_graph(src, dst, [0, 0, 1, 1], **members)

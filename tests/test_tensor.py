@@ -865,27 +865,20 @@ def node_form_message(h: Tensor, stack: Tensor, plan) -> Tensor:
     """Both channels' labelled messages composed in node form from taped
     primitives: every node's products with the label stack, U, taped with
     the one op's numpy calls and laid out one (node, label) row each
-    (``support.node_products``); a gather of each plan row's pair; the
-    halves a row does not carry zeroed by a product with a 0/1 mask; and a
+    (``support.node_products``); a gather of each edge's pair; and a
     scatter onto its near nodes. It is the bitwise oracle of
     ``T.label_message``, forward and backward, and counts U's products as
-    it does, at the pairs some row reads (the mask's product counts on
-    top)."""
+    it does, at the pairs some edge reads."""
     n, k, q = h.data.shape
     if not plan.pairs.index.size:
         return Tensor(np.zeros((plan.near.num_segments, k, 2 * q)))
     rows = T.gather_rows(node_products(h, stack, 2 * q, plan.pairs.widths[0] * k * q * 2 * q),
                          plan.pairs)
-    if plan.solo is not None:
-        mask = np.ones(rows.shape)
-        mask[plan.solo == 1, :, q:] = 0.0
-        mask[plan.solo == 2, :, :q] = 0.0
-        rows = T.mul(rows, t(mask))
     return T.scatter_sum_rows(rows, plan.near)
 
 
 MESSAGE_CASES = ["leaf", "intermediate", "h_read_later", "one_label", "missing_label",
-                 "no_edges", "paired", "unpaired"]
+                 "no_edges", "paired"]
 
 
 def message_case(rng, case, n, n_edges, k, q, alphabet=3):
@@ -893,27 +886,20 @@ def message_case(rng, case, n, n_edges, k, q, alphabet=3):
     over n nodes with a hub (node 0 receives a third of them), labels drawn
     from the alphabet, and one (k, q, q) weight per label of the alphabet
     and channel, ``weights`` the in channel's list and the out channel's.
-    ``edges`` is (src, dst, labels). Random edges seldom have a reverse of
-    their label, so most rows carry one message; "paired" gives every edge
-    one, and "unpaired" pairs half the edges and adds a one-way edge, a
-    duplicate and a reverse with another label."""
+    ``edges`` is (src, dst, labels). The op sends both channels of each
+    edge from its source to its destination, whatever the edge list;
+    "paired" lays the edges out as ``molgraph.EncodedGraph`` holds them,
+    pairs then their reverses with the same labels."""
     n_edges = 0 if case == "no_edges" else n_edges
     src, dst = rng.integers(0, n, size=(2, n_edges))
     dst[: n_edges // 3] = 0
     labels = {"one_label": np.ones(n_edges, dtype=int),
               "missing_label": rng.choice([0, 2], size=n_edges)
               }.get(case, rng.integers(0, alphabet, size=n_edges))
-    if case in ("paired", "unpaired"):
+    if case == "paired":
         half = n_edges // 2
         src, dst, labels = (np.concatenate([a[:half], b[:half]])
                             for a, b in ((src, dst), (dst, src), (labels, labels)))
-    if case == "unpaired":
-        # 1 -> 2 one way, 3 -> 4 twice with one reverse, 5 -> 6 back with
-        # another label, and the first reverse moved to the end
-        src, dst, labels = (np.concatenate([a[:half], a[half + 1:], a[half:half + 1], extra])
-                            for a, extra in ((src, [1, 3, 3, 4, 5, 6]),
-                                             (dst, [2, 4, 4, 3, 6, 5]),
-                                             (labels, [0, 1, 1, 1, 2, 0])))
     h = rng.normal(size=(n, k, q))
     weights = [[rng.normal(size=(k, q, q)) / np.sqrt(q) for _ in range(alphabet)]
                for _ in range(2)]
@@ -946,9 +932,9 @@ def run_message(send, case, h_data, w_data, edges, probe, later):
     if send == "per_edge":
         n = h_data.shape[0]
         halves = [composed_matmul_message(
-            h, used[c], [T.segments(a[labels == label], n) for label in present],
-            [T.segments(b[labels == label], n) for label in present])
-            for c, (a, b) in enumerate(((src, dst), (dst, src)))]
+            h, channel, [T.segments(src[labels == label], n) for label in present],
+            [T.segments(dst[labels == label], n) for label in present])
+            for channel in used]
         out = T.concat(halves, axis=2)
     elif send == "per_channel":
         stacks = [T.concat(c, axis=2) if c else t(np.zeros((k, q, 0))) for c in used]
@@ -1006,9 +992,9 @@ def stacked(weights_in, weights_out):
 def assert_agrees_at_tower_width_25(rng):
     """The labelled op at tower width 25 against the per-edge composition
     of each channel (its output) and the correctly rounded sums (its
-    gradients), each within 1e-15 of the largest entry, the out channel's
-    weight gradients within 2e-15. The in half is compared first: it has
-    the bits the in channel had alone."""
+    gradients), each within 1e-15 of the largest entry. The gradients are
+    compared first, then the output's in half, which has the bits the in
+    channel had alone, and its out half."""
     h, ws, edges = message_case(rng, "leaf", n=29, n_edges=800, k=8, q=25)
     probe_in, later = rng.normal(size=h.shape), rng.normal(size=h.shape)
     probe_out = rng.normal(size=h.shape)
@@ -1019,26 +1005,19 @@ def assert_agrees_at_tower_width_25(rng):
     n = h.shape[0]
     want = run_message("per_edge", "leaf", h, ws, edges, probe, later)[0]
     want = [want[..., :25], want[..., 25:]]
-    # h's gradient sends each half of the probe back along its edges: the in
-    # probe at the destination through A^T to the source, the out probe at
-    # the source through B^T to the destination
+    # h's gradient sends each half of the probe back along its edges, from
+    # the destination through A^T, or B^T, to the source
     mats = [np.stack(c)[labels].transpose(0, 1, 3, 2) for c in ws]
     want.append(exact_message(np.concatenate([probe_in, probe_out]),
-                              np.concatenate([dst, src + n]), np.concatenate([src, dst]),
+                              np.concatenate([dst, dst + n]), np.concatenate([src, src]),
                               np.concatenate(mats), n))
-    want += [sum_of_products(h[a[labels == label]][..., None],
-                             p[b[labels == label]][..., None, :])
-             for a, b, p in ((src, dst, probe_in), (dst, src, probe_out))
-             for label in range(len(ws[0]))]
-    # the out channel's far node is the destination, and node 0, the hub,
-    # is the far node of a third of its messages: a weight's gradient sums
-    # the hub pair's ~90 message gradients before its product, so B's are
-    # held to 2e-15; the out channel's own op read 1.54e-15 there on draw 4,
-    # as this one does
+    want += [sum_of_products(h[src[labels == label]][..., None],
+                             p[dst[labels == label]][..., None, :])
+             for p in (probe_in, probe_out) for label in range(len(ws[0]))]
     names = ["out_in", "out_out", "h", "A0", "A1", "A2", "B0", "B1", "B2"]
-    bounds = [1e-15] * 6 + [2e-15] * 3
-    for name, a, b, bound in zip(names, got, want, bounds, strict=True):
-        assert np.abs(a - b).max() <= bound * np.abs(b).max(), name
+    checks = list(zip(names, got, want, strict=True))
+    for name, a, b in checks[2:] + checks[:2]:
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), name
 
 
 class TestMatmulMessage:
@@ -1063,11 +1042,10 @@ class TestMatmulMessage:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("case", MESSAGE_CASES)
     def test_in_half_has_the_bits_of_the_in_channel_alone(self, rng, case, k):
-        # the in half sums each node's edges in edge order, as the in
-        # channel's own op did; the out half sums the reverses in the order
-        # of the edges they ride with. (At some wider towers, such as 25,
-        # BLAS rounds a column of the op's 2q-column products otherwise
-        # than of the in channel's Lq-column one: CHANGES.md.)
+        # each half sums each node's edges in edge order, as its channel's
+        # own op did. (At some wider towers, such as 25, BLAS rounds a
+        # column of the op's 2q-column products otherwise than of the in
+        # channel's Lq-column one: CHANGES.md.)
         h, ws, edges = message_case(rng, case, n=9, n_edges=40, k=k, q=8)
         probe = rng.normal(size=h.shape[:2] + (16,))
         later = rng.normal(size=h.shape)
@@ -1095,18 +1073,23 @@ class TestMatmulMessage:
             "CHANGES.md FOUND line on this test: its output comparison holds only by "
             "the draw; the hub's slot-order sum reads 1.05e-15 to 1.41e-15 of the "
             "largest entry from the per-edge composition on these draws")))
-        if seed in (0, 1, 3, 5) else seed for seed in range(6)])
+        if seed in (0, 1, 3, 5) else
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "CHANGES.md FOUND line on this test: the out half now sums each node's "
+            "messages at their destination, as the in half does, and the hub's "
+            "slot-order sum of its out half reads 1.29e-15 and 1.45e-15 of the largest "
+            "entry from the per-edge composition on draws 4 and 2")))
+        for seed in range(6)])
     def test_agrees_with_composed_message_at_tower_width_25_on_other_draws(self, seed):
-        # the fixture's check on six more draws: the gradients hold on each,
-        # the in half of the output only on draws 2 and 4
+        # the fixture's check on six more draws: the gradients hold on each
+        # (they are compared first), the in half of the output only on
+        # draws 2 and 4, and the out half only on draw 1
         assert_agrees_at_tower_width_25(np.random.default_rng(seed))
 
     def test_gradients_against_finite_differences(self, rng):
         # both channels in one op, with the states also read after the
-        # messages; random edges leave most rows one message, "paired"
-        # none, and "unpaired" a one-way edge, a duplicate and a reverse
-        # with another label among paired ones
-        for case in ("leaf", "paired", "unpaired"):
+        # messages, on random edges and on pairs with their reverses
+        for case in ("leaf", "paired"):
             h_data, ws, edges = message_case(rng, case, n=7, n_edges=20, k=2, q=3)
             present, _, _, plan = label_plans(edges, 7)
             params = {"h": t(h_data, rg=True),
@@ -1127,18 +1110,18 @@ class TestMatmulMessage:
             out = T.label_message(h, stack, plan)
         assert [entry[0] for entry in T.active_tape()] == [out]
         T.active_tape().clear()
-        # every edge has its reverse: both channels' counts, each one
-        # (q x p) product per tower at each (far node, label) pair it reads
+        # both channels' counts, each one (q x p) product per tower at each
+        # (far node, label) pair it reads
         src, dst, labels = edges
         stacks = [t(np.concatenate(c, axis=2)) for c in channel_weights(ws, present)]
         with count_multiplies(MultiplyCounter()) as per_channel:
             per_channel_label_messages(t(h_data), stacks, src, dst,
                                        np.unique(labels, return_inverse=True)[1])
         reads = len(set(zip(src.tolist(), labels.tolist())))
-        assert reads == len(set(zip(dst.tolist(), labels.tolist())))
         assert fused.total == per_channel.total == 2 * reads * 3 * 4 * 4
-        # otherwise one product of both channels at each pair some row reads
-        h_data, ws, edges = message_case(rng, "unpaired", n=9, n_edges=40, k=3, q=4)
+        # on random edges too: one product of both channels at each pair
+        # some edge reads
+        h_data, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=3, q=4)
         present, _, _, plan = label_plans(edges, 9)
         stack = t(stacked(*channel_weights(ws, present)))
         with count_multiplies(MultiplyCounter()) as fused:
@@ -1154,7 +1137,7 @@ class TestMatmulMessage:
     def test_tower_groups_keep_the_bits(self, rng, monkeypatch, per_group, groups):
         # the forward makes U and the messages for as many towers at once as
         # LABEL_GROUP_BYTES holds, one at least, with the bits of all at once
-        h, ws, edges = message_case(rng, "unpaired", n=9, n_edges=40, k=8, q=4)
+        h, ws, edges = message_case(rng, "leaf", n=9, n_edges=40, k=8, q=4)
         present, _, _, plan = label_plans(edges, 9)
         stack = t(stacked(*channel_weights(ws, present)))
         towers, slot_sum = [], T._slot_sum
@@ -1164,7 +1147,7 @@ class TestMatmulMessage:
             want = T.label_message(t(h), stack, plan).data
         assert towers == [8]
         towers.clear()
-        # one tower's U and messages, 2q = 8 values per (node, label) pair and row
+        # one tower's U and messages, 2q = 8 values per (node, label) pair and edge
         monkeypatch.setattr(T, "LABEL_GROUP_BYTES",
                             per_group * 8 * 8 * (9 * present.size + plan.taken.size))
         with no_grad():
@@ -1189,9 +1172,8 @@ class TestMatmulMessage:
         assert plan.source is source
 
     def test_overflowing_label_raises(self, rng):
-        # each label's in and out blocks reach some message, on rows that
-        # carry one message or both: an overflow in either is caught by the
-        # result's check
+        # each label's in and out blocks reach some message: an overflow in
+        # either is caught by the result's check
         for case in ("leaf", "paired"):
             h_data, ws, edges = message_case(rng, case, n=9, n_edges=40, k=2, q=3)
             present, far, near, plan = label_plans(edges, 9)
@@ -1221,10 +1203,9 @@ class TestMatmulMessage:
 
 
 class TestLabelPlan:
-    """``T.label_plan`` pairs each edge with a reverse of its label, lays
-    out one row per edge and one per out-message left over, builds the
-    rows' (far node, label) pairs plan, and refuses what would index the
-    wrong pair."""
+    """``T.label_plan`` lays out one row per edge, builds the edges' (far
+    node, label) pairs plan, and refuses what would index the wrong
+    pair."""
 
     @staticmethod
     def edges(rng, n=7, n_edges=30, labels=3):
@@ -1232,56 +1213,17 @@ class TestLabelPlan:
         return src, T.segments(dst, n), rng.integers(0, labels, size=n_edges)
 
     def test_pairs_plan_is_far_times_labels_plus_label(self, rng):
-        # both orientations of every pair with one label, as encode makes
-        # them, here in a shuffled order: the rows are the edges, near is
-        # the destinations' plan, and no half is zeroed
-        s, d = rng.integers(0, 7, size=(2, 15))
-        lab = rng.integers(0, 3, size=15)
-        order = rng.permutation(30)
-        src, dst, label = (np.concatenate(pair)[order] for pair in ((s, d), (d, s), (lab, lab)))
-        far, near = T.segments(src, 7), T.segments(dst, 7)
-        plan = T.label_plan(src, near, label, 3)
-        want = T.segments(src * 3 + label, 7 * 3)
-        for name in ("index", "row_order", "order", "back", "slot"):
-            assert getattr(plan.pairs, name).tolist() == getattr(want, name).tolist()
-        assert (plan.pairs.num_segments, plan.pairs.widths) == (21, want.widths)
-        assert plan.near is near and plan.solo is None
-        assert plan.taken.tolist() == want.index[near.row_order].tolist()
-
-    def test_rows_that_carry_one_message(self):
-        # 0 -> 1 and 1 -> 0 pair; 2 -> 3 is one way; the second 0 -> 1 has
-        # no reverse left; 3 -> 4 and 4 -> 3 differ in label. Each edge
-        # without a partner carries its in-message alone, and the
-        # out-messages no edge carries follow on rows of their own
-        src, dst, label = [0, 1, 2, 0, 3, 4], [1, 0, 3, 1, 4, 3], [0, 0, 1, 0, 1, 2]
-        plan = T.label_plan(src, T.segments(dst, 5), np.array(label), 3)
-        far = [0, 1, 2, 0, 3, 4, 3, 1, 4, 3]
-        assert (plan.pairs.index // 3).tolist() == far
-        assert (plan.pairs.index % 3).tolist() == label + [1, 0, 1, 2]
-        assert plan.near.index.tolist() == dst + [2, 0, 3, 4]
-        assert plan.solo.tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
-        assert not plan.solo.flags.writeable
-        assert plan.taken.tolist() == plan.pairs.index[plan.near.row_order].tolist()
-
-    def test_every_message_rides_on_one_row(self, rng):
-        # many duplicates and reverses among 4 nodes and 2 labels: the rows
-        # carry each edge's in-message and out-message once, the edges
-        # first in edge order, and as many rows carry both as the edges'
-        # (far, near, label) keys allow
-        for _ in range(5):
-            src, dst, label = rng.integers(0, 4, size=40), rng.integers(0, 4, size=40), \
-                rng.integers(0, 2, size=40)
-            plan = T.label_plan(src, T.segments(dst, 4), label, 2)
-            rows = list(zip((plan.pairs.index // 2).tolist(), plan.near.index.tolist(),
-                            (plan.pairs.index % 2).tolist()))
-            solo = np.zeros(len(rows), dtype=int) if plan.solo is None else plan.solo
-            ins = sorted(zip(src.tolist(), dst.tolist(), label.tolist()))
-            outs = sorted(zip(dst.tolist(), src.tolist(), label.tolist()))
-            assert rows[:40] == list(zip(src.tolist(), dst.tolist(), label.tolist()))
-            assert sorted(r for r, c in zip(rows, solo) if c != 2) == ins
-            assert sorted(r for r, c in zip(rows, solo) if c != 1) == outs
-            both = sum(min(ins.count(key), outs.count(key)) for key in set(ins))
-            assert int((solo == 0).sum()) == both
+        # the rows are the edges, in edge order, near is the destinations'
+        # plan, and each edge reads its (source, label) pair
+        for src, near, label in (self.edges(rng), self.edges(rng, n_edges=0)):
+            plan = T.label_plan(src, near, label, 3)
+            want = T.segments(src * 3 + label, 7 * 3)
+            for name in ("index", "row_order", "order", "back", "slot"):
+                assert getattr(plan.pairs, name).tolist() == getattr(want, name).tolist()
+            assert (plan.pairs.num_segments, plan.pairs.widths) == (21, want.widths)
+            assert plan.near is near
+            assert plan.taken.tolist() == want.index[near.row_order].tolist()
+            assert not plan.taken.flags.writeable
 
     def test_label_out_of_range_raises(self, rng):
         far, near, label = self.edges(rng)
@@ -1312,7 +1254,7 @@ class TestLabelPlan:
     def test_sources_out_of_range_or_not_integer_raise(self, rng):
         # the sources need no plan of their own: each is the far node of its
         # edge's row, so one outside the nodes names a pair outside the
-        # pairs plan, which refuses it, whether the edge has a partner or not
+        # pairs plan, which refuses it
         far, near, label = self.edges(rng)
         paired = np.concatenate([far[:15], near.index[:15]])
         for src, dst, lab in ((far, near, label),
