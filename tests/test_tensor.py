@@ -878,7 +878,7 @@ def node_form_message(h: Tensor, stack: Tensor, plan) -> Tensor:
 
 
 MESSAGE_CASES = ["leaf", "intermediate", "h_read_later", "one_label", "missing_label",
-                 "no_edges", "paired"]
+                 "no_edges", "paired", "unpaired"]
 
 
 def message_case(rng, case, n, n_edges, k, q, alphabet=3):
@@ -889,17 +889,27 @@ def message_case(rng, case, n, n_edges, k, q, alphabet=3):
     ``edges`` is (src, dst, labels). The op sends both channels of each
     edge from its source to its destination, whatever the edge list;
     "paired" lays the edges out as ``molgraph.EncodedGraph`` holds them,
-    pairs then their reverses with the same labels."""
+    pairs then their reverses with the same labels, and "unpaired" lays
+    out a list it refuses: half the edges paired, the first reverse moved
+    to the end, a one-way edge, a duplicate and a reverse with another
+    label."""
     n_edges = 0 if case == "no_edges" else n_edges
     src, dst = rng.integers(0, n, size=(2, n_edges))
     dst[: n_edges // 3] = 0
     labels = {"one_label": np.ones(n_edges, dtype=int),
               "missing_label": rng.choice([0, 2], size=n_edges)
               }.get(case, rng.integers(0, alphabet, size=n_edges))
-    if case == "paired":
+    if case in ("paired", "unpaired"):
         half = n_edges // 2
         src, dst, labels = (np.concatenate([a[:half], b[:half]])
                             for a, b in ((src, dst), (dst, src), (labels, labels)))
+    if case == "unpaired":
+        # 1 -> 2 one way, 3 -> 4 twice with one reverse, 5 -> 6 back with
+        # another label, and the first reverse moved to the end
+        src, dst, labels = (np.concatenate([a[:half], a[half + 1:], a[half:half + 1], extra])
+                            for a, extra in ((src, [1, 3, 3, 4, 5, 6]),
+                                             (dst, [2, 4, 4, 3, 6, 5]),
+                                             (labels, [0, 1, 1, 1, 2, 0])))
     h = rng.normal(size=(n, k, q))
     weights = [[rng.normal(size=(k, q, q)) / np.sqrt(q) for _ in range(alphabet)]
                for _ in range(2)]
@@ -1088,8 +1098,10 @@ class TestMatmulMessage:
 
     def test_gradients_against_finite_differences(self, rng):
         # both channels in one op, with the states also read after the
-        # messages, on random edges and on pairs with their reverses
-        for case in ("leaf", "paired"):
+        # messages, on random edges, on pairs with their reverses and on a
+        # list with a one-way edge, a duplicate and a reverse with another
+        # label among paired ones
+        for case in ("leaf", "paired", "unpaired"):
             h_data, ws, edges = message_case(rng, case, n=7, n_edges=20, k=2, q=3)
             present, _, _, plan = label_plans(edges, 7)
             params = {"h": t(h_data, rg=True),
