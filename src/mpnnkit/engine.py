@@ -25,9 +25,9 @@ message/update pair per slice, and remix the slices through a shared affine
 map of the (n, d) state after every step. The tower index is an array axis,
 not a loop: every message and GRU weight is one stacked parameter with the
 towers first, such as (k, d/k, d/k) per matmul label, and ``tt.matmul``
-multiplies all towers in one call, the message functions' two channels as
-two matrices per tower. So a step runs, whatever k is, one GRU and one
-message computation whose result is the GRU's input: one taped
+multiplies all towers in one call, the pair message's and DTNN's two
+channels as two matrices per tower. So a step runs, whatever k is, one GRU
+and one message computation whose result is the GRU's input: one taped
 ``tt.label_message`` for the matmul message and the edge network over
 labels, one ``tt.edge_message`` for the edge network over raw vectors, and
 one gather, product chain and scatter for the other message functions,
@@ -36,11 +36,11 @@ with no concat of the channels. k = 1 is a tower axis of size 1.
 Edge-only work runs once per forward, per message function (``_sender``):
 the labels present, the tower-tiled edge vectors, DTNN's edge term and the
 edge network's label matrices, or its hidden rows laid out in their far
-nodes' zero-padded blocks (``tt.segment_blocks``), never change across the
-steps, and neither do the index plans (``tt.segments``) of the edges'
-destinations and sources and the plan of the message op: over labels one
-``tt.label_plan``, which needs no plan of the sources, over raw vectors
-one ``tt.block_plan``.
+nodes' zero-padded blocks (``tt.segment_blocks``, one per channel), never
+change across the steps, and neither do the index plans (``tt.segments``)
+of the edges' destinations and sources and the plan of the message op:
+over labels one ``tt.label_plan``, which needs no plan of the sources,
+over raw vectors one ``tt.block_plan``.
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Over discrete labels (chemical, distance
@@ -324,10 +324,8 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
     from its source under the out weights. So every message function reads
     one plan of the far ends, the sources, and one of the near ends, the
     destinations, and computes both channels per edge, side by side in
-    each tower, as ``tt.matmul`` and ``tt.edge_message`` take two matrices
-    per tower (a stack of 2k, tower-major): each channel's products keep
-    the bits they have alone, and the messages are the update's input with
-    no concat of the channels.
+    each tower: each channel's products keep the bits they have alone, and
+    the messages are the update's input with no concat of the channels.
 
     Over discrete labels, the matmul message and the edge network stack
     each label present's in- and out-channel matrices side by side as
@@ -336,16 +334,20 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
     message's weights go in as stored, by one taped concat; the edge
     network's matrices, both channels' rows joined by one concat, are
     moved there by one transpose, its reshapes views. Over raw vectors the
-    edge network runs its first layer once, as one product of the edge
-    vectors, a 1 appended, with both channels' stacks [[w1, 0], [b1, 1]]
-    (taped concats of the parameters and a constant unit column, so names,
+    edge network runs its first layer once per channel, as one product of
+    the edge vectors, a 1 appended, with the stack [[w1, 0], [b1, 1]] (a
+    taped concat of the parameters and a constant unit column, so names,
     shapes and checkpoints stay those of w1 and b1). relu keeps the
-    appended unit at 1, and the hidden rows, d_tower + 1 units wide per
-    tower and channel, are laid out in their far nodes' blocks once, where
-    a pad cell's unit is 0, with one ``tt.block_plan`` that every step's
-    one ``tt.edge_message`` reads them through. The pair message and DTNN
-    gather the far rows (the pair message the near rows too), run both
-    channels' layers and scatter their messages once per step.
+    appended unit at 1, and each channel's hidden rows, d_tower + 1 units
+    wide, are laid out in their far nodes' blocks once, where a pad cell's
+    unit is 0. Every step's one ``tt.edge_message`` takes both channels'
+    blocks and last layers, through one ``tt.block_plan``. Kept apart, each
+    channel's first layer, blocks and node products are the size one
+    channel's were; both channels' in one array each were slower on the
+    raw-distance workloads (CHANGES.md). The pair message and DTNN gather
+    the far rows (the pair message the near rows too), run both channels'
+    layers as ``tt.matmul``'s stacks of two matrices per tower (2k,
+    tower-major) and scatter their messages once per step.
     """
     n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
@@ -374,14 +376,6 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
         plan = tt.label_plan(eg.edge_src, dst, label, count)
         return lambda h: tt.label_message(h, stack, plan)
 
-    def both(name):
-        # the two channels' stacks of a weight, tower-major: (2k, ...),
-        # tower t's in-channel matrix at 2t and its out-channel one at 2t + 1
-        parts = [params[f"msg_{ch}_{name}"] for ch in CHANNELS]
-        shape = parts[0].shape[1:]
-        return tt.reshape(tt.concat([tt.reshape(w, (k, 1) + shape) for w in parts], axis=1),
-                          (2 * k,) + shape)
-
     src = tt.segments(eg.edge_src, n)
     # the edge vectors, raw 5-vectors or one-hot labels, once per tower;
     # the edge network's with a 1 appended
@@ -390,22 +384,35 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
     if cfg.message_fn == "edge_network":
         rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
     evec = Tensor(np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1])))
-    # each edge's messages, (E, 2k, d_tower), as the update reads them
-    summed = lambda msgs: tt.scatter_sum_rows(tt.reshape(msgs, (eg.n_edges, k, 2 * dt)), dst)
     if cfg.message_fn == "edge_network":
         # raw vectors, in homogeneous coordinates: each edge's vector with
         # a 1 appended times [[w1, 0], [b1, 1]] gives its hidden row with a
-        # unit 1 appended, which weighs the last layer's bias; the rows are
-        # laid out in their far nodes' blocks and contracted with the
-        # states' products with the last layer
-        unit = np.zeros((2 * k, cfg.edge_width + 1, 1))
+        # unit 1 appended, which weighs the last layer's bias; each
+        # channel's rows are laid out in their far nodes' blocks and
+        # contracted with the states' products with its last layer
+        unit = np.zeros((k, cfg.edge_width + 1, 1))
         unit[:, -1] = 1.0
-        layer = tt.concat([tt.concat([both("en_w1"), tt.reshape(both("en_b1"), (2 * k, 1, dt))],
-                                     axis=1), Tensor(unit)], axis=2)
-        blocks = tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), src)
+        channels = []
+        for ch in CHANNELS:
+            pre = f"msg_{ch}_en"
+            layer = tt.concat([tt.concat([params[f"{pre}_w1"],
+                                          tt.reshape(params[f"{pre}_b1"], (k, 1, dt))], axis=1),
+                               Tensor(unit)], axis=2)
+            channels.append((tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), src),
+                             params[f"{pre}_w2"], params[f"{pre}_b2"]))
         plan = tt.block_plan(src, dst)
-        w2, b2 = both("en_w2"), both("en_b2")
-        return lambda h: tt.edge_message(h, blocks, w2, b2, plan)
+        return lambda h: tt.edge_message(h, channels, plan)
+
+    def both(name):
+        # the two channels' stacks of a weight, tower-major: (2k, ...),
+        # tower t's in-channel matrix at 2t and its out-channel one at 2t + 1
+        parts = [params[f"msg_{ch}_{name}"] for ch in CHANNELS]
+        shape = parts[0].shape[1:]
+        return tt.reshape(tt.concat([tt.reshape(w, (k, 1) + shape) for w in parts], axis=1),
+                          (2 * k,) + shape)
+
+    # each edge's messages, (E, 2k, d_tower), as the update reads them
+    summed = lambda msgs: tt.scatter_sum_rows(tt.reshape(msgs, (eg.n_edges, k, 2 * dt)), dst)
     if cfg.message_fn == "pair_message":
         pm = {f"pm_{name}": both(f"pm_{name}") for name in ("w1", "b1", "w2", "b2")}
         return lambda h: summed(mlp2(tt.concat(

@@ -16,10 +16,9 @@ __all__ = ["UNION_BYTES", "prepare_graph", "model_forward", "union_bytes",
            "predict_batch", "union_groups"]
 
 # Most bytes a union's largest array may take (``union_bytes``). Over raw
-# vectors the edge network's is its edge blocks, padded to the union's
-# largest degree: d x 8 bytes per atom and degree (256 at d=32) per channel,
-# both channels' in one array, laid out once per forward and read by every
-# step. Every other message's
+# vectors the edge network's is each channel's edge blocks, padded to the
+# union's largest degree: d x 8 bytes per atom and degree (256 at d=32),
+# laid out once per forward and read by every step. Every other message's
 # are its gathered rows, d x 8 bytes per directed edge, at least one row per
 # atom. The node products that one message op's call makes and frees are
 # not counted; ``union_bytes``' docstring says which and why. One bound in
@@ -73,8 +72,8 @@ def model_forward(eg: EncodedGraph, params: dict[str, Tensor],
 
 
 def _sized_by_blocks(cfg: ModelConfig) -> bool:
-    # the edge network over raw vectors lays its hidden rows out in
-    # per-node blocks padded to the largest degree (``tt.segment_blocks``)
+    # the edge network over raw vectors lays each channel's hidden rows out
+    # in per-node blocks padded to the largest degree (``tt.segment_blocks``)
     return cfg.message_fn == "edge_network" and cfg.edge_repr == "raw_distance"
 
 
@@ -85,27 +84,25 @@ def union_bytes(cfg: ModelConfig, atoms: int, edges: int, degree: int) -> int:
 
     The edge network over raw vectors lays each node's edges out in a block
     padded to the largest degree, n x max(D, 1) x k x d_tower per channel,
-    once per forward, and every step reads the blocks. Both channels'
-    blocks are one array, of twice the counted bytes; the count, and so
-    ``UNION_BYTES`` and the packing, stay per channel, the unit by which
-    the bound was chosen. (The blocks
-    also hold d_tower + 1 units, the last a unit 1 that weighs the bias;
-    the count keeps d_tower.) Every other message gathers a row per edge,
-    max(E, n) x k x d_tower: the far-end state, or over labels the far
-    node's product with the edge's label matrix. Both count at least one
-    row per atom, so a union of edgeless graphs stays bounded too.
+    once per forward, and every step reads the blocks. (The blocks hold
+    d_tower + 1 units, the last a unit 1 that weighs the bias; the count
+    keeps d_tower, by which ``UNION_BYTES`` was chosen.) Every other
+    message gathers a row per edge, max(E, n) x k x d_tower: the far-end
+    state, or over labels the far node's product with the edge's label
+    matrix. Both count at least one row per atom, so a union of edgeless
+    graphs stays bounded too.
 
     The message ops' node products are not counted: ``tt.edge_message``'s
-    over raw vectors, n x 2k x (r + 1) x d_tower for both channels (16896
-    bytes per atom at d = 32), and ``tt.label_message``'s over labels, n x L x k x 2 d_tower for
-    the L labels present, both channels' side by side, each laid out as its
-    op's docstring says. Both are written and read once inside one call
-    and freed when it returns; ``tt.label_message`` makes its products and
-    messages for a group of towers at a time, at most
-    ``tt.LABEL_GROUP_BYTES`` at once. They can be the larger array, and are
-    still not counted: the CLI's default model (labels) puts 64 synthetic
-    molecules (seed 7) in one union of 348 atoms x 2 labels against 616
-    edges.
+    over raw vectors, n x k x (r + 1) x d_tower per channel, one channel at
+    a time (8448 bytes per atom at d = 32), and ``tt.label_message``'s over
+    labels, n x L x k x 2 d_tower for the L labels present, both channels'
+    side by side, each laid out as its op's docstring says. Both are
+    written and read once inside one call and freed when it returns;
+    ``tt.label_message`` makes its products and messages for a group of
+    towers at a time, at most ``tt.LABEL_GROUP_BYTES`` at once. They can
+    be the larger array, and are still not counted: the CLI's default model
+    (labels) puts 64 synthetic molecules (seed 7) in one union of 348 atoms
+    x 2 labels against 616 edges.
     """
     k, q = cfg.towers_k, cfg.d_tower
     if _sized_by_blocks(cfg):

@@ -310,9 +310,10 @@ class EncodedGraph:
     an odd edge count, halves in different orders, or a reverse with other
     features. The engine relies on it: a node's out channel sums, under
     the out weights, the messages of the edges arriving at it, since each
-    edge leaving it has such a reverse. The check is a few array compares.
-    ``edge_features`` is an int label array for discrete representations
-    and an (m, 5) float array for raw_distance.
+    edge leaving it has such a reverse. The check is a range check of the
+    sources and a few array compares, with no sort. ``edge_features`` is an
+    int label array for discrete representations and an (m, 5) float array
+    for raw_distance.
 
     ``disjoint_union`` packs several encoded graphs into one; its
     ``node_graph`` names the member graph of every node. A lone molecule
@@ -337,26 +338,31 @@ class EncodedGraph:
                                 f"{dst.shape} destinations, {features.shape} features")
         if not m:
             return
+        if src.min() < 0 or src.max() >= self.n_atoms:
+            raise ContractError(f"edge source outside the {self.n_atoms} nodes")
+        # each edge is compared with its reverse: the reverses pair the
+        # edges off, so comparing each edge's destination with its
+        # reverse's source checks both ends, and the destinations' range
         if self.node_graph is None:
+            # one member, whose halves are each other reversed: compared by
+            # slices, as the union's index built for one member took twice
+            # as long, and every molecule is encoded alone (CHANGES.md)
             half = m // 2
             reversed_ok = m % 2 == 0 and (
-                (src[:half] == dst[half:]).all() and (src[half:] == dst[:half]).all()
+                (src.reshape(2, half) == dst.reshape(2, half)[::-1]).all()
                 and (features[:half] == features[half:]).all())
         else:
-            if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= self.n_atoms:
-                raise ContractError(f"edge endpoint outside the {self.n_atoms} nodes")
             member = self.node_graph[src]
-            counts = np.bincount(member)
-            if not np.array_equal(member, np.repeat(np.arange(counts.size), counts)):
-                raise ContractError("a union's edges must come member by member")
-            reversed_ok = not (counts % 2).any()
-            if reversed_ok:
-                # each edge's reverse, half its member's edge count on or back
-                half = counts // 2
-                reverse = np.arange(m) + np.repeat(np.stack([half, -half], axis=1).ravel(),
-                                                   np.repeat(half, 2))
-                reversed_ok = ((src[reverse] == dst).all()
-                               and (features[reverse] == features).all())
+            half = np.bincount(member) // 2
+            # each edge's reverse, half its member's edge count on or back;
+            # an odd count leaves the offsets short of the edges
+            reverse = np.repeat(np.ravel([half, -half], order="F"), np.repeat(half, 2))
+            if reverse.size != m or (member[1:] < member[:-1]).any():
+                raise ContractError("a union's edges must come member by member, an even "
+                                    "count each")
+            reverse += np.arange(m)
+            reversed_ok = ((src[reverse] == dst).all()
+                           and (features[reverse] == features).all())
         if not reversed_ok:
             raise ContractError("edges must be pairs followed by the same pairs reversed, "
                                 "with the same features")

@@ -528,10 +528,12 @@ def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     tower-major view (k, m, q) of ``x``, each tower's rows read by each of
     its c matrices, into the tower-major view of a fresh row-major (m, k c,
     p) array, each product the same BLAS call a matrix makes alone; a
-    matrix stays on ``x @ w``, and a stack of one matrix per tower on the
-    plain (k, m, q) view, which skip views and cost less per call. These
-    tests and the ones in ``_product_grads`` are the only places where the
-    code picks a product."""
+    matrix stays on ``x @ w``. A stack of one matrix per tower, the GRU's
+    and the tower mix's, skips the broadcast view: through it a product
+    cost 1.2-1.5 us more and a gradient 3 us more, and a towers-matmul
+    train step 3.2% more (BENCH_33.json). These tests and the ones in
+    ``_product_grads`` are the only places where the code picks a
+    product."""
     if w.ndim == 2:
         return x @ w
     m, k, _ = x.shape
@@ -571,9 +573,9 @@ def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     (m, q) rows, with a (p,) bias; a (k c, q, p) stack maps (m, k, q) rows
     to (m, k c, p), c matrices per tower, ``out[:, t c + j] = x[:, t] @
     w[t c + j]``, with a (k c, p) bias. With c = 1 that is tower by tower;
-    the engine's message functions use c = 2, both channels' weights side
-    by side in each tower, so a channel's products keep the bits it has
-    alone.
+    the engine's pair message and DTNN use c = 2, both channels' weights
+    side by side in each tower, so a channel's products keep the bits it
+    has alone.
 
     dX = g @ W^T and dW = X^T @ g, per tower for a stack, dX summing the
     tower's c products. A bias is added in place into the fresh row-major
@@ -991,51 +993,54 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     return _result(total, (stack, h), rule, pairs.widths[0] * k * q * width)
 
 
-def edge_message(h: Tensor, blocks: Tensor, w2: Tensor, b2: Tensor, plan: BlockPlan) -> Tensor:
+def edge_message(h: Tensor, channels: Sequence[tuple[Tensor, Tensor, Tensor]],
+                 plan: BlockPlan) -> Tensor:
     """The edge network's message over raw edge vectors, summed at each
     node, all towers and channels at once, as one taped op that builds no
     matrix per edge.
 
-    ``h`` is (n, k, q). The edge network's weights come c per tower, one
-    per channel, as ``matmul``'s stacks do: ``w2`` is (k c, u, p*q), u
-    row-major p x q unit matrices per tower and channel, and ``b2`` (k c,
-    p*q). ``blocks``, (n, D, k c, u + 1), holds each edge's hidden row per
-    tower and channel in its far node's block, as ``segment_blocks(hidden,
-    plan.far)`` lays it out, D the largest count of ``plan.far``. The rows
-    are in homogeneous coordinates, their last unit 1 (0 in a pad cell), so
-    edge i's message in tower t and channel j is ``A @ h[w, t]``, w its far
-    node and ``A = hidden[i, t c + j, :u] @ w2[t c + j] + b2[t c + j]`` the
-    last layer, whose bias is one more unit matrix, summed onto its near
-    node, row i of ``plan.near``; the result is (near.num_segments, k, c p),
-    each tower's channels side by side, so with c = 2 it is the update's
-    input as it stands.
+    ``h`` is (n, k, q), and each of ``channels`` is one channel's
+    ``(blocks, w2, b2)``. ``blocks``, (n, D, k, u + 1), holds each edge's
+    hidden row in its far node's block, as ``segment_blocks(hidden,
+    plan.far)`` lays it out, D the largest count of ``plan.far``. ``w2``
+    is (k, u, p*q), u row-major p x q unit matrices per tower, and ``b2``
+    (k, p*q). The rows are in homogeneous coordinates, their last unit 1 (0
+    in a pad cell), so edge i's message in tower t is ``A @ h[w, t]``, w
+    its far node and ``A = hidden[i, t, :u] @ w2[t] + b2[t]`` the
+    channel's last layer, whose bias is one more unit matrix, summed onto
+    its near node, row i of ``plan.near``. The result is
+    (near.num_segments, k, c p) for c channels, each tower's channels side
+    by side, so with the engine's two it is the update's input as it
+    stands.
 
-    The layer is linear, so the forward takes the states first: U, (n, k c,
-    u + 1, p), one product per tower and channel with w2's matrices and one
-    with b2's, written in place into the last unit, each the BLAS call one
-    channel makes alone. One batched matmul contracts every node's (D, u +
-    1) block with its U, through the blocks' tower-major view, into
-    messages laid out as the blocks are, the last unit adding each edge's
-    bias and a pad cell's zeros none: n products with u + 1 matrices per
-    tower and channel, not E matrices. Its largest arrays are U, which a
-    call that is not taped frees once the messages are made, and the (n,
-    D, k c, p) messages, read by ``plan.taken`` into ``near``'s slot order
-    and summed as ``label_message`` sums its own, each channel's bits those
-    it has alone. The multiply count is the edges' contractions over the u
-    hidden units and the node products, not the padding's or the bias
-    unit's.
+    The layer is linear, so the forward takes the states first, one
+    channel at a time: U, (n, k, u + 1, p), one product per tower with w2's
+    matrices and one with b2's, written in place into the last unit. One
+    batched matmul contracts every node's (D, u + 1) block with its U,
+    through the blocks' tower-major view, into messages laid out as the
+    blocks are, the last unit adding each edge's bias and a pad cell's
+    zeros none: n products with u + 1 matrices, not E matrices. Its largest
+    arrays are U, which a call that is not taped frees once the messages
+    are made, and the (n, D, k, p) messages, read by ``plan.taken`` into
+    ``near``'s slot order and summed as ``label_message`` sums its own.
+    Going channel by channel keeps those arrays, and each channel's bits,
+    what the channel has alone; both channels' at once are twice the size,
+    and were slower (CHANGES.md). The multiply count is the edges'
+    contractions over the u hidden units and the node products, not the
+    padding's or the bias unit's.
 
-    The rule holds U, its one array of its own; the blocks and the plan are
-    the caller's, made once for every step. A take by ``plan.source`` fills
-    each cell with its edge's message gradient, a pad cell with zeros.
-    Their products with the blocks give U's gradient (its last unit the
-    bias's), which times the states gives ``w2``'s and ``b2``'s, dense, and
-    times the matrices h's, each tower's channels' products summed; it is
-    freed before the blocks' gradient, the cells' times U, is made. That
-    keeps the blocks' layout, so ``backward`` sums the steps' block
-    gradients elementwise and ``segment_blocks``' rule gathers the rows out
-    once. The parents are ``(w2, b2, blocks, h)``, in the order the tape of
-    the node products, the contraction and a scatter would deliver them.
+    The rule holds each channel's U, its only arrays of its own; the
+    blocks and the plan are the caller's, made once for every step. A take
+    by ``plan.source`` fills each cell with its edge's message gradient, a
+    pad cell with zeros. Their products with the blocks give U's gradient
+    (its last unit the bias's), which times the states gives ``w2``'s and
+    ``b2``'s, dense, and times the matrices h's, the channels' summed in
+    order; it is freed before the blocks' gradient, the cells' times U, is
+    made. That keeps the blocks' layout, so ``backward`` sums the steps'
+    block gradients elementwise and ``segment_blocks``' rule gathers the
+    rows out once. The parents are each channel's ``(w2, b2, blocks)``, in
+    the order the tape of the node products, the contraction and a scatter
+    would deliver them, then ``h``.
 
     Only the result is checked for NaN/Inf, as in ``label_message`` and for
     the same reasons. Here the blocks hold the first layer's checked
@@ -1044,67 +1049,75 @@ def edge_message(h: Tensor, blocks: Tensor, w2: Tensor, b2: Tensor, plan: BlockP
     sending node's U is multiplied into each of its messages, the bias's
     unit by 1 (a pad cell's product may be NaN, but no message reads it).
     """
-    if (h.data.ndim != 3 or w2.data.ndim != 3 or blocks.data.ndim != 4
-            or not isinstance(plan, BlockPlan)):
-        raise DimensionError("edge_message needs (n, k, q) states, (n, D, k c, u + 1) hidden "
-                             "blocks, (k c, u, p*q) matrices and a BlockPlan")
+    if (h.data.ndim != 3 or not channels or not isinstance(plan, BlockPlan)
+            or any(len(ch) != 3 or ch[1].data.ndim != 3 for ch in channels)):
+        raise DimensionError("edge_message needs (n, k, q) states, (n, D, k, u + 1) hidden "
+                             "blocks, (k, u, p*q) matrices and a (k, p*q) bias per channel, "
+                             "and a BlockPlan")
     n, k, q = h.data.shape
-    towers, r, width = w2.data.shape
+    _, r, width = channels[0][1].data.shape
     depth = len(plan.far.widths)
-    if (towers % k or width % q or blocks.data.shape != (n, depth, towers, r + 1)
-            or b2.data.shape != (towers, width) or plan.far.num_segments != n):
-        raise DimensionError(f"edge_message needs (c x {k}, r, p*{q}) matrices, "
-                             f"({n}, {depth}, c x {k}, r + 1) hidden blocks, a (c x {k}, "
-                             f"p*{q}) bias and {n} far segments for states {h.data.shape}: "
-                             f"{w2.data.shape}, {blocks.data.shape}, {b2.data.shape}, "
+    shapes = [(n, depth, k, r + 1), (k, r, width), (k, width)]
+    if (width % q or plan.far.num_segments != n
+            or any([x.data.shape for x in ch] != shapes for ch in channels)):
+        raise DimensionError(f"edge_message needs ({n}, {depth}, {k}, r + 1) hidden blocks, "
+                             f"({k}, r, p*{q}) matrices and a ({k}, p*{q}) bias per channel "
+                             f"and {n} far segments for states {h.data.shape}: "
+                             f"{[[x.data.shape for x in ch] for ch in channels]}, "
                              f"{plan.far.num_segments}")
-    c, p, near = towers // k, width // q, plan.near
+    c, p, near = len(channels), width // q, plan.near
     rows = h.data.transpose(1, 0, 2)
-    w, b = w2.data.reshape(towers, r * p, q), b2.data.reshape(towers, p, q)
-    # U, (n, k c, r + 1, p): the products with w2's matrices, and b2's in
-    # the last unit, each written through U's tower-major view
-    u = np.empty((n, towers, r + 1, p))
-    for mats, cols in ((w, slice(None, r * p)), (b, slice(r * p, None))):
-        np.matmul(rows[:, None], mats.reshape(k, c, mats.shape[1], q).transpose(0, 1, 3, 2),
-                  out=u.reshape(n, k, c, (r + 1) * p)[..., cols].transpose(1, 2, 0, 3))
-    # the messages in the blocks' layout, (n, D, k c, p), written through
-    # their tower-major view
-    y = np.empty((n, depth, towers, p))
-    np.matmul(blocks.data.transpose(0, 2, 1, 3), u, out=y.transpose(0, 2, 1, 3))
-    parents = (w2, b2, blocks, h)
-    if not _taped(parents):
-        del u  # no rule will read it: freeing it lowers the call's peak
-    total = _slot_sum(near, np.take(y.reshape(n * depth, towers, p), plan.taken, axis=0))
+    parents = tuple(x for blocks, w2, b2 in channels for x in (w2, b2, blocks)) + (h,)
+    keep = _taped(parents)
+    us = []  # each channel's U, for the rule
+    total = np.empty((near.num_segments, k, c, p))
+    for j, (blocks, w2, b2) in enumerate(channels):
+        # U, (n, k, r + 1, p): the products with w2's matrices, and b2's in
+        # the last unit, each written through U's tower-major view
+        u = np.empty((n, k, r + 1, p))
+        for mats, cols in ((w2.data.reshape(k, r * p, q), slice(None, r * p)),
+                           (b2.data.reshape(k, p, q), slice(r * p, None))):
+            np.matmul(rows, mats.transpose(0, 2, 1),
+                      out=u.reshape(n, k, (r + 1) * p)[:, :, cols].transpose(1, 0, 2))
+        # the messages in the blocks' layout, (n, D, k, p), written through
+        # their tower-major view
+        y = np.empty((n, depth, k, p))
+        np.matmul(blocks.data.transpose(0, 2, 1, 3), u, out=y.transpose(0, 2, 1, 3))
+        if keep:
+            us.append(u)
+        del u  # without a rule to read it, freed before the messages are summed
+        total[:, :, j] = _slot_sum(near, np.take(y.reshape(n * depth, k, p), plan.taken,
+                                                 axis=0))
+        del y  # freed before the next channel's U is made
 
     def rule(g: np.ndarray):
-        # each cell's message gradient, a pad cell's from an appended zero row
-        g_y = np.take(np.concatenate([g.reshape(near.num_segments, towers, p),
-                                      np.zeros((1, towers, p))]),
-                      plan.source, axis=0).reshape(n, depth, towers, p).transpose(0, 2, 1, 3)
-        g_u = (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, towers, (r + 1) * p)
-        g_w, g_c = g_u[:, :, :r * p], g_u[:, :, r * p:]
-        # each tower and channel's weight gradient from its tower's states
-        by_state = lambda part: (part.transpose(1, 2, 0).reshape(k, c, part.shape[2], n)
-                                 @ rows[:, None])
-        g_w2 = by_state(g_w).reshape(w2.data.shape) if w2.requires_grad else None
-        g_b2 = by_state(g_c).reshape(b2.data.shape) if b2.requires_grad else None
-        g_h = None
-        if h.requires_grad:
-            # each tower and channel's product through U's (k, c) view, the
-            # tower's channels then summed: no copy of U's gradient
-            g_t = g_u.reshape(n, k, c, (r + 1) * p).transpose(1, 2, 0, 3)
-            g_h = (g_t[..., :r * p] @ w.reshape(k, c, r * p, q)).sum(axis=1)
-            g_h += (g_t[..., r * p:] @ b.reshape(k, c, p, q)).sum(axis=1)
-            g_h = g_h.transpose(1, 0, 2)
-        del g_u, g_w, g_c  # freed before the blocks' gradient is made
-        g_blocks = None
-        if blocks.requires_grad:
-            g_blocks = np.empty((n, depth, towers, r + 1))
-            np.matmul(g_y, u.swapaxes(-1, -2), out=g_blocks.transpose(0, 2, 1, 3))
-        return g_w2, g_b2, g_blocks, g_h
+        g = g.reshape(near.num_segments, k, c, p)
+        grads, g_h = [], None
+        for j, ((blocks, w2, b2), u) in enumerate(zip(channels, us)):
+            # each cell's message gradient, a pad cell's from an appended zero row
+            g_y = np.take(np.concatenate([g[:, :, j], np.zeros((1, k, p))]), plan.source,
+                          axis=0).reshape(n, depth, k, p).transpose(0, 2, 1, 3)
+            g_u = (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, k, (r + 1) * p)
+            g_w, g_c = g_u[:, :, :r * p], g_u[:, :, r * p:]
+            g_w2 = ((g_w.transpose(1, 2, 0) @ rows).reshape(w2.data.shape)
+                    if w2.requires_grad else None)
+            g_b2 = ((g_c.transpose(1, 2, 0) @ rows).reshape(b2.data.shape)
+                    if b2.requires_grad else None)
+            if h.requires_grad:
+                g_hj = _product(g_w, w2.data.reshape(k, r * p, q))
+                g_hj += _product(g_c, b2.data.reshape(k, p, q))
+                g_h = g_hj if g_h is None else g_h + g_hj
+            del g_u, g_w, g_c  # freed before the blocks' gradient is made
+            g_blocks = None
+            if blocks.requires_grad:
+                g_blocks = np.empty((n, depth, k, r + 1))
+                np.matmul(g_y, u.swapaxes(-1, -2), out=g_blocks.transpose(0, 2, 1, 3))
+            del g_y  # freed before the next channel's is made
+            grads += [g_w2, g_b2, g_blocks]
+        return (*grads, g_h)
 
     return _result(total.reshape(near.num_segments, k, c * p), parents, rule,
-                   n * towers * q * (r + 1) * p + near.index.shape[0] * towers * r * p)
+                   c * (n * k * q * (r + 1) * p + near.index.shape[0] * k * r * p))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

@@ -272,10 +272,10 @@ class TestIndexPlans:
     @pytest.mark.parametrize("towers_k", [1, 2])
     def test_edge_network_message_is_one_tape_entry_per_step(self, rng, towers_k):
         # over raw vectors the edge network's message, both channels, is
-        # one op per step; the only products taped are the hidden layer of
-        # both channels (once per forward) and the tower mix, and the only
-        # concats build the layer and stack the channels' weights, once per
-        # forward: none joins the channels
+        # one op per step; the only products taped are each channel's
+        # hidden layer (once per forward) and the tower mix, and the only
+        # concats build each channel's layer, once per forward: none joins
+        # the channels
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k, edge_repr="raw_distance")
         eg = random_encoded(rng, n=7, ensure_connected=True, representation="raw_distance")
         T.active_tape().clear()
@@ -284,16 +284,18 @@ class TestIndexPlans:
         T.active_tape().clear()
         assert ops.count("edge_message") == cfg.T
         assert "label_message" not in ops
-        assert ops.count("matmul") == 1 + (cfg.T if towers_k > 1 else 0)
-        assert ops.count("concat") == 4 + 2
+        assert ops.count("matmul") == 2 + (cfg.T if towers_k > 1 else 0)
+        assert ops.count("concat") == 2 * 2
         assert not {"gather_rows", "scatter_sum_rows"} & set(ops)
 
     @pytest.mark.parametrize("towers_k", [1, 2])
-    def test_edge_network_lays_out_its_blocks_once_per_forward(self, rng, towers_k):
-        # over raw vectors both channels' hidden rows are laid out in their
+    def test_edge_network_lays_out_each_channels_blocks_once_per_forward(self, rng,
+                                                                        towers_k):
+        # over raw vectors each channel's hidden rows are laid out in their
         # far nodes' blocks once per forward, and every step's message reads
-        # those blocks: the relu output has that layout as its one reader,
-        # so its gradient is one gather of the steps' summed block gradients
+        # both channels' blocks: a channel's relu output has that layout as
+        # its one reader, so its gradient is one gather of the steps' summed
+        # block gradients
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k, edge_repr="raw_distance")
         eg = random_encoded(rng, n=7, ensure_connected=True, representation="raw_distance")
         T.active_tape().clear()
@@ -305,12 +307,13 @@ class TestIndexPlans:
                              if any(p is t for p in parents)]
         made_by = {id(out): op(rule) for out, _, rule in tape}
         layouts = [(out, parents) for out, parents, rule in tape if op(rule) == "segment_blocks"]
-        assert len(layouts) == 1
-        (blocks, (hidden,)), = layouts
-        assert blocks.shape[2] == 2 * towers_k
-        assert made_by[id(hidden)] == "relu"
-        assert readers(hidden) == ["segment_blocks"]
-        assert readers(blocks) == ["edge_message"] * cfg.T
+        assert len(layouts) == 2
+        assert [op(rule) for _, _, rule in tape].count("edge_message") == cfg.T
+        for blocks, (hidden,) in layouts:
+            assert blocks.shape[2] == towers_k
+            assert made_by[id(hidden)] == "relu"
+            assert readers(hidden) == ["segment_blocks"]
+            assert readers(blocks) == ["edge_message"] * cfg.T
 
     @pytest.mark.parametrize("towers_k", [1, 2])
     def test_label_edge_network_is_one_matmul_message_per_step(self, rng, towers_k):

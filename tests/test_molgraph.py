@@ -660,8 +660,10 @@ class TestEdgeLayout:
         ([0, 1, 2, 1], [1, 2, 1, 0], [0, 1, 1, 0], "chemical"),         # halves shuffled
         ([0, 1], [1, 0], [0, 1], "chemical"),                           # reverse's label
         ([0, 2, 1, 3], [1, 3, 0, 2], RAW[[0, 1, 0, 2]], "raw_distance"),  # reverse's vector
+        ([0, 4], [4, 0], [0, 0], "chemical"),                           # node 4 of 4
+        ([0, -1], [-1, 0], [0, 0], "chemical"),                         # node -1
     ], ids=["one_way_edge", "odd_edge_count", "shuffled_halves", "reverse_with_other_label",
-            "reverse_with_other_raw_vector"])
+            "reverse_with_other_raw_vector", "endpoint_past_the_nodes", "negative_endpoint"])
     def test_other_layouts_are_refused(self, src, dst, features, representation):
         with pytest.raises(ContractError):
             layout_graph(src, dst, features, representation)
