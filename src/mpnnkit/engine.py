@@ -33,14 +33,19 @@ labels, one ``tt.edge_message`` for the edge network over raw vectors, and
 one gather, product chain and scatter for the other message functions,
 with no concat of the channels. k = 1 is a tower axis of size 1.
 
-Edge-only work runs once per forward, per message function (``_sender``):
-the labels present, the tower-tiled edge vectors, DTNN's edge term and the
-edge network's label matrices, or its hidden rows laid out in their far
-nodes' zero-padded blocks (``tt.segment_blocks``, one per channel), never
-change across the steps, and neither do the index plans (``tt.segments``)
-of the edges' destinations and sources and the plan of the message op:
-over labels one ``tt.label_plan``, which needs no plan of the sources,
-over raw vectors one ``tt.block_plan``.
+A forward's work that reads no weight is one ``Layout`` per graph, built
+by ``layout`` after the encoding check (``_check_encoding``): the index
+plans (``tt.segments``) of the edges' destinations and sources, the plan
+of the message op (over labels one ``tt.label_plan``, which needs no plan
+of the sources, over raw vectors one ``tt.block_plan``), the labels
+present, the tower-tiled edge rows, and the node-to-graph plans that the
+master and the readouts read. ``propagate`` lays out a graph it is given,
+and ``model.predict_batch`` keeps the layouts of its untaped calls, so a
+repeated evaluation runs only the weights. What reads the weights but not
+the states runs once per forward, per message function (``_sender``):
+DTNN's edge term and the edge network's label matrices, or its hidden
+rows laid out in their far nodes' zero-padded blocks
+(``tt.segment_blocks``, one per channel), never change across the steps.
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Over discrete labels (chemical, distance
@@ -90,6 +95,8 @@ __all__ = [
     "READOUTS",
     "ModelConfig",
     "NodeStates",
+    "Layout",
+    "layout",
     "init_params",
     "is_bias",
     "propagate",
@@ -172,10 +179,44 @@ class NodeStates:
 
     h: Tensor               # (n, d) final states
     h0: Tensor              # (n, d) padded input features
-    node_graph: np.ndarray  # (n,) graph of every node row, in [0, n_graphs)
-    n_graphs: int = 1
+    # the graph of every row the readouts sum: the n node rows, then, with a
+    # master in the readout, each graph's master row
+    graphs: tt.Segments
     master: Optional[Tensor] = None    # (n_graphs, d_master) final master states
     master0: Optional[Tensor] = None   # (n_graphs, d_master) learned initial state
+
+    @property
+    def n_graphs(self) -> int:
+        return self.graphs.num_segments
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """What a forward over ``graph`` reads that no weight changes; build
+    one with :func:`layout`. The arrays are read-only, and the graph's too.
+
+    ``present`` is the labels some edge carries, over labels; ``plan`` the
+    message op's plan (``tt.label_plan`` over labels, ``tt.block_plan`` for
+    the edge network over raw vectors, None for the pair message and DTNN);
+    ``src`` the plan of the edges' sources, None over labels, whose plan
+    holds its own. ``rows`` is the tower-tiled edge vectors, (E, k, w): raw
+    5-vectors or one-hot labels, the edge network's with a 1 appended; for
+    the edge network over labels, the one-hot rows of the labels present.
+    ``nodes`` is every node's graph and ``masters`` every graph's row of the
+    one initial master state, both only with a master; ``graphs`` the
+    readouts' rows' graphs (``NodeStates.graphs``).
+    """
+
+    cfg: ModelConfig
+    graph: EncodedGraph
+    dst: tt.Segments
+    src: Optional[tt.Segments]
+    present: Optional[np.ndarray]
+    plan: Optional[tt.LabelPlan | tt.BlockPlan]
+    rows: Optional[Tensor]
+    graphs: tt.Segments
+    nodes: Optional[tt.Segments]
+    masters: Optional[tt.Segments]
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +351,68 @@ def _check_encoding(eg: EncodedGraph, cfg: ModelConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sender(eg: EncodedGraph, params: dict[str, Tensor],
+def _labels(cfg: ModelConfig) -> bool:
+    # the matmul message and the edge network over labels send through
+    # ``tt.label_message``
+    return cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
+                                          and cfg.edge_repr != "raw_distance")
+
+
+def layout(eg: EncodedGraph, cfg: ModelConfig) -> Layout:
+    """The graph's ``Layout`` under ``cfg``: every index plan, the labels
+    present and the tiled edge rows, after ``_check_encoding``. It reads no
+    weight, so a forward with any weights can run over it, and
+    ``model.predict_batch`` keeps the layouts of the unions it evaluates.
+    ``propagate`` lays a graph out this way when given one, so every
+    forward reads the same layout."""
+    _check_encoding(eg, cfg)
+    n, k = eg.n_atoms, cfg.towers_k
+    dst = tt.segments(eg.edge_dst, n)
+    src = present = plan = rows = None
+    if _labels(cfg):
+        # each edge's label as its place among the labels present
+        present, label = np.unique(eg.edge_features, return_inverse=True)
+        present.setflags(write=False)
+        plan = tt.label_plan(eg.edge_src, dst, label, present.size)
+        if cfg.message_fn == "edge_network":
+            rows = np.broadcast_to(np.eye(cfg.edge_width)[present][:, None],
+                                   (present.size, k, cfg.edge_width))
+    else:
+        src = tt.segments(eg.edge_src, n)
+        # the edge vectors, raw 5-vectors or one-hot labels, once per tower;
+        # the edge network's with a 1 appended
+        rows = (eg.edge_features if cfg.edge_repr == "raw_distance"
+                else np.eye(cfg.edge_width)[eg.edge_features])
+        if cfg.message_fn == "edge_network":
+            rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
+            plan = tt.block_plan(src, dst)
+        rows = np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1]))
+    if rows is not None:
+        rows = Tensor(np.ascontiguousarray(rows))
+        rows.data.setflags(write=False)
+
+    graph = (np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph)
+    n_graphs = eg.n_graphs
+    nodes = masters = None
+    readout_graph = graph
+    if cfg.d_master:
+        nodes = tt.segments(graph, n_graphs)
+        masters = tt.segments(np.zeros(n_graphs, dtype=np.intp), 1)
+        if cfg.master_in_readout:
+            readout_graph = np.concatenate([graph, np.arange(n_graphs)])
+    return Layout(cfg=cfg, graph=eg, dst=dst, src=src, present=present, plan=plan,
+                  rows=rows, graphs=tt.segments(readout_graph, n_graphs),
+                  nodes=nodes, masters=masters)
+
+
+def _sender(lay: Layout, params: dict[str, Tensor],
             cfg: ModelConfig) -> Callable[[Tensor], Tensor]:
     """A function from the (n, k, d_tower) states to the update's input,
     (n, k, 2 d_tower): per tower, the sum of each node's in-channel
-    messages, then of its out-channel messages. Edge-only work runs here,
-    once per forward, and so do the index plans; the returned function
-    does only what depends on the states.
+    messages, then of its out-channel messages. The work that reads
+    weights but not the states runs here, once per forward, over the
+    graph's ``Layout``, which holds the edge-only work; the returned
+    function does only what depends on the states.
 
     ``EncodedGraph`` holds each edge's reverse with its features, so a
     node's out channel, the messages from the far ends of the edges
@@ -329,8 +425,8 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
 
     Over discrete labels, the matmul message and the edge network stack
     each label present's in- and out-channel matrices side by side as
-    ``tt.label_message`` takes them, with one ``tt.label_plan`` over the
-    edges, built here, so one op per step sends both channels. The matmul
+    ``tt.label_message`` takes them, with the layout's one ``tt.label_plan``
+    over the edges, so one op per step sends both channels. The matmul
     message's weights go in as stored, by one taped concat; the edge
     network's matrices, both channels' rows joined by one concat, are
     moved there by one transpose, its reshapes views. Over raw vectors the
@@ -341,26 +437,20 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
     appended unit at 1, and each channel's hidden rows, d_tower + 1 units
     wide, are laid out in their far nodes' blocks once, where a pad cell's
     unit is 0. Every step's one ``tt.edge_message`` takes both channels'
-    blocks and last layers, through one ``tt.block_plan``. Kept apart, each
-    channel's first layer, blocks and node products are the size one
-    channel's were; both channels' in one array each were slower on the
-    raw-distance workloads (CHANGES.md). The pair message and DTNN gather
-    the far rows (the pair message the near rows too), run both channels'
-    layers as ``tt.matmul``'s stacks of two matrices per tower (2k,
-    tower-major) and scatter their messages once per step.
+    blocks and last layers, through the layout's ``tt.block_plan``. Kept
+    apart, each channel's first layer, blocks and node products are the
+    size one channel's were; both channels' in one array each were slower
+    on the raw-distance workloads (CHANGES.md). The pair message and DTNN
+    gather the far rows (the pair message the near rows too), run both
+    channels' layers as ``tt.matmul``'s stacks of two matrices per tower
+    (2k, tower-major) and scatter their messages once per step.
     """
-    n = eg.n_atoms
     k, dt = cfg.towers_k, cfg.d_tower
-    dst = tt.segments(eg.edge_dst, n)
-    if cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
-                                      and cfg.edge_repr != "raw_distance"):
-        # each edge's label as its place among the labels present
-        present, label = np.unique(eg.edge_features, return_inverse=True)
-        count = present.size
+    if _labels(cfg):
         if cfg.message_fn == "matmul":
             # each label's in- and out-channel matrices side by side as
             # stored, (k, d_tower, labels * 2 d_tower): a label's message is h A
-            weights = [params[f"msg_{ch}_A{value}"] for value in present for ch in CHANNELS]
+            weights = [params[f"msg_{ch}_A{value}"] for value in lay.present for ch in CHANNELS]
             stack = (tt.concat(weights, axis=2) if weights
                      else Tensor(np.zeros((k, dt, 0))))
         else:
@@ -368,22 +458,13 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
             # whose message M h is h M^T: the stack holds the M^T of each
             # label's two channels side by side, (k, q, labels * 2p), moved
             # there by one transpose
-            onehot = Tensor(np.broadcast_to(np.eye(cfg.edge_width)[present][:, None],
-                                            (count, k, cfg.edge_width)))
-            mats = tt.reshape(tt.concat([mlp2(onehot, params, f"msg_{ch}_en")
+            count = lay.present.size
+            mats = tt.reshape(tt.concat([mlp2(lay.rows, params, f"msg_{ch}_en")
                                          for ch in CHANNELS], axis=0), (2, count, k, dt, dt))
             stack = tt.reshape(tt.transpose(mats, (2, 4, 1, 0, 3)), (k, dt, count * 2 * dt))
-        plan = tt.label_plan(eg.edge_src, dst, label, count)
-        return lambda h: tt.label_message(h, stack, plan)
+        return lambda h: tt.label_message(h, stack, lay.plan)
 
-    src = tt.segments(eg.edge_src, n)
-    # the edge vectors, raw 5-vectors or one-hot labels, once per tower;
-    # the edge network's with a 1 appended
-    rows = (eg.edge_features if cfg.edge_repr == "raw_distance"
-            else np.eye(cfg.edge_width)[eg.edge_features])
-    if cfg.message_fn == "edge_network":
-        rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
-    evec = Tensor(np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1])))
+    evec = lay.rows
     if cfg.message_fn == "edge_network":
         # raw vectors, in homogeneous coordinates: each edge's vector with
         # a 1 appended times [[w1, 0], [b1, 1]] gives its hidden row with a
@@ -398,10 +479,9 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
             layer = tt.concat([tt.concat([params[f"{pre}_w1"],
                                           tt.reshape(params[f"{pre}_b1"], (k, 1, dt))], axis=1),
                                Tensor(unit)], axis=2)
-            channels.append((tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), src),
+            channels.append((tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), lay.src),
                              params[f"{pre}_w2"], params[f"{pre}_b2"]))
-        plan = tt.block_plan(src, dst)
-        return lambda h: tt.edge_message(h, channels, plan)
+        return lambda h: tt.edge_message(h, channels, lay.plan)
 
     def both(name):
         # the two channels' stacks of a weight, tower-major: (2k, ...),
@@ -412,7 +492,8 @@ def _sender(eg: EncodedGraph, params: dict[str, Tensor],
                           (2 * k,) + shape)
 
     # each edge's messages, (E, 2k, d_tower), as the update reads them
-    summed = lambda msgs: tt.scatter_sum_rows(tt.reshape(msgs, (eg.n_edges, k, 2 * dt)), dst)
+    edges, src, dst = lay.graph.n_edges, lay.src, lay.dst
+    summed = lambda msgs: tt.scatter_sum_rows(tt.reshape(msgs, (edges, k, 2 * dt)), dst)
     if cfg.message_fn == "pair_message":
         pm = {f"pm_{name}": both(f"pm_{name}") for name in ("w1", "b1", "w2", "b2")}
         return lambda h: summed(mlp2(tt.concat(
@@ -429,11 +510,14 @@ def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
                      wh=params[f"{prefix}_wh"], uh=params[f"{prefix}_uh"])
 
 
-def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> NodeStates:
+def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
+              cfg: ModelConfig) -> NodeStates:
     """Run cfg.T message passing steps and return final node states.
 
-    ``eg`` is one molecule or a disjoint union of several; the states carry
-    the node-to-graph index for the readouts (all zeros for one molecule).
+    ``eg`` is one molecule or a disjoint union of several, or its
+    ``layout`` under ``cfg``; a graph is laid out first, so every forward
+    reads a layout. The states carry the plan of the readouts' rows'
+    graphs (one graph for one molecule).
     To count multiplies, call it inside ``tt.count_multiplies``;
     ``checks.bench_towers`` isolates the message phase that way.
     """
@@ -445,7 +529,13 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
         half = x.shape[-1] // 2
         return tt.add(h, tt.add(tt.slice_cols(x, 0, half), tt.slice_cols(x, half, 2 * half)))
 
-    _check_encoding(eg, cfg)
+    if not isinstance(eg, Layout):
+        lay = layout(eg, cfg)
+    elif eg.cfg is cfg or eg.cfg == cfg:
+        lay = eg
+    else:
+        raise ContractError("the layout was built under another model config")
+    eg = lay.graph
     n = eg.n_atoms
     k = cfg.towers_k
     h0 = pad_features(eg.node_features, cfg.d)
@@ -453,16 +543,14 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
     # t*d_tower to (t+1)*d_tower of the (n, d) state.
     towered = (n, k, cfg.d_tower)
     h = tt.reshape(h0, towered)
-    send = _sender(eg, params, cfg)
+    send = _sender(lay, params, cfg)
 
     n_graphs = eg.n_graphs
-    graph = np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph
     master = None
     master0 = None
     if cfg.d_master:
-        graph_plan = tt.segments(graph, n_graphs)
         master0 = tt.gather_rows(tt.reshape(params["master_h0"], (1, cfg.d_master)),
-                                 tt.segments(np.zeros(n_graphs, dtype=np.intp), 1))
+                                 lay.masters)
         master = master0
 
     for _ in range(cfg.T):
@@ -473,15 +561,15 @@ def propagate(eg: EncodedGraph, params: dict[str, Tensor], cfg: ModelConfig) -> 
             # atoms' input
             x = tt.add(x, tt.gather_rows(tt.reshape(tt.concat(
                 [tt.matmul(master, params[f"m2n_{ch}"]) for ch in CHANNELS], axis=1),
-                (n_graphs, 1, 2 * cfg.d)), graph_plan))
+                (n_graphs, 1, 2 * cfg.d)), lay.nodes))
         h_new = _update(x, h, "gru")
         if cfg.d_master:
-            h_sum = tt.reshape(tt.scatter_sum_rows(h, graph_plan), (n_graphs, cfg.d))
+            h_sum = tt.reshape(tt.scatter_sum_rows(h, lay.nodes), (n_graphs, cfg.d))
             master = _update(tt.concat([tt.matmul(h_sum, params[f"n2m_{ch}"])
                                         for ch in CHANNELS], axis=-1), master, "master_gru")
         h = h_new
         if k > 1:
             h = tt.reshape(tt.matmul(tt.reshape(h, (n, cfg.d)), params["mix_w"],
                                      params["mix_b"]), towered)
-    return NodeStates(h=tt.reshape(h, (n, cfg.d)), h0=h0, node_graph=graph,
-                      n_graphs=n_graphs, master=master, master0=master0)
+    return NodeStates(h=tt.reshape(h, (n, cfg.d)), h0=h0, graphs=lay.graphs,
+                      master=master, master0=master0)

@@ -299,7 +299,7 @@ class MolecularGraph:
                    targets=targets).validate()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedGraph:
     """A molecule flattened into arrays the propagation engine consumes.
 
@@ -320,6 +320,14 @@ class EncodedGraph:
     leaves it None and counts as one graph. A union's edges come member by
     member, each member's in the layout above, and the constructor checks
     each member's, which also refuses an edge between two members.
+
+    A graph's arrays are read-only once it is built, and two graphs are
+    equal only if they are the same object (the hash is the identity too).
+    So a graph's identity stands for its content: ``model.predict_batch``
+    keeps a batch's packing by the identity of its graphs, and an edit in
+    place fails (ValueError) instead of leaving a kept packing stale. An
+    array that views another's writable memory is copied first, since
+    that memory could still be written through its owner.
     """
 
     node_features: np.ndarray          # (n, d_in) float64
@@ -331,6 +339,25 @@ class EncodedGraph:
     n_graphs: int = 1
 
     def __post_init__(self):
+        self._check_edges()
+        self._freeze()
+
+    def __setstate__(self, state):
+        # unpickling sets the fields without __init__
+        self.__dict__.update(state)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for name in ("node_features", "edge_src", "edge_dst", "edge_features", "node_graph"):
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            if arr.base is not None and arr.flags.writeable:
+                arr = arr.copy()
+                object.__setattr__(self, name, arr)
+            arr.setflags(write=False)
+
+    def _check_edges(self) -> None:
         src, dst, features = self.edge_src, self.edge_dst, self.edge_features
         m = src.shape[0]
         if src.shape != (m,) or dst.shape != (m,) or features.shape[:1] != (m,):

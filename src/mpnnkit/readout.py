@@ -2,8 +2,9 @@
 
 All three readouts consume the final and initial node states and return
 an (n_graphs, n_targets) matrix, one row per graph, also for a lone graph.
-Every sum and softmax runs per graph (segment ops over the node-to-graph
-index). Each is invariant to node permutation: the gated and plain sums by
+Every sum and softmax runs per graph (segment ops over the plan of every
+row's graph, ``NodeStates.graphs``, which the engine's layout builds).
+Each is invariant to node permutation: the gated and plain sums by
 commutativity, the attention loop because its softmax weights travel with
 their rows.
 """
@@ -28,14 +29,13 @@ def _with_master_rows(states: NodeStates, cfg: ModelConfig
                       ) -> tuple[Tensor, Tensor, tt.Segments]:
     """Node states for the summing readouts, each master row appended to
     its own graph when ``cfg.master_in_readout``, plus the plan of every
-    row's graph. ``ModelConfig`` admits a master in these sums only at
-    width d."""
-    h, h0, graph = states.h, states.h0, states.node_graph
+    row's graph (``states.graphs``, which the layout built with those
+    rows). ``ModelConfig`` admits a master in these sums only at width d."""
+    h, h0 = states.h, states.h0
     if states.master is not None and cfg.master_in_readout:
         h = tt.concat([h, states.master], axis=0)
         h0 = tt.concat([h0, states.master0], axis=0)
-        graph = np.concatenate([graph, np.arange(states.n_graphs)])
-    return h, h0, tt.segments(graph, states.n_graphs)
+    return h, h0, states.graphs
 
 
 def readout_ggnn(states: NodeStates, params: dict[str, Tensor],
@@ -69,15 +69,13 @@ def readout_set2set(states: NodeStates, params: dict[str, Tensor],
     """
     dq = cfg.d
     n_graphs = states.n_graphs
-    graph = states.node_graph
     memories = tt.matmul(tt.concat([states.h, states.h0], axis=1),
                          params["s2s_proj"])
     if states.master is not None and cfg.master_in_readout:
         master_tuple = tt.concat([states.master, states.master0], axis=1)
         memories = tt.concat(
             [memories, tt.matmul(master_tuple, params["s2s_master_proj"])], axis=0)
-        graph = np.concatenate([graph, np.arange(n_graphs)])
-    plan = tt.segments(graph, n_graphs)
+    plan = states.graphs
     q = Tensor(np.zeros((n_graphs, dq)))
     q_star = Tensor(np.zeros((n_graphs, 2 * dq)))
     gp = _gru_params(params, "s2s_gru")

@@ -80,6 +80,7 @@ __all__ = [
     "ContractError",
     "NumericError",
     "no_grad",
+    "grad_enabled",
     "backward",
     "active_tape",
     "matmul",
@@ -160,6 +161,11 @@ def active_tape() -> list[tuple["Tensor", tuple["Tensor", ...], Callable]]:
     reverse and then clears it.
     """
     return _state.tape
+
+
+def grad_enabled() -> bool:
+    """Whether ops are taped here: true outside ``no_grad``."""
+    return _state.grad_enabled
 
 
 @contextlib.contextmanager

@@ -380,7 +380,10 @@ def evaluate(egs: Sequence[EncodedGraph], y_norm: np.ndarray,
     """Full-split MSE and per-target MAE without touching the tape.
 
     ``predict_batch`` packs the split into unions by atom count under
-    ``model.UNION_BYTES``, so a whole split is one call.
+    ``model.UNION_BYTES``, so a whole split is one call. Untaped, the call
+    keeps the split's packing within ``model.KEPT_BYTES``: ``train_run``'s
+    later evaluations of the same validation split build no union or
+    plan and run only the weights.
     """
     with tt.no_grad():
         pred = predict_batch(egs, params, cfg).data

@@ -444,3 +444,183 @@ def test_non_finite_edge_network_weight_raises(rng, name):
     params[name].data[(0,) * params[name].data.ndim] = np.nan
     with T.no_grad(), pytest.raises(T.NumericError):
         predict_batch(mixed_batch(rng, cfg), params, cfg)
+
+
+class TestKeptPackings:
+    """An untaped ``predict_batch`` keeps its packing, the unions, their
+    layouts and the order plan, keyed by the config and the identity of the
+    graphs in order; a repeated evaluation runs only the weights."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_kept(self, monkeypatch):
+        monkeypatch.setattr(model, "_kept", type(model._kept)())
+
+    @staticmethod
+    def count_packing_work(monkeypatch):
+        """Calls, by name, of everything that builds a packing."""
+        from mpnnkit import engine
+        calls = []
+        for owner, name in ((model, "disjoint_union"), (T, "segments"), (T, "label_plan"),
+                            (T, "block_plan"), (engine, "_check_encoding")):
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kw):
+                calls.append(_name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("message_fn,readout,overrides", [
+        ("matmul", "ggnn", dict(towers_k=2)),
+        ("edge_network", "set2set", {}),
+        ("edge_network", "dtnn_sum", dict(edge_repr="chemical")),
+        ("pair_message", "dtnn_sum", dict(d_master=6)),
+        ("dtnn", "set2set", dict(d_master=4)),
+        ("matmul", "set2set", dict(d_master=6, master_in_readout=False)),
+    ])
+    def test_a_second_untaped_call_runs_only_the_weights(self, rng, monkeypatch, message_fn,
+                                                         readout, overrides):
+        cfg = make_cfg(message_fn, readout, d=6, **overrides)
+        # a bound a few graphs fill, so the rows come from several unions
+        # in another order than the batch's
+        monkeypatch.setattr(model, "UNION_BYTES", 8 * 6 * 60)
+        params = init_params(cfg, seed=4)
+        jitter_biases(params, rng)
+        egs = shuffled_sizes_batch(rng, cfg, 14)
+        assert len(union_groups(egs, cfg)) > 1
+        calls = self.count_packing_work(monkeypatch)
+        with T.no_grad():
+            first = predict_batch(egs, params, cfg).data
+            built = sorted(set(calls))
+            calls.clear()
+            # a new list of the same graphs is the same key
+            again = predict_batch(list(egs), params, cfg).data
+        assert not calls
+        assert {"disjoint_union", "segments", "_check_encoding"} <= set(built)
+        assert first.tobytes() == again.tobytes()
+        with T.no_grad():
+            for i, eg in enumerate(egs):
+                assert np.max(np.abs(again[i] - model_forward(eg, params, cfg).data)) <= BATCH_TOL
+
+    def test_taped_calls_keep_nothing(self, rng):
+        cfg = make_cfg("matmul", "ggnn")
+        params = init_params(cfg, seed=5)
+        pool = [random_encoded(rng, n=int(n), d_in=4) for n in rng.integers(2, 9, size=30)]
+        with T.no_grad():
+            predict_batch(pool[:10], params, cfg)
+        kept = list(model._kept.items())
+        assert len(kept) == 1
+        for _ in range(50):
+            batch = [pool[i] for i in rng.integers(0, len(pool), size=6)]
+            T.backward(T.reduce_sum(predict_batch(batch, params, cfg)))
+        assert list(model._kept.items()) == kept
+
+    def test_a_taped_call_reads_a_kept_packing(self, rng, monkeypatch):
+        cfg = make_cfg("edge_network", "set2set")
+        params = init_params(cfg, seed=6)
+        egs = mixed_batch(rng, cfg)
+        probe = Tensor(rng.normal(size=(len(egs), cfg.n_targets)))
+
+        def grads():
+            T.backward(T.reduce_sum(T.mul(predict_batch(egs, params, cfg), probe)))
+            out = {name: p.grad.copy() for name, p in params.items()}
+            for p in params.values():
+                p.zero_grad()
+            return out
+
+        fresh = grads()
+        assert not model._kept
+        with T.no_grad():
+            predict_batch(egs, params, cfg)
+        calls = self.count_packing_work(monkeypatch)
+        kept = grads()
+        assert not calls
+        assert all(kept[name].tobytes() == fresh[name].tobytes() for name in params)
+
+    def test_another_config_or_order_misses(self, rng, monkeypatch):
+        cfg = make_cfg("dtnn", "ggnn")
+        params = init_params(cfg, seed=7)
+        egs = mixed_batch(rng, cfg)
+        calls = self.count_packing_work(monkeypatch)
+        with T.no_grad():
+            predict_batch(egs, params, cfg)
+            for other, batch in ((dataclasses.replace(cfg, T=3), egs),
+                                 (cfg, egs[::-1]), (cfg, egs[:-1])):
+                calls.clear()
+                rows = predict_batch(batch, init_params(other, seed=7), other).data
+                assert "disjoint_union" in calls
+                assert rows.shape == (len(batch), cfg.n_targets)
+        assert len(model._kept) == 4
+
+    def test_the_byte_bound_evicts_the_least_recently_used(self, rng, monkeypatch):
+        cfg = make_cfg("pair_message", "ggnn")
+        params = init_params(cfg, seed=8)
+        a, b, c, big = ([random_encoded(rng, n=n, d_in=4, representation=cfg.edge_repr)
+                         for n in sizes] for sizes in ((3, 4, 5), (4, 5, 3), (5, 3, 4), (9,) * 12))
+        size = {name: model._pack(batch, cfg).nbytes
+                for name, batch in (("a", a), ("b", b), ("c", c), ("big", big))}
+        monkeypatch.setattr(model, "KEPT_BYTES", size["a"] + size["b"] + size["c"] - 1)
+        assert size["big"] > model.KEPT_BYTES
+        keys = {name: (cfg, tuple(map(id, batch)))
+                for name, batch in (("a", a), ("b", b), ("c", c), ("big", big))}
+        with T.no_grad():
+            for batch in (a, b, a, c):
+                predict_batch(batch, params, cfg)
+            # b was used least recently, so it left to make room for c
+            assert list(model._kept) == [keys["a"], keys["c"]]
+            # a call over the bound alone is not kept and evicts nothing
+            predict_batch(big, params, cfg)
+        assert list(model._kept) == [keys["a"], keys["c"]]
+        assert sum(b for _, b in model._kept.values()) <= model.KEPT_BYTES
+
+    def test_threads_share_the_kept_packings(self, rng, monkeypatch):
+        # more threads than cores, switching often, evicting as they go:
+        # every row keeps its bits and the kept bytes stay within the bound
+        import sys
+        import threading
+        cfg = make_cfg("matmul", "dtnn_sum")
+        params = init_params(cfg, seed=10)
+        batches = [mixed_batch(rng, cfg) for _ in range(6)]
+        with T.no_grad():
+            want = [predict_batch(batch, params, cfg).data.tobytes() for batch in batches]
+        monkeypatch.setattr(model, "KEPT_BYTES", 3 * max(b for _, b in model._kept.values()))
+        model._kept.clear()
+        got, errors = [], []
+
+        def work(offset):
+            try:
+                with T.no_grad():
+                    for i in range(30):
+                        j = (offset + i) % len(batches)
+                        got.append(predict_batch(batches[j], params, cfg).data.tobytes()
+                                   == want[j])
+            except Exception as exc:  # reported below, with the failing thread's error
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(got) == 8 * 30 and all(got)
+        assert sum(b for _, b in model._kept.values()) <= model.KEPT_BYTES
+
+    def test_a_write_into_a_kept_graph_raises(self, rng):
+        cfg = make_cfg("matmul", "ggnn", d_master=6)
+        params = init_params(cfg, seed=9)
+        egs = mixed_batch(rng, cfg)
+        with T.no_grad():
+            predict_batch(egs, params, cfg)
+        (packing, _), = model._kept.values()
+        graphs = list(egs) + [lay.graph for lay in packing.layouts]
+        for eg in graphs:
+            for name in ("node_features", "edge_src", "edge_dst", "edge_features"):
+                arr = getattr(eg, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            packing.layouts[0].graph.node_graph[0] = 1

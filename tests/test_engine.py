@@ -1,5 +1,6 @@
 """Propagation engine: message functions, updates, towers, master node."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -13,6 +14,7 @@ from mpnnkit.engine import (
     MESSAGE_FNS,
     ModelConfig,
     init_params,
+    layout,
     param_shapes,
     propagate,
 )
@@ -604,6 +606,19 @@ def test_graph_must_have_the_configs_encoding(rng, batched, message_fn, edge_rep
             predict_batch([eg, eg], params, cfg)
         else:
             model_forward(eg, params, cfg)
+
+
+def test_a_layout_serves_only_its_own_config(rng):
+    cfg = cfg_for("matmul")
+    eg = random_encoded(rng, n=4, edge_prob=1.0)
+    params = init_params(cfg, seed=0)
+    lay = layout(eg, cfg)
+    with T.no_grad():
+        assert (propagate(lay, params, cfg).h.data.tobytes()
+                == propagate(eg, params, cfg).h.data.tobytes())
+        other = dataclasses.replace(cfg, T=cfg.T + 1)
+        with pytest.raises(ContractError, match="another model config"):
+            propagate(lay, params, other)
 
 
 class TestParams:

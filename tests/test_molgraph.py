@@ -629,7 +629,9 @@ class TestPairCache:
         after = encode(g, "distance_bins")
         for field in ("edge_src", "edge_dst", "edge_features"):
             assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
-            assert getattr(after, field).flags.writeable
+            # the graph's arrays are read-only too, but its own: making them
+            # so leaves the shared pair list as it was
+            assert not any(np.shares_memory(getattr(after, field), idx) for idx in (i, j))
 
     def test_cache_is_bounded(self, rng):
         from mpnnkit.molgraph import _pair_index
@@ -637,6 +639,40 @@ class TestPairCache:
             pair_distances(rng.normal(size=(n, 3)))
         info = _pair_index.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize < 200
+
+
+class TestEncodedGraphIdentity:
+    """Two graphs are equal only if they are the same object, and their
+    arrays are read-only, so a graph's identity stands for its content."""
+
+    def test_equality_and_hash_go_by_identity(self):
+        g = generate_synthetic(2, seed=8)[1]
+        a, b = encode(g, "raw_distance"), encode(g, "raw_distance")
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert {a: 1}[a] == 1 and b not in {a: 1}
+
+    def test_arrays_are_read_only(self):
+        eg = encode(generate_synthetic(2, seed=8)[1], "chemical")
+        for name in ("node_features", "edge_src", "edge_dst", "edge_features"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(eg, name)[0] = 0
+        union = disjoint_union([eg, eg])
+        with pytest.raises(ValueError, match="read-only"):
+            union.node_graph[0] = 1
+        back = pickle.loads(pickle.dumps(union))
+        assert back.edge_src.tobytes() == union.edge_src.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            back.edge_src[0] = 1
+
+    def test_a_view_of_writable_memory_is_copied(self):
+        base = np.zeros((6, 3))
+        eg = EncodedGraph(node_features=base[:4], edge_src=np.array([0, 1], dtype=np.intp),
+                          edge_dst=np.array([1, 0], dtype=np.intp),
+                          edge_features=np.array([2, 2]), representation="chemical")
+        base[0, 0] = 1.0
+        assert eg.node_features[0, 0] == 0.0
+        assert not np.shares_memory(eg.node_features, base)
 
 
 def layout_graph(src, dst, features, representation="chemical", **union):

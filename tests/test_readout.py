@@ -32,7 +32,7 @@ def make_cfg(readout, **kw):
 
 def one_graph(h, h0):
     """States whose rows all belong to one graph; readouts return one row."""
-    return NodeStates(h=h, h0=h0, node_graph=np.zeros(h.data.shape[0], dtype=np.intp))
+    return NodeStates(h=h, h0=h0, graphs=T.segments(np.zeros(h.data.shape[0], dtype=np.intp), 1))
 
 
 def states_from(rng, n, d):
