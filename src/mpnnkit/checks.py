@@ -47,24 +47,21 @@ GRADIENT_NODES = 5
 
 def random_graph(rng: np.random.Generator, n: int, cfg: ModelConfig,
                  edge_prob: float = 0.5) -> EncodedGraph:
-    """A connected random graph encoded for the given model config: its
-    pairs, then the same pairs reversed, each pair's features drawn once."""
+    """A connected random graph encoded for the given model config, each
+    pair's features drawn once, in pair order."""
     pairs = [(i, i + 1) for i in range(n - 1)]  # path keeps it connected
     for i in range(n):
         for j in range(i + 2, n):
             if rng.random() < edge_prob:
                 pairs.append((i, j))
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    # one feature draw per pair, in pair order, for the pair and its reverse
     if cfg.edge_repr == "raw_distance":
-        half = np.array([np.concatenate(([rng.uniform(0.8, 6.0)], rng.uniform(size=4)))
-                         for _ in pairs]).reshape(-1, 5)
+        features = np.array([np.concatenate(([rng.uniform(0.8, 6.0)], rng.uniform(size=4)))
+                             for _ in pairs]).reshape(-1, 5)
     else:
-        half = np.array([rng.integers(0, cfg.alphabet) for _ in pairs], dtype=np.int64)
-    return EncodedGraph(node_features=rng.normal(size=(n, cfg.d)),
-                        edge_src=np.concatenate([i, j]), edge_dst=np.concatenate([j, i]),
-                        edge_features=np.concatenate([half, half]),
-                        representation=cfg.edge_repr)
+        features = np.array([rng.integers(0, cfg.alphabet) for _ in pairs], dtype=np.int64)
+    return EncodedGraph(node_features=rng.normal(size=(n, cfg.d)), pair_i=i, pair_j=j,
+                        pair_features=features, representation=cfg.edge_repr)
 
 
 def permute_graph(eg: EncodedGraph, perm: np.ndarray) -> EncodedGraph:
@@ -72,8 +69,8 @@ def permute_graph(eg: EncodedGraph, perm: np.ndarray) -> EncodedGraph:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))  # inv[j] = old id of new node j
     return EncodedGraph(node_features=eg.node_features[inv],
-                        edge_src=perm[eg.edge_src], edge_dst=perm[eg.edge_dst],
-                        edge_features=eg.edge_features,
+                        pair_i=perm[eg.pair_i], pair_j=perm[eg.pair_j],
+                        pair_features=eg.pair_features,
                         representation=eg.representation)
 
 
@@ -269,9 +266,8 @@ def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,
                           towers_k=towers, n_targets=1, edge_repr="chemical")
         rng = np.random.default_rng(seed)
         eg = random_graph(rng, n, cfg, edge_prob=1.0)
-        no_edges = dataclasses.replace(eg, edge_src=eg.edge_src[:0],
-                                       edge_dst=eg.edge_dst[:0],
-                                       edge_features=eg.edge_features[:0])
+        no_edges = dataclasses.replace(eg, pair_i=eg.pair_i[:0], pair_j=eg.pair_j[:0],
+                                       pair_features=eg.pair_features[:0])
         params = init_params(cfg, seed=seed)
         with tt.no_grad():
             with tt.count_multiplies(MultiplyCounter()) as full:

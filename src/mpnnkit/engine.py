@@ -6,12 +6,13 @@ through a gated update, the same weights at every step. Channels: for a
 node v, the *in* channel collects messages computed from the states at the
 far end of edges arriving at v, the *out* channel collects messages
 computed from the far end of edges leaving v, so the update input has
-width 2d. ``molgraph.EncodedGraph`` holds both orientations of each
-undirected edge with the same features, and refuses any other layout. So
-each edge leaving v has a reverse arriving at v from the same far node
-with the same features, and v's out channel is the sum, over the edges
-arriving at v, of their messages under the out weights: both channels
-read the same edges, from their sources to their destinations.
+width 2d. ``molgraph.EncodedGraph`` holds each undirected pair once, and
+``layout`` is the one place that turns the pairs into directed edges:
+each pair both ways, with its features on both. So each edge leaving v
+has a reverse arriving at v from the same far node with the same
+features, and v's out channel is the sum, over the edges arriving at v,
+of their messages under the out weights: both channels read the same
+edges, from their sources to their destinations.
 
 There is one path: node states are (n, k, d/k) row stacks through every
 step, k the towers count, and each message function has a single
@@ -192,8 +193,10 @@ class NodeStates:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """What a forward over ``graph`` reads that no weight changes; build
-    one with :func:`layout`. The arrays are read-only, and the graph's too.
+    """What a forward over a graph reads that no weight changes; build
+    one with :func:`layout`. The arrays are read-only. Of the graph it
+    keeps only ``node_features``; its node count is theirs, its edge count
+    the ``dst`` plan's and its graph count the ``graphs`` plan's.
 
     ``present`` is the labels some edge carries, over labels; ``plan`` the
     message op's plan (``tt.label_plan`` over labels, ``tt.block_plan`` for
@@ -208,7 +211,7 @@ class Layout:
     """
 
     cfg: ModelConfig
-    graph: EncodedGraph
+    node_features: np.ndarray
     dst: tt.Segments
     src: Optional[tt.Segments]
     present: Optional[np.ndarray]
@@ -339,7 +342,7 @@ def _check_encoding(eg: EncodedGraph, cfg: ModelConfig) -> None:
                             f"the model config as {cfg.edge_repr!r}")
     if cfg.edge_repr == "raw_distance":
         return
-    labels = eg.edge_features
+    labels = eg.pair_features
     bad = labels[(labels < 0) | (labels >= cfg.edge_width)]
     if bad.size:
         raise ContractError(
@@ -358,31 +361,47 @@ def _labels(cfg: ModelConfig) -> bool:
                                           and cfg.edge_repr != "raw_distance")
 
 
+def _directed(eg: EncodedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The directed edges' sources, destinations and features: each pair
+    i - j both ways, member by member in a union, each member's edges its
+    pairs i -> j and then j -> i, the features on both. One stable sort
+    by the member at i puts [i; j] -> [j; i] in that order; a lone graph's
+    members are all 0, so the sort leaves its edges as they are. The
+    edges keep that order, since the rules of the edge-level weights sum
+    their rows in it."""
+    i, j, features = eg.pair_i, eg.pair_j, eg.pair_features
+    member = np.zeros_like(i) if eg.node_graph is None else eg.node_graph[i]
+    order = np.argsort(np.concatenate([member, member]), kind="stable")
+    return (np.concatenate([i, j])[order], np.concatenate([j, i])[order],
+            np.concatenate([features, features])[order])
+
+
 def layout(eg: EncodedGraph, cfg: ModelConfig) -> Layout:
-    """The graph's ``Layout`` under ``cfg``: every index plan, the labels
-    present and the tiled edge rows, after ``_check_encoding``. It reads no
-    weight, so a forward with any weights can run over it, and
-    ``model.predict_batch`` keeps the layouts of the unions it evaluates.
-    ``propagate`` lays a graph out this way when given one, so every
-    forward reads the same layout."""
+    """The graph's ``Layout`` under ``cfg``: every index plan over the
+    directed edges (``_directed``), the labels present and the tiled edge
+    rows, after ``_check_encoding``. It reads no weight, so a forward with
+    any weights can run over it, and ``model.predict_batch`` keeps the
+    layouts of the unions it evaluates. ``propagate`` lays a graph out this
+    way when given one, so every forward reads the same layout."""
     _check_encoding(eg, cfg)
     n, k = eg.n_atoms, cfg.towers_k
-    dst = tt.segments(eg.edge_dst, n)
+    edge_src, edge_dst, features = _directed(eg)
+    dst = tt.segments(edge_dst, n)
     src = present = plan = rows = None
     if _labels(cfg):
         # each edge's label as its place among the labels present
-        present, label = np.unique(eg.edge_features, return_inverse=True)
+        present, label = np.unique(features, return_inverse=True)
         present.setflags(write=False)
-        plan = tt.label_plan(eg.edge_src, dst, label, present.size)
+        plan = tt.label_plan(edge_src, dst, label, present.size)
         if cfg.message_fn == "edge_network":
             rows = np.broadcast_to(np.eye(cfg.edge_width)[present][:, None],
                                    (present.size, k, cfg.edge_width))
     else:
-        src = tt.segments(eg.edge_src, n)
+        src = tt.segments(edge_src, n)
         # the edge vectors, raw 5-vectors or one-hot labels, once per tower;
         # the edge network's with a 1 appended
-        rows = (eg.edge_features if cfg.edge_repr == "raw_distance"
-                else np.eye(cfg.edge_width)[eg.edge_features])
+        rows = (features if cfg.edge_repr == "raw_distance"
+                else np.eye(cfg.edge_width)[features])
         if cfg.message_fn == "edge_network":
             rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
             plan = tt.block_plan(src, dst)
@@ -400,8 +419,8 @@ def layout(eg: EncodedGraph, cfg: ModelConfig) -> Layout:
         masters = tt.segments(np.zeros(n_graphs, dtype=np.intp), 1)
         if cfg.master_in_readout:
             readout_graph = np.concatenate([graph, np.arange(n_graphs)])
-    return Layout(cfg=cfg, graph=eg, dst=dst, src=src, present=present, plan=plan,
-                  rows=rows, graphs=tt.segments(readout_graph, n_graphs),
+    return Layout(cfg=cfg, node_features=eg.node_features, dst=dst, src=src, present=present,
+                  plan=plan, rows=rows, graphs=tt.segments(readout_graph, n_graphs),
                   nodes=nodes, masters=masters)
 
 
@@ -414,8 +433,8 @@ def _sender(lay: Layout, params: dict[str, Tensor],
     graph's ``Layout``, which holds the edge-only work; the returned
     function does only what depends on the states.
 
-    ``EncodedGraph`` holds each edge's reverse with its features, so a
-    node's out channel, the messages from the far ends of the edges
+    The layout's edges are each pair both ways with the same features, so
+    a node's out channel, the messages from the far ends of the edges
     leaving it, is also the sum over the edges arriving at it, each sent
     from its source under the out weights. So every message function reads
     one plan of the far ends, the sources, and one of the near ends, the
@@ -492,7 +511,7 @@ def _sender(lay: Layout, params: dict[str, Tensor],
                           (2 * k,) + shape)
 
     # each edge's messages, (E, 2k, d_tower), as the update reads them
-    edges, src, dst = lay.graph.n_edges, lay.src, lay.dst
+    edges, src, dst = lay.dst.index.size, lay.src, lay.dst
     summed = lambda msgs: tt.scatter_sum_rows(tt.reshape(msgs, (edges, k, 2 * dt)), dst)
     if cfg.message_fn == "pair_message":
         pm = {f"pm_{name}": both(f"pm_{name}") for name in ("w1", "b1", "w2", "b2")}
@@ -535,17 +554,16 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
         lay = eg
     else:
         raise ContractError("the layout was built under another model config")
-    eg = lay.graph
-    n = eg.n_atoms
+    n = lay.node_features.shape[0]
     k = cfg.towers_k
-    h0 = pad_features(eg.node_features, cfg.d)
+    h0 = pad_features(lay.node_features, cfg.d)
     # States are (n, k, d_tower) through every step: tower t holds columns
     # t*d_tower to (t+1)*d_tower of the (n, d) state.
     towered = (n, k, cfg.d_tower)
     h = tt.reshape(h0, towered)
     send = _sender(lay, params, cfg)
 
-    n_graphs = eg.n_graphs
+    n_graphs = lay.graphs.num_segments
     master = None
     master0 = None
     if cfg.d_master:

@@ -54,15 +54,15 @@ __all__ = ["UNION_BYTES", "KEPT_BYTES", "prepare_graph", "model_forward", "union
 UNION_BYTES = 9 * 2**17
 
 # Most bytes the packings ``predict_batch`` keeps may hold together: their
-# union graphs, layouts and order plans, not the graphs given, which their
-# callers hold. A packing over the bound alone is not kept, and the least
-# recently used ones leave first to make room. A packing holds 2.3 to 2.9
-# times its graphs' own arrays. The bound keeps a 10k-molecule split (the
-# paper's validation size; synthetic, seed 3) of chemical graphs: 19 MiB
-# under the CLI's default model, 38 MiB under the towers config with
-# virtual edges (d=128, k=8), whose packings took 15% and 10% of a fresh
-# evaluation. It does not keep one of complete explicit-H graphs over raw
-# distances: 346 MiB, for 16% of the evaluation.
+# layouts and order plans, not the graphs given, which their callers hold.
+# A packing over the bound alone is not kept, and the least recently used
+# ones leave first to make room. A packing holds 2.3 to 3.5 times its
+# graphs' own arrays. The bound keeps a 10k-molecule split (the paper's
+# validation size; synthetic, seed 3) of chemical graphs: 16 MiB under the
+# CLI's default model, 30 MiB under the towers config with virtual edges
+# (d=128, k=8), whose packings took 15% and 10% of a fresh evaluation. It
+# does not keep one of complete explicit-H graphs over raw distances:
+# about 238 MiB (47.5 MiB for 2000 of them), for 16% of the evaluation.
 KEPT_BYTES = 64 * 2**20
 
 

@@ -303,23 +303,19 @@ class MolecularGraph:
 class EncodedGraph:
     """A molecule flattened into arrays the propagation engine consumes.
 
-    Edges are directed, and each graph's are its undirected pairs followed
-    by the same pairs reversed, with the same features: edge i + P is edge
-    i turned around, P the pair count. ``encode`` writes them so, and the
-    constructor refuses any other layout (ContractError): a one-way edge,
-    an odd edge count, halves in different orders, or a reverse with other
-    features. The engine relies on it: a node's out channel sums, under
-    the out weights, the messages of the edges arriving at it, since each
-    edge leaving it has such a reverse. The check is a range check of the
-    sources and a few array compares, with no sort. ``edge_features`` is an
-    int label array for discrete representations and an (m, 5) float array
-    for raw_distance.
+    Each undirected pair of nodes joined by an edge is held once, as
+    ``pair_i[p]``, ``pair_j[p]`` and ``pair_features[p]``, in the order
+    ``encode`` builds them; no pair has a direction. ``engine.layout``
+    sends a message each way along every pair, so the graph has
+    ``n_edges`` = 2P directed edges, P the pair count. ``pair_features``
+    is an int label array for discrete representations and a (P, 5) float
+    array for raw_distance. The constructor checks that the arrays agree
+    in length and that both ends of every pair are nodes (ContractError).
 
     ``disjoint_union`` packs several encoded graphs into one; its
     ``node_graph`` names the member graph of every node. A lone molecule
-    leaves it None and counts as one graph. A union's edges come member by
-    member, each member's in the layout above, and the constructor checks
-    each member's, which also refuses an edge between two members.
+    leaves it None and counts as one graph. A union's pairs come member by
+    member, and the constructor refuses a pair between two members.
 
     A graph's arrays are read-only once it is built, and two graphs are
     equal only if they are the same object (the hash is the identity too).
@@ -331,15 +327,15 @@ class EncodedGraph:
     """
 
     node_features: np.ndarray          # (n, d_in) float64
-    edge_src: np.ndarray               # (m,) int source node per directed edge
-    edge_dst: np.ndarray               # (m,) int destination node
-    edge_features: np.ndarray          # (m,) int labels or (m, 5) float
+    pair_i: np.ndarray                 # (P,) int one end of each undirected pair
+    pair_j: np.ndarray                 # (P,) int the other end
+    pair_features: np.ndarray          # (P,) int labels or (P, 5) float
     representation: str
     node_graph: Optional[np.ndarray] = None   # (n,) member graph per node
     n_graphs: int = 1
 
     def __post_init__(self):
-        self._check_edges()
+        self._check_pairs()
         self._freeze()
 
     def __setstate__(self, state):
@@ -348,7 +344,7 @@ class EncodedGraph:
         self._freeze()
 
     def _freeze(self) -> None:
-        for name in ("node_features", "edge_src", "edge_dst", "edge_features", "node_graph"):
+        for name in ("node_features", "pair_i", "pair_j", "pair_features", "node_graph"):
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -357,42 +353,16 @@ class EncodedGraph:
                 object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
-    def _check_edges(self) -> None:
-        src, dst, features = self.edge_src, self.edge_dst, self.edge_features
-        m = src.shape[0]
-        if src.shape != (m,) or dst.shape != (m,) or features.shape[:1] != (m,):
-            raise ContractError(f"edge arrays disagree: {src.shape} sources, "
-                                f"{dst.shape} destinations, {features.shape} features")
-        if not m:
-            return
-        if src.min() < 0 or src.max() >= self.n_atoms:
-            raise ContractError(f"edge source outside the {self.n_atoms} nodes")
-        # each edge is compared with its reverse: the reverses pair the
-        # edges off, so comparing each edge's destination with its
-        # reverse's source checks both ends, and the destinations' range
-        if self.node_graph is None:
-            # one member, whose halves are each other reversed: compared by
-            # slices, as the union's index built for one member took twice
-            # as long, and every molecule is encoded alone (CHANGES.md)
-            half = m // 2
-            reversed_ok = m % 2 == 0 and (
-                (src.reshape(2, half) == dst.reshape(2, half)[::-1]).all()
-                and (features[:half] == features[half:]).all())
-        else:
-            member = self.node_graph[src]
-            half = np.bincount(member) // 2
-            # each edge's reverse, half its member's edge count on or back;
-            # an odd count leaves the offsets short of the edges
-            reverse = np.repeat(np.ravel([half, -half], order="F"), np.repeat(half, 2))
-            if reverse.size != m or (member[1:] < member[:-1]).any():
-                raise ContractError("a union's edges must come member by member, an even "
-                                    "count each")
-            reverse += np.arange(m)
-            reversed_ok = ((src[reverse] == dst).all()
-                           and (features[reverse] == features).all())
-        if not reversed_ok:
-            raise ContractError("edges must be pairs followed by the same pairs reversed, "
-                                "with the same features")
+    def _check_pairs(self) -> None:
+        i, j, features = self.pair_i, self.pair_j, self.pair_features
+        p = i.shape[0]
+        if i.shape != (p,) or j.shape != (p,) or features.shape[:1] != (p,):
+            raise ContractError(f"pair arrays disagree: {i.shape} and {j.shape} ends, "
+                                f"{features.shape} features")
+        if p and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n_atoms):
+            raise ContractError(f"pair end outside the {self.n_atoms} nodes")
+        if self.node_graph is not None and (self.node_graph[i] != self.node_graph[j]).any():
+            raise ContractError("a pair joins two members of a union")
 
     @property
     def n_atoms(self) -> int:
@@ -400,21 +370,23 @@ class EncodedGraph:
 
     @property
     def n_edges(self) -> int:
-        return self.edge_src.shape[0]
+        """The directed edges the engine sends along, two per pair."""
+        return 2 * self.pair_i.shape[0]
 
     @cached_property
     def max_degree(self) -> int:
-        """The most edges any node has in, and so out, 0 with no edges;
-        counted on first use and kept."""
-        return int(np.bincount(self.edge_dst).max()) if self.n_edges else 0
+        """The most pairs any node is an end of, and so the most directed
+        edges it has in or out, 0 with no pairs; counted on first use and
+        kept."""
+        ends = np.concatenate([self.pair_i, self.pair_j])
+        return int(np.bincount(ends).max()) if ends.size else 0
 
 
 def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
     """Several encoded graphs as one graph with no edges between members.
 
-    Node and edge arrays are concatenated in order, and each member's edge
-    endpoints are shifted by the number of nodes before it, so each
-    member's edges keep their layout in turn. Every operation
+    Node and pair arrays are concatenated in order, and each member's pair
+    ends are shifted by the number of nodes before it. Every operation
     of the engine and the readouts acts row by row, or sums rows per member
     graph, so member i's outputs are the ones it gets alone.
     """
@@ -427,14 +399,14 @@ def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
         if eg.representation != first.representation:
             raise ContractError("graphs in a union must share edge representation")
     atoms = np.array([eg.n_atoms for eg in egs])
-    edges = np.array([eg.n_edges for eg in egs])
-    shift = np.repeat(np.cumsum(atoms) - atoms, edges)
-    with_edges = [eg.edge_features for eg in egs if eg.n_edges] or [first.edge_features]
+    pairs = np.array([eg.pair_i.shape[0] for eg in egs])
+    shift = np.repeat(np.cumsum(atoms) - atoms, pairs)
+    with_pairs = [eg.pair_features for eg in egs if eg.n_edges] or [first.pair_features]
     return EncodedGraph(
         node_features=np.concatenate([eg.node_features for eg in egs], axis=0),
-        edge_src=np.concatenate([eg.edge_src for eg in egs]).astype(np.intp) + shift,
-        edge_dst=np.concatenate([eg.edge_dst for eg in egs]).astype(np.intp) + shift,
-        edge_features=np.concatenate(with_edges, axis=0),
+        pair_i=np.concatenate([eg.pair_i for eg in egs]).astype(np.intp) + shift,
+        pair_j=np.concatenate([eg.pair_j for eg in egs]).astype(np.intp) + shift,
+        pair_features=np.concatenate(with_pairs, axis=0),
         representation=first.representation,
         node_graph=np.repeat(np.arange(len(egs)), atoms),
         n_graphs=len(egs),
@@ -542,7 +514,7 @@ def edge_feature_width(representation: str, virtual_edges: bool = False) -> int:
 def encode(g: MolecularGraph, representation: str,
            include_partial_charge: bool = False,
            virtual_edges: bool = False) -> EncodedGraph:
-    """Flatten a molecule into node features plus a directed edge list.
+    """Flatten a molecule into node features plus its undirected pairs.
 
     The node features are one (n, ``ATOM_FEATURE_WIDTH`` [+1]) array, its
     rows laid out as ``featurize_atom`` describes; a missing partial charge
@@ -584,11 +556,7 @@ def encode(g: MolecularGraph, representation: str,
             features[:, 0] = dist
             features[~free, 1 + bond[~free]] = 1.0
 
-    # Both orientations of every undirected pair, features duplicated.
-    return EncodedGraph(
-        node_features=node_features,
-        edge_src=np.concatenate([i, j]),
-        edge_dst=np.concatenate([j, i]),
-        edge_features=np.concatenate([features, features]),
-        representation=representation,
-    )
+    # the graph's own copies of the pairs: the distance branch's are the
+    # shared, cached list
+    return EncodedGraph(node_features=node_features, pair_i=np.array(i), pair_j=np.array(j),
+                        pair_features=features, representation=representation)

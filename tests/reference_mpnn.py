@@ -1,7 +1,8 @@
 """Loop-based plain-numpy re-derivation of the propagation and readouts.
 
 This is the oracle the vectorized engine is tested against. It walks edges
-one at a time and follows the update formulas literally, sharing nothing
+one at a time, each undirected pair once each way, and follows the update
+formulas literally, sharing nothing
 with the implementation under test except the parameter dictionary (read as
 raw arrays). Intentionally slow and simple. Message and GRU weights hold
 one matrix per tower along their first axis; tower t reads them at ``[t]``.
@@ -25,22 +26,22 @@ def mlp2(x, p, prefix, tower=None):
     return h @ w("w2") + w("b2")
 
 
-def edge_vector(eg, cfg, e_idx):
+def edge_vector(eg, cfg, pair):
     if eg.representation == "raw_distance":
-        return eg.edge_features[e_idx]
+        return eg.pair_features[pair]
     v = np.zeros(cfg.edge_width)
-    v[int(eg.edge_features[e_idx])] = 1.0
+    v[int(eg.pair_features[pair])] = 1.0
     return v
 
 
-def one_message(h_far, h_near, eg, cfg, p, prefix, e_idx, tower):
-    """Message of one tower along one directed edge, computed from the far
-    state."""
+def one_message(h_far, h_near, eg, cfg, p, prefix, pair, tower):
+    """Message of one tower along one directed edge of the given pair,
+    computed from the far state."""
     w = lambda name: weight(p, f"{prefix}_{name}", tower)
     if cfg.message_fn == "matmul":
-        label = int(eg.edge_features[e_idx])
+        label = int(eg.pair_features[pair])
         return h_far @ w(f"A{label}")
-    e = edge_vector(eg, cfg, e_idx)
+    e = edge_vector(eg, cfg, pair)
     if cfg.message_fn == "edge_network":
         mat = mlp2(e, p, f"{prefix}_en", tower)
         d = h_far.shape[0]
@@ -80,8 +81,11 @@ def naive_propagate(eg, p, cfg, steps=None):
             hs = h[:, lo:hi]
             m_in = np.zeros((n, dt))
             m_out = np.zeros((n, dt))
-            for e in range(eg.n_edges):
-                s, v = int(eg.edge_src[e]), int(eg.edge_dst[e])
+            # every pair i - j both ways: i -> j for each pair, then j -> i
+            ends = list(zip(eg.pair_i.tolist(), eg.pair_j.tolist()))
+            edges = ([(i, j, e) for e, (i, j) in enumerate(ends)]
+                     + [(j, i, e) for e, (i, j) in enumerate(ends)])
+            for s, v, e in edges:
                 # Edge s->v delivers an in-channel message to v (from s's
                 # state) and an out-channel message to s (from v's state).
                 m_in[v] += one_message(hs[s], hs[v], eg, cfg, p, "msg_in", e, t)

@@ -156,21 +156,17 @@ def random_encoded(rng, n=5, d_in=4, representation="chemical", alphabet=4,
                 pairs.append((j, i))
             linked.add(i)
         pairs = sorted(set(pairs))
-    src = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=np.intp)
-    dst = np.array([p[1] for p in pairs] + [p[0] for p in pairs], dtype=np.intp)
     m = len(pairs)
     if representation == "raw_distance":
-        half = np.column_stack([rng.uniform(0.5, 6.0, m),
-                                rng.integers(0, 2, (m, 4)).astype(float)])
-        feats = np.concatenate([half, half], axis=0) if m else np.zeros((0, 5))
+        feats = np.column_stack([rng.uniform(0.5, 6.0, m),
+                                 rng.integers(0, 2, (m, 4)).astype(float)])
     else:
-        half = rng.integers(0, alphabet, m)
-        feats = np.concatenate([half, half]).astype(np.intp)
+        feats = rng.integers(0, alphabet, m).astype(np.intp)
     return EncodedGraph(
         node_features=rng.normal(size=(n, d_in)),
-        edge_src=src,
-        edge_dst=dst,
-        edge_features=feats,
+        pair_i=np.array([p[0] for p in pairs], dtype=np.intp),
+        pair_j=np.array([p[1] for p in pairs], dtype=np.intp),
+        pair_features=feats,
         representation=representation,
     )
 
@@ -240,10 +236,5 @@ def oracle_encode(g, representation, include_partial_charge=False,
             features = np.zeros((len(dist), 5))
             features[:, 0] = dist
             features[~free, 1 + bond[~free]] = 1.0
-    return EncodedGraph(
-        node_features=node_features,
-        edge_src=np.concatenate([i, j]),
-        edge_dst=np.concatenate([j, i]),
-        edge_features=np.concatenate([features, features]),
-        representation=representation,
-    )
+    return EncodedGraph(node_features=node_features, pair_i=i, pair_j=j,
+                        pair_features=features, representation=representation)

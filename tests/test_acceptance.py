@@ -97,10 +97,10 @@ def test_criterion_4_distance_bin_contract():
     alphabet = edge_alphabet_size("distance_bins")
     in_range = True
     for g in generate_synthetic(25, seed=3):
-        labels = encode(g, "distance_bins").edge_features
+        labels = encode(g, "distance_bins").pair_features
         in_range &= bool(np.all((labels >= 0) & (labels < alphabet)))
-    at_2 = int(encode(_two_atom_graph(2.0), "distance_bins").edge_features[0])
-    at_6 = int(encode(_two_atom_graph(6.0), "distance_bins").edge_features[0])
+    at_2 = int(encode(_two_atom_graph(2.0), "distance_bins").pair_features[0])
+    at_6 = int(encode(_two_atom_graph(6.0), "distance_bins").pair_features[0])
     check(4, "distance-bin edge alphabet",
           alphabet == 14 and DISTANCE_BINS_ALPHABET == 4 + NUM_DISTANCE_BINS
           and in_range and at_2 == 5 and at_6 == 13,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mpnnkit import tensor as T
-from mpnnkit.engine import ModelConfig, init_params
+from mpnnkit.engine import ModelConfig, _directed, init_params
 from mpnnkit import model
 from mpnnkit.model import (
     UNION_BYTES,
@@ -108,7 +108,7 @@ def test_empty_batch(rng):
 def _largest_degree(eg):
     if not eg.n_edges:
         return 0
-    return int(max(np.bincount(eg.edge_src).max(), np.bincount(eg.edge_dst).max()))
+    return int(max(np.bincount(ends).max() for ends in _directed(eg)[:2]))
 
 
 def _union_bytes_of(egs, cfg):
@@ -267,7 +267,7 @@ def test_each_graphs_degree_is_counted_once(rng, monkeypatch):
     groups = union_groups(egs, cfg)
     assert len(groups) > 1
     for eg in egs:
-        counts = [np.bincount(ends, minlength=eg.n_atoms) for ends in (eg.edge_src, eg.edge_dst)]
+        counts = [np.bincount(ends, minlength=eg.n_atoms) for ends in _directed(eg)[:2]]
         assert eg.max_degree == max(c.max() for c in counts)
     calls = []
     bincount = np.bincount
@@ -327,9 +327,9 @@ class TestDisjointUnion:
         u = disjoint_union([a, b])
         assert (u.n_atoms, u.n_edges, u.n_graphs) == (5, 8, 2)
         np.testing.assert_array_equal(u.node_graph, [0, 0, 0, 1, 1])
-        np.testing.assert_array_equal(u.edge_src[6:], b.edge_src + 3)
-        np.testing.assert_array_equal(u.edge_dst[6:], b.edge_dst + 3)
-        np.testing.assert_array_equal(u.edge_features[6:], b.edge_features)
+        np.testing.assert_array_equal(u.pair_i[3:], b.pair_i + 3)
+        np.testing.assert_array_equal(u.pair_j[3:], b.pair_j + 3)
+        np.testing.assert_array_equal(u.pair_features[3:], b.pair_features)
 
     def test_members_must_agree(self, rng):
         chem = random_encoded(rng, n=3, d_in=4)
@@ -616,11 +616,22 @@ class TestKeptPackings:
         with T.no_grad():
             predict_batch(egs, params, cfg)
         (packing, _), = model._kept.values()
-        graphs = list(egs) + [lay.graph for lay in packing.layouts]
-        for eg in graphs:
-            for name in ("node_features", "edge_src", "edge_dst", "edge_features"):
-                arr = getattr(eg, name)
+        for eg in egs:
+            for name in ("node_features", "pair_i", "pair_j", "pair_features"):
                 with pytest.raises(ValueError, match="read-only"):
-                    arr[...] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            packing.layouts[0].graph.node_graph[0] = 1
+                    getattr(eg, name)[...] = 0
+        # every array a kept layout holds, its plans' too
+        arrays, todo = [], list(packing.layouts)
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif isinstance(obj, Tensor):
+                todo.append(obj.data)
+            elif dataclasses.is_dataclass(obj):
+                todo.extend(vars(obj).values())
+        assert any(arr is lay.node_features for lay in packing.layouts for arr in arrays)
+        assert len(arrays) > 10 * len(packing.layouts)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0

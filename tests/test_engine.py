@@ -51,14 +51,13 @@ def zero_message_params(params, prefix="msg_"):
 
 def undirected_graph(h, pairs, labels=None):
     """Graph whose node features are the rows of h, with the given (i, j)
-    pairs and chemical labels (default 0), each pair both ways, as every
-    encoded graph holds them: the pairs i -> j, then the reverses."""
+    pairs and chemical labels (default 0); the engine sends along each
+    pair both ways."""
     i = np.array([a for a, _ in pairs], dtype=np.intp)
     j = np.array([b for _, b in pairs], dtype=np.intp)
     labels = np.zeros(len(pairs), dtype=np.intp) if labels is None else labels
-    return EncodedGraph(node_features=np.asarray(h, dtype=np.float64),
-                        edge_src=np.concatenate([i, j]), edge_dst=np.concatenate([j, i]),
-                        edge_features=np.tile(np.asarray(labels, dtype=np.intp), 2),
+    return EncodedGraph(node_features=np.asarray(h, dtype=np.float64), pair_i=i, pair_j=j,
+                        pair_features=np.asarray(labels, dtype=np.intp),
                         representation="chemical")
 
 
@@ -258,7 +257,7 @@ class TestIndexPlans:
         # per step and the final states' one
         cfg = cfg_for("matmul", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
-        assert np.unique(eg.edge_features).size > 1
+        assert np.unique(eg.pair_features).size > 1
         T.active_tape().clear()
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
@@ -327,7 +326,7 @@ class TestIndexPlans:
         # the channels
         cfg = cfg_for("edge_network", T=3, towers_k=towers_k)
         eg = random_encoded(rng, n=7, ensure_connected=True)
-        assert np.unique(eg.edge_features).size > 1
+        assert np.unique(eg.pair_features).size > 1
         T.active_tape().clear()
         propagate(eg, init_params(cfg, seed=0), cfg)
         ops = [rule.__qualname__.split(".")[0] for _, _, rule in T.active_tape()]
@@ -538,8 +537,8 @@ class TestTowers:
             pad8 = np.zeros((5, 8))
             pad8[:, :4] = eg.node_features
             eg_slice = type(eg)(node_features=pad8[:, sl],
-                                edge_src=eg.edge_src, edge_dst=eg.edge_dst,
-                                edge_features=eg.edge_features,
+                                pair_i=eg.pair_i, pair_j=eg.pair_j,
+                                pair_features=eg.pair_features,
                                 representation=eg.representation)
             h_half = propagate(eg_slice, sub, half).h.data
             np.testing.assert_allclose(h_full[:, sl], h_half, atol=1e-12)

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from mpnnkit.engine import ModelConfig
+from mpnnkit.engine import ModelConfig, _directed, layout
 from mpnnkit.model import prepare_graph
 from mpnnkit.molgraph import (
     ATOM_FEATURE_WIDTH,
@@ -156,16 +156,17 @@ class TestPairDistances:
 
 
 def loop_encode(g, representation):
-    """The per-pair loop ``encode``'s distance branch replaced: the oracle."""
+    """The per-pair loop ``encode``'s distance branch replaced: the oracle
+    of its pairs' ends and features."""
     bonded = {(min(b.i, b.j), max(b.i, b.j)): b.bond_type for b in g.bonds}
     pos = g.positions()
-    src, dst, feats = [], [], []
+    ends_i, ends_j, feats = [], [], []
     for i in range(g.n_atoms):
         for j in range(i + 1, g.n_atoms):
             dist = float(np.linalg.norm(pos[i] - pos[j]))
             bond = bonded.get((i, j))
-            src.append(i)
-            dst.append(j)
+            ends_i.append(i)
+            ends_j.append(j)
             if representation == "distance_bins":
                 feats.append(BOND_TYPES.index(bond) if bond is not None
                              else len(BOND_TYPES) + bin_distance(dist))
@@ -174,11 +175,11 @@ def loop_encode(g, representation):
                 if bond is not None:
                     vec[1 + BOND_TYPES.index(bond)] = 1.0
                 feats.append(vec)
-    return src + dst, dst + src, feats + feats
+    return ends_i, ends_j, feats
 
 
 def loop_virtual_encode(g):
-    """The chemical edge arrays as a loop builds them: the bonds in their
+    """The chemical pair arrays as a loop builds them: the bonds in their
     order, then a virtual edge for each unbonded pair, pair by pair in
     row-major order. The oracle for ``encode(..., virtual_edges=True)``."""
     existing = {frozenset((b.i, b.j)) for b in g.bonds}
@@ -187,10 +188,7 @@ def loop_virtual_encode(g):
         for j in range(i + 1, g.n_atoms):
             if frozenset((i, j)) not in existing:
                 edges.append((i, j, VIRTUAL_LABEL))
-    i, j, labels = (np.array([e[k] for e in edges], dtype=np.intp)
-                    for k in range(3))
-    return (np.concatenate([i, j]), np.concatenate([j, i]),
-            np.concatenate([labels, labels]))
+    return tuple(np.array([e[k] for e in edges], dtype=np.intp) for k in range(3))
 
 
 def random_molecule(rng, n):
@@ -210,10 +208,10 @@ class TestEncode:
     def test_distance_branch_matches_pair_loop(self, representation):
         for g in generate_synthetic(30, seed=5):
             eg = encode(g, representation)
-            src, dst, feats = loop_encode(g, representation)
-            assert eg.edge_src.tolist() == src
-            assert eg.edge_dst.tolist() == dst
-            assert eg.edge_features.tolist() == feats
+            ends_i, ends_j, feats = loop_encode(g, representation)
+            assert eg.pair_i.tolist() == ends_i
+            assert eg.pair_j.tolist() == ends_j
+            assert eg.pair_features.tolist() == feats
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_pairs_keeps_shapes_and_dtypes(self, n):
@@ -223,12 +221,12 @@ class TestEncode:
         raw = encode(g, "raw_distance")
         for eg in (bins, raw):
             assert eg.node_features.shape == (n, ATOM_FEATURE_WIDTH)
-            assert eg.edge_src.shape == eg.edge_dst.shape == (0,)
-            assert eg.edge_src.dtype == eg.edge_dst.dtype == np.intp
-        assert bins.edge_features.shape == (0,)
-        assert bins.edge_features.dtype == np.intp
-        assert raw.edge_features.shape == (0, 5)
-        assert raw.edge_features.dtype == np.float64
+            assert eg.pair_i.shape == eg.pair_j.shape == (0,)
+            assert eg.pair_i.dtype == eg.pair_j.dtype == np.intp
+        assert bins.pair_features.shape == (0,)
+        assert bins.pair_features.dtype == np.intp
+        assert raw.pair_features.shape == (0, 5)
+        assert raw.pair_features.dtype == np.float64
 
     def test_two_atom_bonded_distance_bins(self):
         g = MolecularGraph(
@@ -238,22 +236,21 @@ class TestEncode:
         )
         eg = encode(g, "distance_bins")
         assert eg.n_edges == 2  # one undirected pair, both orientations
-        assert eg.edge_features.tolist() == [0, 0]  # bond label, not a distance bin
+        assert eg.pair_features.tolist() == [0]  # bond label, not a distance bin
 
     def test_chain_distance_bins_labels(self):
         g = chain3()
         eg = encode(g, "distance_bins")
         assert eg.n_edges == 6
-        first = eg.edge_features[:3]
         # Bonded pairs keep bond labels (single=0, double=1); the unbonded
         # 0-2 pair sits at 2.4 A: 4 + bin 1 = 5.
-        assert sorted(first.tolist()) == [0, 1, 5]
-        assert eg.edge_features.max() < DISTANCE_BINS_ALPHABET
+        assert sorted(eg.pair_features.tolist()) == [0, 1, 5]
+        assert eg.pair_features.max() < DISTANCE_BINS_ALPHABET
 
     def test_chain_raw_distance_vectors(self):
         eg = encode(chain3(), "raw_distance")
         vecs = {(int(s), int(t)): f for s, t, f in
-                zip(eg.edge_src, eg.edge_dst, eg.edge_features)}
+                zip(eg.pair_i, eg.pair_j, eg.pair_features)}
         np.testing.assert_allclose(vecs[(0, 2)], [2.4, 0, 0, 0, 0])
         np.testing.assert_allclose(vecs[(0, 1)], [1.2, 1, 0, 0, 0])
         np.testing.assert_allclose(vecs[(1, 2)], [1.2, 0, 1, 0, 0])
@@ -261,14 +258,16 @@ class TestEncode:
     def test_chemical_edges_only_bonds(self):
         eg = encode(chain3(), "chemical")
         assert eg.n_edges == 4
-        assert sorted(eg.edge_features.tolist()) == [0, 0, 1, 1]
+        assert sorted(eg.pair_features.tolist()) == [0, 1]
 
     def test_directed_edges_mirror_features(self):
+        # the engine's directed edges: each pair, then each pair reversed
         eg = encode(chain3(), "raw_distance")
+        src, dst, features = _directed(eg)
         m = eg.n_edges // 2
-        np.testing.assert_array_equal(eg.edge_src[:m], eg.edge_dst[m:])
-        np.testing.assert_array_equal(eg.edge_dst[:m], eg.edge_src[m:])
-        np.testing.assert_array_equal(eg.edge_features[:m], eg.edge_features[m:])
+        np.testing.assert_array_equal(src[:m], dst[m:])
+        np.testing.assert_array_equal(dst[:m], src[m:])
+        np.testing.assert_array_equal(features[:m], features[m:])
 
     def test_distance_reprs_require_positions(self):
         g = MolecularGraph(atoms=(methane_like(),), bonds=())
@@ -278,15 +277,14 @@ class TestEncode:
 
     def test_virtual_edges_get_virtual_label(self):
         eg = encode(chain3(), "chemical", virtual_edges=True)
-        assert sorted(eg.edge_features.tolist()) == [0, 0, 1, 1,
-                                                     VIRTUAL_LABEL, VIRTUAL_LABEL]
+        assert sorted(eg.pair_features.tolist()) == [0, 1, VIRTUAL_LABEL]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 17, 29])
     def test_virtual_edges_match_the_bond_loop_byte_for_byte(self, rng, n):
         for _ in range(4):
             g = random_molecule(rng, n)
             eg = encode(g, "chemical", virtual_edges=True)
-            for got, want in zip((eg.edge_src, eg.edge_dst, eg.edge_features),
+            for got, want in zip((eg.pair_i, eg.pair_j, eg.pair_features),
                                  loop_virtual_encode(g)):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
@@ -314,10 +312,9 @@ class TestEncode:
             np.testing.assert_allclose(b.node_features,
                                        a.node_features[perm])
             want = {}
-            for s, t, f in zip(a.edge_src, a.edge_dst, a.edge_features):
+            for s, t, f in zip(*_directed(a)):
                 want[(inv[int(s)], inv[int(t)])] = f
-            got = {(int(s), int(t)): f for s, t, f in
-                   zip(b.edge_src, b.edge_dst, b.edge_features)}
+            got = {(int(s), int(t)): f for s, t, f in zip(*_directed(b))}
             assert set(want) == set(got)
             for k in want:
                 np.testing.assert_allclose(want[k], got[k])
@@ -329,14 +326,14 @@ class TestEncode:
                                hydrogen_count=0) for _ in range(n))
             bonds = tuple(Bond(i, i + 1, "single") for i in range(n - 1))
             eg = encode(MolecularGraph(atoms=atoms, bonds=bonds), "distance_bins")
-            assert eg.edge_features.min() >= 0
-            assert eg.edge_features.max() < 14
+            assert eg.pair_features.min() >= 0
+            assert eg.pair_features.max() < 14
 
 
 def virtual_pairs(g):
     """Undirected pairs ``encode`` connects with the virtual label."""
     eg = encode(g, "chemical", virtual_edges=True)
-    return int((eg.edge_features == VIRTUAL_LABEL).sum()) // 2
+    return int((eg.pair_features == VIRTUAL_LABEL).sum())
 
 
 class TestAugmentations:
@@ -382,7 +379,8 @@ class TestAugmentations:
             bonds = tuple(Bond(i, j, "single") for i, j in keep)
             eg = encode(MolecularGraph(atoms=atoms, bonds=bonds), "chemical")
             assert eg.n_edges == 2 * len(keep)
-            assert set(zip(eg.edge_src.tolist(), eg.edge_dst.tolist())) == (
+            src, dst, _ = _directed(eg)
+            assert set(zip(src.tolist(), dst.tolist())) == (
                 {(i, j) for i, j in keep} | {(j, i) for i, j in keep})
 
 
@@ -627,7 +625,7 @@ class TestPairCache:
         again = pair_distances(g.positions())
         assert again[0] is i and again[1] is j
         after = encode(g, "distance_bins")
-        for field in ("edge_src", "edge_dst", "edge_features"):
+        for field in ("pair_i", "pair_j", "pair_features"):
             assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
             # the graph's arrays are read-only too, but its own: making them
             # so leaves the shared pair list as it was
@@ -654,32 +652,33 @@ class TestEncodedGraphIdentity:
 
     def test_arrays_are_read_only(self):
         eg = encode(generate_synthetic(2, seed=8)[1], "chemical")
-        for name in ("node_features", "edge_src", "edge_dst", "edge_features"):
+        for name in ("node_features", "pair_i", "pair_j", "pair_features"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(eg, name)[0] = 0
         union = disjoint_union([eg, eg])
         with pytest.raises(ValueError, match="read-only"):
             union.node_graph[0] = 1
         back = pickle.loads(pickle.dumps(union))
-        assert back.edge_src.tobytes() == union.edge_src.tobytes()
+        assert back.pair_i.tobytes() == union.pair_i.tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            back.edge_src[0] = 1
+            back.pair_i[0] = 1
 
     def test_a_view_of_writable_memory_is_copied(self):
         base = np.zeros((6, 3))
-        eg = EncodedGraph(node_features=base[:4], edge_src=np.array([0, 1], dtype=np.intp),
-                          edge_dst=np.array([1, 0], dtype=np.intp),
-                          edge_features=np.array([2, 2]), representation="chemical")
+        eg = EncodedGraph(node_features=base[:4], pair_i=np.array([0], dtype=np.intp),
+                          pair_j=np.array([1], dtype=np.intp),
+                          pair_features=np.array([2]), representation="chemical")
         base[0, 0] = 1.0
         assert eg.node_features[0, 0] == 0.0
         assert not np.shares_memory(eg.node_features, base)
 
 
-def layout_graph(src, dst, features, representation="chemical", **union):
-    """An ``EncodedGraph`` of four nodes with exactly these edges."""
-    return EncodedGraph(node_features=np.zeros((4, 2)), edge_src=np.array(src, dtype=np.intp),
-                        edge_dst=np.array(dst, dtype=np.intp),
-                        edge_features=np.array(features), representation=representation,
+def layout_graph(ends_i, ends_j, features, representation="chemical", **union):
+    """An ``EncodedGraph`` of four nodes with exactly these pairs."""
+    return EncodedGraph(node_features=np.zeros((4, 2)),
+                        pair_i=np.array(ends_i, dtype=np.intp),
+                        pair_j=np.array(ends_j, dtype=np.intp),
+                        pair_features=np.array(features), representation=representation,
                         **union)
 
 
@@ -687,53 +686,74 @@ RAW = np.arange(20, dtype=float).reshape(4, 5)
 
 
 class TestEdgeLayout:
-    """Each graph's edges are its pairs, then the same pairs reversed, with
-    the same features; ``EncodedGraph`` refuses any other layout."""
+    """Each undirected pair is held once; ``EncodedGraph`` checks that the
+    arrays agree and that every end is a node of the pair's own member,
+    and ``engine.layout`` makes the directed edges."""
 
-    @pytest.mark.parametrize("src, dst, features, representation", [
-        ([0, 1, 1, 0], [1, 2, 0, 1], [0, 1, 0, 1], "chemical"),         # 1 -> 2 one way
-        ([0, 1, 2], [1, 0, 3], [0, 0, 1], "chemical"),                  # odd edge count
-        ([0, 1, 2, 1], [1, 2, 1, 0], [0, 1, 1, 0], "chemical"),         # halves shuffled
-        ([0, 1], [1, 0], [0, 1], "chemical"),                           # reverse's label
-        ([0, 2, 1, 3], [1, 3, 0, 2], RAW[[0, 1, 0, 2]], "raw_distance"),  # reverse's vector
-        ([0, 4], [4, 0], [0, 0], "chemical"),                           # node 4 of 4
-        ([0, -1], [-1, 0], [0, 0], "chemical"),                         # node -1
-    ], ids=["one_way_edge", "odd_edge_count", "shuffled_halves", "reverse_with_other_label",
-            "reverse_with_other_raw_vector", "endpoint_past_the_nodes", "negative_endpoint"])
-    def test_other_layouts_are_refused(self, src, dst, features, representation):
+    @pytest.mark.parametrize("ends_i, ends_j, features", [
+        ([0], [4], [0]),                # node 4 of 4
+        ([0], [-1], [0]),               # node -1
+        ([0, 1], [1], [0, 0]),          # one end short
+        ([0, 1], [1, 2], [0]),          # one feature short
+    ], ids=["endpoint_past_the_nodes", "negative_endpoint", "ends_of_other_lengths",
+            "features_of_another_length"])
+    def test_other_layouts_are_refused(self, ends_i, ends_j, features):
         with pytest.raises(ContractError):
-            layout_graph(src, dst, features, representation)
+            layout_graph(ends_i, ends_j, features)
 
-    def test_pairs_then_reverses_are_admitted(self):
-        eg = layout_graph([0, 2, 1, 3], [1, 3, 0, 2], RAW[[0, 1, 0, 1]], "raw_distance")
-        assert eg.max_degree == 1
+    def test_pairs_are_admitted(self):
+        eg = layout_graph([0, 2], [1, 3], RAW[[0, 1]], "raw_distance")
+        assert (eg.n_edges, eg.max_degree) == (4, 1)
+        assert layout_graph([0, 0, 1], [1, 2, 2], [0, 1, 2]).max_degree == 2
         assert layout_graph([], [], np.zeros((0, 5)), "raw_distance").max_degree == 0
 
     @pytest.mark.parametrize("representation,virtual_edges", ENCODINGS)
-    def test_every_encoding_and_union_keeps_the_layout(self, representation, virtual_edges):
-        # implicit and explicit hydrogens, with and without virtual edges:
-        # edge i + P is edge i turned around, with its features, and a
-        # union keeps each member's edges in that layout in turn
-        plain, _ = encoding_cases()
-        egs = [encode(g, representation, virtual_edges=virtual_edges) for g in plain]
-        for eg in egs:
-            half = eg.n_edges // 2
-            assert eg.n_edges == 2 * half
-            np.testing.assert_array_equal(eg.edge_src[:half], eg.edge_dst[half:])
-            np.testing.assert_array_equal(eg.edge_dst[:half], eg.edge_src[half:])
-            np.testing.assert_array_equal(eg.edge_features[:half], eg.edge_features[half:])
-            assert eg.max_degree == max(np.bincount(eg.edge_src).max(),
-                                        np.bincount(eg.edge_dst).max())
-        union = disjoint_union(egs)
-        assert dataclasses.replace(union).n_edges == sum(eg.n_edges for eg in egs)
+    def test_layout_sends_each_pair_both_ways_member_by_member(self, representation,
+                                                               virtual_edges):
+        # implicit and explicit hydrogens, with and without virtual edges,
+        # alone and in a union with an edgeless and a zero-atom member: the
+        # layout's directed sources, destinations and edge rows are, bit for
+        # bit, the pairs both ways as the graphs held them before
+        def old_directed(members):
+            # member by member, its pairs i -> j and then j -> i, the
+            # features twice, its ends shifted by the nodes before it
+            src, dst, features, shift = [], [], [], 0
+            for member in members:
+                i, j = member.pair_i + shift, member.pair_j + shift
+                src += [i, j]
+                dst += [j, i]
+                features += [member.pair_features, member.pair_features]
+                shift += member.n_atoms
+            return np.concatenate(src), np.concatenate(dst), np.concatenate(features)
+
+        plain, with_charges = encoding_cases()
+        graphs = plain + with_charges[-3:]   # the last three: 0, 1 and 2 atoms
+        egs = [encode(g, representation, virtual_edges=virtual_edges) for g in graphs]
+        assert {eg.n_atoms for eg in egs if not eg.n_edges} == {0, 1}
+        cfg = ModelConfig(message_fn="pair_message", edge_repr=representation,
+                          virtual_edges=virtual_edges, d=16)
+        for members in [[eg] for eg in egs] + [egs]:
+            eg = members[0] if len(members) == 1 else disjoint_union(members)
+            want = old_directed(members)
+            for got, old in zip(_directed(eg), want):
+                assert (got.dtype, got.shape, got.tobytes()) == (old.dtype, old.shape,
+                                                                 old.tobytes())
+            lay = layout(eg, cfg)
+            rows = (want[2] if representation == "raw_distance"
+                    else np.eye(cfg.edge_width)[want[2]])
+            assert lay.src.index.tobytes() == want[0].tobytes()
+            assert lay.dst.index.tobytes() == want[1].tobytes()
+            assert lay.rows.data[:, 0].tobytes() == rows.tobytes()
+            assert eg.n_edges == want[0].size
+            assert eg.max_degree == max(np.bincount(want[0], minlength=1).max(),
+                                        np.bincount(want[1], minlength=1).max())
 
     def test_a_union_is_checked_member_by_member(self):
-        # two members of two nodes each: their edges member by member, each
-        # member's pair then its reverse
+        # two members of two nodes each: a pair within each member is
+        # admitted, a pair between them refused, as is an end past the nodes
         members = dict(node_graph=np.array([0, 0, 1, 1]), n_graphs=2)
-        assert layout_graph([0, 1, 2, 3], [1, 0, 3, 2], [0, 0, 1, 1], **members).n_edges == 4
-        for src, dst in (([0, 2, 1, 3], [1, 3, 0, 2]),   # one graph's layout, not each member's
-                         ([0, 2, 3, 2], [2, 0, 2, 3]),   # an edge between members
-                         ([0, 1, 2, 3], [1, 0, 3, 4])):  # an endpoint past the nodes
+        assert layout_graph([0, 2], [1, 3], [0, 1], **members).n_edges == 4
+        for ends_i, ends_j in (([0, 3], [1, 1]),     # a pair between members
+                               ([0, 2], [1, 4])):    # an end past the nodes
             with pytest.raises(ContractError):
-                layout_graph(src, dst, [0, 0, 1, 1], **members)
+                layout_graph(ends_i, ends_j, [0, 1], **members)
