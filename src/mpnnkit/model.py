@@ -60,9 +60,10 @@ UNION_BYTES = 9 * 2**17
 # graphs' own arrays. The bound keeps a 10k-molecule split (the paper's
 # validation size; synthetic, seed 3) of chemical graphs: 16 MiB under the
 # CLI's default model, 30 MiB under the towers config with virtual edges
-# (d=128, k=8), whose packings took 15% and 10% of a fresh evaluation. It
-# does not keep one of complete explicit-H graphs over raw distances:
-# about 238 MiB (47.5 MiB for 2000 of them), for 16% of the evaluation.
+# (d=128, k=8), whose packings took 12-16% and 8-9% of a fresh
+# evaluation. It does not keep one of complete explicit-H graphs over raw
+# distances: about 238 MiB (47.5 MiB for 2000 of them, packed in 7-10% of
+# their evaluation).
 KEPT_BYTES = 64 * 2**20
 
 
