@@ -693,10 +693,14 @@ class TestEdgeLayout:
     @pytest.mark.parametrize("ends_i, ends_j, features", [
         ([0], [4], [0]),                # node 4 of 4
         ([0], [-1], [0]),               # node -1
+        ([4], [0], [0]),                # node 4 of 4, at the first end
+        ([-1], [0], [0]),               # node -1, at the first end
         ([0, 1], [1], [0, 0]),          # one end short
         ([0, 1], [1, 2], [0]),          # one feature short
-    ], ids=["endpoint_past_the_nodes", "negative_endpoint", "ends_of_other_lengths",
-            "features_of_another_length"])
+        ([[0], [1]], [[1], [2]], [0, 0]),   # ends as columns, not vectors
+    ], ids=["endpoint_past_the_nodes", "negative_endpoint", "first_end_past_the_nodes",
+            "negative_first_end", "ends_of_other_lengths", "features_of_another_length",
+            "ends_of_two_dimensions"])
     def test_other_layouts_are_refused(self, ends_i, ends_j, features):
         with pytest.raises(ContractError):
             layout_graph(ends_i, ends_j, features)
