@@ -15,7 +15,6 @@ from .molgraph import (
     Bond,
     EncodedGraph,
     MolecularGraph,
-    disjoint_union,
     encode,
     featurize_atom,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "TrainConfig",
     "apply_readout",
     "backward",
-    "disjoint_union",
     "encode",
     "error_ratio",
     "featurize_atom",

@@ -34,19 +34,20 @@ labels, one ``tt.edge_message`` for the edge network over raw vectors, and
 one gather, product chain and scatter for the other message functions,
 with no concat of the channels. k = 1 is a tower axis of size 1.
 
-A forward's work that reads no weight is one ``Layout`` per graph, built
+A forward's work that reads no weight is one ``Layout`` per batch, built
 by ``layout`` after the encoding check (``_check_encoding``): the index
 plans (``tt.segments``) of the edges' destinations and sources, the plan
 of the message op (over labels one ``tt.label_plan``, which needs no plan
 of the sources, over raw vectors one ``tt.block_plan``), the labels
 present, the tower-tiled edge rows, and the node-to-graph plans that the
-master and the readouts read. ``propagate`` lays out a graph it is given,
-and ``model.predict_batch`` keeps the layouts of its untaped calls, so a
-repeated evaluation runs only the weights. What reads the weights but not
-the states runs once per forward, per message function (``_sender``):
-DTNN's edge term and the edge network's label matrices, or its hidden
-rows laid out in their far nodes' zero-padded blocks
-(``tt.segment_blocks``, one per channel), never change across the steps.
+master and the readouts read. ``propagate`` lays out a graph it is given
+as a batch of one, and ``model.predict_batch`` keeps the layouts of its
+untaped calls, so a repeated evaluation runs only the weights. What
+reads the weights but not the states runs once per forward, per message
+function (``_sender``): DTNN's edge term and the edge network's label
+matrices, or its hidden rows laid out in their far nodes' zero-padded
+blocks (``tt.segment_blocks``, one per channel), never change across the
+steps.
 
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Over discrete labels (chemical, distance
@@ -73,16 +74,17 @@ maps, takes in a per-graph sum of their states, and keeps its own update;
 it never routes through the per-edge message functions (its width may
 differ from d).
 
-A batch of molecules propagates as one graph, their disjoint union
-(``molgraph.disjoint_union``): every per-node and per-edge operation acts
-row by row, and per-graph sums run over the node-to-graph index, which a
-lone graph gets as all zeros.
+A batch of molecules propagates as one graph: ``layout`` takes the member
+graphs and is the only code that joins them, each member's nodes and
+edges after the ones before it, with no edge between two members. Every
+per-node and per-edge operation acts row by row, and per-graph sums run
+over the node-to-graph index. A lone molecule is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -193,10 +195,11 @@ class NodeStates:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """What a forward over a graph reads that no weight changes; build
-    one with :func:`layout`. The arrays are read-only. Of the graph it
-    keeps only ``node_features``; its node count is theirs, its edge count
-    the ``dst`` plan's and its graph count the ``graphs`` plan's.
+    """What a forward over a batch of graphs, run as one graph, reads that
+    no weight changes; build one with :func:`layout`. The arrays are
+    read-only. Of the graphs it keeps only ``node_features``, the members'
+    rows one after another; its node count is theirs, its edge count the
+    ``dst`` plan's and its graph count the ``graphs`` plan's.
 
     ``present`` is the labels some edge carries, over labels; ``plan`` the
     message op's plan (``tt.label_plan`` over labels, ``tt.block_plan`` for
@@ -334,19 +337,15 @@ def pad_features(features: np.ndarray, d: int) -> Tensor:
     return Tensor(out)
 
 
-def _check_encoding(eg: EncodedGraph, cfg: ModelConfig) -> None:
-    """The graph must have the config's encoding, which the engine then reads
-    from the config only, and its discrete labels must index the alphabet."""
-    if eg.representation != cfg.edge_repr:
-        raise ContractError(f"graph is encoded as {eg.representation!r}, "
-                            f"the model config as {cfg.edge_repr!r}")
-    if cfg.edge_repr == "raw_distance":
-        return
-    labels = eg.pair_features
-    bad = labels[(labels < 0) | (labels >= cfg.edge_width)]
-    if bad.size:
-        raise ContractError(
-            f"edge label {int(bad[0])} outside alphabet of size {cfg.edge_width}")
+def _check_encoding(graphs: Sequence[EncodedGraph], cfg: ModelConfig) -> None:
+    """There must be a graph, and each must have the config's encoding,
+    which the engine then reads from the config only."""
+    if not graphs:
+        raise ContractError("a layout needs at least one graph")
+    for eg in graphs:
+        if eg.representation != cfg.edge_repr:
+            raise ContractError(f"graph is encoded as {eg.representation!r}, "
+                                f"the model config as {cfg.edge_repr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +360,50 @@ def _labels(cfg: ModelConfig) -> bool:
                                           and cfg.edge_repr != "raw_distance")
 
 
-def _directed(eg: EncodedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The directed edges' sources, destinations and features: each pair
-    i - j both ways, member by member in a union, each member's edges its
-    pairs i -> j and then j -> i, the features on both. One stable sort
-    by the member at i puts [i; j] -> [j; i] in that order; a lone graph's
-    members are all 0, so the sort leaves its edges as they are. The
-    edges keep that order, since the rules of the edge-level weights sum
-    their rows in it."""
-    i, j, features = eg.pair_i, eg.pair_j, eg.pair_features
-    member = np.zeros_like(i) if eg.node_graph is None else eg.node_graph[i]
+def _directed(graphs: Sequence[EncodedGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members' directed edges as one graph's: their sources,
+    destinations and features. Each member's pair ends are shifted by the
+    nodes of the members before it, and its edges are its pairs i -> j and
+    then j -> i, the features on both. One stable sort by each pair's
+    member puts [i; j] -> [j; i] in that order, member by member. The edges
+    keep that order, since the rules of the edge-level weights sum their
+    rows in it. Each member's ends lie in its own nodes (``EncodedGraph``
+    checks them), so no edge joins two members."""
+    atoms = np.array([eg.n_atoms for eg in graphs])
+    pairs = np.array([eg.pair_i.shape[0] for eg in graphs])
+    shift = np.repeat(np.cumsum(atoms) - atoms, pairs)
+    i = np.concatenate([eg.pair_i for eg in graphs]).astype(np.intp) + shift
+    j = np.concatenate([eg.pair_j for eg in graphs]).astype(np.intp) + shift
+    # an edgeless member's features may be of another dtype or shape
+    features = np.concatenate([eg.pair_features for eg in graphs if eg.n_edges]
+                              or [graphs[0].pair_features], axis=0)
+    member = np.repeat(np.arange(len(graphs)), pairs)
     order = np.argsort(np.concatenate([member, member]), kind="stable")
     return (np.concatenate([i, j])[order], np.concatenate([j, i])[order],
             np.concatenate([features, features])[order])
 
 
-def layout(eg: EncodedGraph, cfg: ModelConfig) -> Layout:
-    """The graph's ``Layout`` under ``cfg``: every index plan over the
-    directed edges (``_directed``), the labels present and the tiled edge
-    rows, after ``_check_encoding``. It reads no weight, so a forward with
-    any weights can run over it, and ``model.predict_batch`` keeps the
-    layouts of the unions it evaluates. ``propagate`` lays a graph out this
-    way when given one, so every forward reads the same layout."""
-    _check_encoding(eg, cfg)
-    n, k = eg.n_atoms, cfg.towers_k
-    edge_src, edge_dst, features = _directed(eg)
+def layout(graphs: Sequence[EncodedGraph], cfg: ModelConfig) -> Layout:
+    """The ``Layout`` under ``cfg`` of the graphs, one at least, run as one
+    graph: their node features one member after another, every index plan
+    over the directed edges (``_directed``), the labels present, the tiled
+    edge rows and the node-to-graph plans, after ``_check_encoding``. A
+    discrete label must index the alphabet (ContractError), checked once
+    over every member's edges. The layout reads no weight, so a forward
+    with any weights can run over it, and ``model.predict_batch`` keeps the
+    layouts of the batches it evaluates. ``propagate`` lays a lone graph
+    out as the batch of one, so every forward reads a layout built here."""
+    _check_encoding(graphs, cfg)
+    k = cfg.towers_k
+    node_features = np.concatenate([eg.node_features for eg in graphs], axis=0)
+    node_features.setflags(write=False)
+    n = node_features.shape[0]
+    edge_src, edge_dst, features = _directed(graphs)
+    if cfg.edge_repr != "raw_distance":
+        bad = features[(features < 0) | (features >= cfg.edge_width)]
+        if bad.size:
+            raise ContractError(
+                f"edge label {int(bad[0])} outside alphabet of size {cfg.edge_width}")
     dst = tt.segments(edge_dst, n)
     src = present = plan = rows = None
     if _labels(cfg):
@@ -410,8 +428,8 @@ def layout(eg: EncodedGraph, cfg: ModelConfig) -> Layout:
         rows = Tensor(np.ascontiguousarray(rows))
         rows.data.setflags(write=False)
 
-    graph = (np.zeros(n, dtype=np.intp) if eg.node_graph is None else eg.node_graph)
-    n_graphs = eg.n_graphs
+    n_graphs = len(graphs)
+    graph = np.repeat(np.arange(n_graphs), [eg.n_atoms for eg in graphs])
     nodes = masters = None
     readout_graph = graph
     if cfg.d_master:
@@ -419,7 +437,7 @@ def layout(eg: EncodedGraph, cfg: ModelConfig) -> Layout:
         masters = tt.segments(np.zeros(n_graphs, dtype=np.intp), 1)
         if cfg.master_in_readout:
             readout_graph = np.concatenate([graph, np.arange(n_graphs)])
-    return Layout(cfg=cfg, node_features=eg.node_features, dst=dst, src=src, present=present,
+    return Layout(cfg=cfg, node_features=node_features, dst=dst, src=src, present=present,
                   plan=plan, rows=rows, graphs=tt.segments(readout_graph, n_graphs),
                   nodes=nodes, masters=masters)
 
@@ -533,10 +551,10 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
               cfg: ModelConfig) -> NodeStates:
     """Run cfg.T message passing steps and return final node states.
 
-    ``eg`` is one molecule or a disjoint union of several, or its
-    ``layout`` under ``cfg``; a graph is laid out first, so every forward
-    reads a layout. The states carry the plan of the readouts' rows'
-    graphs (one graph for one molecule).
+    ``eg`` is one molecule, laid out first as the batch of one, or the
+    ``layout`` under ``cfg`` of one or several, so every forward reads a
+    layout. The states carry the plan of the readouts' rows' graphs (one
+    graph for one molecule).
     To count multiplies, call it inside ``tt.count_multiplies``;
     ``checks.bench_towers`` isolates the message phase that way.
     """
@@ -549,7 +567,7 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
         return tt.add(h, tt.add(tt.slice_cols(x, 0, half), tt.slice_cols(x, half, 2 * half)))
 
     if not isinstance(eg, Layout):
-        lay = layout(eg, cfg)
+        lay = layout([eg], cfg)
     elif eg.cfg is cfg or eg.cfg == cfg:
         lay = eg
     else:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as tt
 from .engine import Layout, ModelConfig, layout, propagate
-from .molgraph import EncodedGraph, MolecularGraph, disjoint_union, encode
+from .molgraph import EncodedGraph, MolecularGraph, encode
 from .readout import apply_readout
 from .tensor import ContractError, Tensor
 
@@ -80,8 +80,8 @@ def model_forward(eg: EncodedGraph, params: dict[str, Tensor],
                   cfg: ModelConfig) -> Tensor:
     """One graph in, one output vector of width n_targets out.
 
-    The same propagation and readouts as ``predict_batch``; a lone graph is
-    a union of one, whose single output row is returned flat.
+    The same propagation and readouts as ``predict_batch``: the graph is
+    laid out as a batch of one, whose single output row is returned flat.
     """
     out = apply_readout(propagate(eg, params, cfg), params, cfg)
     return tt.reshape(out, (cfg.n_targets,))
@@ -186,7 +186,7 @@ class _Packing:
 
 def _pack(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> _Packing:
     groups = union_groups(egs, cfg)
-    layouts = tuple(layout(disjoint_union([egs[i] for i in group]), cfg) for group in groups)
+    layouts = tuple(layout([egs[i] for i in group], cfg) for group in groups)
     order = np.concatenate(groups)
     # row i of the result is row argsort(order)[i], egs[i]'s place in order
     plan = (None if np.array_equal(order, np.arange(order.size))
@@ -223,18 +223,18 @@ def predict_batch(egs: Sequence[EncodedGraph], params: dict[str, Tensor],
                   cfg: ModelConfig) -> Tensor:
     """Row i is the output for egs[i], as a (batch, n_targets) tensor.
 
-    The graphs propagate and read out as disjoint unions, one per group of
-    ``union_groups``, so the op count per batch does not grow with the
-    number of graphs. The unions' rows come in atom-count order, and one
-    ``tt.gather_rows`` puts them back in input order unless they already
-    are.
+    Each group of ``union_groups`` propagates and reads out as one graph,
+    its members' ``engine.layout``, so the op count per batch does not grow
+    with the number of graphs. The unions' rows come in atom-count order,
+    and one ``tt.gather_rows`` puts them back in input order unless they
+    already are.
 
-    The packing, every union with its ``engine.layout`` and the order
-    plan, depends only on the graphs and the config. An untaped call keeps
-    it, keyed by the config and the identity of the graphs in order, so a
-    repeated evaluation of the same graphs (a validation split, the same
-    eval chunk) builds no union or plan and runs no check of them: it runs
-    only the weights. The graphs' arrays are read-only, so identity stands
+    The packing, every union's layout and the order plan, depends only on
+    the graphs and the config. An untaped call keeps it, keyed by the
+    config and the identity of the graphs in order, so a repeated
+    evaluation of the same graphs (a validation split, the same eval
+    chunk) builds no layout or plan and runs no check of them: it runs only
+    the weights. The graphs' arrays are read-only, so identity stands
     for content. A taped call reads kept packings but keeps none, since
     training batches are drawn at random. The kept packings hold at most
     ``KEPT_BYTES``, the least recently used leaving first; nothing kept

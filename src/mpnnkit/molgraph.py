@@ -64,7 +64,6 @@ __all__ = [
     "bin_distance",
     "pair_distances",
     "encode",
-    "disjoint_union",
     "edge_alphabet_size",
     "edge_feature_width",
 ]
@@ -312,10 +311,9 @@ class EncodedGraph:
     array for raw_distance. The constructor checks that the arrays agree
     in length and that both ends of every pair are nodes (ContractError).
 
-    ``disjoint_union`` packs several encoded graphs into one; its
-    ``node_graph`` names the member graph of every node. A lone molecule
-    leaves it None and counts as one graph. A union's pairs come member by
-    member, and the constructor refuses a pair between two members.
+    An encoded graph is always one molecule. A batch of them runs as one
+    graph only inside ``engine.layout``, which takes the member graphs and
+    joins them, each member's pair ends shifted by the nodes before it.
 
     A graph's arrays are read-only once it is built, and two graphs are
     equal only if they are the same object (the hash is the identity too).
@@ -331,8 +329,6 @@ class EncodedGraph:
     pair_j: np.ndarray                 # (P,) int the other end
     pair_features: np.ndarray          # (P,) int labels or (P, 5) float
     representation: str
-    node_graph: Optional[np.ndarray] = None   # (n,) member graph per node
-    n_graphs: int = 1
 
     def __post_init__(self):
         self._check_pairs()
@@ -344,10 +340,8 @@ class EncodedGraph:
         self._freeze()
 
     def _freeze(self) -> None:
-        for name in ("node_features", "pair_i", "pair_j", "pair_features", "node_graph"):
+        for name in ("node_features", "pair_i", "pair_j", "pair_features"):
             arr = getattr(self, name)
-            if arr is None:
-                continue
             if arr.base is not None and arr.flags.writeable:
                 arr = arr.copy()
                 object.__setattr__(self, name, arr)
@@ -361,8 +355,6 @@ class EncodedGraph:
                                 f"{features.shape} features")
         if p and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n_atoms):
             raise ContractError(f"pair end outside the {self.n_atoms} nodes")
-        if self.node_graph is not None and (self.node_graph[i] != self.node_graph[j]).any():
-            raise ContractError("a pair joins two members of a union")
 
     @property
     def n_atoms(self) -> int:
@@ -380,37 +372,6 @@ class EncodedGraph:
         kept."""
         ends = np.concatenate([self.pair_i, self.pair_j])
         return int(np.bincount(ends).max()) if ends.size else 0
-
-
-def disjoint_union(egs: Sequence[EncodedGraph]) -> EncodedGraph:
-    """Several encoded graphs as one graph with no edges between members.
-
-    Node and pair arrays are concatenated in order, and each member's pair
-    ends are shifted by the number of nodes before it. Every operation
-    of the engine and the readouts acts row by row, or sums rows per member
-    graph, so member i's outputs are the ones it gets alone.
-    """
-    if not egs:
-        raise ContractError("union of no graphs")
-    first = egs[0]
-    for eg in egs:
-        if eg.node_graph is not None:
-            raise ContractError("graphs in a union must not be unions")
-        if eg.representation != first.representation:
-            raise ContractError("graphs in a union must share edge representation")
-    atoms = np.array([eg.n_atoms for eg in egs])
-    pairs = np.array([eg.pair_i.shape[0] for eg in egs])
-    shift = np.repeat(np.cumsum(atoms) - atoms, pairs)
-    with_pairs = [eg.pair_features for eg in egs if eg.n_edges] or [first.pair_features]
-    return EncodedGraph(
-        node_features=np.concatenate([eg.node_features for eg in egs], axis=0),
-        pair_i=np.concatenate([eg.pair_i for eg in egs]).astype(np.intp) + shift,
-        pair_j=np.concatenate([eg.pair_j for eg in egs]).astype(np.intp) + shift,
-        pair_features=np.concatenate(with_pairs, axis=0),
-        representation=first.representation,
-        node_graph=np.repeat(np.arange(len(egs)), atoms),
-        n_graphs=len(egs),
-    )
 
 
 # The column of each element's one and of each hybridization's. An atom

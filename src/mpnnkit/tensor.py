@@ -35,8 +35,10 @@ take of the rows, one add per slot onto the prefix of segments that slot
 covers, and one take back (``_segment_sum``; rows of one value each
 summed from zeros go through ``np.bincount``), touching each row once, in
 the order and with the bits ``np.add.at`` would give. ``gather_rows``'
-rule hands back ``(plan, rows)``, which ``backward`` sums the same way. A
-row's slot is also its place in a zero-padded block of its segment's rows,
+rule hands back ``(plan, rows)``, which ``backward`` sums the same way.
+The message ops sum a node's messages in the same order, but past the
+first ``SUM_BLOCK`` slots in blocks summed apart (``_slot_sum``). A row's
+slot is also its place in a zero-padded block of its segment's rows,
 and ``Segments.cells`` its cell among the blocks flattened, computed once
 per plan for ``segment_blocks`` and ``block_plan``. Each message op reads
 its edges through a plan made once per forward and shared by every step: a
@@ -429,35 +431,56 @@ def label_plan(src, dst: Segments, label, labels: int) -> LabelPlan:
     return LabelPlan(pairs, dst, taken)
 
 
-def _slot_fold(seg: Segments, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
-    """Fold ``taken``, rows in the plan's slot-major order, into ``out``,
-    one running row per segment in ``seg.order``: slot j goes into the
+def _slot_fold(widths, ufunc, out: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Fold ``taken``, rows in a plan's slot-major order, into ``out``, one
+    running row per segment in the plan's ``order``: slot j goes into the
     first ``widths[j]`` rows through ``ufunc``, in place, so each segment
     takes its rows one at a time in row order."""
     start = 0
-    for width in seg.widths:
+    for width in widths:
         head = out[:width]
         ufunc(head, taken[start:start + width], out=head)
         start += width
     return out
 
 
-def _slot_sum(seg: Segments, taken: np.ndarray, total=None) -> np.ndarray:
-    """``total`` (zeros when None) plus ``taken``, rows already in the
-    plan's slot-major order, each added onto its segment's row: the
-    running totals are kept in ``seg.order`` and one take puts them back
-    in segment order."""
-    out = (np.zeros((seg.num_segments,) + taken.shape[1:]) if total is None
-           else np.take(total, seg.order, axis=0))
-    return np.take(_slot_fold(seg, np.add, out, taken), seg.back, axis=0)
+# The slots a message sum folds one at a time; each further run of this
+# many slots is summed apart, then added on (``_slot_sum``).
+SUM_BLOCK = 32
+
+
+def _slot_sum(seg: Segments, taken: np.ndarray) -> np.ndarray:
+    """Each segment's sum of ``taken``, rows already in the plan's
+    slot-major order, as the message ops sum a node's messages: blocked.
+    Slots 0 to ``SUM_BLOCK`` - 1 are folded one at a time into the running
+    totals, kept in ``seg.order``; each further run of ``SUM_BLOCK`` slots
+    is folded into a zeroed partial of the segments it reaches, which is
+    then added onto their totals. A segment of m rows thus adds about
+    ``SUM_BLOCK`` + m / ``SUM_BLOCK`` terms in a row, not m, so a hub's sum
+    loses less (Higham, SIAM J. Sci. Comput. 14(4), 1993), and one of at
+    most ``SUM_BLOCK`` rows adds them in row order, as a scatter does. One
+    take puts the totals back in segment order."""
+    out = np.zeros((seg.num_segments,) + taken.shape[1:])
+    start = 0
+    for first in range(0, len(seg.widths), SUM_BLOCK):
+        widths = seg.widths[first:first + SUM_BLOCK]
+        block = taken[start:start + sum(widths)]
+        if first:
+            head = out[:widths[0]]
+            np.add(head, _slot_fold(widths, np.add, np.zeros(head.shape), block), out=head)
+        else:
+            _slot_fold(widths, np.add, out, block)
+        start += block.shape[0]
+    return np.take(out, seg.back, axis=0)
 
 
 def _segment_sum(seg: Segments, rows: np.ndarray, total=None) -> np.ndarray:
     """A copy of ``total`` (zeros when None) plus each segment's ``rows``.
 
-    One take lays the rows out slot-major (``_slot_sum``), and slot 0, 1,
-    ... is added in turn onto the segments that have such a row
-    (``_slot_fold``). Each segment thus adds its rows one at a time in row
+    One take lays the rows out slot-major, the running totals are kept in
+    ``seg.order``, and slot 0, 1, ... is added in turn onto the segments
+    that have such a row (``_slot_fold``); one take puts the totals back in
+    segment order. Each segment thus adds its rows one at a time in row
     order, as ``np.add.at`` does, with the same bits. Neither
     ``sum(axis=0)`` (pairwise) nor ``np.add.reduceat`` keeps that order.
 
@@ -469,7 +492,10 @@ def _segment_sum(seg: Segments, rows: np.ndarray, total=None) -> np.ndarray:
     if total is None and rows.shape[0] and rows.size == rows.shape[0]:
         return np.bincount(seg.index, rows.ravel(), minlength=seg.num_segments
                            ).reshape((seg.num_segments,) + rows.shape[1:])
-    return _slot_sum(seg, np.take(rows, seg.row_order, axis=0), total)
+    out = (np.zeros((seg.num_segments,) + rows.shape[1:]) if total is None
+           else np.take(total, seg.order, axis=0))
+    return np.take(_slot_fold(seg.widths, np.add, out, np.take(rows, seg.row_order, axis=0)),
+                   seg.back, axis=0)
 
 
 def _accumulate(pending: dict, t: Tensor, g) -> None:
@@ -769,7 +795,7 @@ def segment_softmax(x: Tensor, seg: Segments) -> Tensor:
     idx = seg.index
     # the maxima are in the plan's segment order
     peak = np.full((seg.num_segments, x.data.shape[1]), -np.inf)
-    _slot_fold(seg, np.maximum, peak, np.take(x.data, seg.row_order, axis=0))
+    _slot_fold(seg.widths, np.maximum, peak, np.take(x.data, seg.row_order, axis=0))
     e = np.exp(x.data - peak[seg.back[idx]])
     y = e / _segment_sum(seg, e)[idx]
 
@@ -924,8 +950,10 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     channels' products; the op makes n * L of them, not one per edge. An
     edge reads its pair's row once: one take of ``plan.taken`` reads the
     rows straight into ``near``'s slot order, and ``_slot_sum`` adds each
-    node's rows one at a time in edge order, as a scatter does. Each half
-    thus sums the edges in edge order, with the bits of its channel alone.
+    node's rows in edge order: one at a time, as a scatter does, up to
+    ``SUM_BLOCK`` of them, and past that in blocks of ``SUM_BLOCK``, each
+    summed apart and added on, so a hub's sum loses less. Each half thus
+    sums the edges with the bits of its channel alone summed that way.
     The towers go in groups whose U and messages fit in
     ``LABEL_GROUP_BYTES``, all at once on a training batch, so that a
     large union never holds every tower's products and messages together.
@@ -935,7 +963,8 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     channels' own counts added.
 
     The rule takes the message gradients by ``plan.source`` into the pairs
-    plan's slot order and sums them there into U's. The stack's gradient
+    plan's slot order and sums them there into U's, blocked as the forward
+    sums its messages (``_slot_sum``). The stack's gradient
     is ``(g_U^T h)^T`` and h's is g_U times a row-major copy of the stack
     transposed, both channels in one product: ``h^T g_U`` would move the
     last bits of the weights' gradients. The parents are ``(stack, h)``, in
@@ -1028,7 +1057,9 @@ def edge_message(h: Tensor, channels: Sequence[tuple[Tensor, Tensor, Tensor]],
     zeros none: n products with u + 1 matrices, not E matrices. Its largest
     arrays are U, which a call that is not taped frees once the messages
     are made, and the (n, D, k, p) messages, read by ``plan.taken`` into
-    ``near``'s slot order and summed as ``label_message`` sums its own.
+    ``near``'s slot order and summed as ``label_message`` sums its own:
+    in edge order, in blocks of ``SUM_BLOCK`` past the first
+    (``_slot_sum``).
     Going channel by channel keeps those arrays, and each channel's bits,
     what the channel has alone; both channels' at once are twice the size,
     and were slower (CHANGES.md). The multiply count is the edges'

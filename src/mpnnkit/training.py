@@ -382,7 +382,7 @@ def evaluate(egs: Sequence[EncodedGraph], y_norm: np.ndarray,
     ``predict_batch`` packs the split into unions by atom count under
     ``model.UNION_BYTES``, so a whole split is one call. Untaped, the call
     keeps the split's packing within ``model.KEPT_BYTES``: ``train_run``'s
-    later evaluations of the same validation split build no union or
+    later evaluations of the same validation split build no layout or
     plan and run only the weights.
     """
     with tt.no_grad():

@@ -1,4 +1,4 @@
-"""A batch is one graph: disjoint unions against one graph at a time."""
+"""A batch is one graph: layouts of several graphs against one graph at a time."""
 
 import dataclasses
 import hashlib
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mpnnkit import tensor as T
-from mpnnkit.engine import ModelConfig, _directed, init_params
+from mpnnkit.engine import ModelConfig, init_params, layout
 from mpnnkit import model
 from mpnnkit.model import (
     UNION_BYTES,
@@ -16,7 +16,6 @@ from mpnnkit.model import (
     union_bytes,
     union_groups,
 )
-from mpnnkit.molgraph import disjoint_union
 from mpnnkit.tensor import ContractError, MultiplyCounter, Tensor
 
 from support import check_grad_against_fd, jitter_biases, random_encoded
@@ -105,15 +104,13 @@ def test_empty_batch(rng):
     assert out.data.shape == (0, 3)
 
 
-def _largest_degree(eg):
-    if not eg.n_edges:
-        return 0
-    return int(max(np.bincount(ends).max() for ends in _directed(eg)[:2]))
-
-
 def _union_bytes_of(egs, cfg):
-    u = disjoint_union(egs)
-    return union_bytes(cfg, u.n_atoms, u.n_edges, _largest_degree(u))
+    # the sizes of the graphs' layout as one: nodes, directed edges, and
+    # the most edges any node sends or receives
+    lay = layout(egs, cfg)
+    ends = [plan.index for plan in (lay.src, lay.dst) if plan.index.size]
+    degree = int(max((np.bincount(e).max() for e in ends), default=0))
+    return union_bytes(cfg, lay.node_features.shape[0], lay.dst.index.size, degree)
 
 
 def test_batch_over_the_edge_budget_splits(rng):
@@ -267,7 +264,8 @@ def test_each_graphs_degree_is_counted_once(rng, monkeypatch):
     groups = union_groups(egs, cfg)
     assert len(groups) > 1
     for eg in egs:
-        counts = [np.bincount(ends, minlength=eg.n_atoms) for ends in _directed(eg)[:2]]
+        lay = layout([eg], cfg)
+        counts = [np.bincount(plan.index, minlength=eg.n_atoms) for plan in (lay.src, lay.dst)]
         assert eg.max_degree == max(c.max() for c in counts)
     calls = []
     bincount = np.bincount
@@ -320,26 +318,29 @@ def test_fd_gradients_over_a_three_graph_batch(rng, message_fn, readout, overrid
     check_grad_against_fd(loss, params, label=f"{message_fn}+{readout}")
 
 
-class TestDisjointUnion:
+class TestMemberLayout:
     def test_offsets_and_graph_index(self, rng):
         a = random_encoded(rng, n=3, d_in=4, edge_prob=1.1)
         b = random_encoded(rng, n=2, d_in=4, edge_prob=1.1)
-        u = disjoint_union([a, b])
-        assert (u.n_atoms, u.n_edges, u.n_graphs) == (5, 8, 2)
-        np.testing.assert_array_equal(u.node_graph, [0, 0, 0, 1, 1])
-        np.testing.assert_array_equal(u.pair_i[3:], b.pair_i + 3)
-        np.testing.assert_array_equal(u.pair_j[3:], b.pair_j + 3)
-        np.testing.assert_array_equal(u.pair_features[3:], b.pair_features)
+        lay = layout([a, b], make_cfg("pair_message", "ggnn", edge_repr="chemical"))
+        assert (lay.node_features.shape[0], lay.dst.index.size, lay.graphs.num_segments) == (
+            5, 8, 2)
+        np.testing.assert_array_equal(lay.graphs.index, [0, 0, 0, 1, 1])
+        np.testing.assert_array_equal(lay.node_features[3:], b.node_features)
+        # b's edges follow a's six, its pairs both ways, shifted by a's nodes
+        np.testing.assert_array_equal(lay.src.index[6:], np.concatenate([b.pair_i, b.pair_j]) + 3)
+        np.testing.assert_array_equal(lay.dst.index[6:], np.concatenate([b.pair_j, b.pair_i]) + 3)
+        np.testing.assert_array_equal(lay.rows.data[6:, 0],
+                                      np.eye(4)[np.tile(b.pair_features, 2)])
 
     def test_members_must_agree(self, rng):
         chem = random_encoded(rng, n=3, d_in=4)
         raw = random_encoded(rng, n=3, d_in=4, representation="raw_distance")
+        for cfg in (make_cfg("matmul", "ggnn"), make_cfg("edge_network", "ggnn")):
+            with pytest.raises(ContractError, match="encoded as"):
+                layout([chem, raw], cfg)
         with pytest.raises(ContractError):
-            disjoint_union([chem, raw])
-        with pytest.raises(ContractError):
-            disjoint_union([disjoint_union([chem])])
-        with pytest.raises(ContractError):
-            disjoint_union([])
+            layout([], make_cfg("matmul", "ggnn"))
 
 
 def _forward_backward_digest(cfg):
@@ -447,8 +448,8 @@ def test_non_finite_edge_network_weight_raises(rng, name):
 
 
 class TestKeptPackings:
-    """An untaped ``predict_batch`` keeps its packing, the unions, their
-    layouts and the order plan, keyed by the config and the identity of the
+    """An untaped ``predict_batch`` keeps its packing, the unions' layouts
+    and the order plan, keyed by the config and the identity of the
     graphs in order; a repeated evaluation runs only the weights."""
 
     @pytest.fixture(autouse=True)
@@ -460,7 +461,7 @@ class TestKeptPackings:
         """Calls, by name, of everything that builds a packing."""
         from mpnnkit import engine
         calls = []
-        for owner, name in ((model, "disjoint_union"), (T, "segments"), (T, "label_plan"),
+        for owner, name in ((model, "layout"), (T, "segments"), (T, "label_plan"),
                             (T, "block_plan"), (engine, "_check_encoding")):
             def counted(*args, _fn=getattr(owner, name), _name=name, **kw):
                 calls.append(_name)
@@ -494,7 +495,7 @@ class TestKeptPackings:
             # a new list of the same graphs is the same key
             again = predict_batch(list(egs), params, cfg).data
         assert not calls
-        assert {"disjoint_union", "segments", "_check_encoding"} <= set(built)
+        assert {"layout", "segments", "_check_encoding"} <= set(built)
         assert first.tobytes() == again.tobytes()
         with T.no_grad():
             for i, eg in enumerate(egs):
@@ -546,7 +547,7 @@ class TestKeptPackings:
                                  (cfg, egs[::-1]), (cfg, egs[:-1])):
                 calls.clear()
                 rows = predict_batch(batch, init_params(other, seed=7), other).data
-                assert "disjoint_union" in calls
+                assert "layout" in calls
                 assert rows.shape == (len(batch), cfg.n_targets)
         assert len(model._kept) == 4
 

@@ -611,7 +611,7 @@ def test_a_layout_serves_only_its_own_config(rng):
     cfg = cfg_for("matmul")
     eg = random_encoded(rng, n=4, edge_prob=1.0)
     params = init_params(cfg, seed=0)
-    lay = layout(eg, cfg)
+    lay = layout([eg], cfg)
     with T.no_grad():
         assert (propagate(lay, params, cfg).h.data.tobytes()
                 == propagate(eg, params, cfg).h.data.tobytes())

@@ -116,14 +116,18 @@ def test_benchmark_names_resolve():
 def test_benchmark_graph_attribute_is_the_directed_edge_count():
     # perfbench sorts its training graphs into batch bands by each
     # graph's ``n_edges``, an attribute the scan above cannot see: it must
-    # stay, and count the directed edges, two per undirected pair
-    from mpnnkit.molgraph import disjoint_union, encode
+    # stay, and count the directed edges, two per undirected pair, which
+    # the graphs' layout as one graph sends along
+    from mpnnkit.engine import ModelConfig, layout
+    from mpnnkit.molgraph import encode
     from mpnnkit.synthetic import generate_synthetic
 
     assert "].n_edges" in (ROOT / "perfbench" / "harness.py").read_text()
     egs = [encode(g, "chemical") for g in generate_synthetic(5, seed=0)]
-    for eg in egs + [disjoint_union(egs)]:
+    for eg in egs:
         assert type(eg.n_edges) is int and eg.n_edges == 2 * eg.pair_i.size > 0
+    lay = layout(egs, ModelConfig(message_fn="matmul"))
+    assert lay.dst.index.size == sum(eg.n_edges for eg in egs)
 
 
 def _tensor_reads_in_src() -> set[str]:

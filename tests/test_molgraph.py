@@ -6,7 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from mpnnkit.engine import ModelConfig, _directed, layout
+from mpnnkit import tensor as T
+from mpnnkit.engine import MESSAGE_FNS, ModelConfig, _directed, layout
 from mpnnkit.model import prepare_graph
 from mpnnkit.molgraph import (
     ATOM_FEATURE_WIDTH,
@@ -22,7 +23,6 @@ from mpnnkit.molgraph import (
     UnsupportedElementError,
     VIRTUAL_LABEL,
     bin_distance,
-    disjoint_union,
     edge_alphabet_size,
     edge_feature_width,
     encode,
@@ -263,7 +263,7 @@ class TestEncode:
     def test_directed_edges_mirror_features(self):
         # the engine's directed edges: each pair, then each pair reversed
         eg = encode(chain3(), "raw_distance")
-        src, dst, features = _directed(eg)
+        src, dst, features = _directed([eg])
         m = eg.n_edges // 2
         np.testing.assert_array_equal(src[:m], dst[m:])
         np.testing.assert_array_equal(dst[:m], src[m:])
@@ -312,9 +312,9 @@ class TestEncode:
             np.testing.assert_allclose(b.node_features,
                                        a.node_features[perm])
             want = {}
-            for s, t, f in zip(*_directed(a)):
+            for s, t, f in zip(*_directed([a])):
                 want[(inv[int(s)], inv[int(t)])] = f
-            got = {(int(s), int(t)): f for s, t, f in zip(*_directed(b))}
+            got = {(int(s), int(t)): f for s, t, f in zip(*_directed([b]))}
             assert set(want) == set(got)
             for k in want:
                 np.testing.assert_allclose(want[k], got[k])
@@ -379,7 +379,7 @@ class TestAugmentations:
             bonds = tuple(Bond(i, j, "single") for i, j in keep)
             eg = encode(MolecularGraph(atoms=atoms, bonds=bonds), "chemical")
             assert eg.n_edges == 2 * len(keep)
-            src, dst, _ = _directed(eg)
+            src, dst, _ = _directed([eg])
             assert set(zip(src.tolist(), dst.tolist())) == (
                 {(i, j) for i, j in keep} | {(j, i) for i, j in keep})
 
@@ -655,11 +655,8 @@ class TestEncodedGraphIdentity:
         for name in ("node_features", "pair_i", "pair_j", "pair_features"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(eg, name)[0] = 0
-        union = disjoint_union([eg, eg])
-        with pytest.raises(ValueError, match="read-only"):
-            union.node_graph[0] = 1
-        back = pickle.loads(pickle.dumps(union))
-        assert back.pair_i.tobytes() == union.pair_i.tobytes()
+        back = pickle.loads(pickle.dumps(eg))
+        assert back.pair_i.tobytes() == eg.pair_i.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             back.pair_i[0] = 1
 
@@ -673,13 +670,12 @@ class TestEncodedGraphIdentity:
         assert not np.shares_memory(eg.node_features, base)
 
 
-def layout_graph(ends_i, ends_j, features, representation="chemical", **union):
+def layout_graph(ends_i, ends_j, features, representation="chemical"):
     """An ``EncodedGraph`` of four nodes with exactly these pairs."""
     return EncodedGraph(node_features=np.zeros((4, 2)),
                         pair_i=np.array(ends_i, dtype=np.intp),
                         pair_j=np.array(ends_j, dtype=np.intp),
-                        pair_features=np.array(features), representation=representation,
-                        **union)
+                        pair_features=np.array(features), representation=representation)
 
 
 RAW = np.arange(20, dtype=float).reshape(4, 5)
@@ -687,8 +683,9 @@ RAW = np.arange(20, dtype=float).reshape(4, 5)
 
 class TestEdgeLayout:
     """Each undirected pair is held once; ``EncodedGraph`` checks that the
-    arrays agree and that every end is a node of the pair's own member,
-    and ``engine.layout`` makes the directed edges."""
+    arrays agree and that every end is one of its nodes, and
+    ``engine.layout`` joins the member graphs and makes the directed
+    edges."""
 
     @pytest.mark.parametrize("ends_i, ends_j, features", [
         ([0], [4], [0]),                # node 4 of 4
@@ -715,49 +712,140 @@ class TestEdgeLayout:
     def test_layout_sends_each_pair_both_ways_member_by_member(self, representation,
                                                                virtual_edges):
         # implicit and explicit hydrogens, with and without virtual edges,
-        # alone and in a union with an edgeless and a zero-atom member: the
+        # alone and together with an edgeless and a zero-atom member: the
         # layout's directed sources, destinations and edge rows are, bit for
         # bit, the pairs both ways as the graphs held them before
-        def old_directed(members):
-            # member by member, its pairs i -> j and then j -> i, the
-            # features twice, its ends shifted by the nodes before it
-            src, dst, features, shift = [], [], [], 0
-            for member in members:
-                i, j = member.pair_i + shift, member.pair_j + shift
-                src += [i, j]
-                dst += [j, i]
-                features += [member.pair_features, member.pair_features]
-                shift += member.n_atoms
-            return np.concatenate(src), np.concatenate(dst), np.concatenate(features)
-
-        plain, with_charges = encoding_cases()
-        graphs = plain + with_charges[-3:]   # the last three: 0, 1 and 2 atoms
-        egs = [encode(g, representation, virtual_edges=virtual_edges) for g in graphs]
+        egs = member_graphs(representation, virtual_edges)
         assert {eg.n_atoms for eg in egs if not eg.n_edges} == {0, 1}
         cfg = ModelConfig(message_fn="pair_message", edge_repr=representation,
                           virtual_edges=virtual_edges, d=16)
         for members in [[eg] for eg in egs] + [egs]:
-            eg = members[0] if len(members) == 1 else disjoint_union(members)
             want = old_directed(members)
-            for got, old in zip(_directed(eg), want):
+            for got, old in zip(_directed(members), want):
                 assert (got.dtype, got.shape, got.tobytes()) == (old.dtype, old.shape,
                                                                  old.tobytes())
-            lay = layout(eg, cfg)
+            lay = layout(members, cfg)
             rows = (want[2] if representation == "raw_distance"
                     else np.eye(cfg.edge_width)[want[2]])
             assert lay.src.index.tobytes() == want[0].tobytes()
             assert lay.dst.index.tobytes() == want[1].tobytes()
             assert lay.rows.data[:, 0].tobytes() == rows.tobytes()
-            assert eg.n_edges == want[0].size
-            assert eg.max_degree == max(np.bincount(want[0], minlength=1).max(),
-                                        np.bincount(want[1], minlength=1).max())
+            assert sum(eg.n_edges for eg in members) == want[0].size
+        for eg in egs:
+            src, dst, _ = old_directed([eg])
+            assert eg.max_degree == max(np.bincount(src, minlength=1).max(),
+                                        np.bincount(dst, minlength=1).max())
 
-    def test_a_union_is_checked_member_by_member(self):
-        # two members of two nodes each: a pair within each member is
-        # admitted, a pair between them refused, as is an end past the nodes
-        members = dict(node_graph=np.array([0, 0, 1, 1]), n_graphs=2)
-        assert layout_graph([0, 2], [1, 3], [0, 1], **members).n_edges == 4
-        for ends_i, ends_j in (([0, 3], [1, 1]),     # a pair between members
-                               ([0, 2], [1, 4])):    # an end past the nodes
-            with pytest.raises(ContractError):
-                layout_graph(ends_i, ends_j, [0, 1], **members)
+    @pytest.mark.parametrize("master", [0, 16], ids=["no_master", "master"])
+    @pytest.mark.parametrize("message_fn,representation,virtual_edges", [
+        (message_fn, representation, virtual_edges)
+        for message_fn in MESSAGE_FNS for representation, virtual_edges in ENCODINGS
+        if not (message_fn == "matmul" and representation == "raw_distance")])
+    def test_every_array_of_a_member_layout_is_the_joined_graphs(
+            self, message_fn, representation, virtual_edges, master):
+        # every array of the layout of the members, alone and together with
+        # an edgeless and a zero-atom member, equals byte for byte the
+        # layout built as before from one graph: the members' nodes and
+        # pairs joined, each member's ends shifted by the nodes before it,
+        # its pairs both ways member by member, and the plans over them
+        cfg = ModelConfig(message_fn=message_fn, edge_repr=representation,
+                          virtual_edges=virtual_edges, d=16, towers_k=1 if master else 2,
+                          d_master=master)
+        egs = member_graphs(representation, virtual_edges)
+        for members in [[eg] for eg in egs] + [egs, egs[::-1], egs[3:7]]:
+            assert layout_arrays(layout(members, cfg)) == layout_arrays(
+                joined_layout(members, cfg))
+
+    @pytest.mark.parametrize("case", ["no_graph", "member_of_another_encoding",
+                                      "label_past_the_alphabet"])
+    def test_a_layout_refuses(self, case):
+        cfg = ModelConfig(message_fn="matmul", edge_repr="chemical")
+        egs = member_graphs("chemical", False)[:4]
+        if case == "member_of_another_encoding":
+            egs[2] = encode(chain3(), "distance_bins")
+        elif case == "label_past_the_alphabet":
+            egs[2] = dataclasses.replace(encode(chain3(), "chemical"),
+                                         pair_features=np.array([0, cfg.edge_width]))
+        match = {"no_graph": "at least one graph",
+                 "member_of_another_encoding": "encoded as 'distance_bins'",
+                 "label_past_the_alphabet": f"edge label {cfg.edge_width} outside"}[case]
+        with pytest.raises(ContractError, match=match):
+            layout([] if case == "no_graph" else egs, cfg)
+
+
+def member_graphs(representation, virtual_edges):
+    """Encoded molecules of every feature and edge path, the last three of
+    0, 1 and 2 atoms."""
+    plain, with_charges = encoding_cases()
+    return [encode(g, representation, virtual_edges=virtual_edges)
+            for g in plain + with_charges[-3:]]
+
+
+def old_directed(members):
+    """The members' directed edges as one graph held them before: member by
+    member, its pairs i -> j and then j -> i, the features twice, its ends
+    shifted by the nodes before it."""
+    src, dst, features, shift = [], [], [], 0
+    for member in members:
+        i, j = member.pair_i + shift, member.pair_j + shift
+        src += [i, j]
+        dst += [j, i]
+        features += [member.pair_features, member.pair_features]
+        shift += member.n_atoms
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(features)
+
+
+def joined_layout(members, cfg):
+    """The layout's fields as they were built from the members joined into
+    one graph: its directed edges (``old_directed``), each node's member,
+    and the plans over them, made as ``engine.layout`` made them."""
+    n, k, g = sum(eg.n_atoms for eg in members), cfg.towers_k, len(members)
+    src, dst, features = old_directed(members)
+    dst = T.segments(dst, n)
+    fields = dict(node_features=np.concatenate([eg.node_features for eg in members]),
+                  dst=dst, src=None, present=None, plan=None, rows=None)
+    labels = cfg.message_fn == "matmul" or (cfg.message_fn == "edge_network"
+                                            and cfg.edge_repr != "raw_distance")
+    if labels:
+        present, label = np.unique(features, return_inverse=True)
+        fields.update(present=present, plan=T.label_plan(src, dst, label, present.size))
+        if cfg.message_fn == "edge_network":
+            fields["rows"] = np.broadcast_to(np.eye(cfg.edge_width)[present][:, None],
+                                             (present.size, k, cfg.edge_width))
+    else:
+        fields["src"] = src = T.segments(src, n)
+        rows = features if cfg.edge_repr == "raw_distance" else np.eye(cfg.edge_width)[features]
+        if cfg.message_fn == "edge_network":
+            rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
+            fields["plan"] = T.block_plan(src, dst)
+        fields["rows"] = np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1]))
+    if fields["rows"] is not None:
+        fields["rows"] = T.Tensor(np.ascontiguousarray(fields["rows"]))
+    graph = np.repeat(np.arange(g), [eg.n_atoms for eg in members])
+    readout = graph
+    fields.update(nodes=None, masters=None)
+    if cfg.d_master:
+        fields.update(nodes=T.segments(graph, g),
+                      masters=T.segments(np.zeros(g, dtype=np.intp), 1))
+        if cfg.master_in_readout:
+            readout = np.concatenate([graph, np.arange(g)])
+    fields["graphs"] = T.segments(readout, g)
+    return fields
+
+
+def layout_arrays(value, name="layout"):
+    """Every array under ``value`` (a layout, its fields as a dict, a plan
+    or a tensor) as (path, dtype, shape, bytes), and every other value as
+    (path, value), the fields in name order. A plan's ``cells`` and
+    ``source``, made on first use, are left out, so that both sides are
+    compared as built."""
+    if isinstance(value, T.Tensor):
+        return layout_arrays(value.data, name)
+    if isinstance(value, np.ndarray):
+        return [(name, value.dtype.str, value.shape, value.tobytes())]
+    if isinstance(value, dict) or dataclasses.is_dataclass(value):
+        fields = value if isinstance(value, dict) else {
+            f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return [entry for key in sorted(fields) if key != "cfg"
+                for entry in layout_arrays(fields[key], f"{name}.{key}")]
+    return [(name, value)]

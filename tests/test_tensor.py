@@ -1101,29 +1101,36 @@ class TestMatmulMessage:
         # the fixture's gradient checks on six more draws: they hold on each
         assert_within_1e_15(tower_width_25_draw(seed), GRADIENTS)
 
-    @pytest.mark.parametrize("seed", [
-        pytest.param(seed, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-            "CHANGES.md FOUND line on this test: its output comparison holds only by "
-            "the draw; the hub's slot-order sum reads 1.05e-15 to 1.41e-15 of the "
-            "largest entry from the per-edge composition on these draws")))
-        if seed in (0, 1, 3, 5) else seed for seed in range(6)])
+    @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_composed_message_at_tower_width_25_on_other_draws(self, seed):
-        # the fixture's check of the output's in half on six more draws: it
-        # holds on draws 2 and 4
+        # the fixture's check of the output's in half on six more draws. The
+        # hub's sum of about 290 messages in slot order read 1.05e-15 to
+        # 1.41e-15 of the largest entry from the per-edge composition on
+        # draws 0, 1, 3 and 5; summed in blocks of T.SUM_BLOCK it holds
         assert_within_1e_15(tower_width_25_draw(seed), ["out_in"])
 
-    @pytest.mark.parametrize("seed", [
-        pytest.param(seed, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-            "CHANGES.md FOUND line on test_agrees_with_composed_message_at_tower_width_25: "
-            "the out half sums each node's messages at their destination, as the in "
-            "half does, and the hub's slot-order sum reads 1.12e-15 to 1.70e-15 of the "
-            "largest entry from the per-edge composition on these draws")))
-        if seed != 1 else seed for seed in range(6)])
+    @pytest.mark.parametrize("seed", range(6))
     def test_out_half_agrees_with_composed_message_at_tower_width_25_on_other_draws(self,
                                                                                     seed):
-        # the fixture's check of the output's out half on six more draws:
-        # it holds on draw 1
+        # the fixture's check of the output's out half on six more draws,
+        # which the slot-order sum at the hub failed on all but draw 1
+        # (1.12e-15 to 1.70e-15 of the largest entry)
         assert_within_1e_15(tower_width_25_draw(seed), ["out_out"])
+
+    def test_agrees_with_correctly_rounded_sums_at_a_hub_of_1000_messages(self, rng):
+        # a node that receives about a thousand messages: each half of the
+        # op's output within 1e-15 of the largest entry from the per-edge
+        # products summed correctly rounded. (The per-edge composition,
+        # which sums each label's messages one at a time, was itself 1.0e-15
+        # to 2.4e-15 from them on four draws, so it is not the reference.)
+        h, ws, (src, dst, labels) = message_case(rng, "leaf", n=29, n_edges=3000, k=2, q=25)
+        assert (dst == 0).sum() > 1000 > 30 * T.SUM_BLOCK
+        with no_grad():
+            present, _, _, plan = label_plans((src, dst, labels), 29)
+            got = T.label_message(t(h), t(stacked(*channel_weights(ws, present))), plan).data
+        for half, weights in zip((slice(None, 25), slice(25, None)), ws):
+            want = exact_message(h, src, dst, np.stack(weights)[labels], 29)
+            assert np.abs(got[..., half] - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_gradients_against_finite_differences(self, rng):
         # both channels in one op, with the states also read after the
