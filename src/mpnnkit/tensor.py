@@ -464,13 +464,11 @@ def _slot_sum(seg: Segments, taken: np.ndarray) -> np.ndarray:
     start = 0
     for first in range(0, len(seg.widths), SUM_BLOCK):
         widths = seg.widths[first:first + SUM_BLOCK]
-        block = taken[start:start + sum(widths)]
+        part = np.zeros((widths[0],) + taken.shape[1:]) if first else out
+        _slot_fold(widths, np.add, part, taken[start:])
         if first:
-            head = out[:widths[0]]
-            np.add(head, _slot_fold(widths, np.add, np.zeros(head.shape), block), out=head)
-        else:
-            _slot_fold(widths, np.add, out, block)
-        start += block.shape[0]
+            out[:widths[0]] += part
+        start += sum(widths)
     return np.take(out, seg.back, axis=0)
 
 

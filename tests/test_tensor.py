@@ -1103,18 +1103,16 @@ class TestMatmulMessage:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_composed_message_at_tower_width_25_on_other_draws(self, seed):
-        # the fixture's check of the output's in half on six more draws. The
-        # hub's sum of about 290 messages in slot order read 1.05e-15 to
-        # 1.41e-15 of the largest entry from the per-edge composition on
-        # draws 0, 1, 3 and 5; summed in blocks of T.SUM_BLOCK it holds
+        # the fixture's check of the output's in half on six more draws; it
+        # holds because the hub's ~290 messages are summed in blocks of
+        # T.SUM_BLOCK, not one at a time
         assert_within_1e_15(tower_width_25_draw(seed), ["out_in"])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_out_half_agrees_with_composed_message_at_tower_width_25_on_other_draws(self,
                                                                                     seed):
         # the fixture's check of the output's out half on six more draws,
-        # which the slot-order sum at the hub failed on all but draw 1
-        # (1.12e-15 to 1.70e-15 of the largest entry)
+        # which the hub's blocked sum holds as it does the in half
         assert_within_1e_15(tower_width_25_draw(seed), ["out_out"])
 
     def test_agrees_with_correctly_rounded_sums_at_a_hub_of_1000_messages(self, rng):
