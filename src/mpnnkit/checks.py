@@ -212,6 +212,13 @@ def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
     a combo that ran as one union fails the check. The batch is predicted
     twice, so the second call runs over the packing the first one kept
     (``model.KEPT_BYTES``), and both calls' rows are held to the tolerance.
+
+    A towers combo also predicts the batch with features narrower than d,
+    ``d_tower + 1`` columns, which fill the first two towers only, and its
+    padded twin, the same features zero-padded to d. The narrow batch's
+    first step runs only the towers its features fill, under a message
+    linear in the far state, and the twin's all of them; the rows must be
+    byte-equal (``twin_equal``, None without towers), or the check fails.
     """
     _check_graph_count(n_graphs)
     results = []
@@ -228,16 +235,27 @@ def run_batch_checks(seed: int = 0, n_graphs: int = 100) -> dict:
         with tt.no_grad():
             batches = [predict_batch(egs, params, cfg).data for _ in range(2)]
             alone = np.stack([model_forward(eg, params, cfg).data for eg in egs])
+            twin_equal = None
+            if cfg.towers_k > 1:
+                width = cfg.d_tower + 1
+                narrow = [dataclasses.replace(eg, node_features=eg.node_features[:, :width])
+                          for eg in egs]
+                padded = [dataclasses.replace(eg, node_features=np.pad(
+                    eg.node_features, ((0, 0), (0, cfg.d - width)))) for eg in narrow]
+                twin_equal = (predict_batch(narrow, params, cfg).data.tobytes()
+                              == predict_batch(padded, params, cfg).data.tobytes())
         results.append({"message_fn": cfg.message_fn, "edge_repr": cfg.edge_repr,
                         "readout": cfg.readout, "towers_k": cfg.towers_k,
                         "graphs": len(egs), "unions": len(union_groups(egs, cfg)),
                         "max_deviation": max(float(np.max(np.abs(batch - alone)))
-                                             for batch in batches)})
+                                             for batch in batches),
+                        "twin_equal": twin_equal})
     overall = max(r["max_deviation"] for r in results)
     fewest = min(r["unions"] for r in results)
+    twins = [r["twin_equal"] for r in results if r["twin_equal"] is not None]
     return {"combos": results, "max_deviation": overall, "fewest_unions": fewest,
-            "tolerance": BATCH_TOLERANCE,
-            "passed": overall < BATCH_TOLERANCE and fewest >= 2}
+            "twins_equal": sum(twins), "twins": len(twins), "tolerance": BATCH_TOLERANCE,
+            "passed": overall < BATCH_TOLERANCE and fewest >= 2 and all(twins)}
 
 
 def bench_towers(d: int = 200, n: int = 9, k: int = 8, T: int = 1,

@@ -405,7 +405,9 @@ def cmd_verify(args) -> int:
     if args.suite in ("all", "batching"):
         result = checks.run_batch_checks(seed=args.seed, n_graphs=args.graphs)
         report(f"batching ({len(result['combos'])} configs, union rows vs "
-               f"one graph at a time, at least {result['fewest_unions']} unions each)",
+               f"one graph at a time, at least {result['fewest_unions']} unions each; "
+               f"narrow features byte-equal to their padded twin in "
+               f"{result['twins_equal']} of {result['twins']} towers configs)",
                result["max_deviation"], result["tolerance"], result["passed"])
     if args.suite in ("all", "spectral"):
         result = checks.run_spectral_checks(seed=args.seed, n_graphs=args.graphs)

@@ -49,6 +49,21 @@ matrices, or its hidden rows laid out in their far nodes' zero-padded
 blocks (``tt.segment_blocks``, one per channel), never change across the
 steps.
 
+The first step runs only the towers the input fills. Each atom starts at
+its features zero-padded to width d, so with d_in feature columns only the
+first t0 = ceil(d_in / d_tower) towers hold input, and every later tower
+starts at exactly zero. Under a message linear in the far state (the
+matmul message, and the edge network over labels or raw vectors) a zero
+tower sends zero messages; the GRU has no bias, so a zero state and zero
+input give gates of 1/2 and a candidate of tanh(0) = 0, and the state stays
+0; the residual update adds zeros to zeros. So at step 0 those towers'
+states, messages, updates and weight gradients are all exact +0, and
+``propagate`` runs step 0 on the first t0 towers only, reading them of
+each weight through ``tt.leading_block``, and hands the others to the mix
+as zeros: the same bits for less work. The pair message and DTNN add edge
+and bias terms, so a zero tower sends them nonzero messages, and they run
+every tower from step 0. After step 0 the mix fills every tower.
+
 The matmul message is the discrete case of the edge network: A_{e_vw} h_w
 with one matrix per edge label. Over discrete labels (chemical, distance
 bins) the edge network's A(e) takes one value per label, so it builds one
@@ -499,7 +514,7 @@ def _sender(lay: Layout, params: dict[str, Tensor],
             mats = tt.reshape(tt.concat([mlp2(lay.rows, params, f"msg_{ch}_en")
                                          for ch in CHANNELS], axis=0), (2, count, k, dt, dt))
             stack = tt.reshape(tt.transpose(mats, (2, 4, 1, 0, 3)), (k, dt, count * 2 * dt))
-        return lambda h: tt.label_message(h, stack, lay.plan)
+        return lambda h: tt.label_message(h, _towers(stack, h.shape[1]), lay.plan)
 
     evec = lay.rows
     if cfg.message_fn == "edge_network":
@@ -518,7 +533,13 @@ def _sender(lay: Layout, params: dict[str, Tensor],
                                Tensor(unit)], axis=2)
             channels.append((tt.segment_blocks(tt.relu(tt.matmul(evec, layer)), lay.src),
                              params[f"{pre}_w2"], params[f"{pre}_b2"]))
-        return lambda h: tt.edge_message(h, channels, lay.plan)
+
+        def send(h):
+            live = h.shape[1]
+            return tt.edge_message(h, [(_towers(blocks, live, axis=2), _towers(w2, live),
+                                        _towers(b2, live)) for blocks, w2, b2 in channels],
+                                   lay.plan)
+        return send
 
     def both(name):
         # the two channels' stacks of a weight, tower-major: (2k, ...),
@@ -541,10 +562,22 @@ def _sender(lay: Layout, params: dict[str, Tensor],
         tt.mul(tt.matmul(tt.gather_rows(h, src), wcf, b1), eterm), wfc)))
 
 
-def _gru_params(params: dict[str, Tensor], prefix: str) -> GruParams:
-    return GruParams(wz=params[f"{prefix}_wz"], uz=params[f"{prefix}_uz"],
-                     wr=params[f"{prefix}_wr"], ur=params[f"{prefix}_ur"],
-                     wh=params[f"{prefix}_wh"], uh=params[f"{prefix}_uh"])
+def _towers(x: Tensor, live: int, axis: int = 0) -> Tensor:
+    """The first ``live`` towers of ``x``, whose towers lie along ``axis``,
+    by ``tt.leading_block``: ``x`` itself when they are all of them."""
+    if x.shape[axis] == live:
+        return x  # what ``tt.leading_block`` returns, without its checks
+    shape = list(x.shape)
+    shape[axis] = live
+    return tt.leading_block(x, shape)
+
+
+def _gru_params(params: dict[str, Tensor], prefix: str,
+                live: Optional[int] = None) -> GruParams:
+    """The named GRU's weights; with ``live``, the first ``live`` towers of each."""
+    return GruParams(**{name: params[f"{prefix}_{name}"] if live is None
+                        else _towers(params[f"{prefix}_{name}"], live)
+                        for name in ("wz", "uz", "wr", "ur", "wh", "uh")})
 
 
 def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
@@ -557,12 +590,26 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
     graph for one molecule).
     To count multiplies, call it inside ``tt.count_multiplies``;
     ``checks.bench_towers`` isolates the message phase that way.
+
+    Every step runs one loop body over its live towers, the first ones of
+    the (n, k, d_tower) states: at step 0, under the matmul message or the
+    edge network, the t0 = ceil(d_in / d_tower) towers the input features
+    fill (at least 1), and all k after it. The other towers start at the
+    zero padding, and a message linear in the far state, the bias-free GRU
+    and the residual update keep them exactly zero through step 0 (module
+    docstring), so the step reads only the live towers of the message
+    weights and GRU weights (``tt.leading_block``, which at all k towers is
+    the weight itself) and the mix gets the skipped towers as zeros, with
+    the bits of running them all. With T = 1, no step reads a skipped
+    tower's weights, so a non-finite value written into one raises no
+    ``NumericError``; with T > 1, step 1 reads every tower.
     """
-    def _update(x, h, prefix):
-        # one update rule for atom states (all towers) and master rows; x
-        # is the input, the in channel's messages beside the out channel's
+    def _update(x, h, prefix, live=None):
+        # one update rule for atom states (their live towers) and master
+        # rows; x is the input, the in channel's messages beside the out
+        # channel's
         if cfg.update_fn == "gru":
-            return tt.gru_cell(x, h, _gru_params(params, prefix))
+            return tt.gru_cell(x, h, _gru_params(params, prefix, live))
         half = x.shape[-1] // 2
         return tt.add(h, tt.add(tt.slice_cols(x, 0, half), tt.slice_cols(x, half, 2 * half)))
 
@@ -572,13 +619,15 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
         lay = eg
     else:
         raise ContractError("the layout was built under another model config")
-    n = lay.node_features.shape[0]
-    k = cfg.towers_k
+    n, d_in = lay.node_features.shape
+    k, dt = cfg.towers_k, cfg.d_tower
     h0 = pad_features(lay.node_features, cfg.d)
     # States are (n, k, d_tower) through every step: tower t holds columns
-    # t*d_tower to (t+1)*d_tower of the (n, d) state.
-    towered = (n, k, cfg.d_tower)
-    h = tt.reshape(h0, towered)
+    # t*d_tower to (t+1)*d_tower of the (n, d) state. A step runs its first
+    # ``live`` towers: at step 0 those the input fills (docstring), then all.
+    towered = (n, k, dt)
+    live = k if cfg.message_fn in ("pair_message", "dtnn") else max(1, -(-d_in // dt))
+    h = _towers(tt.reshape(h0, towered), live, axis=1)
     send = _sender(lay, params, cfg)
 
     n_graphs = lay.graphs.num_segments
@@ -598,12 +647,16 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
             x = tt.add(x, tt.gather_rows(tt.reshape(tt.concat(
                 [tt.matmul(master, params[f"m2n_{ch}"]) for ch in CHANNELS], axis=1),
                 (n_graphs, 1, 2 * cfg.d)), lay.nodes))
-        h_new = _update(x, h, "gru")
+        h_new = _update(x, h, "gru", live)
         if cfg.d_master:
             h_sum = tt.reshape(tt.scatter_sum_rows(h, lay.nodes), (n_graphs, cfg.d))
             master = _update(tt.concat([tt.matmul(h_sum, params[f"n2m_{ch}"])
                                         for ch in CHANNELS], axis=-1), master, "master_gru")
         h = h_new
+        if live < k:
+            # the towers the step skipped go to the mix as the zeros they are
+            h = tt.concat([h, Tensor(np.zeros((n, k - live, dt)))], axis=1)
+            live = k
         if k > 1:
             h = tt.reshape(tt.matmul(tt.reshape(h, (n, cfg.d)), params["mix_w"],
                                      params["mix_b"]), towered)

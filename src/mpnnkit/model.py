@@ -219,6 +219,13 @@ def _packing(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> _Packing:
     return packing
 
 
+def _forget(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> None:
+    """Drop the batch's kept packing, if there is one: its caller will not
+    evaluate the same graphs again, so no later call could read it."""
+    with _kept_lock:
+        _kept.pop((cfg, tuple(map(id, egs))), None)
+
+
 def predict_batch(egs: Sequence[EncodedGraph], params: dict[str, Tensor],
                   cfg: ModelConfig) -> Tensor:
     """Row i is the output for egs[i], as a (batch, n_targets) tensor.

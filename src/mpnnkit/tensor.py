@@ -6,9 +6,10 @@ stack of matrices, one or more per tower (with an optional bias added in
 the same op),
 per-row matrix-vector products, a small set of pointwise functions,
 reductions, softmax (over an axis or per segment of rows),
-concatenation/slicing/axis permutation, row gather/scatter, rows laid
-out in zero-padded blocks per segment, the two matrix messages summed at
-each node with no matrix built per edge, both channels at once
+concatenation/slicing/axis permutation and a leading block, row
+gather/scatter, rows laid out in zero-padded blocks per segment, the two
+matrix messages summed at each node with no matrix built per edge, both
+channels at once
 (``label_message`` over discrete labels, ``edge_message`` over the edge
 network's hidden rows; each docstring gives its layout), and a GRU cell over
 row-stacked states. The
@@ -48,8 +49,8 @@ its edges through a plan made once per forward and shared by every step: a
 Every op that computes new values checks its forward result for NaN/Inf,
 so divergence surfaces as a :class:`NumericError` at the op that produced
 it. The ops that only move values, ``reshape``, ``transpose``, ``concat``,
-``gather_rows`` and ``segment_blocks``, do not scan their result again:
-each input was checked where it was made, so what they pass on is
+``leading_block``, ``gather_rows`` and ``segment_blocks``, do not scan
+their result again: each input was checked where it was made, so what they pass on is
 finite, and a value made non-finite past that check (written into a
 leaf in place) still raises at the first op that computes from it.
 ``relu`` clips, and checks only its input's least entry, the -inf that a
@@ -111,6 +112,7 @@ __all__ = [
     "edge_message",
     "transpose",
     "slice_cols",
+    "leading_block",
     "repeat_rows",
     "gru_cell",
     "MultiplyCounter",
@@ -1170,6 +1172,31 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _result(x.data[..., start:stop].copy(), (x,), rule)
+
+
+def leading_block(x: Tensor, shape: Sequence[int]) -> Tensor:
+    """The block of ``x`` of the given shape that starts at its first
+    entry, ``x.data[:shape[0], :shape[1], ...]``, in a fresh row-major
+    array: the engine's first propagation step reads the first towers of a
+    stacked weight or of the raw edge network's blocks this way. At ``x``'s
+    own shape it is ``x`` itself, and nothing is taped. The rule pads the
+    block's gradient with zeros to ``x``'s shape.
+
+    It only moves values, so the result is not scanned again; an entry
+    outside the block reaches neither the value nor a gradient."""
+    shape = tuple(int(s) for s in shape)
+    if len(shape) != x.data.ndim or not all(0 <= s <= m for s, m in zip(shape, x.data.shape)):
+        raise DimensionError(f"leading block {shape} invalid for {x.data.shape}")
+    if shape == x.data.shape:
+        return x
+    block = tuple(slice(s) for s in shape)
+
+    def rule(g: np.ndarray):
+        full = np.zeros_like(x.data)
+        full[block] = g
+        return (full,)
+
+    return _result(x.data[block], (x,), rule, check=False)
 
 
 # no caller in src/; kept while perfbench's tracer wraps it by name (tests/test_exports.py)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as tt
 from .engine import ModelConfig, init_params
-from .model import predict_batch, prepare_graph
+from .model import _forget, predict_batch, prepare_graph
 from .molgraph import TARGET_NAMES, EncodedGraph, MolecularGraph
 from .tensor import (ContractError, NumericError, Tensor, _atomic_write, _check_object,
                      _list_of)
@@ -383,7 +383,9 @@ def evaluate(egs: Sequence[EncodedGraph], y_norm: np.ndarray,
     ``model.UNION_BYTES``, so a whole split is one call. Untaped, the call
     keeps the split's packing within ``model.KEPT_BYTES``: ``train_run``'s
     later evaluations of the same validation split build no layout or
-    plan and run only the weights.
+    plan and run only the weights. ``train_run`` drops the packings of the
+    splits it evaluates once, the training split at step 0 and the test
+    split at the end.
     """
     with tt.no_grad():
         pred = predict_batch(egs, params, cfg).data
@@ -420,6 +422,7 @@ def train_run(train_graphs: Sequence[MolecularGraph],
     batch_rng = np.random.default_rng(train_cfg.seed + 1)
 
     last_train_mse, _ = evaluate(eg_train, yn_train, params, cfg, stats)
+    _forget(eg_train, cfg)  # no later call evaluates the whole training split
     history: list[dict] = []
     best = {"step": 0, "mae": math.inf, "snapshot": None}
 
@@ -457,6 +460,7 @@ def train_run(train_graphs: Sequence[MolecularGraph],
         raise NumericError("no evaluation produced a finite validation MAE")
     opt.values[...] = best["snapshot"]
     _, test_mae = evaluate(eg_test, yn_test, params, cfg, stats)
+    _forget(eg_test, cfg)
 
     if log_path:
         _atomic_write(log_path, "".join(json.dumps(record, sort_keys=True) + "\n"

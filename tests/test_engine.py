@@ -574,6 +574,117 @@ class TestTowers:
 
 
 
+# (message, encoding, whether step 0 skips the towers the features leave
+# zero): a message linear in the far state sends zeros from a zero tower,
+# while the pair message and DTNN add edge and bias terms
+FIRST_STEP_CASES = [("matmul", "chemical", True), ("edge_network", "chemical", True),
+                    ("edge_network", "raw_distance", True),
+                    ("pair_message", "raw_distance", False), ("dtnn", "distance_bins", False)]
+MESSAGE_OPS = ("label_message", "edge_message", "gru_cell")
+
+
+class TestFirstStepTowers:
+    """Input features narrower than d fill only the first towers; under a
+    message linear in the far state the first step runs only those. Its
+    twin, the same graphs with features zero-padded to d, fills every tower
+    and runs them all, and must give the same bits."""
+
+    @staticmethod
+    def run(egs, params, cfg, monkeypatch):
+        """Output rows, every gradient and the forward's multiplies, in
+        all and per call of the message ops and the GRU, in call order."""
+        total, calls = T.MultiplyCounter(), []
+        for name in MESSAGE_OPS:
+            def counted(*args, _fn=getattr(T, name), _name=name):
+                with T.count_multiplies(T.MultiplyCounter()) as own:
+                    out = _fn(*args)
+                total.total += own.total
+                calls.append((_name, own.total))
+                return out
+            monkeypatch.setattr(T, name, counted)
+        for p in params.values():
+            p.zero_grad()
+        with T.count_multiplies(total):
+            out = predict_batch(egs, params, cfg)
+        monkeypatch.undo()
+        probe = Tensor(np.random.default_rng(9).normal(size=out.shape))
+        T.backward(T.reduce_sum(T.mul(out, probe)))
+        return (out.data.tobytes(), [p.grad.tobytes() for p in params.values()],
+                total.total, calls)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("update_fn", ["gru", "dtnn_residual"])
+    @pytest.mark.parametrize("towers_k", [2, 4])
+    @pytest.mark.parametrize("message_fn,edge_repr,skips", FIRST_STEP_CASES)
+    def test_narrow_features_keep_the_bits_of_their_padded_twin(
+            self, monkeypatch, message_fn, edge_repr, skips, towers_k, update_fn, steps):
+        # d = 8 and 3 feature columns: towers of 4 leave 1 of 2 towers
+        # live at step 0, towers of 2 leave 2 of 4
+        cfg = cfg_for(message_fn, update_fn=update_fn, T=steps, d=8, towers_k=towers_k,
+                      edge_repr=edge_repr, readout="ggnn")
+        rng = np.random.default_rng(17)
+        params = init_params(cfg, seed=5)
+        jitter_biases(params, rng)
+        alphabet = 14 if edge_repr == "distance_bins" else 4
+        narrow = [random_encoded(rng, n=n, d_in=3, representation=edge_repr,
+                                 alphabet=alphabet) for n in (4, 6, 1, 5)]
+        padded = [dataclasses.replace(eg, node_features=np.pad(eg.node_features,
+                                                               ((0, 0), (0, cfg.d - 3))))
+                  for eg in narrow]
+        out, grads, muls, calls = self.run(narrow, params, cfg, monkeypatch)
+        twin_out, twin_grads, twin_muls, twin_calls = self.run(padded, params, cfg,
+                                                               monkeypatch)
+        assert out == twin_out
+        assert grads == twin_grads
+        if not skips:
+            assert muls == twin_muls and calls == twin_calls
+            return
+        # the first message op and the first GRU run 1 of 2 or 2 of 4
+        # towers, each op's count in proportion; every other call is the same
+        live = {2: 1, 4: 2}[towers_k]
+        first = {name: next(i for i, (n, _) in enumerate(twin_calls) if n == name)
+                 for name in {n for n, _ in twin_calls}}
+        assert [n for n, _ in calls] == [n for n, _ in twin_calls]
+        skipped = 0
+        for i, ((_, count), (_, twin)) in enumerate(zip(calls, twin_calls)):
+            if i in first.values():
+                assert count * towers_k == twin * live
+                skipped += twin - count
+            else:
+                assert count == twin
+        assert 0 < skipped == twin_muls - muls
+
+    def test_the_batching_check_holds_narrow_features_to_their_padded_twin(self,
+                                                                         monkeypatch):
+        cfg = next(c for c in checks._sweep_configs()
+                   if c.message_fn == "matmul" and c.towers_k > 1)
+        monkeypatch.setattr(checks, "_sweep_configs", lambda: [cfg])
+        result = checks.run_batch_checks(seed=0, n_graphs=3)
+        assert (result["twins"], result["twins_equal"], result["passed"]) == (1, 1, True)
+        # a first step that moves the last bit of the towers it runs
+        block = T.leading_block
+
+        def nudged(x, shape):
+            out = block(x, shape)
+            return out if out is x else Tensor(out.data * (1 + 2.0**-50))
+
+        monkeypatch.setattr(T, "leading_block", nudged)
+        result = checks.run_batch_checks(seed=0, n_graphs=3)
+        assert result["max_deviation"] < checks.BATCH_TOLERANCE
+        assert (result["twins"], result["twins_equal"], result["passed"]) == (1, 0, False)
+
+    @pytest.mark.parametrize("name", ["msg_in_A0", "gru_uz"])
+    def test_a_non_finite_weight_of_a_skipped_tower_raises_at_the_next_step(self, rng,
+                                                                          name):
+        # step 0 does not read the last tower of either weight, step 1 does
+        cfg = cfg_for("matmul", T=2, d=8, towers_k=4)
+        params = init_params(cfg, seed=3)
+        params[name].data[-1, 0, 0] = np.nan
+        eg = random_encoded(rng, n=5, d_in=3, ensure_connected=True)
+        with T.no_grad(), pytest.raises(T.NumericError):
+            propagate(eg, params, cfg)
+
+
 @pytest.mark.parametrize("suite", ["run_invariance_checks", "run_batch_checks",
                                    "run_spectral_checks"])
 @pytest.mark.parametrize("n_graphs", [0, -3])

@@ -1467,6 +1467,41 @@ class TestSegmentBlocks:
             {"x": t(rng.normal(size=(5, 2, 2)), rg=True)}, label="segment_blocks")
 
 
+class TestLeadingBlock:
+    """``T.leading_block``, the block of a tensor that starts at its first
+    entry, as the engine's first step reads the first towers of a weight."""
+
+    def test_value_and_zero_padded_gradient(self, rng):
+        x = t(rng.normal(size=(3, 4, 5)), rg=True)
+        out = T.leading_block(x, (2, 4, 3))
+        assert out.data.tobytes() == np.ascontiguousarray(x.data[:2, :, :3]).tobytes()
+        probe = rng.normal(size=(2, 4, 3))
+        backward(T.reduce_sum(T.mul(out, t(probe))))
+        want = np.zeros((3, 4, 5))
+        want[:2, :, :3] = probe
+        assert x.grad.tobytes() == want.tobytes()
+
+    def test_gradients_against_finite_differences(self, rng):
+        probe = t(rng.normal(size=(2, 1, 3)))
+        check_grad_against_fd(
+            lambda p: T.reduce_sum(T.mul(T.tanh(T.leading_block(p["x"], (2, 1, 3))), probe)),
+            {"x": t(rng.normal(size=(4, 2, 3)), rg=True)}, label="leading_block")
+
+    def test_the_full_shape_is_the_input_and_tapes_nothing(self, rng):
+        x = t(rng.normal(size=(2, 3)), rg=True)
+        T.active_tape().clear()
+        assert T.leading_block(x, (2, 3)) is x
+        assert T.leading_block(x, [2, 3]) is x
+        assert not T.active_tape()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (2, -1), (2,), (2, 3, 1)],
+                             ids=["more_rows", "more_columns", "negative", "lower_rank",
+                                  "higher_rank"])
+    def test_a_block_past_the_input_or_of_another_rank_raises(self, shape):
+        with pytest.raises(DimensionError):
+            T.leading_block(t(np.ones((2, 3))), shape)
+
+
 # the digests ``TestPairMessage.test_steps_pinned`` holds each case's steps
 # to, kept out of the test ids so that a deliberate re-pin renames no test
 PAIR_STEP_DIGESTS = {
@@ -1729,15 +1764,17 @@ MOVERS = {
     "gather_rows": (lambda x: T.gather_rows(x, T.segments([3, 1, 1], 4)), (4, 2), (1, 0)),
     "segment_blocks": (lambda x: T.segment_blocks(x, T.segments([1, 0, 1, 1], 2)), (4, 2),
                        (2, 1)),
+    "leading_block": (lambda x: T.leading_block(x, (2, 3, 1)), (3, 4, 2), (1, 2, 0)),
     "relu": (T.relu, (3, 4), (0, 3)),
 }
 
 
 class TestUnscannedMovers:
-    """reshape, transpose, concat, gather_rows, segment_blocks and relu do
-    not scan their result for NaN/Inf: their input was checked where it was
-    made. A value written into a leaf past ``Tensor``'s check still raises,
-    no later than the first op that computes from it."""
+    """reshape, transpose, concat, leading_block, gather_rows,
+    segment_blocks and relu do not scan their result for NaN/Inf: their
+    input was checked where it was made. A value written into a leaf past
+    ``Tensor``'s check still raises, no later than the first op that
+    computes from it."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("op", list(MOVERS))

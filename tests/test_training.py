@@ -575,6 +575,17 @@ class TestTrainRun:
         assert result.model_cfg.n_targets == 13
         assert set(result.test_mae_per_target) == set(TARGET_NAMES)
 
+    def test_only_the_validation_splits_packing_is_kept(self, tmp_path, monkeypatch):
+        # the training split is evaluated as a whole once, at step 0, and
+        # the test split once, at the end: no later call reads their packings
+        from mpnnkit import model
+        monkeypatch.setattr(model, "_kept", type(model._kept)())
+        self.run_once(tmp_path)
+        (packing, _), = model._kept.values()
+        valid = toy_dataset(20, seed=1)[12:16]
+        assert [eg.node_features.tolist() for eg in packing.graphs] == [
+            prepare_graph(g, small_model()).node_features.tolist() for g in valid]
+
     def test_no_timestamps_in_log(self, tmp_path):
         _, log, _ = self.run_once(tmp_path)
         for line in log.read_text().splitlines():
