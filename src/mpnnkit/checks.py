@@ -61,17 +61,16 @@ def random_graph(rng: np.random.Generator, n: int, cfg: ModelConfig,
     else:
         features = np.array([rng.integers(0, cfg.alphabet) for _ in pairs], dtype=np.int64)
     return EncodedGraph(node_features=rng.normal(size=(n, cfg.d)), pair_i=i, pair_j=j,
-                        pair_features=features, representation=cfg.edge_repr)
+                        pair_features=features, representation=cfg.edge_repr,
+                        virtual_edges=cfg.virtual_edges and cfg.edge_repr == "chemical")
 
 
 def permute_graph(eg: EncodedGraph, perm: np.ndarray) -> EncodedGraph:
     """Relabel nodes: old node i becomes new node perm[i]."""
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))  # inv[j] = old id of new node j
-    return EncodedGraph(node_features=eg.node_features[inv],
-                        pair_i=perm[eg.pair_i], pair_j=perm[eg.pair_j],
-                        pair_features=eg.pair_features,
-                        representation=eg.representation)
+    return dataclasses.replace(eg, node_features=eg.node_features[inv],
+                               pair_i=perm[eg.pair_i], pair_j=perm[eg.pair_j])
 
 
 def _jitter_biases(params: dict[str, Tensor], rng: np.random.Generator) -> None:

@@ -354,13 +354,19 @@ def pad_features(features: np.ndarray, d: int) -> Tensor:
 
 def _check_encoding(graphs: Sequence[EncodedGraph], cfg: ModelConfig) -> None:
     """There must be a graph, and each must have the config's encoding,
-    which the engine then reads from the config only."""
+    which the engine then reads from the config only: its edge
+    representation and, for a chemical graph, whether it has virtual
+    edges (the distance representations are complete graphs either way)."""
     if not graphs:
         raise ContractError("a layout needs at least one graph")
     for eg in graphs:
         if eg.representation != cfg.edge_repr:
             raise ContractError(f"graph is encoded as {eg.representation!r}, "
                                 f"the model config as {cfg.edge_repr!r}")
+        if eg.representation == "chemical" and eg.virtual_edges != cfg.virtual_edges:
+            has, other = ("with", "without") if eg.virtual_edges else ("without", "with")
+            raise ContractError(f"graph is encoded as 'chemical' {has} virtual edges, "
+                                f"the model config {other}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +600,16 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
     Every step runs one loop body over its live towers, the first ones of
     the (n, k, d_tower) states: at step 0, under the matmul message or the
     edge network, the t0 = ceil(d_in / d_tower) towers the input features
-    fill (at least 1), and all k after it. The other towers start at the
-    zero padding, and a message linear in the far state, the bias-free GRU
-    and the residual update keep them exactly zero through step 0 (module
-    docstring), so the step reads only the live towers of the message
-    weights and GRU weights (``tt.leading_block``, which at all k towers is
-    the weight itself) and the mix gets the skipped towers as zeros, with
-    the bits of running them all. With T = 1, no step reads a skipped
-    tower's weights, so a non-finite value written into one raises no
-    ``NumericError``; with T > 1, step 1 reads every tower.
+    fill (at least 1), and all k after it; any other message runs all k
+    from step 0, so a message added later skips none. The other towers
+    start at the zero padding, and a message linear in the far state, the
+    bias-free GRU and the residual update keep them exactly zero through
+    step 0 (module docstring), so the step reads only the live towers of
+    the message weights and GRU weights (``tt.leading_block``, which at all
+    k towers is the weight itself) and the mix gets the skipped towers as
+    zeros, with the bits of running them all. With T = 1, no step reads a
+    skipped tower's weights, so a non-finite value written into one raises
+    no ``NumericError``; with T > 1, step 1 reads every tower.
     """
     def _update(x, h, prefix, live=None):
         # one update rule for atom states (their live towers) and master
@@ -626,7 +633,7 @@ def propagate(eg: EncodedGraph | Layout, params: dict[str, Tensor],
     # t*d_tower to (t+1)*d_tower of the (n, d) state. A step runs its first
     # ``live`` towers: at step 0 those the input fills (docstring), then all.
     towered = (n, k, dt)
-    live = k if cfg.message_fn in ("pair_message", "dtnn") else max(1, -(-d_in // dt))
+    live = max(1, -(-d_in // dt)) if cfg.message_fn in ("matmul", "edge_network") else k
     h = _towers(tt.reshape(h0, towered), live, axis=1)
     send = _sender(lay, params, cfg)
 

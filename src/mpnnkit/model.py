@@ -153,11 +153,10 @@ def union_groups(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> list[list[int
 @dataclass(frozen=True, eq=False)
 class _Packing:
     """A batch's unions, each laid out, and the plan that puts their rows
-    back in input order (None when they already are); ``graphs`` holds the
-    batch, so no graph of a kept packing's key dies and leaves its id to
-    another."""
+    back in input order (None when they already are). Every array in it is
+    made by ``_pack``, and no forward or backward over it adds one, so its
+    ``nbytes`` stays what was counted when it was kept."""
 
-    graphs: tuple[EncodedGraph, ...]
     layouts: tuple[Layout, ...]
     order: Optional[tt.Segments]
 
@@ -191,7 +190,7 @@ def _pack(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> _Packing:
     # row i of the result is row argsort(order)[i], egs[i]'s place in order
     plan = (None if np.array_equal(order, np.arange(order.size))
             else tt.segments(np.argsort(order), order.size))
-    return _Packing(tuple(egs), layouts, plan)
+    return _Packing(layouts, plan)
 
 
 _kept: OrderedDict[tuple, tuple[_Packing, int]] = OrderedDict()
@@ -202,7 +201,7 @@ def _packing(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> _Packing:
     """The batch's packing: a kept one if the same graphs, in the same
     order, were packed under the same config, else a new one, kept when
     nothing is taped and it fits ``KEPT_BYTES``."""
-    key = (cfg, tuple(map(id, egs)))
+    key = (cfg, tuple(egs))
     with _kept_lock:
         kept = _kept.get(key)
         if kept is not None:
@@ -223,7 +222,7 @@ def _forget(egs: Sequence[EncodedGraph], cfg: ModelConfig) -> None:
     """Drop the batch's kept packing, if there is one: its caller will not
     evaluate the same graphs again, so no later call could read it."""
     with _kept_lock:
-        _kept.pop((cfg, tuple(map(id, egs))), None)
+        _kept.pop((cfg, tuple(egs)), None)
 
 
 def predict_batch(egs: Sequence[EncodedGraph], params: dict[str, Tensor],
@@ -238,14 +237,15 @@ def predict_batch(egs: Sequence[EncodedGraph], params: dict[str, Tensor],
 
     The packing, every union's layout and the order plan, depends only on
     the graphs and the config. An untaped call keeps it, keyed by the
-    config and the identity of the graphs in order, so a repeated
-    evaluation of the same graphs (a validation split, the same eval
-    chunk) builds no layout or plan and runs no check of them: it runs only
-    the weights. The graphs' arrays are read-only, so identity stands
-    for content. A taped call reads kept packings but keeps none, since
-    training batches are drawn at random. The kept packings hold at most
-    ``KEPT_BYTES``, the least recently used leaving first; nothing kept
-    depends on the weights.
+    config and the graphs in order, so a repeated evaluation of the same
+    graphs (a validation split, the same eval chunk) builds no layout or
+    plan and runs no check of them: it runs only the weights. A graph
+    compares by identity and its arrays are read-only, so identity stands
+    for content, and the key holds its graphs, so none dies and leaves its
+    identity to another. A taped call reads kept packings but keeps none,
+    since training batches are drawn at random. The kept packings hold at
+    most ``KEPT_BYTES``, the least recently used leaving first; nothing
+    kept depends on the weights.
     """
     if not egs:
         return Tensor(np.zeros((0, cfg.n_targets)))

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import ContractError, _check_object, _is_number, _list_of, _of_type
+from .tensor import ContractError, _check_object, _integers, _is_number, _list_of, _of_type
 
 __all__ = [
     "Atom",
@@ -309,7 +309,12 @@ class EncodedGraph:
     ``n_edges`` = 2P directed edges, P the pair count. ``pair_features``
     is an int label array for discrete representations and a (P, 5) float
     array for raw_distance. The constructor checks that the arrays agree
-    in length and that both ends of every pair are nodes (ContractError).
+    in length, that the ends, and the labels outside raw_distance, are
+    integers, and that both ends of every pair are nodes (ContractError):
+    a float would truncate to another node or label, a bool read as 0 and
+    1. ``virtual_edges`` says that ``encode`` appended the unbonded pairs
+    to a ``chemical`` graph's bonds; it is False for the distance
+    representations, which are complete graphs either way.
 
     An encoded graph is always one molecule. A batch of them runs as one
     graph only inside ``engine.layout``, which takes the member graphs and
@@ -329,6 +334,7 @@ class EncodedGraph:
     pair_j: np.ndarray                 # (P,) int the other end
     pair_features: np.ndarray          # (P,) int labels or (P, 5) float
     representation: str
+    virtual_edges: bool = False
 
     def __post_init__(self):
         self._check_pairs()
@@ -353,6 +359,10 @@ class EncodedGraph:
         if i.shape != (p,) or j.shape != (p,) or features.shape[:1] != (p,):
             raise ContractError(f"pair arrays disagree: {i.shape} and {j.shape} ends, "
                                 f"{features.shape} features")
+        _integers(i, "pair ends")
+        _integers(j, "pair ends")
+        if self.representation != "raw_distance":
+            _integers(features, "pair labels")
         if p and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n_atoms):
             raise ContractError(f"pair end outside the {self.n_atoms} nodes")
 
@@ -520,4 +530,5 @@ def encode(g: MolecularGraph, representation: str,
     # the graph's own copies of the pairs: the distance branch's are the
     # shared, cached list
     return EncodedGraph(node_features=node_features, pair_i=np.array(i), pair_j=np.array(j),
-                        pair_features=features, representation=representation)
+                        pair_features=features, representation=representation,
+                        virtual_edges=virtual_edges and representation == "chemical")

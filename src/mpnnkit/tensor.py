@@ -40,11 +40,13 @@ rule hands back ``(plan, rows)``, which ``backward`` sums the same way.
 The message ops sum a node's messages in the same order, but past the
 first ``SUM_BLOCK`` slots in blocks summed apart (``_slot_sum``). A row's
 slot is also its place in a zero-padded block of its segment's rows,
-and ``Segments.cells`` its cell among the blocks flattened, computed once
-per plan for ``segment_blocks`` and ``block_plan``. Each message op reads
-its edges through a plan made once per forward and shared by every step: a
+which ``segment_blocks`` lays out. Each message op reads its edges
+through a plan made once per forward and shared by every step: a
 :class:`LabelPlan` (``label_plan``, which builds its own plan of the
-(far node, label) pairs) or a :class:`BlockPlan` (``block_plan``).
+(far node, label) pairs) or a :class:`BlockPlan` (``block_plan``, which
+holds each edge's cell among the blocks). Plans are plain data: every
+field is made when the plan is built, and no op or rule writes into one,
+so a kept plan holds the bytes it held when it was counted.
 
 Every op that computes new values checks its forward result for NaN/Inf,
 so divergence surfaces as a :class:`NumericError` at the op that produced
@@ -66,7 +68,6 @@ only code that makes a Tensor without ``Tensor()``'s check.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import reprlib
@@ -280,16 +281,6 @@ class Segments:
     back: np.ndarray
     slot: np.ndarray
 
-    @functools.cached_property
-    def cells(self) -> np.ndarray:
-        """Row i's cell, ``index[i] * D + slot[i]``, among the zero-padded
-        blocks of the segments' rows flattened to ``num_segments * D`` rows,
-        D = ``len(widths)`` (``segment_blocks``). Made once, by the first op
-        that reads it, and read-only."""
-        cells = self.index * len(self.widths) + self.slot
-        cells.flags.writeable = False
-        return cells
-
 
 def _integers(values, what: str) -> np.ndarray:
     """``values`` as an array, refused (ContractError) unless it is empty or
@@ -348,37 +339,30 @@ class BlockPlan:
     step that reads the same blocks.
 
     ``far`` lays the edges out in blocks of depth D = ``len(far.widths)``
-    and ``near`` sums their messages. ``taken[j]`` is the cell, among the
-    blocks' n * D flattened, of edge ``near.row_order[j]``, so one take
-    reads the messages straight into ``near``'s slot order. The arrays are
-    read-only.
+    and ``near`` sums their messages. ``cells[i]`` is edge i's cell among
+    the blocks' n * D flattened, ``far.index[i] * D + far.slot[i]``, and
+    ``taken[j]`` the cell of edge ``near.row_order[j]``, so one take reads
+    the messages straight into ``near``'s slot order. The arrays are
+    read-only, and all made by ``block_plan``: no op adds to a plan.
     """
 
     far: Segments
     near: Segments
+    cells: np.ndarray
     taken: np.ndarray
-
-    @functools.cached_property
-    def source(self) -> np.ndarray:
-        """Each cell's edge's near node, ``near.num_segments`` for a pad cell:
-        one take of the message gradients, a zero row appended, fills every
-        cell. The first rule to read it makes it; an untaped forward never."""
-        source = np.full(self.far.num_segments * len(self.far.widths), self.near.num_segments)
-        source[self.far.cells] = self.near.index
-        source.flags.writeable = False
-        return source
 
 
 def block_plan(far: Segments, near: Segments) -> BlockPlan:
-    """The plan of edges laid out by ``far`` and summed by ``near``, taking
-    the edges' cells from ``far.cells``, as ``segment_blocks`` lays them
-    out; the two must index the same edges (DimensionError)."""
+    """The plan of edges laid out by ``far`` and summed by ``near``, each
+    edge at the cell where ``segment_blocks`` lays it out; the two must
+    index the same edges (DimensionError)."""
     if far.index.shape != near.index.shape:
         raise DimensionError(f"block plan needs one far and one near node per edge: "
                              f"{far.index.shape[0]} vs {near.index.shape[0]}")
-    taken = far.cells[near.row_order]
-    taken.flags.writeable = False
-    return BlockPlan(far, near, taken)
+    cells = far.index * len(far.widths) + far.slot
+    taken = cells[near.row_order]
+    cells.flags.writeable = taken.flags.writeable = False
+    return BlockPlan(far, near, cells, taken)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,21 +376,13 @@ class LabelPlan:
     (far node, label), ``far * L + label`` over n * L segments for L
     labels, and ``near`` sums their messages. ``taken[j]`` is the pair of
     edge ``near.row_order[j]``, so one take reads the messages straight
-    into ``near``'s slot order. The arrays are read-only.
+    into ``near``'s slot order. The arrays are read-only, and all made by
+    ``label_plan``: no op adds to a plan.
     """
 
     pairs: Segments
     near: Segments
     taken: np.ndarray
-
-    @functools.cached_property
-    def source(self) -> np.ndarray:
-        """The near node of edge ``pairs.row_order[j]``: one take reads the
-        message gradients into ``pairs``' slot order. The first rule to read
-        it makes it; an untaped forward never."""
-        source = self.near.index[self.pairs.row_order]
-        source.flags.writeable = False
-        return source
 
 
 def label_plan(src, dst: Segments, label, labels: int) -> LabelPlan:
@@ -898,10 +874,9 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
     row i goes to slot ``seg.slot[i]`` of block ``seg.index[i]``, so the
     result is (seg.num_segments, D) plus the row shape, D the largest count
     (``len(seg.widths)``). The rows are written to, and backward takes them
-    from, their cells ``seg.cells`` among the blocks flattened, which the
-    plan computes once for every op over it: backward is one take of each
-    row's cell out of the blocks' gradient, however many ops read the
-    blocks.
+    from, their cells among the blocks flattened, ``seg.index * D +
+    seg.slot``, computed once per call: backward is one take of each row's
+    cell out of the blocks' gradient, however many ops read the blocks.
 
     It only moves rows and writes zeros, so the result is not scanned
     again."""
@@ -909,11 +884,12 @@ def segment_blocks(x: Tensor, seg: Segments) -> Tensor:
         raise DimensionError(f"segment_blocks plan has {seg.index.shape[0]} rows "
                              f"for {x.data.shape}")
     depth, row = len(seg.widths), x.data.shape[1:]
+    cells = seg.index * depth + seg.slot
     out = np.zeros((seg.num_segments * depth,) + row)
-    out[seg.cells] = x.data
+    out[cells] = x.data
 
     def rule(g: np.ndarray):
-        return (np.take(g.reshape(out.shape), seg.cells, axis=0),)
+        return (np.take(g.reshape(out.shape), cells, axis=0),)
 
     return _result(out.reshape((seg.num_segments, depth) + row), (x,), rule, check=False)
 
@@ -962,8 +938,9 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     reads, so a union counts what its graphs would count alone: both
     channels' own counts added.
 
-    The rule takes the message gradients by ``plan.source`` into the pairs
-    plan's slot order and sums them there into U's, blocked as the forward
+    The rule takes the message gradients by each edge's near node,
+    ``near.index[pairs.row_order]``, made per call, into the pairs plan's
+    slot order and sums them there into U's, blocked as the forward
     sums its messages (``_slot_sum``). The stack's gradient
     is ``(g_U^T h)^T`` and h's is g_U times a row-major copy of the stack
     transposed, both channels in one product: ``h^T g_U`` would move the
@@ -1018,8 +995,8 @@ def label_message(h: Tensor, stack: Tensor, plan: LabelPlan) -> Tensor:
     def rule(g: np.ndarray):
         # the message gradients taken straight into the pairs plan's slot
         # order and summed there into U's, laid out (n, k, L * 2q)
-        g_u = (_slot_sum(pairs, np.take(g, plan.source, axis=0)).reshape(n, units, k, width)
-               .transpose(0, 2, 1, 3).reshape(n, k, units * width))
+        g_u = (_slot_sum(pairs, np.take(g, near.index[pairs.row_order], axis=0))
+               .reshape(n, units, k, width).transpose(0, 2, 1, 3).reshape(n, k, units * width))
         return ((g_u.transpose(1, 2, 0) @ rows).transpose(0, 2, 1)
                 if stack.requires_grad else None,
                 _product(g_u, np.ascontiguousarray(stack.data.transpose(0, 2, 1)))
@@ -1068,16 +1045,18 @@ def edge_message(h: Tensor, channels: Sequence[tuple[Tensor, Tensor, Tensor]],
 
     The rule holds each channel's U, its only arrays of its own; the
     blocks and the plan are the caller's, made once for every step. A take
-    by ``plan.source`` fills each cell with its edge's message gradient, a
-    pad cell with zeros. Their products with the blocks give U's gradient
-    (its last unit the bias's), which times the states gives ``w2``'s and
-    ``b2``'s, dense, and times the matrices h's, the channels' summed in
-    order; it is freed before the blocks' gradient, the cells' times U, is
-    made. That keeps the blocks' layout, so ``backward`` sums the steps'
-    block gradients elementwise and ``segment_blocks``' rule gathers the
-    rows out once. The parents are each channel's ``(w2, b2, blocks)``, in
-    the order the tape of the node products, the contraction and a scatter
-    would deliver them, then ``h``.
+    by each cell's near node, found per call from ``plan.cells`` (a pad
+    cell's is an appended zero row), fills each cell with its edge's
+    message gradient, a pad cell with zeros. Their products with the
+    blocks give U's gradient (its last unit the bias's), which times the
+    states gives ``w2``'s and ``b2``'s, dense, and times the matrices h's,
+    the channels' summed in order; it is freed before the blocks'
+    gradient, the cells' times U, is made. That keeps the blocks' layout,
+    so ``backward`` sums the steps' block gradients elementwise and
+    ``segment_blocks``' rule gathers the rows out once. The parents are
+    each channel's ``(w2, b2, blocks)``, in the order the tape of the node
+    products, the contraction and a scatter would deliver them, then
+    ``h``.
 
     Only the result is checked for NaN/Inf, as in ``label_message`` and for
     the same reasons. Here the blocks hold the first layer's checked
@@ -1129,10 +1108,12 @@ def edge_message(h: Tensor, channels: Sequence[tuple[Tensor, Tensor, Tensor]],
 
     def rule(g: np.ndarray):
         g = g.reshape(near.num_segments, k, c, p)
+        source = np.full(n * depth, near.num_segments)
+        source[plan.cells] = near.index
         grads, g_h = [], None
         for j, ((blocks, w2, b2), u) in enumerate(zip(channels, us)):
             # each cell's message gradient, a pad cell's from an appended zero row
-            g_y = np.take(np.concatenate([g[:, :, j], np.zeros((1, k, p))]), plan.source,
+            g_y = np.take(np.concatenate([g[:, :, j], np.zeros((1, k, p))]), source,
                           axis=0).reshape(n, depth, k, p).transpose(0, 2, 1, 3)
             g_u = (blocks.data.transpose(0, 2, 3, 1) @ g_y).reshape(n, k, (r + 1) * p)
             g_w, g_c = g_u[:, :, :r * p], g_u[:, :, r * p:]

@@ -237,4 +237,5 @@ def oracle_encode(g, representation, include_partial_charge=False,
             features[:, 0] = dist
             features[~free, 1 + bond[~free]] = 1.0
     return EncodedGraph(node_features=node_features, pair_i=i, pair_j=j,
-                        pair_features=features, representation=representation)
+                        pair_features=features, representation=representation,
+                        virtual_edges=virtual_edges and representation == "chemical")

@@ -449,8 +449,9 @@ def test_non_finite_edge_network_weight_raises(rng, name):
 
 class TestKeptPackings:
     """An untaped ``predict_batch`` keeps its packing, the unions' layouts
-    and the order plan, keyed by the config and the identity of the
-    graphs in order; a repeated evaluation runs only the weights."""
+    and the order plan, keyed by the config and the graphs in order (a
+    graph compares by identity); a repeated evaluation runs only the
+    weights."""
 
     @pytest.fixture(autouse=True)
     def nothing_kept(self, monkeypatch):
@@ -536,6 +537,23 @@ class TestKeptPackings:
         assert not calls
         assert all(kept[name].tobytes() == fresh[name].tobytes() for name in params)
 
+    @pytest.mark.parametrize("message_fn,readout,edge_repr", [
+        ("matmul", "ggnn", "chemical"), ("edge_network", "set2set", "raw_distance")])
+    def test_a_taped_call_leaves_the_kept_bytes_as_counted(self, message_fn, readout,
+                                                            edge_repr):
+        # a forward and backward over a kept packing add nothing to it, so
+        # it holds the bytes the bound counted when it was kept
+        rng = np.random.default_rng(0)
+        cfg = make_cfg(message_fn, readout, d=8, edge_repr=edge_repr)
+        params = init_params(cfg, seed=0)
+        egs = [random_encoded(rng, n=int(n), d_in=4, representation=edge_repr)
+               for n in rng.integers(2, 9, size=20)]
+        with T.no_grad():
+            predict_batch(egs, params, cfg)
+        (packing, size), = model._kept.values()
+        T.backward(T.reduce_sum(predict_batch(egs, params, cfg)))
+        assert packing.nbytes == size
+
     def test_another_config_or_order_misses(self, rng, monkeypatch):
         cfg = make_cfg("dtnn", "ggnn")
         params = init_params(cfg, seed=7)
@@ -560,7 +578,7 @@ class TestKeptPackings:
                 for name, batch in (("a", a), ("b", b), ("c", c), ("big", big))}
         monkeypatch.setattr(model, "KEPT_BYTES", size["a"] + size["b"] + size["c"] - 1)
         assert size["big"] > model.KEPT_BYTES
-        keys = {name: (cfg, tuple(map(id, batch)))
+        keys = {name: (cfg, tuple(batch))
                 for name, batch in (("a", a), ("b", b), ("c", c), ("big", big))}
         with T.no_grad():
             for batch in (a, b, a, c):

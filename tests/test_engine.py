@@ -572,6 +572,17 @@ class TestTowers:
         permuted = propagate(permute_graph(eg, perm), params, cfg).h.data
         np.testing.assert_allclose(permuted[perm], original, atol=1e-9)
 
+    def test_random_and_permuted_graphs_keep_the_virtual_edges_flag(self, rng):
+        # the engine refuses a chemical graph without virtual edges under a
+        # config with them, so the checks' graphs must carry the flag
+        cfg = cfg_for("matmul", d=8, towers_k=4, virtual_edges=True)
+        params = init_params(cfg, seed=16)
+        eg = checks.random_graph(rng, 6, cfg)
+        permuted = permute_graph(eg, rng.permutation(6))
+        assert eg.virtual_edges and permuted.virtual_edges
+        np.testing.assert_allclose(model_forward(permuted, params, cfg).data,
+                                   model_forward(eg, params, cfg).data, atol=1e-9)
+
 
 
 # (message, encoding, whether step 0 skips the towers the features leave
@@ -700,6 +711,8 @@ MISMATCHED_ENCODINGS = [
     ("edge_network", "raw_distance", False, "chemical"),
     ("edge_network", "chemical", True, "raw_distance"),
     ("matmul", "distance_bins", False, "chemical"),
+    # a chemical graph without virtual edges under a config with them
+    ("matmul", "chemical", True, "chemical"),
 ]
 
 

@@ -348,9 +348,12 @@ class TestAugmentations:
         assert virtual_pairs(complete) == 0
         plain = encode(complete, "chemical")
         virtual = encode(complete, "chemical", virtual_edges=True)
+        # only the flag tells them apart, so each runs under its own config
+        assert (plain.virtual_edges, virtual.virtual_edges) == (False, True)
         for field in dataclasses.fields(EncodedGraph):
-            np.testing.assert_array_equal(getattr(virtual, field.name),
-                                          getattr(plain, field.name))
+            if field.name != "virtual_edges":
+                np.testing.assert_array_equal(getattr(virtual, field.name),
+                                              getattr(plain, field.name))
 
     def test_virtual_edges_star9(self):
         # Frozen count: C(9,2) - 8 = 28 missing pairs on a 9-node star.
@@ -702,6 +705,23 @@ class TestEdgeLayout:
         with pytest.raises(ContractError):
             layout_graph(ends_i, ends_j, features)
 
+    @pytest.mark.parametrize("ends_i, ends_j, features, representation", [
+        ([1.7], [2], [0], "chemical"),          # would truncate to 1 -> 2
+        ([0], [2.0], [0], "chemical"),          # integral, still a float
+        ([True], [False], [0], "chemical"),     # would read as 1 and 0
+        ([0], [1], [1.0], "chemical"),          # a float label
+        ([0], [1], [4.5], "distance_bins"),
+        ([0], [1], [True], "distance_bins"),
+    ], ids=["float_first_end", "float_second_end", "bool_ends", "float_chemical_label",
+            "float_bin_label", "bool_bin_label"])
+    def test_non_integer_ends_and_labels_are_refused(self, ends_i, ends_j, features,
+                                                     representation):
+        # built here, since ``layout_graph`` casts the ends to integers
+        with pytest.raises(ContractError, match="must hold integers"):
+            EncodedGraph(node_features=np.zeros((4, 2)), pair_i=np.array(ends_i),
+                         pair_j=np.array(ends_j), pair_features=np.array(features),
+                         representation=representation)
+
     def test_pairs_are_admitted(self):
         eg = layout_graph([0, 2], [1, 3], RAW[[0, 1]], "raw_distance")
         assert (eg.n_edges, eg.max_degree) == (4, 1)
@@ -836,9 +856,7 @@ def joined_layout(members, cfg):
 def layout_arrays(value, name="layout"):
     """Every array under ``value`` (a layout, its fields as a dict, a plan
     or a tensor) as (path, dtype, shape, bytes), and every other value as
-    (path, value), the fields in name order. A plan's ``cells`` and
-    ``source``, made on first use, are left out, so that both sides are
-    compared as built."""
+    (path, value), the fields in name order."""
     if isinstance(value, T.Tensor):
         return layout_arrays(value.data, name)
     if isinstance(value, np.ndarray):

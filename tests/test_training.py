@@ -581,9 +581,9 @@ class TestTrainRun:
         from mpnnkit import model
         monkeypatch.setattr(model, "_kept", type(model._kept)())
         self.run_once(tmp_path)
-        (packing, _), = model._kept.values()
+        (_, graphs), = model._kept
         valid = toy_dataset(20, seed=1)[12:16]
-        assert [eg.node_features.tolist() for eg in packing.graphs] == [
+        assert [eg.node_features.tolist() for eg in graphs] == [
             prepare_graph(g, small_model()).node_features.tolist() for g in valid]
 
     def test_no_timestamps_in_log(self, tmp_path):
